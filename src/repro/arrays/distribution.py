@@ -19,6 +19,7 @@ distributions the owned set per processor is a (strided) rectangle; the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -95,6 +96,7 @@ class Distribution:
         self._vector_cache: dict[int, tuple[np.ndarray, ...]] = {}
         self._grid_cache: dict[int, tuple[np.ndarray, ...]] = {}
         self._global_grids: tuple[np.ndarray, ...] | None = None
+        self._part_sizes: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -187,6 +189,20 @@ class Distribution:
     def local_shape(self, rank: int) -> tuple[int, ...]:
         return self.bounds(rank).shape
 
+    def part_sizes(self) -> np.ndarray:
+        """Number of elements every rank *owns*, as one read-only vector
+        (memoized) — what the elementwise skeletons charge from.  Not
+        ``bounds(r).size``: for strided layouts that is the bounding box.
+        """
+        if self._part_sizes is None:
+            v = np.array(
+                [math.prod(self.local_shape(r)) for r in range(self.p)],
+                dtype=np.intp,
+            )
+            v.setflags(write=False)
+            self._part_sizes = v
+        return self._part_sizes
+
     def ranks(self) -> Iterator[int]:
         return iter(range(self.p))
 
@@ -231,7 +247,6 @@ class BlockDistribution(Distribution):
             self._splits.append(np.concatenate(([0], np.cumsum(sizes))))
         self._owner_vectors: tuple[np.ndarray, ...] | None = None
         self._slice_cache: dict[int, tuple[slice, ...]] = {}
-        self._part_sizes: np.ndarray | None = None
 
     def owner(self, index: Sequence[int]) -> int:
         coords = []
@@ -269,9 +284,7 @@ class BlockDistribution(Distribution):
         return s
 
     def part_sizes(self) -> np.ndarray:
-        """Element count of every partition as one read-only vector
-        (memoized) — used to charge per-rank cost vectors without a
-        per-rank ``bounds`` walk.
+        """The base method without its per-rank ``local_shape`` walk.
 
         Computed closed-form as the outer product of the per-dimension
         block lengths (``np.diff`` of the split points): grid ranks are

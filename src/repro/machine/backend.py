@@ -4,11 +4,13 @@ The analytic :class:`~repro.machine.network.Network` is the **only**
 cost oracle — simulated seconds never depend on which backend runs the
 kernels, and the ``backend`` conformance pillar asserts bit-identity of
 pool contents, clocks, stats and metrics across all three.  What a
-backend changes is *wall-clock*: where the numpy kernels of the fused
-skeleton paths physically execute.
+backend changes is *wall-clock*: where the numpy kernels of the elementwise
+skeletons physically execute.
 
-* :class:`SimBackend` — the historical single-process execution; the
-  skeletons keep their fused whole-pool fast path.
+* :class:`SimBackend` — single-process execution; ``parallel`` is
+  false, so the elementwise executor
+  (:func:`repro.skeletons.fuse.run_elementwise`) never builds per-rank
+  tasks and goes straight to its pooled or per-rank path.
 * :class:`ThreadsBackend` — per-partition kernel calls dispatched to a
   thread pool.  The numpy ufunc inner loops release the GIL, so
   elementwise kernels over pooled block partitions scale with cores
@@ -99,8 +101,8 @@ class ExecBackend:
     """
 
     name = "sim"
-    #: whether skeletons should decompose work into per-rank tasks for
-    #: this backend (False: keep the single-process fused fast path)
+    #: whether the elementwise executor should decompose work into
+    #: per-rank tasks for this backend (condition 1 of its ladder)
     parallel = False
     #: the attached :class:`~repro.obs.prof.WallProfiler`, or ``None``
     #: (the default) — ``Machine(profile=True)`` sets it.  Wall-clock

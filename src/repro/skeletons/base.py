@@ -21,8 +21,7 @@ User argument functions that need processor context (the paper's
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from repro.arrays.darray import DistArray
 from repro.errors import SkeletonError
 from repro.machine.costmodel import SKIL, LanguageProfile
 from repro.machine.machine import DISTR_DEFAULT, Machine
-from repro.skeletons.fuse import fusion_default, program_fusion_default
+from repro.skeletons.fuse import MapEnv, fusion_default, program_fusion_default
 
 __all__ = ["SkilContext", "MapEnv", "ops_of", "current_context", "skeleton_span"]
 
@@ -85,15 +84,6 @@ def ops_of(f: Callable, default: float = 1.0) -> float:
     ``ops * elem_time`` per element.
     """
     return float(getattr(f, "ops", default))
-
-
-@dataclass
-class MapEnv:
-    """Per-rank environment handed to vectorized kernels."""
-
-    ctx: "SkilContext"
-    rank: int
-    bounds: Any  # repro.arrays.distribution.Bounds
 
 
 class SkilContext:

@@ -151,13 +151,13 @@ def _pair_bytes_fused(
     return uniq // p, uniq % p, sums
 
 
-def _charge_pairs_fused(ctx, srcs, dsts, nbs, topo) -> None:
-    """Array variant of :func:`_charge_pairs`.
+def _charge_pairs(ctx, srcs, dsts, nbs, topo) -> None:
+    """Charge the (src, dst)-sorted messages, given as three int64 arrays.
 
-    Identical charging sequence: the sorted pair list is cut at every
-    local (src == dst) pair — a memory copy on the owner — and each
-    remote stretch goes through ``Network.p2p_batch`` in one call, the
-    same flush boundaries the list loop produces.
+    The list is cut at every local (src == dst) pair — a memory copy on
+    the owner — and each remote stretch goes through
+    ``Network.p2p_batch`` in one call, which is bit-identical to a
+    per-pair ``p2p`` loop.
     """
     t_mem = ctx.machine.cost.t_mem
     sync = ctx.sync()
@@ -181,44 +181,6 @@ def _charge_pairs_fused(ctx, srcs, dsts, nbs, topo) -> None:
         )
 
 
-def _charge_pairs(ctx, pair_items, topo) -> None:
-    """Charge the sorted (src, dst) message list.
-
-    Local pairs are memory copies on the owner; consecutive runs of
-    remote pairs are charged through ``Network.p2p_batch``, which is
-    bit-identical to the historical per-pair ``p2p`` loop.
-    """
-    t_mem = ctx.machine.cost.t_mem
-    sync = ctx.sync()
-    run_s: list[int] = []
-    run_d: list[int] = []
-    run_nb: list[int] = []
-
-    def flush() -> None:
-        if run_s:
-            ctx.net.p2p_batch(
-                np.asarray(run_s, dtype=np.int64),
-                np.asarray(run_d, dtype=np.int64),
-                np.asarray(run_nb, dtype=np.int64),
-                topo,
-                sync=sync,
-                tag="permute-rows",
-            )
-            run_s.clear()
-            run_d.clear()
-            run_nb.clear()
-
-    for (s, d), nbytes in pair_items:
-        if s == d:
-            flush()
-            ctx.net.compute_at(s, nbytes * t_mem)
-        else:
-            run_s.append(s)
-            run_d.append(d)
-            run_nb.append(ctx.wire_bytes(nbytes))
-    flush()
-
-
 @skeleton_span("array_permute_rows")
 def array_permute_rows(
     ctx, from_arr: DistArray, perm_f: Callable[[int], int], to_arr: DistArray
@@ -237,18 +199,13 @@ def array_permute_rows(
     # it is evaluated on (at least) the processors whose rows move
     ctx.net.compute(n_rows / ctx.p * ctx.elem_time(ops_of(perm_f)))
 
-    fused = (
-        ctx.fused and from_arr.pool is not None and to_arr.pool is not None
-    )
-    if fused:
+    if ctx.fused and from_arr.pool is not None and to_arr.pool is not None:
         # whole-array gather on the pools + vectorized byte histogram
         to_arr.pool[perm_arr] = from_arr.pool
-        psrcs, pdsts, pnbs = _pair_bytes_fused(from_arr, to_arr, perm_arr, ctx.p)
-        topo = ctx.machine.topology(from_arr.distr)
-        _charge_pairs_fused(ctx, psrcs, pdsts, pnbs, topo)
-        return
+        pairs = _pair_bytes_fused(from_arr, to_arr, perm_arr, ctx.p)
     else:
-        # group row segments into per-(src,dst) messages
+        # the per-row reference: group row segments into per-(src, dst)
+        # messages while moving them
         perm = perm_arr.tolist()
         itemsize = from_arr.dtype.itemsize
         pair_bytes: dict[tuple[int, int], int] = defaultdict(int)
@@ -262,10 +219,12 @@ def array_permute_rows(
                 db = to_arr.part_bounds(dst_rank)
                 to_arr.local(dst_rank)[perm[row] - db.lower[0], :] = segment
                 pair_bytes[(src_rank, dst_rank)] += seg_bytes
-        pair_items = sorted(pair_bytes.items())
-
-    topo = ctx.machine.topology(from_arr.distr)
-    _charge_pairs(ctx, pair_items, topo)
+        # rows (src, dst, nbytes) in (src, dst) order -> three columns
+        pairs = np.array(
+            [(s, d, nb) for (s, d), nb in sorted(pair_bytes.items())],
+            dtype=np.int64,
+        ).T
+    _charge_pairs(ctx, *pairs, ctx.machine.topology(from_arr.distr))
 
 
 def array_rotate_rows(ctx, from_arr: DistArray, shift: int, to_arr: DistArray) -> None:

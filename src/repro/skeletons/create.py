@@ -29,8 +29,8 @@ from repro.arrays.darray import DistArray, default_grid
 from repro.arrays.distribution import BlockDistribution
 from repro.errors import SkeletonError
 from repro.skeletons import fuse
-from repro.skeletons.base import MapEnv, ops_of, skeleton_span
-from repro.skeletons.map import apply_fused
+from repro.skeletons.base import ops_of, skeleton_span
+from repro.skeletons.map import write_result
 
 __all__ = ["array_create", "array_create_uninit", "array_destroy", "array_copy"]
 
@@ -54,49 +54,10 @@ def array_create(
     element type is carried by the ``$t`` instantiation); here it
     selects the numpy element type.
     """
-    distr = distr if distr is not None else ctx.default_distr
-    grid = default_grid(ctx.machine, dim, distr)
-    dist = BlockDistribution.from_pardata_args(dim, size, blocksize, lowerbd, grid)
-    arr = DistArray(ctx.machine, dist, dtype, distr)
-
-    t_elem = ctx.elem_time(ops_of(init_elem))
-    fenv = fuse.FusedEnv(ctx.p)
-    blocks = fuse.dispatch_blocks(
-        ctx,
-        getattr(init_elem, "vectorized", None),
-        [(arr.index_grids(r), fenv) for r in range(ctx.p)],
-    )
-    if blocks is not None:
-        for r in range(ctx.p):
-            arr.local(r)[...] = np.broadcast_to(
-                np.asarray(blocks[r], dtype=arr.dtype), arr.local(r).shape
-            )
-        ctx.net.compute(dist.part_sizes() * t_elem)
-        return arr
-    out = apply_fused(ctx, init_elem, (), arr.shape, dist)
-    if out is not None:
-        arr.pool[...] = np.asarray(out, dtype=arr.dtype)
-        ctx.net.compute(dist.part_sizes() * t_elem)
-        return arr
-
-    per_rank = np.zeros(ctx.p)
-    vec = getattr(init_elem, "vectorized", None)
-    for r in range(ctx.p):
-        ctx.current_rank = r
-        b = arr.part_bounds(r)
-        if vec is not None:
-            env = MapEnv(ctx, r, b)
-            block = vec(arr.index_grids(r), env)
-            arr.local(r)[...] = np.broadcast_to(
-                np.asarray(block, dtype=arr.dtype), arr.local(r).shape
-            )
-        else:
-            block = arr.local(r)
-            for local_ix, gix in arr.iter_local_indices(r):
-                block[local_ix] = init_elem(gix)
-        per_rank[r] = b.size * t_elem
-    ctx.current_rank = None
-    ctx.net.compute(per_rank)
+    arr = array_create_uninit(ctx, dim, size, blocksize, lowerbd, distr, dtype)
+    whole, blocks = fuse.run_elementwise(ctx, init_elem, (), arr)
+    write_result(arr, whole, blocks)
+    ctx.net.compute(arr.dist.part_sizes() * ctx.elem_time(ops_of(init_elem)))
     return arr
 
 

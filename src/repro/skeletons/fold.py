@@ -33,26 +33,9 @@ import numpy as np
 from repro.arrays.darray import DistArray
 from repro.errors import SkeletonError
 from repro.skeletons import fuse
-from repro.skeletons.base import MapEnv, ops_of, skeleton_span
-from repro.skeletons.map import apply_fused
+from repro.skeletons.base import ops_of, skeleton_span
 
 __all__ = ["array_fold", "array_scan"]
-
-
-def _converted_partition(ctx, conv_f, a: DistArray, rank: int) -> np.ndarray:
-    b = a.part_bounds(rank)
-    vec = getattr(conv_f, "vectorized", None)
-    if vec is not None:
-        env = MapEnv(ctx, rank, b)
-        out = np.asarray(vec(a.local(rank), a.index_grids(rank), env))
-        return np.broadcast_to(out, a.local(rank).shape)
-    src = a.local(rank)
-    vals = []
-    for local_ix, gix in a.iter_local_indices(rank):
-        vals.append(conv_f(src[local_ix], gix))
-    arr = np.empty(len(vals), dtype=object)
-    arr[:] = vals
-    return arr
 
 
 def _local_fold(fold_f, values: np.ndarray):
@@ -80,54 +63,18 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
 
     t_conv = ctx.elem_time(ops_of(conv_f))
     t_fold = ctx.elem_time(ops_of(fold_f))
-    per_rank = np.zeros(ctx.p)
-    partials = []
     with ctx.phase("fold:local"):
-        # fused fast path: run the conversion kernel once over the pool,
-        # then fold each partition's slice of the converted whole —
-        # ravel order inside a block matches the per-rank path, so the
-        # local fold sees the elements in the identical sequence
-        # real backends convert the partitions in parallel (the local
-        # folds stay in the main process: cheap, and fold order must be
-        # the sequential left-to-right reduce)
-        fenv = fuse.FusedEnv(ctx.p)
-        converted = fuse.dispatch_blocks(
-            ctx,
-            getattr(conv_f, "vectorized", None),
-            [(a.local(r), a.index_grids(r), fenv) for r in range(ctx.p)],
-        )
-        conv_global = (
-            None
-            if converted is not None
-            else apply_fused(ctx, conv_f, (a.pool,), a.shape, a.dist)
-        )
-        if converted is not None:
-            for r in range(ctx.p):
-                vals = np.broadcast_to(
-                    np.asarray(converted[r]), a.local(r).shape
-                )
-                partials.append(_local_fold(fold_f, vals))
-            sizes = a.dist.part_sizes()
-            per_rank = sizes * t_conv + np.maximum(0, sizes - 1) * t_fold
-        elif conv_global is not None:
-            dist = a.dist
-            for r in range(ctx.p):
-                partials.append(
-                    _local_fold(fold_f, conv_global[dist.part_slices(r)])
-                )
-            # the per-rank formula below, vectorized — elementwise IEEE
-            # ops, so the charged vector is bit-identical
-            sizes = dist.part_sizes()
-            per_rank = sizes * t_conv + np.maximum(0, sizes - 1) * t_fold
-        else:
-            for r in range(ctx.p):
-                ctx.current_rank = r
-                vals = _converted_partition(ctx, conv_f, a, r)
-                partials.append(_local_fold(fold_f, vals))
-                n = vals.size
-                per_rank[r] = n * t_conv + max(0, n - 1) * t_fold
-            ctx.current_rank = None
-        ctx.net.compute(per_rank)
+        # the local folds stay in the main process whichever way the
+        # conversion ran: cheap, and each must be the sequential
+        # left-to-right reduce.  Ravel order inside a slice of the
+        # converted whole matches a converted block, so every path folds
+        # the elements in the identical sequence
+        whole, blocks = fuse.run_elementwise(ctx, conv_f, (a,), a)
+        if whole is not None:
+            blocks = [whole[a.dist.part_slices(r)] for r in range(ctx.p)]
+        partials = [_local_fold(fold_f, block) for block in blocks]
+        sizes = a.dist.part_sizes()
+        ctx.net.compute(sizes * t_conv + np.maximum(0, sizes - 1) * t_fold)
 
     # combine along the binomial tree and broadcast the result back
     with ctx.phase("fold:tree"):

@@ -1,44 +1,47 @@
-"""Fused whole-array skeleton execution.
+"""The elementwise executor and the fused whole-array helpers.
 
-The per-rank execution loop (``for r in range(ctx.p): vec(block_r, ...)``)
-charges the right *simulated* seconds but costs ``p`` Python-level kernel
-dispatches of wall-clock per skeleton call.  For block-distributed arrays
-all partitions are views into one contiguous pool
-(:attr:`repro.arrays.darray.DistArray.pool`), so an elementwise kernel
-can run **once** over the whole buffer with global index grids — the
-fused fast path.  Simulated seconds stay bit-identical because the
-per-rank cost vector is computed from the same partition geometry with
-the same arithmetic as the per-rank loop.
+``array_map``, ``array_zip``, ``array_fold`` and ``array_create`` are the
+same act — apply a customizing function to every element of every
+partition — so they share one executor, :func:`run_elementwise`.  It
+picks one of three paths, testing the conditions in this order:
 
-Which kernels may fuse
-----------------------
+1. **per-rank tasks on a real backend** — the machine's backend is
+   parallel (``threads``/``mp``) *and* the vectorized kernel is known
+   env-free.  This is the closure-safety audit: a kernel may leave the
+   main process only when it provably never reads the per-rank
+   :class:`MapEnv`.
+2. **one call over the pool** — ``ctx.fused``, every array is pooled
+   (block-distributed: all partitions are views into one contiguous
+   :attr:`~repro.arrays.darray.DistArray.pool`), and the function has an
+   explicit ``fused=`` whole-array form or a vectorized kernel not known
+   to read the env.  Saves ``p`` Python-level kernel calls per skeleton.
+3. **the per-rank loop** — everything else: strided layouts, kernels
+   that read the env, scalar-only functions (applied element by
+   element).  ``SkilContext(fused=False)`` forces it on ``sim``; it is
+   the reference the other two are held bit-equal to (``tests/check``
+   and the ``repro.check`` pillars).
 
-A vectorized kernel ``vec(block, grids, env)`` is *fusable* when its
-result per element does not depend on which rank evaluates it, i.e. it
-never reads the per-rank :class:`~repro.skeletons.base.MapEnv`.  Three
-sources of that knowledge:
+What "env-free" is known from: generated kernels (``lang/codegen.py``)
+carry ``env_free`` — the vectorizer knows statically whether the Skil
+source used ``procId``, ``array_part_bounds`` or ``array_get_elem``;
+hand-written kernels are probed on path 2, which calls them with a
+:class:`FusedEnv` whose rank-specific attributes raise
+:class:`FusionFallback`, and the outcome is memoized on the kernel (so a
+hand-written kernel reaches path 1 from its second call on).
+Rank-*dependent* kernels can still take path 2 by providing
+``skil_fn(fused=...)`` (signature ``fused(pool, global_grids, fenv)``) —
+see the Gaussian-elimination kernels in :mod:`repro.apps.gauss`.
 
-* generated kernels (``lang/codegen.py``) carry ``env_free`` — the
-  vectorizer knows statically whether the Skil source used ``procId``,
-  ``array_part_bounds`` or ``array_get_elem``;
-* hand-written kernels are probed: the fused path calls them with a
-  :class:`FusedEnv` whose rank-specific attributes raise
-  :class:`FusionFallback`, and the outcome is memoized on the kernel;
-* rank-*dependent* kernels can still fuse by providing an explicit
-  whole-array kernel via ``skil_fn(fused=...)`` (signature
-  ``fused(pool, global_grids, fenv)``) — see the Gaussian-elimination
-  kernels in :mod:`repro.apps.gauss`.
-
-Everything else — strided distributions, scalar-only kernels, kernels
-that read the env — falls back to the per-rank loop, whose results the
-fused path reproduces bit-for-bit (enforced by ``tests/check`` and the
-``repro.check`` pillars).
+The executor never touches a clock.  Callers charge one cost vector
+computed from ``dist.part_sizes()``, so simulated seconds cannot depend
+on the path taken.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -51,7 +54,7 @@ __all__ = [
     "set_program_fusion_default",
     "kernel_fusability",
     "remember_fusability",
-    "dispatch_blocks",
+    "run_elementwise",
     "interleaved_view",
     "stacked_blocks",
 ]
@@ -105,13 +108,13 @@ def set_program_fusion_default(enabled: bool) -> None:
 
 
 class FusedEnv:
-    """The environment handed to kernels on the fused path.
+    """The environment of every kernel call outside the per-rank loop
+    (the pooled call, backend tasks): there is no rank to read.
 
-    Unlike :class:`~repro.skeletons.base.MapEnv` there is no single rank:
-    the kernel sees the whole array.  Accessing any rank-specific
-    attribute raises :class:`FusionFallback`, which is what makes probing
-    hand-written kernels safe — an env-reading kernel aborts before its
-    result is used, and the caller re-runs it per rank.
+    Accessing any rank-specific attribute raises :class:`FusionFallback`,
+    which is what makes probing hand-written kernels safe — an
+    env-reading kernel aborts before its result is used, and the caller
+    re-runs it per rank.
     """
 
     __slots__ = ("p",)
@@ -130,6 +133,15 @@ class FusedEnv:
     @property
     def ctx(self):
         raise FusionFallback("kernel reads env.ctx")
+
+
+@dataclass
+class MapEnv:
+    """Per-rank environment handed to kernels by the per-rank loop."""
+
+    ctx: Any  # repro.skeletons.base.SkilContext
+    rank: int
+    bounds: Any  # repro.arrays.distribution.Bounds
 
 
 def kernel_fusability(vec: Callable) -> bool | None:
@@ -157,41 +169,105 @@ def remember_fusability(vec: Callable, ok: bool) -> None:
         pass
 
 
-def dispatch_blocks(ctx, vec: Callable | None, tasks: list[tuple]) -> list | None:
-    """Run *vec* over per-rank task tuples on the machine's real backend.
+def _boxed_block(f: Callable, ins: list, like, rank: int) -> np.ndarray:
+    """Apply a scalar-only *f* to one partition, element by element.
 
-    ``tasks[r]`` is the argument tuple of rank *r* — exactly what the
-    sequential per-rank loop would pass, except the env slot holds a
-    :class:`FusedEnv` (parallel workers must not see a per-rank
-    ``MapEnv``; this is the env_free audit).  Returns the raw kernel
-    outputs in rank order, or ``None`` when the work stays sequential:
-
-    * the backend is ``sim`` (``backend.parallel`` is false),
-    * the kernel is not *known* env-free (``kernel_fusability`` is not
-      ``True`` — unknown kernels get probed by the fused path first and
-      dispatch from their next call on),
-    * the kernel's env use turns out to be conditional and it raises
-      :class:`FusionFallback` (locally or inside a worker).
-
-    A :class:`~repro.errors.BackendError` from the mp closure-shipping
-    path **propagates** — an unshippable kernel is an error the caller
-    must hear about, never a silent fallback.
-
-    Bit-identity: the backend returns results in task (= rank) order and
-    every kernel call receives the same block, grids and element
-    arithmetic as the sequential loop, so the values written back are
-    the sequential values; simulated seconds are charged by the caller
-    from partition geometry alone and never touch the backend.
+    The loop is specialised on the number of sources outside the element
+    loop: it is a third of the ``skeleton_calls`` benchmark, and a generic
+    ``f(*(b[ix] for b in ins), gix)`` body costs +29 % there.
     """
-    backend = getattr(ctx.machine, "backend", None)
-    if backend is None or not backend.parallel or vec is None:
-        return None
-    if kernel_fusability(vec) is not True:
-        return None
+    out = np.empty(like.local(rank).shape, dtype=object)
+    indices = like.iter_local_indices(rank)
+    if not ins:
+        for ix, gix in indices:
+            out[ix] = f(gix)
+    elif len(ins) == 1:
+        (a,) = ins
+        for ix, gix in indices:
+            out[ix] = f(a[ix], gix)
+    else:
+        a, b = ins
+        for ix, gix in indices:
+            out[ix] = f(a[ix], b[ix], gix)
+    return out
+
+
+def run_elementwise(ctx, f: Callable, srcs: tuple, like) -> tuple:
+    """Evaluate *f* on every element; the one executor behind map, zip,
+    fold's conversion and create (path conditions: module docstring).
+
+    *srcs* are the input arrays (none for create, two for zip); *like*
+    is the array whose layout the result has.  Returns ``(whole, None)``
+    — one array of ``like.shape`` — or ``(None, blocks)`` — the
+    partitions in rank order, each of its ``local(r).shape``.
+
+    Bit-identity across the paths: every kernel call sees the same
+    elements, index values and element arithmetic, and the backend
+    returns results in task (= rank) order.  A
+    :class:`~repro.errors.BackendError` from mp closure shipping
+    **propagates** — an unshippable kernel is an error the caller must
+    hear about, never a silent fallback.
+    """
+    p = ctx.p
+    vec = getattr(f, "vectorized", None)
+    env_free = None if vec is None else kernel_fusability(vec)
+    backend = ctx.machine.backend
+    if backend.parallel and env_free is True:
+        # workers get a FusedEnv, never a per-rank MapEnv: a kernel whose
+        # env use is conditional raises (here or inside a worker) and is
+        # re-run by the per-rank loop below
+        fenv = FusedEnv(p)
+        tasks = [
+            tuple(s.local(r) for s in srcs) + (like.index_grids(r), fenv)
+            for r in range(p)
+        ]
+        try:
+            outs = backend.run_blocks(vec, tasks)
+        except FusionFallback:
+            pass
+        else:
+            return None, [
+                np.broadcast_to(np.asarray(out), like.local(r).shape)
+                for r, out in enumerate(outs)
+            ]
+    elif ctx.fused and all(a.pool is not None for a in (*srcs, like)):
+        # an explicit fused= form wins; its own guards (e.g. a partner
+        # array that is not pooled) raise FusionFallback
+        whole_k = getattr(f, "fused", None)
+        probing = False
+        if whole_k is None and env_free is not False:
+            whole_k, probing = vec, env_free is None
+        if whole_k is not None:
+            try:
+                out = whole_k(
+                    *(a.pool for a in srcs),
+                    like.dist.global_index_grids(),
+                    FusedEnv(p),
+                )
+            except FusionFallback:
+                if probing:
+                    remember_fusability(vec, False)
+            else:
+                if probing:
+                    remember_fusability(vec, True)
+                return np.broadcast_to(np.asarray(out), like.shape), None
+
+    blocks = []
     try:
-        return backend.run_blocks(vec, tasks)
-    except FusionFallback:
-        return None
+        for r in range(p):
+            # user functions read it as procId while they are mapped
+            ctx.current_rank = r
+            ins = [s.local(r) for s in srcs]
+            if vec is None:
+                blocks.append(_boxed_block(f, ins, like, r))
+                continue
+            env = MapEnv(ctx, r, like.part_bounds(r))
+            out = vec(*ins, like.index_grids(r), env)
+            blocks.append(np.broadcast_to(np.asarray(out), like.local(r).shape))
+    finally:
+        # also when f raises: proc_id() must not answer outside a skeleton
+        ctx.current_rank = None
+    return None, blocks
 
 
 def interleaved_view(pool: np.ndarray, grid: tuple[int, ...]) -> np.ndarray | None:

@@ -25,167 +25,51 @@ from typing import Callable
 import numpy as np
 
 from repro.arrays.darray import DistArray
-from repro.errors import SkeletonError
 from repro.skeletons import fuse
-from repro.skeletons.base import MapEnv, ops_of, skeleton_span
+from repro.skeletons.base import ops_of, skeleton_span
 
 __all__ = ["array_map", "array_zip"]
 
 
-def _apply_block(ctx, f, src_arr: DistArray, rank: int, blocks=None):
-    """Compute the mapped values of one partition (no clock charging)."""
-    b = src_arr.part_bounds(rank)
-    vec = getattr(f, "vectorized", None)
-    src = src_arr.local(rank) if blocks is None else blocks[rank]
-    if vec is not None:
-        env = MapEnv(ctx, rank, b)
-        out = vec(src, src_arr.index_grids(rank), env)
-        return np.broadcast_to(np.asarray(out), src.shape)
-    out = np.empty(src.shape, dtype=object)
-    for local_ix, gix in src_arr.iter_local_indices(rank):
-        out[local_ix] = f(src[local_ix], gix)
-    return out
+def write_result(to_arr: DistArray, whole, blocks) -> None:
+    """Write what :func:`~repro.skeletons.fuse.run_elementwise` returned
+    into *to_arr*, converting to its dtype.
 
-
-def apply_fused(ctx, f, pools: tuple, shape, dist) -> np.ndarray | None:
-    """Evaluate *f* once over the whole pooled buffer(s), or ``None``.
-
-    *pools* are the input pool(s) the kernel consumes (one for map/fold
-    conversion, two for zip; empty for create).  Raises nothing: every
-    reason not to fuse — no kernel, unpooled array, env-reading kernel —
-    yields ``None``, and the caller runs the per-rank loop.
+    Only called once every partition is computed, so an in-situ map
+    cannot observe partially updated data even across partitions.
     """
-    if not ctx.fused or any(p is None for p in pools):
-        return None
-    fused_k = getattr(f, "fused", None)
-    vec = getattr(f, "vectorized", None)
-    grids = dist.global_index_grids()
-    fenv = fuse.FusedEnv(ctx.p)
-    if fused_k is not None:
-        # explicit whole-array kernel; its own guards (e.g. a partner
-        # array that is not pooled) raise FusionFallback
-        try:
-            out = fused_k(*pools, grids, fenv)
-        except fuse.FusionFallback:
-            return None
-        return np.broadcast_to(np.asarray(out), shape)
-    if vec is None:
-        return None
-    ok = fuse.kernel_fusability(vec)
-    if ok is False:
-        return None
-    try:
-        out = vec(*pools, grids, fenv)
-    except fuse.FusionFallback:
-        if ok is None:
-            fuse.remember_fusability(vec, False)
-        return None
-    if ok is None:
-        fuse.remember_fusability(vec, True)
-    return np.broadcast_to(np.asarray(out), shape)
-
-
-def write_pool(to_arr: DistArray, out: np.ndarray) -> None:
-    """Write a fused result into the target pool (with dtype conversion,
-    matching the per-rank write-back)."""
+    if whole is None:
+        for r, block in enumerate(blocks):
+            to_arr.local(r)[...] = block
+        return
     pool = to_arr.pool
-    if out is not pool and np.may_share_memory(out, pool):
+    if whole is not pool and np.may_share_memory(whole, pool):
         # e.g. an identity kernel returning a view of the target pool;
         # materialise before the overlapping assignment
-        out = np.array(out, dtype=to_arr.dtype)
-    pool[...] = out
+        whole = np.array(whole, dtype=to_arr.dtype)
+    pool[...] = whole
 
 
-def _map_cost_vector(ctx, from_arr: DistArray, to_arr: DistArray, t_elem: float):
-    """The per-rank cost vector of a map-shaped skeleton — shared by the
-    fused and per-rank paths so simulated seconds are bit-identical.
-
-    ``nbytes`` of the converted partition is ``b.size * itemsize`` exactly
-    (the per-rank path reads it off the materialised block).  Vectorized
-    over ranks with the same elementwise IEEE ops as the scalar formula,
-    so the charged vector is bit-identical.
-    """
-    sizes = from_arr.dist.part_sizes()
-    per_rank = sizes * t_elem
+def _map_into(ctx, f: Callable, srcs: tuple, to_arr: DistArray) -> None:
+    """The body shared by map and zip: run, write, charge."""
+    whole, blocks = fuse.run_elementwise(ctx, f, srcs, srcs[0])
+    write_result(to_arr, whole, blocks)
+    sizes = srcs[0].dist.part_sizes()
+    per_rank = sizes * ctx.elem_time(ops_of(f))
     if ctx.profile.copy_on_update:
         # functional host: build a fresh array, then (conceptually)
         # replace the old one — charge allocation+copy traffic
         per_rank = per_rank + (
             sizes * to_arr.dtype.itemsize
         ) * ctx.machine.cost.t_mem
-    return per_rank
-
-
-def dispatch_blocks(ctx, f, srcs: tuple, to_arr: DistArray) -> bool:
-    """Per-rank parallel execution on a real backend (threads/mp).
-
-    ``srcs`` are the input array(s); each rank's task is the same
-    ``vec(block(s), grids, env)`` call the sequential loop makes, with a
-    :class:`~repro.skeletons.fuse.FusedEnv` standing in for the per-rank
-    env (only known env-free kernels are dispatched, so the env is never
-    read).  Writes the target and returns ``True``, or returns ``False``
-    when the work stayed sequential.  No clocks are touched here — the
-    caller charges the same cost vector as the sequential paths.
-    """
-    vec = getattr(f, "vectorized", None)
-    lead = srcs[0]
-    fenv = fuse.FusedEnv(ctx.p)
-    tasks = [
-        tuple(s.local(r) for s in srcs) + (lead.index_grids(r), fenv)
-        for r in range(ctx.p)
-    ]
-    outs = fuse.dispatch_blocks(ctx, vec, tasks)
-    if outs is None:
-        return False
-    results = [
-        np.asarray(
-            np.broadcast_to(np.asarray(out), lead.local(r).shape),
-            dtype=to_arr.dtype,
-        )
-        for r, out in enumerate(outs)
-    ]
-    # deferred write-back, exactly like the sequential per-rank loop
-    for r in range(ctx.p):
-        to_arr.local(r)[...] = results[r]
-    return True
+    ctx.net.compute(per_rank)
 
 
 @skeleton_span("array_map")
 def array_map(ctx, map_f: Callable, from_arr: DistArray, to_arr: DistArray) -> None:
     """Apply *map_f* to every element of *from_arr*, writing *to_arr*."""
     ctx.check_same_shape("array_map", from_arr, to_arr)
-
-    t_elem = ctx.elem_time(ops_of(map_f))
-    if dispatch_blocks(ctx, map_f, (from_arr,), to_arr):
-        ctx.net.compute(_map_cost_vector(ctx, from_arr, to_arr, t_elem))
-        return
-    out = apply_fused(ctx, map_f, (from_arr.pool,), from_arr.shape, from_arr.dist)
-    if out is not None:
-        per_rank = _map_cost_vector(ctx, from_arr, to_arr, t_elem)
-        write_pool(to_arr, out)
-        ctx.net.compute(per_rank)
-        return
-
-    per_rank = np.zeros(ctx.p)
-    t_mem = ctx.machine.cost.t_mem
-    results = []
-    for r in range(ctx.p):
-        ctx.current_rank = r
-        vals = _apply_block(ctx, map_f, from_arr, r)
-        results.append(np.asarray(vals, dtype=to_arr.dtype))
-        b = from_arr.part_bounds(r)
-        cost = b.size * t_elem
-        if ctx.profile.copy_on_update:
-            # functional host: build a fresh array, then (conceptually)
-            # replace the old one — charge allocation+copy traffic
-            cost += results[-1].nbytes * t_mem
-        per_rank[r] = cost
-    ctx.current_rank = None
-    # write-back after all partitions are computed so that in-situ maps
-    # cannot observe partially updated data even across partitions
-    for r in range(ctx.p):
-        to_arr.local(r)[...] = results[r]
-    ctx.net.compute(per_rank)
+    _map_into(ctx, map_f, (from_arr,), to_arr)
 
 
 @skeleton_span("array_zip")
@@ -204,40 +88,4 @@ def array_zip(
     """
     ctx.check_same_shape("array_zip", a, b)
     ctx.check_same_shape("array_zip", a, to_arr)
-
-    t_elem = ctx.elem_time(ops_of(zip_f))
-    if dispatch_blocks(ctx, zip_f, (a, b), to_arr):
-        ctx.net.compute(_map_cost_vector(ctx, a, to_arr, t_elem))
-        return
-    out = apply_fused(ctx, zip_f, (a.pool, b.pool), a.shape, a.dist)
-    if out is not None:
-        per_rank = _map_cost_vector(ctx, a, to_arr, t_elem)
-        write_pool(to_arr, out)
-        ctx.net.compute(per_rank)
-        return
-
-    t_mem = ctx.machine.cost.t_mem
-    per_rank = np.zeros(ctx.p)
-    results = []
-    vec = getattr(zip_f, "vectorized", None)
-    for r in range(ctx.p):
-        ctx.current_rank = r
-        bounds = a.part_bounds(r)
-        if vec is not None:
-            env = MapEnv(ctx, r, bounds)
-            vals = vec(a.local(r), b.local(r), a.index_grids(r), env)
-            vals = np.broadcast_to(np.asarray(vals), a.local(r).shape)
-        else:
-            ba, bb = a.local(r), b.local(r)
-            vals = np.empty(ba.shape, dtype=object)
-            for local_ix, gix in a.iter_local_indices(r):
-                vals[local_ix] = zip_f(ba[local_ix], bb[local_ix], gix)
-        results.append(np.asarray(vals, dtype=to_arr.dtype))
-        cost = bounds.size * t_elem
-        if ctx.profile.copy_on_update:
-            cost += results[-1].nbytes * t_mem
-        per_rank[r] = cost
-    ctx.current_rank = None
-    for r in range(ctx.p):
-        to_arr.local(r)[...] = results[r]
-    ctx.net.compute(per_rank)
+    _map_into(ctx, zip_f, (a, b), to_arr)

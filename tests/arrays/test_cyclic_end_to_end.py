@@ -143,3 +143,62 @@ class TestBlockCyclicDistArray:
                         data.dtype)
         ctx4.array_map(lambda v, ix: v + ix[0], src, dst)
         np.testing.assert_array_equal(dst.global_view(), data + np.arange(16))
+
+
+class TestStridedLayoutsChargeOwnedElements:
+    """The elementwise skeletons charge the elements a rank *owns*.
+    ``bounds(r).size`` is the bounding box of a strided partition — 61 of
+    64 elements at p=4 cyclic, where the rank owns 16."""
+
+    @staticmethod
+    def charged(ctx, call):
+        """The per-rank compute vectors one skeleton call charges."""
+        vectors = []
+        original = ctx.net.compute
+
+        def recording(seconds):
+            if np.ndim(seconds) == 1:
+                vectors.append(np.array(seconds))
+            original(seconds)
+
+        ctx.net.compute = recording
+        try:
+            call()
+        finally:
+            del ctx.net.compute
+        return vectors
+
+    @pytest.mark.parametrize("dist", [
+        CyclicDistribution((64,), (4,)),
+        BlockCyclicDistribution((26,), (4,), (2,)),  # ranks own 8, 6, 6, 6
+    ], ids=["cyclic", "block-cyclic"])
+    def test_map_zip_fold(self, ctx4, dist):
+        a, b, out = (DistArray(ctx4.machine, dist, np.float64) for _ in range(3))
+        owned = np.array([a.local(r).size for r in range(4)])
+        boxes = np.array([dist.bounds(r).size for r in range(4)])
+        assert (owned < boxes).all()
+        np.testing.assert_array_equal(dist.part_sizes(), owned)
+
+        f1 = skil_fn(ops=1)(lambda v, ix: v)
+        f2 = skil_fn(ops=1)(lambda x, y, ix: x + y)
+        t = ctx4.elem_time(1)
+        (m,) = self.charged(ctx4, lambda: ctx4.array_map(f1, a, out))
+        (z,) = self.charged(ctx4, lambda: ctx4.array_zip(f2, a, b, out))
+        (f,) = self.charged(ctx4, lambda: ctx4.array_fold(f1, PLUS, a))
+        np.testing.assert_array_equal(m, owned * t)
+        np.testing.assert_array_equal(z, owned * t)
+        np.testing.assert_array_equal(
+            f, owned * t + (owned - 1) * ctx4.elem_time(PLUS.ops)
+        )
+
+    def test_create_on_its_block_layout(self, ctx4):
+        """array_create builds block layouts only; same rule there."""
+        init = skil_fn(ops=1)(lambda ix: 0.0)
+        made = []
+        (c,) = self.charged(
+            ctx4,
+            lambda: made.append(ctx4.array_create(1, (10,), (0,), (-1,), init)),
+        )
+        owned = np.array([made[0].local(r).size for r in range(4)])
+        assert owned.tolist() == [3, 3, 2, 2]
+        np.testing.assert_array_equal(c, owned * ctx4.elem_time(1))

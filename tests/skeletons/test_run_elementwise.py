@@ -1,0 +1,248 @@
+"""Which path ``fuse.run_elementwise`` takes, observed from outside.
+
+map, zip, fold and create reach their kernels only through the one
+executor, so one table covers all four.  A path is recognised by what it
+does to the objects the test hands in: how often the backend's
+``run_blocks`` is called, how often the kernel runs, and which env type
+each kernel call sees.
+"""
+
+import numpy as np
+import pytest
+
+from repro.arrays.darray import DistArray
+from repro.arrays.distribution import BlockDistribution, CyclicDistribution
+from repro.machine.backend import SimBackend, ThreadsBackend
+from repro.machine.machine import Machine
+from repro.skeletons import PLUS, SkilContext, skil_fn
+
+P, ROWS, COLS = 4, 8, 3
+
+#: (backend, layout, kind, ctx.fused) -> path of the first and of the
+#: second call with the same function; first matching row wins, "*" is
+#: any.  Rows are in the order the executor tests its conditions.
+TABLE = [
+    # a scalar-only function has no kernel to send anywhere
+    (("*", "*", "scalar", "*"), ("boxed", "boxed")),
+    # 1. parallel backend and known env-free: per-rank tasks, whatever
+    #    the layout and whatever ctx.fused says
+    (("threads", "*", "generated", "*"), ("tasks", "tasks")),
+    #    a hand-written kernel is known env-free once the pooled call
+    #    has probed it
+    (("threads", "block", "handwritten", True), ("pool", "tasks")),
+    # 2. ctx.fused and every array pooled: one call over the pool
+    (("*", "block", "generated", True), ("pool", "pool")),
+    (("*", "block", "handwritten", True), ("pool", "pool")),
+    (("*", "block", "fused_form", True), ("pool", "pool")),
+    #    an env-reading kernel aborts the probe and is not tried again
+    (("*", "block", "reads_rank", True), ("probe+ranks", "ranks")),
+    # 3. everything else: the per-rank loop
+    (("*", "*", "*", "*"), ("ranks", "ranks")),
+]
+
+#: path -> (run_blocks calls, what each function call logged: the env
+#: type a kernel saw, or "scalar" for an element-by-element call)
+OBSERVED = {
+    "boxed": (0, ["scalar"] * (ROWS * COLS)),
+    "tasks": (1, ["FusedEnv"] * P),
+    "pool": (0, ["FusedEnv"]),
+    "ranks": (0, ["MapEnv"] * P),
+    "probe+ranks": (0, ["FusedEnv"] + ["MapEnv"] * P),
+}
+
+KINDS = ["generated", "handwritten", "reads_rank", "fused_form", "scalar"]
+
+
+def expected_paths(*case):
+    for pattern, paths in TABLE:
+        if all(want in ("*", got) for want, got in zip(pattern, case)):
+            return paths
+    raise AssertionError(case)
+
+
+class Counting:
+    calls = 0
+
+    def run_blocks(self, kernel, tasks):
+        self.calls += 1
+        return super().run_blocks(kernel, tasks)
+
+
+class CountingSim(Counting, SimBackend):
+    pass
+
+
+class CountingThreads(Counting, ThreadsBackend):
+    pass
+
+
+def make_backend(name):
+    return CountingSim() if name == "sim" else CountingThreads(2)
+
+
+def owner_of_row(rows, layout):
+    return rows // (ROWS // P) if layout == "block" else rows % P
+
+
+def make_fn(kind, layout, log):
+    """A fresh function of the given kind (probe memos live on the
+    kernel object).  Kernels take ``(*blocks, grids, env)`` so the same
+    function serves create (no block), map/fold (one) and zip (two).
+    Env-free kinds compute ``2*sum(blocks) + row``, the others
+    ``sum(blocks) + rank``."""
+
+    def env_free_kernel(*args):
+        *blocks, grids, env = args
+        log.append(type(env).__name__)
+        return 2.0 * sum(blocks) + grids[0]
+
+    def rank_kernel(*args):
+        *blocks, grids, env = args
+        log.append(type(env).__name__)
+        return sum(blocks) + float(env.rank) + 0 * grids[0]
+
+    def whole_array_form(*args):
+        *pools, grids, fenv = args
+        log.append(type(fenv).__name__)
+        return sum(pools) + owner_of_row(grids[0], layout) * 1.0
+
+    def scalar(*args):
+        *elems, ix = args
+        log.append("scalar")
+        return 2.0 * sum(elems) + ix[0]
+
+    if kind == "scalar":
+        return skil_fn(ops=1)(scalar)
+    if kind == "generated":
+        env_free_kernel.env_free = True  # what lang/codegen.py attaches
+        return skil_fn(ops=1, vectorized=env_free_kernel)(scalar)
+    if kind == "handwritten":
+        return skil_fn(ops=1, vectorized=env_free_kernel)(scalar)
+    if kind == "reads_rank":
+        return skil_fn(ops=1, vectorized=rank_kernel)(scalar)
+    rank_kernel.env_free = False
+    return skil_fn(ops=1, vectorized=rank_kernel, fused=whole_array_form)(scalar)
+
+
+def make_array(machine, layout, data):
+    cls = BlockDistribution if layout == "block" else CyclicDistribution
+    arr = DistArray(machine, cls(data.shape, (P, 1)), data.dtype)
+    arr.fill_from_global(data)
+    return arr
+
+
+def reference(kind, layout, n_inputs, data):
+    rows = np.arange(ROWS, dtype=float)[:, None]
+    total = n_inputs * data  # every input holds the same data
+    if kind in ("reads_rank", "fused_form"):
+        return total + owner_of_row(rows, layout)
+    return 2.0 * total + rows
+
+
+def call_skeleton(skeleton, ctx, fn, a, b, dst):
+    """Make the call; return (value it produced, number of inputs)."""
+    if skeleton == "map":
+        ctx.array_map(fn, a, dst)
+        return dst.global_view(), 1
+    if skeleton == "zip":
+        ctx.array_zip(fn, a, b, dst)
+        return dst.global_view(), 2
+    if skeleton == "fold":
+        return ctx.array_fold(fn, PLUS, a), 1
+    arr = ctx.array_create(2, (ROWS, COLS), (0, 0), (-1, -1), fn)
+    value = arr.global_view()
+    ctx.array_destroy(arr)
+    return value, 0
+
+
+@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("backend_name", ["sim", "threads"])
+@pytest.mark.parametrize(
+    "skeleton,layout",
+    [(s, lay) for s in ("map", "zip", "fold", "create")
+     for lay in ("block", "cyclic")
+     if (s, lay) != ("create", "cyclic")],  # array_create builds block layouts only
+)
+def test_path_taken(skeleton, layout, backend_name, kind, fused):
+    backend = make_backend(backend_name)
+    with Machine(P, backend=backend) as machine:
+        ctx = SkilContext(machine, fused=fused)
+        # small integers: sums are exact, so fold agrees across paths too
+        data = np.arange(ROWS * COLS, dtype=float).reshape(ROWS, COLS)
+        a, b, dst = (make_array(machine, layout, d)
+                     for d in (data, data, np.zeros_like(data)))
+        log = []
+        fn = make_fn(kind, layout, log)
+        for path in expected_paths(backend_name, layout, kind, fused):
+            del log[:]
+            backend.calls = 0
+            value, n_inputs = call_skeleton(skeleton, ctx, fn, a, b, dst)
+            dispatches, logged = OBSERVED[path]
+            assert backend.calls == dispatches, path
+            assert log == logged, path
+            want = reference(kind, layout, n_inputs, data)
+            if skeleton == "fold":
+                want = want.sum()
+            np.testing.assert_array_equal(
+                value, np.broadcast_to(want, np.shape(value))
+            )
+
+
+def test_fallback_inside_a_dispatched_task_lands_on_the_per_rank_loop():
+    """A kernel marked env-free whose env use is conditional: the task
+    that reads the env raises FusionFallback (workers only ever get a
+    FusedEnv), and the whole call is re-run per rank with equal values."""
+    log = []
+
+    def kernel(block, grids, env):
+        log.append(type(env).__name__)
+        if grids[0][0, 0] >= ROWS // 2:
+            return 2.0 * block + grids[0] + 0 * env.rank
+        return 2.0 * block + grids[0]
+
+    kernel.env_free = True
+    fn = skil_fn(ops=1, vectorized=kernel)(lambda v, ix: 2.0 * v + ix[0])
+    backend = CountingThreads(2)
+    with Machine(P, backend=backend) as machine:
+        ctx = SkilContext(machine, fused=True)
+        data = np.arange(ROWS * COLS, dtype=float).reshape(ROWS, COLS)
+        a = make_array(machine, "block", data)
+        dst = make_array(machine, "block", np.zeros_like(data))
+        ctx.array_map(fn, a, dst)
+        assert backend.calls == 1
+        # counts, not order: a task still queued behind the failed one
+        # may log its FusedEnv while the per-rank loop is already running
+        assert log.count("MapEnv") == P
+        assert 1 <= log.count("FusedEnv") <= P
+        np.testing.assert_array_equal(
+            dst.global_view(), reference("generated", "block", 1, data)
+        )
+
+
+def test_pooled_call_builds_no_per_rank_tasks(monkeypatch):
+    """ROADMAP item 1a: on ``sim`` a pooled map used to build p task
+    tuples of ``local(r)`` + ``index_grids(r)`` and throw them away."""
+    p = 64
+    machine = Machine(p, backend="sim")
+    ctx = SkilContext(machine, fused=True)
+    data = np.arange(p * 4, dtype=float).reshape(p * 2, 2)
+    a = DistArray.from_global(machine, data)
+    dst = DistArray.from_global(machine, np.zeros_like(data))
+    fn = make_fn("generated", "block", [])
+
+    touched = []
+    for name in ("local", "index_grids"):
+        original = getattr(DistArray, name)
+
+        def counting(self, rank, _name=name, _original=original):
+            touched.append(_name)
+            return _original(self, rank)
+
+        monkeypatch.setattr(DistArray, name, counting)
+    ctx.array_map(fn, a, dst)
+    assert touched == []
+    monkeypatch.undo()
+    np.testing.assert_array_equal(
+        dst.global_view(), 2.0 * data + np.arange(p * 2)[:, None]
+    )
