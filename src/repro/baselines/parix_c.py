@@ -89,7 +89,7 @@ def shpaths_c(
 
     nbytes = a[0].nbytes
 
-    def skew(blocks, kind, direction):
+    def skew_pairs(kind, direction):
         pairs = []
         for r in range(p):
             i, j = topo.grid_coords(r)
@@ -99,6 +99,17 @@ def shpaths_c(
                 dst = topo.grid_rank(i - direction * j, j)
             if dst != r:
                 pairs.append((r, dst))
+        return pairs
+
+    # the permutations are the same in every iteration
+    skews = {
+        (kind, direction): skew_pairs(kind, direction)
+        for kind in "ab"
+        for direction in (+1, -1)
+    }
+
+    def skew(blocks, kind, direction):
+        pairs = skews[kind, direction]
         if pairs:
             net.shift(pairs, nbytes, topo, sync=sync, tag=f"c-skew-{kind}")
             moved = {d: blocks[s] for s, d in pairs}

@@ -16,7 +16,12 @@ scalar loops, verbatim), then compares
 * the individual :class:`~repro.machine.trace.MessageRecord` lists,
 * the per-rank timelines and the message metrics histograms.
 
-A second trial family runs a random communication-skeleton workload
+The ``plan_reuse`` family charges a handful of shift, tree and gather
+patterns repeatedly and interleaved on one machine, so that the charges
+run from memoized plans (:class:`~repro.machine.topology.EdgePlan`),
+and holds every step to the same references.
+
+A further trial family runs a random communication-skeleton workload
 (``array_broadcast_part``, ``array_permute_rows``, ``array_rotate_rows``,
 ``array_scan``, ``array_gen_mult``) once with the fused data-movement
 paths enabled and once per-rank, and requires bit-identical array
@@ -389,8 +394,73 @@ def trial_fused_comm(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     return None, cov
 
 
+def trial_plan_reuse(rng: random.Random) -> tuple[str | None, dict[str, int]]:
+    """A few patterns charged again and again, interleaved, on one
+    machine — so all but the first charge of each runs from a memoized
+    :class:`~repro.machine.topology.EdgePlan` — with the byte count, the
+    sync mode and now and then the cost model changing and a reset in
+    between, against the scalar reference loops."""
+    m_ref, m_new, distr, p = _machine_pair(rng)
+    topo_ref = m_ref.topology(distr)
+    topo_new = m_new.topology(distr)
+    shifts = []
+    for _ in range(2):
+        # a random walk: chains, cycles and self-pairs, so ranks send
+        # then receive and receive then send
+        ranks = list(range(p))
+        rng.shuffle(ranks)
+        walk = ranks[: rng.randint(1, p)]
+        pairs = list(zip(walk, walk[1:] + walk[: rng.randint(0, 1)]))
+        if rng.random() < 0.3:
+            spare = [r for r in range(p) if r not in walk]
+            pairs += [(r, r) for r in spare[:2]]
+        shifts.append(pairs or [(walk[0], walk[0])])
+    roots = [rng.randrange(p) for _ in range(2)]
+    cov: dict[str, int] = {"batch.plan_reuse": 1}
+    for step in range(rng.randint(4, 10)):
+        if step == 0 or rng.random() < 0.15:
+            m_ref.reset()
+            m_new.reset()
+            _perturb(rng, m_ref, m_new)
+        if rng.random() < 0.15:
+            cost = m_ref.cost.with_(store_and_forward=bool(rng.getrandbits(1)))
+            m_ref.network.cost = m_new.network.cost = cost
+        kind = rng.choice(["shift", "shift", "bcast", "reduce", "gather"])
+        nb = rng.choice([0, 1, rng.randint(1, 8192)])
+        sync = rng.random() < 0.4
+        if kind == "shift":
+            pairs = rng.choice(shifts)
+            nbytes = nb if rng.random() < 0.6 else {
+                s: rng.randint(0, 4096) for s, _ in pairs
+            }
+            _ref_shift(m_ref.network, pairs, nbytes, topo_ref, sync, "reuse")
+            m_new.network.shift(pairs, nbytes, topo_new, sync=sync, tag="reuse")
+        elif kind == "bcast":
+            root = rng.choice(roots)
+            _ref_broadcast(m_ref.network, root, nb, topo_ref, sync, "reuse")
+            m_new.network.broadcast(root, nb, topo_new, sync=sync, tag="reuse")
+        elif kind == "reduce":
+            root = rng.choice(roots)
+            _ref_reduce(m_ref.network, root, nb, topo_ref, 1e-6, sync, "reuse")
+            m_new.network.reduce(
+                root, nb, topo_new, combine_seconds=1e-6, sync=sync, tag="reuse"
+            )
+        else:
+            root = rng.choice(roots)
+            for s in range(p):
+                if s != root:
+                    m_ref.network.p2p(s, root, nb, topo_ref, tag="reuse")
+            m_new.network.gather(root, nb, topo_new, tag="reuse")
+        msg = _compare_machines(
+            m_ref, m_new, f"plan reuse p={p} distr={distr} step={step} {kind}"
+        )
+        if msg is not None:
+            return msg, cov
+    return None, cov
+
+
 _TRIALS = [trial_p2p_batch, trial_shift_batch, trial_collective_batch,
-           trial_fused_comm]
+           trial_fused_comm, trial_plan_reuse]
 
 
 def _run_trial(trial_seed: int, res: CheckResult, verbose: bool = False) -> None:
@@ -427,7 +497,7 @@ def run_batch(
     time_budget: float | None = None,
     verbose: bool = False,
 ) -> CheckResult:
-    """Run *budget* batch-vs-scalar trials (4 interleaved families)."""
+    """Run *budget* batch-vs-scalar trials (5 interleaved families)."""
     res = CheckResult("batch")
     t0 = time.monotonic()
     for i in range(budget):

@@ -112,22 +112,25 @@ class CostModel:
             return hops * (self.t_hop + nbytes * self.t_byte)
         return hops * self.t_hop + nbytes * self.t_byte
 
-    def message_time_vec(self, nbytes, hops):
-        """Vectorized :meth:`message_time` over numpy arrays.
+    def message_time_vec(self, nbytes, hops, all_remote: bool = False):
+        """Vectorized :meth:`message_time` over a float64 *hops* array.
 
+        *nbytes* is one Python int for every message or an integer array.
         Elementwise bit-identical to the scalar method: byte counts and
         hop counts below 2**53 convert to float64 exactly, and the same
-        multiply/add expression tree is evaluated per element.
+        multiply/add expression tree is evaluated per element.  A caller
+        that knows no hop count is zero (:class:`EdgePlan.all_remote
+        <repro.machine.topology.EdgePlan>`) says so and skips the
+        local-copy branch.
         """
-        nb = np.asarray(nbytes, dtype=np.float64)
-        h = np.asarray(hops, dtype=np.float64)
+        nb = nbytes if isinstance(nbytes, int) else np.asarray(nbytes, dtype=np.float64)
         if self.store_and_forward:
-            wire = h * (self.t_hop + nb * self.t_byte)
+            wire = hops * (self.t_hop + nb * self.t_byte)
         else:
-            wire = h * self.t_hop + nb * self.t_byte
-        if h.size == 0 or h.min() > 0.0:
+            wire = hops * self.t_hop + nb * self.t_byte
+        if all_remote:
             return wire
-        return np.where(h <= 0.0, nb * self.t_mem, wire)
+        return np.where(hops <= 0.0, nb * self.t_mem, wire)
 
     def with_(self, **kw) -> "CostModel":
         """Return a copy with some fields replaced (calibration helper)."""

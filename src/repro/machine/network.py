@@ -16,25 +16,34 @@ the message cost model and the synchronisation semantics:
 All collective patterns used by the paper's skeletons are provided:
 point-to-point, simultaneous shifts (the torus rotations of Gentleman's
 algorithm), binomial-tree broadcast and reduction (``array_fold``,
-``array_broadcast_part``), and barriers.  The fine-grained event engine
-(:mod:`repro.machine.engine`) implements the same semantics at message
-granularity; the test-suite checks the two agree on small configurations.
+``array_broadcast_part``), and barriers.
+
+Charging a pattern has two halves.  What does not depend on the clocks
+— the edges, their hops, whether the sides of a shift are disjoint,
+which of a rank's two rendezvous transfers comes first — is an
+:class:`~repro.machine.topology.EdgePlan`, built once per pattern and
+memoized on the topology.  What this module does per call is the other
+half: wire times from the plan's hop vector and the byte count, a gather
+of the clocks, the adds and maxima of the message, the seeded left folds
+of the stats floats and plain-int counter increments; per-message arrays
+are built only for a machine that records, streams or has metrics on.
+Traced and untraced machines run the same code.
+
+The fine-grained event engine (:mod:`repro.machine.engine`) implements
+the same semantics at message granularity; the test-suite checks the
+two agree on small configurations.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import MachineError
 from repro.machine.costmodel import CostModel
-from repro.machine.topology import (
-    BinomialTree,
-    Ring,
-    VirtualTopology,
-    binomial_round_arrays,
-)
+from repro.machine.topology import BinomialTree, Ring, VirtualTopology
 from repro.machine.trace import TraceStats
 
 __all__ = ["Network"]
@@ -45,6 +54,17 @@ _WAVE_MIN = 4
 
 #: hop-count histogram buckets (1..16 mesh hops)
 _HOP_BUCKETS = tuple(float(h) for h in range(1, 17))
+
+
+def _byte_counts(nbytes, ranks: np.ndarray | None = None):
+    """*nbytes* as one Python int for every message, or as an int64
+    array per message (a per-rank sequence is taken at *ranks*)."""
+    if isinstance(nbytes, int):
+        return nbytes
+    nbs = np.asarray(nbytes, dtype=np.int64)
+    if nbs.ndim == 0:
+        return int(nbs)
+    return nbs if ranks is None else nbs[ranks]
 
 
 class Network:
@@ -262,11 +282,12 @@ class Network:
 
         Bit-identical to calling :meth:`p2p` once per message in order
         (property-tested by the ``batch`` pillar of :mod:`repro.check`):
-        the sequence is split into *waves* — maximal runs in which no
-        rank appears twice in any role — whose messages are independent
-        by construction and are charged in one vectorized pass from the
-        wave-start clocks; short or conflicting runs fall back to the
-        scalar loop.  *nbytes* may be a scalar or a per-message array.
+        the sequence is split into *waves* — maximal runs of remote
+        messages in which no rank appears twice in any role — whose
+        messages are independent by construction and are charged in one
+        vectorized pass from the wave-start clocks; short runs, and
+        local copies (``src == dst``), go through :meth:`p2p`.
+        *nbytes* may be a scalar or a per-message array.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
@@ -307,33 +328,84 @@ class Network:
                 if j - i >= _WAVE_MIN and not sync:
                     dseg = dl[i:j]
                     if s not in dseg and len(set(dseg)) == j - i:
-                        self._p2p_run(srcs, dsts, nbs, i, j, topo, tag)
+                        rd = dsts[i:j]
+                        self._p2p_fanout(s, rd, topo.edge_plan(s, rd), nbs[i:j], tag)
                         start = i = j
                         continue
-            if s in seen or d in seen:
+            if s in seen or d in seen or s == d:
                 self._charge_wave(srcs, dsts, nbs, start, i, topo, sync, tag)
                 seen.clear()
+                if s == d:
+                    self.p2p(s, d, int(nbs[i]), topo, sync=sync, tag=tag)
+                    i += 1
                 start = i
                 continue
             seen.add(s)
             seen.add(d)
             i += 1
-        if start < k:
-            self._charge_wave(srcs, dsts, nbs, start, k, topo, sync, tag)
+        self._charge_wave(srcs, dsts, nbs, start, k, topo, sync, tag)
 
     def _charge_wave(self, srcs, dsts, nbs, i0, i1, topo, sync, tag) -> None:
-        if i1 - i0 < _WAVE_MIN:
-            for i in range(i0, i1):
-                self.p2p(
-                    int(srcs[i]), int(dsts[i]), int(nbs[i]), topo, sync=sync, tag=tag
-                )
+        rs, rd = srcs[i0:i1], dsts[i0:i1]
+        if i1 - i0 >= _WAVE_MIN:
+            self._p2p_wave(rs, rd, topo.edge_plan(rs, rd), nbs[i0:i1], sync, tag)
+        else:
+            self._p2p_each(rs, rd, nbs[i0:i1], topo, sync, tag)
+
+    def _p2p_each(self, rs, rd, nb, topo, sync, tag) -> None:
+        """A short run through scalar :meth:`p2p` (below ``_WAVE_MIN``
+        messages numpy dispatch costs more than it saves)."""
+        nbs = nb.tolist() if isinstance(nb, np.ndarray) else repeat(nb)
+        for s, d, n in zip(rs.tolist(), rd.tolist(), nbs):
+            self.p2p(s, d, n, topo, sync=sync, tag=tag)
+
+    def _record_wave(self, plan, srcs, dsts, nb, times, departs, tag) -> None:
+        """Book one charged wave in the stats (and the metrics).
+
+        The counters take plain-int increments from the plan; only a
+        machine that keeps records, streams to a sink or has metrics on
+        gets the per-message byte and hop arrays built.
+        """
+        stats = self.stats
+        k = len(times)
+        if stats.keep_records or stats.sink is not None or self.metrics is not None:
+            nbs = np.full(k, nb, dtype=np.int64) if isinstance(nb, int) else nb
+            hops = plan.hops
+            stats.record_messages(times, srcs, dsts, nbs, hops, tag, departs=departs)
+            if self.metrics is not None:
+                self._observe_wave(nbs, hops, tag)
             return
-        self._p2p_wave(srcs[i0:i1], dsts[i0:i1], nbs[i0:i1], topo, sync, tag)
+        stats.messages += k
+        stats.bytes_sent += nb * k if isinstance(nb, int) else int(nb.sum())
+        stats.hops_crossed += plan.hops_sum
 
-    def _p2p_run(self, srcs, dsts, nbs, i0, i1, topo, tag) -> None:
-        self._p2p_fanout(int(srcs[i0]), dsts[i0:i1], nbs[i0:i1], topo, tag)
+    def _timeline_wave(
+        self, srcs, dsts, send_from, send_to, old_dst, arrival, wire, tag
+    ) -> None:
+        """Per message, in order: the sender's send interval, then the
+        receiver's idle wait (if any) and receive interval."""
+        tl = self.timeline
+        idle_end = arrival - wire
+        if getattr(tl, "wave_api", False):
+            tl.add_many(srcs, "send", send_from, send_to, tag)
+            tl.add_many(dsts, "idle", old_dst, idle_end, tag)
+            tl.add_many(dsts, "recv", np.maximum(old_dst, idle_end), arrival, tag)
+            return
+        for s, d, t0, t1, od, ie, arr in zip(
+            srcs.tolist(),
+            dsts.tolist(),
+            send_from.tolist(),
+            send_to.tolist(),
+            old_dst.tolist(),
+            idle_end.tolist(),
+            arrival.tolist(),
+        ):
+            tl.add(s, "send", t0, t1, tag)
+            if ie > od:
+                tl.add(d, "idle", od, ie, tag)
+            tl.add(d, "recv", max(od, ie), arr, tag)
 
-    def _p2p_fanout(self, s, rd, rnb, topo, tag) -> None:
+    def _p2p_fanout(self, s: int, rd, plan, nb, tag) -> None:
         """Async messages from one source to distinct remote
         destinations, vectorized (same-source runs and :meth:`scatter`).
 
@@ -347,8 +419,7 @@ class Network:
         cost = self.cost
         clocks = self.clocks
         n = int(rd.size)
-        rhops = topo.hops_vec(s, rd)
-        wire = cost.message_time_vec(rnb, rhops)
+        wire = cost.message_time_vec(nb, plan.hops_f, plan.all_remote)
         old_src = float(clocks[s])
         steps = np.full(n, cost.t_setup, dtype=np.float64)
         steps[0] = old_src + cost.t_setup
@@ -358,137 +429,52 @@ class Network:
         idle_c = np.maximum(0.0, arrival - old_dst)
         clocks[rd] = np.maximum(old_dst, arrival)
         clocks[s] = departs[-1]
-        self.stats.record_messages(
-            arrival,
-            np.full(n, s, dtype=np.int64),
-            rd,
-            rnb,
-            rhops,
-            tag,
-            departs=departs,
-        )
+        srcs = np.broadcast_to(np.int64(s), (n,))
+        self._record_wave(plan, srcs, rd, nb, arrival, departs, tag)
         self._fold_stat_seconds(wire + cost.t_setup, idle_c)
-        if self.metrics is not None:
-            self._observe_wave(rnb, rhops, tag)
         if self.timeline is not None:
-            tl = self.timeline
-            if getattr(tl, "wave_api", False):
-                send_starts = np.empty(n, dtype=np.float64)
-                send_starts[0] = old_src
-                send_starts[1:] = departs[:-1]
-                tl.add_many(
-                    np.full(n, s, dtype=np.int64), "send", send_starts, departs, tag
-                )
-                idle_end = arrival - wire
-                tl.add_many(rd, "idle", old_dst, idle_end, tag)
-                tl.add_many(rd, "recv", np.maximum(old_dst, idle_end), arrival, tag)
-            else:
-                prev_send = old_src
-                for d, dep, arr, w, od in zip(
-                    rd.tolist(),
-                    departs.tolist(),
-                    arrival.tolist(),
-                    wire.tolist(),
-                    old_dst.tolist(),
-                ):
-                    tl.add(s, "send", prev_send, dep, tag)
-                    prev_send = dep
-                    if arr - w > od:
-                        tl.add(d, "idle", od, arr - w, tag)
-                    tl.add(d, "recv", max(od, arr - w), arr, tag)
+            send_from = np.empty(n, dtype=np.float64)
+            send_from[0] = old_src
+            send_from[1:] = departs[:-1]
+            self._timeline_wave(
+                srcs, rd, send_from, departs, old_dst, arrival, wire, tag
+            )
 
-    def _p2p_wave(self, srcs, dsts, nbs, topo, sync, tag) -> None:
-        """One conflict-free wave, vectorized.
+    def _p2p_wave(self, rs, rd, plan, nb, sync, tag) -> None:
+        """One conflict-free wave of remote messages, vectorized.
 
         Every rank appears in at most one message, so each message's
         clock arithmetic depends only on the wave-start clocks and the
         per-message expressions match the scalar :meth:`p2p` ones
-        operation for operation.  Stats floats are still accumulated by
-        a per-message left-fold so the running sums keep the scalar
+        operation for operation.  *plan* holds the hops of the edges
+        (in either direction).  Stats floats are still accumulated by a
+        per-message left-fold so the running sums keep the scalar
         rounding behaviour.
         """
         cost = self.cost
         clocks = self.clocks
-        k = int(srcs.size)
-        hops = topo.hops_vec(srcs, dsts)
-        local = srcs == dsts
-        remote = ~local
-        comm_c = np.empty(k, dtype=np.float64)
-        idle_c = np.zeros(k, dtype=np.float64)
-        if local.any():
-            ls = srcs[local]
-            t_loc = nbs[local].astype(np.float64) * cost.t_mem
-            old_loc = clocks[ls]
-            if self.timeline is not None:
-                tl = self.timeline
-                if getattr(tl, "wave_api", False):
-                    tl.add_many(
-                        ls, "compute", old_loc, old_loc + t_loc, "local-copy"
-                    )
-                else:
-                    for s, t0, t in zip(
-                        ls.tolist(), old_loc.tolist(), t_loc.tolist()
-                    ):
-                        if t > 0.0:
-                            tl.add(s, "compute", t0, t0 + t, detail="local-copy")
-            clocks[ls] = old_loc + t_loc
-            comm_c[local] = t_loc
-        if remote.any():
-            rs = srcs[remote]
-            rd = dsts[remote]
-            rnb = nbs[remote]
-            rhops = hops[remote]
-            old_src = clocks[rs]
-            old_dst = clocks[rd]
-            wire = cost.message_time_vec(rnb, rhops)
-            depart = old_src + cost.t_setup
+        old_src = clocks[rs]
+        old_dst = clocks[rd]
+        wire = cost.message_time_vec(nb, plan.hops_f, plan.all_remote)
+        depart = old_src + cost.t_setup
+        arrival = depart + wire
+        if sync:
+            depart = np.maximum(depart, old_dst)
             arrival = depart + wire
-            if sync:
-                depart = np.maximum(depart, old_dst)
-                arrival = depart + wire
-                idle_c[remote] = np.maximum(0.0, arrival - old_dst - wire)
-                clocks[rs] = arrival
-                clocks[rd] = arrival
-                new_src = arrival
-            else:
-                clocks[rs] = depart
-                idle_c[remote] = np.maximum(0.0, arrival - old_dst)
-                clocks[rd] = np.maximum(old_dst, arrival)
-                new_src = depart
-            comm_c[remote] = wire + cost.t_setup
-            self.stats.record_messages(
-                arrival, rs, rd, rnb, rhops, tag, departs=depart
+            idle_c = np.maximum(0.0, arrival - old_dst - wire)
+            clocks[rs] = arrival
+            clocks[rd] = arrival
+        else:
+            clocks[rs] = depart
+            idle_c = np.maximum(0.0, arrival - old_dst)
+            clocks[rd] = np.maximum(old_dst, arrival)
+        self._record_wave(plan, rs, rd, nb, arrival, depart, tag)
+        if self.timeline is not None:
+            self._timeline_wave(
+                rs, rd, old_src, arrival if sync else depart, old_dst, arrival,
+                wire, tag,
             )
-            if self.metrics is not None:
-                self._observe_wave(rnb, rhops, tag)
-            if self.timeline is not None:
-                tl = self.timeline
-                if getattr(tl, "wave_api", False):
-                    tl.add_many(rs, "send", old_src, new_src, tag)
-                    idle_end = arrival - wire
-                    tl.add_many(rd, "idle", old_dst, idle_end, tag)
-                    tl.add_many(
-                        rd, "recv", np.maximum(old_dst, idle_end), arrival, tag
-                    )
-                else:
-                    for s, d, t_old_s, t_old_d, t_new_s, arr, w in zip(
-                        rs.tolist(),
-                        rd.tolist(),
-                        old_src.tolist(),
-                        old_dst.tolist(),
-                        new_src.tolist(),
-                        arrival.tolist(),
-                        wire.tolist(),
-                    ):
-                        tl.add(s, "send", t_old_s, t_new_s, tag)
-                        if arr - w > t_old_d:
-                            tl.add(d, "idle", t_old_d, arr - w, tag)
-                        tl.add(d, "recv", max(t_old_d, arr - w), arr, tag)
-        # left-fold the float accumulators in message order so the
-        # running sums round exactly like the scalar loop's; local
-        # messages contribute no idle term, and their +0.0 entries in
-        # idle_c are fold-neutral (the accumulator is never -0.0)
-        self._fold_stat_seconds(comm_c, idle_c)
+        self._fold_stat_seconds(wire + cost.t_setup, idle_c)
 
     # ------------------------------------------------------------------ shift
     def shift(
@@ -508,25 +494,13 @@ class Network:
 
         *nbytes* may be a scalar or a per-source mapping/array.
         """
-        pairs = list(pairs)
-        srcs = [s for s, _ in pairs]
-        dsts = [d for _, d in pairs]
-        if not pairs:
-            return
-        if np.isscalar(nbytes):
-            nbs = np.full(len(pairs), int(nbytes), dtype=np.int64)
-        else:
-            nbs = np.fromiter(
-                (int(nbytes[s]) for s in srcs), dtype=np.int64, count=len(srcs)
+        ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
+        srcs, dsts = ends[0::2], ends[1::2]
+        if not np.isscalar(nbytes):
+            nbytes = np.fromiter(
+                (int(nbytes[s]) for s in srcs.tolist()), dtype=np.int64, count=srcs.size
             )
-        self.shift_batch(
-            np.asarray(srcs, dtype=np.int64),
-            np.asarray(dsts, dtype=np.int64),
-            nbs,
-            topo,
-            sync=sync,
-            tag=tag,
-        )
+        self.shift_batch(srcs, dsts, nbytes, topo, sync=sync, tag=tag)
 
     def shift_batch(
         self,
@@ -539,94 +513,82 @@ class Network:
     ) -> None:
         """Vectorized :meth:`shift` over parallel (src, dst, nbytes) arrays.
 
-        The asynchronous case is inherently parallel — every transfer
-        departs from the pre-shift clocks — so all clock updates, hop
-        lookups (closed-form coordinate arithmetic), wire times and
-        contention factors
-        are computed in one vectorized pass; the rendezvous case is
-        order-dependent (a node that both sends and receives serializes)
-        and replays the scalar pair loop.  Either way the result is
-        bit-identical to the original per-pair loop.
+        Everything about the pattern that the clocks do not change —
+        hops, the disjointness check, which of a rank's two transfers
+        comes first — comes from the topology's memoized
+        :class:`~repro.machine.topology.EdgePlan`; a call only gathers
+        clocks and updates them.  The asynchronous case is inherently
+        parallel: every transfer departs from the pre-shift clocks.  In
+        the rendezvous case a rank that both sends and receives does so
+        serially, in pair order, which the plan's order masks turn into
+        three vectorized clock writes.  Either way the result is bit-identical to
+        the historical per-pair loop (``repro.check.netbatch``).
         """
         srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        k = int(srcs.size)
-        if k == 0:
+        if srcs.size == 0:
             return
-        nbs = np.asarray(nbytes, dtype=np.int64)
-        if nbs.ndim == 0:
-            nbs = np.full(k, int(nbs), dtype=np.int64)
-        if int(np.unique(srcs).size) != k or int(np.unique(dsts).size) != k:
+        plan = topo.shift_plan(srcs, np.asarray(dsts, dtype=np.int64))
+        if not plan.disjoint:
             raise MachineError("shift pairs must be disjoint per side")
-        old = self.clocks.copy()
+        srcs, dsts = plan.srcs, plan.dsts
+        nb = _byte_counts(nbytes)
         cost = self.cost
+        clocks = self.clocks
+        old_src = clocks[srcs]
+        old_dst = clocks[dsts]
+        wire = cost.message_time_vec(nb, plan.hops_f, plan.all_remote)
         if sync:
             # rendezvous on every edge; a processor that both sends and
             # receives does so serially (no DMA overlap on the old code
             # path), so it pays for two transfers after synchronising
             # with both partners.
-            src_set = set(srcs.tolist())
-            for s, d, nb_s in zip(srcs.tolist(), dsts.tolist(), nbs.tolist()):
-                start = max(old[s], old[d]) + cost.t_setup
-                hops = topo.edge_hops(s, d)
-                wire = cost.message_time(nb_s, hops)
-                finish = start + wire
-                self.clocks[s] = max(self.clocks[s], finish)
-                self.clocks[d] = max(self.clocks[d], finish) + (
-                    wire if d in src_set else 0.0
-                )
-                self.stats.record_message(
-                    finish, s, d, nb_s, hops, tag, depart=start
-                )
-                self.stats.comm_seconds += wire + cost.t_setup
-                self.stats.idle_seconds += max(0.0, start - cost.t_setup - old[d])
-                if self.metrics is not None:
-                    self._observe_message(nb_s, hops, tag)
-                if self.timeline is not None:
-                    self.timeline.add(s, "send", float(old[s]), finish, tag)
-                    self.timeline.add(d, "recv", float(old[d]), finish, tag)
-            return
-        new = self.clocks.copy()
-        hops = topo.hops_vec(srcs, dsts)
-        departs = old[srcs] + cost.t_setup
-        new[srcs] = np.maximum(new[srcs], departs)
-        wire = cost.message_time_vec(nbs, hops)
-        if self.link_contention:
-            wire = wire * self._contention_factors(srcs, dsts, nbs, topo)
-        arrival = departs + wire
-        old_dst = old[dsts]
-        idle_c = np.maximum(0.0, arrival - old_dst)
-        new[dsts] = np.maximum(new[dsts], arrival)
-        self.stats.record_messages(
-            arrival, srcs, dsts, nbs, hops, tag, departs=departs
-        )
-        # left-fold the float accumulators in pair order (scalar rounding)
-        self._fold_stat_seconds(wire + cost.t_setup, idle_c)
-        if self.metrics is not None:
-            self._observe_wave(nbs, hops, tag)
-        if self.timeline is not None:
+            src_first, dst_first, dst_sends = plan.order
+            start = np.maximum(old_src, old_dst) + cost.t_setup
+            finish = start + wire
+            # every send as if it came first; then every receive, on top
+            # of the pre-shift clock where it does come first and of the
+            # send otherwise; then again the sends that come second
+            clocks[srcs] = np.maximum(old_src, finish)
+            before = np.where(dst_first, old_dst, clocks[dsts])
+            clocks[dsts] = np.maximum(before, finish) + np.where(dst_sends, wire, 0.0)
+            after = clocks[srcs]
+            clocks[srcs] = np.where(src_first, after, np.maximum(after, finish))
+            self._record_wave(plan, srcs, dsts, nb, finish, start, tag)
+            self._fold_stat_seconds(
+                wire + cost.t_setup,
+                np.maximum(0.0, start - cost.t_setup - old_dst),
+            )
             tl = self.timeline
+            if tl is None:
+                return
             if getattr(tl, "wave_api", False):
-                tl.add_many(srcs, "send", old[srcs], departs, tag)
-                idle_end = arrival - wire
-                tl.add_many(dsts, "idle", old_dst, idle_end, tag)
-                tl.add_many(dsts, "recv", np.maximum(old_dst, idle_end), arrival, tag)
-            else:
-                for s, d, dep, arr, w, od in zip(
-                    srcs.tolist(),
-                    dsts.tolist(),
-                    departs.tolist(),
-                    arrival.tolist(),
-                    wire.tolist(),
-                    old_dst.tolist(),
-                ):
-                    tl.add(s, "send", float(old[s]), dep, tag)
-                    if arr - w > od:
-                        tl.add(d, "idle", od, arr - w, tag)
-                    tl.add(d, "recv", max(od, arr - w), arr, tag)
-        self.clocks = new
+                tl.add_many(srcs, "send", old_src, finish, tag)
+                tl.add_many(dsts, "recv", old_dst, finish, tag)
+                return
+            for s, d, t_s, t_d, fin in zip(
+                srcs.tolist(), dsts.tolist(), old_src.tolist(),
+                old_dst.tolist(), finish.tolist(),
+            ):
+                tl.add(s, "send", t_s, fin, tag)
+                tl.add(d, "recv", t_d, fin, tag)
+            return
+        if self.link_contention:
+            wire = wire * self._contention_factors(srcs, dsts, nb, topo)
+        departs = old_src + cost.t_setup
+        arrival = departs + wire
+        clocks[srcs] = np.maximum(old_src, departs)
+        clocks[dsts] = np.maximum(clocks[dsts], arrival)
+        self._record_wave(plan, srcs, dsts, nb, arrival, departs, tag)
+        # left-fold the float accumulators in pair order (scalar rounding)
+        self._fold_stat_seconds(
+            wire + cost.t_setup, np.maximum(0.0, arrival - old_dst)
+        )
+        if self.timeline is not None:
+            self._timeline_wave(
+                srcs, dsts, old_src, departs, old_dst, arrival, wire, tag
+            )
 
-    def _contention_factors(self, srcs, dsts, nbs, topo: VirtualTopology):
+    def _contention_factors(self, srcs, dsts, nb, topo: VirtualTopology):
         """Per-transfer slowdown from shared directed hardware links.
 
         A transfer's factor is the worst byte-load ratio among the links
@@ -645,7 +607,7 @@ class Network:
         """
         sl = srcs.tolist()
         dl = dsts.tolist()
-        nl = nbs.tolist()
+        nl = [nb] * len(sl) if isinstance(nb, int) else nb.tolist()
         routes = [topo.route_link_ids(s, d) for s, d in zip(sl, dl)]
         factors = np.ones(len(sl), dtype=np.float64)
         lens = [int(r.size) for r in routes]
@@ -661,25 +623,20 @@ class Network:
         return factors
 
     # ------------------------------------------------------------------ trees
-    def _charge_round(self, srcs, dsts, nbytes: int, topo, sync, tag) -> None:
-        """Charge one disjoint binomial round given as edge arrays.
+    def _charge_round(self, rs, rd, plan, nbytes: int, topo, sync, tag) -> None:
+        """Charge one disjoint binomial round ``rs[i] -> rd[i]``.
 
         The edges of a binomial round touch every rank at most once, so
         the whole round is exactly one conflict-free wave: short rounds
         go through the scalar :meth:`p2p` loop, longer ones straight
-        into :meth:`_p2p_wave` — the same split (and therefore the same
-        bit-exact arithmetic) the historical ``p2p_batch`` wave scan
-        produced, without its per-edge Python pass.
+        into :meth:`_p2p_wave` with the round's memoized *plan* — the
+        same split (and therefore the same bit-exact arithmetic) the
+        historical ``p2p_batch`` wave scan produced.
         """
-        k = int(srcs.size)
-        if k < _WAVE_MIN:
-            for i in range(k):
-                self.p2p(
-                    int(srcs[i]), int(dsts[i]), nbytes, topo, sync=sync, tag=tag
-                )
-            return
-        nbs = np.full(k, int(nbytes), dtype=np.int64)
-        self._p2p_wave(srcs, dsts, nbs, topo, sync, tag)
+        if rs.size >= _WAVE_MIN:
+            self._p2p_wave(rs, rd, plan, int(nbytes), sync, tag)
+        else:
+            self._p2p_each(rs, rd, nbytes, topo, sync, tag)
 
     def broadcast(
         self,
@@ -691,17 +648,17 @@ class Network:
     ) -> None:
         """Binomial-tree broadcast of *nbytes* from *root* to everyone.
 
-        Closed form: the per-round edge arrays come straight from
-        :func:`repro.machine.topology.binomial_round_arrays` (O(edges)
-        numpy index arithmetic, no per-rank Python), and each round is
-        charged as one conflict-free wave — ``log2(p)`` vectorized
-        charges total.
+        Closed form: the per-round edge arrays and hops come from the
+        topology's memoized :meth:`VirtualTopology.round_plans
+        <repro.machine.topology.VirtualTopology.round_plans>`, and each
+        round is charged as one conflict-free wave — ``log2(p)``
+        vectorized charges total.
         """
         self._check_rank(root)
         if self.p == 1:
             return
-        for srcs, dsts in binomial_round_arrays(self.p, root):
-            self._charge_round(srcs, dsts, nbytes, topo, sync, tag)
+        for plan in topo.round_plans(root):
+            self._charge_round(plan.srcs, plan.dsts, plan, nbytes, topo, sync, tag)
 
     def reduce(
         self,
@@ -717,8 +674,8 @@ class Network:
         *combine_seconds* is charged at every merge point (the cost of
         applying the folding function to one pair of partial results).
         The schedule is the reversed broadcast with every edge flipped,
-        taken closed-form from the same per-round arrays as
-        :meth:`broadcast`.
+        charged from the same per-round plans as :meth:`broadcast` (hops
+        are symmetric).
         """
         self._check_rank(root)
         if self.p == 1:
@@ -734,12 +691,12 @@ class Network:
                     if combine_seconds:
                         self.compute_at(d, combine_seconds)
             return
-        for b_srcs, b_dsts in reversed(binomial_round_arrays(self.p, root)):
+        for plan in reversed(topo.round_plans(root)):
             # reduction messages flow dst -> src of the broadcast edge;
             # the merge happens at the broadcast-edge source
-            self._charge_round(b_dsts, b_srcs, nbytes, topo, sync, tag)
+            self._charge_round(plan.dsts, plan.srcs, plan, nbytes, topo, sync, tag)
             if combine_seconds:
-                self._charge_combines(b_srcs, combine_seconds)
+                self._charge_combines(plan.srcs, combine_seconds)
 
     def _charge_combines(self, ranks, combine_seconds: float) -> None:
         """Charge one reduction round's merge work at *ranks*.
@@ -786,20 +743,6 @@ class Network:
         self.clocks[:] = self.clocks.max()
 
     # ------------------------------------------------------------------ gather
-    def _fan_ranks(self, root: int) -> np.ndarray:
-        """Every rank except *root*, ascending — the fan-in/out order."""
-        return np.concatenate(
-            (
-                np.arange(root, dtype=np.int64),
-                np.arange(root + 1, self.p, dtype=np.int64),
-            )
-        )
-
-    def _fan_bytes(self, nbytes_per_rank, ranks: np.ndarray) -> np.ndarray:
-        if np.isscalar(nbytes_per_rank):
-            return np.full(ranks.size, int(nbytes_per_rank), dtype=np.int64)
-        return np.asarray(nbytes_per_rank, dtype=np.int64)[ranks]
-
     def gather(
         self,
         root: int,
@@ -819,17 +762,16 @@ class Network:
         self._check_rank(root)
         if self.p == 1:
             return
-        srcs = self._fan_ranks(root)
+        plan = topo.fan_plan(root)
+        srcs = plan.srcs
         k = int(srcs.size)
-        nbs = self._fan_bytes(nbytes_per_rank, srcs)
+        nb = _byte_counts(nbytes_per_rank, srcs)
         if k < _WAVE_MIN:
-            for i in range(k):
-                self.p2p(int(srcs[i]), root, int(nbs[i]), topo, tag=tag)
+            self._p2p_each(srcs, plan.dsts, nb, topo, False, tag)
             return
         cost = self.cost
         clocks = self.clocks
-        hops = topo.hops_vec(srcs, root)
-        wire = cost.message_time_vec(nbs, hops)
+        wire = cost.message_time_vec(nb, plan.hops_f, plan.all_remote)
         old_src = clocks[srcs]
         departs = old_src + cost.t_setup
         arrival = departs + wire
@@ -838,44 +780,16 @@ class Network:
         prev = np.empty(k, dtype=np.float64)
         prev[0] = old_root
         np.maximum(old_root, run_max[:-1], out=prev[1:])
-        idle_c = np.maximum(0.0, arrival - prev)
         clocks[srcs] = departs
         clocks[root] = max(old_root, float(run_max[-1]))
-        self.stats.record_messages(
-            arrival,
-            srcs,
-            np.full(k, root, dtype=np.int64),
-            nbs,
-            hops,
-            tag,
-            departs=departs,
+        self._record_wave(plan, srcs, plan.dsts, nb, arrival, departs, tag)
+        self._fold_stat_seconds(
+            wire + cost.t_setup, np.maximum(0.0, arrival - prev)
         )
-        self._fold_stat_seconds(wire + cost.t_setup, idle_c)
-        if self.metrics is not None:
-            self._observe_wave(nbs, hops, tag)
         if self.timeline is not None:
-            tl = self.timeline
-            idle_end = arrival - wire
-            if getattr(tl, "wave_api", False):
-                roots = np.full(k, root, dtype=np.int64)
-                tl.add_many(srcs, "send", old_src, departs, tag)
-                tl.add_many(roots, "idle", prev, idle_end, tag)
-                tl.add_many(
-                    roots, "recv", np.maximum(prev, idle_end), arrival, tag
-                )
-            else:
-                for s, t0, dep, arr, ie, pv in zip(
-                    srcs.tolist(),
-                    old_src.tolist(),
-                    departs.tolist(),
-                    arrival.tolist(),
-                    idle_end.tolist(),
-                    prev.tolist(),
-                ):
-                    tl.add(s, "send", t0, dep, tag)
-                    if ie > pv:
-                        tl.add(root, "idle", pv, ie, tag)
-                    tl.add(root, "recv", max(pv, ie), arr, tag)
+            self._timeline_wave(
+                srcs, plan.dsts, old_src, departs, prev, arrival, wire, tag
+            )
 
     def scatter(
         self,
@@ -893,14 +807,13 @@ class Network:
         self._check_rank(root)
         if self.p == 1:
             return
-        dsts = self._fan_ranks(root)
-        k = int(dsts.size)
-        nbs = self._fan_bytes(nbytes_per_rank, dsts)
-        if k < _WAVE_MIN:
-            for i in range(k):
-                self.p2p(root, int(dsts[i]), int(nbs[i]), topo, tag=tag)
+        plan = topo.fan_plan(root)
+        dsts = plan.srcs  # the gather plan, flipped
+        nb = _byte_counts(nbytes_per_rank, dsts)
+        if dsts.size < _WAVE_MIN:
+            self._p2p_each(plan.dsts, dsts, nb, topo, False, tag)
             return
-        self._p2p_fanout(root, dsts, nbs, topo, tag)
+        self._p2p_fanout(root, dsts, plan, nb, tag)
 
     def allgather(
         self,

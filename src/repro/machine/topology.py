@@ -30,6 +30,14 @@ Embeddings implemented:
   *naive* (wrap edges cost ``size - 1`` hops, as a plain mesh would).
 * binomial tree: used for reductions/broadcasts; edge (i, i ^ 2^k) costs
   the mesh distance between the two placed nodes.
+
+A topology also owns the **charge plans** of the patterns charged on it
+(:class:`EdgePlan`): the clock-independent half of a shift, a tree round
+or a fan — edge arrays, hops, validity — built once per pattern and
+memoized here, under :data:`PLAN_STORE_BYTES`, next to the placed
+coordinates it is computed from.  ``Network`` does the clock-dependent
+half.  The memo lives and dies with the topology object (one per
+``Machine`` and ``DISTR_*`` constant).
 """
 
 from __future__ import annotations
@@ -53,6 +61,8 @@ __all__ = [
     "square_grid",
     "binomial_round_arrays",
     "DENSE_HOPS_MAX_P",
+    "EdgePlan",
+    "PLAN_STORE_BYTES",
 ]
 
 #: largest topology for which the dense ``(p, p)`` hop matrix may be
@@ -60,6 +70,56 @@ __all__ = [
 #: :meth:`VirtualTopology.hops_vec` (a ``(p, p)`` int64 matrix at
 #: p = 65536 would be 32 GiB)
 DENSE_HOPS_MAX_P = 2048
+
+#: bound, in bytes, on the charge plans one topology memoizes (edge
+#: arrays, hop vectors and order masks); the oldest plans are dropped to
+#: stay under it and a pattern larger than the bound is never stored
+PLAN_STORE_BYTES = 2 << 20
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class EdgePlan:
+    """The clock-independent half of charging one edge pattern.
+
+    Everything :class:`repro.machine.network.Network` needs about the
+    edges ``srcs[i] -> dsts[i]`` on one topology that does not depend on
+    the clocks, the byte counts or the cost model — built once per
+    pattern, so a charge is only the clock update.  Hop counts are
+    symmetric, so one plan also serves the flipped edges (reduce rounds,
+    scatter).  All arrays are read-only.
+    """
+
+    srcs: np.ndarray
+    dsts: np.ndarray
+    #: hardware hops per edge as float64, the wire-time operand
+    hops_f: np.ndarray
+    hops_sum: int
+    #: every edge crosses a link, so no local-copy cost applies
+    all_remote: bool
+    #: shifts only: no rank sends twice and none receives twice
+    disjoint: bool = True
+    #: rendezvous shifts only, one mask per edge: the source's send is
+    #: its rank's first transfer, the destination's receive is its
+    #: rank's first transfer, the destination is also a source
+    order: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def hops(self) -> np.ndarray:
+        """Integer hops per edge, for records and metrics (exact)."""
+        return self.hops_f.astype(np.int64)
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.srcs, self.dsts, self.hops_f) + (self.order or ())
+        return sum(a.nbytes for a in arrays)
+
+    def cut(self, lo: int, hi: int) -> "EdgePlan":
+        """The plan of edges ``lo .. hi - 1`` (views, nothing copied)."""
+        hops_f = self.hops_f[lo:hi]
+        return EdgePlan(
+            self.srcs[lo:hi], self.dsts[lo:hi], hops_f, int(hops_f.sum()),
+            self.all_remote,
+        )
 
 
 def square_grid(p: int) -> tuple[int, int]:
@@ -174,6 +234,11 @@ class VirtualTopology:
         self._hop_matrix: np.ndarray | None = None
         self._place_vec: np.ndarray | None = None
         self._placed_coords: tuple[np.ndarray, np.ndarray] | None = None
+        self._placed_lists: tuple[list[int], list[int]] | None = None
+        # charge plans keyed by pattern, with their sizes (insertion
+        # order is eviction order); at most PLAN_STORE_BYTES in total
+        self._plans: dict[object, tuple[object, int]] = {}
+        self._plan_bytes = 0
         # directed hardware link ids of every route, keyed (src, dst);
         # built lazily for the link-contention model
         self._route_ids_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -258,12 +323,113 @@ class VirtualTopology:
         return self._hop_matrix
 
     def edge_hops(self, src: int, dst: int) -> int:
-        """Hardware hops for a message on the logical edge *src*→*dst*."""
+        """Hardware hops for a message on the logical edge *src*→*dst*.
+
+        Plain-int arithmetic on the placed coordinates (the scalar
+        ``p2p`` path asks once per message) — the same integers as
+        :meth:`hops_vec`.  The O(p) coordinate lists are kept only for
+        topologies small enough for the dense matrix.
+        """
         if not (0 <= src < self.p and 0 <= dst < self.p):
             raise TopologyError(
                 f"edge ({src},{dst}) outside topology of {self.p} ranks"
             )
-        return int(self.hops_vec(src, dst))
+        if self.p > DENSE_HOPS_MAX_P:
+            return int(self.hops_vec(src, dst))
+        if self._placed_lists is None:
+            rows, cols = self.placed_coords()
+            self._placed_lists = (rows.tolist(), cols.tolist())
+        rows, cols = self._placed_lists
+        return abs(rows[src] - rows[dst]) + abs(cols[src] - cols[dst])
+
+    # -- charge plans ---------------------------------------------------------
+    def edge_plan(self, srcs, dsts, shift: bool = False) -> EdgePlan:
+        """Build (without memoizing) the plan of ``srcs[i] -> dsts[i]``.
+
+        With *shift* the per-side disjointness verdict and the
+        rendezvous order masks are worked out too: ``sent[r]`` /
+        ``got[r]`` is the edge on which rank *r* sends / receives, a
+        duplicate on a side shows as an overwritten entry, and a rank
+        doing both performs the lower-numbered edge first (a self-pair
+        sends first).
+        """
+        hops = self.hops_vec(srcs, dsts)
+        disjoint, order = True, None
+        if shift:
+            idx = np.arange(hops.size)
+            sent = np.full(self.p, -1, dtype=np.int64)
+            got = np.full(self.p, -1, dtype=np.int64)
+            sent[srcs] = idx
+            got[dsts] = idx
+            disjoint = bool((sent[srcs] == idx).all() and (got[dsts] == idx).all())
+            if disjoint:
+                recv_at, send_at = got[srcs], sent[dsts]
+                order = (
+                    (recv_at < 0) | (recv_at >= idx),
+                    (send_at < 0) | (send_at > idx),
+                    send_at >= 0,
+                )
+        hops_f = hops.astype(np.float64)
+        hops_f.setflags(write=False)
+        return EdgePlan(
+            srcs, dsts, hops_f, int(hops.sum()),
+            bool(hops.size == 0 or hops.min() > 0), disjoint, order,
+        )
+
+    def _memo(self, key, build):
+        """The plan(s) under *key*: built on first use, kept while they
+        fit under ``PLAN_STORE_BYTES`` (the oldest entries make room)."""
+        hit = self._plans.get(key)
+        if hit is not None:
+            return hit[0]
+        value = build()
+        plans = self._plans
+        size = sum(pl.nbytes for pl in (value if isinstance(value, tuple) else (value,)))
+        if size <= PLAN_STORE_BYTES:
+            while self._plan_bytes + size > PLAN_STORE_BYTES:
+                self._plan_bytes -= plans.pop(next(iter(plans)))[1]
+            plans[key] = (value, size)
+            self._plan_bytes += size
+        return value
+
+    def shift_plan(self, srcs: np.ndarray, dsts: np.ndarray) -> EdgePlan:
+        """Memoized shift plan of the int64 edge arrays, keyed by content.
+
+        The key bytes double as the plan's edge arrays, so a stored
+        pattern is held once.
+        """
+        key = (srcs.tobytes(), dsts.tobytes())
+        return self._memo(
+            key,
+            lambda: self.edge_plan(
+                np.frombuffer(key[0], dtype=np.int64),
+                np.frombuffer(key[1], dtype=np.int64),
+                shift=True,
+            ),
+        )
+
+    def round_plans(self, root: int) -> tuple[EdgePlan, ...]:
+        """Memoized plans of the binomial broadcast rounds from *root*
+        (:func:`binomial_round_arrays`, as views of one whole-tree
+        plan); reductions use them flipped."""
+
+        def build():
+            srcs, dsts, bounds = _binomial_tree_edges(self.p, root)
+            tree = self.edge_plan(srcs, dsts)
+            return tuple(tree.cut(lo, hi) for lo, hi in bounds)
+
+        return self._memo(("tree", root), build)
+
+    def fan_plan(self, root: int) -> EdgePlan:
+        """Memoized plan of every other rank, ascending, sending to
+        *root* (gather); scatter uses it flipped."""
+
+        def build():
+            ranks = np.delete(np.arange(self.p, dtype=np.int64), root)
+            ranks.setflags(write=False)
+            return self.edge_plan(ranks, np.broadcast_to(np.int64(root), ranks.shape))
+
+        return self._memo(("fan", root), build)
 
     def route_link_ids(self, src: int, dst: int) -> np.ndarray:
         """Directed hardware link ids of the logical edge's route.
@@ -474,7 +640,27 @@ def _binomial_rounds(p: int, root: int) -> tuple[tuple[tuple[int, int], ...], ..
     return tuple(rounds)
 
 
-@lru_cache(maxsize=512)
+def _binomial_tree_edges(
+    p: int, root: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """All edges of the binomial broadcast from *root*, round after
+    round, plus the ``(lo, hi)`` index range of every round.
+
+    Round *k* (step = 2^k) informs the ranks ``step .. min(2*step, p) - 1``
+    relative to the root, each from the rank ``step`` below it — so over
+    the rounds the informed ranks are simply ``1 .. p - 1`` in order, and
+    the whole tree is a handful of O(p) numpy operations.
+    """
+    steps = [1 << k for k in range((p - 1).bit_length())]
+    counts = [min(step, p - step) for step in steps]
+    informed = np.arange(1, p, dtype=np.int64)
+    srcs = (informed - np.repeat(np.asarray(steps, dtype=np.int64), counts) + root) % p
+    dsts = (informed + root) % p
+    srcs.setflags(write=False)
+    dsts.setflags(write=False)
+    return srcs, dsts, [(step - 1, step - 1 + n) for step, n in zip(steps, counts)]
+
+
 def binomial_round_arrays(
     p: int, root: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -489,20 +675,13 @@ def binomial_round_arrays(
     — the same edges, in the same order, as the Python-tuple schedule
     ``_binomial_rounds`` (the filter ``rel + step < p`` over
     ``range(min(step, p))`` is the range ``min(step, p - step)``).  The
-    arrays are generated with ``np.arange`` in O(edges) numpy work, no
-    per-rank Python loop, and memoized read-only per ``(p, root)``.
+    arrays are read-only views of one whole-tree pair, generated in
+    O(edges) numpy work with no per-rank Python loop.  Not memoized
+    here: the plans built from them are, per topology and under its byte
+    bound (:meth:`VirtualTopology.round_plans`).
     """
-    rounds: list[tuple[np.ndarray, np.ndarray]] = []
-    step = 1
-    while step < p:
-        rel = np.arange(min(step, p - step), dtype=np.int64)
-        srcs = (rel + root) % p
-        dsts = (rel + step + root) % p
-        srcs.setflags(write=False)
-        dsts.setflags(write=False)
-        rounds.append((srcs, dsts))
-        step <<= 1
-    return tuple(rounds)
+    srcs, dsts, bounds = _binomial_tree_edges(p, root)
+    return tuple((srcs[lo:hi], dsts[lo:hi]) for lo, hi in bounds)
 
 
 def _folded_order(n: int) -> list[int]:

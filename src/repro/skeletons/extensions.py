@@ -93,41 +93,43 @@ def array_map_overlap(
     per_rank = np.zeros(ctx.p)
     results = []
     vec = getattr(stencil_f, "vectorized", None)
-    for r in range(ctx.p):
-        ctx.current_rank = r
-        b = from_arr.part_bounds(r)
-        lo = [max(0, l - overlap) for l in b.lower]
-        hi = [min(s, u + overlap) for s, u in zip(shape, b.upper)]
-        padded = global_data[tuple(slice(l, h) for l, h in zip(lo, hi))]
-        pad = tuple(bl - l for bl, l in zip(b.lower, lo))
-        if vec is not None:
-            env = MapEnv(ctx, r, b)
-            out = np.asarray(vec(padded, pad, from_arr.index_grids(r), env))
-            results.append(np.broadcast_to(out, b.shape))
-        else:
-            out = np.empty(b.shape, dtype=object)
-            for local_ix in np.ndindex(*b.shape):
-                gix = tuple(l + i for l, i in zip(b.lower, local_ix))
+    try:
+        for r in range(ctx.p):
+            ctx.current_rank = r
+            b = from_arr.part_bounds(r)
+            lo = [max(0, l - overlap) for l in b.lower]
+            hi = [min(s, u + overlap) for s, u in zip(shape, b.upper)]
+            padded = global_data[tuple(slice(l, h) for l, h in zip(lo, hi))]
+            pad = tuple(bl - l for bl, l in zip(b.lower, lo))
+            if vec is not None:
+                env = MapEnv(ctx, r, b)
+                out = np.asarray(vec(padded, pad, from_arr.index_grids(r), env))
+                results.append(np.broadcast_to(out, b.shape))
+            else:
+                out = np.empty(b.shape, dtype=object)
+                for local_ix in np.ndindex(*b.shape):
+                    gix = tuple(l + i for l, i in zip(b.lower, local_ix))
 
-                def get(*offsets, _gix=gix):
-                    if len(offsets) != dim:
-                        raise SkeletonError(
-                            f"stencil get() expects {dim} offsets"
-                        )
-                    tgt = [
-                        min(max(g + o, 0), s - 1)
-                        for g, o, s in zip(_gix, offsets, shape)
-                    ]
-                    if any(abs(o) > overlap for o in offsets):
-                        raise SkeletonError(
-                            f"stencil access {offsets} exceeds overlap {overlap}"
-                        )
-                    return global_data[tuple(tgt)]
+                    def get(*offsets, _gix=gix):
+                        if len(offsets) != dim:
+                            raise SkeletonError(
+                                f"stencil get() expects {dim} offsets"
+                            )
+                        tgt = [
+                            min(max(g + o, 0), s - 1)
+                            for g, o, s in zip(_gix, offsets, shape)
+                        ]
+                        if any(abs(o) > overlap for o in offsets):
+                            raise SkeletonError(
+                                f"stencil access {offsets} exceeds overlap {overlap}"
+                            )
+                        return global_data[tuple(tgt)]
 
-                out[local_ix] = stencil_f(get, gix)
-            results.append(out)
-        per_rank[r] = b.size * t_elem
-    ctx.current_rank = None
+                    out[local_ix] = stencil_f(get, gix)
+                results.append(out)
+            per_rank[r] = b.size * t_elem
+    finally:
+        ctx.current_rank = None
     for r in range(ctx.p):
         to_arr.local(r)[...] = np.asarray(results[r], dtype=to_arr.dtype)
     ctx.net.compute(per_rank)

@@ -63,12 +63,13 @@ class TestDiffPillar:
 
 class TestBatchPillar:
     def test_small_budget_green(self):
-        res = run_batch(seed=0, budget=16)
+        res = run_batch(seed=0, budget=20)
         assert res.ok, format_result(res)
-        assert res.trials == 16
-        # the four trial families interleave round-robin
+        assert res.trials == 20
+        # the five trial families interleave round-robin
         assert res.coverage.get("batch.p2p", 0) == 4
         assert res.coverage.get("batch.shift", 0) == 4
+        assert res.coverage.get("batch.plan_reuse", 0) == 4
 
     def test_raw_seed_replay(self):
         from repro.check.netbatch import run_batch_raw

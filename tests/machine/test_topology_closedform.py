@@ -156,10 +156,10 @@ class TestBinomialRoundArrays:
                 ranks = np.concatenate([srcs, dsts])
                 assert np.unique(ranks).size == ranks.size
 
-    def test_arrays_are_readonly_and_cached(self):
+    def test_arrays_are_readonly(self):
+        # the memo moved to VirtualTopology.round_plans (under the plan
+        # store's byte bound; see test_charge_plans.py)
         a = binomial_round_arrays(256, 0)
-        b = binomial_round_arrays(256, 0)
-        assert a is b
         with pytest.raises(ValueError):
             a[0][0][0] = 99
 

@@ -97,6 +97,21 @@ class TestArrayMap:
         with pytest.raises(SkeletonError):
             ctx4.proc_id()
 
+    def test_proc_id_reset_when_a_stencil_raises(self, ctx4):
+        """``array_map_overlap`` must not leave a stale procId either."""
+        a = create_1d(ctx4, 8)
+        b = create_1d(ctx4, 8, init=zero)
+
+        def fails_on_rank_2(get, ix):
+            if ix[0] == 5:
+                raise ValueError("boom")
+            return get(0)
+
+        with pytest.raises(ValueError):
+            ctx4.array_map_overlap(fails_on_rank_2, a, b)
+        with pytest.raises(SkeletonError):
+            ctx4.proc_id()
+
     def test_dpfl_map_costs_more(self):
         """copy_on_update (functional host) pays for the temporary."""
         times = {}
