@@ -84,9 +84,7 @@ class DistArray:
             # one contiguous global buffer — global_view/fill_from_global
             # become O(1) and skeletons can run one fused kernel over the
             # whole array.  Strided (cyclic) layouts keep per-rank copies.
-            from repro.arrays.pardata import pooled_buffer
-
-            self._pool = pooled_buffer(machine, dist.shape, self.dtype)
+            self._pool = np.zeros(dist.shape, dtype=self.dtype)
             self._blocks: list[np.ndarray] = [
                 self._pool[
                     tuple(slice(l, u) for l, u in zip(b.lower, b.upper))
@@ -128,10 +126,6 @@ class DistArray:
             for r in range(self.p):
                 self.machine.free(r, self._blocks[r].nbytes)
         self._blocks = []
-        if self._pool is not None:
-            from repro.arrays.pardata import release_buffer
-
-            release_buffer(self.machine, self._pool)
         self._pool = None
         self._alive = False
 

@@ -30,28 +30,7 @@ __all__ = [
     "PardataInstance",
     "PardataRegistry",
     "GLOBAL_REGISTRY",
-    "pooled_buffer",
-    "release_buffer",
 ]
-
-
-def pooled_buffer(machine: Machine, shape, dtype):
-    """Zeroed pool buffer for a pardata's contiguous storage.
-
-    Pooled pardata implementations (``array<$t>`` first among them) back
-    all per-processor partitions with views into one contiguous buffer.
-    The buffer must live where the machine's execution backend can see
-    it — named shared memory under ``backend="mp"``, ordinary process
-    memory otherwise — so allocation goes through the machine.
-    """
-    return machine.alloc_pool_buffer(shape, dtype)
-
-
-def release_buffer(machine: Machine, pool) -> None:
-    """Release a :func:`pooled_buffer` (unpins mp shared-memory segments;
-    a no-op for plain buffers)."""
-    if pool is not None:
-        machine.free_pool_buffer(pool)
 
 
 @dataclass(frozen=True)

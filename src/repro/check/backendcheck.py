@@ -3,9 +3,9 @@
 ``Machine(p, backend=...)`` promises that the execution backend changes
 only *wall-clock*: the analytic network is the single cost oracle, so
 simulated seconds, pool contents, :class:`~repro.machine.trace.TraceStats`
-and metrics must be **bitwise identical** under ``sim``, ``threads`` and
-``mp``.  Every trial runs one workload once per backend on otherwise
-identical machines and compares:
+and metrics must be **bitwise identical** under ``sim`` and ``threads``.
+Every trial runs one workload once per backend on otherwise identical
+machines and compares:
 
 * every result array's ``global_view()`` with ``np.array_equal`` (no
   tolerance — the parallel per-rank dispatch performs the same numpy
@@ -19,8 +19,7 @@ Three trial families interleave:
 
 1. **compiled programs** — the fuzz pillar's generated Skil programs
    (``generate_spec``/``render`` → ``compile_skil``), so every kernel
-   class the instantiation pipeline can emit crosses the mp
-   closure-shipping path;
+   class the instantiation pipeline can emit is dispatched per rank;
 2. **skeleton workloads** — randomly composed create/map/zip/fold/scan/
    copy sequences over hand-built closure kernels at p ∈ {4, 16},
    including env-*reading* kernels (which must fall back to the
@@ -30,13 +29,13 @@ Three trial families interleave:
    p ∈ {4, 16}.
 
 Every trial runs each backend twice — wall profiler off and on
-(``Machine(profile=...)``) — and compares all six runs against the
+(``Machine(profile=...)``) — and compares all four runs against the
 unprofiled ``sim`` reference: profiling reads wall clocks only and must
 never perturb the cost model on any backend.
 
-Worker processes are reused across a trial's skeleton calls but never
-across backends (each machine is closed before the next one starts), so
-a trial also exercises pool/shm teardown.
+Worker threads are reused across a trial's skeleton calls but never
+across machines (each machine is closed before the next one starts), so
+a trial also exercises pool teardown.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from repro.skeletons.functional import skil_fn
 __all__ = ["run_backend", "run_backend_raw", "BACKENDS_CHECKED"]
 
 #: the backends every trial compares; ``sim`` is the reference
-BACKENDS_CHECKED = ("sim", "threads", "mp")
+BACKENDS_CHECKED = ("sim", "threads")
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def _compare_runs(ref: _Run, got: _Run, backend: str, label: str) -> str | None:
 
 def _run_everywhere(workload, p: int, label: str) -> str | None:
     """Run *workload(ctx)* per backend x {profiler off, on}; compare all
-    six runs bitwise to the unprofiled ``sim`` reference.
+    four runs bitwise to the unprofiled ``sim`` reference.
 
     *workload* returns ``(arrays, scalars)`` — DistArrays still alive
     (their ``global_view`` is compared) and scalar results.  The
@@ -193,8 +192,7 @@ def trial_backend_program(rng: random.Random) -> tuple[str | None, dict[str, int
 def _random_kernels(rng: random.Random):
     """Init/map/zip kernel triple with random closure constants.
 
-    The constants live in lambda *defaults*, so every kernel is a closure
-    the mp backend must ship — the shape
+    The constants live in lambda *defaults* — the shape
     :func:`~repro.lang.runtime.make_kernel` produces.  One of four map
     kernels *reads the env* (rank-dependent): those must fall back to the
     per-rank loop identically on every backend.
@@ -357,9 +355,8 @@ def run_backend(
     """Run *budget* backend-equivalence trials (3 interleaved families).
 
     The default budget is lower than the other pillars' because every
-    trial runs its workload three times and boots one worker-process
-    pool; the per-trial cost is dominated by process start-up, not by
-    the workload.
+    trial runs its workload four times (two backends, profiler off and
+    on).
     """
     res = CheckResult("backend")
     t0 = time.monotonic()

@@ -37,13 +37,12 @@ class DeadlockError(MachineError):
 
 
 class BackendError(MachineError):
-    """A real execution backend could not run a kernel.
+    """An execution backend could not be selected or configured.
 
-    Raised by the multiprocessing backend's closure-shipping path when an
-    instantiated kernel cannot be serialized for a worker process — the
-    message names the offending free variable — and by backend selection
-    for unknown backend names.  Never used for silent fallback: a kernel
-    either ships or the caller hears about it.
+    Raised by backend selection (``Machine(backend=...)``,
+    ``REPRO_BACKEND``, ``--backend``) for an unknown name or the removed
+    ``mp`` backend, and for a ``REPRO_WORKERS`` value that is not a
+    positive integer — the message names the variable and the value.
     """
 
 

@@ -13,11 +13,11 @@ Usage::
    python -m repro.eval analyze [--app gauss] [--p 16] [--n 48]
                               [--json-out analyze.json] [--no-whatif]
    python -m repro.eval profile [--app gauss] [--p 16] [--n 48]
-                              [--backend threads|mp] [--workers 2]
+                              [--backend threads] [--workers 2]
                               [--json-out profile.json]
    python -m repro.eval bench [--quick] [--out BENCH_perf.json]
                               [--check-against BENCH_perf.json]
-                              [--backend threads|mp]
+                              [--backend threads]
 
 ``--scale 1.0`` (the default) runs the paper's exact problem sizes —
 the Table 2 grid takes a few minutes of wall-clock time because the
@@ -30,7 +30,7 @@ Every subcommand accepts the shared observability flags ``--trace``,
 ``--profile`` and ``--profile-out`` (see :mod:`repro.eval.cliopts`);
 ``--fusion --no-fused`` is rejected as contradictory (exit 2).
 ``trace`` keeps ``--json`` as a back-compatible alias of ``--trace``.
-``--backend threads|mp`` runs the skeleton kernels on real cores —
+``--backend threads`` runs the skeleton kernels on real cores —
 every artefact stays bit-identical because simulated time is charged
 analytically either way.  ``profile`` correlates the two clocks:
 simulated speedup vs measured wall, attribution, worker utilization.
@@ -41,7 +41,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import UsageError
+from repro.errors import BackendError, UsageError
 from repro.eval.cliopts import (
     apply_backend,
     apply_fusion,
@@ -164,13 +164,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile",
         parents=[parent, target],
         help="sim-vs-wall wall-clock profile of one run "
-        "(dispatch/kernel/ship/idle attribution)",
+        "(dispatch/kernel/idle attribution)",
     )
     pr.add_argument(
         "--json-out",
         metavar="FILE",
         default=None,
-        help="write the repro-profile/1 snapshot (alias: --profile-out)",
+        help="write the repro-profile/2 snapshot (alias: --profile-out)",
     )
 
     return parser
@@ -180,7 +180,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         return _main(argv)
-    except UsageError as exc:
+    except (UsageError, BackendError) as exc:
+        # a removed/unknown --backend or REPRO_BACKEND, a bad
+        # REPRO_WORKERS: configuration mistakes, reported like usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

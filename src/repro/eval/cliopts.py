@@ -24,17 +24,19 @@ definitions cannot drift again:
     Suppress progress notes, heartbeats and "written to ..." chatter;
     the command's primary report still prints.
 
-``--backend {sim,threads,mp}``
-    Execute skeleton kernels on a real backend (thread pool or worker
-    processes) instead of the in-process simulator.  Simulated seconds
-    are charged by the analytic :class:`~repro.machine.network.Network`
-    either way, so every artefact is bit-identical across backends —
-    the flag changes wall-clock behaviour only.  For ``bench`` it
-    additionally records a wall-clock-vs-cores ``backend`` section.
+``--backend {sim,threads}``
+    Execute skeleton kernels on a real backend (a thread pool) instead
+    of the in-process simulator.  Simulated seconds are charged by the
+    analytic :class:`~repro.machine.network.Network` either way, so
+    every artefact is bit-identical across backends — the flag changes
+    wall-clock behaviour only.  For ``bench`` it additionally records a
+    wall-clock-vs-cores ``backend`` section.  The removed ``mp`` backend
+    and unknown names end in a :class:`~repro.errors.BackendError`
+    (exit 2).
 
 ``--workers N``
-    Worker count for the real backends (the ``REPRO_WORKERS`` default
-    for this process).  Rejected with a clear usage error when
+    Worker count for the ``threads`` backend (the ``REPRO_WORKERS``
+    default for this process).  Rejected with a clear usage error when
     nonpositive, as is ``--p`` on the run-target subcommands.
 
 ``--fusion`` / ``--no-fusion``
@@ -58,7 +60,7 @@ definitions cannot drift again:
     ``--trace`` the Chrome JSON gains the dual-clock wall tracks.
 
 ``--profile-out FILE``
-    Write the profiler's ``repro-profile/1`` JSON snapshot.  Requires
+    Write the profiler's ``repro-profile/2`` JSON snapshot.  Requires
     ``--profile`` (a clean usage error otherwise); the ``profile``
     subcommand, which always profiles, accepts it alone.
 
@@ -89,6 +91,8 @@ __all__ = [
 
 def obs_parent() -> argparse.ArgumentParser:
     """The shared ``--trace`` / ``--metrics-out`` / ``--quiet`` parent."""
+    from repro.machine.backend import BACKENDS, check_backend_name
+
     parent = argparse.ArgumentParser(add_help=False)
     g = parent.add_argument_group("observability (common to all subcommands)")
     g.add_argument(
@@ -111,7 +115,10 @@ def obs_parent() -> argparse.ArgumentParser:
     )
     g.add_argument(
         "--backend",
-        choices=["sim", "threads", "mp"],
+        # the type check runs first, so a removed or unknown name ends
+        # in its BackendError rather than argparse's generic choice list
+        type=check_backend_name,
+        choices=BACKENDS,
         default=None,
         help="execute skeleton kernels on this backend (default: the "
         "REPRO_BACKEND env var, else sim); simulated seconds are "
@@ -122,7 +129,7 @@ def obs_parent() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for the real backends (default: the "
+        help="worker count for the threads backend (default: the "
         "REPRO_WORKERS env var, else min(p, cores))",
     )
     g.add_argument(
@@ -150,7 +157,7 @@ def obs_parent() -> argparse.ArgumentParser:
         "--profile-out",
         metavar="FILE",
         default=None,
-        help="write the profiler's repro-profile/1 JSON snapshot "
+        help="write the profiler's repro-profile/2 JSON snapshot "
         "(requires --profile)",
     )
     return parent

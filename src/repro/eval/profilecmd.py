@@ -1,6 +1,6 @@
 """The ``profile`` subcommand: sim-vs-wall correlation for one run.
 
-``python -m repro.eval profile --app gauss --p 16 --backend mp`` runs
+``python -m repro.eval profile --app gauss --p 16 --backend threads`` runs
 the app four times:
 
 1. **unprofiled** on the target backend — the wall-clock baseline the
@@ -19,10 +19,10 @@ the app four times:
 
 The report correlates the two clocks per skeleton, shows parallel
 efficiency against ``--workers``, and prints the wall attribution
-(ship / dispatch / kernel / idle), which must sum to the measured wall
+(dispatch / kernel / idle), which must sum to the measured wall
 within :data:`~repro.obs.prof.ATTRIBUTION_TOL` (exits nonzero
 otherwise — the CI ``profile-smoke`` job relies on both checks).
-``--json-out``/``--profile-out`` write the ``repro-profile/1``
+``--json-out``/``--profile-out`` write the ``repro-profile/2``
 snapshot.
 """
 
@@ -181,7 +181,6 @@ def run_profile_command(
             wall_speedup / workers if wall_speedup is not None else None
         ),
         "attribution": {
-            "ship_s": attr["ship_s"],
             "dispatch_s": attr["dispatch_s"],
             "kernel_s": attr["kernel_s"],
             "idle_s": attr["idle_s"],
@@ -212,7 +211,7 @@ def _fmt_x(value) -> str:
 
 
 def profile_snapshot_text(snap: dict) -> str:
-    """Human-readable report of a ``repro-profile/1`` snapshot."""
+    """Human-readable report of a ``repro-profile/2`` snapshot."""
     header = (
         f"profile {snap['app']} p={snap['p']} n={snap['n']} "
         f"backend={snap['backend']} workers={snap['workers']} "
@@ -246,7 +245,7 @@ def profile_snapshot_text(snap: dict) -> str:
     mw = snap["measured_wall_s"]
     lines.append("")
     lines.append("wall attribution (of measured skeleton wall):")
-    for key in ("ship_s", "dispatch_s", "kernel_s", "idle_s"):
+    for key in ("dispatch_s", "kernel_s", "idle_s"):
         share = attr[key] / mw if mw > 0 else 0.0
         lines.append(
             f"  {key[:-2]:<10}{attr[key]:>10.4f}s{share:>8.1%}"

@@ -174,7 +174,7 @@ def run_trace_command(
 
     With *profile* the wall profiler rides along: the Chrome JSON gains
     the dual-clock wall tracks and *profile_out* receives the
-    ``repro-profile/1`` snapshot.
+    ``repro-profile/2`` snapshot.
     """
     stream_cfg = None
     if stream:

@@ -6,7 +6,6 @@ See DESIGN.md §2 for why and how the hardware is simulated.
 from repro.machine.backend import (
     BACKENDS,
     ExecBackend,
-    MpBackend,
     SimBackend,
     ThreadsBackend,
     backend_default,
@@ -37,22 +36,15 @@ from repro.machine.topology import (
     square_grid,
 )
 from repro.machine.trace import MessageRecord, TraceStats
-from repro.machine.workers import ANY, Mailbox, Message, SharedArena, WorkerPool
 
 __all__ = [
     "BACKENDS",
     "ExecBackend",
     "SimBackend",
     "ThreadsBackend",
-    "MpBackend",
     "make_backend",
     "backend_default",
     "set_backend_default",
-    "ANY",
-    "Mailbox",
-    "Message",
-    "SharedArena",
-    "WorkerPool",
     "CostModel",
     "LanguageProfile",
     "T800_PARSYTEC",

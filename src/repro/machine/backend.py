@@ -1,10 +1,10 @@
-"""Execution backends: ``Machine(p, backend="sim"|"threads"|"mp")``.
+"""Execution backends: ``Machine(p, backend="sim"|"threads")``.
 
 The analytic :class:`~repro.machine.network.Network` is the **only**
 cost oracle — simulated seconds never depend on which backend runs the
 kernels, and the ``backend`` conformance pillar asserts bit-identity of
-pool contents, clocks, stats and metrics across all three.  What a
-backend changes is *wall-clock*: where the numpy kernels of the elementwise
+pool contents, clocks, stats and metrics across both.  What a backend
+changes is *wall-clock*: where the numpy kernels of the elementwise
 skeletons physically execute.
 
 * :class:`SimBackend` — single-process execution; ``parallel`` is
@@ -16,11 +16,12 @@ skeletons physically execute.
   elementwise kernels over pooled block partitions scale with cores
   without any data movement (the pool is plain shared memory between
   threads).
-* :class:`MpBackend` — worker *processes* (true parallelism, no GIL).
-  Pool buffers are allocated in named shared memory
-  (:class:`~repro.machine.workers.SharedArena`), kernels are shipped by
-  safe closure passing (:func:`~repro.machine.workers.ship_kernel`),
-  tasks and results travel through per-rank mailboxes.
+
+A third backend, ``mp`` (worker processes, shared-memory pools, shipped
+closures), was removed: shipping every call's blocks out and results
+back through the main process measured 4-5x *slower* than ``sim``
+(docs/PERFORMANCE.md §"Real backends").  Asking for it is a
+:class:`~repro.errors.BackendError` that points at ``threads``.
 
 The per-partition task decomposition is exactly the skeletons'
 *per-rank* execution path, so results are bit-identical to sequential
@@ -29,15 +30,14 @@ already ties the per-rank and fused paths together.
 
 Backend selection: ``Machine(backend=...)`` falls back to the process
 default, settable with :func:`set_backend_default` or the
-``REPRO_BACKEND`` environment variable (the CI backend matrix sets it).
+``REPRO_BACKEND`` environment variable (the CI backend job sets it).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Sequence
-
-import numpy as np
+import threading
+from typing import Callable, Sequence
 
 from repro.errors import BackendError, MachineError
 
@@ -45,21 +45,31 @@ __all__ = [
     "ExecBackend",
     "SimBackend",
     "ThreadsBackend",
-    "MpBackend",
     "make_backend",
     "backend_default",
     "set_backend_default",
+    "check_backend_name",
     "BACKENDS",
     "default_workers",
 ]
 
-BACKENDS = ("sim", "threads", "mp")
-
-
-def _kernel_name(kernel) -> str:
-    return getattr(kernel, "__name__", type(kernel).__name__)
+BACKENDS = ("sim", "threads")
 
 _BACKEND_DEFAULT = os.environ.get("REPRO_BACKEND", "sim")
+
+
+def check_backend_name(name: str) -> str:
+    """*name* if it is a selectable backend, else :class:`BackendError`."""
+    if name == "mp":
+        raise BackendError(
+            "backend 'mp' was removed (it measured 4-5x slower than 'sim'); "
+            "use 'threads' for real-core execution"
+        )
+    if name not in BACKENDS:
+        raise BackendError(
+            f"unknown backend {name!r} (choose from {', '.join(BACKENDS)})"
+        )
+    return name
 
 
 def backend_default() -> str:
@@ -69,19 +79,23 @@ def backend_default() -> str:
 
 def set_backend_default(name: str) -> None:
     """Set the process default (``python -m repro.eval ... --backend``)."""
-    if name not in BACKENDS:
-        raise BackendError(
-            f"unknown backend {name!r} (choose from {', '.join(BACKENDS)})"
-        )
     global _BACKEND_DEFAULT
-    _BACKEND_DEFAULT = name
+    _BACKEND_DEFAULT = check_backend_name(name)
 
 
 def default_workers(p: int) -> int:
     """Worker count: ``REPRO_WORKERS`` or min(p, available cores)."""
     env = os.environ.get("REPRO_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise BackendError(
+                f"REPRO_WORKERS={env!r} is not a positive worker count"
+            )
+        return n
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
@@ -95,9 +109,14 @@ class ExecBackend:
     ``run_blocks(kernel, tasks)`` evaluates ``kernel(*tasks[r])`` for
     every task and returns the results **in task order** — that ordering
     (not completion order) is what keeps parallel execution bit-identical
-    to the sequential loop.  Implementations may raise
-    :class:`~repro.skeletons.fuse.FusionFallback` through from kernels;
+    to the sequential loop.  Exceptions raised by a kernel
+    (:class:`~repro.skeletons.fuse.FusionFallback` included) propagate
+    to the caller exactly as in the sequential loop; on ``FusionFallback``
     callers fall back to sequential per-rank execution.
+
+    Subclasses say only *how* calls are carried out (:meth:`_run`:
+    inline here, ``submit`` on a thread pool); the profiler's stamp
+    protocol is stated once, in :meth:`run_blocks`.
     """
 
     name = "sim"
@@ -112,36 +131,42 @@ class ExecBackend:
     def run_blocks(self, kernel: Callable, tasks: Sequence[tuple]) -> list:
         prof = self.profiler
         if prof is None:
-            return [kernel(*t) for t in tasks]
-        # profiled inline execution: the main thread is "worker 0"
-        d = prof.dispatch_begin(self.name, _kernel_name(kernel), len(tasks))
+            return self._run(kernel, tasks)
+        name = getattr(kernel, "__name__", type(kernel).__name__)
+        d = prof.dispatch_begin(self.name, name, len(tasks))
+
+        def timed(t_enq, *task):
+            # runs on whichever thread executes the block (the main
+            # thread is "worker 0" when execution is inline)
+            slot = prof.worker_slot(threading.get_ident())
+            t0 = prof.clock()
+            try:
+                return kernel(*task)
+            finally:
+                # stamped even when the kernel raises (FusionFallback):
+                # the wall time was really spent
+                prof.block(d, slot, t_enq, t0, prof.clock())
+
         prof.note_post(d)
         try:
-            out = []
-            for t in tasks:
-                t0 = prof.clock()
-                r = kernel(*t)
-                prof.block(d, 0, t0, t0, prof.clock())
-                out.append(r)
-            return out
+            return self._run(timed, tasks, stamp=prof.clock)
         finally:
             prof.dispatch_end(d)
 
-    def alloc_pool(self, shape, dtype) -> np.ndarray:
-        """Allocate a pooled array buffer visible to the backend's
-        workers (plain process memory unless shared memory is needed)."""
-        return np.zeros(shape, dtype=dtype)
-
-    def free_pool(self, pool: np.ndarray) -> None:
-        """Release a buffer from :meth:`alloc_pool` (no-op unless the
-        backend tracks segments)."""
+    def _run(self, call: Callable, tasks: Sequence[tuple], stamp=None) -> list:
+        """``call(*t)`` for every task, results in task order.  With
+        *stamp* (the profiler clock) its reading at hand-off time is
+        passed as an extra leading argument — the block's enqueue time."""
+        if stamp is None:
+            return [call(*t) for t in tasks]
+        return [call(stamp(), *t) for t in tasks]
 
     def reset(self, seed: int = 0) -> None:
         """Clear worker-side state so back-to-back trials in one process
         are deterministic (``Machine.reset`` calls this)."""
 
     def close(self) -> None:
-        """Tear down workers and shared resources (idempotent)."""
+        """Tear down workers (idempotent)."""
 
     @property
     def workers(self) -> int:
@@ -180,41 +205,17 @@ class ThreadsBackend(ExecBackend):
             )
         return self._pool
 
-    def run_blocks(self, kernel, tasks):
-        if self.profiler is not None:
-            return self._run_blocks_profiled(kernel, tasks)
+    def _run(self, call, tasks, stamp=None):
         if len(tasks) <= 1:
-            return [kernel(*t) for t in tasks]
-        futures = [self._executor().submit(kernel, *t) for t in tasks]
-        # collect in task order; exceptions (FusionFallback included)
-        # propagate to the caller exactly as in the sequential loop
+            return super()._run(call, tasks, stamp)
+        submit = self._executor().submit
+        if stamp is None:
+            futures = [submit(call, *t) for t in tasks]
+        else:
+            futures = [submit(call, stamp(), *t) for t in tasks]
+        # collect in task order; reading every result re-raises a
+        # kernel's exception in the caller
         return [f.result() for f in futures]
-
-    def _run_blocks_profiled(self, kernel, tasks):
-        import threading
-
-        prof = self.profiler
-        d = prof.dispatch_begin("threads", _kernel_name(kernel), len(tasks))
-
-        def timed(task, t_enq):
-            slot = prof.worker_slot(threading.get_ident())
-            t0 = prof.clock()
-            try:
-                return kernel(*task)
-            finally:
-                # stamped even when the kernel raises (FusionFallback):
-                # the wall time was really spent
-                prof.block(d, slot, t_enq, t0, prof.clock())
-
-        prof.note_post(d)
-        try:
-            if len(tasks) <= 1:
-                return [timed(t, prof.clock()) for t in tasks]
-            ex = self._executor()
-            futures = [(ex.submit(timed, t, prof.clock())) for t in tasks]
-            return [f.result() for f in futures]
-        finally:
-            prof.dispatch_end(d)
 
     def reset(self, seed: int = 0) -> None:
         # thread workers hold no kernel caches or RNG state; nothing to
@@ -229,155 +230,6 @@ class ThreadsBackend(ExecBackend):
             self._pool = None
 
 
-class MpBackend(ExecBackend):
-    """Worker processes + shared-memory pools + shipped closures."""
-
-    name = "mp"
-    parallel = True
-
-    def __init__(self, n_workers: int, start_method: str | None = None):
-        if n_workers <= 0:
-            raise MachineError(f"need at least one worker, got {n_workers}")
-        self._n = n_workers
-        self._start_method = start_method
-        self._pool = None  # WorkerPool, created lazily
-        from repro.machine.workers import SharedArena
-
-        self.arena = SharedArena()
-        # id(kernel) -> (fingerprint, shipped bytes, weakref guard)
-        self._ship_cache: dict[int, tuple] = {}
-        self._seed = 0
-
-    @property
-    def workers(self) -> int:
-        return self._n
-
-    def _worker_pool(self):
-        if self._pool is None:
-            from repro.machine.workers import WorkerPool
-
-            self._pool = WorkerPool(self._n, start_method=self._start_method)
-        return self._pool
-
-    # ------------------------------------------------------------------ pools
-    def alloc_pool(self, shape, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        if dtype.hasobject:
-            # object dtypes cannot live in raw shared memory; plain
-            # buffers are correct (such arrays never reach workers)
-            return np.zeros(shape, dtype=dtype)
-        return self.arena.allocate(shape, dtype)
-
-    def free_pool(self, pool: np.ndarray) -> None:
-        self.arena.release(pool)
-
-    # ------------------------------------------------------------------ ship
-    def _ship(self, kernel: Callable) -> tuple[str, bytes]:
-        """Ship *kernel* (cached per object identity while it is alive).
-
-        Raises :class:`BackendError` naming the offending free variable
-        when the kernel cannot cross the process boundary — no silent
-        fallback (the caller decides whether a fallback is legal).
-        """
-        from repro.machine.workers import kernel_fingerprint, ship_kernel
-
-        cached = self._ship_cache.get(id(kernel))
-        if cached is not None and cached[2]() is kernel:
-            if self.profiler is not None:
-                self.profiler.ship_cache_hit()
-            return cached[0], cached[1]
-        data = ship_kernel(kernel)
-        kid = kernel_fingerprint(data)
-        import weakref
-
-        try:
-            ref = weakref.ref(kernel)
-        except TypeError:  # pragma: no cover - unweakrefable callable
-            ref = lambda: kernel  # noqa: E731
-        self._ship_cache[id(kernel)] = (kid, data, ref)
-        if self.profiler is not None:
-            self.profiler.ship_cache_miss(len(data))
-        return kid, data
-
-    def _describe(self, value) -> tuple:
-        """Task argument -> shippable descriptor.
-
-        Arena-backed views go as ``("shm", descriptor)`` (zero-copy);
-        everything else small is pickled by the transport.
-        """
-        if isinstance(value, np.ndarray):
-            desc = self.arena.descriptor(value)
-            if desc is not None:
-                return ("shm", desc)
-        return ("val", value)
-
-    def run_blocks(self, kernel, tasks):
-        if not tasks:
-            return []
-        prof = self.profiler
-        if prof is None:
-            kid, data = self._ship(kernel)
-            pool = self._worker_pool()
-            pool.ensure_kernel(kid, data)
-            arg_descs = [[self._describe(a) for a in t] for t in tasks]
-            try:
-                return pool.run_tasks(kid, arg_descs)
-            except MachineError as exc:
-                if getattr(exc, "worker_exc", None) == "FusionFallback":
-                    # a worker-side fallback is the same control flow as
-                    # a local one: the caller reverts to the sequential
-                    # loop
-                    from repro.skeletons.fuse import FusionFallback
-
-                    raise FusionFallback(str(exc)) from None
-                raise
-        # profiled path: same calls, plus wall stamps.  ship_s covers
-        # kernel shipping and argument description (the main-process
-        # cost of getting the batch to the process boundary)
-        t_enter = prof.clock()
-        kid, data = self._ship(kernel)
-        pool = self._worker_pool()
-        n_sent = pool.ensure_kernel(kid, data)
-        if n_sent:
-            prof.worker_sends(n_sent, n_sent * len(data))
-        arg_descs = [[self._describe(a) for a in t] for t in tasks]
-        d = prof.dispatch_begin(
-            "mp", _kernel_name(kernel), len(tasks),
-            ship_s=prof.clock() - t_enter,
-        )
-        prof.note_post(d)
-        try:
-            results, stamps = pool.run_tasks(kid, arg_descs, profiler=prof)
-            for stamp in stamps:
-                if stamp is not None:
-                    worker, t0, t1 = stamp
-                    # enqueue == post time: tasks go on worker queues
-                    # immediately after note_post
-                    prof.block(d, worker, d.t_post, t0, t1)
-            return results
-        except MachineError as exc:
-            if getattr(exc, "worker_exc", None) == "FusionFallback":
-                from repro.skeletons.fuse import FusionFallback
-
-                raise FusionFallback(str(exc)) from None
-            raise
-        finally:
-            prof.dispatch_end(d)
-
-    def reset(self, seed: int = 0) -> None:
-        self._seed = seed
-        if self._pool is not None:
-            self._pool.reset(seed)
-        self._ship_cache.clear()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        self.arena.close()
-        self._ship_cache.clear()
-
-
 def make_backend(
     spec: "str | ExecBackend | None",
     p: int,
@@ -386,14 +238,8 @@ def make_backend(
     """Build (or pass through) the backend for a machine of *p* ranks."""
     if isinstance(spec, ExecBackend):
         return spec
-    name = spec if spec is not None else backend_default()
+    name = check_backend_name(spec if spec is not None else backend_default())
+    # resolved before the name is looked at, so a bad REPRO_WORKERS is
+    # reported on every machine, not only on the ones that would use it
     n = workers if workers is not None else default_workers(p)
-    if name == "sim":
-        return SimBackend()
-    if name == "threads":
-        return ThreadsBackend(n)
-    if name == "mp":
-        return MpBackend(n)
-    raise BackendError(
-        f"unknown backend {name!r} (choose from {', '.join(BACKENDS)})"
-    )
+    return SimBackend() if name == "sim" else ThreadsBackend(n)

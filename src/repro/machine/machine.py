@@ -115,15 +115,14 @@ class Machine:
     backend:
         Where fused skeleton kernels physically execute: ``"sim"``
         (single process, the default), ``"threads"`` (thread pool over
-        the shared pools; numpy releases the GIL), ``"mp"`` (worker
-        processes over shared-memory pools with shipped closures), or a
-        ready-made :class:`~repro.machine.backend.ExecBackend`.  ``None``
+        the shared pools; numpy releases the GIL), or a ready-made
+        :class:`~repro.machine.backend.ExecBackend`.  ``None``
         consults :func:`~repro.machine.backend.backend_default`
         (``REPRO_BACKEND``).  Simulated seconds are bit-identical across
         backends — the network stays the only cost oracle.
     workers:
-        Worker count for the real backends (default: ``REPRO_WORKERS``
-        or ``min(p, cores)``).
+        Worker count for the ``threads`` backend (default:
+        ``REPRO_WORKERS`` or ``min(p, cores)``).
     profile:
         Attach a :class:`~repro.obs.prof.WallProfiler` to the worker
         plane (``True``, or a ready-made profiler instance).  Wall-clock
@@ -235,10 +234,6 @@ class Machine:
                 profile if isinstance(profile, WallProfiler) else WallProfiler()
             )
             self.backend.profiler = self.profiler
-            arena = getattr(self.backend, "arena", None)
-            if arena is not None:
-                arena.profiler = self.profiler
-        self._closed = False
 
     # ------------------------------------------------------------------ time
     @property
@@ -249,39 +244,26 @@ class Machine:
     # ---------------------------------------------------------------- backend
     @property
     def backend_name(self) -> str:
-        """``"sim"``, ``"threads"`` or ``"mp"``."""
+        """``"sim"`` or ``"threads"``."""
         return self.backend.name
 
-    def alloc_pool_buffer(self, shape, dtype) -> np.ndarray:
-        """Backend-visible zeroed buffer for a pooled distributed array
-        (shared memory under ``backend="mp"``, plain memory otherwise)."""
-        return self.backend.alloc_pool(shape, dtype)
-
-    def free_pool_buffer(self, pool: np.ndarray) -> None:
-        """Release a buffer from :meth:`alloc_pool_buffer`."""
-        self.backend.free_pool(pool)
-
     def close(self) -> None:
-        """Tear down backend workers and shared-memory segments.
+        """Tear down backend workers.
 
-        Idempotent; ``backend="sim"`` machines have nothing to release,
-        so existing code that never calls ``close()`` keeps working.
-        Real-backend users should close (or use the machine as a context
-        manager) so no ``/dev/shm`` segments outlive the run.
+        Idempotent, and every call releases whatever exists *now*: a
+        machine used again after ``close()`` lazily restarts its thread
+        pool, and the next ``close()`` shuts that one down too.
+        ``backend="sim"`` machines have nothing to release, so existing
+        code that never calls ``close()`` keeps working; ``threads``
+        users should close (or use the machine as a context manager) so
+        no worker threads outlive the run.
         """
-        if self._closed:
-            return
-        self._closed = True
         self.backend.close()
         if self.profiler is not None:
-            # detach the profiler from the worker plane (after teardown,
-            # so close-time segment frees still reach the shm gauges);
-            # the collected stamps stay readable on ``self.profiler``
-            # for post-run export
+            # detach the profiler from the worker plane; the collected
+            # stamps stay readable on ``self.profiler`` for post-run
+            # export
             self.backend.profiler = None
-            arena = getattr(self.backend, "arena", None)
-            if arena is not None:
-                arena.profiler = None
 
     def __enter__(self) -> "Machine":
         return self

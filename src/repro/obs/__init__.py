@@ -35,11 +35,10 @@ set:
   mode");
 * :mod:`repro.obs.prof` — the **wall-clock worker-plane profiler**
   behind ``Machine(profile=True)``: dispatch latency, in-worker kernel
-  wall time, ship-cache and shm counters, per-worker utilization, the
-  ship/dispatch/kernel/idle attribution and the ``repro-profile/1``
-  snapshot (``python -m repro.eval profile``).  Wall-clock only — it
-  never touches the cost model (docs/OBSERVABILITY.md, "Wall-clock
-  profiling").
+  wall time, per-worker utilization, the dispatch/kernel/idle
+  attribution and the ``repro-profile/2`` snapshot (``python -m
+  repro.eval profile``).  Wall-clock only — it never touches the cost
+  model (docs/OBSERVABILITY.md, "Wall-clock profiling").
 
 Everything is opt-in through ``Machine(trace_level=...)`` and costs a
 single ``is None`` check per operation when off, so the simulated

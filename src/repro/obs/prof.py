@@ -4,8 +4,7 @@ Everything else in :mod:`repro.obs` measures *simulated* seconds — the
 analytic cost model's clocks.  The real execution backends
 (:mod:`repro.machine.backend`) additionally run kernels on actual cores,
 and this module measures *that* plane: dispatch latency, in-worker
-kernel wall time, ship-cache behaviour, shared-memory occupancy, result
-mailbox depth and per-worker utilization.
+kernel wall time and per-worker utilization.
 
 Two invariants shape the design:
 
@@ -20,17 +19,14 @@ Two invariants shape the design:
   off, across every backend (the extended ``backend`` pillar asserts
   this).
 
-Clock: ``time.monotonic()`` is ``CLOCK_MONOTONIC``, which on Linux is
-system-wide — stamps taken *inside worker processes* are directly
-comparable to main-process stamps.  Residual cross-process skew is
-guarded by clamping every derived duration at zero and by the
-attribution-sum tolerance (:data:`ATTRIBUTION_TOL`).
+Clock: ``time.monotonic()`` — one clock for the main thread and every
+worker thread, so stamps compare directly; every derived duration is
+still clamped at zero and the attribution sum is checked against
+:data:`ATTRIBUTION_TOL`.
 
 Attribution partitions the **skeleton wall** (the summed wall time of
-depth-0 skeleton invocations) into four components:
+depth-0 skeleton invocations) into three components:
 
-* ``ship``     — main-process kernel shipping + argument description
-  (mp only; measured directly);
 * ``dispatch`` — per-dispatch start lag: first in-worker block start
   minus the post timestamp (queue + wakeup latency);
 * ``kernel``   — the union of in-worker busy intervals, clipped to each
@@ -42,8 +38,8 @@ depth-0 skeleton invocations) into four components:
 With no dispatches at all (the ``sim`` backend inlines every kernel on
 the main thread) the whole skeleton wall is the ``kernel`` component by
 definition.  ``idle`` is clamped at zero, so the components can only
-sum *above* the measured wall when stamps overlap or clocks skew —
-exactly what ``attribution_ok`` (±2 %) catches.
+sum *above* the measured wall when stamps overlap — exactly what
+``attribution_ok`` (±2 %) catches.
 """
 
 from __future__ import annotations
@@ -62,33 +58,24 @@ __all__ = [
     "PROFILE_SCHEMA",
     "ATTRIBUTION_TOL",
     "SECONDS_BUCKETS",
-    "DEPTH_BUCKETS",
 ]
 
 #: schema tag of :meth:`WallProfiler.snapshot` (and the ``eval profile``
 #: JSON built on top of it)
-PROFILE_SCHEMA = "repro-profile/1"
+PROFILE_SCHEMA = "repro-profile/2"
 
 #: the attribution components may miss the measured skeleton wall by at
-#: most this fraction (guards double counting and cross-process skew)
+#: most this fraction (guards double counting)
 ATTRIBUTION_TOL = 0.02
 
 #: power-of-two second buckets, ~1 µs .. ~128 s — wall durations
 SECONDS_BUCKETS = tuple(2.0 ** k for k in range(-20, 8))
 
-#: power-of-two depth buckets — mailbox queue depths
-DEPTH_BUCKETS = tuple(float(1 << k) for k in range(11))
-
-
-def kernel_name(kernel) -> str:
-    """Display name of a dispatched kernel callable."""
-    return getattr(kernel, "__name__", type(kernel).__name__)
-
 
 @dataclass
 class BlockStamp:
     """One per-block execution: enqueue (main side) and start/end
-    (taken **inside** the worker, returned with the result)."""
+    (taken on the thread that ran the block)."""
 
     worker: int
     enqueue: float
@@ -115,7 +102,6 @@ class DispatchRecord:
     t_begin: float
     t_post: float = 0.0
     t_done: float = 0.0
-    ship_s: float = 0.0
     blocks: list[BlockStamp] = field(default_factory=list)
     ok: bool = True
 
@@ -164,8 +150,7 @@ class WallProfiler:
     Thread-safety: skeleton begin/end and dispatch begin/end happen on
     the main thread only; :meth:`block` and :meth:`worker_slot` may be
     called from executor threads (``list.append`` is atomic under the
-    GIL, the slot map takes a lock).  Worker *processes* never hold a
-    profiler — their stamps travel back inside result payloads.
+    GIL, the slot map takes a lock).
     """
 
     def __init__(self, clock=time.monotonic):
@@ -201,7 +186,7 @@ class WallProfiler:
 
     # ------------------------------------------------------------ dispatches
     def dispatch_begin(
-        self, backend: str, kernel: str, n_tasks: int, ship_s: float = 0.0
+        self, backend: str, kernel: str, n_tasks: int
     ) -> DispatchRecord:
         return DispatchRecord(
             backend=backend,
@@ -209,7 +194,6 @@ class WallProfiler:
             skeleton=self.current_skeleton(),
             n_tasks=n_tasks,
             t_begin=self.clock(),
-            ship_s=max(0.0, ship_s),
         )
 
     def note_post(self, d: DispatchRecord) -> None:
@@ -239,10 +223,6 @@ class WallProfiler:
             m.observe(
                 f"wall.kernel_s.{skel}", b.kernel_s, buckets=SECONDS_BUCKETS
             )
-        if d.ship_s:
-            m.observe(
-                f"wall.ship_s.{skel}", d.ship_s, buckets=SECONDS_BUCKETS
-            )
 
     def worker_slot(self, ident: int) -> int:
         """Stable small worker index for a thread ident (threads backend)."""
@@ -251,35 +231,6 @@ class WallProfiler:
             if slot is None:
                 slot = self._worker_slots[ident] = len(self._worker_slots)
             return slot
-
-    # ------------------------------------------------- counters and gauges
-    def ship_cache_hit(self) -> None:
-        self.metrics.inc("wall.ship.cache_hits")
-
-    def ship_cache_miss(self, nbytes: int) -> None:
-        self.metrics.inc("wall.ship.cache_misses")
-        self.metrics.inc("wall.ship.serialized_bytes", nbytes)
-
-    def worker_sends(self, n_workers: int, nbytes: int) -> None:
-        """Kernel bytes actually crossing the process boundary."""
-        self.metrics.inc("wall.ship.worker_sends", n_workers)
-        self.metrics.inc("wall.ship.shipped_bytes", nbytes)
-
-    def shm_alloc(self, nbytes: int) -> None:
-        self.metrics.gauge("wall.shm.segments").inc()
-        self.metrics.gauge("wall.shm.bytes_live").inc(nbytes)
-        self.metrics.inc("wall.shm.allocated_bytes", nbytes)
-
-    def shm_free(self, nbytes: int) -> None:
-        self.metrics.gauge("wall.shm.segments").dec()
-        self.metrics.gauge("wall.shm.bytes_live").dec(nbytes)
-
-    def mailbox_depth(self, depth: int) -> None:
-        """Result-mailbox depth sample (wired as the Mailbox probe)."""
-        self.metrics.gauge("wall.mailbox.result_depth").set(depth)
-        self.metrics.observe(
-            "wall.mailbox.depth", float(depth), buckets=DEPTH_BUCKETS
-        )
 
     # -------------------------------------------------------------- analysis
     def skeleton_wall_s(self) -> float:
@@ -298,10 +249,9 @@ class WallProfiler:
         return out
 
     def attribution(self) -> dict[str, float]:
-        """Ship / dispatch / kernel / idle decomposition of the skeleton
-        wall (see the module docstring for exact component semantics)."""
+        """Dispatch / kernel / idle decomposition of the skeleton wall
+        (see the module docstring for exact component semantics)."""
         measured = self.skeleton_wall_s()
-        ship = sum(d.ship_s for d in self.dispatches)
         lag = 0.0
         kernel = 0.0
         for d in self.dispatches:
@@ -318,10 +268,9 @@ class WallProfiler:
             # sim backend: the main thread inlines every kernel — the
             # whole skeleton wall is kernel work by definition
             kernel = measured
-        idle = max(0.0, measured - ship - lag - kernel)
+        idle = max(0.0, measured - lag - kernel)
         return {
             "measured_wall_s": measured,
-            "ship_s": ship,
             "dispatch_s": lag,
             "kernel_s": kernel,
             "idle_s": idle,
@@ -330,9 +279,9 @@ class WallProfiler:
     def attribution_ok(self, attr: dict[str, float] | None = None) -> bool:
         """Whether the components sum to the measured wall within
         :data:`ATTRIBUTION_TOL` (idle is a clamped residual, so only
-        over-attribution — overlap or clock skew — can break this)."""
+        over-attribution — overlapping stamps — can break this)."""
         a = attr if attr is not None else self.attribution()
-        total = a["ship_s"] + a["dispatch_s"] + a["kernel_s"] + a["idle_s"]
+        total = a["dispatch_s"] + a["kernel_s"] + a["idle_s"]
         measured = a["measured_wall_s"]
         return abs(total - measured) <= max(ATTRIBUTION_TOL * measured, 1e-9)
 
@@ -361,21 +310,20 @@ class WallProfiler:
 
     # -------------------------------------------------------------- snapshot
     def snapshot(self) -> dict:
-        """The versioned ``repro-profile/1`` JSON document."""
+        """The versioned ``repro-profile/2`` JSON document."""
         attr = self.attribution()
         stats = self.worker_stats()
         return {
             "schema": PROFILE_SCHEMA,
             "clock": "monotonic",
             "attribution": {
-                "ship_s": attr["ship_s"],
                 "dispatch_s": attr["dispatch_s"],
                 "kernel_s": attr["kernel_s"],
                 "idle_s": attr["idle_s"],
             },
             "measured_wall_s": attr["measured_wall_s"],
-            "attribution_sum_s": attr["ship_s"] + attr["dispatch_s"]
-            + attr["kernel_s"] + attr["idle_s"],
+            "attribution_sum_s": attr["dispatch_s"] + attr["kernel_s"]
+            + attr["idle_s"],
             "attribution_ok": self.attribution_ok(attr),
             "skeletons": self.per_skeleton_wall(),
             "dispatch_calls": len(self.dispatches),

@@ -6,9 +6,9 @@ partition — so they share one executor, :func:`run_elementwise`.  It
 picks one of three paths, testing the conditions in this order:
 
 1. **per-rank tasks on a real backend** — the machine's backend is
-   parallel (``threads``/``mp``) *and* the vectorized kernel is known
-   env-free.  This is the closure-safety audit: a kernel may leave the
-   main process only when it provably never reads the per-rank
+   parallel (``threads``) *and* the vectorized kernel is known
+   env-free: a kernel may run off the main thread, concurrently with
+   other ranks' blocks, only when it provably never reads the per-rank
    :class:`MapEnv`.
 2. **one call over the pool** — ``ctx.fused``, every array is pooled
    (block-distributed: all partitions are views into one contiguous
@@ -203,10 +203,9 @@ def run_elementwise(ctx, f: Callable, srcs: tuple, like) -> tuple:
 
     Bit-identity across the paths: every kernel call sees the same
     elements, index values and element arithmetic, and the backend
-    returns results in task (= rank) order.  A
-    :class:`~repro.errors.BackendError` from mp closure shipping
-    **propagates** — an unshippable kernel is an error the caller must
-    hear about, never a silent fallback.
+    returns results in task (= rank) order.  Any exception a kernel
+    raises other than :class:`FusionFallback` **propagates** from
+    whichever path ran it — never a silent fallback.
     """
     p = ctx.p
     vec = getattr(f, "vectorized", None)
@@ -214,8 +213,8 @@ def run_elementwise(ctx, f: Callable, srcs: tuple, like) -> tuple:
     backend = ctx.machine.backend
     if backend.parallel and env_free is True:
         # workers get a FusedEnv, never a per-rank MapEnv: a kernel whose
-        # env use is conditional raises (here or inside a worker) and is
-        # re-run by the per-rank loop below
+        # env use is conditional raises inside a worker and is re-run by
+        # the per-rank loop below
         fenv = FusedEnv(p)
         tasks = [
             tuple(s.local(r) for s in srcs) + (like.index_grids(r), fenv)

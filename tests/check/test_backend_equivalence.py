@@ -1,11 +1,15 @@
 """Backend-equivalence pillar tests (pillar 7, ``repro.check backend``).
 
-Direct assertions that ``sim``/``threads``/``mp`` produce bitwise
-identical pool contents, simulated clocks, ``TraceStats`` and metrics,
-plus a budgeted run of the pillar's own trial families.
+Direct assertions that ``sim`` and ``threads`` produce bitwise identical
+pool contents, simulated clocks, ``TraceStats`` and metrics, plus a
+budgeted run of the pillar's own trial families.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from repro.check.backendcheck import (
     run_backend,
     run_backend_raw,
 )
+from repro.errors import BackendError
 from repro.machine.machine import Machine
 from repro.obs.metrics import isolated_metrics
 from repro.skeletons import MIN, PLUS, SkilContext
@@ -127,11 +132,55 @@ def test_env_reading_kernel_falls_back_identically():
     _assert_equivalent(4, workload)
 
 
-def test_unknown_backend_rejected():
-    from repro.errors import BackendError
+def _select_by_argument(name):
+    Machine(4, backend=name)
 
-    with pytest.raises(BackendError, match="unknown backend"):
+
+def _select_by_env(name):
+    # REPRO_BACKEND is read when repro.machine.backend is imported, so
+    # only a fresh interpreter sees it the way a user's shell sets it
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from repro.machine import Machine; Machine(4)"],
+        env={**os.environ, "REPRO_BACKEND": name, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0
+    kind, _, message = proc.stderr.strip().splitlines()[-1].partition(": ")
+    assert kind == "repro.errors.BackendError", proc.stderr
+    raise BackendError(message)
+
+
+def _select_by_flag(name):
+    from repro.eval.__main__ import _build_parser
+
+    _build_parser().parse_args(["table1", "--backend", name])
+
+
+def test_unknown_backend_rejected():
+    with pytest.raises(BackendError, match="unknown backend 'gpu'"):
         Machine(4, backend="gpu")
+
+
+@pytest.mark.parametrize(
+    "select", [_select_by_argument, _select_by_env, _select_by_flag]
+)
+def test_removed_mp_backend_rejected_at_selection(select):
+    """The pruned backend is not "unknown": wherever it is asked for,
+    the error says it was removed and names the one to use instead."""
+    with pytest.raises(BackendError, match="removed.*use 'threads'"):
+        select("mp")
+
+
+def test_backend_flag_error_is_a_clean_exit(capsys):
+    from repro.eval.__main__ import main
+
+    assert main(["table1", "--backend", "mp"]) == 2
+    err = capsys.readouterr().err
+    assert "backend 'mp' was removed" in err and "threads" in err
+    assert "Traceback" not in err
 
 
 def test_pillar_budget_clean():

@@ -92,6 +92,24 @@ class TestUsageValidation:
         assert os.environ["REPRO_WORKERS"] == "3"
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
 
+    @pytest.mark.parametrize("bad", ["two", "0", "-1", "1.5"])
+    def test_bad_workers_env_is_a_backend_error(self, bad, monkeypatch, capsys):
+        from repro.errors import BackendError
+        from repro.machine.machine import Machine
+
+        monkeypatch.setenv("REPRO_WORKERS", bad)
+        for backend in ("sim", "threads"):
+            with pytest.raises(BackendError) as exc:
+                Machine(4, backend=backend)
+            assert "REPRO_WORKERS" in str(exc.value)
+            assert repr(bad) in str(exc.value)
+        # an explicit workers= never consults the variable
+        Machine(4, backend="threads", workers=2).close()
+        # the CLI reports it like a usage error, not a traceback
+        assert main(["trace", "--app", "shpaths", "--p", "4", "--n", "8"]) == 2
+        err = capsys.readouterr().err
+        assert f"REPRO_WORKERS={bad!r}" in err and "Traceback" not in err
+
     def test_require_positive_accepts_none_and_positive(self):
         from repro.eval.cliopts import require_positive
 

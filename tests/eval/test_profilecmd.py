@@ -1,5 +1,5 @@
 """``python -m repro.eval profile`` — the sim-vs-wall correlation
-report, its ``repro-profile/1`` snapshot and the shared
+report, its ``repro-profile/2`` snapshot and the shared
 ``--profile``/``--profile-out`` flag plumbing."""
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ class TestRunProfileCommand:
         assert snap["sim_identical"] is True
         assert snap["attribution_ok"] is True
         attr = snap["attribution"]
+        assert set(attr) == {"dispatch_s", "kernel_s", "idle_s"}
         total = sum(attr.values())
         mw = snap["measured_wall_s"]
         assert abs(total - mw) <= max(snap["attribution_tol"] * mw, 1e-9)
@@ -152,8 +153,8 @@ class TestSnapshotText:
             "profile_overhead": 1.1, "measured_wall_s": 0.4,
             "sim_backend_wall_s": 0.4, "wall_speedup_vs_sim": 1.0,
             "parallel_efficiency": 1.0,
-            "attribution": {"ship_s": 0.0, "dispatch_s": 0.0,
-                            "kernel_s": 0.4, "idle_s": 0.0},
+            "attribution": {"dispatch_s": 0.0, "kernel_s": 0.4,
+                            "idle_s": 0.0},
             "attribution_tol": 0.02, "attribution_ok": True,
             "skeletons": [
                 {"name": "map", "calls": 3, "sim_s": 0.6, "wall_s": 0.3,

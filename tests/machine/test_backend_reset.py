@@ -1,13 +1,13 @@
 """``Machine.reset()`` must also reset backend worker state.
 
-Regression tests for the flaky seam the real backends exposed: without
-the backend hook, back-to-back trials in one process could consume a
-stale in-flight result (or stale worker kernel caches) from the
-previous trial.  These sit alongside the reset-in-place tests in
-``tests/obs/test_machine_tracing.py``.
+Back-to-back trials in one process must be deterministic on every
+backend, with and without the wall profiler.  These sit alongside the
+reset-in-place tests in ``tests/obs/test_machine_tracing.py``.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from repro.machine.machine import Machine
 from repro.skeletons import PLUS, SkilContext
 from repro.skeletons.functional import skil_fn
 
-BACKENDS = ["sim", "threads", "mp"]
+BACKENDS = ["sim", "threads"]
 
 
 def _trial(ctx: SkilContext):
@@ -55,56 +55,6 @@ def test_back_to_back_trials_deterministic(backend):
         m.close()
 
 
-def test_reset_bumps_worker_epoch():
-    """The mp backend's reset must invalidate in-flight results from the
-    previous trial (epoch bump), not just clear main-process state."""
-    m = Machine(4, backend="mp", workers=2)
-    try:
-        init = skil_fn(ops=1, vectorized=lambda g, e: g[0] * 1.0)(
-            lambda i: float(i[0])
-        )
-        ctx = SkilContext(m)
-        # first call probes the kernel's fusability through the fused
-        # path; from the second call on it dispatches and boots the pool
-        ctx.array_create(1, (8,), (0,), (-1,), init)
-        ctx.array_create(1, (8,), (0,), (-1,), init)
-        pool = m.backend._pool
-        assert pool is not None
-        epoch_before = pool.epoch
-        m.reset()
-        assert pool.epoch == epoch_before + 1
-        # stale-looking forged result from the old epoch is discarded
-        from repro.machine.workers import Message
-
-        pool.results.post(
-            Message(0, "main", "result", 0, (epoch_before, "ok", np.array(-1.0)))
-        )
-        a = ctx.array_create(1, (8,), (0,), (-1,), init)
-        assert np.array_equal(a.global_view(), np.arange(8, dtype=float))
-    finally:
-        m.close()
-
-
-def test_reset_clears_mp_ship_cache():
-    """Worker kernel caches are flushed on reset — a kernel object reused
-    across trials is re-shipped, not assumed present."""
-    m = Machine(4, backend="mp", workers=2)
-    try:
-        init = skil_fn(ops=1, vectorized=lambda g, e: g[0] * 2.0)(
-            lambda i: float(i[0] * 2)
-        )
-        ctx = SkilContext(m)
-        ctx.array_create(1, (8,), (0,), (-1,), init)  # fusability probe
-        a = ctx.array_create(1, (8,), (0,), (-1,), init)
-        assert m.backend._ship_cache
-        m.reset()
-        assert not m.backend._ship_cache
-        b = ctx.array_create(1, (8,), (0,), (-1,), init)
-        assert np.array_equal(b.global_view(), a.global_view())
-    finally:
-        m.close()
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_back_to_back_trials_deterministic_profiled(backend):
     """The reset contract holds with the wall profiler attached, and
@@ -126,31 +76,19 @@ def test_back_to_back_trials_deterministic_profiled(backend):
         m.close()
 
 
-def test_stale_unstamped_result_discarded_on_profiled_machine():
-    """Epoch filtering is payload-shape agnostic: a forged old-epoch
-    result without wall stamps (the pre-profiler 3-tuple) is still
-    discarded by a profiled machine."""
-    m = Machine(4, backend="mp", workers=2, profile=True)
-    try:
-        init = skil_fn(ops=1, vectorized=lambda g, e: g[0] * 1.0)(
-            lambda i: float(i[0])
-        )
-        ctx = SkilContext(m)
-        ctx.array_create(1, (8,), (0,), (-1,), init)
-        ctx.array_create(1, (8,), (0,), (-1,), init)
-        pool = m.backend._pool
-        assert pool is not None
-        epoch_before = pool.epoch
-        m.reset()
-        from repro.machine.workers import Message
-
-        pool.results.post(
-            Message(0, "main", "result", 0, (epoch_before, "ok", np.array(-1.0)))
-        )
-        a = ctx.array_create(1, (8,), (0,), (-1,), init)
-        assert np.array_equal(a.global_view(), np.arange(8, dtype=float))
-    finally:
-        m.close()
+def test_use_after_close_releases_the_restarted_pool():
+    """A machine used again after close() lazily restarts its thread
+    pool; the next close() must shut that one down too."""
+    before = threading.active_count()
+    m = Machine(8, backend="threads", workers=2)
+    view1, _ = _trial(SkilContext(m))
+    m.close()
+    view2, _ = _trial(SkilContext(m))
+    assert m.backend._pool is not None
+    m.close()
+    assert m.backend._pool is None
+    assert threading.active_count() == before
+    assert np.array_equal(view1, view2)
 
 
 def test_sim_machines_unaffected_by_reset_hook():

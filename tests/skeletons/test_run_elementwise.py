@@ -12,6 +12,7 @@ import pytest
 
 from repro.arrays.darray import DistArray
 from repro.arrays.distribution import BlockDistribution, CyclicDistribution
+from repro.errors import SkeletonError
 from repro.machine.backend import SimBackend, ThreadsBackend
 from repro.machine.machine import Machine
 from repro.skeletons import PLUS, SkilContext, skil_fn
@@ -215,6 +216,41 @@ def test_fallback_inside_a_dispatched_task_lands_on_the_per_rank_loop():
         # may log its FusedEnv while the per-rank loop is already running
         assert log.count("MapEnv") == P
         assert 1 <= log.count("FusedEnv") <= P
+        np.testing.assert_array_equal(
+            dst.global_view(), reference("generated", "block", 1, data)
+        )
+
+
+@pytest.mark.parametrize("profile", [False, True])
+def test_kernel_error_in_a_dispatched_task_propagates(profile):
+    """A kernel that raises anything but FusionFallback on one rank: the
+    caller sees that very exception (no fallback, no wrapper), no
+    ``procId`` is left behind, and the machine dispatches again."""
+
+    class Boom(Exception):
+        pass
+
+    def kernel(block, grids, env):
+        if grids[0][0, 0] == 2 * (ROWS // P):  # rank 2 only
+            raise Boom("rank 2")
+        return 2.0 * block + grids[0]
+
+    kernel.env_free = True
+    bad = skil_fn(ops=1, vectorized=kernel)(lambda v, ix: 2.0 * v + ix[0])
+    backend = CountingThreads(2)
+    with Machine(P, backend=backend, profile=profile) as machine:
+        ctx = SkilContext(machine, fused=True)
+        data = np.arange(ROWS * COLS, dtype=float).reshape(ROWS, COLS)
+        a = make_array(machine, "block", data)
+        dst = make_array(machine, "block", np.zeros_like(data))
+        with pytest.raises(Boom) as exc:
+            ctx.array_map(bad, a, dst)
+        assert type(exc.value) is Boom
+        assert ctx.current_rank is None
+        with pytest.raises(SkeletonError):
+            ctx.proc_id()
+        ctx.array_map(make_fn("generated", "block", []), a, dst)
+        assert backend.calls == 2
         np.testing.assert_array_equal(
             dst.global_view(), reference("generated", "block", 1, data)
         )
