@@ -15,9 +15,6 @@ Usage::
    python -m repro.eval profile [--app gauss] [--p 16] [--n 48]
                               [--backend threads] [--workers 2]
                               [--json-out profile.json]
-   python -m repro.eval bench [--quick] [--out BENCH_perf.json]
-                              [--check-against BENCH_perf.json]
-                              [--backend threads]
 
 ``--scale 1.0`` (the default) runs the paper's exact problem sizes —
 the Table 2 grid takes a few minutes of wall-clock time because the
@@ -34,6 +31,9 @@ Every subcommand accepts the shared observability flags ``--trace``,
 every artefact stays bit-identical because simulated time is charged
 analytically either way.  ``profile`` correlates the two clocks:
 simulated speedup vs measured wall, attribution, worker utilization.
+
+Wall-clock benchmarking lives outside the package: ``python3
+bench/run.py`` measures, ``python3 bench/compare.py`` gates.
 """
 
 from __future__ import annotations
@@ -189,11 +189,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(argv: list[str]) -> int:
     if argv[:1] == ["bench"]:
-        # the wall-clock harness owns its full option set (see bench.py)
-        # but shares the observability parent, so the common flags work
-        from repro.eval.bench import main as bench_main
-
-        return bench_main(argv[1:])
+        # checked before argparse, so a removed subcommand ends in its
+        # own message rather than the generic choice list
+        raise UsageError(
+            "the 'bench' subcommand was removed; the repository benchmark "
+            "is `python3 bench/run.py` (compare two runs with "
+            "`python3 bench/compare.py`)"
+        )
 
     parser = _build_parser()
     args = parser.parse_args(argv)

@@ -2,17 +2,16 @@
 
 Historically each subcommand grew its own flag set, and the
 observability flags drifted: ``trace`` took ``--json`` and
-``--metrics-out``, ``analyze`` took neither, ``bench`` had its own
-``--out`` and no way to dump metrics.  This module defines the three
-flags every subcommand now accepts — as one argparse *parent* so the
-definitions cannot drift again:
+``--metrics-out``, ``analyze`` took neither.  This module defines the
+three flags every subcommand now accepts — as one argparse *parent* so
+the definitions cannot drift again:
 
 ``--trace FILE``
     Write a Chrome trace-event JSON of the command's traced run (open
     in Perfetto).  ``trace``/``analyze`` trace the run they already
-    perform; the artefact commands (``table1`` … ``all``) and ``bench``
-    run their machines untraced, so for them the flag appends one
-    standard traced run of the default trace app and writes *that*.
+    perform; the artefact commands (``table1`` … ``all``) run their
+    machines untraced, so for them the flag appends one standard traced
+    run of the default trace app and writes *that*.
     In stream mode (``trace --stream``) the file becomes the JSONL
     event spill instead — the stream keeps no recording to export.
 
@@ -29,10 +28,8 @@ definitions cannot drift again:
     of the in-process simulator.  Simulated seconds are charged by the
     analytic :class:`~repro.machine.network.Network` either way, so
     every artefact is bit-identical across backends — the flag changes
-    wall-clock behaviour only.  For ``bench`` it additionally records a
-    wall-clock-vs-cores ``backend`` section.  The removed ``mp`` backend
-    and unknown names end in a :class:`~repro.errors.BackendError`
-    (exit 2).
+    wall-clock behaviour only.  The removed ``mp`` backend and unknown
+    names end in a :class:`~repro.errors.BackendError` (exit 2).
 
 ``--workers N``
     Worker count for the ``threads`` backend (the ``REPRO_WORKERS``
@@ -313,9 +310,8 @@ def representative_obs_run(
     profile_path: str | None = None,
 ) -> list[str]:
     """Satisfy ``--trace``/``--metrics-out``/``--profile`` for commands
-    without a single traced run (``all``, the table commands,
-    ``bench``): run the default trace app once, traced, and export from
-    that."""
+    without a single traced run (``all``, the table commands): run the
+    default trace app once, traced, and export from that."""
     if trace_path is None and metrics_path is None and not profile:
         return []
     from repro.eval.tracecmd import run_traced

@@ -24,9 +24,6 @@ set:
   run, its **critical path** with exact compute/latency/bandwidth/idle
   attribution, per-rank straggler metrics and what-if cost replays
   (``python -m repro.eval analyze``);
-* :mod:`repro.obs.regress` — the noise-aware **performance-regression
-  gate** over committed benchmark/analysis snapshots
-  (``python -m repro.obs.regress``);
 * :mod:`repro.obs.stream` — the **streaming sinks** behind
   ``Machine(trace_mode="stream")``: exact O(p) online aggregates,
   seeded reservoir sampling of message records, a ring of recent

@@ -822,7 +822,7 @@ class RunAnalysis:
         return self.path.component_totals()
 
     def snapshot(self) -> dict:
-        """JSON-able summary for ``repro.obs.regress`` comparisons."""
+        """JSON-able summary (``eval analyze --json-out``)."""
         return {
             "schema": "repro-analyze/1",
             "p": self.p,

@@ -57,6 +57,7 @@ __all__ = [
     "SkeletonWall",
     "PROFILE_SCHEMA",
     "ATTRIBUTION_TOL",
+    "PROFILE_OVERHEAD_LIMIT",
     "SECONDS_BUCKETS",
 ]
 
@@ -67,6 +68,12 @@ PROFILE_SCHEMA = "repro-profile/2"
 #: the attribution components may miss the measured skeleton wall by at
 #: most this fraction (guards double counting)
 ATTRIBUTION_TOL = 0.02
+
+#: a profiled run may take at most this much longer than the same run
+#: unprofiled (``eval profile`` exits nonzero beyond it).  The profiler
+#: adds two ``monotonic()`` stamps per block plus O(1) bookkeeping per
+#: dispatch, so 1.25x is generous; blowing it means a hot-path regression.
+PROFILE_OVERHEAD_LIMIT = 1.25
 
 #: power-of-two second buckets, ~1 µs .. ~128 s — wall durations
 SECONDS_BUCKETS = tuple(2.0 ** k for k in range(-20, 8))

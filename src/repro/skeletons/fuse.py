@@ -78,8 +78,8 @@ def fusion_default() -> bool:
 
 
 def set_fusion_default(enabled: bool) -> None:
-    """Set the process-wide default consulted by new contexts (the bench
-    harness toggles this between timed runs)."""
+    """Set the process-wide default consulted by new contexts
+    (``--fused`` / ``--no-fused`` of the eval and check CLIs)."""
     global _FUSION_DEFAULT
     _FUSION_DEFAULT = bool(enabled)
 

@@ -4,10 +4,13 @@ subcommand — the flag-drift fix — plus the ``trace --stream`` and
 ``all --progress`` entry points."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.eval.__main__ import _build_parser, main
+
+ROOT = Path(__file__).resolve().parents[2]
 
 COMMON = ["--trace", "t.json", "--metrics-out", "m.prom", "--quiet",
           "--profile", "--profile-out", "p.json"]
@@ -30,25 +33,6 @@ class TestFlagUniformity:
     def test_trace_keeps_json_alias(self):
         args = _build_parser().parse_args(["trace", "--json", "x.json"])
         assert args.trace == "x.json"
-
-    def test_bench_shares_the_parent(self):
-        from repro.eval.bench import main as bench_main
-
-        with pytest.raises(SystemExit) as exc:
-            bench_main(["--help"])
-        assert exc.value.code == 0
-
-    def test_bench_parses_common_flags(self, capsys):
-        # parse-only probe: an invalid value for a *defined* flag errors
-        # with argparse's exit code 2; an *undefined* flag would too, so
-        # assert on the error text instead
-        from repro.eval.bench import main as bench_main
-
-        with pytest.raises(SystemExit):
-            bench_main(["--trace"])  # defined, but missing its value
-        err = capsys.readouterr().err
-        assert "unrecognized arguments" not in err
-        assert "--trace" in err
 
 
 class TestRunTargetParent:
@@ -116,12 +100,27 @@ class TestUsageValidation:
         require_positive("--p", None)
         require_positive("--p", 1)
 
-    def test_bench_rejects_nonpositive_workers(self, capsys):
-        from repro.eval.bench import main as bench_main
+    def test_removed_bench_subcommand_is_a_usage_error(self, capsys):
+        """``eval bench`` (and ``skil-eval bench``, the same ``main``)
+        says where the benchmark went — not argparse's choice list, not
+        an ImportError for a module that no longer exists."""
+        import importlib.util
+        import sys
 
-        rc = bench_main(["--quick", "--workers", "-1"])
+        rc = main(["bench", "--quick"])
         assert rc == 2
-        assert "--workers must be a positive integer" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "'bench' subcommand was removed" in err
+        assert "python3 bench/run.py" in err and "bench/compare.py" in err
+        assert "Traceback" not in err and "invalid choice" not in err
+        assert "repro.eval.bench" not in sys.modules
+        # no compatibility shims left behind
+        assert importlib.util.find_spec("repro.eval.bench") is None
+        assert importlib.util.find_spec("repro.obs.regress") is None
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        assert 'skil-eval = "repro.eval.__main__:main"' in pyproject
 
 
 class TestStreamTraceCli:

@@ -23,6 +23,20 @@ SNAPSHOT_KEYS = {
 }
 
 
+@pytest.fixture
+def untimed(monkeypatch):
+    """Tier-1 checks the command's wiring on runs of a few milliseconds,
+    whose wall ratio is the host's, not the profiler's: stop timing
+    after the minimum of pairs and let any ratio pass.  The ceiling is
+    tested on scripted walls (``TestProfileOverhead``) and applied to a
+    real run by the CI ``profile-smoke`` job."""
+    import repro.eval.profilecmd as pc
+
+    monkeypatch.setattr(pc, "OVERHEAD_TIMED_S", 0.0)
+    monkeypatch.setattr(pc, "PROFILE_OVERHEAD_LIMIT", float("inf"))
+
+
+@pytest.mark.usefixtures("untimed")
 class TestRunProfileCommand:
     def test_gauss_threads_ok(self, tmp_path):
         out = tmp_path / "prof.json"
@@ -64,6 +78,64 @@ class TestRunProfileCommand:
         assert "sim x" in text and "wall x" in text
 
 
+class TestProfileOverhead:
+    """``profile_overhead`` is the one measurement of profiler cost: a
+    cold first run must not decide it, nor the order within a pair, and
+    exceeding the ceiling is the command's third nonzero-exit condition."""
+
+    @staticmethod
+    def _scripted(monkeypatch, walls_off, walls_on):
+        """Real runs, scripted wall readings; the first call (the
+        warm-up) reads an absurd 99 s that must never be reported."""
+        import repro.eval.profilecmd as pc
+
+        real = pc._timed_run
+        script = {False: iter(walls_off), True: iter(walls_on)}
+        calls = []
+
+        def fake(app, p, n, seed, backend, workers, profile):
+            run, _ = real(app, p, n, seed, backend, workers, profile)
+            calls.append((backend, p, profile))
+            if len(calls) == 1:
+                return run, 99.0
+            # the sim reference and p=1 serial runs discard their wall
+            timed = (backend, p) == ("threads", 4)
+            return run, next(script[profile]) if timed else 0.0
+
+        monkeypatch.setattr(pc, "_timed_run", fake)
+        return calls
+
+    @pytest.mark.parametrize("ratio, rc", [(1.1, 0), (1.4, 1)])
+    def test_warm_up_then_median_of_alternating_pairs(
+        self, monkeypatch, tmp_path, ratio, rc
+    ):
+        from repro.eval.profilecmd import OVERHEAD_PAIRS
+        from repro.obs.prof import PROFILE_OVERHEAD_LIMIT
+
+        assert PROFILE_OVERHEAD_LIMIT == 1.25 and OVERHEAD_PAIRS == 3
+        # pair ratios 0.5, `ratio`, 2.0: the first pair alone reads 0.5
+        # and least-over-least 1.0, whatever `ratio` is
+        calls = self._scripted(
+            monkeypatch, [2.0, 1.0, 4.0], [1.0, ratio, 8.0]
+        )
+        out = tmp_path / "p.json"
+        text, got = run_profile_command(
+            app="gauss", p=4, n=8, backend="threads", workers=2,
+            json_out=str(out), quiet=True,
+        )
+        target = [c for c in calls if c[:2] == ("threads", 4)]
+        assert calls[0] == target[0]  # the warm-up comes first
+        assert [c[2] for c in target[1:]] == [False, True] * OVERHEAD_PAIRS
+        snap = json.loads(out.read_text())
+        assert snap["unprofiled_wall_s"] == 1.0
+        assert snap["profiled_wall_s"] == ratio
+        assert snap["profile_overhead"] == ratio
+        assert snap["sim_identical"] and snap["attribution_ok"]
+        assert got == rc
+        assert ("EXCEEDED" in text) == (rc != 0)
+
+
+@pytest.mark.usefixtures("untimed")
 class TestCliWiring:
     def test_profile_subcommand_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "p.json"
@@ -104,13 +176,6 @@ class TestCliWiring:
         err = capsys.readouterr().err
         assert "--profile-out requires --profile" in err
         assert "Traceback" not in err
-
-    def test_bench_rejects_profile_out_without_profile(self, capsys):
-        from repro.eval.bench import main as bench_main
-
-        rc = bench_main(["--quick", "--profile-out", "p.json"])
-        assert rc == 2
-        assert "--profile-out requires --profile" in capsys.readouterr().err
 
     def test_trace_profile_writes_snapshot_and_dual_trace(
         self, tmp_path, capsys

@@ -58,6 +58,85 @@ class TestExperimentsDoc:
             assert aid in text, aid
 
 
+#: every file whose prose or steps tell a reader what to run
+COMMAND_DOCS = [
+    ROOT / "README.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+    ROOT / "EXPERIMENTS.md",
+    ROOT / "DESIGN.md",
+    ROOT / ".github" / "workflows" / "ci.yml",
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+
+
+def _accepts(main, subcommand: str) -> bool:
+    """Whether a CLI's parser takes *subcommand* (parse only: ``--help``
+    stops it after the positional was validated)."""
+    try:
+        rc = main([subcommand, "--help"])
+    except SystemExit as exc:
+        rc = exc.code
+    return rc == 0
+
+
+@pytest.mark.parametrize(
+    "doc", COMMAND_DOCS, ids=lambda d: str(d.relative_to(ROOT))
+)
+class TestCommandsAndPaths:
+    """A command or artefact path written down must still exist — what
+    keeps references to a retired entry point from dangling."""
+
+    def test_module_commands_resolve(self, doc):
+        import importlib.util
+
+        from repro.check.__main__ import main as check_main
+        from repro.eval.__main__ import main as eval_main
+
+        cli = {"repro.eval": eval_main, "repro.check": check_main}
+        found = set(re.findall(
+            r"python3? -m (repro(?:\.\w+)*)(?:[ \t]+([a-z][\w-]*))?",
+            doc.read_text(),
+        ))
+        for module, sub in sorted(found):
+            assert importlib.util.find_spec(module) is not None, module
+            if sub and module in cli:
+                assert _accepts(cli[module], sub), f"{module} {sub}"
+
+    def test_artefact_paths_exist(self, doc):
+        found = set(re.findall(
+            r"\b(BENCH_\w+\.json|results/[\w./-]*\w|"
+            r"bench/[\w/-]+\.(?:py|json|md|txt))",
+            doc.read_text(),
+        ))
+        for path in sorted(found):
+            assert (ROOT / path).exists(), path
+
+
+class TestBenchSnapshot:
+    """``BENCH_perf.json`` is one full traced ``bench/run.py`` result,
+    shaped by ``BENCHMARK.json`` — not a hand-merged file."""
+
+    def test_is_a_full_traced_run_of_the_declared_benchmark(self):
+        import json
+
+        doc = json.loads((ROOT / "BENCH_perf.json").read_text())
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+        assert doc["quick"] is False
+        host = doc["host"]
+        assert host["nproc"] >= 1 and host["python"] and host["numpy"]
+        assert re.fullmatch(r"[0-9a-f]{40}", host["git_commit"])
+        assert list(doc["workloads"]) == [
+            w["name"] for w in declared["workloads"]
+        ]
+        metrics = {m["name"] for m in declared["end_to_end"]}
+        layers = {m["name"] for m in declared["per_layer"]}
+        for name, w in doc["workloads"].items():
+            assert set(w["end_to_end"]) == metrics, name
+            assert set(w["per_layer"]) == layers, name  # --trace
+            assert w["failed_ops"] == 0 and w["failed"] == 0, name
+            assert w["ops"] > 0 and w["attempted"] >= w["ops"], name
+
+
 class TestLanguageDoc:
     def test_builtins_documented(self):
         from repro.lang.builtins import BUILTIN_FUNCTIONS
