@@ -18,15 +18,39 @@ import argparse
 import sys
 
 from repro.check.backendcheck import run_backend, run_backend_raw
+from repro.check.charging import run_charging, run_charging_raw
 from repro.check.dagcheck import run_dag, run_dag_raw
 from repro.check.diffcheck import run_diff, run_diff_raw
 from repro.check.fusioncheck import run_fusion, run_fusion_raw
 from repro.check.fuzz import run_fuzz, run_fuzz_raw
-from repro.check.netbatch import run_batch, run_batch_raw
 from repro.check.oracle import run_oracle, run_oracle_raw
 from repro.check.report import CheckResult, format_result
-from repro.check.scalecheck import run_scale, run_scale_raw
 from repro.check.streamcheck import run_stream, run_stream_raw
+from repro.errors import UsageError
+
+#: pillar -> (base-seed runner, raw-seed replayer), in the order ``all``
+#: runs them
+PILLARS = {
+    "fuzz": (run_fuzz, run_fuzz_raw),
+    "oracle": (run_oracle, run_oracle_raw),
+    "diff": (run_diff, run_diff_raw),
+    "dag": (run_dag, run_dag_raw),
+    "charging": (run_charging, run_charging_raw),
+    "stream": (run_stream, run_stream_raw),
+    "backend": (run_backend, run_backend_raw),
+    "fusion": (run_fusion, run_fusion_raw),
+}
+
+
+def _pillar_name(name: str) -> str:
+    # runs before argparse's choice check, so a removed pillar ends in
+    # its own message rather than the generic choice list
+    if name in ("batch", "scale"):
+        raise UsageError(
+            f"the '{name}' pillar was merged into 'charging': run "
+            "`python -m repro.check charging`"
+        )
+    return name
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,8 +61,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     ap.add_argument(
         "pillar",
-        choices=["fuzz", "oracle", "diff", "dag", "batch", "stream", "backend",
-                 "scale", "fusion", "all"],
+        type=_pillar_name,
+        choices=[*PILLARS, "all"],
         nargs="?",
         default="all",
         help="which pillar to run (default: all)",
@@ -58,14 +82,6 @@ def main(argv: list[str] | None = None) -> int:
         "report instead of a base seed",
     )
     ap.add_argument(
-        "--fused",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the fused whole-array fast path on (--fused) or off "
-        "(--no-fused) for every context the checks build; the default "
-        "keeps the process default (REPRO_FUSED)",
-    )
-    ap.add_argument(
         "--fusion",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -74,51 +90,24 @@ def main(argv: list[str] | None = None) -> int:
         "compile; the fusion pillar itself always compares both sides",
     )
     ap.add_argument("-v", "--verbose", action="store_true")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    if args.fused is not None:
-        from repro.skeletons.fuse import set_fusion_default
-
-        set_fusion_default(args.fused)
     if args.fusion is not None:
         from repro.skeletons.fuse import set_program_fusion_default
 
         set_program_fusion_default(args.fusion)
 
-    pillars = (
-        ["fuzz", "oracle", "diff", "dag", "batch", "stream", "backend",
-         "scale", "fusion"]
-        if args.pillar == "all"
-        else [args.pillar]
-    )
     results: list[CheckResult] = []
-    for pillar in pillars:
+    for pillar in PILLARS if args.pillar == "all" else [args.pillar]:
+        run, run_raw = PILLARS[pillar]
         if args.raw_seed:
-            runner = {
-                "fuzz": run_fuzz_raw,
-                "oracle": run_oracle_raw,
-                "diff": run_diff_raw,
-                "dag": run_dag_raw,
-                "batch": run_batch_raw,
-                "stream": run_stream_raw,
-                "backend": run_backend_raw,
-                "scale": run_scale_raw,
-                "fusion": run_fusion_raw,
-            }[pillar]
-            res = runner(args.seed, args.budget)
+            res = run_raw(args.seed, args.budget)
         else:
-            runner = {
-                "fuzz": run_fuzz,
-                "oracle": run_oracle,
-                "diff": run_diff,
-                "dag": run_dag,
-                "batch": run_batch,
-                "stream": run_stream,
-                "backend": run_backend,
-                "scale": run_scale,
-                "fusion": run_fusion,
-            }[pillar]
-            res = runner(
+            res = run(
                 args.seed,
                 args.budget,
                 time_budget=args.time_budget,

@@ -41,12 +41,10 @@ a trial also exercises pool teardown.
 from __future__ import annotations
 
 import random
-import time
-import traceback
 
 import numpy as np
 
-from repro.check.report import CheckResult, Failure
+from repro.check.report import TrialRunner
 from repro.machine.machine import (
     DISTR_DEFAULT,
     DISTR_RING,
@@ -315,61 +313,11 @@ def trial_backend_app(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     return _run_everywhere(workload, p, label), cov
 
 
-_TRIALS = [trial_backend_skeletons, trial_backend_program, trial_backend_app]
-
-
-def _run_trial(trial_seed: int, res: CheckResult, verbose: bool = False) -> None:
-    rng = random.Random(trial_seed)
-    fn = _TRIALS[trial_seed % len(_TRIALS)]
-    res.trials += 1
-    try:
-        with isolated_metrics():
-            msg, cov = fn(rng)
-    except Exception:
-        msg, cov = traceback.format_exc(limit=8), {}
-    for k, v in cov.items():
-        res.coverage[k] = res.coverage.get(k, 0) + v
-    if msg is not None:
-        res.failures.append(
-            Failure(
-                pillar="backend",
-                seed=trial_seed,
-                title=fn.__name__,
-                detail=msg,
-                replay=(
-                    f"PYTHONPATH=src python -m repro.check backend "
-                    f"--seed {trial_seed} --budget 1 --raw-seed"
-                ),
-            )
-        )
-        if verbose:
-            print(f"backend seed {trial_seed}: FAIL")
-
-
-def run_backend(
-    seed: int = 0,
-    budget: int = 30,
-    time_budget: float | None = None,
-    verbose: bool = False,
-) -> CheckResult:
-    """Run *budget* backend-equivalence trials (3 interleaved families).
-
-    The default budget is lower than the other pillars' because every
-    trial runs its workload four times (two backends, profiler off and
-    on).
-    """
-    res = CheckResult("backend")
-    t0 = time.monotonic()
-    for i in range(budget):
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            break
-        _run_trial(seed * 1_000_003 + i, res, verbose=verbose)
-    return res
-
-
-def run_backend_raw(seed: int, budget: int = 1) -> CheckResult:
-    """Replay exact per-trial seeds printed by a failure report."""
-    res = CheckResult("backend")
-    for k in range(budget):
-        _run_trial(seed + k, res)
-    return res
+# the default budget is lower than the other pillars' because every trial
+# runs its workload four times (two backends, profiler off and on)
+_RUNNER = TrialRunner(
+    "backend",
+    (trial_backend_skeletons, trial_backend_program, trial_backend_app),
+    budget=30,
+)
+run_backend, run_backend_raw = _RUNNER.run, _RUNNER.run_raw

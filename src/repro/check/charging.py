@@ -1,14 +1,15 @@
-"""Batch-vs-scalar Network charging checker (the ``batch`` pillar).
+"""Planned vs scalar Network charging (the ``charging`` pillar).
 
-:meth:`~repro.machine.network.Network.p2p_batch` and the batched
-collective rounds promise **bit-identity** with charging each message
-through the scalar :meth:`~repro.machine.network.Network.p2p` in the
-same order; :meth:`~repro.machine.network.Network.shift_batch` promises
-the same against the historical per-pair shift loop.  This module
-property-tests those promises: every trial builds two identical
-machines, drives one through the batched entry point and the other
-through a *reference* charging sequence encoded here (the pre-batch
-scalar loops, verbatim), then compares
+Every charging entry point of :class:`~repro.machine.network.Network` —
+``p2p_batch``, ``shift`` / ``shift_batch``, ``broadcast``, ``reduce``,
+``allreduce``, ``barrier``, ``gather``, ``scatter``, ``allgather``,
+``alltoall`` — charges from an :class:`~repro.machine.topology.EdgePlan`
+in vectorized passes and promises **bit-identity** with the scalar loops
+it replaced: one :meth:`~repro.machine.network.Network.p2p` per message
+in order, or the historical per-pair shift loop.  Those loops live here,
+verbatim, as the *reference*; every trial builds two identical machines
+(p from 2 to 1024), drives one through the entry point and the other
+through the reference, then compares
 
 * every **per-rank clock** with ``==`` (bitwise, no tolerance),
 * the stats counters (messages, bytes, hops) exactly and the stats
@@ -16,38 +17,44 @@ scalar loops, verbatim), then compares
 * the individual :class:`~repro.machine.trace.MessageRecord` lists,
 * the per-rank timelines and the message metrics histograms.
 
-The ``plan_reuse`` family charges a handful of shift, tree and gather
-patterns repeatedly and interleaved on one machine, so that the charges
-run from memoized plans (:class:`~repro.machine.topology.EdgePlan`),
-and holds every step to the same references.
-
-A further trial family runs a random communication-skeleton workload
-(``array_broadcast_part``, ``array_permute_rows``, ``array_rotate_rows``,
-``array_scan``, ``array_gen_mult``) once with the fused data-movement
-paths enabled and once per-rank, and requires bit-identical array
-contents, clocks, stats and spans.
+Eight families interleave: ``p2p`` (random message lists: repeats,
+locals, fan-out runs), ``shift``, ``tree`` (broadcast / reduce /
+allreduce / barrier), ``fan`` (gather / scatter), ``ring`` (allgather /
+alltoall), ``hops`` (the closed-form hop arithmetic,
+:meth:`~repro.machine.topology.VirtualTopology.hops_vec`, against the
+dense ``hop_matrix()`` entry for entry), ``plan_reuse`` (a handful of
+patterns charged repeatedly and interleaved on one machine, so that the
+charges run from memoized plans) and ``fused_comm`` (a random
+communication-skeleton workload — ``array_broadcast_part``,
+``array_permute_rows``, ``array_rotate_rows``, ``array_scan``,
+``array_gen_mult`` — once on the fused data-movement paths and once per
+rank: bit-identical array contents, clocks, stats and spans).
 """
 
 from __future__ import annotations
 
 import random
-import time
-import traceback
 
 import numpy as np
 
-from repro.check.report import CheckResult, Failure
+from repro.check.report import TrialRunner
 from repro.machine.machine import (
     DISTR_DEFAULT,
     DISTR_RING,
     DISTR_TORUS2D,
     Machine,
 )
-from repro.machine.topology import BinomialTree
+from repro.machine.topology import (
+    BinomialTree,
+    DefaultMapping,
+    Mesh2D,
+    Ring,
+    Torus2D,
+)
 from repro.obs.metrics import isolated_metrics
 from repro.skeletons import MIN, PLUS, SkilContext
 
-__all__ = ["run_batch", "run_batch_raw"]
+__all__ = ["run_charging", "run_charging_raw"]
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +78,12 @@ def _compare_machines(m_ref: Machine, m_new: Machine, label: str) -> str | None:
         return (
             f"clock mismatch ({label}): rank {i} "
             f"scalar={float(m_ref.network.clocks[i])!r} "
-            f"batch={float(m_new.network.clocks[i])!r}"
+            f"planned={float(m_new.network.clocks[i])!r}"
         )
     if _stats_tuple(m_ref.stats) != _stats_tuple(m_new.stats):
         return (
             f"stats mismatch ({label}): scalar={_stats_tuple(m_ref.stats)} "
-            f"batch={_stats_tuple(m_new.stats)}"
+            f"planned={_stats_tuple(m_new.stats)}"
         )
     if m_ref.stats.records != m_new.stats.records:
         return f"message-record mismatch ({label})"
@@ -87,7 +94,7 @@ def _compare_machines(m_ref: Machine, m_new: Machine, label: str) -> str | None:
             if ref_iv != new_iv:
                 return (
                     f"timeline mismatch ({label}): rank {r} has "
-                    f"{len(ref_iv)} scalar vs {len(new_iv)} batch interval(s)"
+                    f"{len(ref_iv)} scalar vs {len(new_iv)} planned interval(s)"
                 )
     if m_ref.metrics is not None:
         for name in ("net.message_bytes", "net.message_hops"):
@@ -97,17 +104,23 @@ def _compare_machines(m_ref: Machine, m_new: Machine, label: str) -> str | None:
                 return (
                     f"metrics mismatch ({label}): {name} "
                     f"scalar=({ha.count}, {ha.total}) "
-                    f"batch=({hb.count}, {hb.total})"
+                    f"planned=({hb.count}, {hb.total})"
                 )
     return None
 
 
-def _machine_pair(rng: random.Random) -> tuple[Machine, Machine, str, int]:
-    p = rng.choice([2, 3, 4, 5, 8, 16])
+def _machine_pair(
+    rng: random.Random, big: bool = False
+) -> tuple[Machine, Machine, str, int]:
+    """Two identical machines, a topology name and p.  *big* draws p in
+    the hundreds, untraced (a recorded timeline there is all the wall
+    time of the trial)."""
+    p = rng.choice([100, 256, 512, 1024] if big else [2, 3, 4, 5, 8, 16, 31, 64])
     distr = rng.choice([DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D])
-    trace_level = rng.choice([0, 0, 2])
+    trace_level = 0 if big else rng.choice([0, 0, 2])
     kwargs = dict(
         trace_level=trace_level,
+        trace_mode="record",
         keep_message_records=trace_level == 0 and bool(rng.getrandbits(1)),
         use_virtual_topologies=bool(rng.getrandbits(1)),
         link_contention=rng.random() < 0.3,
@@ -123,7 +136,7 @@ def _perturb(rng: random.Random, *machines: Machine) -> None:
 
 
 # ---------------------------------------------------------------------------
-# reference charging: the pre-batch scalar loops, encoded verbatim
+# reference charging: the scalar loops the plans replaced, encoded verbatim
 # ---------------------------------------------------------------------------
 def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
     """The historical per-pair shift loop (reference semantics)."""
@@ -218,10 +231,26 @@ def _ref_reduce(net, root, nbytes, topo, comb, sync, tag) -> None:
                 net.compute_at(d, comb)
 
 
+def _ref_fan(net, root, nbytes_per_rank, topo, tag, gather: bool) -> None:
+    """Every other rank, ascending, to *root* (gather) or from it."""
+    for r in range(net.p):
+        if r == root:
+            continue
+        nb = (
+            int(nbytes_per_rank)
+            if np.isscalar(nbytes_per_rank)
+            else int(nbytes_per_rank[r])
+        )
+        if gather:
+            net.p2p(r, root, nb, topo, tag=tag)
+        else:
+            net.p2p(root, r, nb, topo, tag=tag)
+
+
 # ---------------------------------------------------------------------------
 # trials
 # ---------------------------------------------------------------------------
-def trial_p2p_batch(rng: random.Random) -> tuple[str | None, dict[str, int]]:
+def trial_p2p(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     """Random message list (repeats, locals, zero bytes) through both paths."""
     m_ref, m_new, distr, p = _machine_pair(rng)
     topo_ref = m_ref.topology(distr)
@@ -232,8 +261,8 @@ def trial_p2p_batch(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     while len(srcs) < k:
         if rng.random() < 0.3:
             # fan-out run: one source, several consecutive destinations
-            # (the row-permutation pattern the _p2p_run fast path takes;
-            # repeats/locals keep some runs on the fallback paths)
+            # (the row-permutation pattern; repeats and locals keep some
+            # runs on the wave scan)
             s = rng.randrange(p)
             run = rng.randint(2, min(8, max(2, p)))
             cand = [rng.randrange(p) for _ in range(run)]
@@ -253,20 +282,20 @@ def trial_p2p_batch(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     if scalar_nb:
         nbs = [nbs[0]] * k
     for s, d, nb in zip(srcs, dsts, nbs):
-        m_ref.network.p2p(s, d, nb, topo_ref, sync=sync, tag="batch-check")
+        m_ref.network.p2p(s, d, nb, topo_ref, sync=sync, tag="p2p-check")
     m_new.network.p2p_batch(
         np.asarray(srcs, dtype=np.int64),
         np.asarray(dsts, dtype=np.int64),
         nbytes,
         topo_new,
         sync=sync,
-        tag="batch-check",
+        tag="p2p-check",
     )
     label = f"p2p p={p} distr={distr} k={k} sync={sync}"
-    return _compare_machines(m_ref, m_new, label), {"batch.p2p": 1}
+    return _compare_machines(m_ref, m_new, label), {"charging.p2p": 1}
 
 
-def trial_shift_batch(rng: random.Random) -> tuple[str | None, dict[str, int]]:
+def trial_shift(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     """Random disjoint shift through shift() vs the historical loop."""
     m_ref, m_new, distr, p = _machine_pair(rng)
     topo_ref = m_ref.topology(distr)
@@ -278,25 +307,26 @@ def trial_shift_batch(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     perm = ranks[:n_pairs]
     pairs = list(zip(perm, perm[1:] + perm[:1]))
     sync = rng.random() < 0.4
-    if np.isscalar(nb_all := rng.choice([128, None])) and nb_all is not None:
-        nbytes = int(nb_all)
+    if rng.random() < 0.5:
+        nbytes = 128
     else:
         nbytes = {s: rng.randint(1, 4096) for s, _ in pairs}
     _ref_shift(m_ref.network, pairs, nbytes, topo_ref, sync, "shift-check")
     m_new.network.shift(pairs, nbytes, topo_new, sync=sync, tag="shift-check")
     label = f"shift p={p} distr={distr} pairs={len(pairs)} sync={sync}"
-    return _compare_machines(m_ref, m_new, label), {"batch.shift": 1}
+    return _compare_machines(m_ref, m_new, label), {"charging.shift": 1}
 
 
-def trial_collective_batch(rng: random.Random) -> tuple[str | None, dict[str, int]]:
-    """Tree collectives vs the per-edge scalar reference loops."""
-    m_ref, m_new, distr, p = _machine_pair(rng)
+def trial_tree(rng: random.Random) -> tuple[str | None, dict[str, int]]:
+    """broadcast/reduce/allreduce/barrier vs the per-edge scalar loops."""
+    big = rng.random() < 0.4
+    m_ref, m_new, distr, p = _machine_pair(rng, big)
     topo_ref = m_ref.topology(distr)
     topo_new = m_new.topology(distr)
     _perturb(rng, m_ref, m_new)
-    kind = rng.choice(["bcast", "reduce", "allreduce"])
+    kind = rng.choice(["bcast", "reduce", "allreduce", "barrier"])
     root = rng.randrange(p)
-    nb = rng.randint(1, 8192)
+    nb = rng.randint(1, 65536)
     comb = rng.choice([0.0, 1e-6])
     sync = rng.random() < 0.4
     if kind == "bcast":
@@ -307,14 +337,158 @@ def trial_collective_batch(rng: random.Random) -> tuple[str | None, dict[str, in
         m_new.network.reduce(
             root, nb, topo_new, combine_seconds=comb, sync=sync, tag="reduce"
         )
-    else:
+    elif kind == "allreduce":
         _ref_reduce(m_ref.network, root, nb, topo_ref, comb, sync, "fold-up")
         _ref_broadcast(m_ref.network, root, nb, topo_ref, sync, "fold-down")
         m_new.network.allreduce(
             nb, topo_new, combine_seconds=comb, root=root, sync=sync
         )
+    else:
+        _ref_reduce(m_ref.network, 0, 1, topo_ref, 0.0, False, "fold-up")
+        _ref_broadcast(m_ref.network, 0, 1, topo_ref, False, "fold-down")
+        m_ref.network.clocks[:] = m_ref.network.clocks.max()
+        m_new.network.barrier(topo_new)
     label = f"{kind} p={p} distr={distr} root={root} sync={sync}"
-    return _compare_machines(m_ref, m_new, label), {f"batch.{kind}": 1}
+    cov = {f"charging.tree.{kind}": 1}
+    if big:
+        cov["charging.tree.big"] = 1
+    return _compare_machines(m_ref, m_new, label), cov
+
+
+def trial_fan(rng: random.Random) -> tuple[str | None, dict[str, int]]:
+    """gather/scatter vs the scalar p2p loops."""
+    big = rng.random() < 0.4
+    m_ref, m_new, distr, p = _machine_pair(rng, big)
+    topo_ref = m_ref.topology(distr)
+    topo_new = m_new.topology(distr)
+    _perturb(rng, m_ref, m_new)
+    kind = rng.choice(["gather", "scatter"])
+    root = rng.randrange(p)
+    if rng.random() < 0.5:
+        nbytes = rng.randint(0, 65536)
+    else:
+        nbytes = [rng.randint(0, 8192) for _ in range(p)]
+    _ref_fan(m_ref.network, root, nbytes, topo_ref, kind, gather=kind == "gather")
+    getattr(m_new.network, kind)(root, nbytes, topo_new, tag=kind)
+    label = f"{kind} p={p} distr={distr} root={root}"
+    cov = {f"charging.fan.{kind}": 1}
+    if big:
+        cov["charging.fan.big"] = 1
+    return _compare_machines(m_ref, m_new, label), cov
+
+
+def trial_ring(rng: random.Random) -> tuple[str | None, dict[str, int]]:
+    """allgather/alltoall round generation vs the historical pair lists."""
+    m_ref, m_new, distr, p = _machine_pair(rng)
+    topo_ref = m_ref.topology(distr)
+    topo_new = m_new.topology(distr)
+    _perturb(rng, m_ref, m_new)
+    kind = rng.choice(["allgather", "alltoall"])
+    nb = rng.randint(1, 8192)
+    sync = rng.random() < 0.3
+    if kind == "allgather":
+        ring = topo_ref if isinstance(topo_ref, Ring) else Ring(topo_ref.mesh)
+        pairs = [(i, ring.succ(i)) for i in range(p)]
+        for _ in range(p - 1):
+            _ref_shift(m_ref.network, pairs, nb, ring, sync, "allgather")
+        m_new.network.allgather(nb, topo_new, sync=sync, tag="allgather")
+    else:
+        for k in range(1, p):
+            if p & (p - 1) == 0:
+                pairs = [(r, r ^ k) for r in range(p)]
+            else:
+                pairs = [(r, (r + k) % p) for r in range(p)]
+            _ref_shift(m_ref.network, pairs, nb, topo_ref, sync, "alltoall")
+        m_new.network.alltoall(nb, topo_new, sync=sync, tag="alltoall")
+    label = f"{kind} p={p} distr={distr} sync={sync}"
+    return _compare_machines(m_ref, m_new, label), {f"charging.ring.{kind}": 1}
+
+
+def trial_hops(rng: random.Random) -> tuple[str | None, dict[str, int]]:
+    """hops_vec == hop_matrix entry for entry, for every embedding."""
+    p = rng.choice([1, 2, 5, 8, 16, 31, 64, 100, 256])
+    mesh = Mesh2D.for_processors(p)
+    builders = [
+        lambda: DefaultMapping(mesh),
+        lambda: Ring(mesh),
+        lambda: Torus2D(mesh, folded=True),
+        lambda: Torus2D(mesh, folded=False),
+        lambda: BinomialTree(mesh, root=rng.randrange(p)),
+    ]
+    topo = rng.choice(builders)()
+    hm = topo.hop_matrix()
+    s, d = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+    if not np.array_equal(topo.hops_vec(s, d), hm):
+        return f"hops_vec != hop_matrix (p={p}, {type(topo).__name__})", {}
+    for _ in range(8):
+        src, dst = rng.randrange(p), rng.randrange(p)
+        if topo.edge_hops(src, dst) != int(hm[src, dst]):
+            return (
+                f"edge_hops({src},{dst}) != matrix (p={p}, "
+                f"{type(topo).__name__})"
+            ), {}
+    return None, {"charging.hops": 1}
+
+
+def trial_plan_reuse(rng: random.Random) -> tuple[str | None, dict[str, int]]:
+    """A few patterns charged again and again, interleaved, on one
+    machine — so all but the first charge of each runs from a memoized
+    :class:`~repro.machine.topology.EdgePlan` — with the byte count, the
+    sync mode and now and then the cost model changing and a reset in
+    between, against the scalar reference loops."""
+    m_ref, m_new, distr, p = _machine_pair(rng)
+    topo_ref = m_ref.topology(distr)
+    topo_new = m_new.topology(distr)
+    shifts = []
+    for _ in range(2):
+        # a random walk: chains, cycles and self-pairs, so ranks send
+        # then receive and receive then send
+        ranks = list(range(p))
+        rng.shuffle(ranks)
+        walk = ranks[: rng.randint(1, p)]
+        pairs = list(zip(walk, walk[1:] + walk[: rng.randint(0, 1)]))
+        if rng.random() < 0.3:
+            spare = [r for r in range(p) if r not in walk]
+            pairs += [(r, r) for r in spare[:2]]
+        shifts.append(pairs or [(walk[0], walk[0])])
+    roots = [rng.randrange(p) for _ in range(2)]
+    cov: dict[str, int] = {"charging.plan_reuse": 1}
+    for step in range(rng.randint(4, 10)):
+        if step == 0 or rng.random() < 0.15:
+            m_ref.reset()
+            m_new.reset()
+            _perturb(rng, m_ref, m_new)
+        if rng.random() < 0.15:
+            cost = m_ref.cost.with_(store_and_forward=bool(rng.getrandbits(1)))
+            m_ref.network.cost = m_new.network.cost = cost
+        kind = rng.choice(["shift", "shift", "bcast", "reduce", "gather"])
+        nb = rng.choice([0, 1, rng.randint(1, 8192)])
+        sync = rng.random() < 0.4
+        root = rng.choice(roots)
+        if kind == "shift":
+            pairs = rng.choice(shifts)
+            nbytes = nb if rng.random() < 0.6 else {
+                s: rng.randint(0, 4096) for s, _ in pairs
+            }
+            _ref_shift(m_ref.network, pairs, nbytes, topo_ref, sync, "reuse")
+            m_new.network.shift(pairs, nbytes, topo_new, sync=sync, tag="reuse")
+        elif kind == "bcast":
+            _ref_broadcast(m_ref.network, root, nb, topo_ref, sync, "reuse")
+            m_new.network.broadcast(root, nb, topo_new, sync=sync, tag="reuse")
+        elif kind == "reduce":
+            _ref_reduce(m_ref.network, root, nb, topo_ref, 1e-6, sync, "reuse")
+            m_new.network.reduce(
+                root, nb, topo_new, combine_seconds=1e-6, sync=sync, tag="reuse"
+            )
+        else:
+            _ref_fan(m_ref.network, root, nb, topo_ref, "reuse", gather=True)
+            m_new.network.gather(root, nb, topo_new, tag="reuse")
+        msg = _compare_machines(
+            m_ref, m_new, f"plan reuse p={p} distr={distr} step={step} {kind}"
+        )
+        if msg is not None:
+            return msg, cov
+    return None, cov
 
 
 def trial_fused_comm(rng: random.Random) -> tuple[str | None, dict[str, int]]:
@@ -327,11 +501,10 @@ def trial_fused_comm(rng: random.Random) -> tuple[str | None, dict[str, int]]:
         ["genmult"] if square else []
     )
     steps = [rng.choice(kinds) for _ in range(rng.randint(1, 3))]
-    cov = {f"batch.fused_{s}": 1 for s in steps}
+    cov = {f"charging.fused_comm.{s}": 1 for s in steps}
 
     def build(fused: bool):
         from repro.arrays.darray import DistArray
-        from repro.machine.machine import DISTR_TORUS2D
         from repro.skeletons.comm import array_rotate_rows
 
         machine = Machine(p, trace_level=2)
@@ -394,122 +567,10 @@ def trial_fused_comm(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     return None, cov
 
 
-def trial_plan_reuse(rng: random.Random) -> tuple[str | None, dict[str, int]]:
-    """A few patterns charged again and again, interleaved, on one
-    machine — so all but the first charge of each runs from a memoized
-    :class:`~repro.machine.topology.EdgePlan` — with the byte count, the
-    sync mode and now and then the cost model changing and a reset in
-    between, against the scalar reference loops."""
-    m_ref, m_new, distr, p = _machine_pair(rng)
-    topo_ref = m_ref.topology(distr)
-    topo_new = m_new.topology(distr)
-    shifts = []
-    for _ in range(2):
-        # a random walk: chains, cycles and self-pairs, so ranks send
-        # then receive and receive then send
-        ranks = list(range(p))
-        rng.shuffle(ranks)
-        walk = ranks[: rng.randint(1, p)]
-        pairs = list(zip(walk, walk[1:] + walk[: rng.randint(0, 1)]))
-        if rng.random() < 0.3:
-            spare = [r for r in range(p) if r not in walk]
-            pairs += [(r, r) for r in spare[:2]]
-        shifts.append(pairs or [(walk[0], walk[0])])
-    roots = [rng.randrange(p) for _ in range(2)]
-    cov: dict[str, int] = {"batch.plan_reuse": 1}
-    for step in range(rng.randint(4, 10)):
-        if step == 0 or rng.random() < 0.15:
-            m_ref.reset()
-            m_new.reset()
-            _perturb(rng, m_ref, m_new)
-        if rng.random() < 0.15:
-            cost = m_ref.cost.with_(store_and_forward=bool(rng.getrandbits(1)))
-            m_ref.network.cost = m_new.network.cost = cost
-        kind = rng.choice(["shift", "shift", "bcast", "reduce", "gather"])
-        nb = rng.choice([0, 1, rng.randint(1, 8192)])
-        sync = rng.random() < 0.4
-        if kind == "shift":
-            pairs = rng.choice(shifts)
-            nbytes = nb if rng.random() < 0.6 else {
-                s: rng.randint(0, 4096) for s, _ in pairs
-            }
-            _ref_shift(m_ref.network, pairs, nbytes, topo_ref, sync, "reuse")
-            m_new.network.shift(pairs, nbytes, topo_new, sync=sync, tag="reuse")
-        elif kind == "bcast":
-            root = rng.choice(roots)
-            _ref_broadcast(m_ref.network, root, nb, topo_ref, sync, "reuse")
-            m_new.network.broadcast(root, nb, topo_new, sync=sync, tag="reuse")
-        elif kind == "reduce":
-            root = rng.choice(roots)
-            _ref_reduce(m_ref.network, root, nb, topo_ref, 1e-6, sync, "reuse")
-            m_new.network.reduce(
-                root, nb, topo_new, combine_seconds=1e-6, sync=sync, tag="reuse"
-            )
-        else:
-            root = rng.choice(roots)
-            for s in range(p):
-                if s != root:
-                    m_ref.network.p2p(s, root, nb, topo_ref, tag="reuse")
-            m_new.network.gather(root, nb, topo_new, tag="reuse")
-        msg = _compare_machines(
-            m_ref, m_new, f"plan reuse p={p} distr={distr} step={step} {kind}"
-        )
-        if msg is not None:
-            return msg, cov
-    return None, cov
-
-
-_TRIALS = [trial_p2p_batch, trial_shift_batch, trial_collective_batch,
-           trial_fused_comm, trial_plan_reuse]
-
-
-def _run_trial(trial_seed: int, res: CheckResult, verbose: bool = False) -> None:
-    rng = random.Random(trial_seed)
-    fn = _TRIALS[trial_seed % len(_TRIALS)]
-    res.trials += 1
-    try:
-        with isolated_metrics():
-            msg, cov = fn(rng)
-    except Exception:
-        msg, cov = traceback.format_exc(limit=8), {}
-    for k, v in cov.items():
-        res.coverage[k] = res.coverage.get(k, 0) + v
-    if msg is not None:
-        res.failures.append(
-            Failure(
-                pillar="batch",
-                seed=trial_seed,
-                title=fn.__name__,
-                detail=msg,
-                replay=(
-                    f"PYTHONPATH=src python -m repro.check batch "
-                    f"--seed {trial_seed} --budget 1 --raw-seed"
-                ),
-            )
-        )
-        if verbose:
-            print(f"batch seed {trial_seed}: FAIL")
-
-
-def run_batch(
-    seed: int = 0,
-    budget: int = 120,
-    time_budget: float | None = None,
-    verbose: bool = False,
-) -> CheckResult:
-    """Run *budget* batch-vs-scalar trials (5 interleaved families)."""
-    res = CheckResult("batch")
-    t0 = time.monotonic()
-    for i in range(budget):
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            break
-        _run_trial(seed * 1_000_003 + i, res, verbose=verbose)
-    return res
-
-
-def run_batch_raw(seed: int, budget: int = 1) -> CheckResult:
-    """Replay exact per-trial seeds printed by a failure report."""
-    res = CheckResult("batch")
-    for k in range(budget):
-        _run_trial(seed + k, res)
-    return res
+_RUNNER = TrialRunner(
+    "charging",
+    (trial_p2p, trial_shift, trial_tree, trial_fan, trial_ring, trial_hops,
+     trial_plan_reuse, trial_fused_comm),
+    budget=200,
+)
+run_charging, run_charging_raw = _RUNNER.run, _RUNNER.run_raw

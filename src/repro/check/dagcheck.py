@@ -28,11 +28,9 @@ the process-global registry neither leaks observations into the host
 from __future__ import annotations
 
 import random
-import time
-import traceback
 
 from repro.check.diffcheck import apply_network, generate_pattern, _obs_workload
-from repro.check.report import CheckResult, Failure
+from repro.check.report import TrialRunner
 from repro.machine.machine import DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D, Machine
 from repro.obs.analysis import invariant_problems
 from repro.obs.metrics import isolated_metrics
@@ -72,65 +70,5 @@ def trial_dag(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     return None, cov
 
 
-def run_dag(
-    seed: int = 0,
-    budget: int = 60,
-    time_budget: float | None = None,
-    verbose: bool = False,
-) -> CheckResult:
-    """Run *budget* DAG-invariant trials."""
-    res = CheckResult("dag")
-    t0 = time.monotonic()
-    for i in range(budget):
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            break
-        trial_seed = seed * 1_000_003 + i
-        rng = random.Random(trial_seed)
-        res.trials += 1
-        try:
-            msg, cov = trial_dag(rng)
-        except Exception:
-            msg, cov = traceback.format_exc(limit=8), {}
-        for k, v in cov.items():
-            res.coverage[k] = res.coverage.get(k, 0) + v
-        if msg is not None:
-            res.failures.append(
-                Failure(
-                    pillar="dag",
-                    seed=trial_seed,
-                    title="happens-before/critical-path invariants",
-                    detail=msg,
-                    replay=(
-                        f"PYTHONPATH=src python -m repro.check dag "
-                        f"--seed {trial_seed} --budget 1 --raw-seed"
-                    ),
-                )
-            )
-            if verbose:
-                print(f"dag seed {trial_seed}: FAIL")
-    return res
-
-
-def run_dag_raw(seed: int, budget: int = 1) -> CheckResult:
-    """Replay exact trial seeds from a failure report."""
-    res = CheckResult("dag")
-    for k in range(budget):
-        trial_seed = seed + k
-        rng = random.Random(trial_seed)
-        res.trials += 1
-        try:
-            msg, cov = trial_dag(rng)
-        except Exception:
-            msg, cov = traceback.format_exc(limit=8), {}
-        for key, v in cov.items():
-            res.coverage[key] = res.coverage.get(key, 0) + v
-        if msg is not None:
-            res.failures.append(
-                Failure(
-                    pillar="dag",
-                    seed=trial_seed,
-                    title="happens-before/critical-path invariants",
-                    detail=msg,
-                )
-            )
-    return res
+_RUNNER = TrialRunner("dag", (trial_dag,), budget=60)
+run_dag, run_dag_raw = _RUNNER.run, _RUNNER.run_raw

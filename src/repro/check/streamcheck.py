@@ -34,12 +34,10 @@ arrive through the scalar timeline API.
 from __future__ import annotations
 
 import random
-import time
-import traceback
 
 import numpy as np
 
-from repro.check.report import CheckResult, Failure
+from repro.check.report import TrialRunner
 from repro.machine.machine import (
     DISTR_DEFAULT,
     DISTR_RING,
@@ -276,56 +274,7 @@ def trial_stream_engine(rng: random.Random) -> tuple[str | None, dict[str, int]]
     return _compare_modes(m_rec, m_str, label), cov
 
 
-_TRIALS = [trial_stream_app, trial_stream_netops, trial_stream_engine]
-
-
-def _run_trial(trial_seed: int, res: CheckResult, verbose: bool = False) -> None:
-    rng = random.Random(trial_seed)
-    fn = _TRIALS[trial_seed % len(_TRIALS)]
-    res.trials += 1
-    try:
-        with isolated_metrics():
-            msg, cov = fn(rng)
-    except Exception:
-        msg, cov = traceback.format_exc(limit=8), {}
-    for k, v in cov.items():
-        res.coverage[k] = res.coverage.get(k, 0) + v
-    if msg is not None:
-        res.failures.append(
-            Failure(
-                pillar="stream",
-                seed=trial_seed,
-                title=fn.__name__,
-                detail=msg,
-                replay=(
-                    f"PYTHONPATH=src python -m repro.check stream "
-                    f"--seed {trial_seed} --budget 1 --raw-seed"
-                ),
-            )
-        )
-        if verbose:
-            print(f"stream seed {trial_seed}: FAIL")
-
-
-def run_stream(
-    seed: int = 0,
-    budget: int = 120,
-    time_budget: float | None = None,
-    verbose: bool = False,
-) -> CheckResult:
-    """Run *budget* streamed-vs-recorded trials (3 interleaved families)."""
-    res = CheckResult("stream")
-    t0 = time.monotonic()
-    for i in range(budget):
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            break
-        _run_trial(seed * 1_000_003 + i, res, verbose=verbose)
-    return res
-
-
-def run_stream_raw(seed: int, budget: int = 1) -> CheckResult:
-    """Replay exact per-trial seeds printed by a failure report."""
-    res = CheckResult("stream")
-    for k in range(budget):
-        _run_trial(seed + k, res)
-    return res
+_RUNNER = TrialRunner(
+    "stream", (trial_stream_app, trial_stream_netops, trial_stream_engine), budget=120
+)
+run_stream, run_stream_raw = _RUNNER.run, _RUNNER.run_raw

@@ -23,9 +23,8 @@ matrices proportionally.
 
 Every subcommand accepts the shared observability flags ``--trace``,
 ``--metrics-out``, ``--quiet``, ``--backend``, ``--workers``,
-``--fusion``/``--no-fusion``, ``--fused``/``--no-fused``,
-``--profile`` and ``--profile-out`` (see :mod:`repro.eval.cliopts`);
-``--fusion --no-fused`` is rejected as contradictory (exit 2).
+``--fusion``/``--no-fusion``, ``--profile`` and ``--profile-out`` (see
+:mod:`repro.eval.cliopts`).
 ``trace`` keeps ``--json`` as a back-compatible alias of ``--trace``.
 ``--backend threads`` runs the skeleton kernels on real cores —
 every artefact stays bit-identical because simulated time is charged
@@ -49,7 +48,6 @@ from repro.eval.cliopts import (
     representative_obs_run,
     require_positive,
     run_target_parent,
-    validate_fusion_flags,
     validate_profile_flags,
     write_obs_artifacts,
 )
@@ -207,9 +205,8 @@ def _main(argv: list[str]) -> int:
         # legal here and doubles as --json-out
         args.profile = True
     validate_profile_flags(args)
-    validate_fusion_flags(args)
     apply_backend(args.backend, args.workers)
-    apply_fusion(args.fusion, args.fused)
+    apply_fusion(args.fusion)
 
     if args.what == "trace":
         from repro.eval.tracecmd import run_trace_command

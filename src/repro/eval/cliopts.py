@@ -39,15 +39,8 @@ the definitions cannot drift again:
 ``--fusion`` / ``--no-fusion``
     Turn *compiler-level* skeleton fusion on or off for the command's
     runs (the ``REPRO_FUSION`` default for this process; see
-    :mod:`repro.lang.fusion`).  Unlike ``--fused`` this changes the
-    simulated schedule: fused runs charge fewer skeleton rounds.
-
-``--fused`` / ``--no-fused``
-    Turn the runtime whole-array fast path on or off (the
-    ``REPRO_FUSED`` default).  Wall-clock only; simulated seconds are
-    identical either way.  ``--fusion --no-fused`` is rejected as
-    contradictory: compiler fusion composes kernels whose benefit is
-    realised through the fused execution path it would be disabling.
+    :mod:`repro.lang.fusion`).  This changes the simulated schedule:
+    fused runs charge fewer skeleton rounds.
 
 ``--profile``
     Attach the wall-clock worker-plane profiler
@@ -80,7 +73,6 @@ __all__ = [
     "representative_obs_run",
     "require_positive",
     "run_target_parent",
-    "validate_fusion_flags",
     "validate_profile_flags",
     "write_obs_artifacts",
 ]
@@ -138,13 +130,6 @@ def obs_parent() -> argparse.ArgumentParser:
         "schedule (fewer skeleton rounds), values stay bit-equal",
     )
     g.add_argument(
-        "--fused",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="runtime whole-array fast path on (--fused) or off "
-        "(--no-fused); wall-clock only, simulated seconds unchanged",
-    )
-    g.add_argument(
         "--profile",
         action="store_true",
         help="attach the wall-clock worker-plane profiler to the traced "
@@ -199,38 +184,15 @@ def validate_profile_flags(args) -> None:
         raise UsageError("--profile-out requires --profile")
 
 
-def validate_fusion_flags(args) -> None:
-    """``--fusion`` together with ``--no-fused`` is a usage error.
+def apply_fusion(fusion: bool | None) -> None:
+    """Make ``--fusion`` the process-wide default.
 
-    Compiler-level fusion composes kernels precisely so the fused
-    whole-array execution path can run them in one sweep; asking for
-    the former while switching off the latter is contradictory, so it
-    is rejected up front instead of silently running a pessimised mix.
-    """
-    if getattr(args, "fusion", None) is True and getattr(
-        args, "fused", None
-    ) is False:
-        raise UsageError(
-            "--fusion contradicts --no-fused: compiler-level fusion "
-            "relies on the fused execution path; drop one of the flags"
-        )
-
-
-def apply_fusion(fusion: bool | None, fused: bool | None = None) -> None:
-    """Make ``--fusion``/``--fused`` the process-wide defaults.
-
-    No-op for unset values (the REPRO_FUSION / REPRO_FUSED env
-    defaults stay in charge).  Call :func:`validate_fusion_flags`
-    first — this function assumes a consistent pair.
+    No-op when unset (the REPRO_FUSION env default stays in charge).
     """
     if fusion is not None:
         from repro.skeletons.fuse import set_program_fusion_default
 
         set_program_fusion_default(fusion)
-    if fused is not None:
-        from repro.skeletons.fuse import set_fusion_default
-
-        set_fusion_default(fused)
 
 
 def apply_backend(name: str | None, workers: int | None = None) -> None:

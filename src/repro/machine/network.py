@@ -27,7 +27,9 @@ half: wire times from the plan's hop vector and the byte count, a gather
 of the clocks, the adds and maxima of the message, the seeded left folds
 of the stats floats and plain-int counter increments; per-message arrays
 are built only for a machine that records, streams or has metrics on.
-Traced and untraced machines run the same code.
+Traced and untraced machines, long waves and waves of one edge, run the
+same code; :meth:`Network.p2p` is the public one-message call and the
+oracle of the ``charging`` pillar of :mod:`repro.check`, not a fallback.
 
 The fine-grained event engine (:mod:`repro.machine.engine`) implements
 the same semantics at message granularity; the test-suite checks the
@@ -36,7 +38,7 @@ two agree on small configurations.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,22 +50,20 @@ from repro.machine.trace import TraceStats
 
 __all__ = ["Network"]
 
-#: waves shorter than this are charged through the scalar loop — numpy
-#: dispatch overhead beats the vector math on runs of one or two messages
-_WAVE_MIN = 4
-
 #: hop-count histogram buckets (1..16 mesh hops)
 _HOP_BUCKETS = tuple(float(h) for h in range(1, 17))
 
 
-def _byte_counts(nbytes, ranks: np.ndarray | None = None):
+def _byte_counts(nbytes, k: int, ranks: np.ndarray | None = None):
     """*nbytes* as one Python int for every message, or as an int64
-    array per message (a per-rank sequence is taken at *ranks*)."""
+    array of *k* counts (a per-rank sequence is then taken at *ranks*)."""
     if isinstance(nbytes, int):
         return nbytes
     nbs = np.asarray(nbytes, dtype=np.int64)
     if nbs.ndim == 0:
         return int(nbs)
+    if nbs.shape != (k,):
+        raise MachineError(f"need {k} byte counts, got shape {nbs.shape}")
     return nbs if ranks is None else nbs[ranks]
 
 
@@ -239,10 +239,9 @@ class Network:
             return float(self.clocks[src])
         hops = topo.edge_hops(src, dst)
         wire = self.cost.message_time(nbytes, hops)
-        # plain-float arithmetic on purpose: this is the hottest loop of
-        # the collective simulation, and numpy scalar indexing dominates
-        # it otherwise.  Python floats are the same IEEE doubles, so the
-        # clock values are bit-identical to the array-scalar version.
+        # plain-float arithmetic on purpose: numpy scalar indexing would
+        # dominate the call.  Python floats are the same IEEE doubles, so
+        # the clock values are bit-identical to the array-scalar version.
         old_src = float(self.clocks[src])
         old_dst = float(self.clocks[dst])
         depart = old_src + self.cost.t_setup
@@ -281,12 +280,12 @@ class Network:
         """Charge a sequence of point-to-point messages.
 
         Bit-identical to calling :meth:`p2p` once per message in order
-        (property-tested by the ``batch`` pillar of :mod:`repro.check`):
-        the sequence is split into *waves* — maximal runs of remote
-        messages in which no rank appears twice in any role — whose
-        messages are independent by construction and are charged in one
-        vectorized pass from the wave-start clocks; short runs, and
-        local copies (``src == dst``), go through :meth:`p2p`.
+        (property-tested by the ``charging`` pillar of
+        :mod:`repro.check`): the sequence is split into *waves* —
+        maximal runs of remote messages in which no rank appears twice
+        in any role — whose messages are independent by construction and
+        are charged in one vectorized pass from the wave-start clocks;
+        only a local copy (``src == dst``) goes through :meth:`p2p`.
         *nbytes* may be a scalar or a per-message array.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
@@ -325,7 +324,7 @@ class Network:
                 j = i + 1
                 while j < k and sl[j] == s:
                     j += 1
-                if j - i >= _WAVE_MIN and not sync:
+                if j - i >= 2 and not sync:
                     dseg = dl[i:j]
                     if s not in dseg and len(set(dseg)) == j - i:
                         rd = dsts[i:j]
@@ -346,18 +345,9 @@ class Network:
         self._charge_wave(srcs, dsts, nbs, start, k, topo, sync, tag)
 
     def _charge_wave(self, srcs, dsts, nbs, i0, i1, topo, sync, tag) -> None:
-        rs, rd = srcs[i0:i1], dsts[i0:i1]
-        if i1 - i0 >= _WAVE_MIN:
+        if i1 > i0:
+            rs, rd = srcs[i0:i1], dsts[i0:i1]
             self._p2p_wave(rs, rd, topo.edge_plan(rs, rd), nbs[i0:i1], sync, tag)
-        else:
-            self._p2p_each(rs, rd, nbs[i0:i1], topo, sync, tag)
-
-    def _p2p_each(self, rs, rd, nb, topo, sync, tag) -> None:
-        """A short run through scalar :meth:`p2p` (below ``_WAVE_MIN``
-        messages numpy dispatch costs more than it saves)."""
-        nbs = nb.tolist() if isinstance(nb, np.ndarray) else repeat(nb)
-        for s, d, n in zip(rs.tolist(), rd.tolist(), nbs):
-            self.p2p(s, d, n, topo, sync=sync, tag=tag)
 
     def _record_wave(self, plan, srcs, dsts, nb, times, departs, tag) -> None:
         """Book one charged wave in the stats (and the metrics).
@@ -497,9 +487,10 @@ class Network:
         ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
         srcs, dsts = ends[0::2], ends[1::2]
         if not np.isscalar(nbytes):
-            nbytes = np.fromiter(
-                (int(nbytes[s]) for s in srcs.tolist()), dtype=np.int64, count=srcs.size
-            )
+            try:
+                nbytes = np.array([int(nbytes[s]) for s in srcs.tolist()], np.int64)
+            except (KeyError, IndexError):
+                raise MachineError("shift nbytes misses a source rank") from None
         self.shift_batch(srcs, dsts, nbytes, topo, sync=sync, tag=tag)
 
     def shift_batch(
@@ -522,7 +513,7 @@ class Network:
         the rendezvous case a rank that both sends and receives does so
         serially, in pair order, which the plan's order masks turn into
         three vectorized clock writes.  Either way the result is bit-identical to
-        the historical per-pair loop (``repro.check.netbatch``).
+        the historical per-pair loop (``repro.check.charging``).
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         if srcs.size == 0:
@@ -531,7 +522,7 @@ class Network:
         if not plan.disjoint:
             raise MachineError("shift pairs must be disjoint per side")
         srcs, dsts = plan.srcs, plan.dsts
-        nb = _byte_counts(nbytes)
+        nb = _byte_counts(nbytes, int(srcs.size))
         cost = self.cost
         clocks = self.clocks
         old_src = clocks[srcs]
@@ -623,21 +614,6 @@ class Network:
         return factors
 
     # ------------------------------------------------------------------ trees
-    def _charge_round(self, rs, rd, plan, nbytes: int, topo, sync, tag) -> None:
-        """Charge one disjoint binomial round ``rs[i] -> rd[i]``.
-
-        The edges of a binomial round touch every rank at most once, so
-        the whole round is exactly one conflict-free wave: short rounds
-        go through the scalar :meth:`p2p` loop, longer ones straight
-        into :meth:`_p2p_wave` with the round's memoized *plan* — the
-        same split (and therefore the same bit-exact arithmetic) the
-        historical ``p2p_batch`` wave scan produced.
-        """
-        if rs.size >= _WAVE_MIN:
-            self._p2p_wave(rs, rd, plan, int(nbytes), sync, tag)
-        else:
-            self._p2p_each(rs, rd, nbytes, topo, sync, tag)
-
     def broadcast(
         self,
         root: int,
@@ -651,14 +627,14 @@ class Network:
         Closed form: the per-round edge arrays and hops come from the
         topology's memoized :meth:`VirtualTopology.round_plans
         <repro.machine.topology.VirtualTopology.round_plans>`, and each
-        round is charged as one conflict-free wave — ``log2(p)``
-        vectorized charges total.
+        round — its edges touch every rank at most once — is charged as
+        one conflict-free wave: ``log2(p)`` vectorized charges total.
         """
         self._check_rank(root)
         if self.p == 1:
             return
         for plan in topo.round_plans(root):
-            self._charge_round(plan.srcs, plan.dsts, plan, nbytes, topo, sync, tag)
+            self._p2p_wave(plan.srcs, plan.dsts, plan, int(nbytes), sync, tag)
 
     def reduce(
         self,
@@ -694,7 +670,7 @@ class Network:
         for plan in reversed(topo.round_plans(root)):
             # reduction messages flow dst -> src of the broadcast edge;
             # the merge happens at the broadcast-edge source
-            self._charge_round(plan.dsts, plan.srcs, plan, nbytes, topo, sync, tag)
+            self._p2p_wave(plan.dsts, plan.srcs, plan, int(nbytes), sync, tag)
             if combine_seconds:
                 self._charge_combines(plan.srcs, combine_seconds)
 
@@ -708,8 +684,7 @@ class Network:
         the scalar ``+=`` loop bit for bit.
         """
         tl = self.timeline
-        k = int(ranks.size)
-        if k < _WAVE_MIN or (tl is not None and not getattr(tl, "wave_api", False)):
+        if tl is not None and not getattr(tl, "wave_api", False):
             for d in ranks.tolist():
                 self.compute_at(int(d), combine_seconds)
             return
@@ -717,7 +692,7 @@ class Network:
         if tl is not None:
             tl.add_many(ranks, "compute", old, old + combine_seconds)
         self.clocks[ranks] += combine_seconds
-        buf = np.full(k + 1, combine_seconds, dtype=np.float64)
+        buf = np.full(ranks.size + 1, combine_seconds, dtype=np.float64)
         buf[0] = self.stats.compute_seconds
         self.stats.compute_seconds = float(np.add.accumulate(buf)[-1])
 
@@ -735,7 +710,7 @@ class Network:
         self.reduce(root, nbytes, topo, combine_seconds, sync=sync, tag="fold-up")
         self.broadcast(root, nbytes, topo, sync=sync, tag="fold-down")
 
-    def barrier(self, topo: VirtualTopology, tag: str = "barrier") -> None:
+    def barrier(self, topo: VirtualTopology) -> None:
         """Synchronise all processors (empty allreduce)."""
         if self.p == 1:
             return
@@ -764,11 +739,7 @@ class Network:
             return
         plan = topo.fan_plan(root)
         srcs = plan.srcs
-        k = int(srcs.size)
-        nb = _byte_counts(nbytes_per_rank, srcs)
-        if k < _WAVE_MIN:
-            self._p2p_each(srcs, plan.dsts, nb, topo, False, tag)
-            return
+        nb = _byte_counts(nbytes_per_rank, self.p, srcs)
         cost = self.cost
         clocks = self.clocks
         wire = cost.message_time_vec(nb, plan.hops_f, plan.all_remote)
@@ -777,7 +748,7 @@ class Network:
         arrival = departs + wire
         old_root = float(clocks[root])
         run_max = np.maximum.accumulate(arrival)
-        prev = np.empty(k, dtype=np.float64)
+        prev = np.empty_like(arrival)
         prev[0] = old_root
         np.maximum(old_root, run_max[:-1], out=prev[1:])
         clocks[srcs] = departs
@@ -809,10 +780,7 @@ class Network:
             return
         plan = topo.fan_plan(root)
         dsts = plan.srcs  # the gather plan, flipped
-        nb = _byte_counts(nbytes_per_rank, dsts)
-        if dsts.size < _WAVE_MIN:
-            self._p2p_each(plan.dsts, dsts, nb, topo, False, tag)
-            return
+        nb = _byte_counts(nbytes_per_rank, self.p, dsts)
         self._p2p_fanout(root, dsts, plan, nb, tag)
 
     def allgather(

@@ -346,13 +346,28 @@ class VirtualTopology:
     def edge_plan(self, srcs, dsts, shift: bool = False) -> EdgePlan:
         """Build (without memoizing) the plan of ``srcs[i] -> dsts[i]``.
 
-        With *shift* the per-side disjointness verdict and the
-        rendezvous order masks are worked out too: ``sent[r]`` /
-        ``got[r]`` is the edge on which rank *r* sends / receives, a
-        duplicate on a side shows as an overwritten entry, and a rank
-        doing both performs the lower-numbered edge first (a self-pair
-        sends first).
+        With *shift* the edges come from outside (``shift_batch`` takes
+        any arrays), so they are validated here, once per pattern — a
+        rank outside the topology would otherwise index the placed
+        coordinates from the wrong end — and the per-side disjointness
+        verdict and the rendezvous order masks are worked out too:
+        ``sent[r]`` / ``got[r]`` is the edge on which rank *r* sends /
+        receives, a duplicate on a side shows as an overwritten entry,
+        and a rank doing both performs the lower-numbered edge first (a
+        self-pair sends first).
         """
+        if shift:
+            if srcs.ndim != 1 or srcs.shape != dsts.shape:
+                raise TopologyError(
+                    "shift needs one-dimensional src and dst arrays of equal "
+                    f"length, got shapes {srcs.shape} and {dsts.shape}"
+                )
+            ends = np.concatenate((srcs, dsts))
+            bad = ends[(ends < 0) | (ends >= self.p)]
+            if bad.size:
+                raise TopologyError(
+                    f"rank {int(bad[0])} outside topology of {self.p} ranks"
+                )
         hops = self.hops_vec(srcs, dsts)
         disjoint, order = True, None
         if shift:
@@ -395,15 +410,16 @@ class VirtualTopology:
     def shift_plan(self, srcs: np.ndarray, dsts: np.ndarray) -> EdgePlan:
         """Memoized shift plan of the int64 edge arrays, keyed by content.
 
-        The key bytes double as the plan's edge arrays, so a stored
-        pattern is held once.
+        The key bytes double as the plan's edge arrays (in the caller's
+        shapes, which :meth:`edge_plan` checks), so a stored pattern is
+        held once.
         """
         key = (srcs.tobytes(), dsts.tobytes())
         return self._memo(
             key,
             lambda: self.edge_plan(
-                np.frombuffer(key[0], dtype=np.int64),
-                np.frombuffer(key[1], dtype=np.int64),
+                np.frombuffer(key[0], dtype=np.int64).reshape(srcs.shape),
+                np.frombuffer(key[1], dtype=np.int64).reshape(dsts.shape),
                 shift=True,
             ),
         )

@@ -31,7 +31,7 @@ from repro.arrays.darray import DistArray
 from repro.errors import SkeletonError
 from repro.machine.costmodel import SKIL, LanguageProfile
 from repro.machine.machine import DISTR_DEFAULT, Machine
-from repro.skeletons.fuse import MapEnv, fusion_default, program_fusion_default
+from repro.skeletons.fuse import MapEnv, program_fusion_default
 
 __all__ = ["SkilContext", "MapEnv", "ops_of", "current_context", "skeleton_span"]
 
@@ -101,7 +101,7 @@ class SkilContext:
         machine: Machine,
         profile: LanguageProfile = SKIL,
         default_distr: str = DISTR_DEFAULT,
-        fused: bool | None = None,
+        fused: bool = True,
         fusion: bool | None = None,
     ):
         self.machine = machine
@@ -109,8 +109,9 @@ class SkilContext:
         self.default_distr = default_distr
         #: whether skeletons may take the fused whole-array fast path
         #: (:mod:`repro.skeletons.fuse`); simulated seconds are identical
-        #: either way, only wall-clock changes.  ``None`` = process default.
-        self.fused = fusion_default() if fused is None else bool(fused)
+        #: either way, only wall-clock changes.  ``False`` is for the
+        #: reference side of an equivalence check.
+        self.fused = bool(fused)
         #: whether *compiler-level* skeleton fusion is on for this run:
         #: ``compile_skil`` consults it via the process default, and the
         #: hand-written drivers mirror the pass's rewrites when set (fewer

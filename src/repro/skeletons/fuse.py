@@ -17,9 +17,9 @@ picks one of three paths, testing the conditions in this order:
    to read the env.  Saves ``p`` Python-level kernel calls per skeleton.
 3. **the per-rank loop** — everything else: strided layouts, kernels
    that read the env, scalar-only functions (applied element by
-   element).  ``SkilContext(fused=False)`` forces it on ``sim``; it is
-   the reference the other two are held bit-equal to (``tests/check``
-   and the ``repro.check`` pillars).
+   element).  ``SkilContext(fused=False)`` forces it on ``sim``: that
+   is the reference switch of ``repro.check`` and ``tests/check``,
+   which hold the other two paths bit-equal to this one.
 
 What "env-free" is known from: generated kernels (``lang/codegen.py``)
 carry ``env_free`` — the vectorizer knows statically whether the Skil
@@ -48,8 +48,6 @@ import numpy as np
 __all__ = [
     "FusionFallback",
     "FusedEnv",
-    "fusion_default",
-    "set_fusion_default",
     "program_fusion_default",
     "set_program_fusion_default",
     "kernel_fusability",
@@ -66,28 +64,10 @@ class FusionFallback(Exception):
     out to read rank-specific state."""
 
 
-#: process-wide default for ``SkilContext(fused=...)``; the environment
-#: variable lets ``REPRO_FUSED=0 python -m repro.eval ...`` A/B the paths
-_FUSION_DEFAULT = os.environ.get("REPRO_FUSED", "1").lower() not in (
-    "0", "false", "no", "off",
-)
-
-
-def fusion_default() -> bool:
-    return _FUSION_DEFAULT
-
-
-def set_fusion_default(enabled: bool) -> None:
-    """Set the process-wide default consulted by new contexts
-    (``--fused`` / ``--no-fused`` of the eval and check CLIs)."""
-    global _FUSION_DEFAULT
-    _FUSION_DEFAULT = bool(enabled)
-
-
 #: process-wide default for *compiler-level* skeleton fusion
 #: (``SkilContext(fusion=...)`` / ``compile_skil(fusion=...)``, see
-#: :mod:`repro.lang.fusion`).  Unlike the wall-clock-only fused execution
-#: path above, program fusion changes the *simulated* schedule (fewer
+#: :mod:`repro.lang.fusion`).  Unlike the wall-clock-only pooled execution
+#: path, program fusion changes the *simulated* schedule (fewer
 #: skeleton rounds, no intermediate arrays) while keeping values
 #: bit-equal — it therefore defaults OFF so that baseline artefacts stay
 #: reproducible; ``REPRO_FUSION=1`` (or ``--fusion``) opts in.

@@ -191,18 +191,3 @@ def test_gauss_equivalence(driver, p, n):
         return [x, np.float64(report.seconds)]
 
     assert_equivalent(scenario, p)
-
-
-def test_cli_fused_toggle():
-    """--fused/--no-fused flip the process default around a check run."""
-    from repro.check.__main__ import main
-    from repro.skeletons.fuse import fusion_default, set_fusion_default
-
-    before = fusion_default()
-    try:
-        assert main(["oracle", "--seed", "0", "--budget", "4", "--no-fused"]) == 0
-        assert fusion_default() is False
-        assert main(["oracle", "--seed", "0", "--budget", "4", "--fused"]) == 0
-        assert fusion_default() is True
-    finally:
-        set_fusion_default(before)

@@ -1,9 +1,15 @@
-"""The three ``repro.check`` pillars and their CLI run green on a small
+"""The ``repro.check`` pillars and their CLI run green on a small
 budget, and every failure path yields a replayable one-line command."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.check import run_batch, run_diff, run_fuzz, run_oracle
+from repro.check import run_charging, run_diff, run_fuzz, run_oracle
 from repro.check.__main__ import main
 from repro.check.report import CheckResult, Failure, format_failure, format_result
 
@@ -62,35 +68,33 @@ class TestDiffPillar:
 
 
 class TestBatchPillar:
+    """The ``charging`` pillar (the former ``batch`` and ``scale``)."""
+
+    FAMILIES = ("p2p", "shift", "tree", "fan", "ring", "hops", "plan_reuse",
+                "fused_comm")
+
     def test_small_budget_green(self):
-        res = run_batch(seed=0, budget=20)
+        # one round-robin over the eight families; at base seed 2 the
+        # tree and the fan trial both draw a p in the hundreds
+        res = run_charging(seed=2, budget=len(self.FAMILIES))
         assert res.ok, format_result(res)
-        assert res.trials == 20
-        # the five trial families interleave round-robin
-        assert res.coverage.get("batch.p2p", 0) == 4
-        assert res.coverage.get("batch.shift", 0) == 4
-        assert res.coverage.get("batch.plan_reuse", 0) == 4
+        assert res.trials == len(self.FAMILIES)
+        for family in self.FAMILIES:
+            assert any(
+                k.split(".")[1] == family for k in res.coverage
+            ), (family, res.coverage)
+        assert res.coverage["charging.tree.big"] == 1
 
     def test_raw_seed_replay(self):
-        from repro.check.netbatch import run_batch_raw
+        from repro.check.charging import run_charging_raw
 
-        res = run_batch_raw(4 * 1_000_003 + 2, budget=2)
+        # trial seed s runs family s % 8: these two are the tree trial
+        # (the big-p one of the round-robin above) and the fan trial
+        res = run_charging_raw(2 * 1_000_003 + 4, budget=2)
         assert res.trials == 2
         assert res.ok, format_result(res)
-
-    def test_cli_fusion_toggle_runs_both_modes(self, capsys):
-        from repro.skeletons.fuse import fusion_default, set_fusion_default
-
-        before = fusion_default()
-        try:
-            assert main(["batch", "--seed", "1", "--budget", "8",
-                         "--no-fused"]) == 0
-            assert main(["batch", "--seed", "1", "--budget", "8",
-                         "--fused"]) == 0
-        finally:
-            set_fusion_default(before)
-        out = capsys.readouterr().out
-        assert out.count("[batch]") == 2
+        assert res.coverage["charging.tree.big"] == 1
+        assert any(k.startswith("charging.fan.") for k in res.coverage)
 
 
 class TestStreamPillar:
@@ -123,8 +127,9 @@ class TestCli:
     def test_all_green_exit_zero(self, capsys):
         assert main(["all", "--seed", "0", "--budget", "6"]) == 0
         out = capsys.readouterr().out
-        for pillar in ("fuzz", "oracle", "diff", "stream"):
-            assert f"[{pillar}]" in out
+        ran = [ln[1:ln.index("]")] for ln in out.splitlines() if ln.startswith("[")]
+        assert ran == ["fuzz", "oracle", "diff", "dag", "charging", "stream",
+                       "backend", "fusion"]
         assert "0 failure(s)" in out
 
     def test_single_pillar(self, capsys):
@@ -140,6 +145,49 @@ class TestCli:
 
     def test_raw_seed_flag(self, capsys):
         assert main(["diff", "--seed", "0", "--budget", "1", "--raw-seed"]) == 0
+
+
+class TestRemovedEntryPoints:
+    @pytest.mark.parametrize(
+        "argv", [["batch"], ["scale", "--seed", "1"], ["--budget", "3", "batch"]]
+    )
+    def test_merged_pillars_are_a_usage_error_naming_charging(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "merged into 'charging'" in err
+        assert "Traceback" not in err and "invalid choice" not in err
+        # no compatibility shims left behind
+        assert importlib.util.find_spec("repro.check.netbatch") is None
+        assert importlib.util.find_spec("repro.check.scalecheck") is None
+
+    @pytest.mark.parametrize("flag", ["--fused", "--no-fused"])
+    def test_fused_flags_are_unrecognised_on_both_clis(self, flag, capsys):
+        from repro.eval.__main__ import main as eval_main
+
+        for cli, argv in (
+            (main, ["oracle", "--budget", "1"]),
+            (eval_main, ["table1", "--scale", "0.25"]),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli([*argv, flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_repro_fused_in_the_environment_is_not_honoured(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "from repro.machine.machine import Machine\n"
+            "from repro.skeletons import SkilContext\n"
+            "print(SkilContext(Machine(4)).fused)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "REPRO_FUSED": "0", "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout.strip() == "True", done.stderr
 
 
 class TestReport:

@@ -4,7 +4,7 @@ round is built once per pattern on the topology
 clocks.
 
 Pinned here: planned charging equals the scalar reference loops of
-``repro.check.netbatch`` bit for bit (clocks, every ``TraceStats``
+``repro.check.charging`` bit for bit (clocks, every ``TraceStats``
 field, records, timelines, metrics) on first and on repeated use; a
 repeated pattern does no hop or validity work; bad patterns keep
 raising; the memo stays under ``PLAN_STORE_BYTES``.
@@ -15,9 +15,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.check.netbatch import (
+from repro.check.charging import (
     _compare_machines,
     _ref_broadcast,
+    _ref_fan,
     _ref_reduce,
     _ref_shift,
 )
@@ -107,11 +108,13 @@ class TestShiftsMatchTheScalarReference:
 class TestTreeAndFanPlans:
     @pytest.mark.parametrize("trace", TRACE)
     @pytest.mark.parametrize("sync", [False, True])
-    def test_interleaved_roots_match_the_scalar_rounds(self, trace, sync):
-        m_ref, m_new = _pair(16, **TRACE[trace])
+    @pytest.mark.parametrize("p", [2, 3, 4, 7, 16])
+    def test_interleaved_roots_match_the_scalar_rounds(self, trace, sync, p):
+        # p = 2, 3, 4, 7: every round is a wave of one, two or three edges
+        m_ref, m_new = _pair(p, **TRACE[trace])
         _skew_clocks(m_ref, m_new)
         t_ref, t_new = m_ref.topology(DISTR_RING), m_new.topology(DISTR_RING)
-        for root, nb in [(3, 64), (0, 4096), (3, 1), (0, 0), (3, 777)]:
+        for root, nb in [(3 % p, 64), (0, 4096), (3 % p, 1), (0, 0), (3 % p, 777)]:
             _ref_broadcast(m_ref.network, root, nb, t_ref, sync, "b")
             m_new.network.broadcast(root, nb, t_new, sync=sync, tag="b")
             _ref_reduce(m_ref.network, root, nb, t_ref, 2e-6, sync, "r")
@@ -120,23 +123,19 @@ class TestTreeAndFanPlans:
 
     @pytest.mark.parametrize("trace", TRACE)
     def test_gather_and_scatter_share_one_plan(self, trace):
-        m_ref, m_new = _pair(9, **TRACE[trace])
-        _skew_clocks(m_ref, m_new)
-        t_ref, t_new = m_ref.topology(), m_new.topology()
-        sizes = [100 * r + 1 for r in range(9)]
-        for nbytes in (256, sizes, 3):
-            for s in range(9):
-                if s != 4:
-                    nb = nbytes if np.isscalar(nbytes) else nbytes[s]
-                    m_ref.network.p2p(s, 4, nb, t_ref, tag="g")
-            m_new.network.gather(4, nbytes, t_new, tag="g")
-            for d in range(9):
-                if d != 4:
-                    nb = nbytes if np.isscalar(nbytes) else nbytes[d]
-                    m_ref.network.p2p(4, d, nb, t_ref, tag="s")
-            m_new.network.scatter(4, nbytes, t_new, tag="s")
-            _assert_same(m_ref, m_new)
-        assert [k for k in t_new._plans if k[0] == "fan"] == [("fan", 4)]
+        for p in (9, 2, 3, 4):  # fans of eight edges, and of one to three
+            m_ref, m_new = _pair(p, **TRACE[trace])
+            _skew_clocks(m_ref, m_new)
+            t_ref, t_new = m_ref.topology(), m_new.topology()
+            root = p // 2
+            sizes = [100 * r + 1 for r in range(p)]
+            for nbytes in (256, sizes, 3):
+                _ref_fan(m_ref.network, root, nbytes, t_ref, "g", gather=True)
+                m_new.network.gather(root, nbytes, t_new, tag="g")
+                _ref_fan(m_ref.network, root, nbytes, t_ref, "s", gather=False)
+                m_new.network.scatter(root, nbytes, t_new, tag="s")
+                _assert_same(m_ref, m_new, f"p={p}")
+            assert [k for k in t_new._plans if k[0] == "fan"] == [("fan", root)]
 
 
 class TestPlansAreReused:
@@ -193,9 +192,7 @@ class TestPlansAreReused:
         _skew_clocks(m_ref)
         _ref_shift(ref, pairs, 64, t_ref, True, "shift")
         _ref_broadcast(ref, 5, 1 << 20, t_ref, True, "bcast")
-        for d in range(16):
-            if d != 5:
-                ref.p2p(5, d, 9, t_ref, tag="scatter")
+        _ref_fan(ref, 5, 9, t_ref, "scatter", gather=False)
         _assert_same(m_ref, m_new)
 
     def test_plans_are_per_topology(self):
@@ -241,6 +238,33 @@ class TestBadPatternsKeepRaising:
                 with pytest.raises(MachineError, match="disjoint"):
                     m.network.shift(list(zip(srcs, dsts)), 8, topo, sync=sync)
         assert m.stats.messages == 0 and m.network.time == 0.0
+
+    @pytest.mark.parametrize(
+        "charge",
+        [
+            lambda net, topo: net.shift_batch([0, 1], [1, -1], 8, topo),
+            lambda net, topo: net.shift_batch([0, 1], [1, 99], 8, topo),
+            lambda net, topo: net.shift_batch([0, 1, 2], [1, 2], 8, topo),
+            lambda net, topo: net.shift([(0, 1), (2, 3)], {0: 8}, topo),
+            lambda net, topo: net.gather(0, [8, 8, 8], topo),
+            lambda net, topo: net.scatter(0, [8, 8, 8], topo),
+            lambda net, topo: net.gather(0, [8] * 9, topo),
+        ],
+        ids=["negative-rank", "rank-past-p", "unequal-lengths", "unmapped-source",
+             "gather-short", "scatter-short", "gather-long"],
+    )
+    def test_bad_ranks_and_byte_sequences_are_machine_errors(self, charge):
+        """Each used to charge a wrong rank, leak a bare numpy/KeyError or
+        pass silently; refused on first and on repeated use, nothing moved."""
+        m = Machine(8)
+        _skew_clocks(m)
+        before = m.network.clocks.copy()
+        for _ in range(2):
+            with pytest.raises(MachineError):
+                charge(m.network, m.topology())
+        assert np.array_equal(m.network.clocks, before)
+        assert m.stats.messages == 0 and m.stats.comm_seconds == 0.0
+        assert m.topology()._plans.keys() <= {("fan", 0)}
 
     def test_edge_hops_is_plain_int_and_bounds_checked(self):
         for distr in (DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D):

@@ -1,18 +1,29 @@
 """Batch charging entry points (`p2p_batch`, `shift_batch`, batched
 collective rounds) must be bit-identical to the scalar loops.
 
-The `batch` pillar of ``repro.check`` property-tests this at scale;
+The `charging` pillar of ``repro.check`` property-tests this at scale;
 these tests pin the contract deterministically: exact clock equality
 (``==`` on every float), exact stats, identical message records, plus
-the input-validation errors.
+the input-validation errors.  Waves of one, two and three edges (p = 2,
+3, 4, 7 trees; k = 1..3 message lists) take the same vectorized path as
+long ones and are held to the same scalar loops.
 """
 
 import numpy as np
 import pytest
 
+from repro.check.charging import _compare_machines
 from repro.errors import MachineError
 from repro.machine.machine import DISTR_RING, DISTR_TORUS2D, Machine
 from repro.machine.topology import VirtualTopology
+from repro.obs.stream import compare_observers
+
+#: untraced with message records, record-traced, stream-traced
+TRACE = [
+    {},
+    {"trace_level": 2, "trace_mode": "record"},
+    {"trace_level": 2, "trace_mode": "stream"},
+]
 
 
 def _pair(p, **kwargs):
@@ -21,34 +32,32 @@ def _pair(p, **kwargs):
 
 
 def _assert_identical(ma, mb):
-    assert np.array_equal(ma.network.clocks, mb.network.clocks)
-    sa, sb = ma.stats, mb.stats
-    assert (sa.messages, sa.bytes_sent, sa.hops_crossed) == (
-        sb.messages, sb.bytes_sent, sb.hops_crossed
-    )
-    assert sa.comm_seconds == sb.comm_seconds
-    assert sa.idle_seconds == sb.idle_seconds
-    assert sa.compute_seconds == sb.compute_seconds
-    assert sa.records == sb.records
+    # clocks, stats, records, per-rank timelines, metrics: all bitwise
+    assert _compare_machines(ma, mb, "scalar loop vs batch") is None
+    if ma.stream_obs is not None:
+        assert compare_observers(ma.stream_obs, mb.stream_obs) == []
 
 
 class TestP2PBatch:
     @pytest.mark.parametrize("sync", [False, True])
     def test_long_wave_matches_scalar_loop(self, sync):
-        ma, mb = _pair(8)
-        topo = ma.topology(DISTR_RING)
-        msgs = [(0, 1, 64), (2, 3, 128), (4, 5, 4096), (6, 7, 1)]
-        for s, d, nb in msgs:
-            ma.network.p2p(s, d, nb, topo, sync=sync, tag="t")
-        mb.network.p2p_batch(
-            np.array([m[0] for m in msgs]),
-            np.array([m[1] for m in msgs]),
-            np.array([m[2] for m in msgs]),
-            mb.topology(DISTR_RING),
-            sync=sync,
-            tag="t",
-        )
-        _assert_identical(ma, mb)
+        wave = [(0, 1, 64), (2, 3, 128), (4, 5, 4096), (6, 7, 1)]
+        for k in (1, 2, 3, 4):
+            for trace in TRACE:
+                ma, mb = _pair(8, **trace)
+                topo = ma.topology(DISTR_RING)
+                msgs = wave[:k]
+                for s, d, nb in msgs:
+                    ma.network.p2p(s, d, nb, topo, sync=sync, tag="t")
+                mb.network.p2p_batch(
+                    np.array([m[0] for m in msgs]),
+                    np.array([m[1] for m in msgs]),
+                    np.array([m[2] for m in msgs]),
+                    mb.topology(DISTR_RING),
+                    sync=sync,
+                    tag="t",
+                )
+                _assert_identical(ma, mb)
 
     def test_conflicting_ranks_split_into_waves(self):
         # rank 1 appears three times: the batch must serialize exactly
@@ -199,9 +208,9 @@ class TestHopMatrix:
 
 
 class TestCollectiveRounds:
-    """Trees drive their rounds through p2p_batch; the scalar per-edge
-    loops are the reference (cross-checked exhaustively for small p by
-    the `batch` pillar — here one deterministic pin per collective)."""
+    """Trees charge every round, short or long, as one wave; the scalar
+    per-edge loops are the reference (cross-checked exhaustively by the
+    `charging` pillar — here one deterministic pin per collective)."""
 
     def _scalar_broadcast(self, m, root, nb, topo, sync):
         from repro.machine.topology import BinomialTree
@@ -219,7 +228,7 @@ class TestCollectiveRounds:
                 if comb:
                     m.network.compute_at(d, comb)
 
-    @pytest.mark.parametrize("p", [8, 16, 32])
+    @pytest.mark.parametrize("p", [2, 3, 4, 7, 8, 16, 32])
     @pytest.mark.parametrize("sync", [False, True])
     def test_broadcast(self, p, sync):
         ma, mb = _pair(p)
@@ -227,7 +236,7 @@ class TestCollectiveRounds:
         mb.network.broadcast(3 % p, 777, mb.topology(DISTR_RING), sync=sync)
         _assert_identical(ma, mb)
 
-    @pytest.mark.parametrize("p", [8, 16, 32])
+    @pytest.mark.parametrize("p", [2, 3, 4, 7, 8, 16, 32])
     @pytest.mark.parametrize("comb", [0.0, 2e-6])
     def test_reduce_with_combine(self, p, comb):
         ma, mb = _pair(p)
@@ -249,12 +258,10 @@ class TestCollectiveRounds:
         )
         _assert_identical(ma, mb)
 
-    @pytest.mark.parametrize("p", [8, 16])
+    @pytest.mark.parametrize("p", [2, 3, 4, 7, 8, 16])
     def test_traced_broadcast_timelines_match_per_rank(self, p):
         ma = Machine(p, trace_level=2)
         mb = Machine(p, trace_level=2)
         self._scalar_broadcast(ma, 0, 300, ma.topology(DISTR_RING), False)
         mb.network.broadcast(0, 300, mb.topology(DISTR_RING))
         _assert_identical(ma, mb)
-        for r in range(p):
-            assert ma.timeline.for_rank(r) == mb.timeline.for_rank(r)
