@@ -261,13 +261,7 @@ def _setup(ctx: SkilContext, a_mat: np.ndarray, rhs: np.ndarray):
     zero = skil_fn(ops=1, vectorized=lambda grids, env: np.zeros(1))(lambda ix: 0.0)
 
     a = ctx.array_create(2, (n, n + 1), (0, 0), (-1, -1), init_ext, DISTR_DEFAULT)
-    if ctx.fusion:
-        # b's zero-init is provably dead: every iteration fully
-        # overwrites b (array_copy or array_permute_rows from a) before
-        # any read — the fusion pass's dead-init elision, mirrored here
-        b = ctx.array_create_uninit(2, (n, n + 1), (0, 0), (-1, -1), DISTR_DEFAULT)
-    else:
-        b = ctx.array_create(2, (n, n + 1), (0, 0), (-1, -1), zero, DISTR_DEFAULT)
+    b = ctx.array_create(2, (n, n + 1), (0, 0), (-1, -1), zero, DISTR_DEFAULT)
     piv = ctx.array_create(2, (ctx.p, n + 1), (0, 0), (-1, -1), zero, DISTR_DEFAULT)
     return n, a, b, piv
 

@@ -156,18 +156,12 @@ def shpaths(
 
     start = ctx.machine.time
     a = ctx.array_create(2, (n, n), (0, 0), (-1, -1), init_a, DISTR_TORUS2D, dtype=dtype)
-    if not ctx.fusion:
-        b = ctx.array_create(2, (n, n), (0, 0), (-1, -1), zero, DISTR_TORUS2D, dtype=dtype)
+    b = ctx.array_create(2, (n, n), (0, 0), (-1, -1), zero, DISTR_TORUS2D, dtype=dtype)
     c = ctx.array_create(2, (n, n), (0, 0), (-1, -1), int_max, DISTR_TORUS2D, dtype=dtype)
 
     for _ in range(max(1, math.ceil(math.log2(n)))):
-        if ctx.fusion:
-            # what the fusion pass makes of copy(a,b); gen_mult(a,b,...):
-            # the scratch matrix and its copy round never exist
-            ctx.array_gen_mult_square(a, MIN, add, c)
-        else:
-            ctx.array_copy(a, b)
-            ctx.array_gen_mult(a, b, MIN, add, c)
+        ctx.array_copy(a, b)
+        ctx.array_gen_mult(a, b, MIN, add, c)
         ctx.array_copy(c, a)
         # NOTE: like the paper, c is not re-seeded between iterations.
         # This is sound because a_ii = 0 makes the (min,+) powers
@@ -186,8 +180,7 @@ def shpaths(
         profile=ctx.profile.name,
     )
     ctx.array_destroy(a)
-    if not ctx.fusion:
-        ctx.array_destroy(b)
+    ctx.array_destroy(b)
     ctx.array_destroy(c)
     return result, report
 

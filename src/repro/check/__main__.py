@@ -81,25 +81,12 @@ def main(argv: list[str] | None = None) -> int:
         help="treat --seed as an exact per-trial seed from a failure "
         "report instead of a base seed",
     )
-    ap.add_argument(
-        "--fusion",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force compiler-level skeleton fusion on (--fusion) or off "
-        "(--no-fusion) as the process default for programs the checks "
-        "compile; the fusion pillar itself always compares both sides",
-    )
     ap.add_argument("-v", "--verbose", action="store_true")
     try:
         args = ap.parse_args(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.fusion is not None:
-        from repro.skeletons.fuse import set_program_fusion_default
-
-        set_program_fusion_default(args.fusion)
 
     results: list[CheckResult] = []
     for pillar in PILLARS if args.pillar == "all" else [args.pillar]:

@@ -23,8 +23,7 @@ matrices proportionally.
 
 Every subcommand accepts the shared observability flags ``--trace``,
 ``--metrics-out``, ``--quiet``, ``--backend``, ``--workers``,
-``--fusion``/``--no-fusion``, ``--profile`` and ``--profile-out`` (see
-:mod:`repro.eval.cliopts`).
+``--profile`` and ``--profile-out`` (see :mod:`repro.eval.cliopts`).
 ``trace`` keeps ``--json`` as a back-compatible alias of ``--trace``.
 ``--backend threads`` runs the skeleton kernels on real cores —
 every artefact stays bit-identical because simulated time is charged
@@ -43,7 +42,6 @@ import sys
 from repro.errors import BackendError, UsageError
 from repro.eval.cliopts import (
     apply_backend,
-    apply_fusion,
     obs_parent,
     representative_obs_run,
     require_positive,
@@ -206,7 +204,6 @@ def _main(argv: list[str]) -> int:
         args.profile = True
     validate_profile_flags(args)
     apply_backend(args.backend, args.workers)
-    apply_fusion(args.fusion)
 
     if args.what == "trace":
         from repro.eval.tracecmd import run_trace_command

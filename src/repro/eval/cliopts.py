@@ -36,12 +36,6 @@ the definitions cannot drift again:
     default for this process).  Rejected with a clear usage error when
     nonpositive, as is ``--p`` on the run-target subcommands.
 
-``--fusion`` / ``--no-fusion``
-    Turn *compiler-level* skeleton fusion on or off for the command's
-    runs (the ``REPRO_FUSION`` default for this process; see
-    :mod:`repro.lang.fusion`).  This changes the simulated schedule:
-    fused runs charge fewer skeleton rounds.
-
 ``--profile``
     Attach the wall-clock worker-plane profiler
     (:class:`~repro.obs.prof.WallProfiler`) to the command's traced run
@@ -68,7 +62,6 @@ from repro.errors import UsageError
 
 __all__ = [
     "apply_backend",
-    "apply_fusion",
     "obs_parent",
     "representative_obs_run",
     "require_positive",
@@ -120,14 +113,6 @@ def obs_parent() -> argparse.ArgumentParser:
         metavar="N",
         help="worker count for the threads backend (default: the "
         "REPRO_WORKERS env var, else min(p, cores))",
-    )
-    g.add_argument(
-        "--fusion",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="compiler-level skeleton fusion on (--fusion) or off "
-        "(--no-fusion) for this command's runs; changes the simulated "
-        "schedule (fewer skeleton rounds), values stay bit-equal",
     )
     g.add_argument(
         "--profile",
@@ -182,17 +167,6 @@ def validate_profile_flags(args) -> None:
         args, "profile", False
     ):
         raise UsageError("--profile-out requires --profile")
-
-
-def apply_fusion(fusion: bool | None) -> None:
-    """Make ``--fusion`` the process-wide default.
-
-    No-op when unset (the REPRO_FUSION env default stays in charge).
-    """
-    if fusion is not None:
-        from repro.skeletons.fuse import set_program_fusion_default
-
-        set_program_fusion_default(fusion)
 
 
 def apply_backend(name: str | None, workers: int | None = None) -> None:

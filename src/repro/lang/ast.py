@@ -2,12 +2,19 @@
 
 Nodes carry a ``ty`` slot filled in by the type checker and used by the
 instantiation pass and the code generator.
+
+The child structure of a node is its dataclass fields: the *traversal
+kit* at the end of this module (:func:`children`, :func:`walk`,
+:func:`map_children`, :func:`rebuild`, :func:`clone`) reads it from the
+field annotations, so a pass states only the node types it cares about
+and a new node field is seen by every pass the day it is declared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import functools
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterator, Optional, get_args, get_type_hints
 
 from repro.lang.types import Type
 
@@ -44,6 +51,11 @@ __all__ = [
     "OperatorSection",
     "BraceList",
     "Cast",
+    "children",
+    "walk",
+    "map_children",
+    "rebuild",
+    "clone",
 ]
 
 
@@ -107,7 +119,7 @@ class FuncDef(Node):
     name: str
     params: tuple[FuncParam, ...]
     ret: Type
-    body: "Block"
+    body: Block
 
 
 @dataclass
@@ -255,3 +267,73 @@ class BraceList(Expr):
 class Cast(Expr):
     target: Type = None  # type: ignore[assignment]
     operand: Expr = None  # type: ignore[assignment]
+
+
+# --------------------------------------------------------------------------- kit
+def _holds_nodes(hint) -> bool:
+    """Whether a field annotated *hint* can hold a node (``Expr``,
+    ``Optional[Stmt]``) or a sequence of nodes (``list[Expr]``,
+    ``tuple[FuncParam, ...]``)."""
+    if isinstance(hint, type):
+        return issubclass(hint, Node)
+    return any(_holds_nodes(a) for a in get_args(hint))
+
+
+@functools.cache
+def _child_fields(cls: type) -> tuple[str, ...]:
+    """The node-capable fields of *cls* in declaration order.  Only
+    these are ever probed: ``line``, ``ty``, ``op``, ``name`` ... hold
+    no nodes, and looking at them costs every pass about a third."""
+    hints = get_type_hints(cls)
+    return tuple(f.name for f in fields(cls) if _holds_nodes(hints[f.name]))
+
+
+def children(node: Node) -> list[Node]:
+    """The direct sub-nodes of *node*, in field declaration order."""
+    out: list[Node] = []
+    for name in _child_fields(type(node)):
+        v = getattr(node, name)
+        if isinstance(v, Node):
+            out.append(v)
+        elif v:
+            out.extend(v)
+    return out
+
+
+def walk(node: Node, only: type = Node) -> Iterator[Node]:
+    """*node* and its descendants, pre-order in field order.  Sub-nodes
+    that are not an *only* are neither yielded nor entered, so
+    ``walk(body, Stmt)`` visits the statements and no expression."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        kids = children(n)
+        if only is not Node:
+            kids = [c for c in kids if isinstance(c, only)]
+        stack.extend(reversed(kids))
+
+
+def map_children(node: Node, fn: Callable[[Node], Node]) -> Node:
+    """Replace every direct sub-node ``c`` of *node* by ``fn(c)``, in
+    place and in field order; returns *node*."""
+    for name in _child_fields(type(node)):
+        v = getattr(node, name)
+        if isinstance(v, Node):
+            setattr(node, name, fn(v))
+        elif v is not None:
+            setattr(node, name, type(v)(fn(c) for c in v))
+    return node
+
+
+def rebuild(node: Node, fn: Callable[[Node], Node]) -> Node:
+    """A new node like *node* whose sub-nodes are ``fn`` of the old
+    ones; *node* is left alone.  Types are frozen and stay shared."""
+    new = object.__new__(type(node))
+    new.__dict__.update(node.__dict__)
+    return map_children(new, fn)
+
+
+def clone(node: Node) -> Node:
+    """Structural copy: equal to *node*, sharing no node object."""
+    return rebuild(node, clone)

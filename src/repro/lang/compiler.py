@@ -7,8 +7,10 @@ the C back end):
 2. :func:`repro.lang.typecheck.check` — polymorphic type checking,
 3. :func:`repro.lang.instantiate.instantiate_program` — translation by
    instantiation into first-order monomorphic functions,
-4. :func:`repro.lang.codegen.generate_python` — code emission,
-5. ``exec`` of the generated module.
+4. only under ``compile_skil(src, fusion=True)``:
+   :func:`repro.lang.fusion.fuse_program` — skeleton discovery & fusion,
+5. :func:`repro.lang.codegen.generate_python` — code emission,
+6. ``exec`` of the generated module.
 
 External (host-supplied) functions are declared in Skil with prototypes
 and bound at :meth:`SkilModule.run` time, like linking against the C
@@ -28,7 +30,6 @@ from repro.lang.parser import parse
 from repro.lang.typecheck import CheckedProgram, check
 from repro.lang.types import TPrim
 from repro.skeletons import SkilContext
-from repro.skeletons.fuse import program_fusion_default
 
 __all__ = ["SkilModule", "compile_skil"]
 
@@ -114,16 +115,17 @@ def compile_skil_file(path) -> SkilModule:
 def compile_skil(
     source: str,
     *,
-    fusion: bool | None = None,
+    fusion: bool | None = False,
     no_fuse_lines=(),
 ) -> SkilModule:
     """Compile Skil source text into an executable :class:`SkilModule`.
 
     *fusion* enables the skeleton discovery & fusion pass
-    (:mod:`repro.lang.fusion`) between instantiation and code emission;
-    ``None`` defers to the process default (``REPRO_FUSION`` /
-    :func:`repro.skeletons.fuse.set_program_fusion_default`).
-    *no_fuse_lines* opts individual source lines out of rewriting.
+    (:mod:`repro.lang.fusion`) between instantiation and code emission.
+    This keyword is the only place the pass is chosen: it is off (also
+    for ``None``) unless a caller asks, because the unfused program is
+    the one the paper measured.  *no_fuse_lines* opts individual source
+    lines out of rewriting.
     """
     import sys
 
@@ -152,8 +154,6 @@ def compile_skil(
         if fields:
             _rt.register_struct(sd.name, fields)
     instantiated = instantiate_program(checked)
-    if fusion is None:
-        fusion = program_fusion_default()
     fusion_report = None
     if fusion:
         from repro.lang.fusion import fuse_program

@@ -1,4 +1,4 @@
-"""Compiler-level skeleton discovery & fusion (ROADMAP item 4).
+"""Compiler-level skeleton discovery & fusion (ROADMAP item 5).
 
 This pass runs between instantiation and code generation.  It rewrites
 the first-order AST so that the *program* becomes cheaper on the
@@ -50,16 +50,20 @@ also eliminates its *runtime argument checks*, so a program that would
 have raised a shape/aliasing error unfused may run to completion fused.
 Valid programs compute identical values.
 
-Opt-outs: the pass only runs under ``compile_skil(fusion=True)`` (or
-the ``REPRO_FUSION`` process default), and ``no_fuse_lines`` skips any
-rewrite whose producer or consumer sits on a listed source line.
+Opt-outs: the pass only runs under ``compile_skil(fusion=True)`` — the
+one place it is chosen — and ``no_fuse_lines`` skips any rewrite whose
+producer or consumer sits on a listed source line.
+
+Every query and copy below goes through the traversal kit of
+:mod:`repro.lang.ast` (``walk`` / ``clone`` / ``rebuild``); traversal
+order is load-bearing — lifted-scalar order, the ``__fused_<n>`` counter
+and "first mention's type" all follow pre-order in field order.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from repro.lang import ast as A
 from repro.lang.builtins import BUILTIN_VALUES
@@ -115,114 +119,23 @@ class FusionReport:
         return "\n".join(lines)
 
 
-# --------------------------------------------------------------------- walkers
-_EXPR_CHILDREN = (
-    "left", "right", "operand", "target", "value", "base",
-    "index", "cond", "then", "orelse", "func",
-)
+# --------------------------------------------------------------------- queries
+def _idents(n: A.Node) -> set[str]:
+    """Names of the identifiers under statement or expression *n*."""
+    return {x.name for x in A.walk(n) if isinstance(x, A.Ident)}
 
 
-def _iter_exprs(e: Optional[A.Expr]) -> Iterator[A.Expr]:
-    if not isinstance(e, A.Expr):
-        return
-    yield e
-    for attr in _EXPR_CHILDREN:
-        child = getattr(e, attr, None)
-        if isinstance(child, A.Expr):
-            yield from _iter_exprs(child)
-    if isinstance(e, A.Call):
-        for x in e.args:
-            yield from _iter_exprs(x)
-    if isinstance(e, A.BraceList):
-        for x in e.items:
-            yield from _iter_exprs(x)
-    if isinstance(e, KernelRef):
-        for x in e.bound:
-            yield from _iter_exprs(x)
+def _count_ident(n: A.Node, name: str) -> int:
+    return sum(1 for x in A.walk(n) if isinstance(x, A.Ident) and x.name == name)
 
 
-def _stmt_exprs(s: A.Stmt) -> Iterator[A.Expr]:
-    """Top-level expressions of *s*, recursing through sub-statements."""
-    if isinstance(s, A.Block):
-        for x in s.stmts:
-            yield from _stmt_exprs(x)
-    elif isinstance(s, A.VarDecl):
-        if s.init is not None:
-            yield s.init
-    elif isinstance(s, A.If):
-        yield s.cond
-        yield from _stmt_exprs(s.then)
-        if s.orelse is not None:
-            yield from _stmt_exprs(s.orelse)
-    elif isinstance(s, A.While):
-        yield s.cond
-        yield from _stmt_exprs(s.body)
-    elif isinstance(s, A.For):
-        if s.init is not None:
-            yield from _stmt_exprs(s.init)
-        if s.cond is not None:
-            yield s.cond
-        if s.step is not None:
-            yield s.step
-        yield from _stmt_exprs(s.body)
-    elif isinstance(s, A.Return):
-        if s.value is not None:
-            yield s.value
-    elif isinstance(s, A.ExprStmt):
-        yield s.expr
-
-
-def _iter_stmts(s: A.Stmt) -> Iterator[A.Stmt]:
-    yield s
-    if isinstance(s, A.Block):
-        for x in s.stmts:
-            yield from _iter_stmts(x)
-    elif isinstance(s, A.If):
-        yield from _iter_stmts(s.then)
-        if s.orelse is not None:
-            yield from _iter_stmts(s.orelse)
-    elif isinstance(s, A.While):
-        yield from _iter_stmts(s.body)
-    elif isinstance(s, A.For):
-        if s.init is not None:
-            yield from _iter_stmts(s.init)
-        yield from _iter_stmts(s.body)
-
-
-def _idents(e: Optional[A.Expr]) -> set[str]:
-    return {x.name for x in _iter_exprs(e) if isinstance(x, A.Ident)}
-
-
-def _stmt_idents(s: A.Stmt) -> set[str]:
-    out: set[str] = set()
-    for e in _stmt_exprs(s):
-        out |= _idents(e)
-    return out
-
-
-def _count_ident(f: A.FuncDef, name: str) -> int:
-    # _stmt_exprs recurses through sub-statements already, so start from
-    # the body alone (iterating _iter_stmts too would double count)
-    return _count_ident_in_stmt(f.body, name)
-
-
-def _count_ident_in_stmt(s: A.Stmt, name: str) -> int:
-    return sum(
-        1
-        for e in _stmt_exprs(s)
-        for x in _iter_exprs(e)
-        if isinstance(x, A.Ident) and x.name == name
-    )
-
-
-def _assigned_names(s: A.Stmt) -> set[str]:
-    """Identifiers mutated by ``=``-style assignments anywhere in *s*."""
-    out: set[str] = set()
-    for e in _stmt_exprs(s):
-        for x in _iter_exprs(e):
-            if isinstance(x, A.Assign) and isinstance(x.target, A.Ident):
-                out.add(x.target.name)
-    return out
+def _assigned_names(n: A.Node) -> set[str]:
+    """Identifiers mutated by ``=``-style assignments anywhere in *n*."""
+    return {
+        x.target.name
+        for x in A.walk(n)
+        if isinstance(x, A.Assign) and isinstance(x.target, A.Ident)
+    }
 
 
 def _pp(e: A.Expr) -> str:
@@ -260,51 +173,100 @@ def _create_call(s: A.Stmt) -> Optional[tuple[str, A.Call]]:
 # ------------------------------------------------------------- body -> expr
 #: calls that are pure and stay inside composed kernel bodies
 _PURE_CALLS = frozenset({"min", "max", "abs"})
+#: the node types a kernel body may be built from, besides identifiers
+#: (the leaf's to answer for) and calls of :data:`_PURE_CALLS`
+_PURE_NODES = (
+    A.IntLit, A.FloatLit, A.CharLit, A.BinOp, A.UnOp, A.Cond, A.Cast, A.IndexExpr,
+)
+
+
+def _pure_map(e: A.Expr, leaf) -> A.Expr:
+    """Copy *e*, replacing every sub-expression *leaf* answers for (a
+    non-``None`` return) by that answer; raise :class:`_Bail` outside
+    the pure expression subset."""
+    new = leaf(e)
+    if new is not None:
+        return new
+    if isinstance(e, A.Call):
+        if isinstance(e.func, A.Ident) and e.func.name in _PURE_CALLS:
+            args = [_pure_map(x, leaf) for x in e.args]
+            return replace(e, func=A.clone(e.func), args=args)
+    elif isinstance(e, _PURE_NODES):
+        return A.rebuild(e, lambda child: _pure_map(child, leaf))
+    raise _Bail(f"{type(e).__name__} outside the composable subset")
 
 
 def _subst_expr(e: A.Expr, env: dict[str, A.Expr]) -> A.Expr:
     """Rebuild *e* with identifiers substituted per *env*; raise
     :class:`_Bail` outside the pure expression subset."""
-    if isinstance(e, A.Ident):
-        if e.name in env:
-            return copy.deepcopy(env[e.name])
-        if e.name in ("INT_MAX", "UINT_MAX", "FLT_MAX", "procId"):
+
+    def leaf(x: A.Expr) -> Optional[A.Expr]:
+        if not isinstance(x, A.Ident):
+            return None
+        if x.name in env:
+            return A.clone(env[x.name])
+        if x.name in ("INT_MAX", "UINT_MAX", "FLT_MAX", "procId"):
             # procId is allowed through so the vectorizer's env_free gate
             # (not this syntactic filter) is what rejects rank dependence
-            return A.Ident(e.name, line=e.line, ty=e.ty)
-        raise _Bail(f"free identifier {e.name!r}")
-    if isinstance(e, (A.IntLit, A.FloatLit, A.CharLit)):
-        return copy.deepcopy(e)
-    if isinstance(e, A.BinOp):
-        return A.BinOp(
-            e.op, _subst_expr(e.left, env), _subst_expr(e.right, env),
-            line=e.line, ty=e.ty,
-        )
-    if isinstance(e, A.UnOp):
-        return A.UnOp(e.op, _subst_expr(e.operand, env), line=e.line, ty=e.ty)
-    if isinstance(e, A.Cond):
-        return A.Cond(
-            _subst_expr(e.cond, env), _subst_expr(e.then, env),
-            _subst_expr(e.orelse, env), line=e.line, ty=e.ty,
-        )
-    if isinstance(e, A.Cast):
-        return A.Cast(e.target, _subst_expr(e.operand, env), line=e.line, ty=e.ty)
-    if isinstance(e, A.IndexExpr):
-        return A.IndexExpr(
-            _subst_expr(e.base, env), _subst_expr(e.index, env),
-            line=e.line, ty=e.ty,
-        )
-    if (
-        isinstance(e, A.Call)
-        and isinstance(e.func, A.Ident)
-        and e.func.name in _PURE_CALLS
-    ):
-        return A.Call(
-            A.Ident(e.func.name, line=e.func.line, ty=e.func.ty),
-            [_subst_expr(x, env) for x in e.args],
-            line=e.line, ty=e.ty,
-        )
-    raise _Bail(f"{type(e).__name__} outside the composable subset")
+            return A.clone(x)
+        raise _Bail(f"free identifier {x.name!r}")
+
+    return _pure_map(e, leaf)
+
+
+def _index_names(ix: A.BraceList) -> list[Optional[str]]:
+    """The identifiers of an ``{i, j}`` index literal (``None`` for
+    anything that is not a plain identifier)."""
+    return [x.name if isinstance(x, A.Ident) else None for x in ix.items]
+
+
+def _lift_elem_expr(expr: A.Expr, loop_vars: list[str]):
+    """The body of an element loop as a kernel body: reads at the
+    loop indices become element parameters ``__v<k>``, the loop
+    variables ``__ix[d]``.  Returns ``(kexpr, srcs, scalars)`` — the
+    arrays read and the outer scalars mentioned (they become lifted
+    kernel arguments), each ``name -> ty of its first mention`` in
+    first-appearance order, which is the kernel's parameter order."""
+    srcs: dict[str, Optional[Type]] = {}
+    scalars: dict[str, Optional[Type]] = {}
+
+    def leaf(e: A.Expr) -> Optional[A.Expr]:
+        if (
+            isinstance(e, A.Call)
+            and isinstance(e.func, A.Ident)
+            and e.func.name == "array_get_elem"
+        ):
+            arr, ix = e.args if len(e.args) == 2 else (None, None)
+            if not (isinstance(arr, A.Ident) and isinstance(ix, A.BraceList)):
+                raise _Bail("get_elem outside the subset")
+            if _index_names(ix) != loop_vars:
+                raise _Bail("read is not at the loop indices")
+            srcs.setdefault(arr.name, e.ty)
+            k = list(srcs).index(arr.name)
+            return A.Ident(f"__v{k}", line=e.line, ty=e.ty)
+        if isinstance(e, A.Ident):
+            if e.name == "procId":
+                # outside a skeleton procId is an error; a discovered
+                # kernel would make it a per-rank value — never rewrite
+                raise _Bail("procId in an element loop")
+            if e.name in loop_vars:
+                return A.IndexExpr(
+                    A.Ident("__ix", line=e.line, ty=INDEX),
+                    A.IntLit(loop_vars.index(e.name), line=e.line, ty=INT),
+                    line=e.line,
+                    ty=INT,
+                )
+            if e.name not in BUILTIN_VALUES:
+                scalars.setdefault(e.name, e.ty)
+            return A.clone(e)
+        if isinstance(e, A.IndexExpr):
+            raise _Bail("IndexExpr outside the subset")
+        return None
+
+    kexpr = _pure_map(expr, leaf)
+    for name in srcs:
+        scalars.pop(name, None)
+    return kexpr, srcs, scalars
 
 
 def _stmts_to_expr(stmts: list[A.Stmt], env: dict[str, A.Expr]) -> A.Expr:
@@ -360,11 +322,11 @@ class _Fuser:
                 return name
 
     def _blocks(self, f: A.FuncDef) -> list[A.Block]:
-        return [s for s in _iter_stmts(f.body) if isinstance(s, A.Block)]
+        return [s for s in A.walk(f.body, A.Stmt) if isinstance(s, A.Block)]
 
     def _remove_stmt(self, f: A.FuncDef, target: A.Stmt) -> bool:
         """Remove *target* (by identity — dataclass == is structural)."""
-        for st in _iter_stmts(f.body):
+        for st in A.walk(f.body, A.Stmt):
             if isinstance(st, A.Block):
                 for k, x in enumerate(st.stmts):
                     if x is target:
@@ -388,7 +350,7 @@ class _Fuser:
 
     def _destroys_of(self, f: A.FuncDef, name: str) -> list[A.Stmt]:
         out = []
-        for st in _iter_stmts(f.body):
+        for st in A.walk(f.body, A.Stmt):
             c = _call_of(st, "array_destroy")
             if (
                 c is not None
@@ -401,7 +363,7 @@ class _Fuser:
 
     def _create_stmt_of(self, f: A.FuncDef, name: str) -> Optional[A.Stmt]:
         found = None
-        for st in _iter_stmts(f.body):
+        for st in A.walk(f.body, A.Stmt):
             made = _create_call(st)
             if made is not None and made[0] == name:
                 if found is not None:
@@ -529,15 +491,8 @@ class _Fuser:
             (),
             kernel_elems=len(elem_params),
         )
-        # cost-model gate: the composed kernel must still vectorize AND
-        # stay env-free, i.e. remain eligible for fused dispatch — else
-        # the "one big kernel" would run scalar and the fusion would cost
-        # wall-clock instead of saving rounds
-        src = try_vectorize(inst, resolved)
-        if src is None or not src.rstrip().endswith("env_free = True"):
+        if not self._admit(inst):
             return None
-        self.prog.instances[name] = inst
-        self.prog.report.setdefault("__fused__", []).append(name)
         return KernelRef(
             name,
             list(producer.bound) + list(consumer.bound),
@@ -599,18 +554,17 @@ class _Fuser:
                 uses = [a1.name == tmp, a2.name == tmp]
                 if sum(uses) == 1:
                     return ("zip", c, k, 0 if uses[0] else 1)
-        for e in _stmt_exprs(s):
-            for x in _iter_exprs(e):
-                if (
-                    isinstance(x, A.Call)
-                    and isinstance(x.func, A.Ident)
-                    and x.func.name == "array_fold"
-                    and len(x.args) == 3
-                    and isinstance(x.args[0], KernelRef)
-                    and isinstance(x.args[2], A.Ident)
-                    and x.args[2].name == tmp
-                ):
-                    return ("fold", x, x.args[0], 0)
+        for x in A.walk(s):
+            if (
+                isinstance(x, A.Call)
+                and isinstance(x.func, A.Ident)
+                and x.func.name == "array_fold"
+                and len(x.args) == 3
+                and isinstance(x.args[0], KernelRef)
+                and isinstance(x.args[2], A.Ident)
+                and x.args[2].name == tmp
+            ):
+                return ("fold", x, x.args[0], 0)
         return None
 
     def _fuse_pass(self, f: A.FuncDef) -> bool:
@@ -645,8 +599,7 @@ class _Fuser:
             if cons is not None:
                 found = (j, cons)
                 break
-            ids = _stmt_idents(block.stmts[j])
-            if ids & barrier:
+            if _idents(block.stmts[j]) & barrier:
                 return False
             assigned |= _assigned_names(block.stmts[j])
         if found is None:
@@ -659,7 +612,7 @@ class _Fuser:
             captured |= _idents(b)
         if assigned & (captured | src_names):
             return False
-        if _count_ident_in_stmt(block.stmts[j], tmp) != 1:
+        if _count_ident(block.stmts[j], tmp) != 1:
             return False
 
         # whole-function accounting: tmp's only uses are create, producer,
@@ -727,7 +680,7 @@ class _Fuser:
             ccall.args = [composed, src_idents[0], src_idents[1], ccall.args[2]]
         elif ckind == "map" and pkind == "create":
             dst = ccall.args[2]
-            ccall.args = [composed, copy.deepcopy(dst), dst]
+            ccall.args = [composed, A.clone(dst), dst]
         elif ckind == "map":
             ccall.args = [composed, src_idents[0], ccall.args[2]]
         elif ckind == "zip":
@@ -848,7 +801,7 @@ class _Fuser:
     # ----------------------------------------------------- dead arrays
     def _dead_array_pass(self, f: A.FuncDef) -> bool:
         params = self._param_names(f)
-        for st in list(_iter_stmts(f.body)):
+        for st in list(A.walk(f.body, A.Stmt)):
             made = _create_call(st)
             if made is None:
                 continue
@@ -857,7 +810,7 @@ class _Fuser:
                 continue
             if self._create_stmt_of(f, name) is not st:
                 continue  # created twice
-            if not self._kernel_is_pure(call.args[4]) if len(call.args) >= 6 else True:
+            if len(call.args) < 6 or not self._kernel_is_pure(call.args[4]):
                 continue
             destroys = self._destroys_of(f, name)
             create_mentions = 1 if isinstance(st, A.ExprStmt) else 0
@@ -935,156 +888,42 @@ class _Fuser:
             stmts = list(stmts[0].stmts)
         return var, bound, stmts
 
-    def _analyze_elem_expr(self, expr: A.Expr, loop_vars: list[str]):
-        """Validate purity; return ordered ``[(src_name, elem_ty)]``."""
-        srcs: list[tuple[str, Optional[Type]]] = []
-
-        def walk(e: A.Expr) -> None:
-            if isinstance(e, A.Call):
-                if (
-                    isinstance(e.func, A.Ident)
-                    and e.func.name == "array_get_elem"
-                    and len(e.args) == 2
-                ):
-                    arr, ix = e.args
-                    if not (
-                        isinstance(arr, A.Ident) and isinstance(ix, A.BraceList)
-                    ):
-                        raise _Bail("get_elem outside the subset")
-                    names = [
-                        x.name if isinstance(x, A.Ident) else None
-                        for x in ix.items
-                    ]
-                    if names != loop_vars:
-                        raise _Bail("read is not at the loop indices")
-                    if arr.name not in [n for n, _ in srcs]:
-                        srcs.append((arr.name, e.ty))
-                    return
-                if isinstance(e.func, A.Ident) and e.func.name in _PURE_CALLS:
-                    for a in e.args:
-                        walk(a)
-                    return
-                raise _Bail("call outside the subset")
-            if isinstance(e, (A.IntLit, A.FloatLit, A.CharLit)):
-                return
-            if isinstance(e, A.Ident):
-                if e.name == "procId":
-                    # outside a skeleton procId is an error; a discovered
-                    # kernel would make it a per-rank value — never rewrite
-                    raise _Bail("procId in an element loop")
-                return
-            if isinstance(e, A.BinOp):
-                walk(e.left)
-                walk(e.right)
-                return
-            if isinstance(e, A.UnOp):
-                walk(e.operand)
-                return
-            if isinstance(e, A.Cond):
-                walk(e.cond)
-                walk(e.then)
-                walk(e.orelse)
-                return
-            if isinstance(e, A.Cast):
-                walk(e.operand)
-                return
-            raise _Bail(f"{type(e).__name__} outside the subset")
-
-        walk(expr)
-        return srcs
-
-    def _rewrite_elem_expr(self, e: A.Expr, loop_vars, src_names) -> A.Expr:
-        if (
-            isinstance(e, A.Call)
-            and isinstance(e.func, A.Ident)
-            and e.func.name == "array_get_elem"
-        ):
-            k = src_names.index(e.args[0].name)
-            return A.Ident(f"__v{k}", line=e.line, ty=e.ty)
-        if isinstance(e, A.Ident):
-            if e.name in loop_vars:
-                d = loop_vars.index(e.name)
-                return A.IndexExpr(
-                    A.Ident("__ix", line=e.line, ty=INDEX),
-                    A.IntLit(d, line=e.line, ty=INT),
-                    line=e.line,
-                    ty=INT,
-                )
-            return copy.deepcopy(e)
-        if isinstance(e, (A.IntLit, A.FloatLit, A.CharLit)):
-            return copy.deepcopy(e)
-        if isinstance(e, A.BinOp):
-            return A.BinOp(
-                e.op,
-                self._rewrite_elem_expr(e.left, loop_vars, src_names),
-                self._rewrite_elem_expr(e.right, loop_vars, src_names),
-                line=e.line, ty=e.ty,
-            )
-        if isinstance(e, A.UnOp):
-            return A.UnOp(
-                e.op, self._rewrite_elem_expr(e.operand, loop_vars, src_names),
-                line=e.line, ty=e.ty,
-            )
-        if isinstance(e, A.Cond):
-            return A.Cond(
-                self._rewrite_elem_expr(e.cond, loop_vars, src_names),
-                self._rewrite_elem_expr(e.then, loop_vars, src_names),
-                self._rewrite_elem_expr(e.orelse, loop_vars, src_names),
-                line=e.line, ty=e.ty,
-            )
-        if isinstance(e, A.Cast):
-            return A.Cast(
-                e.target,
-                self._rewrite_elem_expr(e.operand, loop_vars, src_names),
-                line=e.line, ty=e.ty,
-            )
-        if isinstance(e, A.Call):
-            return A.Call(
-                A.Ident(e.func.name, line=e.func.line, ty=e.func.ty),
-                [self._rewrite_elem_expr(x, loop_vars, src_names) for x in e.args],
-                line=e.line, ty=e.ty,
-            )
-        raise _Bail(f"{type(e).__name__} outside the subset")
-
-    def _free_scalars(self, expr: A.Expr, loop_vars, src_names) -> list[str]:
-        """Outer scalars read by the loop body, in first-appearance
-        order; they become lifted (bound) kernel arguments."""
-        out: list[str] = []
-        skip = set(loop_vars) | set(src_names) | set(BUILTIN_VALUES)
-
-        def walk(e: A.Expr) -> None:
-            if (
-                isinstance(e, A.Call)
-                and isinstance(e.func, A.Ident)
-                and e.func.name == "array_get_elem"
-            ):
-                return  # the array name and index vars are consumed
-            if isinstance(e, A.Ident):
-                if e.name not in skip and e.name not in out:
-                    out.append(e.name)
-                return
-            for attr in _EXPR_CHILDREN:
-                child = getattr(e, attr, None)
-                if isinstance(child, A.Expr) and attr != "func":
-                    walk(child)
-            if isinstance(e, A.Call):
-                for x in e.args:
-                    walk(x)
-
-        walk(expr)
-        return out
-
-    def _register_kernel(
-        self, fdef: A.FuncDef, n_elems: int
-    ) -> Optional[KernelRef]:
-        """Gate + register a synthesized (discovery) kernel."""
-        inst = Instance(fdef.name, fdef.name, fdef, (), kernel_elems=n_elems)
+    def _admit(self, inst: Instance) -> bool:
+        """The cost-model gate on a synthesized kernel: it must vectorize
+        AND stay env-free, i.e. remain eligible for fused dispatch — else
+        the "one big kernel" would run scalar and the rewrite would cost
+        wall-clock instead of saving rounds.  Registers it when it does."""
         src = try_vectorize(inst, self.prog.checked.resolved)
         if src is None or not src.rstrip().endswith("env_free = True"):
+            return False
+        self.prog.instances[inst.name] = inst
+        self.prog.report.setdefault("__fused__", []).append(inst.name)
+        return True
+
+    def _synth_kernel(
+        self, s: A.For, ty: Optional[Type], kexpr: A.Expr, srcs, scalars
+    ) -> Optional[KernelRef]:
+        """Gate + register the kernel discovered in loop *s* and return
+        its call-site reference.  Parameters: the lifted scalars, one
+        element value per array read (an ignored one when the loop reads
+        none), the index; *ty* is the element expression's type."""
+        resolved = self.prog.checked.resolved
+        elem_tys = list(srcs.values()) or [ty]
+        if ty is None or None in elem_tys or None in scalars.values():
+            return None  # an untyped mention: no type to declare it with
+        params = [A.FuncParam(sc, resolved(t), line=s.line) for sc, t in scalars.items()]
+        for k, t in enumerate(elem_tys):
+            params.append(A.FuncParam(f"__v{k}", resolved(t), line=s.line))
+        params.append(A.FuncParam("__ix", INDEX, line=s.line))
+        name = self._fresh_name()
+        fdef = A.FuncDef(
+            name, tuple(params), resolved(ty),
+            A.Block([A.Return(kexpr, line=s.line)], line=s.line), line=s.line,
+        )
+        if not self._admit(Instance(name, name, fdef, (), kernel_elems=len(elem_tys))):
             return None
-        self.prog.instances[fdef.name] = inst
-        self.prog.report.setdefault("__fused__", []).append(fdef.name)
-        return KernelRef(fdef.name, [], _estimate_ops(fdef), line=fdef.line)
+        bound = [A.Ident(sc, line=s.line) for sc in scalars]
+        return KernelRef(name, bound, _estimate_ops(fdef), line=s.line, ty=ty)
 
     def _discover_pass(self, f: A.FuncDef) -> bool:
         for block in self._blocks(f):
@@ -1101,7 +940,7 @@ class _Fuser:
 
     def _loop_vars_dead_after(self, f: A.FuncDef, loop: A.For, names) -> bool:
         for v in names:
-            if _count_ident(f, v) != _count_ident_in_stmt(loop, v):
+            if _count_ident(f, v) != _count_ident(loop, v):
                 return False
         return True
 
@@ -1147,12 +986,10 @@ class _Fuser:
         dst, ixl, expr = put.args
         if not (isinstance(dst, A.Ident) and isinstance(ixl, A.BraceList)):
             return False
-        if [
-            x.name if isinstance(x, A.Ident) else None for x in ixl.items
-        ] != loop_vars:
+        if _index_names(ixl) != loop_vars:
             return False
         try:
-            srcs = self._analyze_elem_expr(expr, loop_vars)
+            kexpr, srcs, scalars = _lift_elem_expr(expr, loop_vars)
         except _Bail:
             return False
         if len(srcs) > 2:
@@ -1161,80 +998,21 @@ class _Fuser:
             return False
         if not self._dst_size_matches(f, dst.name, bounds):
             return False
-        resolved = self.prog.checked.resolved
-        ret_ty = resolved(expr.ty) if expr.ty is not None else None
-        if ret_ty is None:
-            return False
-        src_names = [n for n, _ in srcs]
-        scalars = self._free_scalars(expr, loop_vars, src_names)
-        try:
-            kexpr = self._rewrite_elem_expr(expr, loop_vars, src_names)
-            params: list[A.FuncParam] = []
-            for sc in scalars:
-                ty = next(
-                    (
-                        x.ty
-                        for e2 in _iter_exprs(expr)
-                        if isinstance(x := e2, A.Ident) and x.name == sc
-                    ),
-                    None,
-                )
-                if ty is None:
-                    raise _Bail("untyped scalar")
-                params.append(A.FuncParam(sc, resolved(ty), line=s.line))
-            if srcs:
-                for k, (_, ety) in enumerate(srcs):
-                    if ety is None:
-                        raise _Bail("untyped element read")
-                    params.append(
-                        A.FuncParam(f"__v{k}", resolved(ety), line=s.line)
-                    )
-            else:
-                params.append(A.FuncParam("__v0", ret_ty, line=s.line))
-        except _Bail:
-            return False
-        params.append(A.FuncParam("__ix", INDEX, line=s.line))
-        name = self._fresh_name()
-        fdef = A.FuncDef(
-            name, tuple(params),
-            ret_ty, A.Block([A.Return(kexpr, line=s.line)], line=s.line),
-            line=s.line,
-        )
-        kref = self._register_kernel(fdef, max(1, len(srcs)))
+        kref = self._synth_kernel(s, expr.ty, kexpr, srcs, scalars)
         if kref is None:
             return False
-        kref.bound = [
-            A.Ident(sc, line=s.line) for sc in scalars
-        ]
-        kref.ty = expr.ty
-        if len(srcs) == 2:
-            call = A.Call(
-                A.Ident("array_zip", line=s.line),
-                [
-                    kref,
-                    A.Ident(src_names[0], line=s.line),
-                    A.Ident(src_names[1], line=s.line),
-                    copy.deepcopy(dst),
-                ],
-                line=s.line,
-            )
-            kind = "discover:zip"
-        else:
-            src = (
-                A.Ident(src_names[0], line=s.line)
-                if srcs
-                else copy.deepcopy(dst)
-            )
-            call = A.Call(
-                A.Ident("array_map", line=s.line),
-                [kref, src, copy.deepcopy(dst)],
-                line=s.line,
-            )
-            kind = "discover:map"
+        # a loop that reads no array maps dst onto itself (value ignored)
+        read = [A.Ident(n, line=s.line) for n in srcs] or [A.clone(dst)]
+        kind = "zip" if len(srcs) == 2 else "map"
+        call = A.Call(
+            A.Ident(f"array_{kind}", line=s.line),
+            [kref, *read, A.clone(dst)],
+            line=s.line,
+        )
         block.stmts[idx] = A.ExprStmt(call, line=s.line)
         self.report.discovered_loops += 1
         self.report.add(
-            kind, s.line,
+            f"discover:{kind}", s.line,
             f"element loop over {dst.name!r} -> {call.func.name}",
         )
         return True
@@ -1287,52 +1065,22 @@ class _Fuser:
         if not (isinstance(acc_ty, TPrim) and acc_ty.name in ("int", "unsigned")):
             return False
         try:
-            srcs = self._analyze_elem_expr(rhs, [var])
+            kexpr, srcs, scalars = _lift_elem_expr(rhs, [var])
         except _Bail:
             return False
         if len(srcs) != 1:
             return False
         if not self._loop_vars_dead_after(f, s, [var]):
             return False
-        src_name, elem_ty = srcs[0]
-        if elem_ty is None:
-            return False
+        (src_name,) = srcs
         if not self._dst_size_matches(f, src_name, [bound]):
             return False
-        resolved = self.prog.checked.resolved
-        rhs_ty = resolved(rhs.ty) if rhs.ty is not None else None
+        rhs_ty = self._resolved(rhs.ty)
         if not (isinstance(rhs_ty, TPrim) and rhs_ty.name in ("int", "unsigned")):
             return False
-        scalars = self._free_scalars(rhs, [var], [src_name])
-        try:
-            kexpr = self._rewrite_elem_expr(rhs, [var], [src_name])
-            params = []
-            for sc in scalars:
-                ty = next(
-                    (
-                        x.ty
-                        for x in _iter_exprs(rhs)
-                        if isinstance(x, A.Ident) and x.name == sc
-                    ),
-                    None,
-                )
-                if ty is None:
-                    raise _Bail("untyped scalar")
-                params.append(A.FuncParam(sc, resolved(ty), line=s.line))
-        except _Bail:
-            return False
-        params.append(A.FuncParam("__v0", resolved(elem_ty), line=s.line))
-        params.append(A.FuncParam("__ix", INDEX, line=s.line))
-        name = self._fresh_name()
-        fdef = A.FuncDef(
-            name, tuple(params), rhs_ty,
-            A.Block([A.Return(kexpr, line=s.line)], line=s.line), line=s.line,
-        )
-        kref = self._register_kernel(fdef, 1)
+        kref = self._synth_kernel(s, rhs.ty, kexpr, srcs, scalars)
         if kref is None:
             return False
-        kref.bound = [A.Ident(sc, line=s.line) for sc in scalars]
-        kref.ty = rhs.ty
         fold_call = A.Call(
             A.Ident("array_fold", line=s.line),
             [kref, SectionRef(comb, line=s.line), A.Ident(src_name, line=s.line)],
@@ -1340,13 +1088,13 @@ class _Fuser:
             ty=asg.target.ty,
         )
         if comb == "+":
-            new = A.Assign(copy.deepcopy(asg.target), fold_call, "+=", line=s.line)
+            new = A.Assign(A.clone(asg.target), fold_call, "+=", line=s.line)
         else:
             new = A.Assign(
-                copy.deepcopy(asg.target),
+                A.clone(asg.target),
                 A.Call(
                     A.Ident(comb, line=s.line),
-                    [copy.deepcopy(asg.target), fold_call],
+                    [A.clone(asg.target), fold_call],
                     line=s.line,
                     ty=asg.target.ty,
                 ),
@@ -1401,7 +1149,7 @@ class _Fuser:
             if isinstance(s, A.While):
                 exprs.append(s.cond)
             else:
-                if s.init is not None and name in _stmt_idents(s.init):
+                if s.init is not None and name in _idents(s.init):
                     return "LIVE"
                 exprs.extend(x for x in (s.cond, s.step) if x is not None)
             for e in exprs:
@@ -1413,8 +1161,7 @@ class _Fuser:
             # the loop may run zero times, so OVER does not propagate out;
             # but its body provably never reads the initial values
             return "CLEAN"
-        ids = _stmt_idents(s)
-        if name not in ids:
+        if name not in _idents(s):
             return "CLEAN"
         if _call_of(s, "array_destroy") is not None:
             return "CLEAN"
@@ -1429,7 +1176,7 @@ class _Fuser:
                 x = c.args[si]
                 if isinstance(x, A.Ident) and x.name == name:
                     return "LIVE"
-            if _count_ident_in_stmt(s, name) == 1:
+            if _count_ident(s, name) == 1:
                 return "OVER"
             return "LIVE"
         return "LIVE"

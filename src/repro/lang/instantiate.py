@@ -33,14 +33,13 @@ code generator maps onto the runtime's annotated operator sections (so
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
-from repro.errors import InstantiationError, SkilTypeError
+from repro.errors import InstantiationError
 from repro.lang import ast as A
-from repro.lang.builtins import BUILTIN_FUNCTIONS, BUILTIN_VALUES
+from repro.lang.builtins import BUILTIN_FUNCTIONS
 from repro.lang.typecheck import CheckedProgram
-from repro.lang.types import TFun, TVar, Type, free_vars
+from repro.lang.types import TFun, Type, free_vars
 from repro.obs import global_metrics
 
 __all__ = [
@@ -141,7 +140,7 @@ class _Instantiator:
     def run(self) -> InstantiatedProgram:
         for name, f in self.checked.functions.items():
             if self._is_entry(f):
-                clone = copy.deepcopy(f)
+                clone = A.clone(f)
                 self.out.entries[name] = clone
                 self._process_body(clone, param_map={})
         return self.out
@@ -212,60 +211,18 @@ class _Instantiator:
     # ------------------------------------------------------------------ body
     def _process_body(self, f: A.FuncDef, param_map: dict) -> None:
         """Rewrite all calls inside *f* (which is already first-order)."""
-        f.body = self._stmt(f.body, param_map)
+        f.body = self._expr(f.body, param_map)
 
-    def _stmt(self, s: A.Stmt, pm: dict) -> A.Stmt:
-        if isinstance(s, A.Block):
-            s.stmts = [self._stmt(x, pm) for x in s.stmts]
-            return s
-        if isinstance(s, A.VarDecl):
-            if s.init is not None:
-                s.init = self._expr(s.init, pm)
-            return s
-        if isinstance(s, A.If):
-            s.cond = self._expr(s.cond, pm)
-            s.then = self._stmt(s.then, pm)
-            if s.orelse is not None:
-                s.orelse = self._stmt(s.orelse, pm)
-            return s
-        if isinstance(s, A.While):
-            s.cond = self._expr(s.cond, pm)
-            s.body = self._stmt(s.body, pm)
-            return s
-        if isinstance(s, A.For):
-            if s.init is not None:
-                s.init = self._stmt(s.init, pm)
-            if s.cond is not None:
-                s.cond = self._expr(s.cond, pm)
-            if s.step is not None:
-                s.step = self._expr(s.step, pm)
-            s.body = self._stmt(s.body, pm)
-            return s
-        if isinstance(s, A.Return):
-            if s.value is not None:
-                s.value = self._expr(s.value, pm)
-            return s
-        if isinstance(s, A.ExprStmt):
-            s.expr = self._expr(s.expr, pm)
-            return s
-        return s
-
-    def _expr(self, e: A.Expr, pm: dict) -> A.Expr:
+    def _expr(self, e: A.Node, pm: dict) -> A.Node:
+        """Rewrite the calls under statement or expression *e*, in place."""
         if isinstance(e, A.Call):
             return self._call(e, pm)
-        for attr in ("left", "right", "operand", "target", "value", "base",
-                     "index", "cond", "then", "orelse"):
-            child = getattr(e, attr, None)
-            if isinstance(child, A.Expr):
-                setattr(e, attr, self._expr(child, pm))
-        if isinstance(e, A.BraceList):
-            e.items = [self._expr(x, pm) for x in e.items]
         if isinstance(e, A.Ident) and e.name in pm:
             raise InstantiationError(
                 f"line {e.line}: functional parameter {e.name!r} escapes in a "
                 "non-call position the instantiation procedure cannot lift"
             )
-        return e
+        return A.map_children(e, lambda child: self._expr(child, pm))
 
     # ------------------------------------------------------------------ calls
     def _call(self, e: A.Call, pm: dict) -> A.Expr:
@@ -373,7 +330,7 @@ class _Instantiator:
                 key = ("plain", name)
                 if key not in self._memo:
                     inst_name = name  # keep the original name
-                    clone = copy.deepcopy(f)
+                    clone = A.clone(f)
                     self._memo[key] = inst_name
                     global_metrics().inc("lang.instantiations")
                     self.out.instances[inst_name] = Instance(
@@ -401,7 +358,7 @@ class _Instantiator:
             # back onto this very instance instead of spawning a new one
             generic_types = tuple(self.resolved(p.ty).show() for p in f.params)
             self._memo.setdefault((name, generic_types, desc_key), inst_name)
-            clone = copy.deepcopy(f)
+            clone = A.clone(f)
             new_params: list[A.FuncParam] = []
             inner_pm: dict[str, tuple[_FunDescriptor, list[tuple[str, Type]]]] = {}
             for p, desc, lifted in zip(clone.params, fun_descs, fun_lifted):
@@ -505,7 +462,7 @@ class _Instantiator:
         inst_name = self._mangle(name)
         self._memo[key] = inst_name
         global_metrics().inc("lang.instantiations")
-        clone = copy.deepcopy(f)
+        clone = A.clone(f)
         clone.name = inst_name
         # parameters stay as declared: the lifted values are BOUND at the
         # call site via the KernelRef, and the generated python binds them
@@ -530,53 +487,11 @@ def _estimate_ops(f: A.FuncDef) -> float:
     same program land on the same simulated times.
     """
     count = 0.0
-
-    def walk_expr(e: A.Expr) -> None:
-        nonlocal count
+    for e in A.walk(f.body):
         if isinstance(e, A.BinOp):
             count += 1.0 if e.op in _ARITH_OPS else 0.25
         elif isinstance(e, A.UnOp):
             count += 0.5
-        for attr in ("left", "right", "operand", "target", "value", "base",
-                     "index", "cond", "then", "orelse", "func"):
-            child = getattr(e, attr, None)
-            if isinstance(child, A.Expr):
-                walk_expr(child)
-        if isinstance(e, A.Call):
-            for x in e.args:
-                walk_expr(x)
-        if isinstance(e, A.BraceList):
-            for x in e.items:
-                walk_expr(x)
-
-    def walk_stmt(s: A.Stmt) -> None:
-        if isinstance(s, A.Block):
-            for x in s.stmts:
-                walk_stmt(x)
-        elif isinstance(s, A.VarDecl) and s.init is not None:
-            walk_expr(s.init)
-        elif isinstance(s, A.If):
-            walk_expr(s.cond)
-            walk_stmt(s.then)
-            if s.orelse:
-                walk_stmt(s.orelse)
-        elif isinstance(s, A.While):
-            walk_expr(s.cond)
-            walk_stmt(s.body)
-        elif isinstance(s, A.For):
-            if s.init:
-                walk_stmt(s.init)
-            if s.cond:
-                walk_expr(s.cond)
-            if s.step:
-                walk_expr(s.step)
-            walk_stmt(s.body)
-        elif isinstance(s, A.Return) and s.value is not None:
-            walk_expr(s.value)
-        elif isinstance(s, A.ExprStmt):
-            walk_expr(s.expr)
-
-    walk_stmt(f.body)
     return float(max(1.0, count))
 
 

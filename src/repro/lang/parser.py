@@ -32,14 +32,12 @@ from repro.lang.types import (
     INDEX,
     INT,
     SIZE,
-    STRING,
     UNSIGNED,
     VOID,
     TArray,
     TFun,
     TPardata,
     TPointer,
-    TPrim,
     TStruct,
     TVar,
     Type,
@@ -590,22 +588,7 @@ def _tvars_of(t: Type) -> set[str]:
 def _substitute_named(t: Type, mapping: dict[str, Type]) -> Type:
     if isinstance(t, TVar):
         return mapping.get(t.name, t)
-    if isinstance(t, TFun):
-        return TFun(
-            tuple(_substitute_named(p, mapping) for p in t.params),
-            _substitute_named(t.ret, mapping),
-        )
-    if isinstance(t, TPointer):
-        return TPointer(_substitute_named(t.target, mapping))
-    if isinstance(t, TArray):
-        return TArray(_substitute_named(t.elem, mapping), t.size)
-    if isinstance(t, TStruct):
-        return TStruct(
-            t.name, tuple((f, _substitute_named(ft, mapping)) for f, ft in t.fields)
-        )
-    if isinstance(t, TPardata):
-        return TPardata(t.name, tuple(_substitute_named(a, mapping) for a in t.args))
-    return t
+    return t.map(lambda part: _substitute_named(part, mapping))
 
 
 def parse(source: str) -> A.Program:

@@ -22,7 +22,6 @@ from repro.errors import SkilTypeError
 from repro.lang import ast as A
 from repro.lang.builtins import BUILTIN_FUNCTIONS, BUILTIN_VALUES
 from repro.lang.types import (
-    BOUNDS,
     DOUBLE,
     INDEX,
     INT,
@@ -31,13 +30,11 @@ from repro.lang.types import (
     Subst,
     TArray,
     TFun,
-    TPardata,
     TPointer,
     TPrim,
     TStruct,
     TVar,
     Type,
-    free_vars,
 )
 
 __all__ = ["TypeChecker", "CheckedProgram", "check"]
@@ -71,7 +68,9 @@ class TypeChecker:
         for d in self.program.decls:
             if isinstance(d, A.FuncDef):
                 if d.name in self.functions or d.name in BUILTIN_FUNCTIONS:
-                    raise SkilTypeError(f"function {d.name!r} redefined")
+                    raise SkilTypeError(
+                        f"line {d.line}: function {d.name!r} redefined"
+                    )
                 self.functions[d.name] = d
             elif isinstance(d, A.FuncDecl):
                 self.externals[d.name] = d
@@ -133,6 +132,12 @@ class TypeChecker:
 
     # ------------------------------------------------------------------ stmts
     def stmt(self, s: A.Stmt) -> None:
+        try:
+            self._stmt(s)
+        except SkilTypeError as err:
+            raise _located(err, s) from None
+
+    def _stmt(self, s: A.Stmt) -> None:
         if isinstance(s, A.Block):
             self.push()
             for inner in s.stmts:
@@ -174,7 +179,10 @@ class TypeChecker:
 
     # ------------------------------------------------------------------ exprs
     def expr(self, e: A.Expr) -> Type:
-        t = self._expr(e)
+        try:
+            t = self._expr(e)
+        except SkilTypeError as err:
+            raise _located(err, e) from None
         e.ty = t
         return t
 
@@ -219,6 +227,12 @@ class TypeChecker:
                 return INT
             return t
         if isinstance(e, A.Assign):
+            if not isinstance(e.target, (A.Ident, A.IndexExpr, A.Member)):
+                raise SkilTypeError(
+                    f"cannot assign to a {type(e.target).__name__} expression: "
+                    "the target must be an identifier, an indexed element or "
+                    "a struct field"
+                )
             vt = self.expr(e.value)
             if isinstance(e.target, A.Ident) and self.lookup_local(
                 e.target.name
@@ -328,67 +342,22 @@ class TypeChecker:
 
     # ------------------------------------------------------------------ final
     def finalize(self, prog: CheckedProgram) -> None:
-        """Resolve all recorded expression types through the substitution."""
-
-        def walk_expr(x: A.Expr) -> None:
-            if x.ty is not None:
-                x.ty = self.subst.apply(x.ty)
-            for child in _expr_children(x):
-                walk_expr(child)
-
-        def walk_stmt(s: A.Stmt) -> None:
-            if isinstance(s, A.Block):
-                for inner in s.stmts:
-                    walk_stmt(inner)
-            elif isinstance(s, A.VarDecl):
-                s.ty = self.subst.apply(s.ty)
-                if s.init is not None:
-                    walk_expr(s.init)
-            elif isinstance(s, A.If):
-                walk_expr(s.cond)
-                walk_stmt(s.then)
-                if s.orelse:
-                    walk_stmt(s.orelse)
-            elif isinstance(s, A.While):
-                walk_expr(s.cond)
-                walk_stmt(s.body)
-            elif isinstance(s, A.For):
-                if s.init:
-                    walk_stmt(s.init)
-                if s.cond:
-                    walk_expr(s.cond)
-                if s.step:
-                    walk_expr(s.step)
-                walk_stmt(s.body)
-            elif isinstance(s, A.Return) and s.value is not None:
-                walk_expr(s.value)
-            elif isinstance(s, A.ExprStmt):
-                walk_expr(s.expr)
-
+        """Resolve all recorded types (every expression's, and the
+        declared type of every local) through the substitution."""
         for f in prog.functions.values():
-            walk_stmt(f.body)
+            for node in A.walk(f.body):
+                ty = getattr(node, "ty", None)
+                if ty is not None:
+                    node.ty = self.subst.apply(ty)
 
 
-def _expr_children(e: A.Expr) -> list[A.Expr]:
-    if isinstance(e, A.Call):
-        return [e.func, *e.args]
-    if isinstance(e, A.BinOp):
-        return [e.left, e.right]
-    if isinstance(e, A.UnOp):
-        return [e.operand]
-    if isinstance(e, A.Assign):
-        return [e.target, e.value]
-    if isinstance(e, A.IndexExpr):
-        return [e.base, e.index]
-    if isinstance(e, A.Member):
-        return [e.base]
-    if isinstance(e, A.Cond):
-        return [e.cond, e.then, e.orelse]
-    if isinstance(e, A.BraceList):
-        return list(e.items)
-    if isinstance(e, A.Cast):
-        return [e.operand]
-    return []
+def _located(err: SkilTypeError, node: A.Node) -> SkilTypeError:
+    """*err* naming *node*'s source line — unless it names one already:
+    ``unify`` and the other helpers of :mod:`repro.lang.types` know no
+    node, so the innermost ``expr``/``stmt`` frame they fail under is
+    where their message gets its position."""
+    msg = str(err)
+    return err if msg.startswith("line ") else SkilTypeError(f"line {node.line}: {msg}")
 
 
 def check(program: A.Program) -> CheckedProgram:

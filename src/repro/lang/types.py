@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import SkilTypeError
 
@@ -48,13 +49,26 @@ __all__ = [
 
 
 class Type:
-    """Base class; concrete types below are immutable value objects."""
+    """Base class; concrete types below are immutable value objects.
+
+    A compound type states its structure once, as :meth:`parts` and
+    :meth:`map`; every structural recursion below (and the parser's
+    typedef expansion) is written against those two.
+    """
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return self.show()
 
     def show(self) -> str:
         raise NotImplementedError
+
+    def parts(self) -> tuple["Type", ...]:
+        """The component types, in order (none for a prim or a variable)."""
+        return ()
+
+    def map(self, fn: Callable[["Type"], "Type"]) -> "Type":
+        """This type with every component ``c`` replaced by ``fn(c)``."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -82,6 +96,12 @@ class TFun(Type):
         ps = ", ".join(p.show() for p in self.params)
         return f"({ps}) -> {self.ret.show()}"
 
+    def parts(self) -> tuple[Type, ...]:
+        return (*self.params, self.ret)
+
+    def map(self, fn) -> Type:
+        return TFun(tuple(fn(p) for p in self.params), fn(self.ret))
+
 
 @dataclass(frozen=True)
 class TPointer(Type):
@@ -89,6 +109,12 @@ class TPointer(Type):
 
     def show(self) -> str:
         return f"{self.target.show()}*"
+
+    def parts(self) -> tuple[Type, ...]:
+        return (self.target,)
+
+    def map(self, fn) -> Type:
+        return TPointer(fn(self.target))
 
 
 @dataclass(frozen=True)
@@ -102,6 +128,12 @@ class TArray(Type):
         sz = "" if self.size is None else str(self.size)
         return f"{self.elem.show()}[{sz}]"
 
+    def parts(self) -> tuple[Type, ...]:
+        return (self.elem,)
+
+    def map(self, fn) -> Type:
+        return TArray(fn(self.elem), self.size)
+
 
 @dataclass(frozen=True)
 class TStruct(Type):
@@ -110,6 +142,12 @@ class TStruct(Type):
 
     def show(self) -> str:
         return f"struct {self.name}"
+
+    def parts(self) -> tuple[Type, ...]:
+        return tuple(t for _, t in self.fields)
+
+    def map(self, fn) -> Type:
+        return TStruct(self.name, tuple((f, fn(t)) for f, t in self.fields))
 
     def field_type(self, fname: str) -> Type:
         for f, t in self.fields:
@@ -127,6 +165,12 @@ class TPardata(Type):
         if not self.args:
             return self.name
         return f"{self.name}<{', '.join(a.show() for a in self.args)}>"
+
+    def parts(self) -> tuple[Type, ...]:
+        return self.args
+
+    def map(self, fn) -> Type:
+        return TPardata(self.name, tuple(fn(a) for a in self.args))
 
 
 INT = TPrim("int")
@@ -166,35 +210,13 @@ def free_vars(t: Type, out: set[str] | None = None) -> set[str]:
         out = set()
     if isinstance(t, TVar):
         out.add(t.name)
-    elif isinstance(t, TFun):
-        for p in t.params:
-            free_vars(p, out)
-        free_vars(t.ret, out)
-    elif isinstance(t, TPointer):
-        free_vars(t.target, out)
-    elif isinstance(t, TArray):
-        free_vars(t.elem, out)
-    elif isinstance(t, TStruct):
-        for _, ft in t.fields:
-            free_vars(ft, out)
-    elif isinstance(t, TPardata):
-        for a in t.args:
-            free_vars(a, out)
+    for part in t.parts():
+        free_vars(part, out)
     return out
 
 
 def contains_pardata(t: Type) -> bool:
-    if isinstance(t, TPardata):
-        return True
-    if isinstance(t, TFun):
-        return any(contains_pardata(p) for p in t.params) or contains_pardata(t.ret)
-    if isinstance(t, TPointer):
-        return contains_pardata(t.target)
-    if isinstance(t, TArray):
-        return contains_pardata(t.elem)
-    if isinstance(t, TStruct):
-        return any(contains_pardata(ft) for _, ft in t.fields)
-    return False
+    return isinstance(t, TPardata) or any(contains_pardata(p) for p in t.parts())
 
 
 @dataclass
@@ -212,36 +234,13 @@ class Subst:
 
     def apply(self, t: Type) -> Type:
         """Deep application of the substitution."""
-        t = self.resolve(t)
-        if isinstance(t, TFun):
-            return TFun(tuple(self.apply(p) for p in t.params), self.apply(t.ret))
-        if isinstance(t, TPointer):
-            return TPointer(self.apply(t.target))
-        if isinstance(t, TArray):
-            return TArray(self.apply(t.elem), t.size)
-        if isinstance(t, TStruct):
-            return TStruct(t.name, tuple((f, self.apply(ft)) for f, ft in t.fields))
-        if isinstance(t, TPardata):
-            return TPardata(t.name, tuple(self.apply(a) for a in t.args))
-        return t
+        return self.resolve(t).map(self.apply)
 
     def _occurs(self, name: str, t: Type) -> bool:
         t = self.resolve(t)
         if isinstance(t, TVar):
             return t.name == name
-        if isinstance(t, TFun):
-            return any(self._occurs(name, p) for p in t.params) or self._occurs(
-                name, t.ret
-            )
-        if isinstance(t, (TPointer,)):
-            return self._occurs(name, t.target)
-        if isinstance(t, TArray):
-            return self._occurs(name, t.elem)
-        if isinstance(t, TStruct):
-            return any(self._occurs(name, ft) for _, ft in t.fields)
-        if isinstance(t, TPardata):
-            return any(self._occurs(name, a) for a in t.args)
-        return False
+        return any(self._occurs(name, p) for p in t.parts())
 
     def bind(self, var: TVar, t: Type, inside_compound: bool = False) -> None:
         t = self.resolve(t)
@@ -335,16 +334,6 @@ class Subst:
                 if u.name not in mapping:
                     mapping[u.name] = fresh_var(u.name.lstrip("$").split("%")[0])
                 return mapping[u.name]
-            if isinstance(u, TFun):
-                return TFun(tuple(walk(p) for p in u.params), walk(u.ret))
-            if isinstance(u, TPointer):
-                return TPointer(walk(u.target))
-            if isinstance(u, TArray):
-                return TArray(walk(u.elem), u.size)
-            if isinstance(u, TStruct):
-                return TStruct(u.name, tuple((f, walk(ft)) for f, ft in u.fields))
-            if isinstance(u, TPardata):
-                return TPardata(u.name, tuple(walk(a) for a in u.args))
-            return u
+            return u.map(walk)
 
         return walk(t)

@@ -31,7 +31,7 @@ import io
 
 from repro.lang import ast as A
 from repro.lang.instantiate import Instance
-from repro.lang.types import INDEX, TFun, TPardata, TPrim, Type
+from repro.lang.types import TFun, TPardata, TPrim, Type
 
 __all__ = ["try_vectorize", "VectorizeFailure"]
 

@@ -31,7 +31,7 @@ from repro.arrays.darray import DistArray
 from repro.errors import SkeletonError
 from repro.machine.costmodel import SKIL, LanguageProfile
 from repro.machine.machine import DISTR_DEFAULT, Machine
-from repro.skeletons.fuse import MapEnv, program_fusion_default
+from repro.skeletons.fuse import MapEnv
 
 __all__ = ["SkilContext", "MapEnv", "ops_of", "current_context", "skeleton_span"]
 
@@ -102,7 +102,6 @@ class SkilContext:
         profile: LanguageProfile = SKIL,
         default_distr: str = DISTR_DEFAULT,
         fused: bool = True,
-        fusion: bool | None = None,
     ):
         self.machine = machine
         self.profile = profile
@@ -112,11 +111,6 @@ class SkilContext:
         #: either way, only wall-clock changes.  ``False`` is for the
         #: reference side of an equivalence check.
         self.fused = bool(fused)
-        #: whether *compiler-level* skeleton fusion is on for this run:
-        #: ``compile_skil`` consults it via the process default, and the
-        #: hand-written drivers mirror the pass's rewrites when set (fewer
-        #: skeleton rounds, elided intermediates; values stay bit-equal).
-        self.fusion = program_fusion_default() if fusion is None else bool(fusion)
         #: rank whose partition is currently being processed by a
         #: skeleton; user argument functions may read it (``procId``).
         self.current_rank: int | None = None

@@ -39,7 +39,6 @@ on the path taken.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -48,8 +47,6 @@ import numpy as np
 __all__ = [
     "FusionFallback",
     "FusedEnv",
-    "program_fusion_default",
-    "set_program_fusion_default",
     "kernel_fusability",
     "remember_fusability",
     "run_elementwise",
@@ -62,29 +59,6 @@ class FusionFallback(Exception):
     """Raised when a kernel cannot run fused; callers fall back to the
     per-rank loop.  Also raised *by* FusedEnv when a probed kernel turns
     out to read rank-specific state."""
-
-
-#: process-wide default for *compiler-level* skeleton fusion
-#: (``SkilContext(fusion=...)`` / ``compile_skil(fusion=...)``, see
-#: :mod:`repro.lang.fusion`).  Unlike the wall-clock-only pooled execution
-#: path, program fusion changes the *simulated* schedule (fewer
-#: skeleton rounds, no intermediate arrays) while keeping values
-#: bit-equal — it therefore defaults OFF so that baseline artefacts stay
-#: reproducible; ``REPRO_FUSION=1`` (or ``--fusion``) opts in.
-_PROGRAM_FUSION_DEFAULT = os.environ.get("REPRO_FUSION", "0").lower() in (
-    "1", "true", "yes", "on",
-)
-
-
-def program_fusion_default() -> bool:
-    return _PROGRAM_FUSION_DEFAULT
-
-
-def set_program_fusion_default(enabled: bool) -> None:
-    """Set the process-wide default for compiler-level skeleton fusion
-    consulted by ``compile_skil`` and new contexts (``--fusion``)."""
-    global _PROGRAM_FUSION_DEFAULT
-    _PROGRAM_FUSION_DEFAULT = bool(enabled)
 
 
 class FusedEnv:

@@ -162,7 +162,9 @@ class TestRemovedEntryPoints:
         assert importlib.util.find_spec("repro.check.netbatch") is None
         assert importlib.util.find_spec("repro.check.scalecheck") is None
 
-    @pytest.mark.parametrize("flag", ["--fused", "--no-fused"])
+    @pytest.mark.parametrize(
+        "flag", ["--fused", "--no-fused", "--fusion", "--no-fusion"]
+    )
     def test_fused_flags_are_unrecognised_on_both_clis(self, flag, capsys):
         from repro.eval.__main__ import main as eval_main
 
@@ -188,6 +190,30 @@ class TestRemovedEntryPoints:
             capture_output=True, text=True, timeout=60,
         )
         assert done.stdout.strip() == "True", done.stderr
+
+    def test_repro_fusion_in_the_environment_is_not_honoured(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "from repro.apps.skil_sources import SHPATHS_SKIL\n"
+            "from repro.lang import compile_skil\n"
+            "print(compile_skil(SHPATHS_SKIL).fusion_report)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "REPRO_FUSION": "1", "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout.strip() == "None", done.stderr
+
+    def test_compiler_fusion_is_chosen_only_where_a_program_is_compiled(self):
+        from repro.machine.machine import Machine
+        from repro.skeletons import SkilContext, fuse
+
+        with pytest.raises(TypeError, match="fusion"):
+            SkilContext(Machine(4), fusion=True)
+        assert not hasattr(SkilContext(Machine(4)), "fusion")
+        assert not hasattr(fuse, "set_program_fusion_default")
+        assert not hasattr(fuse, "program_fusion_default")
 
 
 class TestReport:

@@ -6,16 +6,14 @@ simulated machine charged strictly fewer skeleton rounds where a round
 was eliminated, and the computed values are bit-equal.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.lang import compile_skil
 from repro.machine.machine import Machine
 from repro.skeletons import SkilContext
-from repro.skeletons.fuse import (
-    program_fusion_default,
-    set_program_fusion_default,
-)
 
 MAP_MAP_SRC = """
 int ramp (Index ix) { return ix[0] % 9973; }
@@ -79,18 +77,10 @@ class TestMapMapFusion:
         assert mod.fusion_report is None
 
     def test_process_default_is_off(self):
-        assert program_fusion_default() is False
-        mod = compile_skil(MAP_MAP_SRC)
-        assert mod.fusion_report is None
-
-    def test_set_program_fusion_default(self):
-        set_program_fusion_default(True)
-        try:
-            mod = compile_skil(MAP_MAP_SRC)
-            assert mod.fusion_report is not None
-            assert mod.fusion_report.fused_calls >= 1
-        finally:
-            set_program_fusion_default(False)
+        # a plain keyword default: no process-wide state stands behind it
+        assert inspect.signature(compile_skil).parameters["fusion"].default is False
+        assert compile_skil(MAP_MAP_SRC).fusion_report is None
+        assert compile_skil(MAP_MAP_SRC, fusion=None).fusion_report is None
 
 
 class TestOptOut:

@@ -5,16 +5,19 @@ documented `SkilError` subclasses — never `IndexError`, `RecursionError`
 (within reason) or silent misparses.
 """
 
+import random
+import re
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SkilError
+from repro.errors import SkilError, SkilSyntaxError, SkilTypeError
 from repro.lang import compile_skil, parse, tokenize
 from repro.lang.lexer import tokenize as lex
-from repro.lang.tokens import TokKind
+from repro.lang.tokens import Token, TokKind
+from tests.lang import skil_corpus
 
 
 class TestLexerTotal:
@@ -92,6 +95,22 @@ class TestDiagnosticQuality:
                 "int f () { return g (1, 2); }"
             )
 
+    @pytest.mark.parametrize(
+        "src, where",
+        [
+            ("int f (int x) {\n  return (+)(x);\n}", "line 2: cannot unify"),
+            ("void f () {\n  array<int> a;\n  a = 3;\n}", "line 3: cannot unify"),
+            # used to type-check and die in codegen, without a line
+            ("int f (int x) {\n  3 = x;\n  return x;\n}", "line 2: cannot assign"),
+            ("int g () { return 1; }\nint g () { return 2; }", "line 2: function 'g'"),
+        ],
+        ids=["section-arity", "array-from-int", "non-lvalue", "redefined"],
+    )
+    def test_type_errors_from_unification_carry_the_line(self, src, where):
+        with pytest.raises(SkilTypeError) as exc:
+            compile_skil(src, fusion=True)
+        assert str(exc.value).startswith(where)
+
     def test_pardata_nesting_message(self):
         with pytest.raises(SkilError, match="nested"):
             compile_skil(
@@ -108,6 +127,57 @@ class TestDiagnosticQuality:
         a = DistArray.uninitialized(Machine(4), (8,), np.float64)
         with pytest.raises(LocalityError, match="partition"):
             a.get_elem((7,), rank=0)
+
+
+class TestMutantsFailWithAPosition:
+    """Negative fuzzing: one token of a valid program is deleted,
+    duplicated, swapped with its neighbour or replaced by another of its
+    kind.  Whatever stage notices — lexer, parser, checker, instantiation,
+    fusion, codegen — answers with a ``SkilError`` that says where."""
+
+    POSITION = re.compile(r"^line \d+: |^\d+:\d+: ")
+    #: errors about a whole function carry its name instead of a line
+    WHOLE_FUNCTION = re.compile(r"^function '\w+' required more than \d+ instances")
+
+    @staticmethod
+    def _mutant(rng: random.Random, src: str) -> str:
+        toks = tokenize(src)[:-1]
+        i = rng.randrange(len(toks))
+        op = rng.choice(("delete", "duplicate", "swap", "replace"))
+        if op == "delete":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        elif op == "swap" and i + 1 < len(toks):
+            a, b = toks[i], toks[i + 1]
+            toks[i] = Token(b.kind, b.text, a.line, a.column)
+            toks[i + 1] = Token(a.kind, a.text, b.line, b.column)
+        else:
+            t = toks[i]
+            same_kind = sorted({u.text for u in toks if u.kind is t.kind})
+            toks[i] = Token(t.kind, rng.choice(same_kind), t.line, t.column)
+        out, line = [], 1
+        for t in toks:  # keep every token on its source line
+            out.append("\n" * max(0, t.line - line) + t.text)
+            line = max(line, t.line)
+        return " ".join(out)
+
+    def test_every_mutant_compiles_or_names_a_position(self):
+        rng = random.Random(1)
+        corpus = list(skil_corpus().values())
+        past_the_parser = 0
+        for k in range(400):
+            text = self._mutant(rng, corpus[k % len(corpus)])
+            try:
+                compile_skil(text, fusion=True)
+            except SkilError as err:  # anything else fails the test as itself
+                msg = str(err)
+                assert self.POSITION.match(msg) or self.WHOLE_FUNCTION.match(msg), (
+                    f"{type(err).__name__} without a position: {msg}\n{text}"
+                )
+                past_the_parser += not isinstance(err, SkilSyntaxError)
+        # the sweep reaches the checker and beyond, or it holds nothing
+        assert past_the_parser >= 20
 
 
 class TestDeepNesting:
