@@ -26,9 +26,9 @@ both — one recording, one streaming — and compares:
 Three trial families interleave: skeleton applications (shortest paths
 / Gaussian elimination at p ∈ {4, 16, 64}), raw network op sequences
 (scalar and batched p2p, shifts, tree collectives — the paths that
-take the vectorized ``add_many``/``on_message_wave`` branches), and
-Engine workloads (``divide_and_conquer`` / ``farm``) whose intervals
-arrive through the scalar timeline API.
+emit whole waves: ``add_many`` / ``add_lanes`` / ``record_messages``),
+and Engine workloads (``divide_and_conquer`` / ``farm``) whose
+intervals arrive one ``add`` at a time.
 """
 
 from __future__ import annotations

@@ -203,6 +203,7 @@ def write_obs_artifacts(
     lines: list[str] = []
     if trace_path is not None:
         if getattr(machine, "stream_obs", None) is not None:
+            machine.close()
             lines.append(
                 f"streaming JSONL event spill written to {trace_path} "
                 "(rotated segments keep the tail of long runs)"

@@ -197,7 +197,7 @@ def run_trace_command(
     text = trace_report_text(run)
     if out is not None:
         if stream:
-            run.machine.stream_obs.close()
+            run.machine.close()
             text += (
                 f"\n\nstreaming JSONL event spill written to {out} "
                 "(rotated segments keep the tail of long runs)"

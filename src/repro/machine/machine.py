@@ -96,15 +96,21 @@ class Machine:
     trace_mode:
         How observability data is retained (DESIGN: docs/OBSERVABILITY.md):
 
+        The network emits every charged wave once, through one
+        interface (``add`` / ``add_many`` / ``add_lanes`` on the
+        timeline, ``record_message(s)`` on the stats); the mode picks
+        who listens:
+
         * ``"record"`` — materialize everything: message records,
           timeline intervals and spans accumulate in lists,
           O(messages) memory, full post-hoc analysis (DAG, what-if).
-        * ``"stream"`` — route the same event stream through
+        * ``"stream"`` — fold the same waves into
           :mod:`repro.obs.stream` sinks: exact O(p) aggregates, a
           seeded reservoir of message records, a ring of recent spans,
-          optional JSONL spill.  Memory stays O(p + samples) at any
-          run length; aggregate values are bit-identical to folding a
-          full recording (the ``stream`` check pillar).
+          optional JSONL spill (closed by :meth:`close`).  Memory stays
+          O(p + samples) at any run length; aggregate values are
+          bit-identical to folding a full recording (the ``stream``
+          check pillar).
         * ``None`` (the default) — pick automatically: ``"stream"``
           for a fully traced (``trace_level >= 2``) machine with
           ``p >= STREAM_AUTO_P`` (where record mode's O(messages)
@@ -192,16 +198,13 @@ class Machine:
 
             self.metrics = MetricsRegistry()
             self.network.metrics = self.metrics
-            if streaming:
-                from repro.obs.stream import StreamSpanTracer
+            from repro.obs.span import SpanTracer
 
-                self.tracer = StreamSpanTracer(
-                    self.stats, self.network, self.stream_obs
-                )
-            else:
-                from repro.obs.span import SpanTracer
-
-                self.tracer = SpanTracer(self.stats, self.network)
+            self.tracer = SpanTracer(
+                self.stats,
+                self.network,
+                on_close=self.stream_obs.on_span if streaming else None,
+            )
         if trace_level >= 2:
             if streaming:
                 # the stream timeline takes the Timeline's place on the
@@ -248,17 +251,22 @@ class Machine:
         return self.backend.name
 
     def close(self) -> None:
-        """Tear down backend workers.
+        """Tear down backend workers and close the stream spill.
 
         Idempotent, and every call releases whatever exists *now*: a
         machine used again after ``close()`` lazily restarts its thread
-        pool, and the next ``close()`` shuts that one down too.
-        ``backend="sim"`` machines have nothing to release, so existing
-        code that never calls ``close()`` keeps working; ``threads``
-        users should close (or use the machine as a context manager) so
-        no worker threads outlive the run.
+        pool and reopens its spill file to append, and the next
+        ``close()`` releases those too.
+        ``backend="sim"`` machines without a spill have nothing to
+        release, so existing code that never calls ``close()`` keeps
+        working; ``threads`` users should close (or use the machine as a
+        context manager) so no worker threads outlive the run, and a
+        run that spills (``StreamConfig(spill_path=...)``) must, or the
+        tail of its JSONL file stays in the write buffer.
         """
         self.backend.close()
+        if self.stream_obs is not None:
+            self.stream_obs.close()
         if self.profiler is not None:
             # detach the profiler from the worker plane; the collected
             # stamps stay readable on ``self.profiler`` for post-run
@@ -307,15 +315,6 @@ class Machine:
         # back-to-back trials in one process see stale worker caches and
         # in-flight results from the previous trial (the flaky seam)
         self.backend.reset()
-
-    @property
-    def obs_timeline(self):
-        """The interval sink embedded engines should emit into: the
-        record-mode :class:`~repro.obs.timeline.Timeline`, the stream
-        timeline in stream mode, or ``None`` below ``trace_level=2``."""
-        if self.stream_obs is not None and self.trace_level >= 2:
-            return self.stream_obs.timeline
-        return self.timeline
 
     # ------------------------------------------------------------------ topo
     def topology(self, distr: str = DISTR_DEFAULT) -> VirtualTopology:

@@ -170,38 +170,21 @@ class Network:
         if sec.ndim != 0 and self.balance_compute and sec.shape == (self.p,):
             sec = np.asarray(float(sec.mean()))
         if sec.ndim == 0:
-            tl = self.timeline
-            if tl is not None and float(sec) > 0.0:
-                if getattr(tl, "wave_api", False):
-                    tl.add_many(
-                        self._all_ranks, "compute",
-                        self.clocks, self.clocks + float(sec),
-                    )
-                else:
-                    for r in range(self.p):
-                        t0 = float(self.clocks[r])
-                        tl.add(r, "compute", t0, t0 + float(sec))
-            self.clocks += float(sec)
-            self.stats.compute_seconds += float(sec) * self.p
+            sec = float(sec)
+            total = sec * self.p
+        elif sec.shape == (self.p,):
+            total = float(sec.sum())
         else:
-            if sec.shape != (self.p,):
-                raise MachineError(
-                    f"per-processor compute vector must have shape ({self.p},), "
-                    f"got {sec.shape}"
-                )
-            tl = self.timeline
-            if tl is not None:
-                if getattr(tl, "wave_api", False):
-                    tl.add_many(
-                        self._all_ranks, "compute", self.clocks, self.clocks + sec
-                    )
-                else:
-                    for r in range(self.p):
-                        if sec[r] > 0.0:
-                            t0 = float(self.clocks[r])
-                            tl.add(r, "compute", t0, t0 + float(sec[r]))
-            self.clocks += sec
-            self.stats.compute_seconds += float(sec.sum())
+            raise MachineError(
+                f"per-processor compute vector must have shape ({self.p},), "
+                f"got {sec.shape}"
+            )
+        if self.timeline is not None:
+            self.timeline.add_many(
+                self._all_ranks, "compute", self.clocks, self.clocks + sec
+            )
+        self.clocks += sec
+        self.stats.compute_seconds += total
 
     def compute_at(self, rank: int, seconds: float) -> None:
         """Advance one processor's clock by local work."""
@@ -374,26 +357,15 @@ class Network:
     ) -> None:
         """Per message, in order: the sender's send interval, then the
         receiver's idle wait (if any) and receive interval."""
-        tl = self.timeline
         idle_end = arrival - wire
-        if getattr(tl, "wave_api", False):
-            tl.add_many(srcs, "send", send_from, send_to, tag)
-            tl.add_many(dsts, "idle", old_dst, idle_end, tag)
-            tl.add_many(dsts, "recv", np.maximum(old_dst, idle_end), arrival, tag)
-            return
-        for s, d, t0, t1, od, ie, arr in zip(
-            srcs.tolist(),
-            dsts.tolist(),
-            send_from.tolist(),
-            send_to.tolist(),
-            old_dst.tolist(),
-            idle_end.tolist(),
-            arrival.tolist(),
-        ):
-            tl.add(s, "send", t0, t1, tag)
-            if ie > od:
-                tl.add(d, "idle", od, ie, tag)
-            tl.add(d, "recv", max(od, ie), arr, tag)
+        self.timeline.add_lanes(
+            (
+                (srcs, "send", send_from, send_to),
+                (dsts, "idle", old_dst, idle_end),
+                (dsts, "recv", np.maximum(old_dst, idle_end), arrival),
+            ),
+            tag,
+        )
 
     def _p2p_fanout(self, s: int, rd, plan, nb, tag) -> None:
         """Async messages from one source to distinct remote
@@ -549,19 +521,14 @@ class Network:
                 wire + cost.t_setup,
                 np.maximum(0.0, start - cost.t_setup - old_dst),
             )
-            tl = self.timeline
-            if tl is None:
-                return
-            if getattr(tl, "wave_api", False):
-                tl.add_many(srcs, "send", old_src, finish, tag)
-                tl.add_many(dsts, "recv", old_dst, finish, tag)
-                return
-            for s, d, t_s, t_d, fin in zip(
-                srcs.tolist(), dsts.tolist(), old_src.tolist(),
-                old_dst.tolist(), finish.tolist(),
-            ):
-                tl.add(s, "send", t_s, fin, tag)
-                tl.add(d, "recv", t_d, fin, tag)
+            if self.timeline is not None:
+                self.timeline.add_lanes(
+                    (
+                        (srcs, "send", old_src, finish),
+                        (dsts, "recv", old_dst, finish),
+                    ),
+                    tag,
+                )
             return
         if self.link_contention:
             wire = wire * self._contention_factors(srcs, dsts, nb, topo)
@@ -683,14 +650,9 @@ class Network:
         seeded ``np.add.accumulate`` (a sequential left fold), matching
         the scalar ``+=`` loop bit for bit.
         """
-        tl = self.timeline
-        if tl is not None and not getattr(tl, "wave_api", False):
-            for d in ranks.tolist():
-                self.compute_at(int(d), combine_seconds)
-            return
-        old = self.clocks[ranks]
-        if tl is not None:
-            tl.add_many(ranks, "compute", old, old + combine_seconds)
+        if self.timeline is not None:
+            old = self.clocks[ranks]
+            self.timeline.add_many(ranks, "compute", old, old + combine_seconds)
         self.clocks[ranks] += combine_seconds
         buf = np.full(ranks.size + 1, combine_seconds, dtype=np.float64)
         buf[0] = self.stats.compute_seconds

@@ -1,8 +1,16 @@
-"""Execution statistics and optional event tracing for simulated runs."""
+"""Execution statistics and optional event tracing for simulated runs.
+
+Messages reach :class:`TraceStats` one at a time
+(:meth:`~TraceStats.record_message`) or as one charged wave of parallel
+arrays (:meth:`~TraceStats.record_messages`); a recording appends one
+:class:`MessageRecord` per message to :attr:`TraceStats.records` either
+way.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -102,30 +110,18 @@ class TraceStats:
         """
         k = len(srcs)
         self.messages += k
-        if isinstance(nbytes, np.ndarray):
-            self.bytes_sent += int(nbytes.sum(dtype=np.int64))
-        else:
-            self.bytes_sent += int(sum(int(nb) for nb in nbytes))
-        if isinstance(hops, np.ndarray):
-            self.hops_crossed += int(hops.sum(dtype=np.int64))
-        else:
-            self.hops_crossed += int(sum(int(h) for h in hops))
+        self.bytes_sent += int(np.sum(nbytes, dtype=np.int64))
+        self.hops_crossed += int(np.sum(hops, dtype=np.int64))
         if self.keep_records:
-            if departs is None:
-                departs = [-1.0] * k
-            append = self.records.append
-            for i in range(k):
-                append(
-                    MessageRecord(
-                        float(times[i]),
-                        int(srcs[i]),
-                        int(dsts[i]),
-                        int(nbytes[i]),
-                        int(hops[i]),
-                        tag,
-                        float(departs[i]),
-                    )
-                )
+            ints = (
+                np.asarray(col, dtype=np.int64).tolist()
+                for col in (srcs, dsts, nbytes, hops)
+            )
+            t, dep = (
+                np.asarray(col, dtype=np.float64).tolist()
+                for col in (times, [-1.0] * k if departs is None else departs)
+            )
+            self.records.extend(map(MessageRecord, t, *ints, repeat(tag), dep))
         if self.sink is not None:
             self.sink.on_message_wave(times, srcs, dsts, nbytes, hops, tag, departs)
 

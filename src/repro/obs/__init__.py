@@ -59,7 +59,6 @@ from repro.obs.stream import (
     ProgressReporter,
     StreamConfig,
     StreamObserver,
-    StreamSpanTracer,
     StreamTimeline,
     compare_observers,
     fold_recorded,
@@ -120,7 +119,6 @@ __all__ = [
     "ProgressReporter",
     "StreamConfig",
     "StreamObserver",
-    "StreamSpanTracer",
     "StreamTimeline",
     "compare_observers",
     "fold_recorded",

@@ -346,11 +346,10 @@ class _RankIndex:
     """Per-rank interval lookups for the backward walk."""
 
     def __init__(self, timeline: Timeline):
-        self.by_rank: dict[int, list[Interval]] = {}
-        for iv in timeline.intervals:
-            self.by_rank.setdefault(iv.rank, []).append(iv)
-        for ivs in self.by_rank.values():
-            ivs.sort(key=lambda iv: (iv.end, iv.start))
+        self.by_rank: dict[int, list[Interval]] = {
+            r: sorted(ivs, key=lambda iv: (iv.end, iv.start))
+            for r, ivs in timeline.by_rank().items()
+        }
         self.ends = {r: [iv.end for iv in ivs] for r, ivs in self.by_rank.items()}
 
     def ending_at(self, rank: int, t: float, eps: float) -> list[Interval]:
@@ -376,12 +375,17 @@ class _RankIndex:
 
 
 class _RecordIndex:
-    """Message arrivals per receiver, for the backward walk."""
+    """Message arrivals per receiver and departures per sender, for the
+    backward walk."""
 
     def __init__(self, records: Sequence[MessageRecord]):
         self.by_dst: dict[int, list[MessageRecord]] = {}
+        self.by_src: dict[int, list[MessageRecord]] = {}
         for rec in records:
-            if rec.depart >= 0.0 and rec.src != rec.dst:
+            if rec.depart < 0.0:
+                continue
+            self.by_src.setdefault(rec.src, []).append(rec)
+            if rec.src != rec.dst:
                 self.by_dst.setdefault(rec.dst, []).append(rec)
         for recs in self.by_dst.values():
             recs.sort(key=lambda r: r.time)
@@ -409,14 +413,12 @@ class _RecordIndex:
         return best
 
     def sent_ending_at(
-        self, records: Sequence[MessageRecord], rank: int, t: float, eps: float
+        self, rank: int, t: float, eps: float
     ) -> MessageRecord | None:
         """A record sent by *rank* whose arrival or departure is *t*
         (used to split a send interval into setup/wire parts)."""
         best = None
-        for rec in records:
-            if rec.src != rank or rec.depart < 0.0:
-                continue
+        for rec in self.by_src.get(rank, ()):
             if abs(rec.time - t) <= eps or abs(rec.depart - t) <= eps:
                 if best is None or rec.depart > best.depart:
                     best = rec
@@ -575,7 +577,7 @@ def critical_path(
             v = min(ending, key=lambda iv: (iv.start, _KIND_ORDER.get(iv.kind, 9)))
             srec = None
             if v.kind == "send":
-                srec = recidx.sent_ending_at(records, rank, t, eps)
+                srec = recidx.sent_ending_at(rank, t, eps)
                 if (
                     srec is not None
                     and srec.depart > v.start + cost.t_setup + eps
@@ -601,9 +603,7 @@ def critical_path(
         if spanning is not None:
             srec = None
             if spanning.kind == "send":
-                srec = recidx.sent_ending_at(
-                    records, rank, spanning.end, eps
-                )
+                srec = recidx.sent_ending_at(rank, spanning.end, eps)
             emit(
                 _classified(
                     rank, spanning.kind, spanning.start, t, cost, srec,

@@ -33,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.machine import Machine
 
 __all__ = [
+    "span_event",
+    "interval_event",
     "chrome_trace_events",
     "wall_trace_events",
     "write_chrome_trace",
@@ -52,6 +54,41 @@ _WALL_PID = 2
 
 def _us(seconds: float) -> float:
     return seconds * 1e6
+
+
+def span_event(span: Span) -> dict[str, Any]:
+    """The complete event of one closed span (export and stream spill)."""
+    return {
+        "ph": "X",
+        "name": span.name,
+        "cat": span.category,
+        "pid": _PID,
+        "tid": _SPAN_TID,
+        "ts": _us(span.begin_time),
+        "dur": _us(span.duration),
+        "args": {
+            "compute_s": span.compute_seconds,
+            "comm_s": span.comm_seconds,
+            "idle_s": span.idle_seconds,
+            "messages": span.messages,
+            "bytes": span.bytes_sent,
+            "ranks": list(span.ranks),
+        },
+    }
+
+
+def interval_event(rank, kind, start, end, detail: str = "") -> dict[str, Any]:
+    """The complete event of one rank interval (export and stream spill)."""
+    return {
+        "ph": "X",
+        "name": detail or kind,
+        "cat": kind,
+        "pid": _PID,
+        "tid": int(rank) + 1,
+        "ts": _us(float(start)),
+        "dur": _us(float(end) - float(start)),
+        "args": {},
+    }
 
 
 def chrome_trace_events(
@@ -77,28 +114,7 @@ def chrome_trace_events(
         },
     ]
     if tracer is not None:
-        for s in tracer.spans:
-            if not s.closed:
-                continue
-            events.append(
-                {
-                    "ph": "X",
-                    "name": s.name,
-                    "cat": s.category,
-                    "pid": _PID,
-                    "tid": _SPAN_TID,
-                    "ts": _us(s.begin_time),
-                    "dur": _us(s.duration),
-                    "args": {
-                        "compute_s": s.compute_seconds,
-                        "comm_s": s.comm_seconds,
-                        "idle_s": s.idle_seconds,
-                        "messages": s.messages,
-                        "bytes": s.bytes_sent,
-                        "ranks": list(s.ranks),
-                    },
-                }
-            )
+        events.extend(span_event(s) for s in tracer.spans if s.closed)
     if timeline is not None:
         for r in timeline.ranks():
             events.append(
@@ -110,19 +126,10 @@ def chrome_trace_events(
                     "args": {"name": f"rank {r}"},
                 }
             )
-        for iv in timeline.intervals:
-            events.append(
-                {
-                    "ph": "X",
-                    "name": iv.detail or iv.kind,
-                    "cat": iv.kind,
-                    "pid": _PID,
-                    "tid": iv.rank + 1,
-                    "ts": _us(iv.start),
-                    "dur": _us(iv.duration),
-                    "args": {},
-                }
-            )
+        events.extend(
+            interval_event(iv.rank, iv.kind, iv.start, iv.end, iv.detail)
+            for iv in timeline.intervals
+        )
         # derived idle-wait tracks: one per rank, maximal gaps only
         for r in timeline.ranks():
             gaps = timeline.idle_gaps(r)

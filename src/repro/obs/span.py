@@ -75,13 +75,24 @@ class _Snapshot:
 
 
 class SpanTracer:
-    """Records a tree of spans against a stats object and a clock vector."""
+    """Records a tree of spans against a stats object and a clock vector.
 
-    def __init__(self, stats: "TraceStats", network: "Network"):
+    With *on_close* (stream mode passes
+    :meth:`repro.obs.stream.StreamObserver.on_span`) every closed span
+    is handed to the callback and nothing but the open stack is
+    retained: :attr:`spans` stays empty, and the query helpers that need
+    the full tree are record-mode only.  ``index`` and ``parent`` count
+    begun spans either way, so a streamed span equals the recorded one
+    field for field.
+    """
+
+    def __init__(self, stats: "TraceStats", network: "Network", on_close=None):
         self.stats = stats
         self.network = network
         self.spans: list[Span] = []
         self._stack: list[tuple[Span, _Snapshot]] = []
+        self._on_close = on_close
+        self._begun = 0
 
     # ------------------------------------------------------------------ core
     def begin(self, name: str, category: str = "skeleton") -> Span:
@@ -89,7 +100,7 @@ class SpanTracer:
         span = Span(
             name=name,
             category=category,
-            index=self._issue_index(),
+            index=self._begun,
             parent=parent,
             depth=len(self._stack),
             begin_time=self.network.time,
@@ -102,28 +113,11 @@ class SpanTracer:
             bytes_sent=self.stats.bytes_sent,
             clocks=self.network.clocks.copy(),
         )
-        self._register(span)
+        self._begun += 1
+        if self._on_close is None:
+            self.spans.append(span)
         self._stack.append((span, snap))
         return span
-
-    # -------------------------------------------------------------- hooks
-    # Retention policy is factored into three overridable hooks so the
-    # streaming tracer (:class:`repro.obs.stream.StreamSpanTracer`) can
-    # keep only the open stack: indices stay monotone, closed spans flow
-    # to an observer instead of accumulating in :attr:`spans`.  ``begin``
-    # reads the parent index off the stacked Span object and ``end``
-    # never indexes :attr:`spans`, so subclasses may drop retention
-    # entirely without breaking the pairing logic.
-    def _issue_index(self) -> int:
-        """Index for the span about to begin."""
-        return len(self.spans)
-
-    def _register(self, span: Span) -> None:
-        """A span began; default retains it in :attr:`spans`."""
-        self.spans.append(span)
-
-    def _finalize(self, span: Span) -> None:
-        """A span closed with its attribution filled in; default no-op."""
 
     def end(self, span: Span | None = None) -> Span:
         """Close the innermost span (or *span*, which must be innermost)."""
@@ -143,8 +137,9 @@ class SpanTracer:
         top.messages = self.stats.messages - snap.messages
         top.bytes_sent = self.stats.bytes_sent - snap.bytes_sent
         moved = self.network.clocks != snap.clocks
-        top.ranks = tuple(int(r) for r in moved.nonzero()[0])
-        self._finalize(top)
+        top.ranks = tuple(moved.nonzero()[0].tolist())
+        if self._on_close is not None:
+            self._on_close(top)
         return top
 
     def end_through(self, span: Span) -> Span:
@@ -194,3 +189,4 @@ class SpanTracer:
     def clear(self) -> None:
         self.spans.clear()
         self._stack.clear()
+        self._begun = 0

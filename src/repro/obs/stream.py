@@ -1,11 +1,11 @@
 """Streaming, memory-bounded observability (``trace_mode="stream"``).
 
 The record-mode trace layers (:mod:`repro.machine.trace`,
-:mod:`repro.obs.timeline`, :mod:`repro.obs.span`) materialize every
-message record, per-rank interval and span in Python lists — O(messages)
-memory, which makes a traced run at p=16384 infeasible.  This module
-replaces "record everything, analyze later" with *sinks* that consume
-the same event stream online:
+:mod:`repro.obs.timeline`, :mod:`repro.obs.span`) keep every message,
+per-rank interval and span — O(messages) memory, which makes a traced
+run at p=16384 infeasible.  The Network emits each charged wave once,
+through one interface; this module holds the *sinks* that fold the
+same waves online instead of keeping them:
 
 * exact per-rank/per-kind aggregates (:class:`StreamTimeline`) and
   per-rank message counters (:class:`StreamObserver`) — O(p) memory,
@@ -24,7 +24,7 @@ scalar cell is updated with the same IEEE-754 additions, in the same
 order, as a left-to-right fold over the corresponding record-mode lists.
 Within one wave each (rank, kind) cell receives its contributions
 through ``np.add.at``, which applies element-by-element in index order —
-the order the record-mode loop appends intervals.  The ``stream`` pillar
+the order record mode lists that cell's intervals in.  The ``stream`` pillar
 of :mod:`repro.check` holds this line: it folds a full ``trace_level=2``
 recording through :func:`fold_recorded` and compares every array
 bitwise against a live streamed run.
@@ -50,21 +50,18 @@ import numpy as np
 
 from repro.errors import SkilError
 from repro.machine.trace import MessageRecord
-from repro.obs.export import _PID, _SPAN_TID, _us
+from repro.obs.export import interval_event, span_event
 from repro.obs.metrics import Histogram
 from repro.obs.span import Span, SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.machine import Machine
-    from repro.machine.network import Network
-    from repro.machine.trace import TraceStats
 
 __all__ = [
     "ObsSink",
     "StreamConfig",
     "StreamTimeline",
     "StreamObserver",
-    "StreamSpanTracer",
     "ReservoirSampler",
     "SpanRing",
     "JsonlSpillWriter",
@@ -269,6 +266,8 @@ class JsonlSpillWriter:
 
     def write_event(self, event: dict[str, Any]) -> None:
         line = json.dumps(event, separators=(",", ":")) + "\n"
+        if self._fh.closed:  # written to again after close(): carry on
+            self._fh = open(self.path, "a", encoding="utf-8")
         if self._bytes and self._bytes + len(line) > self.max_bytes:
             self.rotate()
         self._fh.write(line)
@@ -298,71 +297,29 @@ class JsonlSpillWriter:
         self.close()
 
 
-def _interval_event(rank, kind, start, end, detail: str = "") -> dict[str, Any]:
-    return {
-        "ph": "X",
-        "name": detail or kind,
-        "cat": kind,
-        "pid": _PID,
-        "tid": int(rank) + 1,
-        "ts": _us(float(start)),
-        "dur": _us(float(end) - float(start)),
-        "args": {},
-    }
-
-
-def _span_event(span: Span) -> dict[str, Any]:
-    return {
-        "ph": "X",
-        "name": span.name,
-        "cat": span.category,
-        "pid": _PID,
-        "tid": _SPAN_TID,
-        "ts": _us(span.begin_time),
-        "dur": _us(span.duration),
-        "args": {
-            "compute_s": span.compute_seconds,
-            "comm_s": span.comm_seconds,
-            "idle_s": span.idle_seconds,
-            "messages": span.messages,
-            "bytes": span.bytes_sent,
-            "ranks": list(span.ranks),
-        },
-    }
-
-
 def _message_event(time, src, dst, nbytes, hops, tag, depart) -> dict[str, Any]:
+    """A message as an interval on the receiver's track, from its wire
+    departure (the arrival when unknown) to its arrival."""
     t = float(time)
     d = float(depart)
     ts = d if d >= 0.0 else t
-    return {
-        "ph": "X",
-        "name": tag or "message",
-        "cat": "message",
-        "pid": _PID,
-        "tid": int(dst) + 1,
-        "ts": _us(ts),
-        "dur": _us(max(t - ts, 0.0)),
-        "args": {"src": int(src), "nbytes": int(nbytes), "hops": int(hops)},
-    }
+    event = interval_event(dst, "message", ts, max(t, ts), tag)
+    event["args"] = {"src": int(src), "nbytes": int(nbytes), "hops": int(hops)}
+    return event
 
 
 # ---------------------------------------------------------------- timeline
 class StreamTimeline:
     """O(p) stand-in for :class:`repro.obs.timeline.Timeline`.
 
-    Speaks the same ``add(rank, kind, start, end, detail)`` interface
-    (including the drop of zero/negative-length intervals), so the
-    Network's scalar paths and the Engine emit into it unchanged; the
-    batched charging paths detect :attr:`wave_api` and push one
-    vectorized :meth:`add_many` per wave instead.  Per (rank, kind) it
+    Speaks the same emission interface — ``add`` for one interval,
+    ``add_many`` / ``add_lanes`` for a charged wave, all dropping
+    zero/negative-length intervals — so the Network and the Engine emit
+    without knowing which timeline is installed.  Per (rank, kind) it
     keeps exact total seconds and interval counts; per rank the
     earliest start / latest end over all kinds (the record-mode
     ``span()`` query).
     """
-
-    #: batched emitters branch on this to use :meth:`add_many`
-    wave_api = True
 
     def __init__(self, p: int, observer: "StreamObserver | None" = None):
         self.p = int(p)
@@ -401,7 +358,7 @@ class StreamTimeline:
         self.intervals_seen += 1
         obs = self._observer
         if obs is not None and obs.spill is not None:
-            obs.spill.write_event(_interval_event(r, kind, start, end, detail))
+            obs.spill.write_event(interval_event(r, kind, start, end, detail))
 
     def add_many(self, ranks, kind: str, starts, ends, detail: str = "") -> None:
         """One vectorized wave of same-kind intervals.
@@ -428,8 +385,16 @@ class StreamTimeline:
         if obs is not None and obs.spill is not None:
             for i in range(rs.size):
                 obs.spill.write_event(
-                    _interval_event(rs[i], kind, ss[i], es[i], detail)
+                    interval_event(rs[i], kind, ss[i], es[i], detail)
                 )
+
+    def add_lanes(self, lanes, detail: str = "") -> None:
+        """One message wave (see :meth:`Timeline.add_lanes
+        <repro.obs.timeline.Timeline.add_lanes>`): the aggregates do not
+        depend on how the lanes interleave, so each lane is one
+        :meth:`add_many`."""
+        for ranks, kind, starts, ends in lanes:
+            self.add_many(ranks, kind, starts, ends, detail)
 
     # ------------------------------------------------------------- queries
     def kinds(self) -> list[str]:
@@ -623,7 +588,7 @@ class StreamObserver:
         self.ring.append(span)
         self.spans_seen += 1
         if self.spill is not None:
-            self.spill.write_event(_span_event(span))
+            self.spill.write_event(span_event(span))
         if self.heartbeat is not None:
             self.heartbeat.maybe_report()
 
@@ -708,36 +673,6 @@ class StreamObserver:
     def close(self) -> None:
         if self.spill is not None:
             self.spill.close()
-
-
-# ---------------------------------------------------------------- tracer
-class StreamSpanTracer(SpanTracer):
-    """Span tracer that retains only the open stack.
-
-    Indices stay monotone in begin order (identical to record mode), so
-    ``parent``/``index`` fields of streamed spans match the record-mode
-    tracer field for field; closed spans flow to the observer instead
-    of accumulating in :attr:`spans` (which stays empty — query helpers
-    that need the full tree are record-mode only).
-    """
-
-    def __init__(self, stats: "TraceStats", network: "Network", observer: StreamObserver):
-        super().__init__(stats, network)
-        self.observer = observer
-        self._next_index = 0
-
-    def _issue_index(self) -> int:
-        return self._next_index
-
-    def _register(self, span: Span) -> None:
-        self._next_index += 1
-
-    def _finalize(self, span: Span) -> None:
-        self.observer.on_span(span)
-
-    def clear(self) -> None:
-        super().clear()
-        self._next_index = 0
 
 
 # ---------------------------------------------------------------- progress

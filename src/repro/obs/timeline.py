@@ -5,11 +5,21 @@ Both time layers fill the same structure: the analytic clock arithmetic
 collective operation, the discrete-event engine
 (:mod:`repro.machine.engine`) records them at message granularity.  The
 Chrome trace exporter turns each rank's intervals into one track.
+
+Emission has one interface, shared with
+:class:`repro.obs.stream.StreamTimeline`: :meth:`Timeline.add` for one
+interval, :meth:`Timeline.add_many` for a wave of one kind and
+:meth:`Timeline.add_lanes` for a message wave (send / idle / recv).  A
+wave arrives as column arrays and its :class:`Interval` objects are
+built inside the call, so :attr:`Timeline.intervals` is a plain list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
+
+import numpy as np
 
 __all__ = ["Interval", "Timeline", "COMPUTE", "SEND", "RECV", "IDLE"]
 
@@ -39,6 +49,9 @@ class Timeline:
 
     def __init__(self) -> None:
         self.intervals: list[Interval] = []
+        #: :meth:`by_rank`'s grouping and how many intervals it covers
+        self._by_rank: dict[int, list[Interval]] = {}
+        self._grouped = 0
 
     def add(
         self, rank: int, kind: str, start: float, end: float, detail: str = ""
@@ -47,11 +60,46 @@ class Timeline:
         if end > start:
             self.intervals.append(Interval(rank, kind, start, end, detail))
 
+    def add_many(self, ranks, kind: str, starts, ends, detail: str = "") -> None:
+        """One wave of same-kind intervals: :meth:`add` per entry, in
+        index order."""
+        self.add_lanes(((ranks, kind, starts, ends),), detail)
+
+    def add_lanes(self, lanes, detail: str = "") -> None:
+        """One message wave: *lanes* are ``(ranks, kind, starts, ends)``
+        column tuples of equal length, one entry per message.
+
+        Equivalent to :meth:`add` per message, in order, and within a
+        message per lane — ``send, [idle], recv``, never grouped by
+        kind: a rank that receives in one message and sends in a later
+        one reads its intervals in that order.
+        """
+        ranks, starts, ends = (
+            np.array([lane[col] for lane in lanes]).T.ravel().tolist()
+            for col in (0, 2, 3)
+        )
+        kinds = cycle([lane[1] for lane in lanes])
+        self.intervals.extend(
+            Interval(r, k, s, e, detail)
+            for r, k, s, e in zip(ranks, kinds, starts, ends)
+            if e > s
+        )
+
+    def by_rank(self) -> dict[int, list[Interval]]:
+        """The intervals grouped by rank, each group in emission order.
+        Regrouped when the timeline has changed since; do not mutate."""
+        if self._grouped != len(self.intervals):
+            groups: dict[int, list[Interval]] = {}
+            for iv in self.intervals:
+                groups.setdefault(iv.rank, []).append(iv)
+            self._by_rank, self._grouped = groups, len(self.intervals)
+        return self._by_rank
+
     def for_rank(self, rank: int) -> list[Interval]:
-        return [iv for iv in self.intervals if iv.rank == rank]
+        return list(self.by_rank().get(rank, ()))
 
     def ranks(self) -> list[int]:
-        return sorted({iv.rank for iv in self.intervals})
+        return sorted(self.by_rank())
 
     def busy_seconds(self, rank: int) -> float:
         return sum(iv.duration for iv in self.for_rank(rank) if iv.kind != IDLE)
@@ -126,6 +174,7 @@ class Timeline:
 
     def clear(self) -> None:
         self.intervals.clear()
+        self._by_rank, self._grouped = {}, 0
 
     def __len__(self) -> int:
         return len(self.intervals)

@@ -160,7 +160,7 @@ def divide_and_conquer(
         ctx.machine.cost,
         ctx.machine.topology(ctx.default_distr),
         stats=ctx.machine.stats,
-        timeline=ctx.machine.obs_timeline,
+        timeline=ctx.machine.network.timeline,
         metrics=ctx.machine.metrics,
         t0=ctx.machine.time,
     )

@@ -97,7 +97,7 @@ def farm(
         ctx.machine.cost,
         ctx.machine.topology(ctx.default_distr),
         stats=ctx.machine.stats,
-        timeline=ctx.machine.obs_timeline,
+        timeline=ctx.machine.network.timeline,
         metrics=ctx.machine.metrics,
         t0=ctx.machine.time,
     )

@@ -1,5 +1,6 @@
 """Machine-level tracing: zero-cost-when-off, reset contract, engine hooks."""
 
+import numpy as np
 import pytest
 
 from repro.apps.gauss import gauss_full, random_system
@@ -136,16 +137,76 @@ class TestMergeFix:
         assert len(a.records) == 1
         assert a.messages == 1
 
+    def test_wave_records_merge_into_recordless_stats(self):
+        a = TraceStats(keep_records=False)
+        b = TraceStats(keep_records=True)
+        b.record_message(0.5, 3, 4, 8, 1, "first", depart=0.25)
+        b.record_messages(*_wave(), "x", departs=np.array([0.5, 1.5]))
+        a.merge(b)
+        assert a.records == b.records and len(a.records) == 3
+        assert a.messages == 3
+
     def test_clear_zeroes_in_place(self):
         s = TraceStats(keep_records=True)
-        s.messages = 5
         s.compute_seconds = 1.0
-        s.records.append(object())
+        s.record_message(1.0, 0, 1, 64, 1, "x", depart=0.5)
+        s.record_messages(*_wave(), "x")
+        assert len(s.records) == 3
         alias = s
         s.clear()
         assert alias.messages == 0
         assert alias.compute_seconds == 0.0
         assert alias.records == []
+
+
+def _wave():
+    """times, srcs, dsts, nbytes, hops of two messages."""
+    return (np.array([1.0, 2.0]), np.array([0, 1]), np.array([1, 2]),
+            np.array([64, 32]), np.array([1, 2]))
+
+
+class TestRecordWaves:
+    """``record_messages`` appends the same objects, in the same order,
+    as one ``record_message`` per entry."""
+
+    def test_wave_equals_scalar_records(self):
+        wave, scalar = (TraceStats(keep_records=True) for _ in range(2))
+        departs = np.array([0.5, 1.5])
+        wave.record_messages(*_wave(), "x", departs=departs)
+        wave.record_messages(*_wave(), "late")  # departure unknown
+        for tag, deps in (("x", departs), ("late", [-1.0, -1.0])):
+            for t, s, d, nb, h, dep in zip(*_wave(), deps):
+                scalar.record_message(
+                    float(t), int(s), int(d), int(nb), int(h), tag, float(dep)
+                )
+        assert wave.records == scalar.records
+        assert wave.summary() == scalar.summary()
+        rec = wave.records[0]
+        assert type(rec.src) is int and type(rec.time) is float
+
+    def test_wave_owns_its_data(self):
+        s = TraceStats(keep_records=True)
+        columns, departs = _wave(), np.array([0.5, 1.5])
+        s.record_messages(*columns, "x", departs=departs)
+        for arr in (*columns, departs):
+            arr += 7
+        fresh = TraceStats(keep_records=True)
+        fresh.record_messages(*_wave(), "x", departs=np.array([0.5, 1.5]))
+        assert s.records == fresh.records
+
+    def test_nothing_kept_without_keep_records(self):
+        s = TraceStats()
+        s.record_messages(*_wave(), "x")
+        assert s.messages == 2 and s.records == []
+
+    def test_read_record_read_sees_the_new_tail(self):
+        s = TraceStats(keep_records=True)
+        s.record_messages(*_wave(), "x")
+        head = list(s.records)
+        s.record_message(3.0, 2, 0, 16, 1, "y", depart=2.5)
+        s.record_messages(*_wave(), "z")
+        assert s.records[:2] == head
+        assert [r.tag for r in s.records[2:]] == ["y", "z", "z"]
 
 
 class TestNetworkTimeline:

@@ -167,3 +167,26 @@ class TestClear:
         m.network.compute(1.0)
         tracer.end(s)
         assert s.compute_seconds > 0
+
+    def test_on_close_hands_spans_over_instead_of_retaining_them(self):
+        """The stream mode of the one tracer: closed spans go to the
+        callback in close order, and carry the indices a recording
+        tracer gives them — also after ``clear``."""
+        m = Machine(2)
+        closed: list = []
+        streamed = SpanTracer(m.stats, m.network, on_close=closed.append)
+        recorded = SpanTracer(m.stats, m.network)
+        for tracer in (streamed, recorded, streamed, recorded):
+            tracer.clear()
+            a = tracer.begin("a")
+            b = tracer.begin("b", category="phase")
+            m.network.compute_at(1, 1.0)
+            tracer.end(b)
+            tracer.end(a)
+            c = tracer.begin("c")
+            tracer.end(c)
+        assert streamed.spans == [] and streamed.open_depth == 0
+        assert [s.name for s in closed] == ["b", "a", "c"] * 2
+        shape = lambda s: (s.index, s.name, s.parent, s.depth)  # noqa: E731
+        assert sorted(map(shape, closed[3:])) == [shape(s) for s in recorded.spans]
+        assert closed[0].ranks == (1,) and type(closed[0].ranks[0]) is int

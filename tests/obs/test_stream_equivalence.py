@@ -91,17 +91,84 @@ class TestStreamMachineContracts:
         assert m.network.timeline is m.stream_obs.timeline
         assert m.stats.sink is m.stream_obs
         assert not m.stats.keep_records
-        assert m.obs_timeline is m.stream_obs.timeline
 
     def test_record_machine_has_no_stream(self):
         m = Machine(4, trace_level=2)
         assert m.stream_obs is None
         assert m.stats.sink is None
-        assert m.obs_timeline is m.timeline
+        assert m.network.timeline is m.timeline
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(SkilError):
             Machine(4, trace_mode="bogus")
+
+    def test_close_closes_the_spill(self, tmp_path):
+        path = tmp_path / "spill.jsonl"
+        with Machine(4, trace_level=2, trace_mode="stream",
+                     stream=StreamConfig(spill_path=str(path))) as m:
+            m.network.broadcast(0, 64, m.topology())
+        spill = m.stream_obs.spill
+        assert spill.events_written == 12
+        assert spill._fh.closed
+        assert len(path.read_text().splitlines()) == spill.events_written
+        m.close()  # a second close is a no-op
+        # used again after close(), the machine appends to the same file
+        with m:
+            m.network.broadcast(0, 64, m.topology())
+        assert spill.events_written == 24 and spill._fh.closed
+        assert len(path.read_text().splitlines()) == 24
+
+    def test_spill_and_export_build_the_same_events(self, tmp_path):
+        """One Chrome-event builder: the spans and, per rank track, the
+        intervals a stream spills are the ones a recording exports (as
+        sets: the spill writes a wave lane by lane, the export message
+        by message)."""
+        import json
+
+        from repro.obs import chrome_trace_events
+
+        path = tmp_path / "spill.jsonl"
+        m_rec, m_str = _pair(4, spill_path=str(path))
+        with isolated_metrics():
+            _run_shpaths(m_rec)
+        with isolated_metrics():
+            _run_shpaths(m_str)
+        m_str.close()
+
+        def tracks(events):
+            out: dict = {}
+            for ev in events:
+                if ev["ph"] == "X" and ev["cat"] != "message" and ev["tid"] < 1000:
+                    out.setdefault(ev["tid"], []).append(json.dumps(ev))
+            return {tid: sorted(evs) for tid, evs in out.items()}
+
+        exported = json.loads(json.dumps(
+            chrome_trace_events(m_rec.tracer, m_rec.timeline)))
+        spilled = [json.loads(ln) for ln in path.read_text().splitlines()]
+        assert tracks(spilled) == tracks(exported)
+        assert len(tracks(exported)) == 5  # the span track and four ranks
+
+    @pytest.mark.parametrize("owner, name", [
+        ("repro.obs", "StreamSpanTracer"),
+        ("repro.obs.stream", "StreamSpanTracer"),
+        ("repro.obs.stream", "_span_event"),
+        ("repro.obs.stream", "_interval_event"),
+        ("repro.obs.stream.StreamTimeline", "wave_api"),
+        ("repro.obs.span.SpanTracer", "_issue_index"),
+        ("repro.obs.span.SpanTracer", "_register"),
+        ("repro.obs.span.SpanTracer", "_finalize"),
+        ("repro.machine.machine.Machine", "obs_timeline"),
+    ])
+    def test_the_second_emission_path_is_gone(self, owner, name):
+        """No shim left behind: one tracer class, one event builder, one
+        timeline interface nobody has to ask ``wave_api`` about."""
+        import importlib
+
+        obj = None
+        for part in owner.split("."):
+            obj = importlib.import_module(part) if obj is None else (
+                getattr(obj, part))
+        assert not hasattr(obj, name), f"{owner}.{name}"
 
     def test_reset_clears_stream_state_in_place(self):
         m = Machine(4, trace_level=2, trace_mode="stream")
