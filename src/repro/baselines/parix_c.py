@@ -1,10 +1,11 @@
 """Hand-written message-passing baselines (the paper's "Parix-C").
 
-These implement the same two algorithms *directly* against the machine's
-network layer — no skeleton objects, no skeleton-call overhead, no
-residual per-element calls; loops are "written by hand" (numpy blocks)
-and charged at the C profile's factor 1.0.  They are the comparator of
-Table 2's italics row and Table 1's last column.
+These implement the same two algorithms *directly* — no skeleton objects,
+no skeleton-call overhead, no residual per-element calls; loops are
+"written by hand" (numpy blocks).  Like the skeletons they only state
+their work to a :class:`~repro.machine.charge.Charge`, here built over
+the C profile (factor 1.0).  They are the comparator of Table 2's
+italics row and Table 1's last column.
 
 Two C variants exist in the paper:
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.apps.shortest_paths import RunReport
 from repro.errors import SkilError
+from repro.machine.charge import Charge
 from repro.machine.costmodel import PARIX_C, PARIX_C_OLD, CostModel, T800_PARSYTEC
 from repro.machine.machine import Machine
 from repro.machine.topology import Torus2D
@@ -68,11 +70,9 @@ def shpaths_c(
     if n % g != 0:
         raise SkilError(f"n={n} must be divisible by the grid side {g}")
     prof = _profile(old)
-    sync = not prof.async_comm
+    charge = Charge(machine, prof)
     topo = machine.topology("DISTR_TORUS2D")
     assert isinstance(topo, Torus2D)
-    net = machine.network
-    cost = machine.cost
     nb = n // g
     start = machine.time
 
@@ -85,7 +85,7 @@ def shpaths_c(
         ]
 
     a = blocks_of(dist_matrix.astype(np.float64))
-    net.compute(nb * nb * prof.elem_time(cost))  # init sweep
+    charge.work((nb * nb, 1.0))  # init sweep
 
     nbytes = a[0].nbytes
 
@@ -111,25 +111,24 @@ def shpaths_c(
     def skew(blocks, kind, direction):
         pairs = skews[kind, direction]
         if pairs:
-            net.shift(pairs, nbytes, topo, sync=sync, tag=f"c-skew-{kind}")
+            charge.shift(pairs, nbytes, topo, tag=f"c-skew-{kind}")
             moved = {d: blocks[s] for s, d in pairs}
             for d, blk in moved.items():
                 blocks[d] = blk
 
     def rotate(blocks, pairs, tag):
-        net.shift(pairs, nbytes, topo, sync=sync, tag=tag)
+        charge.shift(pairs, nbytes, topo, tag=tag)
         moved = {d: blocks[s] for s, d in pairs}
         for d, blk in moved.items():
             blocks[d] = blk
 
     west = [(r, topo.west(r)) for r in range(p) if topo.west(r) != r]
     north = [(r, topo.north(r)) for r in range(p) if topo.north(r) != r]
-    t_round = nb * nb * nb * 2 * prof.elem_time(cost)
 
     iters = max(1, math.ceil(math.log2(n)))
     for _ in range(iters):
         # b = a (local memcpy), c = inf
-        net.compute(nbytes * cost.t_mem)
+        charge.memcpy(nbytes)
         ab = [blk.copy() for blk in a]
         bb = [blk.copy() for blk in a]
         cb = [np.full_like(blk, np.inf) for blk in a]
@@ -140,7 +139,7 @@ def shpaths_c(
                 cb[r] = np.minimum(
                     cb[r], np.min(ab[r][:, :, None] + bb[r][None, :, :], axis=1)
                 )
-            net.compute(t_round)
+            charge.work((nb * nb * nb * 2, 1.0))  # a (min, +) pair per (i, j, k)
             if step < g - 1:
                 rotate(ab, west, "c-rot-a")
                 rotate(bb, north, "c-rot-b")
@@ -150,7 +149,7 @@ def shpaths_c(
             skew(ab, "a", -1)
             skew(bb, "b", -1)
         a = cb
-        net.compute(nbytes * cost.t_mem)  # copy c back into a
+        charge.memcpy(nbytes)  # copy c back into a
 
     result = np.zeros((n, n))
     for r in range(p):
@@ -167,27 +166,23 @@ def gauss_c(machine: Machine, a_mat: np.ndarray, rhs: np.ndarray
     p = machine.p
     if n % p != 0:
         raise SkilError(f"n={n} must be divisible by p={p}")
-    prof = PARIX_C
-    net = machine.network
-    cost = machine.cost
+    charge = Charge(machine, PARIX_C)
     topo = machine.topology("DISTR_DEFAULT")
     rows = _block_dist_rows(n, p)
     start = machine.time
 
     ext = np.concatenate([a_mat, rhs[:, None]], axis=1)
     blocks = [ext[lo:hi].copy() for lo, hi in rows]
-    net.compute((n // p) * (n + 1) * prof.elem_time(cost))
+    charge.work(((n // p) * (n + 1), 1.0))
 
     row_bytes = (n + 1) * ext.dtype.itemsize
-    t_elim_per_elem = prof.elem_time(cost, 2.0)
 
     for k in range(n):
         owner = next(r for r, (lo, hi) in enumerate(rows) if lo <= k < hi)
         lo, _ = rows[owner]
         piv = blocks[owner][k - lo] / blocks[owner][k - lo][k]
-        net.compute_at(owner, (n + 1) * prof.elem_time(cost))
-        net.broadcast(owner, row_bytes, topo, sync=not prof.async_comm,
-                      tag="c-pivrow")
+        charge.work_at(owner, n + 1)
+        charge.broadcast(owner, row_bytes, topo, tag="c-pivrow")
         # local elimination, all rows except the pivot row, columns >= k
         for r in range(p):
             blo, bhi = rows[r]
@@ -198,16 +193,16 @@ def gauss_c(machine: Machine, a_mat: np.ndarray, rhs: np.ndarray
             if blo <= k < bhi:
                 upd[k - blo] = blk[k - blo]
             blocks[r] = upd
-        net.compute((n // p) * (n + 1 - k) * t_elim_per_elem)
+        charge.work(((n // p) * (n + 1 - k), 2.0))  # multiply + subtract
 
     # final normalisation of the last column
     for r, (lo, hi) in enumerate(rows):
         diag = blocks[r][np.arange(hi - lo), np.arange(lo, hi)]
         blocks[r][:, n] = blocks[r][:, n] / diag
-    net.compute((n // p) * prof.elem_time(cost))
+    charge.work((n // p, 1.0))
 
     x = np.concatenate([blk[:, n] for blk in blocks])
-    report = RunReport(machine.time - start, machine.stats, p, n, prof.name)
+    report = RunReport(machine.time - start, machine.stats, p, n, PARIX_C.name)
     return x, report
 
 
@@ -221,10 +216,8 @@ def matmul_c(machine: Machine, a_mat: np.ndarray, b_mat: np.ndarray
         raise SkilError("matmul_c needs a square processor grid")
     if n % g != 0:
         raise SkilError(f"n={n} must be divisible by the grid side {g}")
-    prof = PARIX_C
+    charge = Charge(machine, PARIX_C)
     topo = machine.topology("DISTR_TORUS2D")
-    net = machine.network
-    cost = machine.cost
     nb = n // g
     start = machine.time
 
@@ -237,13 +230,13 @@ def matmul_c(machine: Machine, a_mat: np.ndarray, b_mat: np.ndarray
 
     ab, bb = blocks_of(a_mat), blocks_of(b_mat)
     cb = [np.zeros((nb, nb)) for _ in range(p)]
-    net.compute(2 * nb * nb * prof.elem_time(cost))
+    charge.work((2 * nb * nb, 1.0))
     nbytes = ab[0].nbytes
 
     def shift_perm(blocks, pairs, tag):
         if not pairs:
             return
-        net.shift(pairs, nbytes, topo, sync=False, tag=tag)
+        charge.shift(pairs, nbytes, topo, tag=tag)
         moved = {d: blocks[s] for s, d in pairs}
         for d, blk in moved.items():
             blocks[d] = blk
@@ -265,11 +258,10 @@ def matmul_c(machine: Machine, a_mat: np.ndarray, b_mat: np.ndarray
     shift_perm(bb, skew_pairs("b", +1), "c-mm-skew-b")
     west = [(r, topo.west(r)) for r in range(p) if topo.west(r) != r]
     north = [(r, topo.north(r)) for r in range(p) if topo.north(r) != r]
-    t_round = nb * nb * nb * 2 * prof.elem_time(cost)
     for step in range(g):
         for r in range(p):
             cb[r] = cb[r] + ab[r] @ bb[r]
-        net.compute(t_round)
+        charge.work((nb * nb * nb * 2, 1.0))
         if step < g - 1:
             shift_perm(ab, west, "c-mm-rot-a")
             shift_perm(bb, north, "c-mm-rot-b")
@@ -278,5 +270,5 @@ def matmul_c(machine: Machine, a_mat: np.ndarray, b_mat: np.ndarray
     for r in range(p):
         i, j = topo.grid_coords(r)
         result[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = cb[r]
-    report = RunReport(machine.time - start, machine.stats, p, n, prof.name)
+    report = RunReport(machine.time - start, machine.stats, p, n, PARIX_C.name)
     return result, report

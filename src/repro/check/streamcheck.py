@@ -249,7 +249,7 @@ def trial_stream_engine(rng: random.Random) -> tuple[str | None, dict[str, int]]
     def run(machine: Machine) -> None:
         ctx = SkilContext(machine)
         if rng_offset:
-            ctx.net.compute(1e-4)
+            machine.network.compute(1e-4)
         if kind in ("dc", "both"):
             is_trivial = sf(ops=1)(lambda pb: len(pb) <= 2)
             solve = sf(ops=1)(lambda pb: sum(pb))

@@ -10,6 +10,8 @@ from repro.eval.experiments import (
     ablation_equal_c,
     ablation_full_gauss,
     ablation_instantiation,
+    ablation_sync_comm,
+    ablation_topology,
     figure1,
     table1,
     table2,
@@ -21,13 +23,6 @@ from repro.eval.harness import (
     run_gauss,
     run_matmul,
     run_shpaths,
-)
-from repro.eval.sweeps import (
-    ScalingPoint,
-    crossover_size,
-    format_scaling,
-    strong_scaling,
-    weak_scaling,
 )
 from repro.eval.tables import format_ablation, format_table1, format_table2
 from repro.eval.trace_report import CostBreakdown, breakdown, format_breakdowns
@@ -44,11 +39,6 @@ __all__ = [
     "ablation_instantiation",
     "ablation_topology",
     "ablation_sync_comm",
-    "strong_scaling",
-    "weak_scaling",
-    "crossover_size",
-    "ScalingPoint",
-    "format_scaling",
     "breakdown",
     "CostBreakdown",
     "format_breakdowns",

@@ -10,9 +10,11 @@ is only how much simulated time the same abstract work costs (DESIGN.md
 Execution model: skeletons are *collective operations*.  Within one
 skeleton the context iterates over the logical processors, applying the
 customizing argument functions to each partition (vectorized when the
-function provides a kernel, elementwise otherwise) and charging each
-processor's clock for the work; the communication pattern of the
-skeleton is then charged through :class:`repro.machine.network.Network`.
+function provides a kernel, elementwise otherwise), and then *states*
+the work and the communication pattern to :attr:`SkilContext.charge`
+(:class:`repro.machine.charge.Charge`) in abstract terms — element and
+op counts, raw bytes, ranks, a topology.  No skeleton prices anything:
+the seam alone turns the statement into seconds under the profile.
 User argument functions that need processor context (the paper's
 ``procId`` or ``array_part_bounds``) read it from :attr:`current_rank` /
 :meth:`proc_id` while they are being mapped.
@@ -29,6 +31,7 @@ import functools
 
 from repro.arrays.darray import DistArray
 from repro.errors import SkeletonError
+from repro.machine.charge import Charge
 from repro.machine.costmodel import SKIL, LanguageProfile
 from repro.machine.machine import DISTR_DEFAULT, Machine
 from repro.skeletons.fuse import MapEnv
@@ -58,10 +61,11 @@ def skeleton_span(name: str) -> Callable:
 
     return deco
 
-#: the context whose skeleton is currently executing; lets user argument
-#: functions reach processor context (procId, partition bounds) the way
-#: the paper's C functions call the array macros directly
-_CURRENT: "SkilContext | None" = None
+#: the contexts whose skeletons are currently executing, innermost last;
+#: lets user argument functions reach processor context (procId, partition
+#: bounds) the way the paper's C functions call the array macros directly.
+#: Empty between skeleton calls, so no finished run pins its machine.
+_ACTIVE: "list[SkilContext]" = []
 
 
 def current_context() -> "SkilContext":
@@ -71,9 +75,9 @@ def current_context() -> "SkilContext":
     paper's equivalents are the ``procId`` variable and the
     ``array_part_bounds`` macro available inside argument functions.
     """
-    if _CURRENT is None:
+    if not _ACTIVE:
         raise SkeletonError("current_context() is only defined inside a skeleton")
-    return _CURRENT
+    return _ACTIVE[-1]
 
 
 def ops_of(f: Callable, default: float = 1.0) -> float:
@@ -105,6 +109,9 @@ class SkilContext:
     ):
         self.machine = machine
         self.profile = profile
+        #: the one place abstract work becomes simulated seconds; skeletons
+        #: state counts, ops and raw bytes to it and never price them
+        self.charge = Charge(machine, profile)
         self.default_distr = default_distr
         #: whether skeletons may take the fused whole-array fast path
         #: (:mod:`repro.skeletons.fuse`); simulated seconds are identical
@@ -117,10 +124,6 @@ class SkilContext:
 
     # ------------------------------------------------------------------ infra
     @property
-    def net(self):
-        return self.machine.network
-
-    @property
     def p(self) -> int:
         return self.machine.p
 
@@ -130,32 +133,30 @@ class SkilContext:
             raise SkeletonError("proc_id() is only defined inside a skeleton")
         return self.current_rank
 
-    def elem_time(self, ops: float = 1.0) -> float:
-        return self.profile.elem_time(self.machine.cost, ops)
-
     def begin_skeleton(self, name: str):
         """Open one skeleton invocation: charge the fixed per-invocation
         overhead on every processor and (when tracing) open a span.
 
         Returns the span (or ``None`` with tracing off); every call must
-        be paired with :meth:`end_skeleton` — use the :meth:`skeleton`
-        context manager, which guarantees the pairing on error paths.
+        be paired with :meth:`end_skeleton` — use the
+        :func:`skeleton_span` decorator, which guarantees the pairing on
+        error paths.
         """
-        global _CURRENT
-        _CURRENT = self
         self.machine.stats.skeleton_calls += 1
         prof = self.machine.profiler
         if prof is not None:
             prof.skeleton_begin(name)
         tracer = self.machine.tracer
         span = tracer.begin(name, category="skeleton") if tracer is not None else None
-        if self.profile.skeleton_overhead:
-            self.net.compute(self.profile.skeleton_overhead)
+        self.charge.invocation()
+        _ACTIVE.append(self)  # last: a begin that raises leaves nothing behind
         return span
 
     def end_skeleton(self, span=None) -> None:
         """Close the span opened by :meth:`begin_skeleton` (plus any
-        phase spans an error path left open beneath it)."""
+        phase spans an error path left open beneath it) and hand
+        :func:`current_context` back to the enclosing skeleton, if any."""
+        _ACTIVE.pop()
         prof = self.machine.profiler
         if prof is not None:
             # before the tracer early-out: wall stamps are taken even at
@@ -170,16 +171,6 @@ class SkilContext:
             tracer.end()
 
     @contextmanager
-    def skeleton(self, name: str) -> Iterator[None]:
-        """``with ctx.skeleton("array_map"): ...`` — begin/end pairing
-        that survives exceptions (no begin-without-end paths)."""
-        span = self.begin_skeleton(name)
-        try:
-            yield
-        finally:
-            self.end_skeleton(span)
-
-    @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """A nested sub-span inside a composite skeleton (e.g. the
         rotate/multiply phases of ``array_gen_mult``).  No overhead is
@@ -191,19 +182,6 @@ class SkilContext:
             return
         with tracer.span(name, category="phase"):
             yield
-
-    def sync(self) -> bool:
-        """Whether communication should use synchronous sends."""
-        return not self.profile.async_comm
-
-    def wire_bytes(self, nbytes: int) -> int:
-        """Effective bytes a message costs under this language.
-
-        Functional hosts flatten boxed elements into a send buffer and
-        re-box on receipt, inflating the per-byte wire cost
-        (``comm_byte_factor``); imperative partitions go out as-is.
-        """
-        return int(nbytes * self.profile.comm_byte_factor)
 
     def check_distinct(self, name: str, *arrays: DistArray) -> None:
         seen: list[DistArray] = []

@@ -20,10 +20,9 @@ Fused data movement (see docs/PERFORMANCE.md): on pooled block arrays
 the broadcast is one broadcasting slice assignment over the
 grid-interleaved pool view, and the row permutation is one fancy-index
 gather ``to.pool[perm] = from.pool`` with the per-(src, dst) message
-sizes histogrammed vectorized.  Both charge the identical analytic cost
-(same pair order, same arithmetic) through ``Network.p2p_batch``, so
-simulated seconds, per-rank clocks and trace spans are bit-identical to
-the per-rank loops.
+sizes histogrammed vectorized.  Both state the identical messages (same
+pair order, same byte counts) to ``ctx.charge``, so simulated seconds,
+per-rank clocks and trace spans are bit-identical to the per-rank loops.
 """
 
 from __future__ import annotations
@@ -69,9 +68,7 @@ def array_broadcast_part(ctx, a: DistArray, ix) -> None:
                 )
             a.local(r)[...] = block
     topo = ctx.machine.topology(a.distr)
-    ctx.net.broadcast(
-        owner, ctx.wire_bytes(block.nbytes), topo, sync=ctx.sync(), tag="bcast-part"
-    )
+    ctx.charge.broadcast(owner, block.nbytes, topo, tag="bcast-part")
 
 
 def _row_segment_owner(arr: DistArray, row: int, col_lo: int) -> int:
@@ -155,29 +152,22 @@ def _charge_pairs(ctx, srcs, dsts, nbs, topo) -> None:
     """Charge the (src, dst)-sorted messages, given as three int64 arrays.
 
     The list is cut at every local (src == dst) pair — a memory copy on
-    the owner — and each remote stretch goes through
-    ``Network.p2p_batch`` in one call, which is bit-identical to a
-    per-pair ``p2p`` loop.
+    the owner — and each remote stretch is one ``p2p_batch`` charge,
+    which is bit-identical to a per-pair ``p2p`` loop.
     """
-    t_mem = ctx.machine.cost.t_mem
-    sync = ctx.sync()
-    # int() truncation of the scalar wire_bytes == astype toward zero
-    factor = ctx.profile.comm_byte_factor
-    wire_nb = (nbs * factor).astype(np.int64)
     loc = np.flatnonzero(srcs == dsts)
     start = 0
     for li in loc.tolist():
         if li > start:
-            ctx.net.p2p_batch(
-                srcs[start:li], dsts[start:li], wire_nb[start:li],
-                topo, sync=sync, tag="permute-rows",
+            ctx.charge.p2p_batch(
+                srcs[start:li], dsts[start:li], nbs[start:li], topo,
+                tag="permute-rows",
             )
-        ctx.net.compute_at(int(srcs[li]), int(nbs[li]) * t_mem)
+        ctx.charge.memcpy_at(int(srcs[li]), int(nbs[li]))
         start = li + 1
     if start < int(srcs.size):
-        ctx.net.p2p_batch(
-            srcs[start:], dsts[start:], wire_nb[start:],
-            topo, sync=sync, tag="permute-rows",
+        ctx.charge.p2p_batch(
+            srcs[start:], dsts[start:], nbs[start:], topo, tag="permute-rows"
         )
 
 
@@ -197,7 +187,7 @@ def array_permute_rows(
     perm_arr = _evaluate_perm(ctx, perm_f, n_rows)
     # evaluating the permutation function costs one application per row
     # it is evaluated on (at least) the processors whose rows move
-    ctx.net.compute(n_rows / ctx.p * ctx.elem_time(ops_of(perm_f)))
+    ctx.charge.work((n_rows / ctx.p, ops_of(perm_f)))
 
     if ctx.fused and from_arr.pool is not None and to_arr.pool is not None:
         # whole-array gather on the pools + vectorized byte histogram

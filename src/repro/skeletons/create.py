@@ -57,7 +57,7 @@ def array_create(
     arr = array_create_uninit(ctx, dim, size, blocksize, lowerbd, distr, dtype)
     whole, blocks = fuse.run_elementwise(ctx, init_elem, (), arr)
     write_result(arr, whole, blocks)
-    ctx.net.compute(arr.dist.part_sizes() * ctx.elem_time(ops_of(init_elem)))
+    ctx.charge.work((arr.dist.part_sizes(), ops_of(init_elem)))
     return arr
 
 
@@ -102,18 +102,12 @@ def array_copy(ctx, from_arr: DistArray, to_arr: DistArray) -> None:
     ctx.check_same_shape("array_copy", from_arr, to_arr)
     if from_arr is to_arr:
         raise SkeletonError("array_copy: source and target are the same array")
-    per_rank = np.zeros(ctx.p)
-    t_mem = ctx.machine.cost.t_mem
-    src_itemsize = from_arr.dtype.itemsize
     if ctx.fused and from_arr.pool is not None and to_arr.pool is not None:
-        # one memcpy over the pool; src.nbytes == b.size * itemsize exactly
+        # one memcpy over the pool
         to_arr.pool[...] = from_arr.pool.astype(to_arr.dtype, copy=False)
-        ctx.net.compute(
-            (from_arr.dist.part_sizes() * src_itemsize) * t_mem
-        )
-        return
-    for r in range(ctx.p):
-        src = from_arr.local(r)
-        to_arr.local(r)[...] = src.astype(to_arr.dtype, copy=False)
-        per_rank[r] = src.nbytes * t_mem
-    ctx.net.compute(per_rank)
+    else:
+        for r in range(ctx.p):
+            src = from_arr.local(r)
+            to_arr.local(r)[...] = src.astype(to_arr.dtype, copy=False)
+    # local(r).nbytes == part_sizes()[r] * itemsize exactly
+    ctx.charge.memcpy(from_arr.dist.part_sizes() * from_arr.dtype.itemsize)

@@ -58,7 +58,7 @@ def divide_and_conquer(
         nbytes_of = lambda pb: 16 * max(1, size_of(pb))  # noqa: E731
 
     def cost(f: Callable, pb: Any) -> float:
-        return ops_of(f) * ctx.elem_time() * max(1, size_of(pb))
+        return ops_of(f) * ctx.charge.elem_time() * max(1, size_of(pb))
 
     def solve_seq(pb: Any) -> tuple[Any, float]:
         """Sequential d&c of one problem: (result, abstract seconds)."""
@@ -168,7 +168,7 @@ def divide_and_conquer(
         eng.spawn(r, program(r, ctx.p))
     makespan = eng.run()
     # the engine ran relative to t=0; append its makespan to the clocks
-    ctx.net.compute(makespan)
+    ctx.charge.priced(makespan)
 
     out = results.get(0)
     if not out:

@@ -59,18 +59,17 @@ def array_map_overlap(
     topo = ctx.machine.topology(from_arr.distr)
     itemsize = from_arr.dtype.itemsize
     grid = from_arr.dist.grid
-    sync = ctx.sync()
     for d in range(dim):
         if grid[d] == 1:
             continue
         fwd, bwd = [], []
-        slab_bytes = {}
+        slab_bytes = np.zeros(ctx.p, dtype=np.int64)  # by source rank
         for r in range(ctx.p):
             coords = from_arr.dist.grid_coords(r)
             b = from_arr.part_bounds(r)
             other = [u - l for i, (l, u) in enumerate(zip(b.lower, b.upper)) if i != d]
             slab = overlap * int(np.prod(other)) * itemsize if other else overlap * itemsize
-            slab_bytes[r] = ctx.wire_bytes(slab)
+            slab_bytes[r] = slab
             nxt = list(coords)
             nxt[d] += 1
             if nxt[d] < grid[d]:
@@ -80,17 +79,14 @@ def array_map_overlap(
             if prv[d] >= 0:
                 bwd.append((r, from_arr.dist.grid_rank(prv)))
         if fwd:
-            ctx.net.shift(fwd, {s: slab_bytes[s] for s, _ in fwd}, topo,
-                          sync=sync, tag=f"halo+{d}")
+            ctx.charge.shift(fwd, slab_bytes, topo, tag=f"halo+{d}")
         if bwd:
-            ctx.net.shift(bwd, {s: slab_bytes[s] for s, _ in bwd}, topo,
-                          sync=sync, tag=f"halo-{d}")
+            ctx.charge.shift(bwd, slab_bytes, topo, tag=f"halo-{d}")
 
     # ---- local sweeps over the (halo-extended) partitions
     global_data = from_arr.global_view()  # simulation shortcut for halo data
     shape = from_arr.shape
-    t_elem = ctx.elem_time(ops_of(stencil_f))
-    per_rank = np.zeros(ctx.p)
+    owned = np.zeros(ctx.p, dtype=np.int64)
     results = []
     vec = getattr(stencil_f, "vectorized", None)
     try:
@@ -127,9 +123,9 @@ def array_map_overlap(
 
                     out[local_ix] = stencil_f(get, gix)
                 results.append(out)
-            per_rank[r] = b.size * t_elem
+            owned[r] = b.size
     finally:
         ctx.current_rank = None
     for r in range(ctx.p):
         to_arr.local(r)[...] = np.asarray(results[r], dtype=to_arr.dtype)
-    ctx.net.compute(per_rank)
+    ctx.charge.work((owned, ops_of(stencil_f)))

@@ -48,7 +48,7 @@ def farm(
         nbytes_of = lambda t: 16 * max(1, _size(size_of, t))  # noqa: E731
 
     def task_cost(t: Any) -> float:
-        return ops_of(worker) * ctx.elem_time() * max(1, _size(size_of, t))
+        return ops_of(worker) * ctx.charge.elem_time() * max(1, _size(size_of, t))
 
     filled = [False] * len(tasks)
     results: list = [None] * len(tasks)
@@ -59,7 +59,7 @@ def farm(
             results[i] = worker(t)
             total += task_cost(t)
         if total:
-            ctx.net.compute(total)
+            ctx.charge.priced(total)
         return results
 
     def master(rank: int, p: int):
@@ -105,7 +105,7 @@ def farm(
     for r in range(1, ctx.p):
         eng.spawn(r, worker_proc(r, ctx.p))
     makespan = eng.run()
-    ctx.net.compute(makespan)
+    ctx.charge.priced(makespan)
 
     if not all(filled):
         missing = [i for i, f in enumerate(filled) if not f]

@@ -58,11 +58,9 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
             "associative and commutative; the result is non-deterministic "
             "on a real machine (annotate it with skil_fn(...))",
             UserWarning,
-            stacklevel=2,
+            stacklevel=3,  # past the skeleton_span wrapper, to the caller
         )
 
-    t_conv = ctx.elem_time(ops_of(conv_f))
-    t_fold = ctx.elem_time(ops_of(fold_f))
     with ctx.phase("fold:local"):
         # the local folds stay in the main process whichever way the
         # conversion ran: cheap, and each must be the sequential
@@ -74,7 +72,9 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
             blocks = [whole[a.dist.part_slices(r)] for r in range(ctx.p)]
         partials = [_local_fold(fold_f, block) for block in blocks]
         sizes = a.dist.part_sizes()
-        ctx.net.compute(sizes * t_conv + np.maximum(0, sizes - 1) * t_fold)
+        ctx.charge.work(
+            (sizes, ops_of(conv_f)), (np.maximum(0, sizes - 1), ops_of(fold_f))
+        )
 
     # combine along the binomial tree and broadcast the result back
     with ctx.phase("fold:tree"):
@@ -82,9 +82,7 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
         probe = np.asarray(partials[0])
         nbytes = probe.nbytes if probe.dtype != object else 64
         topo = ctx.machine.topology(a.distr)
-        ctx.net.allreduce(
-            ctx.wire_bytes(nbytes), topo, combine_seconds=t_fold, sync=ctx.sync()
-        )
+        ctx.charge.allreduce(nbytes, topo, combine_ops=ops_of(fold_f))
     return result
 
 
@@ -102,7 +100,8 @@ def array_scan(ctx, scan_f: Callable, a: DistArray, to_arr: DistArray) -> None:
     ctx.check_same_shape("array_scan", a, to_arr)
     ctx.check_block_distribution("array_scan", a, to_arr)
 
-    t_fold = ctx.elem_time(ops_of(scan_f))
+    ops = ops_of(scan_f)
+    sizes = a.dist.part_sizes()
     np_op = getattr(scan_f, "np_op", None)
     # fused fast path (see docs/PERFORMANCE.md): with equal pooled
     # partitions the p local scans are one batched accumulate over the
@@ -119,12 +118,8 @@ def array_scan(ctx, scan_f: Callable, a: DistArray, to_arr: DistArray) -> None:
     if fused:
         rows = a.pool.reshape(ctx.p, -1)
         scanned_all = np_op.accumulate(rows, axis=1)
-        sizes = a.dist.part_sizes()
-        # the per-rank formula below, vectorized — elementwise IEEE ops
-        per_rank = np.maximum(0, sizes - 1) * t_fold
         locals_ = list(scanned_all)
     else:
-        per_rank = np.zeros(ctx.p)
         locals_ = []
         for r in range(ctx.p):
             src = a.local(r)
@@ -136,8 +131,7 @@ def array_scan(ctx, scan_f: Callable, a: DistArray, to_arr: DistArray) -> None:
                     out[i] = scan_f(out[i - 1], out[i])
                 scanned = np.asarray(out, dtype=to_arr.dtype)
             locals_.append(scanned)
-            per_rank[r] = max(0, src.size - 1) * t_fold
-    ctx.net.compute(per_rank)
+    ctx.charge.work((np.maximum(0, sizes - 1), ops))
 
     # exclusive offsets: fold of the last local elements of lower ranks
     offsets = [None] * ctx.p
@@ -150,9 +144,7 @@ def array_scan(ctx, scan_f: Callable, a: DistArray, to_arr: DistArray) -> None:
     # modelled with the same allreduce pattern as fold
     probe = np.asarray(locals_[0][:1])
     topo = ctx.machine.topology(a.distr)
-    ctx.net.allreduce(
-        ctx.wire_bytes(probe.nbytes), topo, combine_seconds=t_fold, sync=ctx.sync()
-    )
+    ctx.charge.allreduce(probe.nbytes, topo, combine_ops=ops)
 
     off_col = None
     if fused and ctx.p > 1:
@@ -165,16 +157,13 @@ def array_scan(ctx, scan_f: Callable, a: DistArray, to_arr: DistArray) -> None:
         to_rows[0] = scanned_all[0]
         if ctx.p > 1:
             to_rows[1:] = np_op(off_col[:, None], scanned_all[1:])
-        ctx.net.compute(sizes * t_fold)
-        return
-    for r in range(ctx.p):
-        if offsets[r] is None:
-            to_arr.local(r)[...] = locals_[r]
-        elif np_op is not None and locals_[r].dtype != object:
-            to_arr.local(r)[...] = np_op(offsets[r], locals_[r])
-        else:
-            to_arr.local(r)[...] = [scan_f(offsets[r], v) for v in locals_[r]]
+    else:
+        for r in range(ctx.p):
+            if offsets[r] is None:
+                to_arr.local(r)[...] = locals_[r]
+            elif np_op is not None and locals_[r].dtype != object:
+                to_arr.local(r)[...] = np_op(offsets[r], locals_[r])
+            else:
+                to_arr.local(r)[...] = [scan_f(offsets[r], v) for v in locals_[r]]
     # correction pass costs one op per element
-    ctx.net.compute(
-        np.array([a.local(r).size * t_fold for r in range(ctx.p)])
-    )
+    ctx.charge.work((sizes, ops))

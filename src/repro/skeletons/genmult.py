@@ -281,8 +281,8 @@ def _gen_mult_impl(
         sb = stacked_blocks(b.pool, grid)
         sc = stacked_blocks(c.pool, grid)
         ablk = bblk = accum = None
-        nbytes_a = ctx.wire_bytes(sa[0].nbytes)
-        nbytes_b = ctx.wire_bytes(sb[0].nbytes)
+        nbytes_a = sa[0].nbytes
+        nbytes_b = sb[0].nbytes
     else:
         # working copies: the real machine rotates partitions in place and
         # re-aligns afterwards; we keep a/b untouched and charge the
@@ -290,9 +290,8 @@ def _gen_mult_impl(
         ablk = [a.local(r).copy() for r in range(ctx.p)]
         bblk = [b.local(r).copy() for r in range(ctx.p)]
         accum = [c.local(r).astype(c.dtype, copy=True) for r in range(ctx.p)]
-        nbytes_a = ctx.wire_bytes(ablk[0].nbytes)
-        nbytes_b = ctx.wire_bytes(bblk[0].nbytes)
-    sync = ctx.sync()
+        nbytes_a = ablk[0].nbytes
+        nbytes_b = bblk[0].nbytes
 
     ranks = np.arange(ctx.p, dtype=np.int64)
     row_of, col_of = np.divmod(ranks, g)
@@ -326,17 +325,13 @@ def _gen_mult_impl(
         pa = skew_pairs("a", +1)
         pb = skew_pairs("b", +1)
         if pa[0].size:
-            ctx.net.shift_batch(
-                pa[0], pa[1], nbytes_a, topo, sync=sync, tag="genmult-skew-a"
-            )
+            ctx.charge.shift_batch(pa[0], pa[1], nbytes_a, topo, tag="genmult-skew-a")
             if fused:
                 sa = sa[perm_order(pa)]
             else:
                 apply_block_perm(ablk, pa)
         if pb[0].size:
-            ctx.net.shift_batch(
-                pb[0], pb[1], nbytes_b, topo, sync=sync, tag="genmult-skew-b"
-            )
+            ctx.charge.shift_batch(pb[0], pb[1], nbytes_b, topo, tag="genmult-skew-b")
             if fused:
                 sb = sb[perm_order(pb)]
             else:
@@ -349,12 +344,9 @@ def _gen_mult_impl(
     else:
         m_loc, k_loc = ablk[0].shape
         n_loc = bblk[0].shape[1]
-    t_round = (
-        m_loc
-        * n_loc
-        * k_loc
-        * (ctx.elem_time(ops_of(gen_mult)) + ctx.elem_time(ops_of(gen_add)))
-    )
+    # one round: every (i, j, k) of the local block product pays one
+    # gen_mult and one gen_add
+    round_work = (m_loc * n_loc * k_loc, ops_of(gen_mult), ops_of(gen_add))
     west_dst = row_of * g + (col_of - 1) % g
     north_dst = ((row_of - 1) % g) * g + col_of
     west_pairs = (ranks[west_dst != ranks], west_dst[west_dst != ranks])
@@ -372,12 +364,11 @@ def _gen_mult_impl(
                         gen_add, gen_mult, ablk[r], bblk[r], accum[r]
                     )
                 ctx.current_rank = None
-            ctx.net.compute(t_round)
+            ctx.charge.work(round_work)
         if step < g - 1:
             with ctx.phase("genmult:rotate"):
-                ctx.net.shift_batch(
-                    west_pairs[0], west_pairs[1], nbytes_a, topo, sync=sync,
-                    tag="genmult-rot-a",
+                ctx.charge.shift_batch(
+                    west_pairs[0], west_pairs[1], nbytes_a, topo, tag="genmult-rot-a"
                 )
                 if fused:
                     # dst (i, j-1) takes the block of (i, j): one column roll
@@ -387,9 +378,8 @@ def _gen_mult_impl(
                     ).reshape(ctx.p, m_loc, k_loc)
                 else:
                     apply_block_perm(ablk, west_pairs)
-                ctx.net.shift_batch(
-                    north_pairs[0], north_pairs[1], nbytes_b, topo, sync=sync,
-                    tag="genmult-rot-b",
+                ctx.charge.shift_batch(
+                    north_pairs[0], north_pairs[1], nbytes_b, topo, tag="genmult-rot-b"
                 )
                 if fused:
                     # dst (i-1, j) takes the block of (i, j): one row roll
@@ -408,12 +398,8 @@ def _gen_mult_impl(
         with ctx.phase("genmult:unskew"):
             ua = skew_pairs("a", -1)
             ub = skew_pairs("b", -1)
-            ctx.net.shift_batch(
-                ua[0], ua[1], nbytes_a, topo, sync=sync, tag="genmult-unskew-a"
-            )
-            ctx.net.shift_batch(
-                ub[0], ub[1], nbytes_b, topo, sync=sync, tag="genmult-unskew-b"
-            )
+            ctx.charge.shift_batch(ua[0], ua[1], nbytes_a, topo, tag="genmult-unskew-a")
+            ctx.charge.shift_batch(ub[0], ub[1], nbytes_b, topo, tag="genmult-unskew-b")
 
     if fused:
         m_c, n_c = sc.shape[1:]

@@ -7,9 +7,9 @@
 The result is *placed* into an existing array instead of returned, "since
 in the second case a temporary data structure would have to be created"
 — an efficiency trick the paper points out is impossible in functional
-hosts.  We reproduce that asymmetry in the cost model: under a profile
-with ``copy_on_update`` (DPFL) every map additionally pays for the
-temporary allocation and copy-back.
+hosts.  We reproduce that asymmetry in the cost model: every map states
+the bytes of its result, and a profile that cannot update in place
+(DPFL) additionally pays for the temporary allocation and copy-back.
 
 ``from`` and ``to`` may be the same array (in-situ replacement) but must
 share shape and distribution.  The map function sees the element and its
@@ -55,14 +55,11 @@ def _map_into(ctx, f: Callable, srcs: tuple, to_arr: DistArray) -> None:
     whole, blocks = fuse.run_elementwise(ctx, f, srcs, srcs[0])
     write_result(to_arr, whole, blocks)
     sizes = srcs[0].dist.part_sizes()
-    per_rank = sizes * ctx.elem_time(ops_of(f))
-    if ctx.profile.copy_on_update:
-        # functional host: build a fresh array, then (conceptually)
-        # replace the old one — charge allocation+copy traffic
-        per_rank = per_rank + (
-            sizes * to_arr.dtype.itemsize
-        ) * ctx.machine.cost.t_mem
-    ctx.net.compute(per_rank)
+    # a functional host builds a fresh array, then (conceptually) replaces
+    # the old one: state the allocation+copy traffic it would pay
+    ctx.charge.work(
+        (sizes, ops_of(f)), realloc_bytes=sizes * to_arr.dtype.itemsize
+    )
 
 
 @skeleton_span("array_map")

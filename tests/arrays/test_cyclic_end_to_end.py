@@ -108,8 +108,8 @@ class TestSkeletonsOverCyclic:
             per_rank = np.zeros(ctx.p)
             for r in range(ctx.p):
                 idx = arr.local_index_vectors(r)[0]
-                per_rank[r] = float(idx.sum()) * ctx.elem_time()
-            ctx.net.compute(per_rank)
+                per_rank[r] = float(idx.sum()) * ctx.charge.elem_time()
+            ctx.machine.network.compute(per_rank)
             return ctx.machine.time
 
         data = np.zeros(n)
@@ -154,18 +154,18 @@ class TestStridedLayoutsChargeOwnedElements:
     def charged(ctx, call):
         """The per-rank compute vectors one skeleton call charges."""
         vectors = []
-        original = ctx.net.compute
+        original = ctx.machine.network.compute
 
         def recording(seconds):
             if np.ndim(seconds) == 1:
                 vectors.append(np.array(seconds))
             original(seconds)
 
-        ctx.net.compute = recording
+        ctx.machine.network.compute = recording
         try:
             call()
         finally:
-            del ctx.net.compute
+            del ctx.machine.network.compute
         return vectors
 
     @pytest.mark.parametrize("dist", [
@@ -181,14 +181,14 @@ class TestStridedLayoutsChargeOwnedElements:
 
         f1 = skil_fn(ops=1)(lambda v, ix: v)
         f2 = skil_fn(ops=1)(lambda x, y, ix: x + y)
-        t = ctx4.elem_time(1)
+        t = ctx4.charge.elem_time(1)
         (m,) = self.charged(ctx4, lambda: ctx4.array_map(f1, a, out))
         (z,) = self.charged(ctx4, lambda: ctx4.array_zip(f2, a, b, out))
         (f,) = self.charged(ctx4, lambda: ctx4.array_fold(f1, PLUS, a))
         np.testing.assert_array_equal(m, owned * t)
         np.testing.assert_array_equal(z, owned * t)
         np.testing.assert_array_equal(
-            f, owned * t + (owned - 1) * ctx4.elem_time(PLUS.ops)
+            f, owned * t + (owned - 1) * ctx4.charge.elem_time(PLUS.ops)
         )
 
     def test_create_on_its_block_layout(self, ctx4):
@@ -201,4 +201,4 @@ class TestStridedLayoutsChargeOwnedElements:
         )
         owned = np.array([made[0].local(r).size for r in range(4)])
         assert owned.tolist() == [3, 3, 2, 2]
-        np.testing.assert_array_equal(c, owned * ctx4.elem_time(1))
+        np.testing.assert_array_equal(c, owned * ctx4.charge.elem_time(1))

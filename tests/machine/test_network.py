@@ -188,6 +188,46 @@ class TestTrees:
         assert net.stats.messages == 3
 
 
+class TestExtraCollectives:
+    """scatter / allgather / alltoall message counts."""
+
+    def test_scatter_counts(self, simple_cost):
+        net = Network(simple_cost, 4)
+        net.scatter(0, 100, DefaultMapping(Mesh2D(2, 2)))
+        assert net.stats.messages == 3
+
+    def test_allgather_rounds(self, simple_cost):
+        net = Network(simple_cost, 4)
+        net.allgather(64, Ring(Mesh2D(2, 2)))
+        # p-1 rounds of p simultaneous transfers
+        assert net.stats.messages == 3 * 4
+
+    def test_allgather_single_proc(self, simple_cost):
+        net = Network(simple_cost, 1)
+        net.allgather(64, DefaultMapping(Mesh2D(1, 1)))
+        assert net.stats.messages == 0
+
+    def test_alltoall_power_of_two(self, simple_cost):
+        net = Network(simple_cost, 4)
+        net.alltoall(32, DefaultMapping(Mesh2D(2, 2)))
+        assert net.stats.messages == 3 * 4  # (p-1) rounds x p messages
+
+    def test_alltoall_non_power_of_two(self, simple_cost):
+        net = Network(simple_cost, 3)
+        net.alltoall(32, DefaultMapping(Mesh2D(1, 3)))
+        assert net.stats.messages == 2 * 3
+
+    def test_allgather_cheaper_than_sequential_gathers(self, simple_cost):
+        ring = Ring(Mesh2D.for_processors(8))
+        net = Network(simple_cost, 8)
+        net.allgather(128, ring)
+        t_ring = net.time
+        net2 = Network(simple_cost, 8)
+        for root in range(8):
+            net2.gather(root, 128, ring)
+        assert t_ring < net2.time
+
+
 class TestMachineFacade:
     def test_time_and_reset(self):
         m = Machine(4)

@@ -240,7 +240,7 @@ class TestEngineTimeline:
 
         ctx = SkilContext(Machine(4, trace_level=2), SKIL)
         # advance the clocks so the engine's t0 offset matters
-        ctx.net.compute(1.0)
+        ctx.machine.network.compute(1.0)
         t0 = ctx.machine.time
         tl = ctx.machine.timeline
         n_before = len(tl)

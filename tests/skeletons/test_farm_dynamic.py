@@ -1,20 +1,10 @@
-"""Tests for the farm skeleton and the dynamic-data extension (ref [2])."""
+"""Tests for the farm skeleton."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SkeletonError
 from repro.skeletons import skil_fn
-from repro.skeletons.dynamic import (
-    DynArray,
-    dyn_create,
-    dyn_fold,
-    dyn_gather,
-    dyn_map,
-    dyn_rotate,
-)
 
 from .conftest import make_ctx
 
@@ -48,7 +38,7 @@ class TestFarm:
         ctx.farm(heavy, sizes, size_of=lambda t: t)
         # static block split would put task 0 + 7 small ones on worker 1;
         # demand-driven should approach (100 + 30/3) * unit
-        unit = 1000 * ctx.elem_time()
+        unit = 1000 * ctx.charge.elem_time()
         assert ctx.machine.time < 130 * unit
 
     def test_none_results_allowed(self, ctx4):
@@ -72,77 +62,3 @@ class TestFarm:
         ctx = make_ctx(4)
         out = ctx.farm(square, tasks, size_of=lambda t: 1)
         assert out == [t * t for t in tasks]
-
-
-class TestDynArray:
-    def test_round_trip(self, ctx4):
-        a = dyn_create(ctx4, 10, lambda i: {"id": i, "payload": [i] * i})
-        assert [v["id"] for v in a.to_list()] == list(range(10))
-
-    def test_too_few_elements(self, ctx4):
-        with pytest.raises(SkeletonError):
-            DynArray(ctx4.machine, 2)
-
-    def test_map_local(self, ctx4):
-        a = dyn_create(ctx4, 8, lambda i: [i])
-        b = dyn_create(ctx4, 8, lambda i: None)
-        ctx4.machine.reset()
-        dyn_map(ctx4, skil_fn(ops=1)(lambda v, i: v + [i * 2]), a, b)
-        assert b.to_list() == [[i, i * 2] for i in range(8)]
-        assert ctx4.machine.stats.messages == 0  # purely local
-
-    def test_fold(self, ctx4):
-        a = dyn_create(ctx4, 12, lambda i: list(range(i)))
-        total = dyn_fold(
-            ctx4,
-            skil_fn(ops=1)(lambda v, i: len(v)),
-            skil_fn(ops=1, commutative_associative=True)(lambda x, y: x + y),
-            a,
-        )
-        assert total == sum(range(12))
-
-    def test_rotate_moves_data_not_pointers(self, ctx4):
-        a = dyn_create(ctx4, 8, lambda i: {"n": i})
-        ctx4.machine.reset()
-        dyn_rotate(ctx4, a, 3, flatten=lambda v: 48)
-        assert [v["n"] for v in a.to_list()] == [5, 6, 7, 0, 1, 2, 3, 4]
-        assert ctx4.machine.stats.messages > 0
-        # wire bytes reflect the flattened structure size, not a pointer
-        assert ctx4.machine.stats.bytes_sent >= 48 * 6  # 6 elements cross ranks
-
-    def test_rotate_unflatten_applied(self, ctx4):
-        a = dyn_create(ctx4, 8, lambda i: i)
-        dyn_rotate(ctx4, a, 1, flatten=lambda v: 8,
-                   unflatten=lambda v: v * 10)
-        assert a.to_list() == [70, 0, 10, 20, 30, 40, 50, 60]
-
-    def test_rotate_variable_sizes_charged(self, ctx4):
-        """Bigger boxed structures cost more wire time."""
-        small = dyn_create(ctx4, 8, lambda i: "x")
-        big = dyn_create(ctx4, 8, lambda i: "x" * 1000)
-        ctx4.machine.reset()
-        dyn_rotate(ctx4, small, 2, flatten=lambda v: len(v))
-        t_small = ctx4.machine.time
-        ctx4.machine.reset()
-        dyn_rotate(ctx4, big, 2, flatten=lambda v: len(v))
-        t_big = ctx4.machine.time
-        assert t_big > t_small
-
-    def test_gather(self, ctx4):
-        a = dyn_create(ctx4, 8, lambda i: [i, i])
-        ctx4.machine.reset()
-        out = dyn_gather(ctx4, a, flatten=lambda v: 16 * len(v))
-        assert out == [[i, i] for i in range(8)]
-        assert ctx4.machine.stats.messages == 3  # everyone but root
-
-    @given(
-        n=st.integers(4, 24),
-        shift=st.integers(-30, 30),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_property_rotate_matches_roll(self, n, shift):
-        ctx = make_ctx(4)
-        a = dyn_create(ctx, n, lambda i: i)
-        dyn_rotate(ctx, a, shift, flatten=lambda v: 8)
-        expect = list(np.roll(np.arange(n), shift))
-        assert a.to_list() == expect

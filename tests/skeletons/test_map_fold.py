@@ -9,6 +9,7 @@ from repro.errors import SkeletonError
 from repro.machine.costmodel import DPFL, SKIL
 from repro.machine.machine import DISTR_TORUS2D, Machine
 from repro.skeletons import MAX, MIN, PLUS, SkilContext, skil_fn
+from repro.skeletons.base import current_context
 
 from .conftest import create_1d, create_2d, make_ctx, zero
 
@@ -112,6 +113,52 @@ class TestArrayMap:
         with pytest.raises(SkeletonError):
             ctx4.proc_id()
 
+    def test_current_context_only_inside_a_skeleton(self, ctx4):
+        """``current_context()`` is the executing skeleton's context and
+        raises, as documented, once the skeleton has returned."""
+        a = create_1d(ctx4, 8)
+        seen = []
+        spy = skil_fn(ops=1)(lambda v, ix: seen.append(current_context()) or v)
+        ctx4.array_map(spy, a, a)
+        assert seen and all(c is ctx4 for c in seen)
+        with pytest.raises(SkeletonError, match="inside a skeleton"):
+            current_context()
+
+    def test_current_context_restored_after_a_nested_call(self, ctx4):
+        """A skeleton called from inside an argument function hands the
+        outer context back when it returns (also when it raises)."""
+        inner = make_ctx(2)
+        inner_arr = create_1d(inner, 4)
+        a = create_1d(ctx4, 8)
+        seen = []
+
+        def nested(v, ix):
+            inner.array_fold(ident_conv, PLUS, inner_arr)
+            with pytest.raises(SkeletonError):
+                inner.array_scan(PLUS, inner_arr, create_2d(inner, 4))
+            seen.append(current_context())
+            return v
+
+        ctx4.array_map(skil_fn(ops=1)(nested), a, a)
+        assert seen and all(c is ctx4 for c in seen)
+        with pytest.raises(SkeletonError):
+            current_context()
+
+    def test_finished_run_does_not_pin_its_machine(self):
+        """No module global keeps the last context (and through it the
+        machine's clocks, plan store and arrays) alive."""
+        import gc
+        import weakref
+
+        from repro.apps.shortest_paths import random_distance_matrix, shpaths
+
+        ctx = make_ctx(4)
+        shpaths(ctx, random_distance_matrix(8, density=0.25, seed=0))
+        ref = weakref.ref(ctx.machine)
+        del ctx
+        gc.collect()
+        assert ref() is None
+
     def test_dpfl_map_costs_more(self):
         """copy_on_update (functional host) pays for the temporary."""
         times = {}
@@ -186,8 +233,11 @@ class TestArrayFold:
 
     def test_non_assoc_warns(self, ctx4):
         a = create_1d(ctx4, 8)
-        with pytest.warns(UserWarning, match="non-deterministic"):
+        with pytest.warns(UserWarning, match="non-deterministic") as caught:
             ctx4.array_fold(ident_conv, lambda x, y: x - y, a)
+        # attributed to the caller, not to the skeleton_span wrapper
+        (w,) = caught
+        assert w.filename == __file__
 
     def test_result_independent_of_p(self):
         for p in (1, 2, 4, 16):

@@ -4,6 +4,7 @@ Documentation that references missing files or modules rots silently;
 these tests make the references load-bearing.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -167,3 +168,60 @@ class TestSkilSourcesShipped:
 
     def test_at_least_two_skil_files(self):
         assert len(list((ROOT / "examples" / "skil").glob("*.skil"))) >= 2
+
+
+class TestNoDeadModules:
+    """Every module under ``src/repro/`` is imported, directly or not, by
+    something a user runs — a module kept alive only by its own tests is
+    periphery to delete, not to maintain (ROADMAP item 12)."""
+
+    SRC = ROOT / "src"
+    RUN_ROOTS = [
+        SRC / "repro" / "eval" / "__main__.py",
+        SRC / "repro" / "check" / "__main__.py",
+        *sorted((ROOT / "examples").glob("*.py")),
+        *sorted((ROOT / "benchmarks").glob("*.py")),
+        *sorted((ROOT / "bench").rglob("*.py")),
+    ]
+
+    @classmethod
+    def _file_of(cls, module: str) -> Path | None:
+        base = cls.SRC.joinpath(*module.split("."))
+        for f in (base / "__init__.py", base.with_suffix(".py")):
+            if f.exists():
+                return f
+        return None
+
+    @classmethod
+    def _name_of(cls, f: Path) -> str:
+        parts = f.relative_to(cls.SRC).with_suffix("").parts
+        return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+    @staticmethod
+    def _imported(f: Path) -> set[str]:
+        """Dotted names *f* imports absolutely (the code base has no
+        relative imports; one would show here as a module not reached).
+        ``from m import x`` yields ``m`` and ``m.x``: *x* may be a module."""
+        names: set[str] = set()
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module)
+                names.update(f"{node.module}.{a.name}" for a in node.names)
+        return names
+
+    def test_every_module_is_reachable_from_a_run_root(self):
+        reached = {self._name_of(f) for f in self.RUN_ROOTS if self.SRC in f.parents}
+        todo = list(self.RUN_ROOTS)
+        while todo:
+            for name in self._imported(todo.pop()):
+                parts = name.split(".")
+                # importing a.b.c runs a/__init__ and a/b/__init__ too
+                for module in (".".join(parts[: i + 1]) for i in range(len(parts))):
+                    f = self._file_of(module)
+                    if f is not None and module not in reached:
+                        reached.add(module)
+                        todo.append(f)
+        every = {self._name_of(f) for f in (self.SRC / "repro").rglob("*.py")}
+        assert sorted(every - reached) == []
