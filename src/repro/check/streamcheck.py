@@ -1,27 +1,25 @@
 """Streamed-vs-recorded aggregate equality (the ``stream`` pillar).
 
 ``Machine(trace_mode="stream")`` promises that every *aggregate* it
-keeps — per-rank per-kind interval seconds and counts, per-rank message
-arrays, per-tag totals, per-skeleton attribution with online duration
-histograms — is **bit-identical** to folding a full ``trace_level=2``
-recording of the same run through the same sinks
-(:func:`repro.obs.stream.fold_recorded`).  Only the reservoir *contents*
-are exempt: the wave offer draws its random numbers in a different
-order than the scalar offer, so the two reservoirs hold different (but
-equally sized) subsets; the pillar instead checks the sampled records
-are a subset of the full recording.
+keeps — per-rank per-kind interval seconds, per-tag message and byte
+totals, the ``*_seen`` counters, exclusive per-skeleton attribution
+with online duration histograms — is **bit-identical** to folding a
+full ``trace_level=2`` recording of the same run through the same
+sinks.  That reference fold lives here (:func:`fold_recorded`,
+:func:`compare_observers`): production never runs it.
 
 Every trial builds two identical machines, runs the same workload on
 both — one recording, one streaming — and compares:
 
 * the streamed observer against the record fold with
-  :func:`~repro.obs.stream.compare_observers` (bitwise arrays,
-  histograms field-by-field, span ring via dataclass equality),
+  :func:`compare_observers` (bitwise arrays, histograms
+  field-by-field),
 * every per-rank clock with ``==`` (streaming must not perturb the
   simulation),
 * the stats counters exactly and the stats floats bitwise,
 * the metrics registries via their rendered exposition text,
-* reservoir ⊆ full record list.
+* the streamed observer's own memory bound (no closed span alive, O(p)
+  cells).
 
 Three trial families interleave: skeleton applications (shortest paths
 / Gaussian elimination at p ∈ {4, 16, 64}), raw network op sequences
@@ -38,6 +36,7 @@ import random
 import numpy as np
 
 from repro.check.report import TrialRunner
+from repro.errors import SkilError
 from repro.machine.machine import (
     DISTR_DEFAULT,
     DISTR_RING,
@@ -45,10 +44,128 @@ from repro.machine.machine import (
     Machine,
 )
 from repro.obs.metrics import isolated_metrics
-from repro.obs.stream import StreamConfig, compare_observers, fold_recorded
+from repro.obs.span import Span, SpanTracer
+from repro.obs.stream import StreamObserver
 from repro.skeletons import MIN, PLUS, SkilContext
 
-__all__ = ["run_stream", "run_stream_raw"]
+__all__ = ["fold_recorded", "compare_observers", "run_stream", "run_stream_raw"]
+
+
+# ---------------------------------------------------------------------------
+# the reference fold
+# ---------------------------------------------------------------------------
+def _close_order(tracer: SpanTracer) -> list[Span]:
+    """Closed spans of a record-mode tracer in the order they closed.
+
+    Under stack discipline the close sequence is exactly the post-order
+    of the span forest with children visited in begin (index) order —
+    do *not* sort by ``end_time``, which ties for spans closing at the
+    same simulated instant.
+    """
+    children: dict[int | None, list[Span]] = {}
+    for s in tracer.spans:
+        children.setdefault(s.parent, []).append(s)
+    out: list[Span] = []
+
+    def visit(span: Span) -> None:
+        for c in children.get(span.index, []):
+            visit(c)
+        if span.closed:
+            out.append(span)
+
+    for root in children.get(None, []):
+        visit(root)
+    return out
+
+
+def fold_recorded(machine: Machine) -> StreamObserver:
+    """Fold a full ``trace_level=2`` recording into stream aggregates.
+
+    Replays the recorded timeline intervals (append order), message
+    records (append order) and closed spans (close order) through a
+    fresh :class:`StreamObserver` using the same scalar update
+    arithmetic as live streaming.  Every aggregate is bit-identical to
+    running the same workload under ``trace_mode="stream"`` — the
+    equality the pillar asserts via :func:`compare_observers`.
+    """
+    timeline = machine.timeline
+    tracer = machine.tracer
+    if timeline is None or tracer is None or not machine.stats.keep_records:
+        raise SkilError(
+            "fold_recorded needs a full recording: "
+            "Machine(trace_level=2) in the default record mode"
+        )
+    obs = StreamObserver(machine.p)
+    for iv in timeline.intervals:
+        obs.timeline.add(iv.rank, iv.kind, iv.start, iv.end, iv.detail)
+    for rec in machine.stats.records:
+        obs.on_message(
+            rec.time, rec.src, rec.dst, rec.nbytes, rec.hops, rec.tag, rec.depart
+        )
+    for span in _close_order(tracer):
+        obs.on_span(span)
+    return obs
+
+
+def _diff_arrays(name: str, a: np.ndarray, b: np.ndarray, problems: list[str]) -> None:
+    if a.shape != b.shape:
+        problems.append(f"{name}: shape {a.shape} vs {b.shape}")
+        return
+    if not np.array_equal(a, b):
+        idx = int(np.argmax(a != b))
+        problems.append(f"{name}: first diff at [{idx}]: {a[idx]!r} vs {b[idx]!r}")
+
+
+def compare_observers(a: StreamObserver, b: StreamObserver) -> list[str]:
+    """Bitwise comparison of two observers' exact state.
+
+    Returns human-readable problems (empty list = identical).  The
+    spill writer is not compared.
+    """
+    problems: list[str] = []
+    if a.p != b.p:
+        return [f"p: {a.p} vs {b.p}"]
+    ta, tb = a.timeline, b.timeline
+    if set(ta.seconds) != set(tb.seconds):
+        problems.append(
+            f"timeline kinds: {sorted(ta.seconds)} vs {sorted(tb.seconds)}"
+        )
+    else:
+        for kind in sorted(ta.seconds):
+            _diff_arrays(f"timeline.seconds[{kind}]", ta.seconds[kind],
+                         tb.seconds[kind], problems)
+    if ta.intervals_seen != tb.intervals_seen:
+        problems.append(
+            f"intervals_seen: {ta.intervals_seen} vs {tb.intervals_seen}"
+        )
+    for name in ("tag_messages", "tag_bytes", "messages_seen", "spans_seen"):
+        va, vb = getattr(a, name), getattr(b, name)
+        if va != vb:
+            problems.append(f"{name}: {va} vs {vb}")
+    if set(a.skeletons) != set(b.skeletons):
+        problems.append(
+            f"skeleton keys: {sorted(a.skeletons)} vs {sorted(b.skeletons)}"
+        )
+    else:
+        for key in sorted(a.skeletons):
+            ga, gb = a.skeletons[key], b.skeletons[key]
+            for fname in (
+                "calls",
+                "compute_seconds",
+                "comm_seconds",
+                "idle_seconds",
+                "messages",
+                "bytes_sent",
+            ):
+                va, vb = getattr(ga, fname), getattr(gb, fname)
+                if va != vb:
+                    problems.append(f"skeletons[{key}].{fname}: {va!r} vs {vb!r}")
+            ha, hb = ga.durations, gb.durations
+            if (ha.counts, ha.total, ha.count, ha.min, ha.max) != (
+                hb.counts, hb.total, hb.count, hb.min, hb.max
+            ):
+                problems.append(f"skeletons[{key}].durations histogram differs")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -83,30 +200,21 @@ def _compare_modes(m_rec: Machine, m_str: Machine, label: str) -> str | None:
     if m_rec.metrics is not None and m_str.metrics is not None:
         if m_rec.metrics.render_text() != m_str.metrics.render_text():
             return f"metrics exposition mismatch ({label})"
-    fold = fold_recorded(m_rec, m_str.stream_obs.config)
-    problems = compare_observers(fold, m_str.stream_obs)
+    problems = compare_observers(fold_recorded(m_rec), m_str.stream_obs)
     if problems:
         return f"aggregate mismatch ({label}): " + "; ".join(problems[:4])
-    recorded = set(m_rec.stats.records)
-    for rec in m_str.stream_obs.reservoir.items:
-        if rec not in recorded:
-            return f"reservoir sampled an unrecorded message ({label}): {rec}"
     try:
         m_str.stream_obs.assert_bounded()
-    except Exception as exc:
+    except SkilError as exc:
         return f"stream accounting unbounded ({label}): {exc}"
     return None
 
 
-def _machine_pair(p: int, rng: random.Random) -> tuple[Machine, Machine]:
-    cfg = StreamConfig(
-        sample_size=rng.choice([8, 64, 1024]),
-        ring_size=rng.choice([4, 256]),
-        seed=rng.randrange(2**31),
+def _machine_pair(p: int) -> tuple[Machine, Machine]:
+    return (
+        Machine(p, trace_level=2),
+        Machine(p, trace_level=2, trace_mode="stream"),
     )
-    m_rec = Machine(p, trace_level=2)
-    m_str = Machine(p, trace_level=2, trace_mode="stream", stream=cfg)
-    return m_rec, m_str
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +248,7 @@ def trial_stream_app(rng: random.Random) -> tuple[str | None, dict[str, int]]:
             a_mat, rhs = random_system(n, seed=seed)
             gauss_simple(ctx, a_mat, rhs)
 
-    m_rec, m_str = _machine_pair(p, rng)
+    m_rec, m_str = _machine_pair(p)
     with isolated_metrics():
         run(m_rec)
     with isolated_metrics():
@@ -225,7 +333,7 @@ def trial_stream_netops(rng: random.Random) -> tuple[str | None, dict[str, int]]
             else:
                 net.allreduce(op[1], topo, combine_seconds=op[2])
 
-    m_rec, m_str = _machine_pair(p, rng)
+    m_rec, m_str = _machine_pair(p)
     with isolated_metrics():
         run(m_rec)
     with isolated_metrics():
@@ -265,7 +373,7 @@ def trial_stream_engine(rng: random.Random) -> tuple[str | None, dict[str, int]]
             ctx.farm(worker, list(range(n_items)), size_of=lambda t: 1 + t % 3)
 
     rng_offset = rng.random() < 0.5
-    m_rec, m_str = _machine_pair(p, rng)
+    m_rec, m_str = _machine_pair(p)
     with isolated_metrics():
         run(m_rec)
     with isolated_metrics():

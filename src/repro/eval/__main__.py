@@ -44,6 +44,7 @@ from repro.eval.cliopts import (
     apply_backend,
     obs_parent,
     representative_obs_run,
+    require_output_dir,
     require_positive,
     run_target_parent,
     validate_profile_flags,
@@ -116,14 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument(
         "--stream",
         action="store_true",
-        help="run under trace_mode='stream': O(p + samples) memory, "
-        "inclusive aggregates; --trace becomes the JSONL event spill",
-    )
-    tr.add_argument(
-        "--sample-size",
-        type=int,
-        default=1024,
-        help="stream: reservoir capacity for sampled message records",
+        help="run under trace_mode='stream': O(p) memory, aggregates "
+        "only; --trace becomes the JSONL event spill",
     )
     tr.add_argument(
         "--heartbeat-every",
@@ -198,6 +193,12 @@ def _main(argv: list[str]) -> int:
     if args.what in ("trace", "analyze", "profile"):
         require_positive("--p", args.p)
         require_positive("--n", args.n)
+    require_positive("--top", getattr(args, "top", None))
+    require_positive("--heartbeat-every", getattr(args, "heartbeat_every", None))
+    for flag in ("--trace", "--metrics-out", "--profile-out", "--json-out"):
+        require_output_dir(
+            flag, getattr(args, flag[2:].replace("-", "_"), None)
+        )
     if args.what == "profile":
         # the profile subcommand always profiles; --profile-out alone is
         # legal here and doubles as --json-out
@@ -217,7 +218,6 @@ def _main(argv: list[str]) -> int:
             seed=args.seed,
             metrics_out=args.metrics_out,
             stream=args.stream,
-            sample_size=args.sample_size,
             heartbeat_every=args.heartbeat_every
             if not args.quiet
             else None,

@@ -34,7 +34,13 @@ the definitions cannot drift again:
 ``--workers N``
     Worker count for the ``threads`` backend (the ``REPRO_WORKERS``
     default for this process).  Rejected with a clear usage error when
-    nonpositive, as is ``--p`` on the run-target subcommands.
+    nonpositive, as are ``--p``, ``--n``, ``--top`` and
+    ``--heartbeat-every`` on the subcommands that take them.
+
+An output flag (``--trace``, ``--metrics-out``, ``--profile-out``,
+``--json-out``) naming a file in a directory that does not exist is a
+usage error too, raised before anything runs
+(:func:`require_output_dir`).
 
 ``--profile``
     Attach the wall-clock worker-plane profiler
@@ -64,6 +70,7 @@ __all__ = [
     "apply_backend",
     "obs_parent",
     "representative_obs_run",
+    "require_output_dir",
     "require_positive",
     "run_target_parent",
     "validate_profile_flags",
@@ -150,10 +157,24 @@ def run_target_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def require_positive(flag: str, value: int | None) -> None:
+def require_positive(flag: str, value: float | None) -> None:
     """Reject nonpositive count-like flag values with a clear message."""
     if value is not None and value <= 0:
-        raise UsageError(f"{flag} must be a positive integer, got {value}")
+        kind = "integer" if isinstance(value, int) else "number"
+        raise UsageError(f"{flag} must be a positive {kind}, got {value}")
+
+
+def require_output_dir(flag: str, path: str | None) -> None:
+    """Reject an output file that cannot be created, before the run
+    that would fill it: its directory must exist and be writable."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise UsageError(
+            f"{flag} {path}: cannot write there (no writable directory "
+            f"{directory})"
+        )
 
 
 def validate_profile_flags(args) -> None:

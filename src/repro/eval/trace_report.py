@@ -16,17 +16,15 @@ from typing import TYPE_CHECKING
 from repro.machine.trace import TraceStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.span import Span, SpanTracer
+    from repro.machine.machine import Machine
+    from repro.obs.span import SkeletonAgg
 
 __all__ = [
     "CostBreakdown",
     "breakdown",
     "format_breakdowns",
-    "SkeletonBreakdown",
     "skeleton_breakdowns",
     "format_skeleton_breakdowns",
-    "stream_skeleton_breakdowns",
-    "format_stream_skeleton_breakdowns",
 ]
 
 
@@ -94,156 +92,45 @@ def format_breakdowns(rows: list[CostBreakdown]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# per-skeleton breakdowns from span traces
+# the per-skeleton table, one for both trace modes
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class SkeletonBreakdown:
-    """Exclusive cost of all calls of one skeleton across a run.
+def skeleton_breakdowns(machine: "Machine") -> list[SkeletonAgg]:
+    """Exclusive per-skeleton costs of a traced run, busiest first.
 
-    *Exclusive* means nested skeleton spans are attributed to themselves,
-    not to their caller (e.g. an ``array_permute_rows`` invoked inside a
-    larger skeleton counts under its own name); phase spans always count
-    toward their enclosing skeleton.
+    Stream mode filled the aggregates as the spans closed; record mode
+    folds its closed spans into the same class here.  Either way a
+    nested skeleton counts under its own name
+    (:attr:`repro.obs.span.Span.exclusive`), so summing the rows never
+    double-counts a simulated second.
     """
+    if machine.stream_obs is not None:
+        aggs = machine.stream_obs.skeletons
+    else:
+        # imported here: an untraced evaluation never loads repro.obs
+        from repro.obs.span import fold_skeleton
 
-    name: str
-    calls: int
-    compute_seconds: float
-    comm_seconds: float
-    idle_seconds: float
-    messages: int
-    bytes_sent: int
-
-    @property
-    def busy_total(self) -> float:
-        return self.compute_seconds + self.comm_seconds + self.idle_seconds
-
-    @property
-    def compute_share(self) -> float:
-        return self.compute_seconds / self.busy_total if self.busy_total else 0.0
-
-    @property
-    def comm_share(self) -> float:
-        return self.comm_seconds / self.busy_total if self.busy_total else 0.0
-
-    @property
-    def idle_share(self) -> float:
-        return self.idle_seconds / self.busy_total if self.busy_total else 0.0
+        aggs = {}
+        for span in machine.tracer.closed_spans():
+            fold_skeleton(aggs, span)
+    return sorted(aggs.values(), key=lambda a: a.busy_total, reverse=True)
 
 
-def _nearest_skeleton_ancestor(tracer: "SpanTracer", span: "Span"):
-    cur = span.parent
-    while cur is not None:
-        anc = tracer.spans[cur]
-        if anc.category == "skeleton":
-            return anc
-        cur = anc.parent
-    return None
-
-
-def skeleton_breakdowns(tracer: "SpanTracer") -> list[SkeletonBreakdown]:
-    """Aggregate the span tree into exclusive per-skeleton costs.
-
-    Span metrics are inclusive of children; here every nested *skeleton*
-    span's inclusive numbers are subtracted from its nearest skeleton
-    ancestor, so summing the returned rows never double-counts a
-    simulated second.  Rows are sorted by busy time, largest first.
-    """
-    skel = [s for s in tracer.closed_spans() if s.category == "skeleton"]
-    excl = {
-        s.index: [
-            s.compute_seconds,
-            s.comm_seconds,
-            s.idle_seconds,
-            s.messages,
-            s.bytes_sent,
-        ]
-        for s in skel
-    }
-    for s in skel:
-        anc = _nearest_skeleton_ancestor(tracer, s)
-        if anc is not None and anc.index in excl:
-            acc = excl[anc.index]
-            acc[0] -= s.compute_seconds
-            acc[1] -= s.comm_seconds
-            acc[2] -= s.idle_seconds
-            acc[3] -= s.messages
-            acc[4] -= s.bytes_sent
-
-    by_name: dict[str, list] = {}
-    for s in skel:
-        row = by_name.setdefault(s.name, [0, 0.0, 0.0, 0.0, 0, 0])
-        row[0] += 1
-        for i, v in enumerate(excl[s.index]):
-            row[1 + i] += v
-    rows = [
-        SkeletonBreakdown(
-            name=name,
-            calls=row[0],
-            compute_seconds=row[1],
-            comm_seconds=row[2],
-            idle_seconds=row[3],
-            messages=int(row[4]),
-            bytes_sent=int(row[5]),
-        )
-        for name, row in by_name.items()
-    ]
-    rows.sort(key=lambda r: r.busy_total, reverse=True)
-    return rows
-
-
-def format_skeleton_breakdowns(rows: list[SkeletonBreakdown]) -> str:
-    """Render the per-skeleton cost table."""
+def format_skeleton_breakdowns(rows: list[SkeletonAgg]) -> str:
+    """Render the per-skeleton cost table; p50 / p99 are of one call's
+    simulated duration (nested calls included)."""
     out = [
         f"{'skeleton':<24}{'calls':>6}{'busy [s]':>10}{'compute':>9}"
         f"{'comm':>7}{'idle':>7}{'msgs':>8}{'MB sent':>9}"
-    ]
-    for r in rows:
-        out.append(
-            f"{r.name:<24}{r.calls:>6}{r.busy_total:>10.3f}"
-            f"{r.compute_share:>8.0%}{r.comm_share:>7.0%}{r.idle_share:>7.0%}"
-            f"{r.messages:>8}{r.bytes_sent / 1e6:>9.2f}"
-        )
-    return "\n".join(out)
-
-
-# ---------------------------------------------------------------------------
-# per-skeleton breakdowns from streamed aggregates
-# ---------------------------------------------------------------------------
-def stream_skeleton_breakdowns(observer) -> list:
-    """Per-skeleton rows from a stream-mode run's :class:`StreamObserver`.
-
-    Streaming keeps no span tree, so these numbers are **inclusive** of
-    nested skeleton spans (computing exclusive costs needs parent links,
-    i.e. record mode and :func:`skeleton_breakdowns`) — summing rows can
-    double-count a second spent inside a nested skeleton.  In exchange
-    each row carries exact online duration quantiles.  Rows are sorted
-    by busy time, largest first.
-    """
-    rows = [
-        agg
-        for (category, _), agg in observer.span_aggs.items()
-        if category == "skeleton"
-    ]
-    rows.sort(key=lambda a: a.busy_total, reverse=True)
-    return rows
-
-
-def format_stream_skeleton_breakdowns(rows: list) -> str:
-    """Render the streamed per-skeleton table (inclusive attribution)."""
-    out = [
-        f"{'skeleton (inclusive)':<24}{'calls':>6}{'busy [s]':>10}"
-        f"{'compute':>9}{'comm':>7}{'idle':>7}{'msgs':>8}{'MB sent':>9}"
         f"{'p50 [s]':>10}{'p99 [s]':>10}"
     ]
-    for a in rows:
-        b = a.busy_total or 1.0
+    for r in rows:
+        b = r.busy_total or 1.0
         out.append(
-            f"{a.name:<24}{a.calls:>6}{a.busy_total:>10.3f}"
-            f"{a.compute_seconds / b:>8.0%}{a.comm_seconds / b:>7.0%}"
-            f"{a.idle_seconds / b:>7.0%}"
-            f"{a.messages:>8}{a.bytes_sent / 1e6:>9.2f}"
-            f"{a.durations.quantile(0.5):>10.2e}"
-            f"{a.durations.quantile(0.99):>10.2e}"
+            f"{r.name:<24}{r.calls:>6}{r.busy_total:>10.3f}"
+            f"{r.compute_seconds / b:>8.0%}{r.comm_seconds / b:>7.0%}"
+            f"{r.idle_seconds / b:>7.0%}"
+            f"{r.messages:>8}{r.bytes_sent / 1e6:>9.2f}"
+            f"{r.durations.quantile(0.5):>10.2e}"
+            f"{r.durations.quantile(0.99):>10.2e}"
         )
     return "\n".join(out)

@@ -114,38 +114,28 @@ def run_traced(
 def trace_report_text(run: TraceRun) -> str:
     """The full plain-text analysis of one traced run.
 
-    Record mode prints the exclusive per-skeleton table and the
-    flamegraph rollup (both need the span tree); stream mode prints the
-    inclusive streamed table with duration quantiles and the
-    aggregated-mode analysis instead.
+    Both modes print the same exclusive per-skeleton table; record
+    mode adds the flamegraph rollup (it needs the span tree), stream
+    mode the aggregated-mode analysis.
     """
     m = run.machine
     label = f"{run.app} p={m.p} n={run.n}"
-    parts = [format_breakdowns([breakdown(label, run.seconds, m.stats)]), ""]
-    if m.stream_obs is not None:
-        from repro.eval.trace_report import (
-            format_stream_skeleton_breakdowns,
-            stream_skeleton_breakdowns,
-        )
-
+    parts = [
+        format_breakdowns([breakdown(label, run.seconds, m.stats)]),
+        "",
+        "per-skeleton breakdown (exclusive):",
+        format_skeleton_breakdowns(skeleton_breakdowns(m)),
+    ]
+    if m.stream_obs is None:
         parts += [
-            "per-skeleton breakdown (streamed, inclusive):",
-            format_stream_skeleton_breakdowns(
-                stream_skeleton_breakdowns(m.stream_obs)
-            ),
-        ]
-        if m.trace_level >= 2:
-            from repro.obs.analysis import analyze_stream, format_stream_analysis
-
-            parts += ["", format_stream_analysis(analyze_stream(m))]
-    else:
-        parts += [
-            "per-skeleton breakdown (exclusive):",
-            format_skeleton_breakdowns(skeleton_breakdowns(m.tracer)),
             "",
             "flamegraph rollup:",
             flame_rollup(m.tracer, timeline=m.timeline),
         ]
+    elif m.trace_level >= 2:
+        from repro.obs.analysis import analyze_stream, format_stream_analysis
+
+        parts += ["", format_stream_analysis(analyze_stream(m))]
     if m.metrics is not None:
         parts += ["", "metrics:", m.metrics.format()]
     return "\n".join(parts)
@@ -160,7 +150,6 @@ def run_trace_command(
     seed: int = 0,
     metrics_out: str | None = None,
     stream: bool = False,
-    sample_size: int = 1024,
     heartbeat_every: float | None = None,
     profile: bool = False,
     profile_out: str | None = None,
@@ -180,9 +169,7 @@ def run_trace_command(
     if stream:
         from repro.obs.stream import StreamConfig
 
-        stream_cfg = StreamConfig(
-            sample_size=sample_size, seed=seed, spill_path=out
-        )
+        stream_cfg = StreamConfig(spill_path=out)
     run = run_traced(
         app,
         p=p,

@@ -103,21 +103,22 @@ class Machine:
 
         * ``"record"`` — materialize everything: message records,
           timeline intervals and spans accumulate in lists,
-          O(messages) memory, full post-hoc analysis (DAG, what-if).
+          O(messages) memory, full post-hoc analysis (critical path,
+          what-if).
         * ``"stream"`` — fold the same waves into
-          :mod:`repro.obs.stream` sinks: exact O(p) aggregates, a
-          seeded reservoir of message records, a ring of recent spans,
-          optional JSONL spill (closed by :meth:`close`).  Memory stays
-          O(p + samples) at any run length; aggregate values are
-          bit-identical to folding a full recording (the ``stream``
-          check pillar).
+          :mod:`repro.obs.stream` sinks: exact O(p) aggregates (per-rank
+          seconds, per-tag traffic, the per-skeleton table), optional
+          JSONL spill (closed by :meth:`close`).  No message, interval
+          or closed span is retained, so memory stays O(p) at any run
+          length; aggregate values are bit-identical to folding a full
+          recording (the ``stream`` check pillar).
         * ``None`` (the default) — pick automatically: ``"stream"``
           for a fully traced (``trace_level >= 2``) machine with
           ``p >= STREAM_AUTO_P`` (where record mode's O(messages)
           retention would dominate memory), ``"record"`` otherwise.
     stream:
         Optional :class:`~repro.obs.stream.StreamConfig` for
-        ``trace_mode="stream"`` (sample sizes, spill path, seed).
+        ``trace_mode="stream"`` (the spill path).
     backend:
         Where fused skeleton kernels physically execute: ``"sim"``
         (single process, the default), ``"threads"`` (thread pool over
@@ -208,7 +209,7 @@ class Machine:
         if trace_level >= 2:
             if streaming:
                 # the stream timeline takes the Timeline's place on the
-                # network; ``self.timeline`` stays None so DAG-building
+                # network; ``self.timeline`` stays None so critical-path
                 # analysis correctly refuses (use analyze_stream)
                 self.network.timeline = self.stream_obs.timeline
                 self.stats.sink = self.stream_obs

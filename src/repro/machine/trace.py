@@ -65,11 +65,12 @@ class TraceStats:
     skeleton_calls: int = 0
     records: list[MessageRecord] = field(default_factory=list)
     keep_records: bool = False
-    #: optional streaming consumer (:class:`repro.obs.stream.ObsSink`);
-    #: every message — scalar or wave — is forwarded to it *in emission
-    #: order*, so online aggregates see the exact event sequence that
-    #: ``keep_records`` would have materialized.  Wiring, not state:
-    #: :meth:`clear` leaves it attached.
+    #: optional streaming consumer (``on_message`` / ``on_message_wave``:
+    #: :class:`repro.obs.stream.StreamObserver`); every message — scalar
+    #: or wave — is forwarded to it *in emission order*, so online
+    #: aggregates see the exact event sequence that ``keep_records``
+    #: would have materialized.  Wiring, not state: :meth:`clear` leaves
+    #: it attached.
     sink: "object | None" = None
 
     def record_message(

@@ -13,23 +13,22 @@ set:
   compute/send/recv/idle intervals, filled in by both the analytic
   clock layer (:mod:`repro.machine.network`) and the discrete-event
   engine (:mod:`repro.machine.engine`);
-* :mod:`repro.obs.metrics` — a **metrics registry** of counters,
-  gauges and histograms (message sizes, hop counts, instantiation
-  cache behaviour);
+* :mod:`repro.obs.metrics` — a **metrics registry** of counters and
+  histograms (message sizes, hop counts, instantiation cache
+  behaviour);
 * :mod:`repro.obs.export` — **exporters**: Chrome trace-event JSON
   (open in Perfetto or ``chrome://tracing``; one track per rank, a
   skeleton-span track and per-rank idle-wait tracks) and a
   flamegraph-style plain-text rollup;
-* :mod:`repro.obs.analysis` — the **happens-before DAG** of a traced
-  run, its **critical path** with exact compute/latency/bandwidth/idle
-  attribution, per-rank straggler metrics and what-if cost replays
-  (``python -m repro.eval analyze``);
+* :mod:`repro.obs.analysis` — the **critical path** of a traced run
+  over its happens-before order, with exact
+  compute/latency/bandwidth/idle attribution, per-rank straggler
+  metrics and what-if cost replays (``python -m repro.eval analyze``);
 * :mod:`repro.obs.stream` — the **streaming sinks** behind
-  ``Machine(trace_mode="stream")``: exact O(p) online aggregates,
-  seeded reservoir sampling of message records, a ring of recent
-  spans and a rotating JSONL spill, keeping observability memory
-  O(p + samples) at extreme scale (docs/OBSERVABILITY.md, "Streaming
-  mode");
+  ``Machine(trace_mode="stream")``: exact O(p) online aggregates, the
+  per-skeleton table filled as spans close and a rotating JSONL spill,
+  keeping observability memory O(p) at extreme scale
+  (docs/OBSERVABILITY.md, "Streaming mode");
 * :mod:`repro.obs.prof` — the **wall-clock worker-plane profiler**
   behind ``Machine(profile=True)``: dispatch latency, in-worker kernel
   wall time, per-worker utilization, the dispatch/kernel/idle
@@ -44,28 +43,22 @@ makespans are bit-identical with tracing disabled.
 
 from repro.obs.analysis import (
     CriticalPath,
-    HappensBeforeDag,
     PathStep,
     RunAnalysis,
     StreamAnalysis,
     analyze_machine,
     analyze_stream,
-    build_dag,
     critical_path,
     format_stream_analysis,
 )
 from repro.obs.stream import (
-    ObsSink,
     ProgressReporter,
     StreamConfig,
     StreamObserver,
     StreamTimeline,
-    compare_observers,
-    fold_recorded,
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     global_metrics,
@@ -76,7 +69,7 @@ from repro.obs.prof import (
     PROFILE_SCHEMA,
     WallProfiler,
 )
-from repro.obs.span import Span, SpanTracer
+from repro.obs.span import SkeletonAgg, Span, SpanTracer
 from repro.obs.timeline import Interval, Timeline
 from repro.obs.export import (
     chrome_trace_events,
@@ -88,13 +81,13 @@ from repro.obs.export import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "global_metrics",
     "isolated_metrics",
     "Span",
     "SpanTracer",
+    "SkeletonAgg",
     "Interval",
     "Timeline",
     "chrome_trace_events",
@@ -106,20 +99,15 @@ __all__ = [
     "PROFILE_SCHEMA",
     "WallProfiler",
     "CriticalPath",
-    "HappensBeforeDag",
     "PathStep",
     "RunAnalysis",
     "analyze_machine",
-    "build_dag",
     "critical_path",
     "StreamAnalysis",
     "analyze_stream",
     "format_stream_analysis",
-    "ObsSink",
     "ProgressReporter",
     "StreamConfig",
     "StreamObserver",
     "StreamTimeline",
-    "compare_observers",
-    "fold_recorded",
 ]

@@ -1,15 +1,16 @@
-"""Critical-path analysis over the happens-before DAG of a traced run.
+"""Critical-path analysis over the happens-before order of a traced run.
 
-A traced run (``Machine(p, trace_level=2)``) leaves behind everything a
-happens-before DAG needs: per-rank **program order** from the
+A traced run (``Machine(p, trace_level=2)``) leaves behind everything
+the happens-before order needs: per-rank **program order** from the
 :class:`~repro.obs.timeline.Timeline` intervals, and **message edges**
 from the send→recv matching the
-:class:`~repro.machine.trace.MessageRecord` stream now carries (each
+:class:`~repro.machine.trace.MessageRecord` stream carries (each
 record names the wire window ``[depart, time]`` between the sender's
-and the receiver's activities).  This module materialises that DAG and
-answers the question the aggregate counters cannot: *which* chain of
-activities determined the makespan, and what is each component's share
-of it.
+and the receiver's activities).  This module walks that order backward
+and answers the question the aggregate counters cannot: *which* chain
+of activities determined the makespan, and what is each component's
+share of it.  (The DAG itself is only ever materialised to be
+validated: ``repro.check.dagcheck`` builds it, for the ``dag`` pillar.)
 
 Three layers:
 
@@ -31,8 +32,8 @@ Three layers:
   — the attribution identity the invariant checks and the tests pin
   down.
 
-* :func:`analyze_machine` / :class:`RunAnalysis` — the DAG, the
-  critical path, per-skeleton exclusive attribution (innermost
+* :func:`analyze_machine` / :class:`RunAnalysis` — the critical
+  path, per-skeleton exclusive attribution (innermost
   skeleton span wins, like ``trace_report``), per-rank load/straggler
   metrics, and the top-k *blocking edges* (the message transfers on
   the critical path, largest first).
@@ -46,7 +47,7 @@ Three layers:
   shorten the makespan by **at most** that component's share of the
   old critical path (the old path is still a path, and its new length
   is the old length minus exactly what was removed along it), so each
-  replay's improvement is cross-checked against the DAG attribution:
+  replay's improvement is cross-checked against the path attribution:
   ``delta <= bound + slack``.
 """
 
@@ -71,9 +72,6 @@ __all__ = [
     "COMPONENTS",
     "PathStep",
     "CriticalPath",
-    "DagEdge",
-    "HappensBeforeDag",
-    "build_dag",
     "critical_path",
     "RankLoad",
     "rank_loads",
@@ -87,7 +85,6 @@ __all__ = [
     "WhatIf",
     "whatif_scenarios",
     "run_whatif",
-    "invariant_problems",
     "format_analysis",
 ]
 
@@ -107,135 +104,6 @@ def _eps_for(makespan: float) -> float:
     # record and the timeline side, so the tolerance only has to absorb
     # non-identical associations (e.g. ``arrival - wire`` vs ``depart``)
     return 1e-12 + 1e-9 * abs(makespan)
-
-
-# ---------------------------------------------------------------------------
-# the DAG itself
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DagEdge:
-    """One happens-before edge between two timeline intervals."""
-
-    kind: str  # "program" | "message"
-    src_node: int  # index into HappensBeforeDag.nodes
-    dst_node: int
-    record: MessageRecord | None = None
-
-
-@dataclass
-class HappensBeforeDag:
-    """Timeline intervals as nodes, program order + messages as edges."""
-
-    nodes: list[Interval]
-    edges: list[DagEdge]
-    makespan: float
-    #: message records that could not be matched to a send and a recv
-    #: interval (zero-length intervals are dropped by the timeline)
-    unmatched_records: int = 0
-
-    def validate(self) -> list[str]:
-        """Structural problems (empty list = a valid happens-before DAG).
-
-        Every edge must point forward in time — program edges from an
-        earlier-starting to a later-starting interval of one rank,
-        message edges from a wire departure to a no-earlier arrival.
-        Forward-in-time edges make time a topological order, so the
-        graph is acyclic by construction; a violation here is a
-        corrupted trace.
-        """
-        problems: list[str] = []
-        eps = _eps_for(self.makespan)
-        for e in self.edges:
-            u, v = self.nodes[e.src_node], self.nodes[e.dst_node]
-            if e.kind == "program":
-                if u.rank != v.rank:
-                    problems.append(
-                        f"program edge crosses ranks {u.rank}->{v.rank}"
-                    )
-                if u.start > v.start + eps:
-                    problems.append(
-                        f"program edge goes backward on rank {u.rank}: "
-                        f"{u.start} -> {v.start}"
-                    )
-            else:
-                r = e.record
-                assert r is not None
-                if r.depart > r.time + eps:
-                    problems.append(
-                        f"message {r.src}->{r.dst} departs after it arrives: "
-                        f"{r.depart} > {r.time}"
-                    )
-                if u.rank != r.src or v.rank != r.dst:
-                    problems.append(
-                        f"message edge endpoints disagree with its record: "
-                        f"nodes {u.rank}->{v.rank}, record {r.src}->{r.dst}"
-                    )
-        for iv in self.nodes:
-            if iv.end > self.makespan + eps or iv.start < -eps:
-                problems.append(
-                    f"interval {iv.kind} [{iv.start}, {iv.end}] on rank "
-                    f"{iv.rank} escapes [0, {self.makespan}]"
-                )
-        return problems
-
-
-def build_dag(
-    timeline: Timeline,
-    records: Sequence[MessageRecord],
-    makespan: float | None = None,
-) -> HappensBeforeDag:
-    """Materialise the happens-before DAG of one traced run."""
-    nodes = sorted(timeline.intervals, key=lambda iv: (iv.rank, iv.start, iv.end))
-    if makespan is None:
-        makespan = max((iv.end for iv in nodes), default=0.0)
-    eps = _eps_for(makespan)
-    index = {id(iv): i for i, iv in enumerate(nodes)}
-    edges: list[DagEdge] = []
-
-    by_rank: dict[int, list[Interval]] = {}
-    for iv in nodes:
-        by_rank.setdefault(iv.rank, []).append(iv)
-    for ivs in by_rank.values():
-        for u, v in zip(ivs, ivs[1:]):
-            edges.append(DagEdge("program", index[id(u)], index[id(v)]))
-
-    # message edges: sender interval ending at (or spanning) the wire
-    # departure -> receiver interval ending at the arrival
-    ends: dict[int, list[float]] = {
-        r: [iv.end for iv in ivs] for r, ivs in by_rank.items()
-    }
-    unmatched = 0
-    for rec in records:
-        if rec.depart < 0.0 or rec.src == rec.dst:
-            unmatched += 1
-            continue
-        u = _interval_at(by_rank, ends, rec.src, rec.depart, eps)
-        v = _interval_at(by_rank, ends, rec.dst, rec.time, eps)
-        if u is None or v is None:
-            unmatched += 1
-            continue
-        edges.append(DagEdge("message", index[id(u)], index[id(v)], rec))
-    return HappensBeforeDag(nodes, edges, makespan, unmatched)
-
-
-def _interval_at(
-    by_rank: dict[int, list[Interval]],
-    ends: dict[int, list[float]],
-    rank: int,
-    t: float,
-    eps: float,
-) -> Interval | None:
-    """The rank's interval ending at *t* (preferred) or spanning it."""
-    ivs = by_rank.get(rank)
-    if not ivs:
-        return None
-    i = bisect.bisect_left(ends[rank], t - eps)
-    if i < len(ivs) and abs(ivs[i].end - t) <= eps:
-        return ivs[i]
-    for iv in ivs[max(0, i - 2): i + 2]:
-        if iv.start - eps <= t <= iv.end + eps:
-            return iv
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +681,6 @@ class RunAnalysis:
 
     makespan: float
     path: CriticalPath
-    dag: HappensBeforeDag
     loads: list[RankLoad]
     imbalance: list[SkeletonImbalance]
     p: int
@@ -870,11 +737,9 @@ def analyze_machine(machine: "Machine") -> RunAnalysis:
         makespan=makespan,
         tracer=machine.tracer,
     )
-    dag = build_dag(machine.timeline, machine.stats.records, makespan)
     return RunAnalysis(
         makespan=makespan,
         path=path,
-        dag=dag,
         loads=rank_loads(machine.timeline, makespan),
         imbalance=skeleton_imbalance(machine.timeline, machine.tracer, machine.p),
         p=machine.p,
@@ -888,24 +753,24 @@ def analyze_machine(machine: "Machine") -> RunAnalysis:
 class StreamAnalysis:
     """Load/straggler/imbalance report computed from streamed aggregates.
 
-    The streaming counterpart of :class:`RunAnalysis`: no DAG, no
-    critical path (those need the full record), but exact per-rank and
-    per-skeleton attribution at O(p + samples) memory.  ``loads`` uses
-    summed per-kind seconds rather than record-mode's overlap-merged
-    coverage, so a rank that sends and receives simultaneously can
-    exceed a busy fraction of 1 — documented in docs/OBSERVABILITY.md.
+    The streaming counterpart of :class:`RunAnalysis`: no critical path
+    (that needs the full record), but exact per-rank loads and per-tag
+    traffic at O(p) memory (the per-skeleton table is
+    ``repro.eval.trace_report``'s, the same in both modes).  ``loads``
+    uses summed per-kind seconds rather than record-mode's
+    overlap-merged coverage, so a rank that sends and receives
+    simultaneously can exceed a busy fraction of 1 — documented in
+    docs/OBSERVABILITY.md.
     """
 
     makespan: float
     p: int
     stats: dict
     loads: list[RankLoad]
-    skeletons: list  # list[repro.obs.stream.SkeletonAgg], busiest first
     straggler_rank: int
     skew: float
     tags: list[tuple[str, int, int]]  # (tag, messages, bytes)
     accounting: dict
-    sampled_records: int
 
     def component_totals(self) -> dict[str, float]:
         """Bounded compute/comm/idle attribution from the exact stats
@@ -917,41 +782,12 @@ class StreamAnalysis:
             "idle": self.stats["idle_s"],
         }
 
-    def snapshot(self) -> dict:
-        """JSON-able summary (schema ``repro-stream-analyze/1``)."""
-        return {
-            "schema": "repro-stream-analyze/1",
-            "p": self.p,
-            "makespan_s": self.makespan,
-            "components": self.component_totals(),
-            "by_skeleton": {
-                agg.name: {
-                    "calls": agg.calls,
-                    "busy_s": agg.busy_total,
-                    "compute_s": agg.compute_seconds,
-                    "comm_s": agg.comm_seconds,
-                    "idle_s": agg.idle_seconds,
-                    "messages": agg.messages,
-                    "bytes": agg.bytes_sent,
-                    "duration_p50": agg.durations.quantile(0.5),
-                    "duration_p99": agg.durations.quantile(0.99),
-                }
-                for agg in self.skeletons
-            },
-            "rank_busy_fraction": {
-                str(l.rank): l.busy_fraction for l in self.loads
-            },
-            "straggler": {"rank": self.straggler_rank, "skew": self.skew},
-            "tags": {t: {"messages": m, "bytes": b} for t, m, b in self.tags},
-            "accounting": dict(self.accounting),
-        }
-
 
 def analyze_stream(machine: "Machine") -> StreamAnalysis:
     """Aggregated-mode analysis of a ``trace_mode="stream"`` run.
 
-    Works entirely from the O(p) streamed aggregates — no DAG is built
-    and nothing is replayed, so it is safe at any p.  Requires
+    Works entirely from the O(p) streamed aggregates — nothing is
+    replayed, so it is safe at any p.  Requires
     ``Machine(trace_level=2, trace_mode="stream")`` (the stream
     timeline feeds the per-rank numbers).
     """
@@ -980,10 +816,6 @@ def analyze_stream(machine: "Machine") -> StreamAnalysis:
         skew = mx / median
     else:
         skew = float("inf") if mx > 0.0 else 1.0
-    skeletons = sorted(
-        (agg for (cat, _), agg in obs.span_aggs.items() if cat == "skeleton"),
-        key=lambda a: -a.busy_total,
-    )
     tags = sorted(
         (
             (t, obs.tag_messages[t], obs.tag_bytes.get(t, 0))
@@ -996,12 +828,10 @@ def analyze_stream(machine: "Machine") -> StreamAnalysis:
         p=machine.p,
         stats=machine.stats.summary(),
         loads=loads,
-        skeletons=skeletons,
         straggler_rank=int(busy.argmax()) if n else 0,
         skew=skew,
         tags=tags,
         accounting=obs.accounting(),
-        sampled_records=len(obs.reservoir),
     )
 
 
@@ -1018,22 +848,6 @@ def format_stream_analysis(sa: StreamAnalysis, top: int = 8) -> str:
     lines.append(f"{'component':<14}{'seconds':>12}{'share':>8}")
     for c, v in totals.items():
         lines.append(f"{c:<14}{v:>12.6f}{v / busy_total:>8.1%}")
-
-    lines.append("")
-    lines.append("per-skeleton aggregates (inclusive of nested skeletons):")
-    lines.append(
-        f"{'skeleton':<26}{'calls':>6}{'busy [s]':>11}{'compute':>9}"
-        f"{'comm':>7}{'idle':>7}{'p50 [s]':>10}{'p99 [s]':>10}"
-    )
-    for agg in sa.skeletons[:top]:
-        b = agg.busy_total or 1.0
-        lines.append(
-            f"{agg.name:<26}{agg.calls:>6}{agg.busy_total:>11.6f}"
-            f"{agg.compute_seconds / b:>8.0%}{agg.comm_seconds / b:>7.0%}"
-            f"{agg.idle_seconds / b:>7.0%}"
-            f"{agg.durations.quantile(0.5):>10.2e}"
-            f"{agg.durations.quantile(0.99):>10.2e}"
-        )
 
     lines.append("")
     lines.append("rank loads (summed busy seconds / makespan):")
@@ -1058,13 +872,9 @@ def format_stream_analysis(sa: StreamAnalysis, top: int = 8) -> str:
     acc = sa.accounting
     lines.append("")
     lines.append(
-        f"memory: {acc['per_rank_cells']} per-rank cells, "
-        f"{acc['records_retained']}/{acc['records_cap']} sampled records "
-        f"(of {acc['messages_seen']} seen), "
-        f"{acc['spans_retained']}/{acc['spans_cap']} ringed spans "
-        f"(of {acc['spans_seen']} seen), "
-        f"{acc['intervals_retained']} retained intervals "
-        f"(of {acc['intervals_seen']} seen)"
+        f"memory: {acc['per_rank_cells']} per-rank cells; nothing retained of "
+        f"{acc['messages_seen']} messages, {acc['intervals_seen']} intervals, "
+        f"{acc['spans_seen']} spans ({acc['spans_retained']} still alive)"
     )
     return "\n".join(lines)
 
@@ -1074,7 +884,7 @@ def format_stream_analysis(sa: StreamAnalysis, top: int = 8) -> str:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class WhatIf:
-    """One counterfactual replay against the DAG-attribution bound."""
+    """One counterfactual replay against the attribution bound."""
 
     scenario: str
     makespan: float
@@ -1130,45 +940,6 @@ def run_whatif(
             )
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# invariants (used by repro.check's dag pillar and the tests)
-# ---------------------------------------------------------------------------
-def invariant_problems(machine: "Machine") -> list[str]:
-    """All structural invariants of one traced run's analysis.
-
-    * the happens-before DAG is acyclic (every edge forward in time);
-    * the critical path tiles ``[0, makespan]`` exactly and its
-      component attribution sums to the makespan;
-    * the path's busy (non-idle) share cannot exceed the makespan, and
-      the makespan cannot exceed the total busy+idle over the path
-      (they are equal — the two inequalities bound it from both sides);
-    * per-rank busy fractions stay within [0, 1].
-    """
-    problems: list[str] = []
-    analysis = analyze_machine(machine)
-    problems += [f"dag: {p}" for p in analysis.dag.validate()]
-    problems += [f"path: {p}" for p in analysis.path.validate()]
-    totals = analysis.component_totals()
-    eps = _eps_for(analysis.makespan)
-    busy = totals["compute"] + totals["latency"] + totals["bandwidth"]
-    if busy > analysis.makespan + eps:
-        problems.append(
-            f"critical-path busy {busy} exceeds makespan {analysis.makespan}"
-        )
-    if analysis.makespan > busy + totals["idle"] + eps:
-        problems.append(
-            f"makespan {analysis.makespan} exceeds the path's busy+idle "
-            f"{busy + totals['idle']}"
-        )
-    for load in analysis.loads:
-        if not (-1e-9 <= load.busy_fraction <= 1.0 + 1e-9):
-            problems.append(
-                f"rank {load.rank} busy fraction {load.busy_fraction} "
-                "outside [0, 1]"
-            )
-    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""A small metrics registry: counters, gauges and histograms.
+"""A small metrics registry: counters and histograms.
 
 Modelled on the Prometheus client conventions but in-process and
 allocation-light: instruments are created on first use and held by name
@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "global_metrics",
@@ -46,23 +45,6 @@ class Counter:
 
 
 @dataclass
-class Gauge:
-    """A value that can go up and down (e.g. bytes currently allocated)."""
-
-    name: str
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
-@dataclass
 class Histogram:
     """Bucketed distribution with sum/count/min/max.
 
@@ -81,6 +63,8 @@ class Histogram:
     def __post_init__(self) -> None:
         if not self.counts:
             self.counts = [0] * (len(self.buckets) + 1)
+        #: the bounds as an array, built once for :meth:`observe_many`
+        self._bounds = np.asarray(self.buckets, dtype=np.float64)
 
     def observe(self, value: float) -> None:
         v = float(value)
@@ -103,9 +87,10 @@ class Histogram:
         k = int(vals.size)
         if k == 0:
             return
-        idx = np.searchsorted(np.asarray(self.buckets), vals, side="left")
-        for i, c in zip(*np.unique(idx, return_counts=True)):
-            self.counts[int(i)] += int(c)
+        idx = np.searchsorted(self._bounds, vals, side="left")
+        for i, hits in enumerate(np.bincount(idx).tolist()):
+            if hits:
+                self.counts[i] += hits
         buf = np.empty(k + 1, dtype=np.float64)
         buf[0] = self.total
         buf[1:] = vals
@@ -181,7 +166,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------ accessors
@@ -190,12 +174,6 @@ class MetricsRegistry:
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
 
     def histogram(self, name: str, buckets: tuple[float, ...] = POW2_BUCKETS) -> Histogram:
         h = self._histograms.get(name)
@@ -221,11 +199,9 @@ class MetricsRegistry:
     # ------------------------------------------------------------ output
     def snapshot(self) -> dict[str, dict]:
         """Plain-dict dump (stable key order) for JSON export and tests."""
-        out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
+        out: dict[str, dict] = {"counters": {}, "histograms": {}}
         for name in sorted(self._counters):
             out["counters"][name] = self._counters[name].value
-        for name in sorted(self._gauges):
-            out["gauges"][name] = self._gauges[name].value
         for name in sorted(self._histograms):
             h = self._histograms[name]
             out["histograms"][name] = {
@@ -243,8 +219,6 @@ class MetricsRegistry:
         lines: list[str] = []
         for name in sorted(self._counters):
             lines.append(f"{name:<40}{self._counters[name].value:>14g}")
-        for name in sorted(self._gauges):
-            lines.append(f"{name:<40}{self._gauges[name].value:>14g}")
         for name in sorted(self._histograms):
             h = self._histograms[name]
             lines.append(
@@ -271,10 +245,6 @@ class MetricsRegistry:
             pname = _prom_name(name)
             lines.append(f"# TYPE {pname}_total counter")
             lines.append(f"{pname}_total {_prom_value(self._counters[name].value)}")
-        for name in sorted(self._gauges):
-            pname = _prom_name(name)
-            lines.append(f"# TYPE {pname} gauge")
-            lines.append(f"{pname} {_prom_value(self._gauges[name].value)}")
         for name in sorted(self._histograms):
             h = self._histograms[name]
             pname = _prom_name(name)
@@ -295,7 +265,6 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
 

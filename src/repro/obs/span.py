@@ -10,7 +10,10 @@ clock vector at ``begin`` and diffing at ``end`` — no per-message
 bookkeeping, so the tracer itself is cheap even on long runs.
 
 Spans nest by stack discipline; a span's numbers are *inclusive* of its
-children (the exporters compute exclusive values where needed).
+children.  A skeleton span also carries its *exclusive* cost — the same
+numbers minus every skeleton nested in it — worked out when it closes,
+from the open stack, so it is known in both trace modes;
+:class:`SkeletonAgg` folds those into the per-skeleton table.
 """
 
 from __future__ import annotations
@@ -20,12 +23,24 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import SkilError
+from repro.obs.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.network import Network
     from repro.machine.trace import TraceStats
 
-__all__ = ["Span", "SpanTracer", "SpanError"]
+__all__ = [
+    "Span",
+    "SpanTracer",
+    "SpanError",
+    "SkeletonAgg",
+    "fold_skeleton",
+    "DURATION_BUCKETS",
+]
+
+#: span-duration buckets in simulated seconds: powers of two from ~1 ns
+#: to ~17 min, fine enough for p50/p99 interpolation on any profile.
+DURATION_BUCKETS = tuple(2.0 ** k for k in range(-30, 11))
 
 
 class SpanError(SkilError):
@@ -49,6 +64,12 @@ class Span:
     messages: int = 0
     bytes_sent: int = 0
     ranks: tuple[int, ...] = ()
+    #: a closed skeleton span's own (compute, comm, idle seconds,
+    #: messages, bytes): the inclusive numbers above minus those of the
+    #: skeleton spans nested in it, so summing over spans counts every
+    #: simulated second once.  Phases count toward their skeleton and
+    #: carry none.
+    exclusive: tuple[float, float, float, int, int] | None = None
 
     @property
     def closed(self) -> bool:
@@ -72,6 +93,9 @@ class _Snapshot:
     messages: int
     bytes_sent: int
     clocks: "object"  # np.ndarray copy
+    #: inclusive numbers of the skeleton spans that closed directly
+    #: under this (skeleton) span, in close order
+    nested: list[tuple] = field(default_factory=list)
 
 
 class SpanTracer:
@@ -138,6 +162,25 @@ class SpanTracer:
         top.bytes_sent = self.stats.bytes_sent - snap.bytes_sent
         moved = self.network.clocks != snap.clocks
         top.ranks = tuple(moved.nonzero()[0].tolist())
+        if top.category == "skeleton":
+            inclusive = (
+                top.compute_seconds,
+                top.comm_seconds,
+                top.idle_seconds,
+                top.messages,
+                top.bytes_sent,
+            )
+            # one subtraction per nested skeleton, in close order: float
+            # for float what a walk over the recorded tree would get
+            own = list(inclusive)
+            for child in snap.nested:
+                for i, v in enumerate(child):
+                    own[i] -= v
+            top.exclusive = tuple(own)
+            for outer, outer_snap in reversed(self._stack):
+                if outer.category == "skeleton":
+                    outer_snap.nested.append(inclusive)
+                    break
         if self._on_close is not None:
             self._on_close(top)
         return top
@@ -171,9 +214,6 @@ class SpanTracer:
     def closed_spans(self) -> list[Span]:
         return [s for s in self.spans if s.closed]
 
-    def children(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent == span.index]
-
     def roots(self) -> list[Span]:
         return [s for s in self.spans if s.parent is None]
 
@@ -190,3 +230,60 @@ class SpanTracer:
         self.spans.clear()
         self._stack.clear()
         self._begun = 0
+
+
+# ---------------------------------------------------------------------------
+# per-skeleton aggregates
+# ---------------------------------------------------------------------------
+@dataclass
+class SkeletonAgg:
+    """Exclusive cost of all calls of one skeleton across a run.
+
+    Folds :attr:`Span.exclusive`: a nested skeleton span counts under
+    its own name, not its caller's (an ``array_permute_rows`` invoked
+    inside a larger skeleton), phase spans count toward their enclosing
+    skeleton, so summing rows never double-counts a simulated second.
+    ``durations`` sees each call's simulated duration, nested calls
+    included.  Stream mode fills these online, record mode folds its
+    closed spans into the same class (:func:`fold_skeleton`).
+    """
+
+    name: str
+    calls: int = 0
+    compute_seconds: float = 0.0
+    comm_seconds: float = 0.0
+    idle_seconds: float = 0.0
+    messages: int = 0
+    bytes_sent: int = 0
+    durations: Histogram = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.durations is None:
+            self.durations = Histogram(
+                f"span.duration.{self.name}", buckets=DURATION_BUCKETS
+            )
+
+    def fold(self, span: Span) -> None:
+        compute, comm, idle, messages, nbytes = span.exclusive
+        self.calls += 1
+        self.compute_seconds += compute
+        self.comm_seconds += comm
+        self.idle_seconds += idle
+        self.messages += messages
+        self.bytes_sent += nbytes
+        self.durations.observe(span.duration)
+
+    @property
+    def busy_total(self) -> float:
+        return self.compute_seconds + self.comm_seconds + self.idle_seconds
+
+
+def fold_skeleton(aggs: dict[str, SkeletonAgg], span: Span) -> None:
+    """Fold one closed span into the per-skeleton aggregates *aggs*
+    (by name); phase spans are skipped."""
+    if span.category != "skeleton":
+        return
+    agg = aggs.get(span.name)
+    if agg is None:
+        agg = aggs[span.name] = SkeletonAgg(span.name)
+    agg.fold(span)

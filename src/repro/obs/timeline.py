@@ -101,9 +101,6 @@ class Timeline:
     def ranks(self) -> list[int]:
         return sorted(self.by_rank())
 
-    def busy_seconds(self, rank: int) -> float:
-        return sum(iv.duration for iv in self.for_rank(rank) if iv.kind != IDLE)
-
     # ------------------------------------------------------------ occupancy
     def span(self, rank: int) -> tuple[float, float] | None:
         """Earliest start and latest end of the rank's intervals (any
@@ -117,8 +114,7 @@ class Timeline:
         """Union of the rank's non-idle intervals as disjoint, sorted
         ``(start, end)`` segments.  Overlapping intervals (a rank that
         both sends and receives in one synchronous shift) are merged, so
-        the segment lengths never double-count a simulated second the
-        way :meth:`busy_seconds` can."""
+        the segment lengths never double-count a simulated second."""
         segs = sorted(
             (iv.start, iv.end) for iv in self.for_rank(rank) if iv.kind != IDLE
         )

@@ -2,9 +2,13 @@
 
 import random
 
-from repro.check.dagcheck import run_dag, run_dag_raw, trial_dag
+from repro.check.dagcheck import (
+    invariant_problems,
+    run_dag,
+    run_dag_raw,
+    trial_dag,
+)
 from repro.machine.machine import Machine
-from repro.obs.analysis import invariant_problems
 from repro.skeletons import SkilContext
 
 

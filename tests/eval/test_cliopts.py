@@ -100,6 +100,64 @@ class TestUsageValidation:
         require_positive("--p", None)
         require_positive("--p", 1)
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["trace", "--trace", "{d}/x.json"], "--trace"),
+        (["trace", "--json", "{d}/x.json"], "--trace"),
+        (["trace", "--stream", "--trace", "{d}/x.jsonl"], "--trace"),
+        (["trace", "--metrics-out", "{d}/m.prom"], "--metrics-out"),
+        (["analyze", "--json-out", "{d}/a.json"], "--json-out"),
+        (["trace", "--profile", "--profile-out", "{d}/p.json"], "--profile-out"),
+        (["table1", "--trace", "{d}/t.json"], "--trace"),
+    ])
+    def test_unwritable_output_is_a_usage_error_before_the_run(
+        self, argv, flag, tmp_path, capsys, monkeypatch
+    ):
+        """An output path in a directory that does not exist ends in one
+        line naming the flag, exit 2 — not a FileNotFoundError after the
+        whole run and report."""
+        import repro.eval.tracecmd as tracecmd
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before the path check")
+
+        monkeypatch.setattr(tracecmd, "run_traced", no_run)
+        missing = tmp_path / "nonexistent"
+        rc = main([a.format(d=missing) for a in argv])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert flag in err and str(missing) in err
+        assert "Traceback" not in err
+
+    def test_output_in_the_working_directory_is_accepted(self, tmp_path, monkeypatch):
+        from repro.eval.cliopts import require_output_dir
+
+        monkeypatch.chdir(tmp_path)
+        require_output_dir("--trace", "t.json")  # bare name: the cwd
+        require_output_dir("--trace", None)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--top", "-3"], "--top must be a positive integer, got -3"),
+        (["analyze", "--top", "0"], "--top must be a positive integer, got 0"),
+        (["trace", "--stream", "--heartbeat-every", "-1"],
+         "--heartbeat-every must be a positive number, got -1.0"),
+        (["trace", "--stream", "--heartbeat-every", "0"],
+         "--heartbeat-every must be a positive number, got 0.0"),
+    ])
+    def test_nonpositive_top_and_heartbeat_are_usage_errors(
+        self, argv, message, capsys
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_sample_size_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--stream", "--sample-size", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sample-size" in capsys.readouterr().err
+
     def test_removed_bench_subcommand_is_a_usage_error(self, capsys):
         """``eval bench`` (and ``skil-eval bench``, the same ``main``)
         says where the benchmark went — not argparse's choice list, not
@@ -132,7 +190,8 @@ class TestStreamTraceCli:
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "streamed, inclusive" in out
+        assert out.count("per-skeleton breakdown (exclusive)") == 1
+        assert "inclusive" not in out and "p99 [s]" in out
         assert "JSONL event spill" in out
         lines = spill.read_text().splitlines()
         assert lines
@@ -149,7 +208,11 @@ class TestStreamTraceCli:
         rc = main(["trace", "--app", "gauss", "--p", "4", "--n", "8",
                    "--trace", str(out_file)])
         assert rc == 0
-        assert "Chrome trace written" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Chrome trace written" in out
+        # the same per-skeleton table stream mode prints
+        assert out.count("per-skeleton breakdown (exclusive)") == 1
+        assert "p99 [s]" in out
         assert json.loads(out_file.read_text())["traceEvents"]
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.apps import random_distance_matrix, shpaths
 from repro.eval.trace_report import (
     CostBreakdown,
-    SkeletonBreakdown,
     breakdown,
     format_breakdowns,
     format_skeleton_breakdowns,
@@ -14,6 +13,7 @@ from repro.eval.trace_report import (
 from repro.machine.costmodel import SKIL
 from repro.machine.machine import Machine
 from repro.machine.trace import TraceStats
+from repro.obs.span import SkeletonAgg
 from repro.skeletons import SkilContext
 
 
@@ -75,8 +75,9 @@ class TestBreakdown:
 
 class TestSkeletonBreakdowns:
     def test_zero_busy_shares(self):
-        r = SkeletonBreakdown("noop", 1, 0.0, 0.0, 0.0, 0, 0)
-        assert r.compute_share == r.comm_share == r.idle_share == 0.0
+        r = SkeletonAgg("noop", calls=1)
+        assert r.busy_total == 0.0
+        # formatting a zero row must not divide by zero
         assert "noop" in format_skeleton_breakdowns([r])
 
     def test_format_empty(self):
@@ -96,7 +97,7 @@ class TestSkeletonBreakdowns:
             m.network.compute(2.0)  # 8 s belong to inner, not outer
             tracer.end(inner)
         tracer.end(outer)
-        rows = {r.name: r for r in skeleton_breakdowns(tracer)}
+        rows = {r.name: r for r in skeleton_breakdowns(m)}
         assert rows["inner"].compute_seconds == pytest.approx(8.0)
         assert rows["outer"].compute_seconds == pytest.approx(4.0)
         total = sum(r.compute_seconds for r in rows.values())
@@ -110,7 +111,7 @@ class TestSkeletonBreakdowns:
         b = m.tracer.begin("big")
         m.network.compute(5.0)
         m.tracer.end(b)
-        rows = skeleton_breakdowns(m.tracer)
+        rows = skeleton_breakdowns(m)
         assert [r.name for r in rows] == ["big", "small"]
 
     def test_gauss_full_per_skeleton_costs(self):
@@ -121,7 +122,7 @@ class TestSkeletonBreakdowns:
         ctx = SkilContext(Machine(4, trace_level=1), SKIL)
         a_mat, rhs = random_system(16, seed=0)
         gauss_full(ctx, a_mat, rhs)
-        rows = {r.name: r for r in skeleton_breakdowns(ctx.machine.tracer)}
+        rows = {r.name: r for r in skeleton_breakdowns(ctx.machine)}
         for name in ("array_map", "array_fold", "array_broadcast_part"):
             assert name in rows, f"missing {name} row"
             assert rows[name].compute_seconds > 0, name

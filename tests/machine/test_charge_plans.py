@@ -22,12 +22,12 @@ from repro.check.charging import (
     _ref_reduce,
     _ref_shift,
 )
+from repro.check.streamcheck import compare_observers
 from repro.errors import MachineError, TopologyError
 from repro.machine import topology as topology_mod
 from repro.machine.costmodel import T800_PARSYTEC
 from repro.machine.machine import DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D, Machine
 from repro.machine.topology import PLAN_STORE_BYTES, VirtualTopology
-from repro.obs.stream import compare_observers
 
 TRACE = {
     "off": {},

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.check.charging import _compare_machines
+from repro.check.streamcheck import compare_observers
 from repro.errors import MachineError
 from repro.machine.machine import DISTR_RING, DISTR_TORUS2D, Machine
 from repro.machine.topology import VirtualTopology
-from repro.obs.stream import compare_observers
 
 #: untraced with message records, record-traced, stream-traced
 TRACE = [

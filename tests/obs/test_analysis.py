@@ -15,6 +15,7 @@ import math
 
 import pytest
 
+from repro.check.dagcheck import build_dag, invariant_problems
 from repro.eval.tracecmd import run_traced
 from repro.machine.costmodel import T800_PARSYTEC
 from repro.machine.machine import Machine
@@ -24,9 +25,7 @@ from repro.obs.analysis import (
     COMPONENTS,
     CriticalPath,
     analyze_machine,
-    build_dag,
     critical_path,
-    invariant_problems,
     rank_loads,
     run_whatif,
     skeleton_imbalance,
@@ -103,8 +102,10 @@ class TestTilingAndAttribution:
     def test_validators_are_clean(self, analyses, app, p):
         run, a = analyses[(app, p)]
         assert a.path.validate() == []
-        assert a.dag.validate() == []
-        assert a.dag.unmatched_records == 0
+        m = run.machine
+        dag = build_dag(m.timeline, m.stats.records, a.makespan)
+        assert dag.validate() == []
+        assert dag.unmatched_records == 0
         assert invariant_problems(run.machine) == []
 
 

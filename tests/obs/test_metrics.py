@@ -1,10 +1,9 @@
-"""Tests for the metrics registry (counters, gauges, histograms)."""
+"""Tests for the metrics registry (counters, histograms)."""
 
 import pytest
 
 from repro.obs import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     global_metrics,
@@ -23,15 +22,6 @@ class TestCounter:
         c = Counter("x")
         with pytest.raises(ValueError):
             c.inc(-1)
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        g = Gauge("mem")
-        g.set(10)
-        g.inc(5)
-        g.dec(3)
-        assert g.value == 12.0
 
 
 class TestHistogram:
@@ -61,12 +51,32 @@ class TestHistogram:
         h.observe(1024)
         assert ("<=1024", 1) in h.nonzero_buckets()
 
+    def test_observe_many_equals_the_scalar_loop_bitwise(self):
+        """Waves of any size, values on a bound, below the first and
+        past the last: counts, total, min and max match ``observe`` per
+        value, in order — the contract the stream pillar's metrics
+        comparison leans on."""
+        import random
+
+        rng = random.Random(11)
+        bounds = (0.5, 1.0, 2.0, 4.0)
+        loop, wave = Histogram("h", buckets=bounds), Histogram("h", buckets=bounds)
+        for size in (1, 0, 7, 200, 3):
+            values = [
+                rng.choice([*bounds, 0.0, 1e-9, 8.0, rng.uniform(0.0, 5.0)])
+                for _ in range(size)
+            ]
+            for v in values:
+                loop.observe(v)
+            wave.observe_many(values)
+            assert wave == loop  # every field, floats by ==
+        assert sum(wave.counts) == wave.count == 211
+
 
 class TestRegistry:
     def test_instruments_created_on_demand_and_cached(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
 
     def test_shortcuts(self):
@@ -80,11 +90,9 @@ class TestRegistry:
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.inc("c")
-        reg.gauge("g").set(7)
         reg.observe("h", 3.0, buckets=(4.0,))
         snap = reg.snapshot()
         assert snap["counters"] == {"c": 1.0}
-        assert snap["gauges"] == {"g": 7.0}
         assert snap["histograms"]["h"]["count"] == 1
         assert snap["histograms"]["h"]["buckets"] == {"<=4": 1}
 
@@ -100,7 +108,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.inc("c")
         reg.clear()
-        assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert reg.snapshot() == {"counters": {}, "histograms": {}}
 
     def test_global_registry_is_a_singleton(self):
         assert global_metrics() is global_metrics()

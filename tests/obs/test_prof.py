@@ -308,7 +308,7 @@ class TestStreamModeIdentity:
     def test_stream_fold_identical_with_profiler(self):
         """Exact stream consumers fold identically under a profiled
         machine — the profiler must be invisible to the sinks too."""
-        from repro.obs.stream import compare_observers, fold_recorded
+        from repro.check.streamcheck import compare_observers, fold_recorded
 
         m_rec = Machine(4, trace_level=2)
         m_str = Machine(4, trace_level=2, trace_mode="stream", profile=True)
@@ -318,8 +318,8 @@ class TestStreamModeIdentity:
             with isolated_metrics():
                 _workload(SkilContext(m_str))
             assert np.array_equal(m_rec.network.clocks, m_str.network.clocks)
-            fold = fold_recorded(m_rec, m_str.stream_obs.config)
-            assert compare_observers(fold, m_str.stream_obs) == []
+            assert compare_observers(
+                fold_recorded(m_rec), m_str.stream_obs) == []
             assert m_rec.metrics.render_text() == m_str.metrics.render_text()
             assert m_str.profiler.skeleton_wall_s() > 0
         finally:

@@ -1,7 +1,6 @@
 """Unit tests of the streaming observability primitives
-(:mod:`repro.obs.stream`): reservoir, ring, spill writer, stream
-timeline, accounting bounds, progress reporter, and the ``__slots__``
-memory satellites."""
+(:mod:`repro.obs.stream`): spill writer, stream timeline, accounting
+bounds, progress reporter, and the ``__slots__`` memory satellites."""
 
 import json
 
@@ -14,85 +13,10 @@ from repro.machine.trace import MessageRecord
 from repro.obs.stream import (
     JsonlSpillWriter,
     ProgressReporter,
-    ReservoirSampler,
-    SpanRing,
-    StreamConfig,
     StreamObserver,
     StreamTimeline,
 )
 from repro.obs.timeline import Interval, Timeline
-
-
-def _msg(i: int) -> tuple:
-    return (float(i), i % 4, (i + 1) % 4, 128, 1, "t", float(i) - 0.5)
-
-
-class TestReservoir:
-    def test_fill_phase_keeps_everything(self):
-        r = ReservoirSampler(16, seed=1)
-        for i in range(10):
-            r.offer(*_msg(i))
-        assert r.seen == 10
-        assert len(r.items) == 10
-
-    def test_capacity_is_never_exceeded(self):
-        r = ReservoirSampler(8, seed=1)
-        for i in range(1000):
-            r.offer(*_msg(i))
-        assert r.seen == 1000
-        assert len(r.items) == 8
-
-    def test_deterministic_under_seed(self):
-        a, b = ReservoirSampler(8, seed=42), ReservoirSampler(8, seed=42)
-        for i in range(500):
-            a.offer(*_msg(i))
-            b.offer(*_msg(i))
-        assert a.items == b.items
-
-    def test_wave_offer_tracks_scalar_seen(self):
-        """Wave offers advance ``seen`` exactly like scalar offers and
-        respect the capacity; contents may differ (documented)."""
-        scalar = ReservoirSampler(8, seed=3)
-        wave = ReservoirSampler(8, seed=3)
-        k = 300
-        for i in range(k):
-            scalar.offer(*_msg(i))
-        wave.offer_wave(
-            np.arange(k, dtype=np.float64),
-            np.arange(k) % 4,
-            (np.arange(k) + 1) % 4,
-            np.full(k, 128),
-            np.ones(k, dtype=np.int64),
-            "t",
-            np.arange(k, dtype=np.float64) - 0.5,
-        )
-        assert wave.seen == scalar.seen == k
-        assert len(wave.items) == len(scalar.items) == 8
-
-    def test_clear_reseeds(self):
-        r = ReservoirSampler(4, seed=9)
-        for i in range(100):
-            r.offer(*_msg(i))
-        first = list(r.items)
-        r.clear()
-        assert r.seen == 0 and len(r) == 0
-        for i in range(100):
-            r.offer(*_msg(i))
-        assert r.items == first  # same seed, same offers, same draws
-
-
-class TestSpanRing:
-    def test_keeps_only_the_tail(self):
-        ring = SpanRing(3)
-        for i in range(10):
-            ring.append(i)  # any object works; ring is type-agnostic
-        assert ring.seen == 10
-        assert ring.items() == [7, 8, 9]
-
-    def test_zero_capacity(self):
-        ring = SpanRing(0)
-        ring.append(1)
-        assert ring.seen == 1 and ring.items() == []
 
 
 class TestSpillWriter:
@@ -131,8 +55,8 @@ class TestStreamTimeline:
             tl.add(r, k, s, e)
         assert st.intervals_seen == len(tl)
         assert st.seconds["compute"][0] == 1.5
-        assert st.counts["send"][1] == 1
-        assert st.span(0) == (0.0, 1.5)
+        assert st.seconds["send"][1] == 0.25
+        assert not st.seconds["idle"].any() and not st.seconds["recv"].any()
 
     def test_add_many_matches_scalar_loop_bitwise(self):
         rng = np.random.default_rng(5)
@@ -145,9 +69,6 @@ class TestStreamTimeline:
             scalar.add(int(r), "send", float(s), float(e))
         wave.add_many(ranks, "send", starts, ends)
         assert np.array_equal(scalar.seconds["send"], wave.seconds["send"])
-        assert np.array_equal(scalar.counts["send"], wave.counts["send"])
-        assert np.array_equal(scalar.first_start, wave.first_start)
-        assert np.array_equal(scalar.last_end, wave.last_end)
         assert scalar.intervals_seen == wave.intervals_seen
 
     def test_busy_excludes_idle(self):
@@ -155,31 +76,43 @@ class TestStreamTimeline:
         st.add(0, "compute", 0.0, 1.0)
         st.add(0, "idle", 1.0, 3.0)
         assert st.busy_seconds_by_rank()[0] == 1.0
-        assert st.idle_seconds_by_rank()[0] == 2.0
+        assert st.seconds["idle"][0] == 2.0
 
 
 class TestAccounting:
     def test_bounded_by_construction(self):
-        obs = StreamObserver(16, StreamConfig(sample_size=32, ring_size=8))
+        obs = StreamObserver(16)
         for i in range(5000):
             obs.on_message(float(i), i % 16, (i + 3) % 16, 64, 2, "t", float(i))
         acc = obs.accounting()
         assert acc["messages_seen"] == 5000
-        assert acc["records_retained"] <= 32
-        assert acc["intervals_retained"] == 0
-        assert acc["per_rank_cells"] <= 64 * 16
+        assert acc["spans_retained"] == 0
+        assert acc["per_rank_cells"] == 4 * 16
         obs.assert_bounded()  # must not raise
 
     def test_assert_bounded_raises_on_violation(self):
-        obs = StreamObserver(4, StreamConfig(sample_size=4))
-        obs.reservoir.items.extend([None] * 10)  # corrupt past the cap
-        with pytest.raises(SkilError):
+        """Any closed span something still holds is a leak."""
+        m = Machine(4, trace_level=2, trace_mode="stream")
+        kept = m.tracer.begin("array_map")
+        m.network.compute(1e-3)
+        m.tracer.end(kept)
+        assert m.stream_obs.accounting()["spans_retained"] == 1
+        with pytest.raises(SkilError, match="closed span"):
+            m.stream_obs.assert_bounded()
+        del kept
+        m.stream_obs.assert_bounded()
+
+    def test_assert_bounded_raises_on_per_rank_growth(self):
+        obs = StreamObserver(4)
+        for k in range(40):  # far more activity kinds than exist
+            obs.timeline.add(0, f"kind{k}", 0.0, 1.0)
+        with pytest.raises(SkilError, match="per-rank state"):
             obs.assert_bounded()
 
     def test_trace_memory_stays_o_p_at_scale(self):
         """Acceptance-criterion shape at small scale: message volume
         grows, retained state does not."""
-        obs = StreamObserver(64, StreamConfig(sample_size=16, ring_size=4))
+        obs = StreamObserver(64)
         baseline = obs.accounting()["per_rank_cells"]
         k = 20000
         obs.on_message_wave(
@@ -194,7 +127,8 @@ class TestAccounting:
         acc = obs.accounting()
         assert acc["messages_seen"] == k
         assert acc["per_rank_cells"] == baseline
-        assert acc["records_retained"] <= 16
+        assert obs.tag_messages == {"big": k}
+        assert obs.tag_bytes == {"big": k * 256}
 
 
 class TestProgressReporter:
@@ -219,9 +153,9 @@ class TestProgressReporter:
         m = Machine(4, trace_level=2, trace_mode="stream")
         m.network.compute(1e-3)
         buf = io.StringIO()
-        rep = ProgressReporter(m, out=buf, total_sim_hint=2e-3)
+        rep = ProgressReporter(m, out=buf)
         line = rep.format_line()
-        assert "sim=" in line and "eta=" in line
+        assert "sim=0.001s" in line and "balanced" in line
 
 
 class TestSlots:

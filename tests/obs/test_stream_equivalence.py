@@ -6,11 +6,12 @@ under the sink path."""
 import numpy as np
 import pytest
 
+from repro.check.streamcheck import compare_observers, fold_recorded
 from repro.errors import SkilError
 from repro.machine.machine import Machine
 from repro.machine.trace import TraceStats
 from repro.obs.metrics import global_metrics, isolated_metrics
-from repro.obs.stream import StreamConfig, compare_observers, fold_recorded
+from repro.obs.stream import StreamConfig
 from repro.skeletons import PLUS, SkilContext
 
 
@@ -35,8 +36,7 @@ class TestAppEquivalence:
         with isolated_metrics():
             _run_shpaths(m_str)
         assert np.array_equal(m_rec.network.clocks, m_str.network.clocks)
-        fold = fold_recorded(m_rec, m_str.stream_obs.config)
-        assert compare_observers(fold, m_str.stream_obs) == []
+        assert compare_observers(fold_recorded(m_rec), m_str.stream_obs) == []
 
     def test_metrics_registries_identical(self):
         m_rec, m_str = _pair(4)
@@ -68,19 +68,7 @@ class TestAppEquivalence:
             run(m_rec)
         with isolated_metrics():
             run(m_str)
-        fold = fold_recorded(m_rec, m_str.stream_obs.config)
-        assert compare_observers(fold, m_str.stream_obs) == []
-
-    def test_reservoir_is_subset_of_recording(self):
-        m_rec, m_str = _pair(4, sample_size=8, seed=5)
-        with isolated_metrics():
-            _run_shpaths(m_rec)
-        with isolated_metrics():
-            _run_shpaths(m_str)
-        recorded = set(m_rec.stats.records)
-        assert m_str.stream_obs.reservoir.items  # something was sampled
-        for rec in m_str.stream_obs.reservoir.items:
-            assert rec in recorded
+        assert compare_observers(fold_recorded(m_rec), m_str.stream_obs) == []
 
 
 class TestStreamMachineContracts:
@@ -158,6 +146,15 @@ class TestStreamMachineContracts:
         ("repro.obs.span.SpanTracer", "_register"),
         ("repro.obs.span.SpanTracer", "_finalize"),
         ("repro.machine.machine.Machine", "obs_timeline"),
+        # the diet: nothing the stream kept without a reader comes back
+        ("repro.obs.stream", "ReservoirSampler"),
+        ("repro.obs.stream", "SpanRing"),
+        ("repro.obs.stream", "ObsSink"),
+        ("repro.obs.stream", "fold_recorded"),
+        ("repro.obs.stream.StreamObserver", "reservoir"),
+        ("repro.obs.analysis", "build_dag"),
+        ("repro.obs.analysis.StreamAnalysis", "snapshot"),
+        ("repro.obs.metrics", "Gauge"),
     ])
     def test_the_second_emission_path_is_gone(self, owner, name):
         """No shim left behind: one tracer class, one event builder, one
@@ -180,7 +177,7 @@ class TestStreamMachineContracts:
         assert m.stream_obs is obs  # cleared, not replaced
         assert obs.messages_seen == 0
         assert obs.timeline.intervals_seen == 0
-        assert obs.spans_seen == 0 and not obs.span_aggs
+        assert obs.spans_seen == 0 and not obs.skeletons
         # the observer keeps observing after reset
         with isolated_metrics():
             _run_shpaths(m)
@@ -229,13 +226,12 @@ class TestAnalyzeStream:
             _run_shpaths(m)
         sa = analyze_stream(m)
         assert sa.p == 4 and sa.makespan == m.time
-        assert sa.skeletons and sa.skeletons[0].calls > 0
         assert 0 <= sa.straggler_rank < 4
-        snap = sa.snapshot()
-        assert snap["schema"] == "repro-stream-analyze/1"
+        assert sa.tags and sa.tags[0][2] >= sa.tags[-1][2]
         text = format_stream_analysis(sa)
         assert "streamed aggregates" in text
         assert "straggler" in text
+        assert "(0 still alive)" in text
         # mode guards, both directions
         with pytest.raises(AnalysisError):
             analyze_machine(m)
@@ -250,16 +246,32 @@ class TestAnalyzeStream:
 
 
 class TestStreamTraceReport:
-    def test_stream_rows_are_inclusive_with_quantiles(self):
+    def test_stream_rows_are_exclusive(self):
+        """One per-skeleton table: stream mode fills online what record
+        mode folds from its spans, nested skeletons counted once."""
         from repro.eval.trace_report import (
-            format_stream_skeleton_breakdowns,
-            stream_skeleton_breakdowns,
+            format_skeleton_breakdowns,
+            skeleton_breakdowns,
         )
 
-        m = Machine(4, trace_level=2, trace_mode="stream")
-        with isolated_metrics():
-            _run_shpaths(m)
-        rows = stream_skeleton_breakdowns(m.stream_obs)
+        def run(machine):
+            with isolated_metrics():
+                _run_shpaths(machine)
+                outer = machine.tracer.begin("outer")
+                machine.network.compute(1e-3)
+                inner = machine.tracer.begin("inner")
+                machine.network.compute(2e-3)
+                machine.tracer.end(inner)
+                machine.tracer.end(outer)
+            return skeleton_breakdowns(machine)
+
+        m_rec, m_str = _pair(4)
+        rec, rows = run(m_rec), run(m_str)
         assert rows and rows[0].busy_total >= rows[-1].busy_total
-        text = format_stream_skeleton_breakdowns(rows)
-        assert "inclusive" in text and "p99" in text
+        assert format_skeleton_breakdowns(rows) == format_skeleton_breakdowns(rec)
+        by_name = {r.name: r for r in rows}
+        assert by_name["outer"].compute_seconds == pytest.approx(4e-3)
+        assert by_name["inner"].compute_seconds == pytest.approx(8e-3)
+        assert sum(r.messages for r in rows) == m_str.stats.messages
+        text = format_skeleton_breakdowns(rows)
+        assert "inclusive" not in text and "p99" in text

@@ -28,7 +28,7 @@ class TestTimeline:
         tl.add(0, COMPUTE, 0.0, 2.0)
         tl.add(0, IDLE, 2.0, 5.0)
         tl.add(0, SEND, 5.0, 6.0)
-        assert tl.busy_seconds(0) == pytest.approx(3.0)
+        assert tl.coverage(0) == pytest.approx(3.0)
 
     def test_clear(self):
         tl = Timeline()

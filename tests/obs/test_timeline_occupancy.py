@@ -90,7 +90,6 @@ class TestEdgeCases:
         tl.add(0, RECV, 1.0, 3.0)
         assert tl.busy_segments(0) == [(0.0, 3.0)]
         assert tl.coverage(0) == 3.0
-        assert tl.busy_seconds(0) == 4.0  # the double-counting helper
         assert tl.idle_gaps(0) == []
         assert tl.busy_fraction(0) == 1.0
 
