@@ -283,6 +283,15 @@ class BlockDistribution(Distribution):
             )
         return s
 
+    def slab_rows(self, k: int) -> list[slice]:
+        """Axis 0 cut into *k* slabs of whole partitions at the split
+        points nearest ``n0*i/k``; one slab if the grid has fewer rows."""
+        g0 = self.grid[0]
+        if not 1 < k <= g0:
+            return [slice(0, self.shape[0])]
+        cuts = [int(self._splits[0][(i * g0 + k // 2) // k]) for i in range(k + 1)]
+        return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
     def part_sizes(self) -> np.ndarray:
         """The base method without its per-rank ``local_shape`` walk.
 

@@ -8,8 +8,8 @@ Every trial runs one workload once per backend on otherwise identical
 machines and compares:
 
 * every result array's ``global_view()`` with ``np.array_equal`` (no
-  tolerance — the parallel per-rank dispatch performs the same numpy
-  calls on the same blocks, so even float results must match bitwise),
+  tolerance — a slab dispatched to a worker sees the same elements,
+  index values and element arithmetic, so even floats match bitwise),
 * scalar results with ``==`` after ``repr`` round-trip guarding NaN,
 * every per-rank clock bitwise,
 * the stats counters exactly and the stats floats bitwise,
@@ -19,7 +19,7 @@ Three trial families interleave:
 
 1. **compiled programs** — the fuzz pillar's generated Skil programs
    (``generate_spec``/``render`` → ``compile_skil``), so every kernel
-   class the instantiation pipeline can emit is dispatched per rank;
+   class the instantiation pipeline can emit is dispatched in slabs;
 2. **skeleton workloads** — randomly composed create/map/zip/fold/scan/
    copy sequences over hand-built closure kernels at p ∈ {4, 16},
    including env-*reading* kernels (which must fall back to the
@@ -31,7 +31,8 @@ Three trial families interleave:
 Every trial runs each backend twice — wall profiler off and on
 (``Machine(profile=...)``) — and compares all four runs against the
 unprofiled ``sim`` reference: profiling reads wall clocks only and must
-never perturb the cost model on any backend.
+never perturb the cost model on any backend.  The worker count (2 or 3)
+and up to two extra rows on axis 0 are drawn last, so no older draw moved.
 
 Worker threads are reused across a trial's skeleton calls but never
 across machines (each machine is closed before the next one starts), so
@@ -123,7 +124,7 @@ def _compare_runs(ref: _Run, got: _Run, backend: str, label: str) -> str | None:
     return None
 
 
-def _run_everywhere(workload, p: int, label: str) -> str | None:
+def _run_everywhere(workload, p: int, label: str, workers: int) -> str | None:
     """Run *workload(ctx)* per backend x {profiler off, on}; compare all
     four runs bitwise to the unprofiled ``sim`` reference.
 
@@ -137,7 +138,7 @@ def _run_everywhere(workload, p: int, label: str) -> str | None:
     for backend in BACKENDS_CHECKED:
         for profiled in (False, True):
             machine = Machine(
-                p, trace_level=1, backend=backend, workers=2,
+                p, trace_level=1, backend=backend, workers=workers,
                 profile=profiled,
             )
             try:
@@ -171,7 +172,8 @@ def trial_backend_program(rng: random.Random) -> tuple[str | None, dict[str, int
     p = rng.choice([2, 4, 4])
     spec = generate_spec(spec_seed)
     src = render(spec)
-    cov = {"backend.program": 1, f"backend.p{p}": 1}
+    workers = rng.choice([2, 3])
+    cov = {"backend.program": 1, f"backend.p{p}": 1, f"backend.workers{workers}": 1}
 
     def workload(ctx: SkilContext):
         mod = compile_skil(src)
@@ -180,8 +182,8 @@ def trial_backend_program(rng: random.Random) -> tuple[str | None, dict[str, int
             return [out], []
         return [], [out]
 
-    label = f"program spec_seed={spec_seed} p={p} elem={spec.elem}"
-    return _run_everywhere(workload, p, label), cov
+    label = f"program spec_seed={spec_seed} p={p} elem={spec.elem} workers={workers}"
+    return _run_everywhere(workload, p, label, workers), cov
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +246,14 @@ def trial_backend_skeletons(rng: random.Random) -> tuple[str | None, dict[str, i
     ops = [rng.choice(["map", "map", "zip", "fold", "copy", "scan"])
            for _ in range(rng.randint(2, 6))]
     section = rng.choice([PLUS, MIN, MAX])
+    workers = rng.choice([2, 3])
+    shape = (shape[0] + rng.choice([0, 0, 1, 2]), *shape[1:])
     cov = {
         "backend.skeletons": 1,
         f"backend.p{p}": 1,
         f"backend.kernel_style{style}": 1,
+        f"backend.workers{workers}": 1,
+        "backend.uneven_slabs": int(shape[0] % workers != 0),
     }
     for op in ops:
         cov[f"backend.op_{op}"] = 1
@@ -271,8 +277,8 @@ def trial_backend_skeletons(rng: random.Random) -> tuple[str | None, dict[str, i
                 ctx.array_scan(section, a, b)
         return [a, b], scalars
 
-    label = f"skeletons p={p} shape={shape} distr={distr} ops={ops}"
-    return _run_everywhere(workload, p, label), cov
+    label = f"skeletons p={p} shape={shape} distr={distr} ops={ops} workers={workers}"
+    return _run_everywhere(workload, p, label, workers), cov
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +315,10 @@ def trial_backend_app(rng: random.Random) -> tuple[str | None, dict[str, int]]:
             out, _report = gauss_simple(ctx, a_mat, rhs)
             return [], [np.asarray(out).tobytes()]
 
-    label = f"{app} p={p} n={n} seed={seed}"
-    return _run_everywhere(workload, p, label), cov
+    workers = rng.choice([2, 3])
+    cov[f"backend.workers{workers}"] = 1
+    label = f"{app} p={p} n={n} seed={seed} workers={workers}"
+    return _run_everywhere(workload, p, label, workers), cov
 
 
 # the default budget is lower than the other pillars' because every trial

@@ -9,13 +9,13 @@ skeletons physically execute.
 
 * :class:`SimBackend` — single-process execution; ``parallel`` is
   false, so the elementwise executor
-  (:func:`repro.skeletons.fuse.run_elementwise`) never builds per-rank
-  tasks and goes straight to its pooled or per-rank path.
-* :class:`ThreadsBackend` — per-partition kernel calls dispatched to a
-  thread pool.  The numpy ufunc inner loops release the GIL, so
-  elementwise kernels over pooled block partitions scale with cores
-  without any data movement (the pool is plain shared memory between
-  threads).
+  (:func:`repro.skeletons.fuse.run_elementwise`) makes its pooled call
+  over the whole pool, inline.
+* :class:`ThreadsBackend` — that call, for a kernel known env-free, is
+  cut into one contiguous slab of the pool per worker and dispatched to
+  a thread pool, and so is the write-back.  The numpy ufunc inner loops
+  release the GIL, so elementwise kernels scale with cores without any
+  data movement (the pool is plain shared memory between threads).
 
 A third backend, ``mp`` (worker processes, shared-memory pools, shipped
 closures), was removed: shipping every call's blocks out and results
@@ -23,10 +23,11 @@ back through the main process measured 4-5x *slower* than ``sim``
 (docs/PERFORMANCE.md §"Real backends").  Asking for it is a
 :class:`~repro.errors.BackendError` that points at ``threads``.
 
-The per-partition task decomposition is exactly the skeletons'
-*per-rank* execution path, so results are bit-identical to sequential
-execution by the same argument (and the same conformance pillars) that
-already ties the per-rank and fused paths together.
+A slab is a run of whole partitions along axis 0, and only a kernel
+that provably never reads its per-rank environment is applied to one,
+so results are bit-identical to sequential execution by the argument
+(and the conformance pillars) that already ties the per-rank and pooled
+paths together: same elements, index values and element arithmetic.
 
 Backend selection: ``Machine(backend=...)`` falls back to the process
 default, settable with :func:`set_backend_default` or the
@@ -39,7 +40,7 @@ import os
 import threading
 from typing import Callable, Sequence
 
-from repro.errors import BackendError, MachineError
+from repro.errors import BackendError
 
 __all__ = [
     "ExecBackend",
@@ -83,19 +84,19 @@ def set_backend_default(name: str) -> None:
     _BACKEND_DEFAULT = check_backend_name(name)
 
 
+def _worker_count(n, shown: str) -> int:
+    """*n* if a positive ``int`` (not ``bool``), else a :class:`BackendError`."""
+    if type(n) is not int or n < 1:
+        raise BackendError(f"{shown} is not a positive worker count")
+    return n
+
+
 def default_workers(p: int) -> int:
     """Worker count: ``REPRO_WORKERS`` or min(p, available cores)."""
     env = os.environ.get("REPRO_WORKERS")
     if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise BackendError(
-                f"REPRO_WORKERS={env!r} is not a positive worker count"
-            )
-        return n
+        n = int(env) if env.strip().isdecimal() else None
+        return _worker_count(n, f"REPRO_WORKERS={env!r}")
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
@@ -104,12 +105,14 @@ def default_workers(p: int) -> int:
 
 
 class ExecBackend:
-    """Where per-partition kernel work physically executes.
+    """Where kernel work on pieces of an array physically executes.
 
-    ``run_blocks(kernel, tasks)`` evaluates ``kernel(*tasks[r])`` for
-    every task and returns the results **in task order** — that ordering
-    (not completion order) is what keeps parallel execution bit-identical
-    to the sequential loop.  Exceptions raised by a kernel
+    ``run_blocks(kernel, tasks)`` evaluates ``kernel(*tasks[i])`` for
+    every task — a block is the piece a task names, for the elementwise
+    executor one slab of the pool per worker — and returns the results
+    **in task order**: that ordering (not completion order) is what
+    keeps parallel execution bit-identical to the sequential loop.
+    Exceptions raised by a kernel
     (:class:`~repro.skeletons.fuse.FusionFallback` included) propagate
     to the caller exactly as in the sequential loop; on ``FusionFallback``
     callers fall back to sequential per-rank execution.
@@ -120,8 +123,8 @@ class ExecBackend:
     """
 
     name = "sim"
-    #: whether the elementwise executor should decompose work into
-    #: per-rank tasks for this backend (condition 1 of its ladder)
+    #: whether the elementwise executor should cut its pooled call into
+    #: one slab per worker for this backend (path 1 of its ladder)
     parallel = False
     #: the attached :class:`~repro.obs.prof.WallProfiler`, or ``None``
     #: (the default) — ``Machine(profile=True)`` sets it.  Wall-clock
@@ -187,8 +190,6 @@ class ThreadsBackend(ExecBackend):
     parallel = True
 
     def __init__(self, n_workers: int):
-        if n_workers <= 0:
-            raise MachineError(f"need at least one worker, got {n_workers}")
         self._n = n_workers
         self._pool = None  # created lazily: machines are cheap to build
 
@@ -239,7 +240,8 @@ def make_backend(
     if isinstance(spec, ExecBackend):
         return spec
     name = check_backend_name(spec if spec is not None else backend_default())
-    # resolved before the name is looked at, so a bad REPRO_WORKERS is
+    # checked before the name is looked at, so a bad worker count is
     # reported on every machine, not only on the ones that would use it
-    n = workers if workers is not None else default_workers(p)
+    n = default_workers(p) if workers is None else _worker_count(
+        workers, f"workers={workers!r}")
     return SimBackend() if name == "sim" else ThreadsBackend(n)

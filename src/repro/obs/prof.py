@@ -81,8 +81,8 @@ SECONDS_BUCKETS = tuple(2.0 ** k for k in range(-20, 8))
 
 @dataclass
 class BlockStamp:
-    """One per-block execution: enqueue (main side) and start/end
-    (taken on the thread that ran the block)."""
+    """One block (the piece a task names, e.g. a slab of the pool): enqueue
+    (main side) and start/end (taken on the thread that ran the block)."""
 
     worker: int
     enqueue: float
@@ -100,7 +100,8 @@ class BlockStamp:
 
 @dataclass
 class DispatchRecord:
-    """One ``run_blocks`` call: a batch of per-rank kernel tasks."""
+    """One ``run_blocks`` call: a batch of tasks, one block each (the
+    kernel on one slab of the pool per worker, then a ``store_slab``)."""
 
     backend: str
     kernel: str

@@ -55,8 +55,7 @@ def array_create(
     selects the numpy element type.
     """
     arr = array_create_uninit(ctx, dim, size, blocksize, lowerbd, distr, dtype)
-    whole, blocks = fuse.run_elementwise(ctx, init_elem, (), arr)
-    write_result(arr, whole, blocks)
+    write_result(arr, *fuse.run_elementwise(ctx, init_elem, (), arr))
     ctx.charge.work((arr.dist.part_sizes(), ops_of(init_elem)))
     return arr
 

@@ -49,6 +49,22 @@ def _local_fold(fold_f, values: np.ndarray):
     return reduce(fold_f, flat.tolist())
 
 
+def _rank_blocks(slabs: list, dist) -> list:
+    """Each rank's block, out of the slab that holds it whole (slabs
+    end at partition boundaries; ranks ascend along axis 0)."""
+    blocks, rest_slabs = [], iter(slabs)
+    held, out = next(rest_slabs)
+    for r in range(dist.p):
+        part = dist.part_slices(r)
+        if part[0].start >= held.stop:
+            held, out = next(rest_slabs)
+        if held.start:  # rows of the pool -> rows of the slab
+            rows = slice(part[0].start - held.start, part[0].stop - held.start)
+            part = (rows, *part[1:])
+        blocks.append(out[part])
+    return blocks
+
+
 @skeleton_span("array_fold")
 def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
     """Fold all elements of *a* into one value, known on all processors."""
@@ -64,12 +80,12 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
     with ctx.phase("fold:local"):
         # the local folds stay in the main process whichever way the
         # conversion ran: cheap, and each must be the sequential
-        # left-to-right reduce.  Ravel order inside a slice of the
-        # converted whole matches a converted block, so every path folds
+        # left-to-right reduce.  Ravel order inside a slice of a
+        # converted slab matches a converted block, so every path folds
         # the elements in the identical sequence
-        whole, blocks = fuse.run_elementwise(ctx, conv_f, (a,), a)
-        if whole is not None:
-            blocks = [whole[a.dist.part_slices(r)] for r in range(ctx.p)]
+        slabs, blocks = fuse.run_elementwise(ctx, conv_f, (a,), a)
+        if slabs is not None:
+            blocks = _rank_blocks(slabs, a.dist)
         partials = [_local_fold(fold_f, block) for block in blocks]
         sizes = a.dist.part_sizes()
         ctx.charge.work(

@@ -3,32 +3,36 @@
 ``array_map``, ``array_zip``, ``array_fold`` and ``array_create`` are the
 same act — apply a customizing function to every element of every
 partition — so they share one executor, :func:`run_elementwise`.  It
-picks one of three paths, testing the conditions in this order:
+picks one of two paths, testing the conditions in this order:
 
-1. **per-rank tasks on a real backend** — the machine's backend is
-   parallel (``threads``) *and* the vectorized kernel is known
-   env-free: a kernel may run off the main thread, concurrently with
-   other ranks' blocks, only when it provably never reads the per-rank
-   :class:`MapEnv`.
-2. **one call over the pool** — ``ctx.fused``, every array is pooled
-   (block-distributed: all partitions are views into one contiguous
-   :attr:`~repro.arrays.darray.DistArray.pool`), and the function has an
-   explicit ``fused=`` whole-array form or a vectorized kernel not known
-   to read the env.  Saves ``p`` Python-level kernel calls per skeleton.
-3. **the per-rank loop** — everything else: strided layouts, kernels
+1. **the pooled call** — every array is pooled (block-distributed: all
+   partitions are views into one contiguous
+   :attr:`~repro.arrays.darray.DistArray.pool`) and either
+
+   * the backend is parallel (``threads``) and the vectorized kernel is
+     known env-free: ``backend.workers`` contiguous axis-0 **slabs** of
+     whole partitions are dispatched with the matching slices of the
+     global index grids.  Rank boundaries mean nothing to a kernel that
+     provably never reads the per-rank :class:`MapEnv` (only the cost
+     vector reads them), so it may run off the main thread; or
+   * ``ctx.fused`` and the function has an explicit ``fused=``
+     whole-array form or a vectorized kernel not known to read the env:
+     **one slab**, called inline (as when the grid has fewer rows of
+     partitions than workers).  Saves ``p`` kernel calls per skeleton.
+2. **the per-rank loop** — everything else: strided layouts, kernels
    that read the env, scalar-only functions (applied element by
    element).  ``SkilContext(fused=False)`` forces it on ``sim``: that
    is the reference switch of ``repro.check`` and ``tests/check``,
-   which hold the other two paths bit-equal to this one.
+   which hold the pooled call bit-equal to this one.
 
 What "env-free" is known from: generated kernels (``lang/codegen.py``)
 carry ``env_free`` — the vectorizer knows statically whether the Skil
 source used ``procId``, ``array_part_bounds`` or ``array_get_elem``;
-hand-written kernels are probed on path 2, which calls them with a
-:class:`FusedEnv` whose rank-specific attributes raise
+hand-written kernels are probed by the one-slab call, which hands them
+a :class:`FusedEnv` whose rank-specific attributes raise
 :class:`FusionFallback`, and the outcome is memoized on the kernel (so a
-hand-written kernel reaches path 1 from its second call on).
-Rank-*dependent* kernels can still take path 2 by providing
+hand-written kernel is dispatched in slabs from its second call on).
+Rank-*dependent* kernels can still take path 1 by providing
 ``skil_fn(fused=...)`` (signature ``fused(pool, global_grids, fenv)``) —
 see the Gaussian-elimination kernels in :mod:`repro.apps.gauss`.
 
@@ -43,6 +47,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+
+from repro.errors import SkeletonError
 
 __all__ = [
     "FusionFallback",
@@ -63,7 +69,7 @@ class FusionFallback(Exception):
 
 class FusedEnv:
     """The environment of every kernel call outside the per-rank loop
-    (the pooled call, backend tasks): there is no rank to read.
+    (the pooled call, whole or in slabs): there is no rank to read.
 
     Accessing any rank-specific attribute raises :class:`FusionFallback`,
     which is what makes probing hand-written kernels safe — an
@@ -146,64 +152,76 @@ def _boxed_block(f: Callable, ins: list, like, rank: int) -> np.ndarray:
     return out
 
 
+def _fit(kernel: Callable, out, shape: tuple) -> np.ndarray:
+    """*out* broadcast to the *shape* of the piece it was computed for."""
+    out = np.asarray(out)
+    try:
+        return np.broadcast_to(out, shape)
+    except ValueError:
+        raise SkeletonError(
+            f"kernel {getattr(kernel, '__name__', kernel)!r} returned shape "
+            f"{out.shape}, which does not broadcast to its {shape} piece"
+        ) from None
+
+
+def run_pieces(backend, call: Callable, tasks: list) -> list:
+    """``call(*t)`` per task, in task order: one inline, more dispatched."""
+    if len(tasks) == 1:
+        return [call(*tasks[0])]
+    return backend.run_blocks(call, tasks)
+
+
 def run_elementwise(ctx, f: Callable, srcs: tuple, like) -> tuple:
     """Evaluate *f* on every element; the one executor behind map, zip,
     fold's conversion and create (path conditions: module docstring).
 
     *srcs* are the input arrays (none for create, two for zip); *like*
-    is the array whose layout the result has.  Returns ``(whole, None)``
-    — one array of ``like.shape`` — or ``(None, blocks)`` — the
-    partitions in rank order, each of its ``local(r).shape``.
+    is the array whose layout the result has.  Returns ``(slabs, None)``
+    — ``(rows, out)`` pairs covering axis 0 of the pool in order, *out*
+    of ``pool[rows].shape`` — or ``(None, blocks)`` — the partitions in
+    rank order, each of its ``local(r).shape``.
 
     Bit-identity across the paths: every kernel call sees the same
     elements, index values and element arithmetic, and the backend
-    returns results in task (= rank) order.  Any exception a kernel
-    raises other than :class:`FusionFallback` **propagates** from
-    whichever path ran it — never a silent fallback.
+    returns results in task order.  Any exception a kernel raises other
+    than :class:`FusionFallback` **propagates** from whichever path ran
+    it — never a silent fallback.
     """
     p = ctx.p
     vec = getattr(f, "vectorized", None)
     env_free = None if vec is None else kernel_fusability(vec)
     backend = ctx.machine.backend
-    if backend.parallel and env_free is True:
-        # workers get a FusedEnv, never a per-rank MapEnv: a kernel whose
-        # env use is conditional raises inside a worker and is re-run by
-        # the per-rank loop below
-        fenv = FusedEnv(p)
-        tasks = [
-            tuple(s.local(r) for s in srcs) + (like.index_grids(r), fenv)
-            for r in range(p)
-        ]
-        try:
-            outs = backend.run_blocks(vec, tasks)
-        except FusionFallback:
-            pass
-        else:
-            return None, [
-                np.broadcast_to(np.asarray(out), like.local(r).shape)
-                for r, out in enumerate(outs)
+    spread = backend.parallel and env_free is True
+    if (ctx.fused or spread) and all(a.pool is not None for a in (*srcs, like)):
+        kernel, probing, k = vec, False, backend.workers
+        if not spread:
+            # an explicit fused= form wins; its own guards (e.g. a partner
+            # array that is not pooled) raise FusionFallback
+            kernel, k = getattr(f, "fused", None), 1
+            if kernel is None and env_free is not False:
+                kernel, probing = vec, env_free is None
+        if kernel is not None:
+            slabs = like.dist.slab_rows(k)
+            grids = like.dist.global_index_grids()
+            # never a per-rank MapEnv: a kernel whose env use is
+            # conditional raises and is re-run by the per-rank loop below
+            fenv = FusedEnv(p)
+            tasks = [
+                (*(a.pool[rows] for a in srcs), (grids[0][rows], *grids[1:]), fenv)
+                for rows in slabs
             ]
-    elif ctx.fused and all(a.pool is not None for a in (*srcs, like)):
-        # an explicit fused= form wins; its own guards (e.g. a partner
-        # array that is not pooled) raise FusionFallback
-        whole_k = getattr(f, "fused", None)
-        probing = False
-        if whole_k is None and env_free is not False:
-            whole_k, probing = vec, env_free is None
-        if whole_k is not None:
             try:
-                out = whole_k(
-                    *(a.pool for a in srcs),
-                    like.dist.global_index_grids(),
-                    FusedEnv(p),
-                )
+                outs = run_pieces(backend, kernel, tasks)
             except FusionFallback:
                 if probing:
                     remember_fusability(vec, False)
             else:
                 if probing:
                     remember_fusability(vec, True)
-                return np.broadcast_to(np.asarray(out), like.shape), None
+                return [
+                    (rows, _fit(kernel, out, like.pool[rows].shape))
+                    for rows, out in zip(slabs, outs)
+                ], None
 
     blocks = []
     try:
@@ -216,7 +234,7 @@ def run_elementwise(ctx, f: Callable, srcs: tuple, like) -> tuple:
                 continue
             env = MapEnv(ctx, r, like.part_bounds(r))
             out = vec(*ins, like.index_grids(r), env)
-            blocks.append(np.broadcast_to(np.asarray(out), like.local(r).shape))
+            blocks.append(_fit(vec, out, like.local(r).shape))
     finally:
         # also when f raises: proc_id() must not answer outside a skeleton
         ctx.current_rank = None

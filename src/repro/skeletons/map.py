@@ -31,29 +31,36 @@ from repro.skeletons.base import ops_of, skeleton_span
 __all__ = ["array_map", "array_zip"]
 
 
-def write_result(to_arr: DistArray, whole, blocks) -> None:
+def store_slab(dst: np.ndarray, out: np.ndarray) -> None:
+    """The store task of :func:`write_result` (named for ``eval profile``)."""
+    dst[...] = out
+
+
+def write_result(to_arr: DistArray, slabs, blocks) -> None:
     """Write what :func:`~repro.skeletons.fuse.run_elementwise` returned
     into *to_arr*, converting to its dtype.
 
-    Only called once every partition is computed, so an in-situ map
-    cannot observe partially updated data even across partitions.
+    Only called once every piece is computed (slabs are stored by a
+    dispatch of their own), so an in-situ map cannot observe partially
+    updated data even across partitions.
     """
-    if whole is None:
+    if slabs is None:
         for r, block in enumerate(blocks):
             to_arr.local(r)[...] = block
         return
     pool = to_arr.pool
-    if whole is not pool and np.may_share_memory(whole, pool):
-        # e.g. an identity kernel returning a view of the target pool;
-        # materialise before the overlapping assignment
-        whole = np.array(whole, dtype=to_arr.dtype)
-    pool[...] = whole
+    # e.g. an identity kernel returning a view of the target pool;
+    # materialise before the overlapping assignment
+    tasks = [
+        (pool[rows], np.array(out) if np.may_share_memory(out, pool) else out)
+        for rows, out in slabs
+    ]
+    fuse.run_pieces(to_arr.machine.backend, store_slab, tasks)
 
 
 def _map_into(ctx, f: Callable, srcs: tuple, to_arr: DistArray) -> None:
     """The body shared by map and zip: run, write, charge."""
-    whole, blocks = fuse.run_elementwise(ctx, f, srcs, srcs[0])
-    write_result(to_arr, whole, blocks)
+    write_result(to_arr, *fuse.run_elementwise(ctx, f, srcs, srcs[0]))
     sizes = srcs[0].dist.part_sizes()
     # a functional host builds a fresh array, then (conceptually) replaces
     # the old one: state the allocation+copy traffic it would pay

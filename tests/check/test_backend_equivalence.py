@@ -27,8 +27,8 @@ from repro.skeletons import MIN, PLUS, SkilContext
 from repro.skeletons.functional import skil_fn
 
 
-def _collect(p, backend, workload):
-    m = Machine(p, trace_level=1, backend=backend, workers=2)
+def _collect(p, backend, workload, workers=2):
+    m = Machine(p, trace_level=1, backend=backend, workers=workers)
     try:
         with isolated_metrics():
             arrays, scalars = workload(SkilContext(m))
@@ -44,10 +44,10 @@ def _collect(p, backend, workload):
         m.close()
 
 
-def _assert_equivalent(p, workload):
+def _assert_equivalent(p, workload, workers=2):
     ref = _collect(p, "sim", workload)
     for backend in BACKENDS_CHECKED[1:]:
-        got = _collect(p, backend, workload)
+        got = _collect(p, backend, workload, workers)
         for k, (ea, ga) in enumerate(zip(ref[0], got[0])):
             assert np.array_equal(ea, ga), f"{backend} p={p}: array {k} differs"
         assert ref[1] == got[1], f"{backend} p={p}: scalar results differ"
@@ -58,9 +58,15 @@ def _assert_equivalent(p, workload):
         assert ref[4] == got[4], f"{backend} p={p}: metrics differ"
 
 
-@pytest.mark.parametrize("p", [4, 16])
-def test_skeleton_workload_bitwise_identical(p):
+@pytest.mark.parametrize("p,per_rank,workers", [
+    (4, 6, 2),
+    (16, 6, 2),
+    (4, 6, 3),  # 4 partitions on 3 workers: slabs of 2 + 1 + 1
+    (16, 6.5, 3),  # 104 rows on 16 ranks: partitions of 7 and 6 rows
+], ids=["4", "16", "4-workers3", "16-uneven-workers3"])
+def test_skeleton_workload_bitwise_identical(p, per_rank, workers):
     """create → map → zip → scan → fold, all float, compared bitwise."""
+    n = int(p * per_rank)
     init = skil_fn(
         ops=2, vectorized=lambda g, e: (g[0] * 7 + 1).astype(np.float64)
     )(lambda i: float(i[0] * 7 + 1))
@@ -73,8 +79,8 @@ def test_skeleton_workload_bitwise_identical(p):
     ident = skil_fn(ops=0, vectorized=lambda b, g, e: b)(lambda x, i: x)
 
     def workload(ctx: SkilContext):
-        a = ctx.array_create(1, (p * 6,), (0,), (-1,), init)
-        b = ctx.array_create(1, (p * 6,), (0,), (-1,), init)
+        a = ctx.array_create(1, (n,), (0,), (-1,), init)
+        b = ctx.array_create(1, (n,), (0,), (-1,), init)
         ctx.array_map(tri, a, b)
         ctx.array_zip(mix, a, b, b)
         ctx.array_scan(PLUS, b, a)
@@ -82,7 +88,7 @@ def test_skeleton_workload_bitwise_identical(p):
         s2 = ctx.array_fold(ident, MIN, b)
         return [a, b], [s1, s2]
 
-    _assert_equivalent(p, workload)
+    _assert_equivalent(p, workload, workers)
 
 
 @pytest.mark.parametrize("p", [4, 16])
@@ -157,6 +163,16 @@ def _select_by_flag(name):
     from repro.eval.__main__ import _build_parser
 
     _build_parser().parse_args(["table1", "--backend", name])
+
+
+@pytest.mark.parametrize("backend", ["sim", "threads"])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, "2", True])
+def test_bad_worker_count_rejected_on_every_backend(backend, bad):
+    """One check for both backends, the same type as a bad REPRO_WORKERS
+    (``tests/eval/test_cliopts.py``), naming the value as it was given."""
+    with pytest.raises(BackendError, match="not a positive worker count") as exc:
+        Machine(4, backend=backend, workers=bad)
+    assert f"workers={bad!r}" in str(exc.value)
 
 
 def test_unknown_backend_rejected():

@@ -17,7 +17,7 @@ from repro.machine.backend import SimBackend, ThreadsBackend
 from repro.machine.machine import Machine
 from repro.skeletons import PLUS, SkilContext, skil_fn
 
-P, ROWS, COLS = 4, 8, 3
+P, ROWS, COLS, WORKERS = 4, 8, 3, 2
 
 #: (backend, layout, kind, ctx.fused) -> path of the first and of the
 #: second call with the same function; first matching row wins, "*" is
@@ -25,27 +25,31 @@ P, ROWS, COLS = 4, 8, 3
 TABLE = [
     # a scalar-only function has no kernel to send anywhere
     (("*", "*", "scalar", "*"), ("boxed", "boxed")),
-    # 1. parallel backend and known env-free: per-rank tasks, whatever
-    #    the layout and whatever ctx.fused says
-    (("threads", "*", "generated", "*"), ("tasks", "tasks")),
-    #    a hand-written kernel is known env-free once the pooled call
+    # 1. every array pooled.  Parallel backend and known env-free: one
+    #    slab of the pool per worker, whatever ctx.fused says
+    (("threads", "block", "generated", "*"), ("slabs", "slabs")),
+    #    a hand-written kernel is known env-free once the one-slab call
     #    has probed it
-    (("threads", "block", "handwritten", True), ("pool", "tasks")),
-    # 2. ctx.fused and every array pooled: one call over the pool
+    (("threads", "block", "handwritten", True), ("pool", "slabs")),
+    #    ctx.fused: one call over the pool
     (("*", "block", "generated", True), ("pool", "pool")),
     (("*", "block", "handwritten", True), ("pool", "pool")),
     (("*", "block", "fused_form", True), ("pool", "pool")),
     #    an env-reading kernel aborts the probe and is not tried again
     (("*", "block", "reads_rank", True), ("probe+ranks", "ranks")),
-    # 3. everything else: the per-rank loop
+    # 2. everything else: the per-rank loop — also a strided layout with
+    #    an env-free kernel on a parallel backend (per-rank tasks for it
+    #    measured slower than the loop and were dropped)
     (("*", "*", "*", "*"), ("ranks", "ranks")),
 ]
 
 #: path -> (run_blocks calls, what each function call logged: the env
-#: type a kernel saw, or "scalar" for an element-by-element call)
+#: type a kernel saw, or "scalar" for an element-by-element call).
+#: "slabs" dispatches the kernel and then the store of its results
+#: (fold stores nothing: one call)
 OBSERVED = {
     "boxed": (0, ["scalar"] * (ROWS * COLS)),
-    "tasks": (1, ["FusedEnv"] * P),
+    "slabs": (2, ["FusedEnv"] * WORKERS),
     "pool": (0, ["FusedEnv"]),
     "ranks": (0, ["MapEnv"] * P),
     "probe+ranks": (0, ["FusedEnv"] + ["MapEnv"] * P),
@@ -78,7 +82,7 @@ class CountingThreads(Counting, ThreadsBackend):
 
 
 def make_backend(name):
-    return CountingSim() if name == "sim" else CountingThreads(2)
+    return CountingSim() if name == "sim" else CountingThreads(WORKERS)
 
 
 def owner_of_row(rows, layout):
@@ -180,6 +184,8 @@ def test_path_taken(skeleton, layout, backend_name, kind, fused):
             backend.calls = 0
             value, n_inputs = call_skeleton(skeleton, ctx, fn, a, b, dst)
             dispatches, logged = OBSERVED[path]
+            if path == "slabs" and skeleton == "fold":
+                dispatches = 1
             assert backend.calls == dispatches, path
             assert log == logged, path
             want = reference(kind, layout, n_inputs, data)
@@ -191,7 +197,7 @@ def test_path_taken(skeleton, layout, backend_name, kind, fused):
 
 
 def test_fallback_inside_a_dispatched_task_lands_on_the_per_rank_loop():
-    """A kernel marked env-free whose env use is conditional: the task
+    """A kernel marked env-free whose env use is conditional: the slab
     that reads the env raises FusionFallback (workers only ever get a
     FusedEnv), and the whole call is re-run per rank with equal values."""
     log = []
@@ -215,7 +221,7 @@ def test_fallback_inside_a_dispatched_task_lands_on_the_per_rank_loop():
         # counts, not order: a task still queued behind the failed one
         # may log its FusedEnv while the per-rank loop is already running
         assert log.count("MapEnv") == P
-        assert 1 <= log.count("FusedEnv") <= P
+        assert 1 <= log.count("FusedEnv") <= WORKERS
         np.testing.assert_array_equal(
             dst.global_view(), reference("generated", "block", 1, data)
         )
@@ -223,7 +229,7 @@ def test_fallback_inside_a_dispatched_task_lands_on_the_per_rank_loop():
 
 @pytest.mark.parametrize("profile", [False, True])
 def test_kernel_error_in_a_dispatched_task_propagates(profile):
-    """A kernel that raises anything but FusionFallback on one rank: the
+    """A kernel that raises anything but FusionFallback in one slab: the
     caller sees that very exception (no fallback, no wrapper), no
     ``procId`` is left behind, and the machine dispatches again."""
 
@@ -231,8 +237,8 @@ def test_kernel_error_in_a_dispatched_task_propagates(profile):
         pass
 
     def kernel(block, grids, env):
-        if grids[0][0, 0] == 2 * (ROWS // P):  # rank 2 only
-            raise Boom("rank 2")
+        if grids[0][0, 0] == ROWS // WORKERS:  # the second slab only
+            raise Boom("slab 1")
         return 2.0 * block + grids[0]
 
     kernel.env_free = True
@@ -249,8 +255,9 @@ def test_kernel_error_in_a_dispatched_task_propagates(profile):
         assert ctx.current_rank is None
         with pytest.raises(SkeletonError):
             ctx.proc_id()
+        assert backend.calls == 1  # nothing was stored
         ctx.array_map(make_fn("generated", "block", []), a, dst)
-        assert backend.calls == 2
+        assert backend.calls == 3
         np.testing.assert_array_equal(
             dst.global_view(), reference("generated", "block", 1, data)
         )
@@ -282,3 +289,181 @@ def test_pooled_call_builds_no_per_rank_tasks(monkeypatch):
     np.testing.assert_array_equal(
         dst.global_view(), 2.0 * data + np.arange(p * 2)[:, None]
     )
+
+
+# ---------------------------------------------------------------------------
+# slabs against the per-rank loop, bitwise
+# ---------------------------------------------------------------------------
+def _env_free(vec):
+    vec.env_free = True
+    return vec
+
+
+def _vec_only(ops, vec):
+    """``skil_fn`` around a kernel whose scalar form must never run."""
+    def scalar(*args):
+        raise AssertionError("the scalar form was called")
+
+    return skil_fn(ops=ops, vectorized=vec)(scalar)
+
+
+def _slab_kernels():
+    """Float kernels whose results depend on the element *and* on both
+    index values, so a slab handed the wrong rows or grids shows."""
+    def last(g):
+        return g[-1] * 0.25
+
+    return {
+        "init": _vec_only(2, _env_free(
+            lambda g, e: np.sqrt(g[0] * 3.0 + 1.0) + last(g))),
+        "map": _vec_only(3, _env_free(
+            lambda b, g, e: np.sqrt(np.abs(b)) * 1.1 + g[0] - last(g))),
+        "zip": _vec_only(2, _env_free(
+            lambda x, y, g, e: x * 0.3 + y / 7.0 + last(g))),
+        "conv": _vec_only(2, _env_free(lambda b, g, e: b * b + g[0])),
+        "ident": _vec_only(0, _env_free(lambda b, g, e: b)),
+    }
+
+
+def _slab_workload(machine, shape, grid, fused):
+    """create -> map -> zip into a source -> in-situ map -> identity map
+    of a view of the target pool -> fold; returns every result."""
+    ctx = SkilContext(machine, fused=fused)
+    k = _slab_kernels()
+    dim = len(shape)
+
+    def new(data):
+        arr = DistArray(machine, BlockDistribution(shape, grid), float)
+        arr.fill_from_global(data)
+        return arr
+
+    seed = np.arange(np.prod(shape), dtype=float).reshape(shape) / 3.0
+    a, b = new(seed), new(np.zeros(shape))
+    c = ctx.array_create(dim, shape, (0,) * dim, (-1,) * dim, k["init"])
+    ctx.array_map(k["map"], a, b)
+    ctx.array_zip(k["zip"], a, b, b)  # the target aliases a source
+    ctx.array_map(k["map"], a, a)  # in situ
+    ctx.array_map(k["ident"], b, b)  # the result is a view of the target
+    total = ctx.array_fold(k["conv"], PLUS, a)
+    return [x.global_view().copy() for x in (a, b, c)], total
+
+
+@pytest.mark.parametrize(
+    "shape,grid,workers,slabs,dispatches",
+    [
+        # 5 map-likes with a store each and one fold
+        ((10, 9), (3, 3), 2, 2, 11),  # rows do not divide: 4 + 3 + 3
+        ((10, 9), (3, 3), 3, 3, 11),
+        ((ROWS, COLS), (P, 1), 3, 3, 11),  # 4 rows of partitions, 3 workers
+        ((23,), (4,), 3, 3, 11),  # 1-D
+        ((2, 6), (2, 1), 3, 1, 0),  # n0 < workers: the one inline call
+        # a 1 x p grid has nothing to cut; array_create lays out p x 1
+        ((6, 8), (1, 4), 2, 1, 2),
+    ],
+)
+def test_slabs_bitwise_equal_to_the_per_rank_loop(
+    shape, grid, workers, slabs, dispatches
+):
+    p = int(np.prod(grid))
+    with Machine(p, backend="sim") as machine:
+        want_arrays, want_total = _slab_workload(machine, shape, grid, fused=False)
+    backend = CountingThreads(workers)
+    with Machine(p, backend=backend) as machine:
+        assert len(BlockDistribution(shape, grid).slab_rows(workers)) == slabs
+        got_arrays, got_total = _slab_workload(machine, shape, grid, fused=True)
+        assert backend.calls == dispatches
+    for want, got in zip(want_arrays, got_arrays):
+        assert want.tobytes() == got.tobytes()
+    assert repr(want_total) == repr(got_total)
+
+
+def test_store_error_in_a_dispatched_task_propagates():
+    """A result the target's dtype cannot hold fails in the store task:
+    the caller sees numpy's own exception, and the machine dispatches
+    again."""
+    def kernel(block, grids, env):
+        return np.full(block.shape, "x", dtype=object)
+
+    bad = _vec_only(1, _env_free(kernel))
+    backend = CountingThreads(WORKERS)
+    with Machine(P, backend=backend) as machine:
+        ctx = SkilContext(machine)
+        data = np.arange(ROWS * COLS, dtype=float).reshape(ROWS, COLS)
+        a = make_array(machine, "block", data)
+        dst = make_array(machine, "block", np.zeros_like(data))
+        with pytest.raises(ValueError, match="could not convert string"):
+            ctx.array_map(bad, a, dst)
+        assert backend.calls == 2  # the kernels ran, the store raised
+        assert ctx.current_rank is None
+        ctx.array_map(make_fn("generated", "block", []), a, dst)
+        assert backend.calls == 4
+        np.testing.assert_array_equal(
+            dst.global_view(), reference("generated", "block", 1, data)
+        )
+
+
+@pytest.mark.parametrize(
+    "backend_name,known_env_free,fused,piece",
+    [
+        ("threads", True, True, (ROWS // WORKERS, COLS)),  # a slab
+        ("sim", True, True, (ROWS, COLS)),  # the pool
+        ("sim", None, True, (ROWS, COLS)),  # the pool, probing
+        ("sim", True, False, (ROWS // P, COLS)),  # a partition
+        ("threads", None, False, (ROWS // P, COLS)),
+    ],
+)
+def test_result_that_does_not_fit_its_piece_is_a_skeleton_error(
+    backend_name, known_env_free, fused, piece
+):
+    def lopsided(block, grids, env):
+        return np.zeros((3, 5))
+
+    if known_env_free:
+        lopsided.env_free = True
+    fn = _vec_only(1, lopsided)
+    with Machine(P, backend=make_backend(backend_name)) as machine:
+        ctx = SkilContext(machine, fused=fused)
+        data = np.zeros((ROWS, COLS))
+        a = make_array(machine, "block", data)
+        dst = make_array(machine, "block", data)
+        for call in (
+            lambda: ctx.array_map(fn, a, dst),
+            lambda: ctx.array_fold(fn, PLUS, a),
+        ):
+            with pytest.raises(SkeletonError) as exc:
+                call()
+            message = str(exc.value)
+            assert "'lopsided'" in message and "(3, 5)" in message
+            assert str(piece) in message
+            assert ctx.current_rank is None
+
+
+def test_more_workers_than_cores_under_a_short_switch_interval():
+    """Slabs share the pools between worker threads: 60 in-situ rounds
+    on 5 workers, preempted every few bytecodes, must leave exactly
+    what the per-rank loop leaves (a slab written into or read from
+    another slab's rows would not)."""
+    import sys
+
+    shape, grid, rounds = (40, 7), (8, 1), 60
+
+    def run(machine, fused):
+        ctx = SkilContext(machine, fused=fused)
+        k = _slab_kernels()
+        a = DistArray(machine, BlockDistribution(shape, grid), float)
+        a.fill_from_global(np.arange(280, dtype=float).reshape(shape) / 9.0)
+        b = DistArray(machine, BlockDistribution(shape, grid), float)
+        for _ in range(rounds):
+            ctx.array_map(k["map"], a, a)
+            ctx.array_zip(k["zip"], a, b, b)
+        return a.global_view().tobytes(), b.global_view().tobytes()
+
+    with Machine(8, backend="sim") as machine:
+        want = run(machine, fused=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Machine(8, backend="threads", workers=5) as machine:
+            assert run(machine, fused=True) == want
+    finally:
+        sys.setswitchinterval(interval)
