@@ -285,7 +285,7 @@ class DistArray:
         """Scatter an existing numpy array (test/oracle helper)."""
         data = np.asarray(data)
         g = grid if grid is not None else default_grid(machine, data.ndim, distr)
-        dist = BlockDistribution(data.shape, g)
+        dist = BlockDistribution.shared(data.shape, g)
         arr = cls(machine, dist, data.dtype, distr)
         arr.fill_from_global(data)
         return arr
@@ -300,7 +300,7 @@ class DistArray:
         grid: tuple[int, ...] | None = None,
     ) -> "DistArray":
         g = grid if grid is not None else default_grid(machine, len(shape), distr)
-        dist = BlockDistribution(shape, g)
+        dist = BlockDistribution.shared(shape, g)
         return cls(machine, dist, dtype, distr)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

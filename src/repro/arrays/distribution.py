@@ -26,9 +26,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import DistributionError
+from repro.machine.topology import INTERN_BYTES, InternTable
 
 __all__ = ["Bounds", "Distribution", "BlockDistribution", "CyclicDistribution",
-           "BlockCyclicDistribution"]
+           "BlockCyclicDistribution", "BLOCK_DISTRIBUTIONS"]
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,11 @@ class BlockDistribution(Distribution):
     rounding the problem size up; the harness does the same, but the
     library handles the general case).
 
+    A distribution is a value of its ``(shape, grid, overlap)``:
+    :meth:`shared` hands every array of one geometry the same object, so
+    the memoized geometry is warm across arrays, cells and machines.  A
+    direct constructor call builds a fresh, cold one.
+
     Parameters
     ----------
     overlap:
@@ -247,6 +253,24 @@ class BlockDistribution(Distribution):
             self._splits.append(np.concatenate(([0], np.cumsum(sizes))))
         self._owner_vectors: tuple[np.ndarray, ...] | None = None
         self._slice_cache: dict[int, tuple[slice, ...]] = {}
+        #: the most this distribution can hold: every rank's index
+        #: vectors, the owner vectors, global grids and part sizes, 1 KiB
+        #: of Python objects (bounds, slices, cache entries) per rank and
+        #: dimension plus one, and 4 KiB for the object itself
+        self.nbytes = 8 * (
+            sum(n * self.p // g for n, g in zip(self.shape, self.grid))
+            + 2 * sum(self.shape) + self.p
+        ) + 1024 * (self.dim + 1) * self.p + 4096
+
+    @classmethod
+    def shared(cls, shape, grid, overlap=0) -> "BlockDistribution":
+        """The distribution of this geometry that every caller shares
+        (:data:`BLOCK_DISTRIBUTIONS`)."""
+        key = (
+            tuple(map(int, shape)), tuple(map(int, grid)),
+            overlap if isinstance(overlap, int) else tuple(map(int, overlap)),
+        )
+        return BLOCK_DISTRIBUTIONS.get(key, lambda: cls(*key))
 
     def owner(self, index: Sequence[int]) -> int:
         coords = []
@@ -379,7 +403,7 @@ class BlockDistribution(Distribution):
                 raise DistributionError(
                     "only default (negative) lowerbd components are supported"
                 )
-        return cls(size, grid)
+        return cls.shared(size, grid)
 
 
 class CyclicDistribution(Distribution):
@@ -453,3 +477,7 @@ class BlockCyclicDistribution(Distribution):
 
     def local_shape(self, rank: int) -> tuple[int, ...]:
         return tuple(len(a) for a in self.local_indices(rank))
+
+
+#: the block distributions arrays share, keyed ``(shape, grid, overlap)``
+BLOCK_DISTRIBUTIONS = InternTable(INTERN_BYTES)

@@ -33,7 +33,6 @@ from repro.errors import SkilError
 from repro.machine.charge import Charge
 from repro.machine.costmodel import PARIX_C, PARIX_C_OLD, CostModel, T800_PARSYTEC
 from repro.machine.machine import Machine
-from repro.machine.topology import Torus2D
 
 __all__ = ["shpaths_c", "gauss_c", "matmul_c", "make_c_machine"]
 
@@ -43,25 +42,55 @@ def make_c_machine(p: int, old: bool = False, cost: CostModel = T800_PARSYTEC) -
     return Machine(p, cost=cost, use_virtual_topologies=not old)
 
 
-def _block_dist_rows(n: int, p: int) -> list[tuple[int, int]]:
-    base, extra = divmod(n, p)
-    bounds = []
-    lo = 0
-    for r in range(p):
-        hi = lo + base + (1 if r < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+def _torus_blocks(mat: np.ndarray, g: int) -> np.ndarray:
+    """The ``g x g`` blocks of *mat* stacked in rank order (rank
+    ``i * g + j`` holds block ``(i, j)``): one ``(p, nb, nb)`` array."""
+    nb = mat.shape[0] // g
+    return mat.reshape(g, nb, g, nb).swapaxes(1, 2).reshape(g * g, nb, nb)
 
 
-def _profile(old: bool):
-    return PARIX_C_OLD if old else PARIX_C
+def _untorus(blocks: np.ndarray, g: int) -> np.ndarray:
+    """The matrix whose :func:`_torus_blocks` are *blocks*."""
+    nb = blocks.shape[1]
+    return blocks.reshape(g, g, nb, nb).swapaxes(1, 2).reshape(g * nb, g * nb)
+
+
+def _torus_shifter(charge: Charge, topo, g: int, nbytes: int):
+    """``shift(blocks, move, tag)`` for the skews and rotations of
+    Gentleman's algorithm on a ``g x g`` torus: charges one *nbytes* block
+    along every ``(src, dst)`` pair that crosses a link (no charge when
+    none does) and returns the stack with block ``src`` at rank ``dst`` —
+    one gather by the inverse permutation."""
+    i, j = np.divmod(np.arange(g * g), g)
+    dsts = {
+        ("a", +1): i * g + (j - i) % g, ("a", -1): i * g + (j + i) % g,
+        ("b", +1): (i - j) % g * g + j, ("b", -1): (i + j) % g * g + j,
+        "west": i * g + (j - 1) % g, "north": (i - 1) % g * g + j,
+    }
+    moves = {}
+    for move, dst in dsts.items():
+        moved = np.flatnonzero(dst != np.arange(g * g))
+        pairs = list(zip(moved.tolist(), dst[moved].tolist()))
+        moves[move] = (pairs, np.argsort(dst))
+
+    def shift(blocks: np.ndarray, move, tag: str) -> np.ndarray:
+        pairs, src = moves[move]
+        if not pairs:
+            return blocks
+        charge.shift(pairs, nbytes, topo, tag=tag)
+        return blocks[src]
+
+    return shift
 
 
 def shpaths_c(
     machine: Machine, dist_matrix: np.ndarray, old: bool = False
 ) -> tuple[np.ndarray, RunReport]:
-    """Hand-written Gentleman (min,+) squaring, message passing only."""
+    """Hand-written Gentleman (min,+) squaring, message passing only.
+
+    All ranks' blocks are one ``(p, nb, nb)`` stack, so a step is one
+    numpy call over every rank and a skew or rotation one gather.
+    """
     n = dist_matrix.shape[0]
     p = machine.p
     g = machine.mesh.rows
@@ -69,146 +98,95 @@ def shpaths_c(
         raise SkilError("shpaths_c needs a square processor grid")
     if n % g != 0:
         raise SkilError(f"n={n} must be divisible by the grid side {g}")
-    prof = _profile(old)
+    prof = PARIX_C_OLD if old else PARIX_C
     charge = Charge(machine, prof)
     topo = machine.topology("DISTR_TORUS2D")
-    assert isinstance(topo, Torus2D)
     nb = n // g
     start = machine.time
 
     # distribute the matrix into g x g blocks (C code: local init loops)
-    def blocks_of(mat):
-        return [
-            mat[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb].copy()
-            for i in range(g)
-            for j in range(g)
-        ]
-
-    a = blocks_of(dist_matrix.astype(np.float64))
+    a = _torus_blocks(dist_matrix.astype(np.float64), g)
     charge.work((nb * nb, 1.0))  # init sweep
 
     nbytes = a[0].nbytes
-
-    def skew_pairs(kind, direction):
-        pairs = []
-        for r in range(p):
-            i, j = topo.grid_coords(r)
-            if kind == "a":
-                dst = topo.grid_rank(i, j - direction * i)
-            else:
-                dst = topo.grid_rank(i - direction * j, j)
-            if dst != r:
-                pairs.append((r, dst))
-        return pairs
-
-    # the permutations are the same in every iteration
-    skews = {
-        (kind, direction): skew_pairs(kind, direction)
-        for kind in "ab"
-        for direction in (+1, -1)
-    }
-
-    def skew(blocks, kind, direction):
-        pairs = skews[kind, direction]
-        if pairs:
-            charge.shift(pairs, nbytes, topo, tag=f"c-skew-{kind}")
-            moved = {d: blocks[s] for s, d in pairs}
-            for d, blk in moved.items():
-                blocks[d] = blk
-
-    def rotate(blocks, pairs, tag):
-        charge.shift(pairs, nbytes, topo, tag=tag)
-        moved = {d: blocks[s] for s, d in pairs}
-        for d, blk in moved.items():
-            blocks[d] = blk
-
-    west = [(r, topo.west(r)) for r in range(p) if topo.west(r) != r]
-    north = [(r, topo.north(r)) for r in range(p) if topo.north(r) != r]
+    shift = _torus_shifter(charge, topo, g, nbytes)
 
     iters = max(1, math.ceil(math.log2(n)))
     for _ in range(iters):
         # b = a (local memcpy), c = inf
         charge.memcpy(nbytes)
-        ab = [blk.copy() for blk in a]
-        bb = [blk.copy() for blk in a]
-        cb = [np.full_like(blk, np.inf) for blk in a]
-        skew(ab, "a", +1)
-        skew(bb, "b", +1)
+        ab = shift(a, ("a", +1), "c-skew-a")
+        bb = shift(a, ("b", +1), "c-skew-b")
+        cb = np.full_like(a, np.inf)
         for step in range(g):
-            for r in range(p):
-                cb[r] = np.minimum(
-                    cb[r], np.min(ab[r][:, :, None] + bb[r][None, :, :], axis=1)
-                )
+            np.minimum(
+                cb, np.min(ab[:, :, :, None] + bb[:, None, :, :], axis=2), out=cb
+            )
             charge.work((nb * nb * nb * 2, 1.0))  # a (min, +) pair per (i, j, k)
             if step < g - 1:
-                rotate(ab, west, "c-rot-a")
-                rotate(bb, north, "c-rot-b")
+                ab = shift(ab, "west", "c-rot-a")
+                bb = shift(bb, "north", "c-rot-b")
         # hand-written code reuses the buffers; no unskew needed because
         # ab/bb are scratch copies — but the old C did a full realignment
         if old and g > 1:
-            skew(ab, "a", -1)
-            skew(bb, "b", -1)
+            shift(ab, ("a", -1), "c-skew-a")
+            shift(bb, ("b", -1), "c-skew-b")
         a = cb
         charge.memcpy(nbytes)  # copy c back into a
 
-    result = np.zeros((n, n))
-    for r in range(p):
-        i, j = topo.grid_coords(r)
-        result[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = a[r]
     report = RunReport(machine.time - start, machine.stats, p, n, prof.name)
-    return result, report
+    return _untorus(a, g), report
 
 
 def gauss_c(machine: Machine, a_mat: np.ndarray, rhs: np.ndarray
             ) -> tuple[np.ndarray, RunReport]:
-    """Hand-written Gauss-Jordan without pivoting (Table 2 comparator)."""
+    """Hand-written Gauss-Jordan without pivoting (Table 2 comparator).
+
+    All ranks' row blocks are one ``(p, n/p, n + 1)`` stack (a view of the
+    extended matrix), eliminated in place by one numpy call per step.
+    """
     n = a_mat.shape[0]
     p = machine.p
     if n % p != 0:
         raise SkilError(f"n={n} must be divisible by p={p}")
     charge = Charge(machine, PARIX_C)
     topo = machine.topology("DISTR_DEFAULT")
-    rows = _block_dist_rows(n, p)
+    m = n // p
     start = machine.time
 
     ext = np.concatenate([a_mat, rhs[:, None]], axis=1)
-    blocks = [ext[lo:hi].copy() for lo, hi in rows]
-    charge.work(((n // p) * (n + 1), 1.0))
+    blocks = ext.reshape(p, m, n + 1)
+    charge.work((m * (n + 1), 1.0))
 
     row_bytes = (n + 1) * ext.dtype.itemsize
 
     for k in range(n):
-        owner = next(r for r, (lo, hi) in enumerate(rows) if lo <= k < hi)
-        lo, _ = rows[owner]
-        piv = blocks[owner][k - lo] / blocks[owner][k - lo][k]
+        owner, row = divmod(k, m)
+        pivot_row = blocks[owner, row].copy()
+        piv = pivot_row / pivot_row[k]
         charge.work_at(owner, n + 1)
         charge.broadcast(owner, row_bytes, topo, tag="c-pivrow")
         # local elimination, all rows except the pivot row, columns >= k
-        for r in range(p):
-            blo, bhi = rows[r]
-            blk = blocks[r]
-            factors = blk[:, k].copy()
-            upd = blk - factors[:, None] * piv[None, :]
-            upd[:, :k] = blk[:, :k]
-            if blo <= k < bhi:
-                upd[k - blo] = blk[k - blo]
-            blocks[r] = upd
-        charge.work(((n // p) * (n + 1 - k), 2.0))  # multiply + subtract
+        factors = blocks[:, :, k].copy()
+        blocks[:, :, k:] -= factors[:, :, None] * piv[k:]
+        blocks[owner, row] = pivot_row
+        charge.work((m * (n + 1 - k), 2.0))  # multiply + subtract
 
     # final normalisation of the last column
-    for r, (lo, hi) in enumerate(rows):
-        diag = blocks[r][np.arange(hi - lo), np.arange(lo, hi)]
-        blocks[r][:, n] = blocks[r][:, n] / diag
-    charge.work((n // p, 1.0))
+    x = ext[:, n] / ext.diagonal()
+    charge.work((m, 1.0))
 
-    x = np.concatenate([blk[:, n] for blk in blocks])
     report = RunReport(machine.time - start, machine.stats, p, n, PARIX_C.name)
     return x, report
 
 
 def matmul_c(machine: Machine, a_mat: np.ndarray, b_mat: np.ndarray
              ) -> tuple[np.ndarray, RunReport]:
-    """Hand-written (equally optimized) Gentleman matmul — ablation A1."""
+    """Hand-written (equally optimized) Gentleman matmul — ablation A1.
+
+    Stacked like :func:`shpaths_c`: one batched ``np.matmul`` per step,
+    which runs the same BLAS call on every block as a per-block ``@``.
+    """
     n = a_mat.shape[0]
     p = machine.p
     g = machine.mesh.rows
@@ -221,54 +199,19 @@ def matmul_c(machine: Machine, a_mat: np.ndarray, b_mat: np.ndarray
     nb = n // g
     start = machine.time
 
-    def blocks_of(mat):
-        return [
-            mat[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb].copy()
-            for i in range(g)
-            for j in range(g)
-        ]
-
-    ab, bb = blocks_of(a_mat), blocks_of(b_mat)
-    cb = [np.zeros((nb, nb)) for _ in range(p)]
+    ab, bb = _torus_blocks(a_mat, g), _torus_blocks(b_mat, g)
+    cb = np.zeros((p, nb, nb))
     charge.work((2 * nb * nb, 1.0))
-    nbytes = ab[0].nbytes
+    shift = _torus_shifter(charge, topo, g, ab[0].nbytes)
 
-    def shift_perm(blocks, pairs, tag):
-        if not pairs:
-            return
-        charge.shift(pairs, nbytes, topo, tag=tag)
-        moved = {d: blocks[s] for s, d in pairs}
-        for d, blk in moved.items():
-            blocks[d] = blk
-
-    def skew_pairs(kind, direction):
-        pairs = []
-        for r in range(p):
-            i, j = topo.grid_coords(r)
-            dst = (
-                topo.grid_rank(i, j - direction * i)
-                if kind == "a"
-                else topo.grid_rank(i - direction * j, j)
-            )
-            if dst != r:
-                pairs.append((r, dst))
-        return pairs
-
-    shift_perm(ab, skew_pairs("a", +1), "c-mm-skew-a")
-    shift_perm(bb, skew_pairs("b", +1), "c-mm-skew-b")
-    west = [(r, topo.west(r)) for r in range(p) if topo.west(r) != r]
-    north = [(r, topo.north(r)) for r in range(p) if topo.north(r) != r]
+    ab = shift(ab, ("a", +1), "c-mm-skew-a")
+    bb = shift(bb, ("b", +1), "c-mm-skew-b")
     for step in range(g):
-        for r in range(p):
-            cb[r] = cb[r] + ab[r] @ bb[r]
+        cb = cb + ab @ bb
         charge.work((nb * nb * nb * 2, 1.0))
         if step < g - 1:
-            shift_perm(ab, west, "c-mm-rot-a")
-            shift_perm(bb, north, "c-mm-rot-b")
+            ab = shift(ab, "west", "c-mm-rot-a")
+            bb = shift(bb, "north", "c-mm-rot-b")
 
-    result = np.zeros((n, n))
-    for r in range(p):
-        i, j = topo.grid_coords(r)
-        result[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = cb[r]
     report = RunReport(machine.time - start, machine.stats, p, n, PARIX_C.name)
-    return result, report
+    return _untorus(cb, g), report

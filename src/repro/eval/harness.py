@@ -24,6 +24,7 @@ from repro.baselines.parix_c import gauss_c, make_c_machine, matmul_c, shpaths_c
 from repro.errors import SkilError
 from repro.machine.costmodel import DPFL, SKIL, SKIL_CLOSURES, T800_PARSYTEC
 from repro.machine.machine import Machine
+from repro.machine.topology import Mesh2D
 from repro.skeletons import SkilContext
 
 __all__ = [
@@ -65,7 +66,7 @@ def run_shpaths(language: str, p: int, n: int = 200, seed: int = 0) -> Experimen
     *n* is rounded up to a multiple of sqrt(p), exactly as the paper does
     ("e.g. n = 201 for sqrt(p) = 3").
     """
-    g = Machine(p).mesh.rows  # square grid side
+    g = Mesh2D.for_processors(p).rows  # square grid side
     n_eff = round_up_to_grid(n, g)
     dist = random_distance_matrix(n_eff, density=0.25, seed=seed)
     oracle = shortest_paths_oracle(dist)

@@ -17,6 +17,7 @@ from repro.errors import MachineError, MemoryLimitError, TopologyError
 from repro.machine.costmodel import CostModel, T800_PARSYTEC
 from repro.machine.network import Network
 from repro.machine.topology import (
+    TOPOLOGIES,
     BinomialTree,
     DefaultMapping,
     Mesh2D,
@@ -319,21 +320,14 @@ class Machine:
 
     # ------------------------------------------------------------------ topo
     def topology(self, distr: str = DISTR_DEFAULT) -> VirtualTopology:
-        """Virtual topology for a ``DISTR_*`` constant (cached)."""
-        if distr not in self._topologies:
-            folded = self.use_virtual_topologies
-            if distr == DISTR_DEFAULT:
-                topo: VirtualTopology = DefaultMapping(self.mesh)
-            elif distr == DISTR_RING:
-                topo = Ring(self.mesh) if folded else DefaultMapping(self.mesh)
-                if not folded:
-                    topo = _NaiveRing(self.mesh)
-            elif distr == DISTR_TORUS2D:
-                topo = Torus2D(self.mesh, folded=folded)
-            else:
-                raise TopologyError(f"unknown distribution constant {distr!r}")
-            self._topologies[distr] = topo
-        return self._topologies[distr]
+        """Virtual topology for a ``DISTR_*`` constant: one value shared
+        by every machine of this mesh shape and embedding (``TOPOLOGIES``),
+        kept by this machine once asked for."""
+        topo = self._topologies.get(distr)
+        if topo is None:
+            key = (distr, self.use_virtual_topologies, self.mesh.rows, self.mesh.cols)
+            topo = self._topologies[distr] = TOPOLOGIES.get(key, lambda: _embed(*key))
+        return topo
 
     def tree(self, root: int = 0) -> BinomialTree:
         return BinomialTree(self.mesh, root=root)
@@ -363,6 +357,17 @@ class Machine:
             f"Machine(p={self.p}, mesh={self.mesh.rows}x{self.mesh.cols}, "
             f"time={self.time:.6f}s)"
         )
+
+
+def _embed(distr: str, folded: bool, rows: int, cols: int) -> VirtualTopology:
+    mesh = Mesh2D(rows, cols)
+    if distr == DISTR_DEFAULT:
+        return DefaultMapping(mesh)
+    if distr == DISTR_RING:
+        return Ring(mesh) if folded else _NaiveRing(mesh)
+    if distr == DISTR_TORUS2D:
+        return Torus2D(mesh, folded=folded)
+    raise TopologyError(f"unknown distribution constant {distr!r}")
 
 
 class _NaiveRing(Ring):

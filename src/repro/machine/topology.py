@@ -36,13 +36,16 @@ A topology also owns the **charge plans** of the patterns charged on it
 or a fan — edge arrays, hops, validity — built once per pattern and
 memoized here, under :data:`PLAN_STORE_BYTES`, next to the placed
 coordinates it is computed from.  ``Network`` does the clock-dependent
-half.  The memo lives and dies with the topology object (one per
-``Machine`` and ``DISTR_*`` constant).
+half.  A topology is an immutable value (its memos only cache what its
+key determines), so machines share one per ``DISTR_*`` constant,
+embedding and mesh shape through :data:`TOPOLOGIES`, and its plans stay
+warm across machines.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -63,6 +66,9 @@ __all__ = [
     "DENSE_HOPS_MAX_P",
     "EdgePlan",
     "PLAN_STORE_BYTES",
+    "InternTable",
+    "INTERN_BYTES",
+    "TOPOLOGIES",
 ]
 
 #: largest topology for which the dense ``(p, p)`` hop matrix may be
@@ -75,6 +81,53 @@ DENSE_HOPS_MAX_P = 2048
 #: arrays, hop vectors and order masks); the oldest plans are dropped to
 #: stay under it and a pattern larger than the bound is never stored
 PLAN_STORE_BYTES = 2 << 20
+
+#: bound, in bytes, on what one intern table keeps (:data:`TOPOLOGIES`,
+#: ``repro.arrays.distribution.BLOCK_DISTRIBUTIONS``)
+INTERN_BYTES = 16 << 20
+
+
+class InternTable:
+    """Immutable values shared under their keys, least recently used
+    dropped first so that the values kept hold at most ``bound`` bytes
+    (each value's ``nbytes`` as it is now).  A value larger than the
+    bound on its own is handed out but not kept.  Values only: nothing
+    here refers to a machine, clock or statistic.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self._values: dict = {}
+        # machines may be built on several threads; one lookup, insertion
+        # or trim at a time keeps one value per key and the order intact
+        self._lock = threading.RLock()
+
+    def get(self, key, build):
+        """The value under *key*, built by ``build()`` on a miss."""
+        with self._lock:
+            value = self._values.pop(key, None)
+            if value is not None:
+                self._values[key] = value  # now the most recently used
+                return value
+            value = build()
+            if value.nbytes <= self.bound:
+                self._values[key] = value
+                self.trim()
+            return value
+
+    @property
+    def nbytes(self) -> int:
+        """What the kept values hold now."""
+        with self._lock:
+            return sum(v.nbytes for v in self._values.values())
+
+    def trim(self) -> None:
+        """Drop the least recently used values until the rest fit (called
+        on a miss and whenever a kept value grows)."""
+        with self._lock:
+            excess = self.nbytes - self.bound
+            while excess > 0:
+                excess -= self._values.pop(next(iter(self._values))).nbytes
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -226,26 +279,27 @@ class VirtualTopology:
 
     def __init__(self, mesh: Mesh2D):
         self.mesh = mesh
-        # hop counts are pure in (src, dst) for a given embedding, and
-        # topology objects are cached on the Machine — below
-        # DENSE_HOPS_MAX_P the full (p, p) hop-distance matrix may still
-        # be memoized for dense consumers; the charging hot paths use the
-        # O(p) placed-coordinate arrays instead
-        self._hop_matrix: np.ndarray | None = None
+        # hop counts are pure in (src, dst) for a given embedding: the
+        # charging hot paths use the O(p) placed-coordinate arrays
         self._place_vec: np.ndarray | None = None
         self._placed_coords: tuple[np.ndarray, np.ndarray] | None = None
-        self._placed_lists: tuple[list[int], list[int]] | None = None
-        # charge plans keyed by pattern, with their sizes (insertion
-        # order is eviction order); at most PLAN_STORE_BYTES in total
+        # charge plans (and the dense hop matrix and route link ids)
+        # keyed by pattern, with their sizes (insertion order is
+        # eviction order); at most PLAN_STORE_BYTES in total
         self._plans: dict[object, tuple[object, int]] = {}
         self._plan_bytes = 0
-        # directed hardware link ids of every route, keyed (src, dst);
-        # built lazily for the link-contention model
-        self._route_ids_cache: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def p(self) -> int:
         return self.mesh.p
+
+    @property
+    def nbytes(self) -> int:
+        """What this topology holds: the place vector and placed
+        coordinates (24 bytes a rank, counted before they are built), the
+        arrays of its plan store, and 2 KiB of Python objects per stored
+        entry and twice that for the topology itself."""
+        return 24 * self.p + self._plan_bytes + 2048 * (len(self._plans) + 2)
 
     def place(self, logical: int) -> int:
         """Hardware rank hosting logical processor *logical*.
@@ -306,41 +360,39 @@ class VirtualTopology:
         Manhattan distance of the dimension-ordered route between the
         placed nodes.  Only available up to ``DENSE_HOPS_MAX_P`` ranks;
         larger topologies must use the closed-form :meth:`hops_vec`
-        (which is bit-identical entry for entry).
+        (which is bit-identical entry for entry).  Kept in the plan
+        store, so under its byte bound.
         """
         if self.p > DENSE_HOPS_MAX_P:
             raise TopologyError(
                 f"dense hop matrix disabled above {DENSE_HOPS_MAX_P} ranks "
                 f"(topology has {self.p}); use hops_vec(srcs, dsts)"
             )
-        if self._hop_matrix is None:
+
+        def build():
             rows, cols = self.placed_coords()
             hops = np.abs(rows[:, None] - rows[None, :]) + np.abs(
                 cols[:, None] - cols[None, :]
             )
             hops.setflags(write=False)
-            self._hop_matrix = hops
-        return self._hop_matrix
+            return hops
+
+        return self._memo(("dense",), build)
 
     def edge_hops(self, src: int, dst: int) -> int:
         """Hardware hops for a message on the logical edge *src*→*dst*.
 
         Plain-int arithmetic on the placed coordinates (the scalar
         ``p2p`` path asks once per message) — the same integers as
-        :meth:`hops_vec`.  The O(p) coordinate lists are kept only for
-        topologies small enough for the dense matrix.
+        :meth:`hops_vec`.
         """
         if not (0 <= src < self.p and 0 <= dst < self.p):
             raise TopologyError(
                 f"edge ({src},{dst}) outside topology of {self.p} ranks"
             )
-        if self.p > DENSE_HOPS_MAX_P:
-            return int(self.hops_vec(src, dst))
-        if self._placed_lists is None:
-            rows, cols = self.placed_coords()
-            self._placed_lists = (rows.tolist(), cols.tolist())
-        rows, cols = self._placed_lists
-        return abs(rows[src] - rows[dst]) + abs(cols[src] - cols[dst])
+        rows, cols = self.placed_coords()
+        return (abs(rows.item(src) - rows.item(dst))
+                + abs(cols.item(src) - cols.item(dst)))
 
     # -- charge plans ---------------------------------------------------------
     def edge_plan(self, srcs, dsts, shift: bool = False) -> EdgePlan:
@@ -385,7 +437,8 @@ class VirtualTopology:
                     send_at >= 0,
                 )
         hops_f = hops.astype(np.float64)
-        hops_f.setflags(write=False)
+        for a in (hops_f, *(order or ())):
+            a.setflags(write=False)
         return EdgePlan(
             srcs, dsts, hops_f, int(hops.sum()),
             bool(hops.size == 0 or hops.min() > 0), disjoint, order,
@@ -393,7 +446,8 @@ class VirtualTopology:
 
     def _memo(self, key, build):
         """The plan(s) under *key*: built on first use, kept while they
-        fit under ``PLAN_STORE_BYTES`` (the oldest entries make room)."""
+        fit under ``PLAN_STORE_BYTES`` (the oldest entries make room).
+        A shared topology that grew makes :data:`TOPOLOGIES` trim."""
         hit = self._plans.get(key)
         if hit is not None:
             return hit[0]
@@ -405,6 +459,7 @@ class VirtualTopology:
                 self._plan_bytes -= plans.pop(next(iter(plans)))[1]
             plans[key] = (value, size)
             self._plan_bytes += size
+            TOPOLOGIES.trim()
         return value
 
     def shift_plan(self, srcs: np.ndarray, dsts: np.ndarray) -> EdgePlan:
@@ -451,20 +506,21 @@ class VirtualTopology:
         """Directed hardware link ids of the logical edge's route.
 
         Link ``(u, v)`` is encoded as ``u * mesh.p + v``; the arrays are
-        memoized per logical edge (read-only) so the contention model can
-        histogram link loads without rebuilding per-call dictionaries.
+        memoized per logical edge (read-only, in the plan store) so the
+        contention model can histogram link loads without rebuilding
+        per-call dictionaries.
         """
-        key = (src, dst)
-        ids = self._route_ids_cache.get(key)
-        if ids is None:
+
+        def build():
             links = self.mesh.route_links(self.place(src), self.place(dst))
             mp = self.mesh.p
             ids = np.fromiter(
                 (u * mp + v for (u, v) in links), dtype=np.int64, count=len(links)
             )
             ids.setflags(write=False)
-            self._route_ids_cache[key] = ids
-        return ids
+            return ids
+
+        return self._memo(("route", src, dst), build)
 
     def edges(self) -> Iterator[tuple[int, int]]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -709,3 +765,8 @@ def _folded_order(n: int) -> list[int]:
     evens = list(range(0, n, 2))
     odds = list(range(1, n, 2))
     return evens + odds[::-1]
+
+
+#: the topologies machines share, keyed ``(distr, folded, rows, cols)``
+#: (:meth:`repro.machine.machine.Machine.topology`)
+TOPOLOGIES = InternTable(INTERN_BYTES)

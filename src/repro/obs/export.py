@@ -267,7 +267,7 @@ def write_chrome_trace(path, machine: "Machine") -> dict[str, Any]:
             + "; ".join(problems[:5])
         )
     with open(path, "w") as fh:
-        json.dump(obj, fh)
+        fh.write(json.dumps(obj))  # the C encoder; json.dump's is pure Python
     return obj
 
 

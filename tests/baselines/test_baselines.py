@@ -1,5 +1,7 @@
 """Tests for the Parix-C and DPFL comparators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from repro.apps.shortest_paths import (
 from repro.baselines.dpfl import dpfl_context, gauss_dpfl, matmul_dpfl, shpaths_dpfl
 from repro.baselines.parix_c import gauss_c, make_c_machine, matmul_c, shpaths_c
 from repro.errors import SkilError
-from repro.machine.costmodel import SKIL
+from repro.machine.charge import Charge
+from repro.machine.costmodel import PARIX_C, PARIX_C_OLD, SKIL
 from repro.machine.machine import Machine
 from repro.skeletons import SkilContext
 
@@ -71,6 +74,172 @@ class TestParixC:
         s_msgs = ctx.machine.stats.messages
         assert c_msgs > 0
         assert 0.5 < s_msgs / c_msgs < 2.0
+
+
+# ------------------------------------------------ per-rank reference loops
+# The comparators keep every rank's block in one stack; these are the
+# loops they replaced, one numpy call and one list entry per rank, with
+# the same charge statements in the same order.
+def _blocks(mat, g):
+    nb = mat.shape[0] // g
+    return [mat[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb].copy()
+            for i in range(g) for j in range(g)]
+
+
+def _assemble(blocks, g):
+    nb = blocks[0].shape[0]
+    out = np.zeros((g * nb, g * nb))
+    for r, blk in enumerate(blocks):
+        i, j = divmod(r, g)
+        out[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] = blk
+    return out
+
+
+def _torus_moves(topo, p):
+    def skew(kind, direction):
+        pairs = []
+        for r in range(p):
+            i, j = topo.grid_coords(r)
+            dst = (topo.grid_rank(i, j - direction * i) if kind == "a"
+                   else topo.grid_rank(i - direction * j, j))
+            if dst != r:
+                pairs.append((r, dst))
+        return pairs
+
+    moves = {(k, d): skew(k, d) for k in "ab" for d in (+1, -1)}
+    moves["west"] = [(r, topo.west(r)) for r in range(p) if topo.west(r) != r]
+    moves["north"] = [(r, topo.north(r)) for r in range(p) if topo.north(r) != r]
+    return moves
+
+
+def _move(charge, topo, blocks, pairs, nbytes, tag):
+    if pairs:
+        charge.shift(pairs, nbytes, topo, tag=tag)
+        moved = {d: blocks[s] for s, d in pairs}
+        for d, blk in moved.items():
+            blocks[d] = blk
+
+
+def _shpaths_ref(machine, dist_matrix, old):
+    n, p, g = dist_matrix.shape[0], machine.p, machine.mesh.rows
+    charge = Charge(machine, PARIX_C_OLD if old else PARIX_C)
+    topo = machine.topology("DISTR_TORUS2D")
+    moves = _torus_moves(topo, p)
+    nb = n // g
+    a = _blocks(dist_matrix.astype(np.float64), g)
+    charge.work((nb * nb, 1.0))
+    nbytes = a[0].nbytes
+    for _ in range(max(1, math.ceil(math.log2(n)))):
+        charge.memcpy(nbytes)
+        ab = [blk.copy() for blk in a]
+        bb = [blk.copy() for blk in a]
+        cb = [np.full_like(blk, np.inf) for blk in a]
+        _move(charge, topo, ab, moves["a", +1], nbytes, "c-skew-a")
+        _move(charge, topo, bb, moves["b", +1], nbytes, "c-skew-b")
+        for step in range(g):
+            for r in range(p):
+                cb[r] = np.minimum(
+                    cb[r], np.min(ab[r][:, :, None] + bb[r][None, :, :], axis=1))
+            charge.work((nb * nb * nb * 2, 1.0))
+            if step < g - 1:
+                _move(charge, topo, ab, moves["west"], nbytes, "c-rot-a")
+                _move(charge, topo, bb, moves["north"], nbytes, "c-rot-b")
+        if old and g > 1:
+            _move(charge, topo, ab, moves["a", -1], nbytes, "c-skew-a")
+            _move(charge, topo, bb, moves["b", -1], nbytes, "c-skew-b")
+        a = cb
+        charge.memcpy(nbytes)
+    return _assemble(a, g)
+
+
+def _gauss_ref(machine, a_mat, rhs):
+    n, p = a_mat.shape[0], machine.p
+    charge = Charge(machine, PARIX_C)
+    topo = machine.topology("DISTR_DEFAULT")
+    m = n // p
+    ext = np.concatenate([a_mat, rhs[:, None]], axis=1)
+    blocks = [ext[r * m:(r + 1) * m].copy() for r in range(p)]
+    charge.work((m * (n + 1), 1.0))
+    for k in range(n):
+        owner = k // m
+        piv = blocks[owner][k - owner * m] / blocks[owner][k - owner * m][k]
+        charge.work_at(owner, n + 1)
+        charge.broadcast(owner, (n + 1) * ext.dtype.itemsize, topo, tag="c-pivrow")
+        for r in range(p):
+            blk = blocks[r]
+            upd = blk - blk[:, k].copy()[:, None] * piv[None, :]
+            upd[:, :k] = blk[:, :k]
+            if r == owner:
+                upd[k - r * m] = blk[k - r * m]
+            blocks[r] = upd
+        charge.work((m * (n + 1 - k), 2.0))
+    for r in range(p):
+        diag = blocks[r][np.arange(m), np.arange(r * m, (r + 1) * m)]
+        blocks[r][:, n] = blocks[r][:, n] / diag
+    charge.work((m, 1.0))
+    return np.concatenate([blk[:, n] for blk in blocks])
+
+
+def _matmul_ref(machine, a_mat, b_mat):
+    n, p, g = a_mat.shape[0], machine.p, machine.mesh.rows
+    charge = Charge(machine, PARIX_C)
+    topo = machine.topology("DISTR_TORUS2D")
+    moves = _torus_moves(topo, p)
+    nb = n // g
+    ab, bb = _blocks(a_mat, g), _blocks(b_mat, g)
+    cb = [np.zeros((nb, nb)) for _ in range(p)]
+    charge.work((2 * nb * nb, 1.0))
+    nbytes = ab[0].nbytes
+    _move(charge, topo, ab, moves["a", +1], nbytes, "c-mm-skew-a")
+    _move(charge, topo, bb, moves["b", +1], nbytes, "c-mm-skew-b")
+    for step in range(g):
+        for r in range(p):
+            cb[r] = cb[r] + ab[r] @ bb[r]
+        charge.work((nb * nb * nb * 2, 1.0))
+        if step < g - 1:
+            _move(charge, topo, ab, moves["west"], nbytes, "c-mm-rot-a")
+            _move(charge, topo, bb, moves["north"], nbytes, "c-mm-rot-b")
+    return _assemble(cb, g)
+
+
+def _assert_same_run(ref, new, m_ref, m_new):
+    assert np.array_equal(ref, new)
+    assert np.array_equal(m_ref.network.clocks, m_new.network.clocks)
+    assert m_ref.stats.messages == m_new.stats.messages
+    assert (m_new.stats.messages > 0) == (m_new.p > 1)
+    assert m_ref.stats.bytes_sent == m_new.stats.bytes_sent
+
+
+class TestStackedEqualsPerRank:
+    """Values bitwise, clocks, messages and bytes exactly."""
+
+    @pytest.mark.parametrize("p", [1, 4, 9, 16, 64])
+    @pytest.mark.parametrize("old", [False, True])
+    def test_shpaths(self, p, old):
+        g = int(p ** 0.5)
+        for n in (g, 3 * g, 24 - 24 % g):
+            a = random_distance_matrix(n, density=0.3, seed=n + p)
+            m_ref, m_new = make_c_machine(p, old=old), make_c_machine(p, old=old)
+            ref = _shpaths_ref(m_ref, a, old)
+            _assert_same_run(ref, shpaths_c(m_new, a, old=old)[0], m_ref, m_new)
+
+    @pytest.mark.parametrize("p", [1, 4, 9, 16, 64])
+    def test_gauss(self, p):
+        for n in (p, 2 * p, 72 - 72 % p):
+            a, b = random_system(n, seed=n + p)
+            m_ref, m_new = make_c_machine(p), make_c_machine(p)
+            ref = _gauss_ref(m_ref, a, b)
+            _assert_same_run(ref, gauss_c(m_new, a, b)[0], m_ref, m_new)
+
+    @pytest.mark.parametrize("p", [1, 4, 9, 16, 64])
+    def test_matmul(self, p):
+        g = int(p ** 0.5)
+        rng = np.random.default_rng(p)
+        for n in (g, 3 * g, 40 - 40 % g):
+            a, b = rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, n))
+            m_ref, m_new = Machine(p), Machine(p)
+            ref = _matmul_ref(m_ref, a, b)
+            _assert_same_run(ref, matmul_c(m_new, a, b)[0], m_ref, m_new)
 
 
 class TestDPFL:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.arrays.distribution import BLOCK_DISTRIBUTIONS
+from repro.machine.topology import TOPOLOGIES
 from repro.obs.metrics import isolated_metrics
 
 
@@ -17,3 +19,16 @@ def _isolated_global_metrics():
     """
     with isolated_metrics():
         yield
+
+
+@pytest.fixture(autouse=True)
+def _empty_intern_tables():
+    """Start every test with no shared topology or block distribution.
+
+    Shared values cannot change a result, but they are warm: a test
+    counting the hop or geometry work a first use does would otherwise
+    depend on which tests ran before it.
+    """
+    for table in (TOPOLOGIES, BLOCK_DISTRIBUTIONS):
+        table._values.clear()
+    yield

@@ -28,7 +28,7 @@ from repro.skeletons import PLUS, SkilContext, skil_fn
 # --------------------------------------------------------------- harness cells
 def _harness_cells():
     for p in (4, 16):
-        for lang in ("skil", "dpfl", "parix-c-old", "skil-closures"):
+        for lang in ("skil", "dpfl", "parix-c-old", "parix-c", "skil-closures"):
             yield f"shpaths/{lang}/p{p}", lambda lang=lang, p=p: run_shpaths(lang, p, 16)
         for lang in ("skil", "dpfl", "parix-c", "skil-closures"):
             yield f"gauss/{lang}/p{p}", lambda lang=lang, p=p: run_gauss(lang, p, 32)
@@ -158,11 +158,14 @@ def _row(result) -> tuple[str, int, int]:
 
 CELLS = dict([*_harness_cells(), *_direct_cells()])
 
-#: generated at the parent of the PR that added this file (commit 854283f)
+#: generated at the parent of the PR that added this file (commit 854283f);
+#: the ``shpaths/parix-c`` rows at commit fd6a11e, before the comparators
+#: kept their blocks in one stack
 GOLDEN: dict[str, tuple[str, int, int]] = {
     'shpaths/skil/p4': ('0x1.2a760ac931b78p-4', 64, 32768),
     'shpaths/dpfl/p4': ('0x1.c58f9158019e7p-2', 64, 196608),
     'shpaths/parix-c-old/p4': ('0x1.872522cf37e11p-4', 64, 32768),
+    'shpaths/parix-c/p4': ('0x1.eee6d30850304p-5', 48, 24576),
     'shpaths/skil-closures/p4': ('0x1.fa5977eb74021p-4', 64, 32768),
     'gauss/skil/p4': ('0x1.3a89b6a293e9cp-3', 96, 25344),
     'gauss/dpfl/p4': ('0x1.c0cb32c3cc9e4p-1', 96, 152064),
@@ -174,6 +177,7 @@ GOLDEN: dict[str, tuple[str, int, int]] = {
     'shpaths/skil/p16': ('0x1.eddd68a65ca0cp-6', 576, 73728),
     'shpaths/dpfl/p16': ('0x1.3bf6b0f6d8640p-3', 576, 442368),
     'shpaths/parix-c-old/p16': ('0x1.b4084548df6bfp-5', 576, 73728),
+    'shpaths/parix-c/p16': ('0x1.893c544424f37p-6', 480, 61440),
     'shpaths/skil-closures/p16': ('0x1.61a434d31b706p-5', 576, 73728),
     'gauss/skil/p16': ('0x1.36884ceb15367p-4', 480, 126720),
     'gauss/dpfl/p16': ('0x1.5c4a45f455fd5p-2', 480, 760320),

@@ -7,7 +7,10 @@ Pinned here: planned charging equals the scalar reference loops of
 ``repro.check.charging`` bit for bit (clocks, every ``TraceStats``
 field, records, timelines, metrics) on first and on repeated use; a
 repeated pattern does no hop or validity work; bad patterns keep
-raising; the memo stays under ``PLAN_STORE_BYTES``.
+raising; the memo stays under ``PLAN_STORE_BYTES``.  Machines of one
+shape and embedding share their topologies (``TOPOLOGIES``), so a plan
+one of them stored is warm for the next (``tests/machine/test_intern.py``
+pins the sharing itself).
 """
 
 from collections import Counter
@@ -27,7 +30,7 @@ from repro.errors import MachineError, TopologyError
 from repro.machine import topology as topology_mod
 from repro.machine.costmodel import T800_PARSYTEC
 from repro.machine.machine import DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D, Machine
-from repro.machine.topology import PLAN_STORE_BYTES, VirtualTopology
+from repro.machine.topology import PLAN_STORE_BYTES, TOPOLOGIES, VirtualTopology
 
 TRACE = {
     "off": {},
@@ -196,6 +199,9 @@ class TestPlansAreReused:
         _assert_same(m_ref, m_new)
 
     def test_plans_are_per_topology(self):
+        """Per topology, not per machine: a second machine of the same
+        shape and embedding shares the ring and finds its plan warm; the
+        naive embedding is another topology with a store of its own."""
         m = Machine(16)
         ring, torus = m.topology(DISTR_RING), m.topology(DISTR_TORUS2D)
         srcs = np.arange(16)
@@ -203,7 +209,9 @@ class TestPlansAreReused:
         b = torus.shift_plan(srcs, (srcs + 1) % 16)
         assert a is ring.shift_plan(srcs.copy(), (srcs + 1) % 16)
         assert a is not b and not np.array_equal(a.hops_f, b.hops_f)
-        assert Machine(16).topology(DISTR_RING)._plans == {}
+        again = Machine(16).topology(DISTR_RING)
+        assert again is ring and again.shift_plan(srcs, (srcs + 1) % 16) is a
+        assert Machine(16, use_virtual_topologies=False).topology(DISTR_RING)._plans == {}
 
     def test_plan_arrays_are_read_only_and_shared_not_copied(self):
         topo = Machine(64).topology(DISTR_DEFAULT)
@@ -255,16 +263,20 @@ class TestBadPatternsKeepRaising:
     )
     def test_bad_ranks_and_byte_sequences_are_machine_errors(self, charge):
         """Each used to charge a wrong rank, leak a bare numpy/KeyError or
-        pass silently; refused on first and on repeated use, nothing moved."""
-        m = Machine(8)
-        _skew_clocks(m)
-        before = m.network.clocks.copy()
-        for _ in range(2):
-            with pytest.raises(MachineError):
-                charge(m.network, m.topology())
-        assert np.array_equal(m.network.clocks, before)
-        assert m.stats.messages == 0 and m.stats.comm_seconds == 0.0
-        assert m.topology()._plans.keys() <= {("fan", 0)}
+        pass silently; refused on first and on repeated use, on this
+        machine and on a second one sharing its topology, nothing moved
+        on either, and the shared store keeps no plan of the bad pattern."""
+        machines = _pair()
+        for m in machines:
+            _skew_clocks(m)
+            before = m.network.clocks.copy()
+            for _ in range(2):
+                with pytest.raises(MachineError):
+                    charge(m.network, m.topology())
+            assert np.array_equal(m.network.clocks, before)
+            assert m.stats.messages == 0 and m.stats.comm_seconds == 0.0
+        assert machines[0].topology() is machines[1].topology()
+        assert machines[0].topology()._plans.keys() <= {("fan", 0)}
 
     def test_edge_hops_is_plain_int_and_bounds_checked(self):
         for distr in (DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D):
@@ -289,7 +301,11 @@ class TestTheMemoIsBounded:
         assert topo._plan_bytes == sum(size for _, size in topo._plans.values())
 
     def test_eviction_keeps_the_bound_and_the_clocks(self, monkeypatch):
-        m_small, m_big = _pair(64)
+        # two machines of one shape share one store, so the twin that
+        # never evicts is the naive embedding: its DISTR_DEFAULT topology
+        # is an equal mapping, but another value with a store of its own
+        m_small = Machine(64)
+        m_big = Machine(64, use_virtual_topologies=False)
         monkeypatch.setattr(topology_mod, "PLAN_STORE_BYTES", 16 << 10)
         t_small = m_small.topology()
         for _ in range(2):
@@ -299,6 +315,7 @@ class TestTheMemoIsBounded:
         assert 0 < len(t_small._plans) < 63
         monkeypatch.undo()
         t_big = m_big.topology()
+        assert t_big is not t_small
         for _ in range(2):
             m_big.network.alltoall(64, t_big, sync=True)
             m_big.network.broadcast(3, 64, t_big)
@@ -308,10 +325,14 @@ class TestTheMemoIsBounded:
     def test_a_pattern_larger_than_the_bound_is_charged_but_not_kept(
         self, monkeypatch
     ):
+        """Not kept in the shared topology: the reference machine, which
+        shares it, finds the store empty too."""
         monkeypatch.setattr(topology_mod, "PLAN_STORE_BYTES", 256)
         m_ref, m_new = _pair(16, keep_message_records=True)
         pairs = [(r, (r + 1) % 16) for r in range(16)]
         _ref_shift(m_ref.network, pairs, 32, m_ref.topology(), True, "big")
         m_new.network.shift(pairs, 32, m_new.topology(), sync=True, tag="big")
+        assert m_ref.topology() is m_new.topology()
         assert m_new.topology()._plans == {}
+        assert TOPOLOGIES.nbytes == m_new.topology().nbytes == 24 * 16 + 2 * 2048
         _assert_same(m_ref, m_new)

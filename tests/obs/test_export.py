@@ -80,6 +80,16 @@ class TestWriteChromeTrace:
         assert loaded["otherData"]["p"] == m.p
         assert loaded["otherData"]["makespan_s"] == pytest.approx(m.time)
 
+    def test_file_is_the_encoded_object_byte_for_byte(self, tmp_path):
+        # written through the C encoder, the same bytes json.dump wrote
+        m = traced_run()
+        path = tmp_path / "trace.json"
+        obj = write_chrome_trace(path, m)
+        with open(tmp_path / "dumped.json", "w") as fh:
+            json.dump(obj, fh)
+        assert path.read_bytes() == json.dumps(obj).encode()
+        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
 
 class TestValidator:
     def test_rejects_non_object(self):
