@@ -28,11 +28,11 @@ Three trial families interleave:
 3. **applications** — Gaussian elimination and shortest paths at
    p ∈ {4, 16}.
 
-Every trial runs each backend twice — wall profiler off and on
-(``Machine(profile=...)``) — and compares all four runs against the
-unprofiled ``sim`` reference: profiling reads wall clocks only and must
-never perturb the cost model on any backend.  The worker count (2 or 3)
-and up to two extra rows on axis 0 are drawn last, so no older draw moved.
+Every trial runs each backend once at ``trace_level=1``, where every
+span and every dispatch takes wall stamps: they read wall clocks only
+and must never perturb the cost model on any backend.  The worker count
+(2 or 3) and up to two extra rows on axis 0 are drawn last, so no older
+draw moved.
 
 Worker threads are reused across a trial's skeleton calls but never
 across machines (each machine is closed before the next one starts), so
@@ -125,34 +125,26 @@ def _compare_runs(ref: _Run, got: _Run, backend: str, label: str) -> str | None:
 
 
 def _run_everywhere(workload, p: int, label: str, workers: int) -> str | None:
-    """Run *workload(ctx)* per backend x {profiler off, on}; compare all
-    four runs bitwise to the unprofiled ``sim`` reference.
+    """Run *workload(ctx)* once per backend; compare each run bitwise to
+    the ``sim`` reference.
 
     *workload* returns ``(arrays, scalars)`` — DistArrays still alive
-    (their ``global_view`` is compared) and scalar results.  The
-    profiled variants (tagged ``<backend>+prof``) assert the wall
-    profiler's own promise: attaching it must not perturb clocks, stats,
-    metrics or results on any backend.
+    (their ``global_view`` is compared) and scalar results.
     """
     runs: dict[str, _Run] = {}
     for backend in BACKENDS_CHECKED:
-        for profiled in (False, True):
-            machine = Machine(
-                p, trace_level=1, backend=backend, workers=workers,
-                profile=profiled,
-            )
-            try:
-                with isolated_metrics():
-                    arrays, scalars = workload(SkilContext(machine))
-                    views = [a.global_view() for a in arrays]
-                tag = f"{backend}+prof" if profiled else backend
-                runs[tag] = _Run(machine, views, scalars)
-            finally:
-                machine.close()
-    for tag, run in runs.items():
-        if tag == "sim":
+        machine = Machine(p, trace_level=1, backend=backend, workers=workers)
+        try:
+            with isolated_metrics():
+                arrays, scalars = workload(SkilContext(machine))
+                views = [a.global_view() for a in arrays]
+            runs[backend] = _Run(machine, views, scalars)
+        finally:
+            machine.close()
+    for backend, run in runs.items():
+        if backend == "sim":
             continue
-        msg = _compare_runs(runs["sim"], run, tag, label)
+        msg = _compare_runs(runs["sim"], run, backend, label)
         if msg is not None:
             return msg
     return None
@@ -322,7 +314,7 @@ def trial_backend_app(rng: random.Random) -> tuple[str | None, dict[str, int]]:
 
 
 # the default budget is lower than the other pillars' because every trial
-# runs its workload four times (two backends, profiler off and on)
+# runs its workload once per backend, threads pool included
 _RUNNER = TrialRunner(
     "backend",
     (trial_backend_skeletons, trial_backend_program, trial_backend_app),

@@ -12,9 +12,6 @@ Usage::
                               [--metrics-out m.prom]
    python -m repro.eval analyze [--app gauss] [--p 16] [--n 48]
                               [--json-out analyze.json] [--no-whatif]
-   python -m repro.eval profile [--app gauss] [--p 16] [--n 48]
-                              [--backend threads] [--workers 2]
-                              [--json-out profile.json]
 
 ``--scale 1.0`` (the default) runs the paper's exact problem sizes —
 the Table 2 grid takes a few minutes of wall-clock time because the
@@ -22,13 +19,14 @@ simulation really performs the numeric work; smaller scales shrink the
 matrices proportionally.
 
 Every subcommand accepts the shared observability flags ``--trace``,
-``--metrics-out``, ``--quiet``, ``--backend``, ``--workers``,
-``--profile`` and ``--profile-out`` (see :mod:`repro.eval.cliopts`).
-``trace`` keeps ``--json`` as a back-compatible alias of ``--trace``.
-``--backend threads`` runs the skeleton kernels on real cores —
-every artefact stays bit-identical because simulated time is charged
-analytically either way.  ``profile`` correlates the two clocks:
-simulated speedup vs measured wall, attribution, worker utilization.
+``--metrics-out``, ``--quiet``, ``--backend`` and ``--workers`` (see
+:mod:`repro.eval.cliopts`).  ``trace`` keeps ``--json`` as a
+back-compatible alias of ``--trace``.  ``--backend threads`` runs the
+skeleton kernels on real cores — every artefact stays bit-identical
+because simulated time is charged analytically either way.  Where wall
+time went is part of every traced run: ``trace`` prints wall columns
+beside the simulated ones and the dispatch / kernel / idle split of
+the skeleton wall.
 
 Wall-clock benchmarking lives outside the package: ``python3
 bench/run.py`` measures, ``python3 bench/compare.py`` gates.
@@ -47,7 +45,6 @@ from repro.eval.cliopts import (
     require_output_dir,
     require_positive,
     run_target_parent,
-    validate_profile_flags,
     write_obs_artifacts,
 )
 
@@ -99,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser(
         "trace",
         parents=[parent, target],
-        help="profile one run (spans, timeline, metrics)",
+        help="trace one run (spans with sim and wall time, timeline, metrics)",
     )
     tr.add_argument(
         "--json",
@@ -151,19 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rows in the blocking-edge/imbalance tables",
     )
 
-    pr = sub.add_parser(
-        "profile",
-        parents=[parent, target],
-        help="sim-vs-wall wall-clock profile of one run "
-        "(dispatch/kernel/idle attribution)",
-    )
-    pr.add_argument(
-        "--json-out",
-        metavar="FILE",
-        default=None,
-        help="write the repro-profile/2 snapshot (alias: --profile-out)",
-    )
-
     return parser
 
 
@@ -190,20 +174,15 @@ def _main(argv: list[str]) -> int:
 
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.what in ("trace", "analyze", "profile"):
+    if args.what in ("trace", "analyze"):
         require_positive("--p", args.p)
         require_positive("--n", args.n)
     require_positive("--top", getattr(args, "top", None))
     require_positive("--heartbeat-every", getattr(args, "heartbeat_every", None))
-    for flag in ("--trace", "--metrics-out", "--profile-out", "--json-out"):
+    for flag in ("--trace", "--metrics-out", "--json-out"):
         require_output_dir(
             flag, getattr(args, flag[2:].replace("-", "_"), None)
         )
-    if args.what == "profile":
-        # the profile subcommand always profiles; --profile-out alone is
-        # legal here and doubles as --json-out
-        args.profile = True
-    validate_profile_flags(args)
     apply_backend(args.backend, args.workers)
 
     if args.what == "trace":
@@ -221,8 +200,6 @@ def _main(argv: list[str]) -> int:
             heartbeat_every=args.heartbeat_every
             if not args.quiet
             else None,
-            profile=args.profile,
-            profile_out=args.profile_out,
         )
         print(text)
         return 0
@@ -241,27 +218,9 @@ def _main(argv: list[str]) -> int:
                 json_out=args.json_out,
                 trace_out=args.trace,
                 metrics_out=args.metrics_out,
-                profile=args.profile,
-                profile_out=args.profile_out,
             )
         )
         return 0
-
-    if args.what == "profile":
-        from repro.eval.profilecmd import run_profile_command
-
-        text, rc = run_profile_command(
-            app=args.app,
-            p=args.p,
-            n=args.n,
-            seed=args.seed,
-            backend=args.backend,
-            workers=args.workers,
-            json_out=args.json_out or args.profile_out,
-            quiet=args.quiet,
-        )
-        print(text)
-        return rc
 
     # ---------------------------------------------------------- artefacts
     if not (0 < args.scale <= 1.0):
@@ -333,10 +292,7 @@ def _main(argv: list[str]) -> int:
             texts.append(format_ablation(fn(scale=args.scale)))
         emit("ablations.txt", "\n\n".join(texts))
 
-    footer = representative_obs_run(
-        args.trace, args.metrics_out,
-        profile=args.profile, profile_path=args.profile_out,
-    )
+    footer = representative_obs_run(args.trace, args.metrics_out)
     if footer and not args.quiet:
         print("\n".join(footer))
     return 0

@@ -37,22 +37,9 @@ the definitions cannot drift again:
     nonpositive, as are ``--p``, ``--n``, ``--top`` and
     ``--heartbeat-every`` on the subcommands that take them.
 
-An output flag (``--trace``, ``--metrics-out``, ``--profile-out``,
-``--json-out``) naming a file in a directory that does not exist is a
-usage error too, raised before anything runs
-(:func:`require_output_dir`).
-
-``--profile``
-    Attach the wall-clock worker-plane profiler
-    (:class:`~repro.obs.prof.WallProfiler`) to the command's traced run
-    (same representative-run rule as ``--trace``).  Wall-clock only;
-    simulated seconds and every artefact stay bit-identical.  With
-    ``--trace`` the Chrome JSON gains the dual-clock wall tracks.
-
-``--profile-out FILE``
-    Write the profiler's ``repro-profile/2`` JSON snapshot.  Requires
-    ``--profile`` (a clean usage error otherwise); the ``profile``
-    subcommand, which always profiles, accepts it alone.
+An output flag (``--trace``, ``--metrics-out``, ``--json-out``)
+naming a file in a directory that does not exist is a usage error too,
+raised before anything runs (:func:`require_output_dir`).
 
 The run-target flags (``--app`` / ``--p`` / ``--n`` / ``--seed``) that
 ``trace`` and ``analyze`` share live in :func:`run_target_parent` for
@@ -73,7 +60,6 @@ __all__ = [
     "require_output_dir",
     "require_positive",
     "run_target_parent",
-    "validate_profile_flags",
     "write_obs_artifacts",
 ]
 
@@ -121,19 +107,6 @@ def obs_parent() -> argparse.ArgumentParser:
         help="worker count for the threads backend (default: the "
         "REPRO_WORKERS env var, else min(p, cores))",
     )
-    g.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach the wall-clock worker-plane profiler to the traced "
-        "run (wall-clock only; simulated seconds are unchanged)",
-    )
-    g.add_argument(
-        "--profile-out",
-        metavar="FILE",
-        default=None,
-        help="write the profiler's repro-profile/2 JSON snapshot "
-        "(requires --profile)",
-    )
     return parent
 
 
@@ -177,19 +150,6 @@ def require_output_dir(flag: str, path: str | None) -> None:
         )
 
 
-def validate_profile_flags(args) -> None:
-    """``--profile-out`` without ``--profile`` is a usage error.
-
-    The ``profile`` subcommand always profiles (its args carry
-    ``profile=True`` by construction), so this single rule holds
-    uniformly across the whole subcommand family.
-    """
-    if getattr(args, "profile_out", None) is not None and not getattr(
-        args, "profile", False
-    ):
-        raise UsageError("--profile-out requires --profile")
-
-
 def apply_backend(name: str | None, workers: int | None = None) -> None:
     """Make ``--backend``/``--workers`` the process-wide defaults.
 
@@ -210,7 +170,6 @@ def write_obs_artifacts(
     machine,
     trace_path: str | None,
     metrics_path: str | None,
-    profile_path: str | None = None,
 ) -> list[str]:
     """Write the requested artefacts from *machine*; returns footer lines.
 
@@ -244,40 +203,21 @@ def write_obs_artifacts(
         with open(metrics_path, "w", encoding="utf-8") as fh:
             fh.write(machine.metrics.render_text())
         lines.append(f"Prometheus metrics written to {metrics_path}")
-    if profile_path is not None:
-        import json
-
-        profiler = getattr(machine, "profiler", None)
-        if profiler is None:
-            raise SkilError(
-                "--profile-out needs a profiled run (pass --profile)"
-            )
-        with open(profile_path, "w", encoding="utf-8") as fh:
-            json.dump(profiler.snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        lines.append(
-            f"wall-clock profile snapshot written to {profile_path}"
-        )
     return lines
 
 
 def representative_obs_run(
-    trace_path: str | None,
-    metrics_path: str | None,
-    profile: bool = False,
-    profile_path: str | None = None,
+    trace_path: str | None, metrics_path: str | None
 ) -> list[str]:
-    """Satisfy ``--trace``/``--metrics-out``/``--profile`` for commands
-    without a single traced run (``all``, the table commands): run the
-    default trace app once, traced, and export from that."""
-    if trace_path is None and metrics_path is None and not profile:
+    """Satisfy ``--trace``/``--metrics-out`` for commands without a
+    single traced run (``all``, the table commands): run the default
+    trace app once, traced, and export from that."""
+    if trace_path is None and metrics_path is None:
         return []
     from repro.eval.tracecmd import run_traced
 
-    run = run_traced("gauss-full", p=9, n=48, profile=profile)
-    lines = write_obs_artifacts(
-        run.machine, trace_path, metrics_path, profile_path
-    )
+    run = run_traced("gauss-full", p=9, n=48)
+    lines = write_obs_artifacts(run.machine, trace_path, metrics_path)
     run.machine.close()
     return [
         "representative traced run: gauss-full p=9 n=48",

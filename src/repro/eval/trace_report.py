@@ -1,11 +1,12 @@
-"""Per-run cost breakdowns: where did the simulated time go?
+"""Per-run cost breakdowns: where did the simulated (and wall) time go?
 
 The paper explains its efficiency cliffs narratively ("the communication
 overhead gains more importance, leading to a drop of efficiency" for
 small partitions on large networks); this module makes the same analysis
 quantitative from the trace statistics: compute vs communication vs idle
 share per run, message/byte counts, and a comparison table across
-languages or configurations.
+languages or configurations.  The per-skeleton table and the wall
+attribution also read the wall stamps every span carries.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "format_breakdowns",
     "skeleton_breakdowns",
     "format_skeleton_breakdowns",
+    "format_wall_attribution",
 ]
 
 
@@ -117,11 +119,12 @@ def skeleton_breakdowns(machine: "Machine") -> list[SkeletonAgg]:
 
 def format_skeleton_breakdowns(rows: list[SkeletonAgg]) -> str:
     """Render the per-skeleton cost table; p50 / p99 are of one call's
-    simulated duration (nested calls included)."""
+    simulated duration (nested calls included), the last two columns
+    the exclusive wall seconds and wall microseconds per call."""
     out = [
         f"{'skeleton':<24}{'calls':>6}{'busy [s]':>10}{'compute':>9}"
         f"{'comm':>7}{'idle':>7}{'msgs':>8}{'MB sent':>9}"
-        f"{'p50 [s]':>10}{'p99 [s]':>10}"
+        f"{'p50 [s]':>10}{'p99 [s]':>10}{'wall [s]':>10}{'us/call':>9}"
     ]
     for r in rows:
         b = r.busy_total or 1.0
@@ -132,5 +135,30 @@ def format_skeleton_breakdowns(rows: list[SkeletonAgg]) -> str:
             f"{r.messages:>8}{r.bytes_sent / 1e6:>9.2f}"
             f"{r.durations.quantile(0.5):>10.2e}"
             f"{r.durations.quantile(0.99):>10.2e}"
+            f"{r.wall_seconds:>10.4f}{r.wall_seconds / r.calls * 1e6:>9.1f}"
+        )
+    return "\n".join(out)
+
+
+def format_wall_attribution(attr: dict) -> str:
+    """Render :meth:`repro.obs.span.SpanTracer.wall_attribution`: the
+    measured skeleton wall split into dispatch / kernel / idle."""
+    from repro.obs.span import ATTRIBUTION_TOL, attribution_ok
+
+    mw = attr["measured_wall_s"]
+    out = [f"wall attribution (of {mw:.4f}s measured skeleton wall):"]
+    for key in ("dispatch_s", "kernel_s", "idle_s"):
+        share = attr[key] / mw if mw > 0 else 0.0
+        out.append(f"  {key[:-2]:<10}{attr[key]:>10.4f}s{share:>8.1%}")
+    ok = "ok" if attribution_ok(attr) else "FAILED"
+    out.append(
+        f"  {attr['calls']} dispatches, {attr['blocks']} blocks; parts sum "
+        f"within {ATTRIBUTION_TOL:.0%} of measured: {ok}"
+    )
+    for worker, busy in sorted(attr["workers"].items(), key=lambda w: int(w[0])):
+        share = busy / attr["window_s"] if attr["window_s"] > 0 else 0.0
+        out.append(
+            f"  worker {worker}: busy {busy:.4f}s, {share:.1%} of the "
+            "dispatch windows"
         )
     return "\n".join(out)

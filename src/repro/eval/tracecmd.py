@@ -2,9 +2,10 @@
 
 Runs a single simulated application on a machine constructed with
 ``trace_level=2`` (span tracer + metrics + per-rank timeline), prints
-the cost analysis — overall shares, exclusive per-skeleton breakdown,
-flamegraph rollup, metrics — and optionally writes a Chrome
-trace-event JSON loadable in Perfetto / ``chrome://tracing``.
+the cost analysis — overall shares, exclusive per-skeleton breakdown
+in simulated and wall seconds, the wall attribution, flamegraph rollup,
+metrics — and optionally writes a Chrome trace-event JSON loadable in
+Perfetto / ``chrome://tracing``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.eval.trace_report import (
     breakdown,
     format_breakdowns,
     format_skeleton_breakdowns,
+    format_wall_attribution,
     skeleton_breakdowns,
 )
 from repro.machine.costmodel import SKIL, CostModel
@@ -59,7 +61,6 @@ def run_traced(
     heartbeat_every: float | None = None,
     backend: str | None = None,
     workers: int | None = None,
-    profile: bool = False,
 ) -> TraceRun:
     """Run *app* on a fresh traced machine; returns the run handle.
 
@@ -75,9 +76,7 @@ def run_traced(
     attaches a wall-clock progress heartbeat at that interval.
 
     *backend*/*workers* pick the execution backend (``None`` keeps the
-    process default); *profile* attaches the wall-clock profiler
-    (``run.machine.profiler`` afterwards).  Neither changes simulated
-    seconds.
+    process default); neither changes simulated seconds.
     """
     if app not in TRACE_APPS:
         raise SkilError(f"unknown trace app {app!r}; choose from {TRACE_APPS}")
@@ -88,7 +87,6 @@ def run_traced(
         stream=stream,
         backend=backend,
         workers=workers,
-        profile=profile,
         **({"cost": cost} if cost is not None else {}),
     )
     if heartbeat_every is not None and machine.stream_obs is not None:
@@ -114,7 +112,8 @@ def run_traced(
 def trace_report_text(run: TraceRun) -> str:
     """The full plain-text analysis of one traced run.
 
-    Both modes print the same exclusive per-skeleton table; record
+    Both modes print the same exclusive per-skeleton table, simulated
+    and wall columns side by side, and the wall attribution; record
     mode adds the flamegraph rollup (it needs the span tree), stream
     mode the aggregated-mode analysis.
     """
@@ -125,6 +124,8 @@ def trace_report_text(run: TraceRun) -> str:
         "",
         "per-skeleton breakdown (exclusive):",
         format_skeleton_breakdowns(skeleton_breakdowns(m)),
+        "",
+        format_wall_attribution(m.tracer.wall_attribution()),
     ]
     if m.stream_obs is None:
         parts += [
@@ -151,8 +152,6 @@ def run_trace_command(
     metrics_out: str | None = None,
     stream: bool = False,
     heartbeat_every: float | None = None,
-    profile: bool = False,
-    profile_out: str | None = None,
 ) -> str:
     """Drive one traced run; returns the report text, writes *out* JSON.
 
@@ -160,10 +159,6 @@ def run_trace_command(
     ``--trace`` file) becomes the streaming JSONL event spill — the
     stream retains no recording, so there is no Chrome JSON to write
     after the fact; events spill as they happen instead.
-
-    With *profile* the wall profiler rides along: the Chrome JSON gains
-    the dual-clock wall tracks and *profile_out* receives the
-    ``repro-profile/2`` snapshot.
     """
     stream_cfg = None
     if stream:
@@ -179,7 +174,6 @@ def run_trace_command(
         trace_mode="stream" if stream else "record",
         stream=stream_cfg,
         heartbeat_every=heartbeat_every,
-        profile=profile,
     )
     text = trace_report_text(run)
     if out is not None:
@@ -200,13 +194,6 @@ def run_trace_command(
         with open(metrics_out, "w", encoding="utf-8") as fh:
             fh.write(run.machine.metrics.render_text())
         text += f"\n\nPrometheus metrics written to {metrics_out}"
-    if profile_out is not None:
-        from repro.eval.cliopts import write_obs_artifacts
-
-        for line in write_obs_artifacts(
-            run.machine, None, None, profile_out
-        ):
-            text += f"\n\n{line}"
     return text
 
 
@@ -220,8 +207,6 @@ def run_analyze_command(
     json_out: str | None = None,
     trace_out: str | None = None,
     metrics_out: str | None = None,
-    profile: bool = False,
-    profile_out: str | None = None,
 ) -> str:
     """Drive one traced run through the critical-path analysis.
 
@@ -236,7 +221,7 @@ def run_analyze_command(
 
     from repro.obs.analysis import analyze_machine, run_whatif
 
-    run = run_traced(app, p=p, n=n, seed=seed, profile=profile)
+    run = run_traced(app, p=p, n=n, seed=seed)
     analysis = analyze_machine(run.machine)
     whatifs = None
     if whatif:
@@ -273,11 +258,9 @@ def run_analyze_command(
             json.dump(snap, fh, indent=2, sort_keys=True)
             fh.write("\n")
         text += f"\n\nanalysis snapshot written to {json_out}"
-    if trace_out is not None or metrics_out is not None or profile_out is not None:
+    if trace_out is not None or metrics_out is not None:
         from repro.eval.cliopts import write_obs_artifacts
 
-        for line in write_obs_artifacts(
-            run.machine, trace_out, metrics_out, profile_out
-        ):
+        for line in write_obs_artifacts(run.machine, trace_out, metrics_out):
             text += f"\n\n{line}"
     return text

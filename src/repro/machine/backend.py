@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from typing import Callable, Sequence
 
 from repro.errors import BackendError
@@ -118,51 +119,43 @@ class ExecBackend:
     callers fall back to sequential per-rank execution.
 
     Subclasses say only *how* calls are carried out (:meth:`_run`:
-    inline here, ``submit`` on a thread pool); the profiler's stamp
-    protocol is stated once, in :meth:`run_blocks`.
+    inline here, ``submit`` on a thread pool); the wall stamps a traced
+    machine takes are stated once, in :meth:`run_blocks`.
     """
 
     name = "sim"
     #: whether the elementwise executor should cut its pooled call into
     #: one slab per worker for this backend (path 1 of its ladder)
     parallel = False
-    #: the attached :class:`~repro.obs.prof.WallProfiler`, or ``None``
-    #: (the default) — ``Machine(profile=True)`` sets it.  Wall-clock
-    #: only; never consulted by any cost-charging code
-    profiler = None
+    #: the machine's :class:`~repro.obs.span.SpanTracer` (``None`` when
+    #: untraced), which each dispatch reports its wall stamps to.
+    #: Wall-clock only; never consulted by any cost-charging code
+    tracer = None
 
     def run_blocks(self, kernel: Callable, tasks: Sequence[tuple]) -> list:
-        prof = self.profiler
-        if prof is None:
+        tracer = self.tracer
+        if tracer is None:
             return self._run(kernel, tasks)
-        name = getattr(kernel, "__name__", type(kernel).__name__)
-        d = prof.dispatch_begin(self.name, name, len(tasks))
+        blocks: list[tuple[int, float, float]] = []
 
-        def timed(t_enq, *task):
-            # runs on whichever thread executes the block (the main
-            # thread is "worker 0" when execution is inline)
-            slot = prof.worker_slot(threading.get_ident())
-            t0 = prof.clock()
+        def timed(*task):
+            # stamped on whichever thread runs the block, also when the
+            # kernel raises (FusionFallback): the wall time was spent
+            t0 = time.perf_counter()
             try:
                 return kernel(*task)
             finally:
-                # stamped even when the kernel raises (FusionFallback):
-                # the wall time was really spent
-                prof.block(d, slot, t_enq, t0, prof.clock())
+                blocks.append((threading.get_ident(), t0, time.perf_counter()))
 
-        prof.note_post(d)
+        t_post = time.perf_counter()
         try:
-            return self._run(timed, tasks, stamp=prof.clock)
+            return self._run(timed, tasks)
         finally:
-            prof.dispatch_end(d)
+            tracer.dispatch(t_post, time.perf_counter(), blocks[:])
 
-    def _run(self, call: Callable, tasks: Sequence[tuple], stamp=None) -> list:
-        """``call(*t)`` for every task, results in task order.  With
-        *stamp* (the profiler clock) its reading at hand-off time is
-        passed as an extra leading argument — the block's enqueue time."""
-        if stamp is None:
-            return [call(*t) for t in tasks]
-        return [call(stamp(), *t) for t in tasks]
+    def _run(self, call: Callable, tasks: Sequence[tuple]) -> list:
+        """``call(*t)`` for every task, results in task order."""
+        return [call(*t) for t in tasks]
 
     def reset(self, seed: int = 0) -> None:
         """Clear worker-side state so back-to-back trials in one process
@@ -206,14 +199,11 @@ class ThreadsBackend(ExecBackend):
             )
         return self._pool
 
-    def _run(self, call, tasks, stamp=None):
+    def _run(self, call, tasks):
         if len(tasks) <= 1:
-            return super()._run(call, tasks, stamp)
+            return super()._run(call, tasks)
         submit = self._executor().submit
-        if stamp is None:
-            futures = [submit(call, *t) for t in tasks]
-        else:
-            futures = [submit(call, stamp(), *t) for t in tasks]
+        futures = [submit(call, *t) for t in tasks]
         # collect in task order; reading every result re-raises a
         # kernel's exception in the caller
         return [f.result() for f in futures]

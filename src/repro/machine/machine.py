@@ -90,7 +90,8 @@ class Machine:
 
         * ``0`` — only the aggregate :class:`TraceStats` counters;
         * ``1`` — plus a :class:`~repro.obs.span.SpanTracer` (paired
-          skeleton spans) and a
+          skeleton spans, each also stamped with the wall clock, and
+          the backend's dispatch stamps) and a
           :class:`~repro.obs.metrics.MetricsRegistry`;
         * ``2`` — plus a per-rank :class:`~repro.obs.timeline.Timeline`
           and individual message records.
@@ -131,15 +132,6 @@ class Machine:
     workers:
         Worker count for the ``threads`` backend (default:
         ``REPRO_WORKERS`` or ``min(p, cores)``).
-    profile:
-        Attach a :class:`~repro.obs.prof.WallProfiler` to the worker
-        plane (``True``, or a ready-made profiler instance).  Wall-clock
-        only: the profiler owns its own metrics registry and never
-        touches the network, so simulated seconds, :class:`TraceStats`,
-        records and the machine's metrics stay bitwise identical with
-        profiling on or off (asserted by the ``backend`` pillar).
-        Zero-cost when off (the default): every instrumented hot path
-        is a single ``is None`` test.
     """
 
     def __init__(
@@ -155,7 +147,6 @@ class Machine:
         stream=None,
         backend=None,
         workers: int | None = None,
-        profile=False,
     ):
         if p <= 0:
             raise MachineError(f"need a positive processor count, got {p}")
@@ -229,16 +220,8 @@ class Machine:
         #: kernels; never touches the network, so it cannot perturb
         #: simulated time
         self.backend = make_backend(backend, p, workers)
-        #: the wall-clock :class:`~repro.obs.prof.WallProfiler`, or
-        #: ``None`` (the default) — see the ``profile`` parameter
-        self.profiler = None
-        if profile:
-            from repro.obs.prof import WallProfiler
-
-            self.profiler = (
-                profile if isinstance(profile, WallProfiler) else WallProfiler()
-            )
-            self.backend.profiler = self.profiler
+        #: dispatches report their wall stamps to the tracer, if any
+        self.backend.tracer = self.tracer
 
     # ------------------------------------------------------------------ time
     @property
@@ -269,11 +252,6 @@ class Machine:
         self.backend.close()
         if self.stream_obs is not None:
             self.stream_obs.close()
-        if self.profiler is not None:
-            # detach the profiler from the worker plane; the collected
-            # stamps stay readable on ``self.profiler`` for post-run
-            # export
-            self.backend.profiler = None
 
     def __enter__(self) -> "Machine":
         return self
@@ -311,8 +289,6 @@ class Machine:
             self.timeline.clear()
         if self.stream_obs is not None:
             self.stream_obs.clear()
-        if self.profiler is not None:
-            self.profiler.clear()
         # reseed/flush backend worker state too — without this,
         # back-to-back trials in one process see stale worker caches and
         # in-flight results from the previous trial (the flaky seam)

@@ -8,7 +8,11 @@ set:
 * :mod:`repro.obs.span` — paired ``begin``/``end`` **spans** around
   skeleton invocations (nested spans for composite skeletons), each
   recording the compute/comm/idle seconds, messages, bytes and
-  participating ranks that accrued while it was open;
+  participating ranks that accrued while it was open, and the one
+  in-process **wall** instrument: each span's ``perf_counter`` stamps
+  and the backend's dispatch stamps, folded into a registry of their
+  own and split into dispatch / kernel / idle wall
+  (docs/OBSERVABILITY.md, "Wall time on spans");
 * :mod:`repro.obs.timeline` — a per-rank **timeline** of
   compute/send/recv/idle intervals, filled in by both the analytic
   clock layer (:mod:`repro.machine.network`) and the discrete-event
@@ -19,7 +23,8 @@ set:
 * :mod:`repro.obs.export` — **exporters**: Chrome trace-event JSON
   (open in Perfetto or ``chrome://tracing``; one track per rank, a
   skeleton-span track and per-rank idle-wait tracks) and a
-  flamegraph-style plain-text rollup;
+  flamegraph-style plain-text rollup, with the wall tracks and the
+  wall attribution beside the simulated ones;
 * :mod:`repro.obs.analysis` — the **critical path** of a traced run
   over its happens-before order, with exact
   compute/latency/bandwidth/idle attribution, per-rank straggler
@@ -28,13 +33,7 @@ set:
   ``Machine(trace_mode="stream")``: exact O(p) online aggregates, the
   per-skeleton table filled as spans close and a rotating JSONL spill,
   keeping observability memory O(p) at extreme scale
-  (docs/OBSERVABILITY.md, "Streaming mode");
-* :mod:`repro.obs.prof` — the **wall-clock worker-plane profiler**
-  behind ``Machine(profile=True)``: dispatch latency, in-worker kernel
-  wall time, per-worker utilization, the dispatch/kernel/idle
-  attribution and the ``repro-profile/2`` snapshot (``python -m
-  repro.eval profile``).  Wall-clock only — it never touches the cost
-  model (docs/OBSERVABILITY.md, "Wall-clock profiling").
+  (docs/OBSERVABILITY.md, "Streaming mode").
 
 Everything is opt-in through ``Machine(trace_level=...)`` and costs a
 single ``is None`` check per operation when off, so the simulated
@@ -64,12 +63,7 @@ from repro.obs.metrics import (
     global_metrics,
     isolated_metrics,
 )
-from repro.obs.prof import (
-    ATTRIBUTION_TOL,
-    PROFILE_SCHEMA,
-    WallProfiler,
-)
-from repro.obs.span import SkeletonAgg, Span, SpanTracer
+from repro.obs.span import ATTRIBUTION_TOL, SkeletonAgg, Span, SpanTracer
 from repro.obs.timeline import Interval, Timeline
 from repro.obs.export import (
     chrome_trace_events,
@@ -96,8 +90,6 @@ __all__ = [
     "wall_trace_events",
     "write_chrome_trace",
     "ATTRIBUTION_TOL",
-    "PROFILE_SCHEMA",
-    "WallProfiler",
     "CriticalPath",
     "PathStep",
     "RunAnalysis",

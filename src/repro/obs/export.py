@@ -12,7 +12,11 @@ per-rank compute/send/recv/idle intervals, and threads ``1001..1000+p``
 carry the derived **idle-wait** tracks — the maximal gaps of each rank
 (explicit idle intervals and untracked holes merged, from
 :meth:`~repro.obs.timeline.Timeline.idle_gaps`), the same quantity the
-critical-path analysis attributes as ``idle``.
+critical-path analysis attributes as ``idle``.  On a parallel backend
+a second process (pid 2) carries the wall clock: every span at its
+``perf_counter`` stamps and, per worker, the blocks the backend
+dispatched; ``otherData["wall"]`` holds the dispatch / kernel / idle
+attribution.
 
 Every export path validates its own output
 (:func:`validate_chrome_trace` inside :func:`write_chrome_trace`), so a
@@ -161,18 +165,19 @@ def chrome_trace_events(
 
 
 def wall_trace_events(
-    profiler, label: str = "wall clock (worker plane)"
+    tracer: SpanTracer, label: str = "wall clock"
 ) -> list[dict[str, Any]]:
-    """Wall-clock tracks from a :class:`~repro.obs.prof.WallProfiler`.
+    """Wall-clock tracks from a record-mode tracer's stamps.
 
-    Everything is shifted so the earliest recorded stamp is ``ts = 0``
-    (monotonic origins are arbitrary; the validator requires
-    non-negative timestamps).  Thread 0 carries the skeleton wall
-    intervals; threads ``1..w`` carry the per-worker kernel blocks, one
-    track per worker that executed anything.
+    Shifted so the earliest stamp is ``ts = 0`` (``perf_counter`` has
+    no meaningful origin, and the validator requires non-negative
+    timestamps).  Thread 0 carries the spans at their wall stamps;
+    threads ``1..w`` the dispatched blocks, one track per worker that
+    ran any.
     """
-    stamps = [sw.t0 for sw in profiler.skeleton_walls]
-    stamps += [d.t_begin for d in profiler.dispatches]
+    spans = tracer.closed_spans()
+    stamps = [s.wall_begin for s in spans]
+    stamps += [d.t_post for d in tracer.dispatches]
     if not stamps:
         return []
     origin = min(stamps)
@@ -196,46 +201,43 @@ def wall_trace_events(
             "args": {"name": "skeleton wall"},
         },
     ]
-    for sw in profiler.skeleton_walls:
+    for s in spans:
         events.append(
             {
                 "ph": "X",
-                "name": sw.name,
-                "cat": "skeleton-wall",
+                "name": s.name,
+                "cat": f"{s.category}-wall",
                 "pid": _WALL_PID,
                 "tid": _SPAN_TID,
-                "ts": ts(sw.t0),
-                "dur": _us(sw.wall_s),
-                "args": {"depth": sw.depth},
+                "ts": ts(s.wall_begin),
+                "dur": _us(max(0.0, s.wall_end - s.wall_begin)),
+                "args": {"depth": s.depth},
             }
         )
     workers_seen: set[int] = set()
-    for d in profiler.dispatches:
-        for b in d.blocks:
-            if b.worker not in workers_seen:
-                workers_seen.add(b.worker)
+    for d in tracer.dispatches:
+        for worker, start, end in d.blocks:
+            if worker not in workers_seen:
+                workers_seen.add(worker)
                 events.append(
                     {
                         "ph": "M",
                         "name": "thread_name",
                         "pid": _WALL_PID,
-                        "tid": b.worker + 1,
-                        "args": {"name": f"worker {b.worker}"},
+                        "tid": worker + 1,
+                        "args": {"name": f"worker {worker}"},
                     }
                 )
             events.append(
                 {
                     "ph": "X",
-                    "name": f"{d.skeleton}:{d.kernel}",
+                    "name": d.skeleton,
                     "cat": "kernel-wall",
                     "pid": _WALL_PID,
-                    "tid": b.worker + 1,
-                    "ts": ts(b.start),
-                    "dur": _us(b.kernel_s),
-                    "args": {
-                        "backend": d.backend,
-                        "dispatch_latency_s": b.latency_s,
-                    },
+                    "tid": worker + 1,
+                    "ts": ts(start),
+                    "dur": _us(max(0.0, end - start)),
+                    "args": {"lag_s": max(0.0, start - d.t_post)},
                 }
             )
     return events
@@ -244,21 +246,25 @@ def wall_trace_events(
 def write_chrome_trace(path, machine: "Machine") -> dict[str, Any]:
     """Write a machine's trace to *path*; returns the JSON object.
 
-    Dual-clock: with a wall profiler attached
-    (``Machine(profile=True)``), the wall-clock tracks are appended as a
-    second process row alongside the simulated ones.
+    Dual-clock on a parallel backend (``threads``): the traced
+    machine's wall tracks follow as a second process row, and
+    ``otherData["wall"]`` carries
+    :meth:`~repro.obs.span.SpanTracer.wall_attribution`.  On ``sim``
+    every kernel runs inline, so there is no worker plane to draw and
+    the split is all kernel; its export stays a function of the
+    simulation alone, byte-identical from run to run (the per-skeleton
+    table still prints its wall columns).
     """
-    events = chrome_trace_events(machine.tracer, machine.timeline)
-    profiler = getattr(machine, "profiler", None)
-    if profiler is not None:
-        events += wall_trace_events(profiler)
+    tracer = machine.tracer
+    events = chrome_trace_events(tracer, machine.timeline)
+    other: dict[str, Any] = {"p": machine.p, "makespan_s": machine.time}
+    if tracer is not None and machine.backend.parallel:
+        events += wall_trace_events(tracer)
+        other["wall"] = tracer.wall_attribution()
     obj = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "p": machine.p,
-            "makespan_s": machine.time,
-        },
+        "otherData": other,
     }
     problems = validate_chrome_trace(obj)
     if problems:

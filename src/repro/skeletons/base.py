@@ -143,9 +143,6 @@ class SkilContext:
         error paths.
         """
         self.machine.stats.skeleton_calls += 1
-        prof = self.machine.profiler
-        if prof is not None:
-            prof.skeleton_begin(name)
         tracer = self.machine.tracer
         span = tracer.begin(name, category="skeleton") if tracer is not None else None
         self.charge.invocation()
@@ -157,11 +154,6 @@ class SkilContext:
         phase spans an error path left open beneath it) and hand
         :func:`current_context` back to the enclosing skeleton, if any."""
         _ACTIVE.pop()
-        prof = self.machine.profiler
-        if prof is not None:
-            # before the tracer early-out: wall stamps are taken even at
-            # trace_level=0 (begin/end are strictly paired by callers)
-            prof.skeleton_end()
         tracer = self.machine.tracer
         if tracer is None:
             return

@@ -358,12 +358,15 @@ def _gen_mult_impl(
                     gen_add, gen_mult, sa, sb, sc
                 )
             else:
-                for r in range(ctx.p):
-                    ctx.current_rank = r
-                    accum[r] = semiring_block_product(
-                        gen_add, gen_mult, ablk[r], bblk[r], accum[r]
-                    )
-                ctx.current_rank = None
+                try:
+                    for r in range(ctx.p):
+                        ctx.current_rank = r
+                        accum[r] = semiring_block_product(
+                            gen_add, gen_mult, ablk[r], bblk[r], accum[r]
+                        )
+                finally:
+                    # also when gen_add/gen_mult raise: no stale procId
+                    ctx.current_rank = None
             ctx.charge.work(round_work)
         if step < g - 1:
             with ctx.phase("genmult:rotate"):

@@ -32,7 +32,7 @@ __all__ = ["array_map", "array_zip"]
 
 
 def store_slab(dst: np.ndarray, out: np.ndarray) -> None:
-    """The store task of :func:`write_result` (named for ``eval profile``)."""
+    """The store task of :func:`write_result`, one per slab."""
     dst[...] = out
 
 

@@ -4,6 +4,9 @@ subcommand — the flag-drift fix — plus the ``trace --stream`` and
 ``all --progress`` entry points."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,7 @@ from repro.eval.__main__ import _build_parser, main
 
 ROOT = Path(__file__).resolve().parents[2]
 
-COMMON = ["--trace", "t.json", "--metrics-out", "m.prom", "--quiet",
-          "--profile", "--profile-out", "p.json"]
+COMMON = ["--trace", "t.json", "--metrics-out", "m.prom", "--quiet"]
 
 
 class TestFlagUniformity:
@@ -27,8 +29,6 @@ class TestFlagUniformity:
         assert args.trace == "t.json"
         assert args.metrics_out == "m.prom"
         assert args.quiet is True
-        assert args.profile is True
-        assert args.profile_out == "p.json"
 
     def test_trace_keeps_json_alias(self):
         args = _build_parser().parse_args(["trace", "--json", "x.json"])
@@ -106,7 +106,6 @@ class TestUsageValidation:
         (["trace", "--stream", "--trace", "{d}/x.jsonl"], "--trace"),
         (["trace", "--metrics-out", "{d}/m.prom"], "--metrics-out"),
         (["analyze", "--json-out", "{d}/a.json"], "--json-out"),
-        (["trace", "--profile", "--profile-out", "{d}/p.json"], "--profile-out"),
         (["table1", "--trace", "{d}/t.json"], "--trace"),
     ])
     def test_unwritable_output_is_a_usage_error_before_the_run(
@@ -157,6 +156,20 @@ class TestUsageValidation:
             main(["trace", "--stream", "--sample-size", "8"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --sample-size" in capsys.readouterr().err
+
+    def test_profile_flag_is_gone(self):
+        """``--profile`` went with the separate wall profiler: argparse's
+        usage error, exit 2, not a traceback."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.eval", "trace", "--profile"],
+            capture_output=True, text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.endswith("error: unrecognized arguments: --profile")
+        assert "Traceback" not in proc.stderr
 
     def test_removed_bench_subcommand_is_a_usage_error(self, capsys):
         """``eval bench`` (and ``skil-eval bench``, the same ``main``)

@@ -1,7 +1,7 @@
 """``Machine.reset()`` must also reset backend worker state.
 
 Back-to-back trials in one process must be deterministic on every
-backend, with and without the wall profiler.  These sit alongside the
+backend, traced (wall stamps on) or not.  These sit alongside the
 reset-in-place tests in ``tests/obs/test_machine_tracing.py``.
 """
 
@@ -57,21 +57,22 @@ def test_back_to_back_trials_deterministic(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_back_to_back_trials_deterministic_profiled(backend):
-    """The reset contract holds with the wall profiler attached, and
-    reset() drops the profiler's stamps so trials never mix."""
-    m = Machine(8, backend=backend, workers=2, profile=True)
+    """The reset contract holds with wall stamps on, and reset() drops
+    the stamps so trials never mix."""
+    m = Machine(8, trace_level=1, backend=backend, workers=2)
     try:
         view1, total1 = _trial(SkilContext(m))
         clocks1 = m.network.clocks.copy()
-        assert m.profiler.skeleton_walls
+        assert m.tracer.wall_attribution()["measured_wall_s"] > 0
         m.reset()
-        assert m.profiler.skeleton_walls == []
-        assert m.profiler.dispatches == []
+        assert m.tracer.wall_attribution()["measured_wall_s"] == 0.0
+        assert m.tracer.wall.snapshot()["counters"] == {}
+        assert m.tracer.dispatches == []
         view2, total2 = _trial(SkilContext(m))
         assert np.array_equal(view1, view2)
         assert total1 == total2
         assert np.array_equal(clocks1, m.network.clocks)
-        assert m.profiler.skeleton_wall_s() > 0
+        assert m.tracer.wall_attribution()["measured_wall_s"] > 0
     finally:
         m.close()
 

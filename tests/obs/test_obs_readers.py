@@ -101,6 +101,19 @@ def test_every_kept_value_has_a_reader_that_runs():
     assert excused == set(ALLOWED)
 
 
+def test_the_scan_covers_the_wall_columns():
+    """``SkeletonAgg``'s wall total is kept state like its simulated
+    fields, so the scan above holds it to the same rule: the
+    per-skeleton table reads it."""
+    tree = ast.parse((SRC / KEPT["SkeletonAgg"]).read_text())
+    cls = next(
+        n for n in tree.body
+        if isinstance(n, ast.ClassDef) and n.name == "SkeletonAgg"
+    )
+    assert "wall_seconds" in _state(cls)
+    assert "wall_seconds" in _reads(SRC / "eval" / "trace_report.py")
+
+
 def test_the_scan_sees_an_unread_attribute(tmp_path):
     """The rule can fail: a counter nothing reads is found."""
     (tmp_path / "a.py").write_text(

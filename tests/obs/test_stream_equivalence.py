@@ -155,6 +155,13 @@ class TestStreamMachineContracts:
         ("repro.obs.analysis", "build_dag"),
         ("repro.obs.analysis.StreamAnalysis", "snapshot"),
         ("repro.obs.metrics", "Gauge"),
+        # one wall instrument: the skeleton span
+        ("repro.obs", "WallProfiler"),
+        ("repro.obs", "prof"),
+        ("repro.eval", "profilecmd"),
+        ("repro.machine.machine.Machine", "profiler"),
+        ("repro.machine.backend.ExecBackend", "profiler"),
+        ("repro.eval.cliopts", "validate_profile_flags"),
     ])
     def test_the_second_emission_path_is_gone(self, owner, name):
         """No shim left behind: one tracer class, one event builder, one
@@ -166,6 +173,19 @@ class TestStreamMachineContracts:
             obj = importlib.import_module(part) if obj is None else (
                 getattr(obj, part))
         assert not hasattr(obj, name), f"{owner}.{name}"
+
+    def test_the_wall_profiler_is_gone(self):
+        """Wall time lives on the spans: no profiler module, command or
+        machine switch is left behind."""
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.obs.prof") is None
+        assert importlib.util.find_spec("repro.eval.profilecmd") is None
+        assert not hasattr(Machine(4, trace_level=1), "profiler")
+
+    def test_machine_profile_argument_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Machine(4, profile=True)
 
     def test_reset_clears_stream_state_in_place(self):
         m = Machine(4, trace_level=2, trace_mode="stream")
@@ -268,7 +288,12 @@ class TestStreamTraceReport:
         m_rec, m_str = _pair(4)
         rec, rows = run(m_rec), run(m_str)
         assert rows and rows[0].busy_total >= rows[-1].busy_total
-        assert format_skeleton_breakdowns(rows) == format_skeleton_breakdowns(rec)
+
+        def sim_columns(rows):
+            # the last two columns (19 characters) are wall readings
+            return [ln[:-19] for ln in format_skeleton_breakdowns(rows).splitlines()]
+
+        assert sim_columns(rows) == sim_columns(rec)
         by_name = {r.name: r for r in rows}
         assert by_name["outer"].compute_seconds == pytest.approx(4e-3)
         assert by_name["inner"].compute_seconds == pytest.approx(8e-3)

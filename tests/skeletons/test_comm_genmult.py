@@ -168,6 +168,23 @@ class TestGenMult:
         ctx4.array_gen_mult(a, b, add, mul, c)
         np.testing.assert_allclose(c.global_view(), A @ B)
 
+    def test_proc_id_reset_when_gen_mult_raises(self, ctx4):
+        """A failing gen_mult must not leave procId pinned to its rank."""
+        a, b, c, A, B = self._three(ctx4, 4)
+        add = skil_fn(ops=1)(lambda x, y: x + y)
+
+        @skil_fn(ops=1)
+        def mul(x, y):
+            if ctx4.proc_id() == 2:
+                raise ValueError("boom")
+            return x * y
+
+        with pytest.raises(ValueError):
+            ctx4.array_gen_mult(a, b, add, mul, c)
+        assert ctx4.current_rank is None
+        with pytest.raises(SkeletonError):
+            ctx4.proc_id()
+
     def test_aliased_arguments_rejected(self, ctx4):
         a, b, c, A, B = self._three(ctx4, 8)
         with pytest.raises(SkeletonError):

@@ -227,8 +227,8 @@ def test_fallback_inside_a_dispatched_task_lands_on_the_per_rank_loop():
         )
 
 
-@pytest.mark.parametrize("profile", [False, True])
-def test_kernel_error_in_a_dispatched_task_propagates(profile):
+@pytest.mark.parametrize("traced", [False, True])
+def test_kernel_error_in_a_dispatched_task_propagates(traced):
     """A kernel that raises anything but FusionFallback in one slab: the
     caller sees that very exception (no fallback, no wrapper), no
     ``procId`` is left behind, and the machine dispatches again."""
@@ -244,7 +244,7 @@ def test_kernel_error_in_a_dispatched_task_propagates(profile):
     kernel.env_free = True
     bad = skil_fn(ops=1, vectorized=kernel)(lambda v, ix: 2.0 * v + ix[0])
     backend = CountingThreads(2)
-    with Machine(P, backend=backend, profile=profile) as machine:
+    with Machine(P, backend=backend, trace_level=int(traced)) as machine:
         ctx = SkilContext(machine, fused=True)
         data = np.arange(ROWS * COLS, dtype=float).reshape(ROWS, COLS)
         a = make_array(machine, "block", data)
