@@ -1,4 +1,4 @@
-"""Compiler-level skeleton discovery & fusion (ROADMAP item 5).
+"""Compiler-level skeleton discovery & fusion.
 
 This pass runs between instantiation and code generation.  It rewrites
 the first-order AST so that the *program* becomes cheaper on the
@@ -7,36 +7,48 @@ simulated machine — fewer skeleton rounds, fewer intermediate
 to the unfused program (the contract the ``repro.check`` ``fusion``
 pillar enforces at multiple p).  Two groups of rewrites:
 
-**Skeleton fusion** — adjacent skeleton calls connected only by an
-intermediate array collapse into one call with a composed kernel:
+**Skeleton fusion** — a producer call and a consumer call connected only
+by an intermediate array collapse into one call, one row of
+:data:`_ROWS` each: ``map∘map``, ``map``-into-``zip``, ``zip``-into-
+``map`` and ``map``-into-``fold`` compose the two kernels (``array_map(
+k1, a, t); array_map(k2, t, b)`` becomes ``array_map(k2∘k1, a, b)``, and
+``t``'s create/destroy rounds and the first map round disappear);
+``create∘map`` never allocates an array created only to be mapped away;
+``array_copy(a, b); array_gen_mult(a, b, ...)`` becomes
+``array_gen_mult_square(a, ...)``, the shortest-paths squaring idiom.
+Arrays left only created and destroyed are removed, and creates whose
+initial values are provably overwritten before any read lose their init
+round (``array_create → array_create_uninit``).
 
-* ``map∘map → map`` — ``array_map(k1, a, t); array_map(k2, t, b)``
-  becomes ``array_map(k2∘k1, a, b)``; ``t``'s create/destroy rounds and
-  the first map round disappear.
-* ``map``-into-``zip`` / ``zip``-into-``map`` → one ``zip``.
-* ``map``-into-``fold`` → fold with a composed conversion kernel.
-* ``create∘map → map`` — an array created only to be mapped away is
-  never allocated; the init kernel is composed into the map.
-* ``array_copy(a, b); array_gen_mult(a, b, ...) →
-  array_gen_mult_square(a, ...)`` — the shortest-paths squaring idiom;
-  the copy round and the second matrix vanish.
-* creates whose initial values are provably overwritten before any read
-  lose their init round (``array_create → array_create_uninit``).
+**Skeleton discovery** — element-wise ``for`` loops over pardata that
+match map/zip/fold shapes become skeleton calls: the loop paid one
+simulated message per ``array_get_elem``/``array_put_elem`` on the
+front end, the skeleton does the same work collectively.
 
-**Skeleton discovery** — plain element-wise ``for`` loops over pardata
-that match map/zip/fold shapes are rewritten to skeleton calls.  An
-unfused element loop runs on the front end and pays one simulated
-message per ``array_get_elem``/``array_put_elem``; the discovered
-skeleton does the same work collectively (and becomes a further fusion
-candidate).
+Legality is one question asked of one table.  Each function gets a
+def-use table (:class:`_Uses`), built by one walk of its body and
+rebuilt after every rewrite: per name its mentions and its definers
+(``=``/``op=`` assignments, initialised declarations, skeleton calls
+that write it as destination), per array its create and destroy
+statements, per statement its pre-order position and parent slot.  A
+rewrite that drops an intermediate array ``tmp`` — producer P at
+``block[i]``, consumer Q anywhere inside ``block[j]`` — is legal when
+(:meth:`_Fuser._legal`):
 
-Legality is purely structural and deliberately conservative: the
-intermediate array's *only* uses in the whole function must be its
-create, the producer, the consumer and (optionally) its destroy; no
-statement between producer and consumer may mention any involved array
-or assign a variable captured by either kernel's lifted arguments (a
-mutation of a captured variable blocks fusion).  Kernel composition is
-restricted to the pure expression subset, and — the cost-model gate — a
+* ``tmp`` is a local created once by a pure-init create, and its only
+  other mentions are P, Q and its destroys;
+* nothing in ``block[i+1 .. j]`` mentions ``tmp`` or P's sources, or
+  defines a source or a name either kernel captures — all of
+  ``block[j]`` counts when Q is nested inside it, since a loop around
+  Q runs that code again before Q's next reading;
+* no line the rewrite changes or removes is vetoed.
+
+A dead array is the same question with no P and no Q.  Discovery asks
+the table whether a loop counts: its variable defined only by the
+header's ``= 0`` and ``+ 1`` step and dead after the loop, its bound
+with no definer in the function.
+
+Kernel composition is restricted to the pure expression subset, and a
 composed kernel is only accepted when :func:`~repro.lang.vectorize.
 try_vectorize` proves it vectorizable *and* env-free, i.e. it stays
 eligible for the fused dispatch path of :mod:`repro.skeletons.fuse`
@@ -45,23 +57,19 @@ intermediate's element type must round-trip exactly through its dtype
 (``int``/``double``), since the unfused program stores the producer's
 value before the consumer reads it back.
 
-One caveat, documented in PERFORMANCE.md: eliminating a skeleton round
-also eliminates its *runtime argument checks*, so a program that would
-have raised a shape/aliasing error unfused may run to completion fused.
-Valid programs compute identical values.
+Eliminating a round also eliminates its *runtime argument checks*
+(PERFORMANCE.md): a program that would have raised a shape/aliasing
+error unfused may run to completion fused; valid programs compute
+identical values.  The pass runs only under ``compile_skil(fusion=True)``.
 
-Opt-outs: the pass only runs under ``compile_skil(fusion=True)`` — the
-one place it is chosen — and ``no_fuse_lines`` skips any rewrite whose
-producer or consumer sits on a listed source line.
-
-Every query and copy below goes through the traversal kit of
-:mod:`repro.lang.ast` (``walk`` / ``clone`` / ``rebuild``); traversal
-order is load-bearing — lifted-scalar order, the ``__fused_<n>`` counter
-and "first mention's type" all follow pre-order in field order.
+Traversal order is load-bearing — lifted-scalar order, the
+``__fused_<n>`` counter and "first mention's type" all follow the
+kit's pre-order (:func:`repro.lang.ast.walk`).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -90,21 +98,26 @@ class FusionRewrite:
     kind: str  #: e.g. "fuse:map.map", "discover:map", "square", "uninit"
     line: int  #: source line of the rewritten (consumer) call
     detail: str
+    #: static skeleton rounds removed from the program text (calls inside
+    #: loops count once here; dynamic counts show up in stats.skeleton_calls)
+    rounds: int = 0
 
 
 @dataclass
 class FusionReport:
     rewrites: list[FusionRewrite] = field(default_factory=list)
-    fused_calls: int = 0
-    discovered_loops: int = 0
-    arrays_eliminated: int = 0
-    inits_elided: int = 0
-    #: static skeleton rounds removed from the program text (calls inside
-    #: loops count once here; dynamic counts show up in stats.skeleton_calls)
-    rounds_eliminated: int = 0
 
-    def add(self, kind: str, line: int, detail: str) -> None:
-        self.rewrites.append(FusionRewrite(kind, line, detail))
+    def _count(self, *kinds: str) -> int:
+        return sum(r.kind.startswith(kinds) for r in self.rewrites)
+
+    fused_calls = property(lambda self: self._count("fuse:", "square"))
+    discovered_loops = property(lambda self: self._count("discover:"))
+    arrays_eliminated = property(lambda self: self._count("fuse:", "dead-array"))
+    inits_elided = property(lambda self: self._count("uninit"))
+    rounds_eliminated = property(lambda self: sum(r.rounds for r in self.rewrites))
+
+    def add(self, kind: str, line: int, detail: str, rounds: int = 0) -> None:
+        self.rewrites.append(FusionRewrite(kind, line, detail, rounds))
 
     def summary(self) -> str:
         lines = [
@@ -125,17 +138,12 @@ def _idents(n: A.Node) -> set[str]:
     return {x.name for x in A.walk(n) if isinstance(x, A.Ident)}
 
 
-def _count_ident(n: A.Node, name: str) -> int:
-    return sum(1 for x in A.walk(n) if isinstance(x, A.Ident) and x.name == name)
+def _is_ident(e: Optional[A.Expr], name: str) -> bool:
+    return isinstance(e, A.Ident) and e.name == name
 
 
-def _assigned_names(n: A.Node) -> set[str]:
-    """Identifiers mutated by ``=``-style assignments anywhere in *n*."""
-    return {
-        x.target.name
-        for x in A.walk(n)
-        if isinstance(x, A.Assign) and isinstance(x.target, A.Ident)
-    }
+def _is_int(e: Optional[A.Expr], value: int) -> bool:
+    return isinstance(e, A.IntLit) and e.value == value
 
 
 def _pp(e: A.Expr) -> str:
@@ -151,23 +159,158 @@ def _call_of(s: A.Stmt, *names: str) -> Optional[A.Call]:
     return None
 
 
-def _create_call(s: A.Stmt) -> Optional[tuple[str, A.Call]]:
-    """``(name, call)`` when *s* binds an ``array_create`` result."""
-    if isinstance(s, A.VarDecl) and isinstance(s.init, A.Call):
-        c = s.init
-        if isinstance(c.func, A.Ident) and c.func.name == "array_create":
-            return s.name, c
+def _binding(s: Optional[A.Stmt]) -> Optional[tuple[str, A.Expr, A.Node]]:
+    """``(name, value, definer)`` when *s* is ``T name = value;`` or
+    ``name = value;``."""
+    if isinstance(s, A.VarDecl) and s.init is not None:
+        return s.name, s.init, s
     if isinstance(s, A.ExprStmt) and isinstance(s.expr, A.Assign):
         a = s.expr
-        if (
-            a.op == "="
-            and isinstance(a.target, A.Ident)
-            and isinstance(a.value, A.Call)
-            and isinstance(a.value.func, A.Ident)
-            and a.value.func.name == "array_create"
-        ):
-            return a.target.name, a.value
+        if a.op == "=" and isinstance(a.target, A.Ident):
+            return a.target.name, a.value, a
     return None
+
+
+def _create_call(s: A.Stmt) -> Optional[tuple[str, A.Call]]:
+    """``(name, call)`` when *s* binds an ``array_create`` result."""
+    b = _binding(s)
+    if b is None or not isinstance(b[1], A.Call):
+        return None
+    return (b[0], b[1]) if _is_ident(b[1].func, "array_create") else None
+
+
+def _adds_one(e: Optional[A.Expr], var: str) -> bool:
+    """Whether *e* steps *var* by one, however spelled: ``v++``, ``++v``
+    and ``v += 1`` parse to ``v += 1``; ``v = v + 1`` and ``v = 1 + v``
+    normalise to the same sum."""
+    if not (isinstance(e, A.Assign) and _is_ident(e.target, var)):
+        return False
+    if e.op == "+=":
+        terms = (A.Ident(var), e.value)
+    elif e.op == "=" and isinstance(e.value, A.BinOp) and e.value.op == "+":
+        terms = (e.value.left, e.value.right)
+    else:
+        return False
+    return any(_is_ident(x, var) and _is_int(y, 1) for x, y in (terms, terms[::-1]))
+
+
+def _other(acc: str, x: A.Expr, y: A.Expr) -> Optional[A.Expr]:
+    """The operand of ``acc ⊕ e`` / ``e ⊕ acc`` that is not *acc*."""
+    return y if _is_ident(x, acc) else x if _is_ident(y, acc) else None
+
+
+# ------------------------------------------------------------- def-use table
+#: skeleton -> index of the argument it writes
+_WRITES = {
+    "array_map": 2, "array_zip": 3, "array_copy": 1, "array_scan": 2,
+    "array_gen_mult": 4, "array_gen_mult_square": 3, "array_permute_rows": 2,
+    "array_broadcast_part": 0, "array_put_elem": 0,
+}
+
+
+class _Uses:
+    """One function's def-use table, built by one walk of its body.
+
+    Statements are numbered in pre-order, so a statement's subtree is
+    the position range :meth:`span`; an expression belongs to its
+    innermost statement (a ``for`` header's condition and step to the
+    ``for``).  ``mentions[name]`` holds the position of every identifier
+    spelling *name*, ``defs[name]`` the ``(position, node)`` of every
+    definer; ``creates`` / ``destroys`` / ``folds`` index the statements
+    and calls that create, destroy and fold an array by name."""
+
+    def __init__(self, f: A.FuncDef) -> None:
+        self.params = {p.name for p in f.params}
+        self.stmts: list[A.Stmt] = []
+        self.pos: dict[int, int] = {}
+        #: id(statement) -> the statement holding it
+        self.parent: dict[int, A.Stmt] = {}
+        self.mentions: dict[str, list[int]] = defaultdict(list)
+        self.defs: dict[str, list[tuple[int, A.Node]]] = defaultdict(list)
+        self.creates: dict[str, list[A.Stmt]] = defaultdict(list)
+        self.destroys: dict[str, list[A.Stmt]] = defaultdict(list)
+        self.folds: dict[str, list[tuple[int, A.Call]]] = defaultdict(list)
+        #: does the body call any ``array_*`` builtin at all?
+        self.skeletal = False
+        header: dict[int, int] = {}
+        at = -1
+        for n in A.walk(f.body):
+            if isinstance(n, A.Stmt):
+                at = len(self.stmts)
+                self.pos[id(n)] = at
+                self.stmts.append(n)
+                self._stmt(n, at, header)
+            else:
+                at = header.pop(id(n), at)
+                self._expr(n, at)
+        self.end = [k + 1 for k in range(len(self.stmts))]
+        for s in reversed(self.stmts[1:]):
+            up, k = self.pos[id(self.parent[id(s)])], self.pos[id(s)]
+            self.end[up] = max(self.end[up], self.end[k])
+        self.blocks = [s for s in self.stmts if isinstance(s, A.Block)]
+
+    def _stmt(self, s: A.Stmt, at: int, header: dict[int, int]) -> None:
+        for x in A.children(s):
+            if isinstance(x, A.Stmt):
+                self.parent[id(x)] = s
+            elif isinstance(s, A.For):
+                header[id(x)] = at  # the condition and the step
+        if isinstance(s, A.VarDecl) and s.init is not None:
+            self.defs[s.name].append((at, s))
+        made = _create_call(s)
+        if made is not None:
+            self.creates[made[0]].append(s)
+        c = _call_of(s, "array_destroy")
+        if c is not None and len(c.args) == 1 and isinstance(c.args[0], A.Ident):
+            self.destroys[c.args[0].name].append(s)
+
+    def _expr(self, e: A.Expr, at: int) -> None:
+        if isinstance(e, A.Ident):
+            self.mentions[e.name].append(at)
+        elif isinstance(e, A.Assign) and isinstance(e.target, A.Ident):
+            self.defs[e.target.name].append((at, e))
+        elif isinstance(e, A.Call) and isinstance(e.func, A.Ident):
+            name, args = e.func.name, e.args
+            self.skeletal = self.skeletal or name.startswith("array_")
+            k = _WRITES.get(name)
+            if k is not None and k < len(args) and isinstance(args[k], A.Ident):
+                self.defs[args[k].name].append((at, e))
+            if name == "array_fold" and len(args) == 3 and isinstance(args[2], A.Ident):
+                self.folds[args[2].name].append((at, e))
+
+    # ------------------------------------------------------------- lookups
+    def span(self, s: A.Stmt) -> range:
+        """The positions of *s* and its sub-statements."""
+        k = self.pos[id(s)]
+        return range(k, self.end[k])
+
+    def count(self, name: str, where: range) -> int:
+        """How often *name* is mentioned at the positions *where*."""
+        return sum(k in where for k in self.mentions.get(name, ()))
+
+    def defined(self, name: str, where: range) -> bool:
+        return any(k in where for k, _ in self.defs.get(name, ()))
+
+    def fixed(self, e: A.Expr) -> bool:
+        """Whether no name in *e* has a definer anywhere in the function."""
+        return not any(self.defs.get(x) for x in _idents(e))
+
+    def created_once(self, name: str) -> Optional[tuple[A.Stmt, A.Call]]:
+        """``(statement, call)`` of *name*'s only create, if it has one."""
+        made = self.creates.get(name, ())
+        return (made[0], _create_call(made[0])[1]) if len(made) == 1 else None
+
+    def remove(self, s: A.Stmt) -> None:
+        """Cut *s* out of its parent (by identity — dataclass == is
+        structural): an optional slot empties, a required one gets ``{}``."""
+        up = self.parent[id(s)]
+        if isinstance(up, A.Block):
+            up.stmts[:] = [x for x in up.stmts if x is not s]
+            return
+        for name in ("then", "orelse", "body", "init"):
+            if getattr(up, name, None) is s:
+                empty = None if name in ("orelse", "init") else A.Block([], line=s.line)
+                setattr(up, name, empty)
 
 
 # ------------------------------------------------------------- body -> expr
@@ -231,11 +374,7 @@ def _lift_elem_expr(expr: A.Expr, loop_vars: list[str]):
     scalars: dict[str, Optional[Type]] = {}
 
     def leaf(e: A.Expr) -> Optional[A.Expr]:
-        if (
-            isinstance(e, A.Call)
-            and isinstance(e.func, A.Ident)
-            and e.func.name == "array_get_elem"
-        ):
+        if isinstance(e, A.Call) and _is_ident(e.func, "array_get_elem"):
             arr, ix = e.args if len(e.args) == 2 else (None, None)
             if not (isinstance(arr, A.Ident) and isinstance(ix, A.BraceList)):
                 raise _Bail("get_elem outside the subset")
@@ -250,12 +389,9 @@ def _lift_elem_expr(expr: A.Expr, loop_vars: list[str]):
                 # kernel would make it a per-rank value — never rewrite
                 raise _Bail("procId in an element loop")
             if e.name in loop_vars:
-                return A.IndexExpr(
-                    A.Ident("__ix", line=e.line, ty=INDEX),
-                    A.IntLit(loop_vars.index(e.name), line=e.line, ty=INT),
-                    line=e.line,
-                    ty=INT,
-                )
+                d = A.IntLit(loop_vars.index(e.name), line=e.line, ty=INT)
+                ix = A.Ident("__ix", line=e.line, ty=INDEX)
+                return A.IndexExpr(ix, d, line=e.line, ty=INT)
             if e.name not in BUILTIN_VALUES:
                 scalars.setdefault(e.name, e.ty)
             return A.clone(e)
@@ -300,6 +436,65 @@ def _stmts_to_expr(stmts: list[A.Stmt], env: dict[str, A.Expr]) -> A.Expr:
     raise _Bail("falls off the end without a return")
 
 
+# ------------------------------------------------------- producer -> consumer
+#: (producer, consumer) -> element parameters (producer's, consumer's) of
+#: the composed kernel; copy→gen_mult composes nothing
+_ROWS: dict[tuple[str, str], Optional[tuple[int, int]]] = {
+    ("map", "map"): (1, 1), ("map", "zip"): (1, 2), ("map", "fold"): (1, 1),
+    ("zip", "map"): (2, 1), ("create", "map"): (0, 1), ("copy", "gen_mult"): None,
+}
+
+
+def _producer_at(s: A.Stmt):
+    """``(kind, kernel, sources, tmp, call)`` when *s* writes array
+    *tmp* as a candidate producer."""
+    c = _call_of(s, "array_map", "array_zip", "array_copy")
+    if c is not None:
+        name, args = c.func.name, c.args
+        k = args[0] if name != "array_copy" and args else None
+        srcs = args[1:-1] if k is not None else args[:-1]
+        arity = {"array_map": 3, "array_zip": 4, "array_copy": 2}[name]
+        if (
+            len(args) == arity
+            and (k is None or isinstance(k, KernelRef))
+            and all(isinstance(x, A.Ident) for x in (*srcs, args[-1]))
+            and args[-1].name not in {x.name for x in srcs}
+        ):
+            return name[len("array_"):], k, list(srcs), args[-1].name, c
+        return None
+    made = _create_call(s)
+    if made is not None:
+        tmp, c = made
+        if len(c.args) >= 6 and isinstance(c.args[4], KernelRef):
+            return "create", c.args[4], [], tmp, c
+    return None
+
+
+def _consumer_at(t: _Uses, s: A.Stmt, tmp: str, srcs: list[A.Ident]):
+    """``(kind, call, kernel, slot, nested)`` for a call in *s* reading
+    *tmp*: a map/zip/gen_mult that is *s*, or the first fold anywhere
+    inside it (*nested* when that is not *s* itself)."""
+    c = _call_of(s, "array_map", "array_zip")
+    if c is not None and isinstance(c.args[0], KernelRef):
+        if all(isinstance(x, A.Ident) for x in c.args[1:]):
+            reads = [x.name for x in c.args[1:-1]]
+            if reads.count(tmp) == 1 and c.args[-1].name != tmp:
+                kind = c.func.name[len("array_"):]
+                return kind, c, c.args[0], reads.index(tmp), False
+    c = _call_of(s, "array_gen_mult")
+    if c is not None and len(c.args) == 5:
+        a, b, dst = c.args[0], c.args[1], c.args[4]
+        if all(isinstance(x, A.Ident) for x in (a, b, dst)):
+            pair = {x.name for x in srcs} | {tmp}
+            if {a.name, b.name} == pair and dst.name not in pair:
+                return "gen_mult", c, None, [a.name, b.name].index(tmp), False
+    where = t.span(s)
+    for at, fold in t.folds.get(tmp, ()):
+        if at in where and isinstance(fold.args[0], KernelRef):
+            return "fold", fold, fold.args[0], 0, at != where.start
+    return None
+
+
 # ------------------------------------------------------------------- the pass
 class _Fuser:
     def __init__(self, prog: InstantiatedProgram, no_fuse_lines) -> None:
@@ -307,13 +502,9 @@ class _Fuser:
         self.no_fuse = frozenset(int(x) for x in no_fuse_lines)
         self.report = FusionReport()
         self._n = 0
+        self._pure: dict[str, bool] = {}
 
     # ------------------------------------------------------------ utilities
-    def _resolved(self, t: Optional[Type]) -> Optional[Type]:
-        if t is None:
-            return None
-        return self.prog.checked.resolved(t)
-
     def _fresh_name(self) -> str:
         while True:
             self._n += 1
@@ -321,588 +512,256 @@ class _Fuser:
             if name not in self.prog.instances and name not in self.prog.entries:
                 return name
 
-    def _blocks(self, f: A.FuncDef) -> list[A.Block]:
-        return [s for s in A.walk(f.body, A.Stmt) if isinstance(s, A.Block)]
-
-    def _remove_stmt(self, f: A.FuncDef, target: A.Stmt) -> bool:
-        """Remove *target* (by identity — dataclass == is structural)."""
-        for st in A.walk(f.body, A.Stmt):
-            if isinstance(st, A.Block):
-                for k, x in enumerate(st.stmts):
-                    if x is target:
-                        del st.stmts[k]
-                        return True
-            elif isinstance(st, A.If):
-                if st.then is target:
-                    st.then = A.Block([], line=target.line)
-                    return True
-                if st.orelse is target:
-                    st.orelse = None
-                    return True
-            elif isinstance(st, (A.While, A.For)):
-                if st.body is target:
-                    st.body = A.Block([], line=target.line)
-                    return True
-        return False
-
-    def _param_names(self, f: A.FuncDef) -> set[str]:
-        return {p.name for p in f.params}
-
-    def _destroys_of(self, f: A.FuncDef, name: str) -> list[A.Stmt]:
-        out = []
-        for st in A.walk(f.body, A.Stmt):
-            c = _call_of(st, "array_destroy")
-            if (
-                c is not None
-                and len(c.args) == 1
-                and isinstance(c.args[0], A.Ident)
-                and c.args[0].name == name
-            ):
-                out.append(st)
-        return out
-
-    def _create_stmt_of(self, f: A.FuncDef, name: str) -> Optional[A.Stmt]:
-        found = None
-        for st in A.walk(f.body, A.Stmt):
-            made = _create_call(st)
-            if made is not None and made[0] == name:
-                if found is not None:
-                    return None  # created twice — give up on this array
-                found = st
-        return found
-
     def _kernel_is_pure(self, k: A.Expr) -> bool:
         """Whether the kernel's body is in the pure expression subset
         (so dropping its applications cannot lose error()/printf/put
         side effects)."""
-        if not isinstance(k, KernelRef):
+        if not isinstance(k, KernelRef) or k.name not in self.prog.instances:
             return False
-        inst = self.prog.instances.get(k.name)
-        if inst is None:
+        if k.name not in self._pure:
+            f = self.prog.instances[k.name].func
+            env = {p.name: A.Ident(p.name, ty=p.ty) for p in f.params}
+            try:
+                _stmts_to_expr(list(f.body.stmts), env)
+                self._pure[k.name] = True
+            except _Bail:
+                self._pure[k.name] = False
+        return self._pure[k.name]
+
+    def _legal(self, t: _Uses, tmp: str, users: int, lines: list[int], between=range(0),
+               nested=False, reads: tuple[str, ...] = (), writes=frozenset()) -> bool:
+        """The one legality question of every rewrite that drops array
+        *tmp*.  *users* statements (producer and consumer) mention *tmp*
+        once each; *between* are the positions from the producer's next
+        sibling to the consumer's top-level statement — included when
+        the consumer is *nested* in it; *reads* are the producer's
+        sources, *writes* those plus the names its kernels capture;
+        *lines* are the calls the rewrite changes."""
+        made = t.created_once(tmp)
+        if tmp in t.params or made is None:
             return False
-        env = {p.name: A.Ident(p.name, ty=p.ty) for p in inst.func.params}
-        try:
-            _stmts_to_expr(list(inst.func.body.stmts), env)
-        except _Bail:
-            return False
-        return True
+        create, call = made
+        destroys = t.destroys.get(tmp, [])
+        if len(call.args) < 6 or not self._kernel_is_pure(call.args[4]):
+            return False  # dropping tmp drops its init applications too
+        own = isinstance(create, A.ExprStmt) + users + len(destroys)
+        touched = {*lines, create.line, *(d.line for d in destroys)}
+        return (
+            len(t.mentions[tmp]) == own
+            and t.count(tmp, between) == nested
+            and not any(t.count(x, between) for x in reads)
+            and not any(t.defined(x, between) for x in writes)
+            and not touched & self.no_fuse
+        )
+
+    def _fixed_equal(self, t: _Uses, x: A.Expr, y: A.Expr) -> bool:
+        """Whether *x* and *y* are the same expression over names that
+        nothing in the function redefines."""
+        return _pp(x) == _pp(y) and t.fixed(x)
 
     # --------------------------------------------------------- composition
-    def _compose(
-        self,
-        producer: KernelRef,
-        consumer: KernelRef,
-        slot: int,
-        producer_elems: int,
-        consumer_elems: int,
-        extra_ignored_elem: bool = False,
-    ) -> Optional[KernelRef]:
+    def _compose(self, producer: KernelRef, consumer: KernelRef, slot: int,
+                 producer_elems: int, consumer_elems: int, extra_ignored_elem=False):
         """Compose producer-into-consumer; register the composed instance
         and return its call-site :class:`KernelRef`, or ``None`` when the
         pair is outside the composable subset or the composed kernel would
-        lose fused-dispatch eligibility (the cost-model gate)."""
-        p_inst = self.prog.instances.get(producer.name)
-        c_inst = self.prog.instances.get(consumer.name)
-        if p_inst is None or c_inst is None:
-            return None
+        lose fused-dispatch eligibility."""
         resolved = self.prog.checked.resolved
-        pf, cf = p_inst.func, c_inst.func
-        p_params, c_params = list(pf.params), list(cf.params)
-        if len(p_params) != len(producer.bound) + producer_elems + 1:
-            return None
-        if len(c_params) != len(consumer.bound) + consumer_elems + 1:
-            return None
-        if p_inst.kernel_elems not in (None, producer_elems):
-            return None
-        if c_inst.kernel_elems not in (None, consumer_elems):
-            return None
-        ret_t = resolved(pf.ret)
+        funcs = []
+        for k, elems in ((producer, producer_elems), (consumer, consumer_elems)):
+            inst = self.prog.instances.get(k.name)
+            if inst is None or inst.kernel_elems not in (None, elems):
+                return None
+            if len(inst.func.params) != len(k.bound) + elems + 1:
+                return None
+            funcs.append(inst.func)
+        pf, cf = funcs
+        ret_t, cons_ret = resolved(pf.ret), resolved(cf.ret)
         # dtype round-trip: the unfused program stores the producer's
         # value into the intermediate's dtype before the consumer reads
         # it back — only int64/float64 make that a bit-exact identity
         if not (isinstance(ret_t, TPrim) and ret_t.name in ("int", "double")):
             return None
-        cons_ret = resolved(cf.ret)
+
+        def rename(env, params, prefix, first=0) -> list[A.FuncParam]:
+            """Parameters *params* as ``<prefix><first + i>``."""
+            out = []
+            for i, p in enumerate(params, first):
+                env[p.name] = A.Ident(f"{prefix}{i}", ty=p.ty)
+                out.append(A.FuncParam(f"{prefix}{i}", resolved(p.ty), line=p.line))
+            return out
+
+        env_p: dict[str, A.Expr] = {}
+        env_c: dict[str, A.Expr] = {}
+        pp, cp = pf.params, cf.params
+        nb, cb = len(producer.bound), len(consumer.bound)
+        bound = rename(env_p, pp[:nb], "__p") + rename(env_c, cp[:cb], "__c")
+        elems: list[A.FuncParam] = []
+        for s_i, p in enumerate(cp[cb:cb + consumer_elems]):
+            if s_i == slot:
+                elems += rename(env_p, pp[nb:nb + producer_elems], "__u")
+                env_c[p.name] = A.Ident("__t0", ty=ret_t)
+            else:
+                elems += rename(env_c, [p], "__v", s_i)
+        if extra_ignored_elem:
+            # create∘map: the rewritten call is map(k, dst, dst); the
+            # composed kernel takes (and ignores) dst's element value
+            elems.append(A.FuncParam("__v0", cons_ret, line=cf.line))
+        env_p[pp[-1].name] = A.Ident("__ix", ty=pp[-1].ty)
+        env_c[cp[-1].name] = A.Ident("__ix", ty=cp[-1].ty)
         try:
-            new_params: list[A.FuncParam] = []
-            env_p: dict[str, A.Expr] = {}
-            nb = len(producer.bound)
-            for i, p in enumerate(p_params[:nb]):
-                nm = f"__p{i}"
-                new_params.append(A.FuncParam(nm, resolved(p.ty), line=p.line))
-                env_p[p.name] = A.Ident(nm, ty=p.ty)
-            prod_elem_params: list[A.FuncParam] = []
-            for j, p in enumerate(p_params[nb:nb + producer_elems]):
-                nm = f"__u{j}"
-                prod_elem_params.append(
-                    A.FuncParam(nm, resolved(p.ty), line=p.line)
-                )
-                env_p[p.name] = A.Ident(nm, ty=p.ty)
-            env_p[p_params[-1].name] = A.Ident("__ix", ty=p_params[-1].ty)
-
-            env_c: dict[str, A.Expr] = {}
-            cb = len(consumer.bound)
-            for i, p in enumerate(c_params[:cb]):
-                nm = f"__c{i}"
-                new_params.append(A.FuncParam(nm, resolved(p.ty), line=p.line))
-                env_c[p.name] = A.Ident(nm, ty=p.ty)
-            elem_params: list[A.FuncParam] = []
-            for s_i, p in enumerate(c_params[cb:cb + consumer_elems]):
-                if s_i == slot:
-                    elem_params.extend(prod_elem_params)
-                    env_c[p.name] = A.Ident("__t0", ty=ret_t)
-                else:
-                    nm = f"__v{s_i}"
-                    elem_params.append(
-                        A.FuncParam(nm, resolved(p.ty), line=p.line)
-                    )
-                    env_c[p.name] = A.Ident(nm, ty=p.ty)
-            if extra_ignored_elem:
-                # create∘map: the rewritten call is map(k, dst, dst); the
-                # composed kernel takes (and ignores) dst's element value
-                elem_params.append(A.FuncParam("__v0", cons_ret, line=cf.line))
-            env_c[c_params[-1].name] = A.Ident("__ix", ty=c_params[-1].ty)
-
             expr1 = _stmts_to_expr(list(pf.body.stmts), env_p)
             expr2 = _stmts_to_expr(list(cf.body.stmts), env_c)
         except _Bail:
             return None
 
-        ix_ty = resolved(c_params[-1].ty)
-        body = A.Block(
-            [
-                A.VarDecl("__t0", ret_t, init=expr1, line=pf.body.line),
-                A.Return(expr2, line=cf.body.line),
-            ],
-            line=cf.body.line,
-        )
+        body = A.Block([A.VarDecl("__t0", ret_t, init=expr1, line=pf.body.line),
+                        A.Return(expr2, line=cf.body.line)], line=cf.body.line)
         name = self._fresh_name()
-        fdef = A.FuncDef(
-            name,
-            tuple(new_params + elem_params + [A.FuncParam("__ix", ix_ty)]),
-            cons_ret,
-            body,
-            line=cf.line,
-        )
-        inst = Instance(
-            name,
-            f"{consumer.name}.{producer.name}",
-            fdef,
-            (),
-            kernel_elems=len(elem_params),
-        )
-        if not self._admit(inst):
+        ix = A.FuncParam("__ix", resolved(cp[-1].ty))
+        fdef = A.FuncDef(name, (*bound, *elems, ix), cons_ret, body, line=cf.line)
+        source = f"{consumer.name}.{producer.name}"
+        if not self._admit(Instance(name, source, fdef, (), kernel_elems=len(elems))):
             return None
-        return KernelRef(
-            name,
-            list(producer.bound) + list(consumer.bound),
-            _estimate_ops(fdef),
-            line=consumer.line,
-            ty=consumer.ty,
-        )
+        args = [*producer.bound, *consumer.bound]
+        ops = _estimate_ops(fdef)
+        return KernelRef(name, args, ops, line=consumer.line, ty=consumer.ty)
 
-    # -------------------------------------------------------- pairwise fusion
-    def _producer_at(self, s: A.Stmt):
-        """``(kind, kernel, src_names, tmp, call)`` for producer stmts."""
-        c = _call_of(s, "array_map")
-        if c is not None and len(c.args) == 3:
-            k, src, dst = c.args
-            if (
-                isinstance(k, KernelRef)
-                and isinstance(src, A.Ident)
-                and isinstance(dst, A.Ident)
-                and src.name != dst.name
-            ):
-                return ("map", k, [src], dst.name, c)
-        c = _call_of(s, "array_zip")
-        if c is not None and len(c.args) == 4:
-            k, a1, a2, dst = c.args
-            if (
-                isinstance(k, KernelRef)
-                and all(isinstance(x, A.Ident) for x in (a1, a2, dst))
-                and dst.name not in (a1.name, a2.name)
-            ):
-                return ("zip", k, [a1, a2], dst.name, c)
-        made = _create_call(s)
-        if made is not None:
-            tmp, c = made
-            if len(c.args) >= 6 and isinstance(c.args[4], KernelRef):
-                return ("create", c.args[4], [], tmp, c)
-        return None
+    def _admit(self, inst: Instance) -> bool:
+        """The gate on a synthesized kernel: it must vectorize AND stay
+        env-free, i.e. remain eligible for fused dispatch — else the
+        "one big kernel" would run scalar and the rewrite would cost
+        wall-clock instead of saving rounds.  Registers it when it does."""
+        vec = try_vectorize(inst, self.prog.checked.resolved)
+        if vec is None or not vec[1]:
+            return False
+        self.prog.instances[inst.name] = inst
+        return True
 
-    def _consumer_at(self, s: A.Stmt, tmp: str):
-        """``(kind, call, kernel, slot)`` for stmts consuming *tmp*."""
-        c = _call_of(s, "array_map")
-        if c is not None and len(c.args) == 3:
-            k, src, dst = c.args
-            if (
-                isinstance(k, KernelRef)
-                and isinstance(src, A.Ident)
-                and src.name == tmp
-                and isinstance(dst, A.Ident)
-                and dst.name != tmp
-            ):
-                return ("map", c, k, 0)
-        c = _call_of(s, "array_zip")
-        if c is not None and len(c.args) == 4:
-            k, a1, a2, dst = c.args
-            if (
-                isinstance(k, KernelRef)
-                and all(isinstance(x, A.Ident) for x in (a1, a2, dst))
-                and dst.name != tmp
-            ):
-                uses = [a1.name == tmp, a2.name == tmp]
-                if sum(uses) == 1:
-                    return ("zip", c, k, 0 if uses[0] else 1)
-        for x in A.walk(s):
-            if (
-                isinstance(x, A.Call)
-                and isinstance(x.func, A.Ident)
-                and x.func.name == "array_fold"
-                and len(x.args) == 3
-                and isinstance(x.args[0], KernelRef)
-                and isinstance(x.args[2], A.Ident)
-                and x.args[2].name == tmp
-            ):
-                return ("fold", x, x.args[0], 0)
-        return None
-
-    def _fuse_pass(self, f: A.FuncDef) -> bool:
-        params = self._param_names(f)
-        # skeleton-skeleton pairs first: fusing create∘map early would
-        # turn map(k, t, dst) into map(k', dst, dst), whose aliased
-        # operands can no longer act as a producer for the next map
-        for creates_too in (False, True):
-            for block in self._blocks(f):
-                for i, s in enumerate(block.stmts):
-                    prod = self._producer_at(s)
-                    if prod is None:
-                        continue
-                    if prod[0] == "create" and not creates_too:
-                        continue
-                    if self._try_fuse(f, block, i, prod, params):
-                        return True
+    # ----------------------------------------------- producer -> consumer
+    def _pairs(self, t: _Uses, kinds: tuple[str, ...]) -> bool:
+        """Apply the first legal row whose producer is one of *kinds*."""
+        for block in t.blocks:
+            for i, s in enumerate(block.stmts):
+                prod = _producer_at(s)
+                if prod and prod[0] in kinds and self._try_pair(t, block, i, prod):
+                    return True
         return False
 
-    def _try_fuse(self, f, block, i, prod, params) -> bool:
-        pkind, k1, src_idents, tmp, pcall = prod
-        if pcall.line in self.no_fuse or tmp in params:
+    def _try_pair(self, t: _Uses, block: A.Block, i: int, prod) -> bool:
+        pkind, k1, srcs, tmp, pcall = prod
+        # the consumer sits in the first later sibling that mentions tmp
+        later = range(t.span(block.stmts[i]).stop, t.span(block).stop)
+        first = min((k for k in t.mentions[tmp] if k in later), default=None)
+        if first is None:
             return False
-        # scan forward for the consumer; anything touching the involved
-        # arrays, or assigning a variable captured by a kernel, blocks
-        src_names = {x.name for x in src_idents}
-        barrier = src_names | {tmp}
-        assigned: set[str] = set()
-        found = None
-        for j in range(i + 1, len(block.stmts)):
-            cons = self._consumer_at(block.stmts[j], tmp)
-            if cons is not None:
-                found = (j, cons)
-                break
-            if _idents(block.stmts[j]) & barrier:
-                return False
-            assigned |= _assigned_names(block.stmts[j])
-        if found is None:
+        last = next(t.span(x) for x in block.stmts[i + 1:] if first in t.span(x))
+        found = _consumer_at(t, t.stmts[last.start], tmp, srcs)
+        if found is None or (pkind, found[0]) not in _ROWS:
             return False
-        j, (ckind, ccall, k2, slot) = found
-        if ccall.line in self.no_fuse:
-            return False
-        captured = set()
-        for b in list(k1.bound) + list(k2.bound):
-            captured |= _idents(b)
-        if assigned & (captured | src_names):
-            return False
-        if _count_ident(block.stmts[j], tmp) != 1:
+        ckind, qcall, k2, slot, nested = found
+        between = range(later.start, last.stop if nested else last.start)
+        reads = tuple(x.name for x in srcs)
+        writes = {*reads, *(n for k in (k1, k2) if k for b in k.bound for n in _idents(b))}
+        users = 1 if pkind == "create" else 2
+        lines = [pcall.line, qcall.line]
+        if not self._legal(t, tmp, users, lines, between, nested, reads, writes):
             return False
 
-        # whole-function accounting: tmp's only uses are create, producer,
-        # consumer and (optionally) one destroy
-        create_stmt = (
-            block.stmts[i] if pkind == "create" else self._create_stmt_of(f, tmp)
-        )
-        if create_stmt is None:
-            return False
-        made = _create_call(create_stmt)
-        if made is None or made[0] != tmp:
-            return False
-        destroys = self._destroys_of(f, tmp)
-        if len(destroys) > 1:
-            return False
-        create_mentions = 1 if isinstance(create_stmt, A.ExprStmt) else 0
-        prod_mentions = 0 if pkind == "create" else 1
-        expected = create_mentions + prod_mentions + 1 + len(destroys)
-        if _count_ident(f, tmp) != expected:
-            return False
-        # dropping the intermediate drops its init applications too
-        if pkind != "create" and not self._kernel_is_pure(made[1].args[4]):
-            return False
-
-        combos = {
-            ("map", "map"): (0, 1, 1),
-            ("map", "zip"): (slot, 1, 2),
-            ("map", "fold"): (0, 1, 1),
-            ("zip", "map"): (0, 2, 1),
-            ("create", "map"): (0, 0, 1),
-        }
-        key = (pkind, ckind)
-        if key not in combos:
-            return False
-        cslot, p_elems, c_elems = combos[key]
+        if pkind == "copy":
+            qcall.func = replace(qcall.func, name="array_gen_mult_square")
+            qcall.args = [qcall.args[1 - slot], *qcall.args[2:]]
+            t.remove(block.stmts[i])
+            detail = f"copy+gen_mult over {tmp!r} -> array_gen_mult_square"
+            self.report.add("square", qcall.line, detail, 1)
+            return True  # tmp is now only created/destroyed: a dead array
 
         if pkind == "create":
             # the consumer's dst must be shaped like the eliminated array
             # would have been, else the fused program would skip a runtime
             # shape check the unfused one performs on valid inputs
-            dst = ccall.args[2]
-            dst_create = self._create_stmt_of(f, dst.name)
-            if dst_create is None:
+            made = t.created_once(qcall.args[2].name)
+            if made is None or not all(
+                ai < len(pcall.args) and ai < len(made[1].args)
+                and self._fixed_equal(t, pcall.args[ai], made[1].args[ai])
+                for ai in (0, 1, 2, 3, 5)
+            ):
                 return False
-            dcall = _create_call(dst_create)[1]
-            args_assigned = _assigned_names(f.body)
-            for ai in (0, 1, 2, 3, 5):
-                if ai >= len(pcall.args) or ai >= len(dcall.args):
-                    return False
-                if _pp(pcall.args[ai]) != _pp(dcall.args[ai]):
-                    return False
-                if _idents(pcall.args[ai]) & args_assigned:
-                    return False
-
-        composed = self._compose(
-            k1, k2, cslot, p_elems, c_elems,
-            extra_ignored_elem=(pkind == "create"),
-        )
+        p_elems, c_elems = _ROWS[pkind, ckind]
+        composed = self._compose(k1, k2, slot, p_elems, c_elems, pkind == "create")
         if composed is None:
             return False
 
         # ---- rewrite the consumer call site ----------------------------
-        if ckind == "map" and pkind == "zip":
-            ccall.func = A.Ident("array_zip", line=ccall.func.line, ty=ccall.func.ty)
-            ccall.args = [composed, src_idents[0], src_idents[1], ccall.args[2]]
-        elif ckind == "map" and pkind == "create":
-            dst = ccall.args[2]
-            ccall.args = [composed, A.clone(dst), dst]
-        elif ckind == "map":
-            ccall.args = [composed, src_idents[0], ccall.args[2]]
-        elif ckind == "zip":
-            ccall.args[0] = composed
-            ccall.args[1 + slot] = src_idents[0]
-        elif ckind == "fold":
-            ccall.args[0] = composed
-            ccall.args[2] = src_idents[0]
+        if pkind == "zip":
+            qcall.func = replace(qcall.func, name="array_zip")
+            qcall.args = [composed, *srcs, qcall.args[2]]
+        elif pkind == "create":
+            dst = qcall.args[2]
+            qcall.args = [composed, A.clone(dst), dst]
+        else:
+            qcall.args[0] = composed
+            qcall.args[2 if ckind == "fold" else 1 + slot] = srcs[0]
 
         # ---- delete the producer round and the intermediate array ------
-        removed_rounds = 0
-        if pkind == "create":
-            self._remove_stmt(f, block.stmts[i])
-            removed_rounds += 1  # the create round (the map round remains)
-        else:
-            del block.stmts[i]  # the producer's skeleton round
-            self._remove_stmt(f, create_stmt)
-            removed_rounds += 2
-        for d in destroys:
-            self._remove_stmt(f, d)
-            removed_rounds += 1
-        self.report.fused_calls += 1
-        self.report.arrays_eliminated += 1
-        self.report.rounds_eliminated += removed_rounds
-        self.report.add(
-            f"fuse:{pkind}.{ckind}",
-            ccall.line,
-            f"{k1.name}∘{k2.name} eliminates {tmp!r} "
-            f"({removed_rounds} rounds)",
-        )
+        doomed = [t.created_once(tmp)[0], *t.destroys[tmp]]
+        if pkind != "create":
+            doomed.append(block.stmts[i])
+        for s in doomed:
+            t.remove(s)
+        detail = f"{k1.name}∘{k2.name} eliminates {tmp!r} ({len(doomed)} rounds)"
+        self.report.add(f"fuse:{pkind}.{ckind}", qcall.line, detail, len(doomed))
         return True
 
-    # -------------------------------------------- copy+gen_mult -> square
-    def _square_pass(self, f: A.FuncDef) -> bool:
-        params = self._param_names(f)
-        for block in self._blocks(f):
-            for i in range(len(block.stmts) - 1):
-                cp = _call_of(block.stmts[i], "array_copy")
-                gm = _call_of(block.stmts[i + 1], "array_gen_mult")
-                if cp is None or gm is None:
-                    continue
-                if cp.line in self.no_fuse or gm.line in self.no_fuse:
-                    continue
-                if len(cp.args) != 2 or len(gm.args) != 5:
-                    continue
-                opnds = [cp.args[0], cp.args[1], gm.args[0], gm.args[1], gm.args[4]]
-                if not all(isinstance(x, A.Ident) for x in opnds):
-                    continue
-                src, tmp = cp.args[0], cp.args[1]
-                if src.name == tmp.name or tmp.name in params:
-                    continue
-                if {gm.args[0].name, gm.args[1].name} != {src.name, tmp.name}:
-                    continue
-                if gm.args[4].name in (src.name, tmp.name):
-                    continue
-                if self._try_square(f, block, i, src, tmp.name):
-                    return True
-        return False
-
-    def _try_square(self, f, block, i, src, tmp: str) -> bool:
-        """Rewrite every ``copy(x, tmp); gen_mult(..tmp..)`` pair when
-        those pairs (plus create/destroy) are tmp's only uses — removing
-        the write to *tmp* is only sound when nothing else reads it."""
-        create_stmt = self._create_stmt_of(f, tmp)
-        if create_stmt is None:
-            return False
-        if not self._kernel_is_pure(_create_call(create_stmt)[1].args[4]):
-            return False
-        destroys = self._destroys_of(f, tmp)
-        pairs: list[tuple[A.Block, A.Stmt, A.Call, A.Call]] = []
-        for blk in self._blocks(f):
-            for k in range(len(blk.stmts) - 1):
-                cp = _call_of(blk.stmts[k], "array_copy")
-                gm = _call_of(blk.stmts[k + 1], "array_gen_mult")
-                if cp is None or gm is None or len(cp.args) != 2:
-                    continue
-                if gm is None or len(gm.args) != 5:
-                    continue
-                if not (
-                    isinstance(cp.args[1], A.Ident) and cp.args[1].name == tmp
-                ):
-                    continue
-                a, b = gm.args[0], gm.args[1]
-                if not (isinstance(a, A.Ident) and isinstance(b, A.Ident)):
-                    continue
-                other = cp.args[0]
-                if not isinstance(other, A.Ident) or other.name == tmp:
-                    continue
-                if {a.name, b.name} != {other.name, tmp}:
-                    continue
-                if cp.line in self.no_fuse or gm.line in self.no_fuse:
-                    return False
-                pairs.append((blk, blk.stmts[k], cp, gm))
-        if not pairs:
-            return False
-        create_mentions = 1 if isinstance(create_stmt, A.ExprStmt) else 0
-        expected = create_mentions + len(destroys) + 2 * len(pairs)
-        if _count_ident(f, tmp) != expected:
-            return False
-
-        for blk, cp_stmt, cp, gm in pairs:
-            keep = gm.args[0] if gm.args[0].name != tmp else gm.args[1]
-            gm.func = A.Ident(
-                "array_gen_mult_square", line=gm.func.line, ty=gm.func.ty
-            )
-            gm.args = [keep, gm.args[2], gm.args[3], gm.args[4]]
-            self._remove_stmt(f, cp_stmt)
-            self.report.fused_calls += 1
-            self.report.rounds_eliminated += 1
-            self.report.add(
-                "square",
-                gm.line,
-                f"copy+gen_mult over {tmp!r} -> array_gen_mult_square",
-            )
-        # tmp is now only created/destroyed; the dead-array pass collects it
-        return True
-
-    # ----------------------------------------------------- dead arrays
-    def _dead_array_pass(self, f: A.FuncDef) -> bool:
-        params = self._param_names(f)
-        for st in list(A.walk(f.body, A.Stmt)):
-            made = _create_call(st)
-            if made is None:
+    def _dead_array(self, t: _Uses) -> bool:
+        """Remove the first array that is only created and destroyed."""
+        for s in t.stmts:
+            made = _create_call(s)
+            if made is None or not self._legal(t, made[0], 0, []):
                 continue
-            name, call = made
-            if name in params:
-                continue
-            if self._create_stmt_of(f, name) is not st:
-                continue  # created twice
-            if len(call.args) < 6 or not self._kernel_is_pure(call.args[4]):
-                continue
-            destroys = self._destroys_of(f, name)
-            create_mentions = 1 if isinstance(st, A.ExprStmt) else 0
-            if _count_ident(f, name) != create_mentions + len(destroys):
-                continue
-            self._remove_stmt(f, st)
-            for d in destroys:
-                self._remove_stmt(f, d)
-            self.report.arrays_eliminated += 1
-            self.report.rounds_eliminated += 1 + len(destroys)
-            self.report.add(
-                "dead-array", call.line,
-                f"{name!r} is only created/destroyed — removed",
-            )
+            doomed = [s, *t.destroys[made[0]]]
+            for d in doomed:
+                t.remove(d)
+            detail = f"{made[0]!r} is only created/destroyed — removed"
+            self.report.add("dead-array", made[1].line, detail, len(doomed))
             return True
         return False
 
     # ------------------------------------------------------- discovery
-    def _match_counter(self, s: A.For):
-        """``(var, bound, body_stmts)`` for ``for (v = 0; v < N; v++)``."""
-        if s.cond is None or s.step is None:
+    def _counter(self, t: _Uses, s: A.For):
+        """``(var, bound, body_stmts)`` when *s* counts a variable from
+        0 up to a bound by 1: the variable defined only by the header and
+        dead after the loop, the bound defined nowhere in the function."""
+        b, c = _binding(s.init), s.cond
+        if b is None or not (_is_int(b[1], 0) and isinstance(c, A.BinOp)):
             return None
-        if (
-            isinstance(s.init, A.VarDecl)
-            and isinstance(s.init.init, A.IntLit)
-            and s.init.init.value == 0
-        ):
-            var = s.init.name
-        elif (
-            isinstance(s.init, A.ExprStmt)
-            and isinstance(s.init.expr, A.Assign)
-            and s.init.expr.op == "="
-            and isinstance(s.init.expr.target, A.Ident)
-            and isinstance(s.init.expr.value, A.IntLit)
-            and s.init.expr.value.value == 0
-        ):
-            var = s.init.expr.target.name
-        else:
+        var, _, init_def = b
+        if not (c.op == "<" and _is_ident(c.left, var) and _adds_one(s.step, var)):
             return None
-        c = s.cond
-        if not (
-            isinstance(c, A.BinOp)
-            and c.op == "<"
-            and isinstance(c.left, A.Ident)
-            and c.left.name == var
-        ):
+        defs, loop = {id(d) for _, d in t.defs[var]}, t.span(s)
+        if defs != {id(init_def), id(s.step)} or not t.fixed(c.right):
             return None
-        bound = c.right
-        if var in _idents(bound):
-            return None
-        st = s.step
-        if not (
-            isinstance(st, A.Assign)
-            and isinstance(st.target, A.Ident)
-            and st.target.name == var
-        ):
-            return None
-        if st.op == "+=" and isinstance(st.value, A.IntLit) and st.value.value == 1:
-            pass
-        elif (
-            st.op == "="
-            and isinstance(st.value, A.BinOp)
-            and st.value.op == "+"
-            and isinstance(st.value.left, A.Ident)
-            and st.value.left.name == var
-            and isinstance(st.value.right, A.IntLit)
-            and st.value.right.value == 1
-        ):
-            pass
-        else:
+        if not all(k in loop for k in t.mentions[var]):
             return None
         body = s.body
         stmts = list(body.stmts) if isinstance(body, A.Block) else [body]
         while len(stmts) == 1 and isinstance(stmts[0], A.Block):
             stmts = list(stmts[0].stmts)
-        return var, bound, stmts
+        return var, c.right, stmts
 
-    def _admit(self, inst: Instance) -> bool:
-        """The cost-model gate on a synthesized kernel: it must vectorize
-        AND stay env-free, i.e. remain eligible for fused dispatch — else
-        the "one big kernel" would run scalar and the rewrite would cost
-        wall-clock instead of saving rounds.  Registers it when it does."""
-        src = try_vectorize(inst, self.prog.checked.resolved)
-        if src is None or not src.rstrip().endswith("env_free = True"):
+    def _dst_size_matches(self, t: _Uses, dst: str, bounds) -> bool:
+        made = t.created_once(dst)
+        if made is None or len(made[1].args) < 6:
             return False
-        self.prog.instances[inst.name] = inst
-        self.prog.report.setdefault("__fused__", []).append(inst.name)
-        return True
+        dim, size = made[1].args[:2]
+        return (
+            _is_int(dim, len(bounds))
+            and isinstance(size, A.BraceList)
+            and len(size.items) == len(bounds)
+            and all(self._fixed_equal(t, b, sz) for b, sz in zip(bounds, size.items))
+        )
 
-    def _synth_kernel(
-        self, s: A.For, ty: Optional[Type], kexpr: A.Expr, srcs, scalars
-    ) -> Optional[KernelRef]:
+    def _synth_kernel(self, s: A.For, ty: Optional[Type], kexpr, srcs, scalars):
         """Gate + register the kernel discovered in loop *s* and return
         its call-site reference.  Parameters: the lifted scalars, one
         element value per array read (an ignored one when the loop reads
@@ -916,87 +775,46 @@ class _Fuser:
             params.append(A.FuncParam(f"__v{k}", resolved(t), line=s.line))
         params.append(A.FuncParam("__ix", INDEX, line=s.line))
         name = self._fresh_name()
-        fdef = A.FuncDef(
-            name, tuple(params), resolved(ty),
-            A.Block([A.Return(kexpr, line=s.line)], line=s.line), line=s.line,
-        )
+        body = A.Block([A.Return(kexpr, line=s.line)], line=s.line)
+        fdef = A.FuncDef(name, tuple(params), resolved(ty), body, line=s.line)
         if not self._admit(Instance(name, name, fdef, (), kernel_elems=len(elem_tys))):
             return None
         bound = [A.Ident(sc, line=s.line) for sc in scalars]
         return KernelRef(name, bound, _estimate_ops(fdef), line=s.line, ty=ty)
 
-    def _discover_pass(self, f: A.FuncDef) -> bool:
-        for block in self._blocks(f):
+    def _discover(self, t: _Uses) -> bool:
+        for block in t.blocks:
             for idx, s in enumerate(block.stmts):
-                if not isinstance(s, A.For):
-                    continue
-                if s.line in self.no_fuse:
-                    continue
-                if self._discover_map(f, block, idx, s):
-                    return True
-                if self._discover_fold(f, block, idx, s):
-                    return True
+                if isinstance(s, A.For) and s.line not in self.no_fuse:
+                    m = self._counter(t, s)
+                    if m is not None and (
+                        self._discover_map(t, block, idx, s, *m)
+                        or self._discover_fold(t, block, idx, s, *m)
+                    ):
+                        return True
         return False
 
-    def _loop_vars_dead_after(self, f: A.FuncDef, loop: A.For, names) -> bool:
-        for v in names:
-            if _count_ident(f, v) != _count_ident(loop, v):
-                return False
-        return True
-
-    def _dst_size_matches(self, f: A.FuncDef, dst: str, bounds) -> bool:
-        create_stmt = self._create_stmt_of(f, dst)
-        if create_stmt is None:
-            return False
-        call = _create_call(create_stmt)[1]
-        if len(call.args) < 6:
-            return False
-        dim, size = call.args[0], call.args[1]
-        if not (isinstance(dim, A.IntLit) and dim.value == len(bounds)):
-            return False
-        if not (isinstance(size, A.BraceList) and len(size.items) == len(bounds)):
-            return False
-        assigned = _assigned_names(f.body)
-        for b, sz in zip(bounds, size.items):
-            if _pp(b) != _pp(sz):
-                return False
-            if _idents(b) & assigned:
-                return False
-        return True
-
-    def _discover_map(self, f, block, idx, s: A.For) -> bool:
-        m = self._match_counter(s)
-        if m is None:
-            return False
-        var, bound, stmts = m
+    def _discover_map(self, t: _Uses, block, idx, s: A.For, var, bound, stmts) -> bool:
         loop_vars, bounds = [var], [bound]
         if len(stmts) == 1 and isinstance(stmts[0], A.For):
-            m2 = self._match_counter(stmts[0])
+            m2 = self._counter(t, stmts[0])
             if m2 is None:
                 return False
             var2, bound2, stmts = m2
-            if var2 == var or var in _idents(bound2):
-                return False
             loop_vars, bounds = [var, var2], [bound, bound2]
-        if len(stmts) != 1:
-            return False
-        put = _call_of(stmts[0], "array_put_elem")
+        put = _call_of(stmts[0], "array_put_elem") if len(stmts) == 1 else None
         if put is None or len(put.args) != 3 or put.line in self.no_fuse:
             return False
         dst, ixl, expr = put.args
-        if not (isinstance(dst, A.Ident) and isinstance(ixl, A.BraceList)):
+        if not (isinstance(ixl, A.BraceList) and _index_names(ixl) == loop_vars):
             return False
-        if _index_names(ixl) != loop_vars:
+        if not isinstance(dst, A.Ident):
             return False
         try:
             kexpr, srcs, scalars = _lift_elem_expr(expr, loop_vars)
         except _Bail:
             return False
-        if len(srcs) > 2:
-            return False
-        if not self._loop_vars_dead_after(f, s, loop_vars):
-            return False
-        if not self._dst_size_matches(f, dst.name, bounds):
+        if len(srcs) > 2 or not self._dst_size_matches(t, dst.name, bounds):
             return False
         kref = self._synth_kernel(s, expr.ty, kexpr, srcs, scalars)
         if kref is None:
@@ -1004,231 +822,159 @@ class _Fuser:
         # a loop that reads no array maps dst onto itself (value ignored)
         read = [A.Ident(n, line=s.line) for n in srcs] or [A.clone(dst)]
         kind = "zip" if len(srcs) == 2 else "map"
-        call = A.Call(
-            A.Ident(f"array_{kind}", line=s.line),
-            [kref, *read, A.clone(dst)],
-            line=s.line,
-        )
+        fn = A.Ident(f"array_{kind}", line=s.line)
+        call = A.Call(fn, [kref, *read, A.clone(dst)], line=s.line)
         block.stmts[idx] = A.ExprStmt(call, line=s.line)
-        self.report.discovered_loops += 1
-        self.report.add(
-            f"discover:{kind}", s.line,
-            f"element loop over {dst.name!r} -> {call.func.name}",
-        )
+        detail = f"element loop over {dst.name!r} -> {call.func.name}"
+        self.report.add(f"discover:{kind}", s.line, detail)
         return True
 
-    def _discover_fold(self, f, block, idx, s: A.For) -> bool:
-        m = self._match_counter(s)
-        if m is None:
+    def _discover_fold(self, t: _Uses, block, idx, s: A.For, var, bound, stmts) -> bool:
+        st = stmts[0] if len(stmts) == 1 else None
+        asg = st.expr if isinstance(st, A.ExprStmt) else None
+        if not (isinstance(asg, A.Assign) and isinstance(asg.target, A.Ident)):
             return False
-        var, bound, stmts = m
-        if len(stmts) != 1:
-            return False
-        st = stmts[0]
-        if not (isinstance(st, A.ExprStmt) and isinstance(st.expr, A.Assign)):
-            return False
-        asg = st.expr
-        if asg.line in self.no_fuse:
-            return False
-        if not isinstance(asg.target, A.Ident):
-            return False
-        acc = asg.target.name
-        if acc == var:
-            return False
-        comb = None
-        rhs = None
-        v = asg.value
+        acc, v = asg.target.name, asg.value
         if asg.op == "+=":
             comb, rhs = "+", v
-        elif asg.op == "=" and isinstance(v, A.BinOp) and v.op == "+":
-            if isinstance(v.left, A.Ident) and v.left.name == acc:
-                comb, rhs = "+", v.right
-            elif isinstance(v.right, A.Ident) and v.right.name == acc:
-                comb, rhs = "+", v.left
-        elif (
-            asg.op == "="
-            and isinstance(v, A.Call)
-            and isinstance(v.func, A.Ident)
-            and v.func.name in ("min", "max")
-            and len(v.args) == 2
-        ):
-            if isinstance(v.args[0], A.Ident) and v.args[0].name == acc:
-                comb, rhs = v.func.name, v.args[1]
-            elif isinstance(v.args[1], A.Ident) and v.args[1].name == acc:
-                comb, rhs = v.func.name, v.args[0]
-        if comb is None or rhs is None:
+        elif asg.op != "=":
             return False
-        if acc in _idents(rhs):
+        elif isinstance(v, A.BinOp) and v.op == "+":
+            comb, rhs = "+", _other(acc, v.left, v.right)
+        elif isinstance(v, A.Call) and isinstance(v.func, A.Ident) and len(v.args) == 2:
+            if v.func.name not in ("min", "max"):
+                return False
+            comb, rhs = v.func.name, _other(acc, *v.args)
+        else:
+            return False
+        if rhs is None or acc == var or asg.line in self.no_fuse:
             return False
         # exact associativity+commutativity needs integer arithmetic
-        acc_ty = self._resolved(asg.target.ty)
-        if not (isinstance(acc_ty, TPrim) and acc_ty.name in ("int", "unsigned")):
-            return False
+        for ty in (asg.target.ty, rhs.ty):
+            ty = None if ty is None else self.prog.checked.resolved(ty)
+            if not (isinstance(ty, TPrim) and ty.name in ("int", "unsigned")):
+                return False
         try:
             kexpr, srcs, scalars = _lift_elem_expr(rhs, [var])
         except _Bail:
             return False
-        if len(srcs) != 1:
+        if len(srcs) != 1 or acc in scalars:
             return False
-        if not self._loop_vars_dead_after(f, s, [var]):
-            return False
-        (src_name,) = srcs
-        if not self._dst_size_matches(f, src_name, [bound]):
-            return False
-        rhs_ty = self._resolved(rhs.ty)
-        if not (isinstance(rhs_ty, TPrim) and rhs_ty.name in ("int", "unsigned")):
+        (src,) = srcs
+        if not self._dst_size_matches(t, src, [bound]):
             return False
         kref = self._synth_kernel(s, rhs.ty, kexpr, srcs, scalars)
         if kref is None:
             return False
-        fold_call = A.Call(
-            A.Ident("array_fold", line=s.line),
-            [kref, SectionRef(comb, line=s.line), A.Ident(src_name, line=s.line)],
-            line=s.line,
-            ty=asg.target.ty,
-        )
-        if comb == "+":
-            new = A.Assign(A.clone(asg.target), fold_call, "+=", line=s.line)
-        else:
-            new = A.Assign(
-                A.clone(asg.target),
-                A.Call(
-                    A.Ident(comb, line=s.line),
-                    [A.clone(asg.target), fold_call],
-                    line=s.line,
-                    ty=asg.target.ty,
-                ),
-                "=",
-                line=s.line,
-            )
-        block.stmts[idx] = A.ExprStmt(new, line=s.line)
-        self.report.discovered_loops += 1
-        self.report.add(
-            "discover:fold", s.line,
-            f"reduction loop over {src_name!r} -> array_fold({comb})",
-        )
+        line, ty = s.line, asg.target.ty
+        args = [kref, SectionRef(comb, line=line), A.Ident(src, line=line)]
+        folded = A.Call(A.Ident("array_fold", line=line), args, line=line, ty=ty)
+        if comb != "+":
+            args = [A.clone(asg.target), folded]
+            folded = A.Call(A.Ident(comb, line=line), args, line=line, ty=ty)
+        op = "+=" if comb == "+" else "="
+        new = A.Assign(A.clone(asg.target), folded, op, line=line)
+        block.stmts[idx] = A.ExprStmt(new, line=line)
+        detail = f"reduction loop over {src!r} -> array_fold({comb})"
+        self.report.add("discover:fold", line, detail)
         return True
 
     # ------------------------------------------------------- init elision
+    #: skeletons that overwrite all of their last argument -> the
+    #: arguments they read
     _OVERWRITERS = {
-        "array_copy": (2, 1, (0,)),
-        "array_map": (3, 2, (1,)),
-        "array_zip": (4, 3, (1, 2)),
-        "array_scan": (3, 2, (1,)),
+        "array_copy": (0,), "array_map": (1,), "array_zip": (1, 2), "array_scan": (1,),
     }
 
-    def _init_state_seq(self, stmts, name: str) -> str:
-        for s in stmts:
-            r = self._init_state_stmt(s, name)
-            if r != "CLEAN":
-                return r
-        return "CLEAN"
-
-    def _init_state_stmt(self, s: A.Stmt, name: str) -> str:
-        """Abstract state of *name*'s initial values over *s*:
+    def _init_state(self, t: _Uses, stmts, name: str) -> str:
+        """Abstract state of *name*'s initial values over *stmts*:
         ``OVER`` = definitely fully overwritten before any read,
         ``LIVE`` = (possibly) read, ``CLEAN`` = untouched so far."""
-        if isinstance(s, A.Block):
-            return self._init_state_seq(s.stmts, name)
-        if isinstance(s, A.If):
-            if name in _idents(s.cond):
-                return "LIVE"
-            rt = self._init_state_stmt(s.then, name)
-            re_ = (
-                self._init_state_stmt(s.orelse, name)
-                if s.orelse is not None
-                else "CLEAN"
-            )
-            if "LIVE" in (rt, re_):
-                return "LIVE"
-            if rt == "OVER" and re_ == "OVER":
-                return "OVER"
-            return "CLEAN"  # maybe-overwritten: a later read still bails
-        if isinstance(s, (A.While, A.For)):
-            exprs = []
-            if isinstance(s, A.While):
-                exprs.append(s.cond)
+        for s in stmts:
+            if isinstance(s, A.Block):
+                state = self._init_state(t, s.stmts, name)
+            elif isinstance(s, (A.If, A.While, A.For)):
+                inner = s.then if isinstance(s, A.If) else s.body
+                # the header: an if's or while's condition, a for's init,
+                # condition and step
+                if t.count(name, range(t.pos[id(s)], t.pos[id(inner)])):
+                    return "LIVE"
+                if isinstance(s, A.If):
+                    states = {self._init_state(t, [b] if b else [], name)
+                              for b in (s.then, s.orelse)}
+                    # maybe-overwritten counts as CLEAN: a later read bails
+                    state = "LIVE" if "LIVE" in states else "CLEAN"
+                    state = "OVER" if states == {"OVER"} else state
+                else:
+                    # the loop may run zero times, so OVER does not
+                    # propagate out; but its body provably never reads
+                    body = self._init_state(t, [s.body], name)
+                    state = "LIVE" if body == "LIVE" else "CLEAN"
             else:
-                if s.init is not None and name in _idents(s.init):
-                    return "LIVE"
-                exprs.extend(x for x in (s.cond, s.step) if x is not None)
-            for e in exprs:
-                if name in _idents(e):
-                    return "LIVE"
-            body = self._init_state_stmt(s.body, name)
-            if body == "LIVE":
-                return "LIVE"
-            # the loop may run zero times, so OVER does not propagate out;
-            # but its body provably never reads the initial values
-            return "CLEAN"
-        if name not in _idents(s):
-            return "CLEAN"
-        if _call_of(s, "array_destroy") is not None:
-            return "CLEAN"
-        for fn, (nargs, dst_i, src_is) in self._OVERWRITERS.items():
-            c = _call_of(s, fn)
-            if c is None or len(c.args) != nargs:
-                continue
-            dst = c.args[dst_i]
-            if not (isinstance(dst, A.Ident) and dst.name == name):
-                continue
-            for si in src_is:
-                x = c.args[si]
-                if isinstance(x, A.Ident) and x.name == name:
-                    return "LIVE"
-            if _count_ident(s, name) == 1:
-                return "OVER"
-            return "LIVE"
-        return "LIVE"
+                state = self._init_leaf(t, s, name)
+            if state != "CLEAN":
+                return state
+        return "CLEAN"
 
-    def _elide_inits(self, f: A.FuncDef) -> None:
-        params = self._param_names(f)
+    def _init_leaf(self, t: _Uses, s: A.Stmt, name: str) -> str:
+        mentions = t.count(name, t.span(s))
+        if not mentions or _call_of(s, "array_destroy") is not None:
+            return "CLEAN"
+        c = _call_of(s, *self._OVERWRITERS)
+        if c is None or len(c.args) != _WRITES[c.func.name] + 1:
+            return "LIVE"
+        reads = [c.args[k] for k in self._OVERWRITERS[c.func.name]]
+        if not _is_ident(c.args[-1], name) or any(_is_ident(x, name) for x in reads):
+            return "LIVE"
+        return "OVER" if mentions == 1 else "LIVE"
+
+    def _elide_inits(self, t: _Uses, f: A.FuncDef) -> None:
         body = f.body.stmts
-        for idx, st in enumerate(list(body)):
+        for pos, st in enumerate(body):
             made = _create_call(st)
             if made is None:
                 continue
             name, call = made
-            if name in params or call.line in self.no_fuse:
+            if (
+                name in t.params or call.line in self.no_fuse or len(call.args) < 6
+                or not self._kernel_is_pure(call.args[4])
+                or t.created_once(name) is None or t.creates[name][0] is not st
+                or self._init_state(t, body[pos + 1:], name) == "LIVE"
+            ):
                 continue
-            if len(call.args) < 6 or not isinstance(call.args[4], KernelRef):
-                continue
-            if not self._kernel_is_pure(call.args[4]):
-                continue
-            if self._create_stmt_of(f, name) is not st:
-                continue
-            try:
-                pos = next(i for i, x in enumerate(body) if x is st)
-            except StopIteration:
-                continue
-            if self._init_state_seq(body[pos + 1:], name) == "LIVE":
-                continue
-            call.func = A.Ident(
-                "array_create_uninit", line=call.func.line, ty=call.func.ty
-            )
+            call.func = replace(call.func, name="array_create_uninit")
             del call.args[4]
-            self.report.inits_elided += 1
-            self.report.rounds_eliminated += 1
-            self.report.add(
-                "uninit", call.line,
-                f"init of {name!r} is dead -> array_create_uninit",
-            )
+            detail = f"init of {name!r} is dead -> array_create_uninit"
+            self.report.add("uninit", call.line, detail, 1)
 
     # ------------------------------------------------------------ driver
     def fuse_function(self, f: A.FuncDef) -> None:
+        t = _Uses(f)
+        if not t.skeletal:
+            return
+        # skeleton-skeleton pairs before creates: fusing create∘map early
+        # would turn map(k, t, dst) into map(k', dst, dst), whose aliased
+        # operands can no longer act as a producer for the next map
+        steps = (
+            self._discover,
+            lambda t: self._pairs(t, ("map", "zip")) or self._pairs(t, ("create",)),
+            lambda t: self._pairs(t, ("copy",)),
+            self._dead_array,
+        )
         for _ in range(200):
-            changed = self._discover_pass(f)
-            changed = self._fuse_pass(f) or changed
-            changed = self._square_pass(f) or changed
-            changed = self._dead_array_pass(f) or changed
+            changed = False
+            for step in steps:
+                if step(t):
+                    t = _Uses(f)
+                    changed = True
             if not changed:
                 break
-        self._elide_inits(f)
+        # rewriting creates leaves positions and mentions of the
+        # statements after them as they were: the table stays valid
+        self._elide_inits(t, f)
 
 
-def fuse_program(
-    prog: InstantiatedProgram, no_fuse_lines=()
-) -> FusionReport:
+def fuse_program(prog: InstantiatedProgram, no_fuse_lines=()) -> FusionReport:
     """Run skeleton discovery & fusion over *prog* in place."""
     fz = _Fuser(prog, no_fuse_lines)
     for f in list(prog.entries.values()):

@@ -40,14 +40,17 @@ class VectorizeFailure(Exception):
     """Internal: kernel is outside the vectorizable subset."""
 
 
-def try_vectorize(inst: Instance, resolved) -> str | None:
-    """Return Python source for ``_vec_<name>`` or None.
+def try_vectorize(inst: Instance, resolved) -> tuple[str, bool] | None:
+    """Return ``(source, env_free)`` for ``_vec_<name>``, or None.
 
-    *resolved* maps a ``Type | None`` to its substitution-resolved form
-    (the checker's ``CheckedProgram.resolved``).
+    *env_free* says the emitted code never reads ``__env`` (the value
+    the source also stores on ``_vec_<name>.env_free``).  *resolved*
+    maps a ``Type | None`` to its substitution-resolved form (the
+    checker's ``CheckedProgram.resolved``).
     """
     try:
-        return _Vectorizer(inst, resolved).emit()
+        vec = _Vectorizer(inst, resolved)
+        return vec.emit(), not vec.uses_env
     except VectorizeFailure:
         return None
 

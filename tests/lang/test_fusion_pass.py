@@ -34,6 +34,38 @@ array<int> entry () {
 """
 
 
+#: a map whose only consumer is a fold nested in a loop; ``BODY`` is
+#: what the loop does before the fold each iteration
+NESTED_FOLD_SRC = """
+int ramp (Index ix) { return ix[0] % 97; }
+int addc (int c, int v, Index ix) { return v + c; }
+int keep (int v, Index ix) { return v; }
+int twice (int v, Index ix) { return v * 2; }
+
+int entry () {
+  array<int> a, t;
+  int c, s, i;
+  a = array_create (1, {64}, {0}, {-1}, ramp, DISTR_DEFAULT);
+  t = array_create (1, {64}, {0}, {-1}, ramp, DISTR_DEFAULT);
+  c = 1;
+  s = 0;
+  array_map (addc (c), a, t);
+  for (i = 0; i < 3; i++) {
+    BODY
+    s += array_fold (keep, (+), t);
+  }
+  array_destroy (t);
+  array_destroy (a);
+  return s;
+}
+"""
+
+#: the loop redefines the producer's captured scalar / its source array
+NESTED_FOLD_CAPTURE_SRC = NESTED_FOLD_SRC.replace("BODY", "c = c + 100;")
+NESTED_FOLD_SOURCE_SRC = NESTED_FOLD_SRC.replace("BODY", "array_map (twice, a, a);")
+NESTED_FOLD_PLAIN_SRC = NESTED_FOLD_SRC.replace("BODY", "")
+
+
 def _run_both(src, p=4, entry="entry", args=()):
     """(unfused value, fused value, unfused rounds, fused rounds, report)."""
     mod_u = compile_skil(src, fusion=False)
@@ -103,6 +135,43 @@ class TestOptOut:
         with Machine(4) as m:
             v1 = np.array(full.run("entry", ctx=SkilContext(m)).global_view())
         assert np.array_equal(v0, v1)
+
+    def test_no_fuse_lines_blocks_dead_array_removal(self):
+        src = """
+        int ramp (Index ix) { return ix[0] % 97; }
+
+        int entry () {
+          array<int> d;
+          d = array_create (1, {64}, {0}, {-1}, ramp, DISTR_DEFAULT);
+          array_destroy (d);
+          return 1;
+        }
+        """
+        assert compile_skil(src, fusion=True).fusion_report.rewrites
+        lines = [i + 1 for i, text in enumerate(src.splitlines()) if "array_" in text]
+        vetoed = compile_skil(src, fusion=True, no_fuse_lines=lines)
+        assert vetoed.fusion_report.rewrites == []
+
+
+class TestNestedConsumer:
+    """A fold nested in a loop after its producer: whatever the loop
+    does before the fold runs again before the fold's next reading."""
+
+    def test_loop_redefines_captured_scalar(self):
+        v_u, v_f, _, _, rep = _run_both(NESTED_FOLD_CAPTURE_SRC)
+        assert _equal(v_u, v_f)
+        assert rep.fused_calls == 0
+
+    def test_loop_rewrites_producer_source(self):
+        v_u, v_f, _, _, rep = _run_both(NESTED_FOLD_SOURCE_SRC)
+        assert _equal(v_u, v_f)
+        assert rep.fused_calls == 0
+
+    def test_loop_without_definer_still_fuses(self):
+        v_u, v_f, r_u, r_f, rep = _run_both(NESTED_FOLD_PLAIN_SRC)
+        assert _equal(v_u, v_f)
+        assert [rw.kind for rw in rep.rewrites] == ["fuse:map.fold"]
+        assert r_f < r_u
 
 
 class TestNegativeCases:
