@@ -7,139 +7,87 @@ Peculiarities relative to plain C:
 * ``&`` followed by an identifier like ``d&c`` is **not** special — the
   paper names its skeleton ``d&c``, but that is pseudo-code; Skil
   sources here use ``dc`` (documented in the language reference);
-* both ``/* ... */`` and ``// ...`` comments are accepted.
+* both ``/* ... */`` and ``// ...`` comments are accepted;
+* identifiers and numbers are ASCII, as in C.
+
+One compiled pattern matches a token together with the whitespace and
+comments before it, and its named group is the token's kind.  Lines and
+columns come from offsets, so a newline counts wherever it sits.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import SkilSyntaxError
 from repro.lang.tokens import KEYWORDS, PUNCT, Token, TokKind
 
 __all__ = ["tokenize"]
 
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"  # skipped before every token
+    r"(?:(?P<IDENT>[A-Za-z_]\w*)"
+    r"|(?P<TYPEVAR>\$\w+)"
+    r"|(?P<FLOAT>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<INT>\d+)"
+    r'|(?P<STRING>"(?:[^"\\\n]|\\.)*")'
+    r"|(?P<CHAR>'(?:[^'\\\n]|\\.)*')"
+    r"|(?P<unclosed>/\*)"
+    rf"|(?P<PUNCT>{'|'.join(map(re.escape, sorted(PUNCT, key=len, reverse=True)))})"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<error>.))",
+    re.ASCII | re.DOTALL,
+)
+
+#: token kind by group number; None for the two error groups
+_KINDS = {i: TokKind.__members__.get(name) for name, i in _TOKEN.groupindex.items()}
+
+_ERRORS = {
+    "/*": "unterminated /* comment",
+    "$": "'$' must be followed by a type-variable name",
+    '"': "unterminated literal",
+    "'": "unterminated literal",
+}
+
+#: a backslash before any other character (a newline too) stands for it
+_ESCAPES = {"n": "\n", "t": "\t", "0": "\0"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unquote(literal: str) -> str:
+    body = literal[1:-1]
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), body)
+
 
 def tokenize(source: str) -> list[Token]:
     """Turn Skil source text into a token list ending with EOF."""
     toks: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def error(msg: str):
-        raise SkilSyntaxError(msg, line, col)
-
-    while i < n:
-        c = source[i]
-        # -- whitespace -----------------------------------------------------
-        if c == "\n":
-            i += 1
+    new = tuple.__new__  # Token(...) without the generated __new__'s frame
+    IDENT, STRING, CHAR, EOF = TokKind.IDENT, TokKind.STRING, TokKind.CHAR, TokKind.EOF
+    line, line_start = 1, 0
+    next_nl = source.find("\n")
+    for m in _TOKEN.finditer(source):
+        group = m.lastindex
+        start = m.start(group)
+        while 0 <= next_nl < start:
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        # -- comments -------------------------------------------------------
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                error("unterminated /* comment")
-            skipped = source[i : end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        # -- type variables ---------------------------------------------------
-        if c == "$":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j == i + 1:
-                error("'$' must be followed by a type-variable name")
-            toks.append(Token(TokKind.TYPEVAR, source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        # -- identifiers / keywords -------------------------------------------
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-            toks.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        # -- numbers ----------------------------------------------------------
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            is_float = False
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            toks.append(
-                Token(TokKind.FLOAT if is_float else TokKind.INT, text, line, col)
+            line_start = next_nl + 1
+            next_nl = source.find("\n", line_start)
+        text = m[group]
+        kind = _KINDS[group]
+        if kind is IDENT:
+            if text in KEYWORDS:
+                kind = TokKind.KEYWORD
+        elif kind is None:
+            raise SkilSyntaxError(
+                _ERRORS.get(text, f"unexpected character {text!r}"),
+                line, start - line_start + 1,
             )
-            col += j - i
-            i = j
-            continue
-        # -- string / char literals --------------------------------------------
-        if c in "\"'":
-            quote = c
-            j = i + 1
-            buf = []
-            while j < n and source[j] != quote:
-                if source[j] == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    buf.append(
-                        {"n": "\n", "t": "\t", "0": "\0", "\\": "\\",
-                         '"': '"', "'": "'"}.get(esc, esc)
-                    )
-                    j += 2
-                else:
-                    if source[j] == "\n":
-                        error("unterminated literal")
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                error("unterminated literal")
-            kind = TokKind.STRING if quote == '"' else TokKind.CHAR
-            toks.append(Token(kind, "".join(buf), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        # -- punctuation --------------------------------------------------------
-        for p in PUNCT:
-            if source.startswith(p, i):
-                toks.append(Token(TokKind.PUNCT, p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            error(f"unexpected character {c!r}")
-    toks.append(Token(TokKind.EOF, "", line, col))
-    return toks
+        elif kind is STRING or kind is CHAR:
+            text = _unquote(text)
+        toks.append(new(Token, (kind, text, line, start - line_start + 1)))
+        if kind is EOF:
+            return toks
+    raise AssertionError("unreachable: the pattern matches at the end")

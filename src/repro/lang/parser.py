@@ -89,7 +89,9 @@ _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%="}
 
 class Parser:
     def __init__(self, source: str):
-        self.toks = tokenize(source)
+        toks = tokenize(source)
+        #: padded with two more EOFs, so ``peek(2)`` is in range anywhere
+        self.toks = toks + toks[-1:] * 2
         self.pos = 0
         #: names introduced by typedef/pardata/struct, so declarations can
         #: be told apart from expressions
@@ -99,20 +101,24 @@ class Parser:
 
     # ------------------------------------------------------------------ utils
     def peek(self, off: int = 0) -> Token:
-        return self.toks[min(self.pos + off, len(self.toks) - 1)]
+        return self.toks[self.pos + off]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         self.pos += 1
         return t
+
+    def at(self, text: str) -> bool:
+        """Is the next token the punctuator ``text``?"""
+        t = self.toks[self.pos]
+        return t.text == text and t.kind is TokKind.PUNCT
 
     def error(self, msg: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise SkilSyntaxError(f"{msg} (near {tok.text!r})", tok.line, tok.column)
 
     def expect_punct(self, text: str) -> Token:
-        t = self.peek()
-        if not t.is_punct(text):
+        if not self.at(text):
             self.error(f"expected {text!r}")
         return self.next()
 
@@ -123,8 +129,8 @@ class Parser:
         return self.next()
 
     def accept_punct(self, text: str) -> bool:
-        if self.peek().is_punct(text):
-            self.next()
+        if self.at(text):
+            self.pos += 1
             return True
         return False
 
@@ -167,7 +173,7 @@ class Parser:
         elif t.kind is TokKind.IDENT and t.text in self.type_names:
             self.next()
             args: tuple[Type, ...] = ()
-            if self.peek().is_punct("<"):
+            if self.at("<"):
                 self.next()
                 arglist = [self.parse_type()]
                 while self.accept_punct(","):
@@ -178,7 +184,7 @@ class Parser:
         else:
             self.error("expected a type")
             raise AssertionError  # unreachable
-        while self.peek().is_punct("*"):
+        while self.at("*"):
             self.next()
             base = TPointer(base)
         return base
@@ -237,7 +243,7 @@ class Parser:
         name = self.expect_ident().text
         self.expect_punct("{")
         fields: list[tuple[str, Type]] = []
-        while not self.peek().is_punct("}"):
+        while not self.at("}"):
             fty = self.parse_type()
             fname = self.expect_ident().text
             fields.append((fname, fty))
@@ -256,7 +262,7 @@ class Parser:
         target = self.parse_type()
         name = self.expect_ident().text
         params: tuple[str, ...] = ()
-        if self.peek().is_punct("<"):
+        if self.at("<"):
             self.next()
             plist = []
             while True:
@@ -288,7 +294,7 @@ class Parser:
                     break
             self.expect_punct(">")
         has_implem = False
-        if not self.peek().is_punct(";"):
+        if not self.at(";"):
             # consume an implementation type (hidden from user code)
             self.parse_type()
             has_implem = True
@@ -303,7 +309,7 @@ class Parser:
         name = self.expect_ident().text
         self.expect_punct("(")
         params: list[A.FuncParam] = []
-        if not self.peek().is_punct(")"):
+        if not self.at(")"):
             while True:
                 params.append(self.parse_param())
                 if not self.accept_punct(","):
@@ -321,10 +327,10 @@ class Parser:
         if self.peek().kind is TokKind.IDENT:
             name = self.next().text
         # functional parameter: `$b solve ($a, ...)`
-        if self.peek().is_punct("("):
+        if self.at("("):
             self.next()
             ptypes: list[Type] = []
-            if not self.peek().is_punct(")"):
+            if not self.at(")"):
                 while True:
                     ptypes.append(self.parse_type())
                     # optional parameter names inside the header
@@ -334,7 +340,7 @@ class Parser:
                         break
             self.expect_punct(")")
             ty = TFun(tuple(ptypes), ty)
-        while self.peek().is_punct("["):
+        while self.at("["):
             self.next()
             size = None
             if self.peek().kind is TokKind.INT:
@@ -347,7 +353,7 @@ class Parser:
     def parse_block(self) -> A.Block:
         line = self.expect_punct("{").line
         stmts: list[A.Stmt] = []
-        while not self.peek().is_punct("}"):
+        while not self.at("}"):
             stmts.append(self.parse_stmt())
         self.expect_punct("}")
         return A.Block(stmts, line=line)
@@ -369,7 +375,7 @@ class Parser:
         if t.is_keyword("return"):
             line = self.next().line
             value = None
-            if not self.peek().is_punct(";"):
+            if not self.at(";"):
                 value = self.parse_expr()
             self.expect_punct(";")
             return A.Return(value, line=line)
@@ -423,7 +429,7 @@ class Parser:
         line = self.next().line  # for
         self.expect_punct("(")
         init: A.Stmt | None = None
-        if not self.peek().is_punct(";"):
+        if not self.at(";"):
             if self.at_type() and self._looks_like_decl():
                 init = self.parse_var_decl()
             else:
@@ -432,11 +438,11 @@ class Parser:
         else:
             self.next()
         cond = None
-        if not self.peek().is_punct(";"):
+        if not self.at(";"):
             cond = self.parse_expr()
         self.expect_punct(";")
         step = None
-        if not self.peek().is_punct(")"):
+        if not self.at(")"):
             step = self.parse_expr()
         self.expect_punct(")")
         return A.For(init, cond, step, self.parse_stmt(), line=line)
@@ -456,7 +462,7 @@ class Parser:
 
     def parse_cond(self) -> A.Expr:
         cond = self.parse_binary(1)
-        if self.peek().is_punct("?"):
+        if self.at("?"):
             line = self.next().line
             then = self.parse_expr()
             self.expect_punct(":")
@@ -479,10 +485,11 @@ class Parser:
 
     def parse_unary(self) -> A.Expr:
         t = self.peek()
-        if t.is_punct("-", "!", "~"):
+        op = t.text if t.kind is TokKind.PUNCT else ""
+        if op in ("-", "!", "~"):
             self.next()
-            return A.UnOp(t.text, self.parse_unary(), line=t.line)
-        if t.is_punct("++", "--"):
+            return A.UnOp(op, self.parse_unary(), line=t.line)
+        if op in ("++", "--"):
             self.next()
             inner = self.parse_unary()
             one = A.IntLit(1, line=t.line)
@@ -493,31 +500,29 @@ class Parser:
         expr = self.parse_primary()
         while True:
             t = self.peek()
-            if t.is_punct("("):
+            op = t.text if t.kind is TokKind.PUNCT else ""
+            if op == "(":
                 self.next()
                 args: list[A.Expr] = []
-                if not self.peek().is_punct(")"):
+                if not self.at(")"):
                     while True:
                         args.append(self.parse_expr())
                         if not self.accept_punct(","):
                             break
                 self.expect_punct(")")
                 expr = A.Call(expr, args, line=t.line)
-            elif t.is_punct("["):
+            elif op == "[":
                 self.next()
                 idx = self.parse_expr()
                 self.expect_punct("]")
                 expr = A.IndexExpr(expr, idx, line=t.line)
-            elif t.is_punct("."):
+            elif op in (".", "->"):
                 self.next()
-                expr = A.Member(expr, self.expect_ident().text, False, line=t.line)
-            elif t.is_punct("->"):
-                self.next()
-                expr = A.Member(expr, self.expect_ident().text, True, line=t.line)
-            elif t.is_punct("++", "--"):
+                expr = A.Member(expr, self.expect_ident().text, op == "->", line=t.line)
+            elif op in ("++", "--"):
                 self.next()
                 one = A.IntLit(1, line=t.line)
-                expr = A.Assign(expr, one, t.text[0] + "=", line=t.line)
+                expr = A.Assign(expr, one, op[0] + "=", line=t.line)
             else:
                 return expr
 
@@ -538,17 +543,17 @@ class Parser:
         if t.kind is TokKind.IDENT:
             self.next()
             return A.Ident(t.text, line=t.line)
-        if t.is_punct("{"):
+        if self.at("{"):
             self.next()
             items: list[A.Expr] = []
-            if not self.peek().is_punct("}"):
+            if not self.at("}"):
                 while True:
                     items.append(self.parse_expr())
                     if not self.accept_punct(","):
                         break
             self.expect_punct("}")
             return A.BraceList(items, line=t.line)
-        if t.is_punct("("):
+        if self.at("("):
             # operator section `(+)` / cast `(float) x` / parenthesized expr
             nxt = self.peek(1)
             if nxt.kind is TokKind.PUNCT and nxt.text in _SECTION_OPS and self.peek(

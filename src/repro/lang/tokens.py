@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 __all__ = ["TokKind", "Token", "KEYWORDS", "PUNCT"]
 
@@ -44,7 +44,7 @@ KEYWORDS = frozenset(
     }
 )
 
-#: multi-character punctuation, longest first so the lexer can greedily match
+#: punctuation; the lexer's pattern tries the longest first
 PUNCT = (
     "<<=",
     ">>=",
@@ -94,8 +94,9 @@ PUNCT = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One located token; a tuple, so building one is as cheap as the match."""
+
     kind: TokKind
     text: str
     line: int

@@ -38,6 +38,14 @@ class TestLexer:
         toks = tokenize(r'"a\nb"')
         assert toks[0].text == "a\nb"
 
+    @pytest.mark.parametrize(
+        "src, text",
+        [(r"'\''", "'"), (r'"\"\t\0\\\q"', '"\t\0\\q'), ('"a\\\nb"', "a\nb")],
+        ids=["quote", "others", "backslash-newline"],
+    )
+    def test_escape_set(self, src, text):
+        assert tokenize(src)[0].text == text
+
     def test_unterminated_string(self):
         with pytest.raises(SkilSyntaxError):
             tokenize('"abc')
@@ -59,6 +67,18 @@ class TestLexer:
         toks = tokenize("a\n  b")
         assert (toks[0].line, toks[0].column) == (1, 1)
         assert (toks[1].line, toks[1].column) == (2, 3)
+
+    def test_tab_is_one_column(self):
+        assert tokenize("\t\tx")[0].column == 3
+
+    def test_eof_after_a_line_comment(self):
+        # the EOF sits where the text ends, not where the comment starts
+        assert tokenize("x // end")[-1][2:] == (1, 9)
+
+    @pytest.mark.parametrize("src", ["x\u00e9", "\u0663", "$\u00e9", "1\u00b2"])
+    def test_identifiers_and_numbers_are_ascii(self, src):
+        with pytest.raises(SkilSyntaxError, match="unexpected character|'\\$'"):
+            tokenize(src)
 
 
 class TestParserDecls:

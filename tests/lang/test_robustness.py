@@ -17,21 +17,27 @@ from repro.errors import SkilError, SkilSyntaxError, SkilTypeError
 from repro.lang import compile_skil, parse, tokenize
 from repro.lang.lexer import tokenize as lex
 from repro.lang.tokens import Token, TokKind
+from repro.lang.types import INT, TPointer
 from tests.lang import skil_corpus
 
 
+def _with_unicode(ascii_chars: str):
+    """An alphabet of ``ascii_chars`` and, as often, any code point."""
+    return st.one_of(st.sampled_from(ascii_chars), st.characters())
+
+
 class TestLexerTotal:
-    @given(st.text(alphabet=string.printable, max_size=200))
+    @given(st.text(alphabet=_with_unicode(string.printable), max_size=200))
     @settings(max_examples=150, deadline=None)
     def test_tokenize_total(self, text):
-        """Any printable input either tokenizes or raises SkilError."""
+        """Any text either tokenizes or raises SkilError."""
         try:
             toks = lex(text)
         except SkilError:
             return
         assert toks[-1].kind is TokKind.EOF
 
-    @given(st.text(alphabet="(){}[];,<>=+-*/%&|!$._ \n\t0123456789abc\"'",
+    @given(st.text(alphabet=_with_unicode("(){}[];,<>=+-*/%&|!$._ \n\t0123456789abc\"'"),
                    max_size=300))
     @settings(max_examples=150, deadline=None)
     def test_parser_never_crashes(self, text):
@@ -42,7 +48,7 @@ class TestLexerTotal:
         except RecursionError:
             pytest.skip("pathological nesting")
 
-    @given(st.text(alphabet=string.ascii_letters + " (){};$", max_size=120))
+    @given(st.text(alphabet=_with_unicode(string.ascii_letters + " (){};$"), max_size=120))
     @settings(max_examples=100, deadline=None)
     def test_compile_never_crashes(self, text):
         try:
@@ -75,6 +81,24 @@ class TestDiagnosticQuality:
     def test_lexer_position(self):
         with pytest.raises(SkilError, match="2:"):
             tokenize("ok\n  @")
+
+    @pytest.mark.parametrize(
+        "src, column",
+        [("int f () { return ²; }", 19), ("int f () { int x²; return 0; }", 17)],
+        ids=["digit", "identifier"],
+    )
+    def test_non_ascii_is_a_located_syntax_error(self, src, column):
+        # str.isdigit / str.isalnum let these through to a bare ValueError
+        # from int('²') and a bare SyntaxError from the generated Python
+        with pytest.raises(SkilSyntaxError, match="unexpected character '²'") as exc:
+            compile_skil(src)
+        assert (exc.value.line, exc.value.column) == (1, column)
+
+    def test_backslash_newline_in_a_literal_counts_its_line(self):
+        src = 'void f () {\n  g ("one \\\ntwo");\n  @\n}'
+        with pytest.raises(SkilSyntaxError) as exc:
+            tokenize(src)
+        assert (exc.value.line, exc.value.column) == (4, 3)
 
     def test_parser_mentions_offending_token(self):
         with pytest.raises(SkilError, match="near"):
@@ -162,12 +186,16 @@ class TestMutantsFailWithAPosition:
             line = max(line, t.line)
         return " ".join(out)
 
-    def test_every_mutant_compiles_or_names_a_position(self):
+    @classmethod
+    def mutants(cls) -> list[str]:
+        """The sweep: 400 mutants, cycling through ``skil_corpus()``."""
         rng = random.Random(1)
         corpus = list(skil_corpus().values())
+        return [cls._mutant(rng, corpus[k % len(corpus)]) for k in range(400)]
+
+    def test_every_mutant_compiles_or_names_a_position(self):
         past_the_parser = 0
-        for k in range(400):
-            text = self._mutant(rng, corpus[k % len(corpus)])
+        for text in self.mutants():
             try:
                 compile_skil(text, fusion=True)
             except SkilError as err:  # anything else fails the test as itself
@@ -178,6 +206,45 @@ class TestMutantsFailWithAPosition:
                 past_the_parser += not isinstance(err, SkilSyntaxError)
         # the sweep reaches the checker and beyond, or it holds nothing
         assert past_the_parser >= 20
+
+
+class TestTruncatedPrograms:
+    """The parser reads ``peek(2)`` with no bounds check: its token list
+    carries two EOFs past the end."""
+
+    def test_every_prefix_parses_or_names_a_position(self):
+        for name, src in skil_corpus().items():
+            starts = [0]  # offset of each line's first character
+            starts += [i + 1 for i, c in enumerate(src) if c == "\n"]
+            toks = tokenize(src)
+            for i in range(1, len(toks) - 1):
+                cut = src[: starts[toks[i].line - 1] + toks[i].column - 1]
+                try:
+                    parse(cut)
+                except SkilSyntaxError as err:  # an IndexError fails the test
+                    assert re.match(r"\d+:\d+: ", str(err)), (name, i, str(err))
+                else:  # only a whole declaration can end a program
+                    assert toks[i - 1].text in (";", "}"), (name, i)
+
+    @pytest.mark.parametrize(
+        "tail, expected",
+        [
+            ("void f (ptr<ptr<int>> a) { }", None),
+            ("ptr<ptr<int>>", "1:36: expected an identifier (near '')"),
+            ("ptr<ptr<int>", "1:35: expected '>' (near '')"),
+        ],
+        ids=["inside", "last-token", "unclosed"],
+    )
+    def test_split_close_angle(self, tail, expected):
+        """``>>`` closes two type-argument lists, the last token too."""
+        src = "typedef $t * ptr<$t>; " + tail
+        if expected is None:
+            ty = parse(src).decls[1].params[0].ty
+            assert ty == TPointer(TPointer(INT))
+        else:
+            with pytest.raises(SkilSyntaxError) as exc:
+                parse(src)
+            assert str(exc.value) == expected
 
 
 class TestDeepNesting:
