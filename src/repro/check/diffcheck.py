@@ -292,11 +292,15 @@ def trial_pattern(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     return None, cov
 
 
-def _obs_workload(seed: int, trace_level: int) -> tuple[float, Machine]:
+def _obs_workload(seed: int, trace_level: int, watch=None) -> tuple[float, Machine]:
+    """A small skeleton program on a fresh machine; *watch* sees the
+    machine before anything runs on it."""
     rng = random.Random(seed)
     p = rng.choice([2, 3, 4])
     n = p * rng.randint(2, 5)  # broadcast_part needs equal partitions
     machine = Machine(p, trace_level=trace_level)
+    if watch is not None:
+        watch(machine)
     ctx = SkilContext(machine)
     a = ctx.array_create(1, (n,), (0,), (-1,), lambda ix: ix[0] + 1,
                          DISTR_RING, dtype=np.int64)

@@ -1,11 +1,10 @@
 """Streamed-vs-recorded aggregate equality (the ``stream`` pillar).
 
 ``Machine(trace_mode="stream")`` promises that every *aggregate* it
-keeps — per-rank per-kind interval seconds, per-tag message and byte
-totals, the ``*_seen`` counters, exclusive per-skeleton attribution
-with online duration histograms — is **bit-identical** to folding a
-full ``trace_level=2`` recording of the same run through the same
-sinks.  That reference fold lives here (:func:`fold_recorded`,
+keeps — per-rank per-kind interval seconds, the ``*_seen`` counters,
+exclusive per-skeleton attribution with online duration histograms — is
+**bit-identical** to folding a full ``trace_level=2`` recording of the
+same run through the same sinks.  That reference fold lives here (:func:`fold_recorded`,
 :func:`compare_observers`): production never runs it.
 
 Every trial builds two identical machines, runs the same workload on
@@ -14,6 +13,9 @@ both — one recording, one streaming — and compares:
 * the streamed observer against the record fold with
   :func:`compare_observers` (bitwise arrays, histograms
   field-by-field),
+* the two critical-path folds with :func:`compare_folds` (every
+  per-rank array bitwise: the stream-mode critical path *is* the
+  record-mode one),
 * every per-rank clock with ``==`` (streaming must not perturb the
   simulation),
 * the stats counters exactly and the stats floats bitwise,
@@ -48,7 +50,13 @@ from repro.obs.span import Span, SpanTracer
 from repro.obs.stream import StreamObserver
 from repro.skeletons import MIN, PLUS, SkilContext
 
-__all__ = ["fold_recorded", "compare_observers", "run_stream", "run_stream_raw"]
+__all__ = [
+    "fold_recorded",
+    "compare_observers",
+    "compare_folds",
+    "run_stream",
+    "run_stream_raw",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +146,7 @@ def compare_observers(a: StreamObserver, b: StreamObserver) -> list[str]:
         problems.append(
             f"intervals_seen: {ta.intervals_seen} vs {tb.intervals_seen}"
         )
-    for name in ("tag_messages", "tag_bytes", "messages_seen", "spans_seen"):
+    for name in ("messages_seen", "spans_seen"):
         va, vb = getattr(a, name), getattr(b, name)
         if va != vb:
             problems.append(f"{name}: {va} vs {vb}")
@@ -165,6 +173,22 @@ def compare_observers(a: StreamObserver, b: StreamObserver) -> list[str]:
                 hb.counts, hb.total, hb.count, hb.min, hb.max
             ):
                 problems.append(f"skeletons[{key}].durations histogram differs")
+    return problems
+
+
+def compare_folds(a, b) -> list[str]:
+    """Bitwise comparison of two machines' critical-path folds
+    (:class:`repro.obs.analysis.PathFold`; the record-mode segment log
+    is not compared)."""
+    problems: list[str] = []
+    for name in ("skeletons", "tags"):
+        if getattr(a, name) != getattr(b, name):
+            problems.append(
+                f"fold {name}: {getattr(a, name)} vs {getattr(b, name)}")
+    if not problems:
+        for name in ("val", "state", "busy", "_since", "_waited"):
+            _diff_arrays(f"fold.{name}", getattr(a, name).ravel(),
+                         getattr(b, name).ravel(), problems)
     return problems
 
 
@@ -201,6 +225,7 @@ def _compare_modes(m_rec: Machine, m_str: Machine, label: str) -> str | None:
         if m_rec.metrics.render_text() != m_str.metrics.render_text():
             return f"metrics exposition mismatch ({label})"
     problems = compare_observers(fold_recorded(m_rec), m_str.stream_obs)
+    problems += compare_folds(m_rec.network.path, m_str.network.path)
     if problems:
         return f"aggregate mismatch ({label}): " + "; ".join(problems[:4])
     try:

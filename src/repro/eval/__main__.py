@@ -44,6 +44,7 @@ from repro.eval.cliopts import (
     representative_obs_run,
     require_output_dir,
     require_positive,
+    require_square_grid,
     run_target_parent,
     write_obs_artifacts,
 )
@@ -177,6 +178,7 @@ def _main(argv: list[str]) -> int:
     if args.what in ("trace", "analyze"):
         require_positive("--p", args.p)
         require_positive("--n", args.n)
+        require_square_grid(args.app, args.p)
     require_positive("--top", getattr(args, "top", None))
     require_positive("--heartbeat-every", getattr(args, "heartbeat_every", None))
     for flag in ("--trace", "--metrics-out", "--json-out"):

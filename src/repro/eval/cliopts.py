@@ -59,6 +59,7 @@ __all__ = [
     "representative_obs_run",
     "require_output_dir",
     "require_positive",
+    "require_square_grid",
     "run_target_parent",
     "write_obs_artifacts",
 ]
@@ -135,6 +136,18 @@ def require_positive(flag: str, value: float | None) -> None:
     if value is not None and value <= 0:
         kind = "integer" if isinstance(value, int) else "number"
         raise UsageError(f"{flag} must be a positive {kind}, got {value}")
+
+
+def require_square_grid(app: str, p: int) -> None:
+    """Reject a processor count an application cannot lay out."""
+    from repro.machine.topology import Mesh2D
+
+    mesh = Mesh2D.for_processors(p)
+    if app == "shpaths" and mesh.rows != mesh.cols:
+        raise UsageError(
+            f"--app shpaths needs a square processor grid (p = g*g: 4, 9, "
+            f"16, ...); --p {p} makes a {mesh.rows}x{mesh.cols} mesh"
+        )
 
 
 def require_output_dir(flag: str, path: str | None) -> None:

@@ -56,7 +56,7 @@ def run_traced(
     seed: int = 0,
     cost: CostModel | None = None,
     balance_compute: bool = False,
-    trace_mode: str = "record",
+    trace_mode: str | None = None,
     stream=None,
     heartbeat_every: float | None = None,
     backend: str | None = None,
@@ -70,10 +70,12 @@ def run_traced(
     ``repro.obs.analysis``: the same application under a perturbed cost
     model and/or with per-step compute averaged across ranks.
 
-    ``trace_mode="stream"`` runs under the memory-bounded streaming
-    sinks (optionally configured by *stream*, a
-    :class:`~repro.obs.stream.StreamConfig`); *heartbeat_every* then
-    attaches a wall-clock progress heartbeat at that interval.
+    *trace_mode* ``None`` lets :class:`~repro.machine.machine.Machine`
+    choose (stream at ``p >= STREAM_AUTO_P``).  ``"stream"`` runs under
+    the memory-bounded streaming sinks (optionally configured by
+    *stream*, a :class:`~repro.obs.stream.StreamConfig`);
+    *heartbeat_every* then attaches a wall-clock progress heartbeat at
+    that interval.
 
     *backend*/*workers* pick the execution backend (``None`` keeps the
     process default); neither changes simulated seconds.
@@ -115,7 +117,7 @@ def trace_report_text(run: TraceRun) -> str:
     Both modes print the same exclusive per-skeleton table, simulated
     and wall columns side by side, and the wall attribution; record
     mode adds the flamegraph rollup (it needs the span tree), stream
-    mode the aggregated-mode analysis.
+    mode the critical-path analysis ``eval analyze`` prints.
     """
     m = run.machine
     label = f"{run.app} p={m.p} n={run.n}"
@@ -134,9 +136,9 @@ def trace_report_text(run: TraceRun) -> str:
             flame_rollup(m.tracer, timeline=m.timeline),
         ]
     elif m.trace_level >= 2:
-        from repro.obs.analysis import analyze_stream, format_stream_analysis
+        from repro.obs.analysis import analyze_machine, format_analysis
 
-        parts += ["", format_stream_analysis(analyze_stream(m))]
+        parts += ["", format_analysis(analyze_machine(m))]
     if m.metrics is not None:
         parts += ["", "metrics:", m.metrics.format()]
     return "\n".join(parts)
@@ -210,18 +212,22 @@ def run_analyze_command(
 ) -> str:
     """Drive one traced run through the critical-path analysis.
 
-    Prints the happens-before/critical-path report — makespan
-    attribution, per-skeleton shares, rank loads, straggler skew, the
-    top blocking message edges — and (unless *whatif* is off) replays
-    the run under each perturbed cost model to cross-check the
-    attribution bounds.  *json_out* additionally writes the analysis
+    Prints the critical-path report — makespan attribution,
+    per-skeleton shares, rank loads, straggler skew, the top blocking
+    message edges — and (unless *whatif* is off) replays the run under
+    each perturbed cost model to cross-check the attribution bounds.
+    The trace mode is the one ``Machine`` picks for *p*: at ``p >=
+    STREAM_AUTO_P`` the run streams (no path steps; *trace_out* becomes
+    the JSONL spill).  *json_out* additionally writes the analysis
     snapshot (``repro-analyze/1``) for regression comparisons.
     """
     import json
 
     from repro.obs.analysis import analyze_machine, run_whatif
+    from repro.obs.stream import StreamConfig
 
-    run = run_traced(app, p=p, n=n, seed=seed)
+    run = run_traced(app, p=p, n=n, seed=seed,
+                     stream=StreamConfig(spill_path=trace_out))
     analysis = analyze_machine(run.machine)
     whatifs = None
     if whatif:

@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 from repro.errors import SkilError
 from repro.lang import runtime as _rt
-from repro.lang.codegen import generate_python
+from repro.lang.codegen import generate_python, py_name
 from repro.lang.instantiate import InstantiatedProgram, instantiate_program
 from repro.lang.parser import parse
 from repro.lang.typecheck import CheckedProgram, check
@@ -97,10 +97,10 @@ class SkilModule:
         for name, fn in externals.items():
             if not hasattr(fn, "ops"):
                 fn.ops = 1.0
-            self.namespace[name] = fn
+            self.namespace[py_name(name)] = fn
         self.namespace["_ctx"] = ctx
         try:
-            return self.namespace[entry](*args)
+            return self.namespace[py_name(entry)](*args)
         finally:
             self.namespace["_ctx"] = None
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import io
 
 from repro.lang import ast as A
+from repro.lang.codegen import py_name
 from repro.lang.instantiate import Instance
 from repro.lang.types import TFun, TPardata, TPrim, Type
 
@@ -99,12 +100,12 @@ class _Vectorizer:
     def emit(self) -> str:
         body_expr = self._translate_stmts(list(self.inst.func.body.stmts))
         out = io.StringIO()
-        args = [p.name for p in self.lead_params]
+        args = [py_name(p.name) for p in self.lead_params]
         args += [f"__block{i}" for i in range(len(self.elem_names))]
         args += ["__grids", "__env"]
         out.write(f"def _vec_{self.inst.name}({', '.join(args)}):\n")
         for i, name in enumerate(self.elem_names):
-            out.write(f"    {name} = __block{i}\n")
+            out.write(f"    {py_name(name)} = __block{i}\n")
         for line in self.prologue:
             out.write(f"    {line}\n")
         out.write(f"    return {body_expr}\n")
@@ -122,7 +123,7 @@ class _Vectorizer:
             if s.init is None:
                 raise VectorizeFailure("uninitialised local")
             code, uniform = self._expr(s.init)
-            self.prologue.append(f"{s.name} = {code}")
+            self.prologue.append(f"{py_name(s.name)} = {code}")
             if uniform:
                 self.uniform_locals[s.name] = s.name
             else:
@@ -164,14 +165,12 @@ class _Vectorizer:
         if isinstance(e, A.FloatLit):
             return repr(e.value), True
         if isinstance(e, A.Ident):
-            if e.name in self.elem_names:
-                return e.name, False
+            if e.name in self.elem_names or e.name in self.varying_locals:
+                return py_name(e.name), False
             if e.name == self.ix_name:
                 raise VectorizeFailure("whole-Index use outside indexing")
-            if e.name in self.varying_locals:
-                return e.name, False
             if e.name in self.scalar_params or e.name in self.uniform_locals:
-                return e.name, True
+                return py_name(e.name), True
             if e.name in self.array_params:
                 raise VectorizeFailure("array used outside get_elem/bounds")
             if e.name == "procId":
@@ -256,14 +255,14 @@ class _Vectorizer:
             i0, u0 = self._expr(idx.items[0])
             i1, u1 = self._expr(idx.items[1])
             self.uses_env = True
-            code = f"_rt.vec_gather({arr.name}, {i0}, {i1}, __env)"
+            code = f"_rt.vec_gather({py_name(arr.name)}, {i0}, {i1}, __env)"
             return code, u0 and u1
         if name == "array_part_bounds":
             arr = e.args[0]
             if not (isinstance(arr, A.Ident) and arr.name in self.array_params):
                 raise VectorizeFailure("part_bounds on a non-parameter array")
             self.uses_env = True
-            return f"{arr.name}.part_bounds(__env.rank)", True
+            return f"{py_name(arr.name)}.part_bounds(__env.rank)", True
         if name == "abs":
             c, u = self._expr(e.args[0])
             return (f"abs({c})", True) if u else (f"_np.abs({c})", False)

@@ -93,8 +93,9 @@ class Machine:
           skeleton spans, each also stamped with the wall clock, and
           the backend's dispatch stamps) and a
           :class:`~repro.obs.metrics.MetricsRegistry`;
-        * ``2`` — plus a per-rank :class:`~repro.obs.timeline.Timeline`
-          and individual message records.
+        * ``2`` — plus a per-rank :class:`~repro.obs.timeline.Timeline`,
+          individual message records and the critical-path fold
+          (:class:`~repro.obs.analysis.PathFold`).
     trace_mode:
         How observability data is retained (DESIGN: docs/OBSERVABILITY.md):
 
@@ -105,12 +106,12 @@ class Machine:
 
         * ``"record"`` — materialize everything: message records,
           timeline intervals and spans accumulate in lists,
-          O(messages) memory, full post-hoc analysis (critical path,
-          what-if).
+          O(messages) memory; the critical path also keeps its steps.
         * ``"stream"`` — fold the same waves into
           :mod:`repro.obs.stream` sinks: exact O(p) aggregates (per-rank
-          seconds, per-tag traffic, the per-skeleton table), optional
-          JSONL spill (closed by :meth:`close`).  No message, interval
+          seconds, the per-skeleton table), optional
+          JSONL spill (closed by :meth:`close`), and the critical-path
+          totals without the steps.  No message, interval
           or closed span is retained, so memory stays O(p) at any run
           length; aggregate values are bit-identical to folding a full
           recording (the ``stream`` check pillar).
@@ -199,12 +200,19 @@ class Machine:
                 on_close=self.stream_obs.on_span if streaming else None,
             )
         if trace_level >= 2:
+            from repro.obs.analysis import PathFold
+
+            # the critical-path fold sees every wave in either mode;
+            # record mode also logs its segments, for the path's steps
+            self.network.path = PathFold(
+                p, cost, self.tracer, record=not streaming
+            )
             if streaming:
                 # the stream timeline takes the Timeline's place on the
-                # network; ``self.timeline`` stays None so critical-path
-                # analysis correctly refuses (use analyze_stream)
+                # network; ``self.timeline`` stays None (no recording)
                 self.network.timeline = self.stream_obs.timeline
                 self.stats.sink = self.stream_obs
+                self.stream_obs.path = self.network.path
             else:
                 from repro.obs.timeline import Timeline
 
@@ -287,6 +295,8 @@ class Machine:
             self.metrics.clear()
         if self.timeline is not None:
             self.timeline.clear()
+        if self.network.path is not None:
+            self.network.path.clear()
         if self.stream_obs is not None:
             self.stream_obs.clear()
         # reseed/flush backend worker state too — without this,

@@ -104,6 +104,9 @@ class Network:
         #: clock arithmetic is bit-identical with tracing off
         self.metrics = None  # repro.obs.metrics.MetricsRegistry | None
         self.timeline = None  # repro.obs.timeline.Timeline | None
+        #: the critical-path fold (:class:`repro.obs.analysis.PathFold`),
+        #: fed every wave the timeline is; set only with a timeline
+        self.path = None
         #: what-if knob (see :mod:`repro.obs.analysis`): when enabled,
         #: per-processor compute vectors are replaced by their mean and
         #: single-rank compute is spread over all processors — the
@@ -180,9 +183,7 @@ class Network:
                 f"got {sec.shape}"
             )
         if self.timeline is not None:
-            self.timeline.add_many(
-                self._all_ranks, "compute", self.clocks, self.clocks + sec
-            )
+            self._work(self._all_ranks, self.clocks, self.clocks + sec)
         self.clocks += sec
         self.stats.compute_seconds += total
 
@@ -194,7 +195,7 @@ class Network:
             return
         if self.timeline is not None and seconds > 0.0:
             t0 = float(self.clocks[rank])
-            self.timeline.add(rank, "compute", t0, t0 + seconds)
+            self._work(rank, t0, t0 + seconds)
         self.clocks[rank] += seconds
         self.stats.compute_seconds += seconds
 
@@ -216,7 +217,7 @@ class Network:
             t = nbytes * self.cost.t_mem
             if self.timeline is not None and t > 0.0:
                 t0 = float(self.clocks[src])
-                self.timeline.add(src, "compute", t0, t0 + t, detail="local-copy")
+                self._work(src, t0, t0 + t, "local-copy")
             self.clocks[src] += t
             self.stats.comm_seconds += t
             return float(self.clocks[src])
@@ -244,10 +245,12 @@ class Network:
         if self.metrics is not None:
             self._observe_message(nbytes, hops, tag)
         if self.timeline is not None:
-            self.timeline.add(src, "send", old_src, float(self.clocks[src]), tag)
-            if arrival - wire > old_dst:
-                self.timeline.add(dst, "idle", old_dst, arrival - wire, tag)
-            self.timeline.add(dst, "recv", max(old_dst, arrival - wire), arrival, tag)
+            self._timeline_wave(
+                src, dst, old_src, float(self.clocks[src]), old_dst, arrival,
+                wire, tag,
+                (src, dst, depart, arrival, hops, nbytes,
+                 self.clocks if sync else None),
+            )
         return float(arrival)
 
     # ------------------------------------------------------------------ batch
@@ -352,19 +355,42 @@ class Network:
         stats.bytes_sent += nb * k if isinstance(nb, int) else int(nb.sum())
         stats.hops_crossed += plan.hops_sum
 
+    # ------------------------------------------------------------ emission
+    def _work(self, ranks, starts, ends, detail: str = "") -> None:
+        """Local work (one rank or a wave of distinct ranks) to the
+        timeline and the critical-path fold."""
+        if np.ndim(ranks):
+            self.timeline.add_many(ranks, "compute", starts, ends, detail)
+        else:
+            self.timeline.add(ranks, "compute", starts, ends, detail)
+        if self.path is not None:
+            self.path.compute(ranks, starts, ends)
+
+    def _emit_wave(self, lanes, tag: str, wave: tuple) -> None:
+        """One message wave: its *lanes* to the timeline, and *wave* —
+        ``(srcs, dsts, departs, arrivals, hops, nbytes, clocks)``, the
+        columns of :meth:`PathFold.messages
+        <repro.obs.analysis.PathFold.messages>`, with the clocks after a
+        rendezvous wave — to the fold."""
+        self.timeline.add_lanes(lanes, tag)
+        if self.path is not None:
+            self.path.messages(tag, *wave)
+
     def _timeline_wave(
-        self, srcs, dsts, send_from, send_to, old_dst, arrival, wire, tag
+        self, srcs, dsts, send_from, send_to, wait_from, arrival, wire, tag,
+        wave,
     ) -> None:
         """Per message, in order: the sender's send interval, then the
         receiver's idle wait (if any) and receive interval."""
         idle_end = arrival - wire
-        self.timeline.add_lanes(
+        self._emit_wave(
             (
                 (srcs, "send", send_from, send_to),
-                (dsts, "idle", old_dst, idle_end),
-                (dsts, "recv", np.maximum(old_dst, idle_end), arrival),
+                (dsts, "idle", wait_from, idle_end),
+                (dsts, "recv", np.maximum(wait_from, idle_end), arrival),
             ),
             tag,
+            wave,
         )
 
     def _p2p_fanout(self, s: int, rd, plan, nb, tag) -> None:
@@ -399,7 +425,8 @@ class Network:
             send_from[0] = old_src
             send_from[1:] = departs[:-1]
             self._timeline_wave(
-                srcs, rd, send_from, departs, old_dst, arrival, wire, tag
+                srcs, rd, send_from, departs, old_dst, arrival, wire, tag,
+                (s, rd, departs, arrival, plan.hops, nb, None),
             )
 
     def _p2p_wave(self, rs, rd, plan, nb, sync, tag) -> None:
@@ -435,6 +462,8 @@ class Network:
             self._timeline_wave(
                 rs, rd, old_src, arrival if sync else depart, old_dst, arrival,
                 wire, tag,
+                (rs, rd, depart, arrival, plan.hops, nb,
+                 clocks if sync else None),
             )
         self._fold_stat_seconds(wire + cost.t_setup, idle_c)
 
@@ -522,12 +551,13 @@ class Network:
                 np.maximum(0.0, start - cost.t_setup - old_dst),
             )
             if self.timeline is not None:
-                self.timeline.add_lanes(
+                self._emit_wave(
                     (
                         (srcs, "send", old_src, finish),
                         (dsts, "recv", old_dst, finish),
                     ),
                     tag,
+                    (srcs, dsts, start, finish, plan.hops, nb, clocks),
                 )
             return
         if self.link_contention:
@@ -543,7 +573,8 @@ class Network:
         )
         if self.timeline is not None:
             self._timeline_wave(
-                srcs, dsts, old_src, departs, old_dst, arrival, wire, tag
+                srcs, dsts, old_src, departs, old_dst, arrival, wire, tag,
+                (srcs, dsts, departs, arrival, plan.hops, nb, None),
             )
 
     def _contention_factors(self, srcs, dsts, nb, topo: VirtualTopology):
@@ -652,7 +683,7 @@ class Network:
         """
         if self.timeline is not None:
             old = self.clocks[ranks]
-            self.timeline.add_many(ranks, "compute", old, old + combine_seconds)
+            self._work(ranks, old, old + combine_seconds)
         self.clocks[ranks] += combine_seconds
         buf = np.full(ranks.size + 1, combine_seconds, dtype=np.float64)
         buf[0] = self.stats.compute_seconds
@@ -678,6 +709,9 @@ class Network:
             return
         self.allreduce(1, topo)
         self.clocks[:] = self.clocks.max()
+        if self.path is not None:
+            # the one clock write no charged wave describes
+            self.path.jump(self.clocks)
 
     # ------------------------------------------------------------------ gather
     def gather(
@@ -721,7 +755,8 @@ class Network:
         )
         if self.timeline is not None:
             self._timeline_wave(
-                srcs, plan.dsts, old_src, departs, prev, arrival, wire, tag
+                srcs, plan.dsts, old_src, departs, prev, arrival, wire, tag,
+                (srcs, root, departs, arrival, plan.hops, nb, None),
             )
 
     def scatter(

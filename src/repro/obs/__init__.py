@@ -25,10 +25,11 @@ set:
   skeleton-span track and per-rank idle-wait tracks) and a
   flamegraph-style plain-text rollup, with the wall tracks and the
   wall attribution beside the simulated ones;
-* :mod:`repro.obs.analysis` — the **critical path** of a traced run
-  over its happens-before order, with exact
-  compute/latency/bandwidth/idle attribution, per-rank straggler
-  metrics and what-if cost replays (``python -m repro.eval analyze``);
+* :mod:`repro.obs.analysis` — the **critical path** of a traced run,
+  folded forward one charged wave at a time in either trace mode:
+  compute/latency/bandwidth/idle attribution by charging skeleton, the
+  top blocking edges, per-rank straggler metrics and what-if cost
+  replays (``python -m repro.eval analyze``);
 * :mod:`repro.obs.stream` — the **streaming sinks** behind
   ``Machine(trace_mode="stream")``: exact O(p) online aggregates, the
   per-skeleton table filled as spans close and a rotating JSONL spill,
@@ -42,13 +43,10 @@ makespans are bit-identical with tracing disabled.
 
 from repro.obs.analysis import (
     CriticalPath,
+    PathFold,
     PathStep,
     RunAnalysis,
-    StreamAnalysis,
     analyze_machine,
-    analyze_stream,
-    critical_path,
-    format_stream_analysis,
 )
 from repro.obs.stream import (
     ProgressReporter,
@@ -91,13 +89,10 @@ __all__ = [
     "write_chrome_trace",
     "ATTRIBUTION_TOL",
     "CriticalPath",
+    "PathFold",
     "PathStep",
     "RunAnalysis",
     "analyze_machine",
-    "critical_path",
-    "StreamAnalysis",
-    "analyze_stream",
-    "format_stream_analysis",
     "ProgressReporter",
     "StreamConfig",
     "StreamObserver",

@@ -338,11 +338,7 @@ class SpanTracer:
             for worker, t0, t1 in blocks:
                 m.inc(f"wall.worker.{worker}.busy_s", max(0.0, t1 - t0))
         if self._on_close is None:
-            skeleton = next(
-                (s.name for s, _ in reversed(self._stack)
-                 if s.category == "skeleton"),
-                "<none>",
-            )
+            skeleton = self.innermost_skeleton() or "<none>"
             self.dispatches.append(Dispatch(skeleton, t_post, t_done, blocks))
 
     def wall_attribution(self) -> dict:
@@ -378,6 +374,14 @@ class SpanTracer:
     @property
     def open_depth(self) -> int:
         return len(self._stack)
+
+    def innermost_skeleton(self) -> str | None:
+        """Name of the innermost open skeleton span (what is charging
+        now), ``None`` outside every skeleton."""
+        for span, _ in reversed(self._stack):
+            if span.category == "skeleton":
+                return span.name
+        return None
 
     def closed_spans(self) -> list[Span]:
         return [s for s in self.spans if s.closed]

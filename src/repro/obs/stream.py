@@ -8,10 +8,11 @@ through one interface; this module holds the *sinks* that fold the
 same waves online instead of keeping them, and keeps only what a
 report, an analysis or the heartbeat reads:
 
-* exact per-rank/per-kind seconds (:class:`StreamTimeline`: rank loads,
-  straggler, heartbeat) and per-tag message/byte totals
-  (:class:`StreamObserver`) — O(p) memory, updated one vectorized wave
-  at a time on the batched charging paths;
+* exact per-rank/per-kind seconds (:class:`StreamTimeline`: the
+  heartbeat's straggler flag) — O(p) memory, updated one vectorized
+  wave at a time on the batched charging paths;
+* the critical-path fold (:class:`repro.obs.analysis.PathFold`), which
+  the machine attaches in both modes and this observer accounts for;
 * exact, exclusive per-skeleton aggregates with duration histograms
   (:class:`repro.obs.span.SkeletonAgg`, p50/p99 via
   :meth:`repro.obs.metrics.Histogram.quantile`) — a closed span is
@@ -45,6 +46,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import SkilError
+from repro.obs.analysis import TOPK
 from repro.obs.export import interval_event, span_event
 from repro.obs.span import SkeletonAgg, Span, fold_skeleton
 
@@ -249,15 +251,14 @@ class StreamObserver:
         path = config.spill_path if config is not None else None
         self.spill = JsonlSpillWriter(path) if path else None
         self.timeline = StreamTimeline(self.p, spill=self.spill)
-        # exact per-tag totals
-        self.tag_messages: dict[str, int] = {}
-        self.tag_bytes: dict[str, int] = {}
         self.messages_seen = 0
         self.spans_seen = 0
         #: exact, exclusive per-skeleton aggregates, by name
         self.skeletons: dict[str, SkeletonAgg] = {}
         #: optional heartbeat, ticked on span closes
         self.heartbeat: "ProgressReporter | None" = None
+        #: the machine's critical-path fold, counted by :meth:`accounting`
+        self.path = None
         #: the closed spans handed over that are still alive somewhere;
         #: empty unless something retains them (:meth:`assert_bounded`)
         self._live_spans = weakref.WeakValueDictionary()
@@ -273,9 +274,6 @@ class StreamObserver:
         tag: str,
         depart: float,
     ) -> None:
-        key = tag or "untagged"
-        self.tag_messages[key] = self.tag_messages.get(key, 0) + 1
-        self.tag_bytes[key] = self.tag_bytes.get(key, 0) + int(nbytes)
         self.messages_seen += 1
         if self.spill is not None:
             self.spill.write_event(
@@ -288,11 +286,6 @@ class StreamObserver:
         k = len(srcs)
         if k == 0:
             return
-        key = tag or "untagged"
-        self.tag_messages[key] = self.tag_messages.get(key, 0) + k
-        self.tag_bytes[key] = self.tag_bytes.get(key, 0) + int(
-            np.sum(nbytes, dtype=np.int64)
-        )
         self.messages_seen += k
         if self.spill is not None:
             if departs is None:
@@ -320,7 +313,8 @@ class StreamObserver:
         """Exact footprint counters of everything this observer retains.
 
         ``per_rank_cells`` counts array elements across the per-rank
-        aggregates (O(p)); the ``*_retained`` counters must stay zero
+        aggregates and the critical-path fold (O(p) per skeleton name
+        and blocking edge kept); the ``*_retained`` counters must stay zero
         while the ``*_seen`` counters grow with the run — that
         difference is the memory the streaming layer saved.
         """
@@ -328,13 +322,12 @@ class StreamObserver:
             "p": self.p,
             "per_rank_cells": sum(
                 arr.size for arr in self.timeline.seconds.values()
-            ),
+            ) + (self.path.cells() if self.path is not None else 0),
             "messages_seen": self.messages_seen,
             "intervals_seen": self.timeline.intervals_seen,
             "spans_seen": self.spans_seen,
             "spans_retained": len(self._live_spans),
             "skeleton_keys": len(self.skeletons),
-            "tag_keys": len(self.tag_messages),
             "spill_events": self.spill.events_written if self.spill else 0,
         }
 
@@ -347,12 +340,17 @@ class StreamObserver:
                 f"{acc['spans_retained']} closed span(s) still alive "
                 f"(of {acc['spans_seen']} seen)"
             )
-        # per-rank state: one array per activity kind; anything beyond
-        # 32 cells/rank means a retention leak
-        if acc["per_rank_cells"] > 32 * self.p:
+        # per rank: a few activity kinds, and the fold's value, busy
+        # bookkeeping, 4 components + busy per skeleton name and 3 cells
+        # per kept transfer; anything beyond means a retention leak
+        fold = self.path
+        bound = self.p * (8 + (4 + 5 * len(fold.skeletons) + 3 * TOPK
+                               if fold is not None else 0))
+        if acc["per_rank_cells"] > bound:
             problems.append(
-                f"per-rank state grew past O(p): {acc['per_rank_cells']} "
-                f"cells for p={self.p}"
+                f"per-rank state grew past O(p x skeleton names): "
+                f"{acc['per_rank_cells']} cells for p={self.p} "
+                f"(bound {bound})"
             )
         if problems:
             raise SkilError(
@@ -363,8 +361,6 @@ class StreamObserver:
 
     def clear(self) -> None:
         self.timeline.clear()
-        self.tag_messages.clear()
-        self.tag_bytes.clear()
         self.messages_seen = 0
         self.spans_seen = 0
         self.skeletons.clear()

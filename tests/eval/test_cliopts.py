@@ -60,6 +60,18 @@ class TestUsageValidation:
         assert "--p must be a positive integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sub", ["trace", "analyze"])
+    @pytest.mark.parametrize("p", ["2", "8"])
+    def test_shpaths_on_a_non_square_grid_is_a_usage_error(self, sub, p, capsys):
+        """shpaths lays its matrix on a g x g torus: a --p that is not a
+        square ends in one line naming the constraint, before the run."""
+        rc = main([sub, "--app", "shpaths", "--p", p, "--n", "8", "--no-whatif"]
+                  if sub == "analyze" else [sub, "--app", "shpaths", "--p", p])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "square processor grid" in err and f"--p {p}" in err
+
     def test_nonpositive_workers_is_a_clean_usage_error(self, capsys):
         rc = main(["trace", "--app", "shpaths", "--p", "4", "--n", "8",
                    "--workers", "0"])
@@ -214,7 +226,10 @@ class TestStreamTraceCli:
         rc = main(["trace", "--app", "shpaths", "--p", "4", "--n", "8",
                    "--stream"])
         assert rc == 0
-        assert "streamed aggregates" in capsys.readouterr().out
+        # the critical-path analysis `eval analyze` prints, without steps
+        out = capsys.readouterr().out
+        assert "critical path over 0 step(s)" in out
+        assert "top blocking edges" in out
 
     def test_record_mode_unchanged(self, tmp_path, capsys):
         out_file = tmp_path / "t.json"

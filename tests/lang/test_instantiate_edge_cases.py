@@ -152,3 +152,63 @@ class TestHigherOrderFolds:
             out = mod.run("top", 8, ctx=SkilContext(Machine(4), SKIL),
                           externals={"init_f": lambda ix: data[ix[0]]})
         assert out == np.float32(9.5)
+
+
+class TestReservedPythonNames:
+    """A Skil identifier Python reserves compiles and runs: the
+    generated module spells it with one more trailing underscore."""
+
+    def test_keyword_parameter(self):
+        assert run("int f (int def) { return def; }", "f", 7) == 7
+
+    def test_keywords_as_function_local_and_constant_names(self):
+        src = """
+        int lambda (int None, int class) { int True = None + class; return True * 2; }
+        int def_ (int x) { return x + 1; }
+        int main () { return lambda (1, 2) + def_ (10); }
+        """
+        assert run(src, "main") == 17
+        # the entry point keeps its Skil name; def_ does not collide
+        assert run(src, "lambda", 4, 5) == 18
+        assert run(src, "def_", 1) == 2
+
+    def test_host_external_named_by_a_keyword(self):
+        src = """
+        int import (int x);
+        int g (int v) { return import (v) * 2; }
+        """
+        mod = compile_skil(src)
+        got = mod.run("g", 5, ctx=SkilContext(Machine(1), SKIL),
+                      externals={"import": lambda x: x + 1})
+        assert got == 12
+
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_keyword_names_in_skeleton_kernels(self, fusion):
+        """Kernels go through the vectorizer too; fused or not, the
+        keyword-named parameters and locals reach numpy intact."""
+        src = """
+        int init (Index ix) { return ix[0]; }
+        int scale (int from, int yield, Index ix) { int with = from * yield; return with; }
+        int ident (int v, Index ix) { return v; }
+        int main (int n) {
+          array<int> in, is;
+          int pass;
+          in = array_create (1, {n}, {0}, {-1}, init, DISTR_DEFAULT);
+          is = array_create (1, {n}, {0}, {-1}, init, DISTR_DEFAULT);
+          array_map (scale (3), in, is);
+          pass = array_fold (ident, (+), is);
+          array_destroy (in);
+          array_destroy (is);
+          return pass;
+        }
+        """
+        mod = compile_skil(src, fusion=fusion)
+        assert "_vec_scale" in mod.python_source  # the numpy kernel path
+        assert mod.run("main", 8, ctx=SkilContext(Machine(4), SKIL)) == 84
+
+    def test_the_spelling_is_injective(self):
+        from repro.lang.codegen import py_name
+
+        names = ["def", "def_", "def__", "None", "x", "_", "match", "print"]
+        assert [py_name(n) for n in names] == [
+            "def_", "def__", "def___", "None_", "x", "_", "match", "print"]

@@ -3,11 +3,14 @@
 The acceptance contract of the analysis subsystem:
 
 * on real traced applications (gauss, shortest paths) at p in
-  {4, 16, 64}, the critical path tiles ``[0, makespan]`` exactly and
-  the four-way attribution sums to the simulated makespan;
+  {4, 16, 64}, the folded critical path tiles ``[0, makespan]`` exactly
+  and the four-way attribution sums to the simulated makespan;
 * each step's components partition its duration **bit-exactly**;
+* the fold's totals, overall and per charging skeleton, equal the
+  backward walk over the recording;
+* every on-path step names the skeleton that charged it;
 * what-if replays (latency→0, bandwidth→∞, balanced compute) stay
-  within the bounds the DAG attribution implies;
+  within the bounds the attribution implies;
 * the happens-before DAG validates (every edge forward in time).
 """
 
@@ -15,22 +18,20 @@ import math
 
 import pytest
 
-from repro.check.dagcheck import build_dag, invariant_problems
+from repro.check.dagcheck import build_dag, critical_path, invariant_problems
 from repro.eval.tracecmd import run_traced
-from repro.machine.costmodel import T800_PARSYTEC
+from repro.machine.costmodel import SKIL, T800_PARSYTEC
 from repro.machine.machine import Machine
 from repro.machine.trace import MessageRecord
 from repro.obs.analysis import (
     AnalysisError,
     COMPONENTS,
-    CriticalPath,
     analyze_machine,
-    critical_path,
-    rank_loads,
+    format_analysis,
     run_whatif,
-    skeleton_imbalance,
 )
 from repro.obs.timeline import Timeline
+from repro.skeletons import SkilContext
 
 
 def _analyses():
@@ -177,11 +178,19 @@ class TestStragglerMetrics:
 class TestEdgesAndErrors:
     def test_blocking_edges_are_transfers_sorted_desc(self, analyses):
         _, a = analyses[("shpaths", 16)]
-        edges = a.path.blocking_edges(5)
+        edges = a.blocking_edges[:5]
         assert edges, "shpaths communicates; some transfer must be on-path"
-        assert all(e.record is not None for e in edges)
-        durs = [e.duration for e in edges]
+        durs = [e.seconds for e in edges]
         assert durs == sorted(durs, reverse=True)
+        # the carried top-k are the longest transfer steps of the path
+        transfers = sorted(
+            (s.duration for s in a.path.steps if s.kind == "transfer"),
+            reverse=True,
+        )
+        assert [e.seconds for e in a.blocking_edges] == transfers[:len(a.blocking_edges)]
+        on_path = {(s.record.src, s.record.dst) for s in a.path.steps
+                   if s.kind == "transfer"}
+        assert all((e.src, e.dst) in on_path for e in edges)
 
     def test_analysis_requires_trace_level_2(self):
         with pytest.raises(AnalysisError):
@@ -241,7 +250,87 @@ class TestEdgesAndErrors:
         assert any("departs after" in p for p in dag.validate())
 
     def test_rank_loads_and_imbalance_on_empty_timeline(self):
-        tl = Timeline()
-        assert rank_loads(tl, 0.0) == []
-        m = Machine(2, trace_level=2)
-        assert skeleton_imbalance(m.timeline, m.tracer, 2) == []
+        a = analyze_machine(Machine(2, trace_level=2))
+        assert [(l.busy_seconds, l.busy_fraction) for l in a.loads] == [(0.0, 0.0)] * 2
+        assert a.imbalance == [] and a.blocking_edges == []
+        assert a.path.steps == [] and a.components == dict.fromkeys(COMPONENTS, 0.0)
+
+    def test_blocking_edge_rows_split_into_columns(self, analyses):
+        """A tag longer than its header never runs into the seconds."""
+        _, a = analyses[("shpaths", 4)]
+        assert any(len(e.tag) > 14 for e in a.blocking_edges)
+        lines = format_analysis(a).splitlines()
+        head = lines.index(next(ln for ln in lines if ln.startswith("top blocking")))
+        rows = lines[head + 2: head + 2 + len(a.blocking_edges[:8])]
+        for row, e in zip(rows, a.blocking_edges):
+            cols = row.split(None, 4)
+            assert cols[:4] == [f"{e.src}->{e.dst}", str(e.nbytes),
+                                f"{e.seconds:.6f}", e.tag], row
+            assert cols[4] == e.skeleton
+
+
+class TestChargingSkeleton:
+    @staticmethod
+    def _labelled_gauss(p, n):
+        """Traced gauss with every interval labelled, as it is emitted,
+        with the innermost skeleton open (tracked through begin / end)."""
+        from repro.apps.gauss import gauss_simple, random_system
+
+        machine = Machine(p, trace_level=2)
+        tracer, tl = machine.tracer, machine.timeline
+        stack, labels = [], []
+        begin, end = tracer.begin, tracer.end
+
+        def on_begin(name, category="skeleton"):
+            stack.append(name if category == "skeleton" else None)
+            return begin(name, category)
+
+        def on_end(span=None):
+            stack.pop()
+            return end(span)
+
+        def labelled(emit):
+            def call(*args, **kw):
+                emit(*args, **kw)
+                names = [s for s in stack if s is not None]
+                labels.extend([names[-1] if names else None]
+                              * (len(tl.intervals) - len(labels)))
+            return call
+
+        tracer.begin, tracer.end = on_begin, on_end
+        for method in ("add", "add_many", "add_lanes"):
+            setattr(tl, method, labelled(getattr(tl, method)))
+        gauss_simple(SkilContext(machine, SKIL), *random_system(n, seed=0))
+        return machine, labels
+
+    def test_gauss_p64_compute_steps_name_the_charging_skeleton(self):
+        machine, labels = self._labelled_gauss(64, 64)
+        a = analyze_machine(machine)
+        charged = {}
+        for iv, name in zip(machine.timeline.intervals, labels):
+            if iv.kind == "compute":
+                charged.setdefault(iv.rank, []).append((iv.start, iv.end, name))
+        computes = [s for s in a.path.steps if s.kind == "compute"]
+        assert computes
+        for s in computes:
+            owners = {name for lo, hi, name in charged[s.rank]
+                      if lo <= s.start and s.end <= hi}
+            assert owners == {s.skeleton}, (s, owners)
+
+    @pytest.mark.parametrize("app,p", CASES)
+    def test_fold_equals_the_backward_walk_per_skeleton(self, app, p):
+        from repro.check.dagcheck import watch_charges
+
+        machine = Machine(p, trace_level=2)
+        labels = watch_charges(machine)
+        ctx = SkilContext(machine, SKIL)
+        if app == "gauss":
+            from repro.apps.gauss import gauss_simple, random_system
+
+            gauss_simple(ctx, *random_system(-(-48 // p) * p, seed=0))
+        else:
+            from repro.apps.shortest_paths import random_distance_matrix, shpaths
+
+            side = machine.mesh.rows
+            shpaths(ctx, random_distance_matrix(side * 2, density=0.25, seed=0))
+        assert invariant_problems(machine, labels) == []

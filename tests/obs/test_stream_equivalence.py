@@ -6,7 +6,7 @@ under the sink path."""
 import numpy as np
 import pytest
 
-from repro.check.streamcheck import compare_observers, fold_recorded
+from repro.check.streamcheck import compare_folds, compare_observers, fold_recorded
 from repro.errors import SkilError
 from repro.machine.machine import Machine
 from repro.machine.trace import TraceStats
@@ -74,8 +74,9 @@ class TestAppEquivalence:
 class TestStreamMachineContracts:
     def test_stream_machine_shape(self):
         m = Machine(4, trace_level=2, trace_mode="stream")
-        assert m.timeline is None  # DAG analysis must refuse
+        assert m.timeline is None  # nothing recorded
         assert m.stream_obs is not None
+        assert m.stream_obs.path is m.network.path is not None
         assert m.network.timeline is m.stream_obs.timeline
         assert m.stats.sink is m.stream_obs
         assert not m.stats.keep_records
@@ -154,6 +155,13 @@ class TestStreamMachineContracts:
         ("repro.obs.stream.StreamObserver", "reservoir"),
         ("repro.obs.analysis", "build_dag"),
         ("repro.obs.analysis.StreamAnalysis", "snapshot"),
+        # one critical path: the fold, in both modes
+        ("repro.obs.analysis", "analyze_stream"),
+        ("repro.obs.analysis", "StreamAnalysis"),
+        ("repro.obs.analysis", "format_stream_analysis"),
+        ("repro.obs.analysis", "critical_path"),
+        ("repro.obs.analysis", "skeleton_imbalance"),
+        ("repro.obs", "critical_path"),
         ("repro.obs.metrics", "Gauge"),
         # one wall instrument: the skeleton span
         ("repro.obs", "WallProfiler"),
@@ -171,7 +179,9 @@ class TestStreamMachineContracts:
         obj = None
         for part in owner.split("."):
             obj = importlib.import_module(part) if obj is None else (
-                getattr(obj, part))
+                getattr(obj, part, None))
+            if obj is None:
+                return  # the owner itself is gone
         assert not hasattr(obj, name), f"{owner}.{name}"
 
     def test_the_wall_profiler_is_gone(self):
@@ -233,31 +243,38 @@ class TestStreamMachineContracts:
 
 
 class TestAnalyzeStream:
-    def test_analyze_stream_reports(self):
-        from repro.obs.analysis import (
-            AnalysisError,
-            analyze_machine,
-            analyze_stream,
-            format_stream_analysis,
-        )
+    def test_stream_machine_gets_the_one_analysis(self):
+        """Stream mode answers with the record-mode critical path: the
+        same fold, bit for bit, minus the steps."""
+        from repro.obs.analysis import analyze_machine, format_analysis
 
+        m_rec, m_str = _pair(4)
+        for m in (m_rec, m_str):
+            with isolated_metrics():
+                _run_shpaths(m)
+        assert compare_folds(m_rec.network.path, m_str.network.path) == []
+        rec, got = analyze_machine(m_rec), analyze_machine(m_str)
+        assert got.path.steps == [] and rec.path.steps
+        for field in ("makespan", "components", "by_skeleton",
+                      "blocking_edges", "loads", "imbalance"):
+            assert getattr(got, field) == getattr(rec, field), field
+        text = format_analysis(got)
+        assert "critical path over 0 step(s)" in text and "stream mode" in text
+        assert "top blocking edges" in text and "straggler" in text
+        acc = m_str.stream_obs.assert_bounded()
+        assert acc["per_rank_cells"] >= m_str.network.path.cells() > 0
+
+    def test_fold_cells_stay_per_rank(self):
+        """The fold's state grows with skeleton names, never with the
+        run: a second run on the same stream machine keeps its cells."""
         m = Machine(4, trace_level=2, trace_mode="stream")
         with isolated_metrics():
             _run_shpaths(m)
-        sa = analyze_stream(m)
-        assert sa.p == 4 and sa.makespan == m.time
-        assert 0 <= sa.straggler_rank < 4
-        assert sa.tags and sa.tags[0][2] >= sa.tags[-1][2]
-        text = format_stream_analysis(sa)
-        assert "streamed aggregates" in text
-        assert "straggler" in text
-        assert "(0 still alive)" in text
-        # mode guards, both directions
-        with pytest.raises(AnalysisError):
-            analyze_machine(m)
-        m_rec = Machine(4, trace_level=2)
-        with pytest.raises(AnalysisError):
-            analyze_stream(m_rec)
+        cells = m.stream_obs.accounting()["per_rank_cells"]
+        with isolated_metrics():
+            _run_shpaths(m)
+        assert m.stream_obs.accounting()["per_rank_cells"] == cells
+        m.stream_obs.assert_bounded()
 
     def test_fold_refuses_stream_machine(self):
         m = Machine(4, trace_level=2, trace_mode="stream")
