@@ -103,17 +103,17 @@ class MaxAbsInCol:
             return x if ax > ay else y
         return x if x["row"] <= y["row"] else y
 
-    def reduce_all(self, flat: np.ndarray):
-        mask = (flat["col"] == self.k) & (flat["row"] >= self.k)
-        if not mask.any():
-            rec = np.zeros((), dtype=ELEMREC)
-            rec["col"] = -1  # neutral: loses against any real record
-            return rec
-        cand = flat[mask]
-        absval = np.abs(cand["val"])
-        best = absval.max()
-        rows = cand["row"][absval == best]
-        return cand[np.nonzero((absval == best) & (cand["row"] == rows.min()))[0][0]]
+    def reduce_all(self, recs: np.ndarray):
+        """``functools.reduce(self, row)`` for every row of the last axis
+        (first largest |val|, then smallest row); the neutral record
+        (``col`` -1) where a row has no eligible record."""
+        ok = (recs["col"] == self.k) & (recs["row"] >= self.k)
+        mag = np.where(ok, np.abs(recs["val"]), -1.0)
+        top = ok & (mag == mag.max(axis=-1, keepdims=True))
+        rows = np.where(top, recs["row"], np.iinfo(np.int64).max)
+        best = np.take_along_axis(recs, rows.argmin(axis=-1, keepdims=True), axis=-1)
+        best[~top.any(axis=-1, keepdims=True)] = (0.0, 0, -1)
+        return best[..., 0]
 
 
 def switch_rows(r1: int, r2: int, i: int) -> int:
@@ -365,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         help="write a Chrome trace-event JSON (open in Perfetto)",
     )
     args = parser.parse_args(argv)
+    for flag, value in (("--p", args.p), ("--n", args.n)):
+        if value < 1:
+            parser.error(f"{flag} must be a positive integer, got {value}")
     if args.n % args.p != 0:
         args.n += args.p - args.n % args.p  # the paper assumes p | n
 

@@ -98,11 +98,11 @@ def round_up_to_grid(n: int, g: int) -> int:
 
 
 def shortest_paths_oracle(dist_matrix: np.ndarray) -> np.ndarray:
-    """Sequential reference: repeated (min,+) squaring in numpy."""
+    """Sequential reference: in-place Floyd–Warshall, O(n³), independent
+    of the squaring it checks; exact (bitwise) for integer weights."""
     a = dist_matrix.copy()
-    n = a.shape[0]
-    for _ in range(max(1, math.ceil(math.log2(n)))):
-        a = np.minimum(a, np.min(a[:, :, None] + a[None, :, :], axis=1))
+    for k in range(a.shape[0]):
+        np.minimum(a, a[:, k, None] + a[None, k, :], out=a)
     return a
 
 
@@ -207,6 +207,11 @@ def main(argv: list[str] | None = None) -> int:
         help="write a Chrome trace-event JSON (open in Perfetto)",
     )
     args = parser.parse_args(argv)
+    for flag, value in (("--p", args.p), ("--n", args.n)):
+        if value < 1:
+            parser.error(f"{flag} must be a positive integer, got {value}")
+    if math.isqrt(args.p) ** 2 != args.p:
+        parser.error(f"--p {args.p}: shpaths needs a square grid (p = g*g)")
 
     machine = Machine(args.p, trace_level=2 if args.trace else 0)
     ctx = SkilContext(machine, SKIL)

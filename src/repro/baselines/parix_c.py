@@ -33,6 +33,8 @@ from repro.errors import SkilError
 from repro.machine.charge import Charge
 from repro.machine.costmodel import PARIX_C, PARIX_C_OLD, CostModel, T800_PARSYTEC
 from repro.machine.machine import Machine
+from repro.skeletons import MIN, PLUS
+from repro.skeletons.genmult import semiring_stacked_product
 
 __all__ = ["shpaths_c", "gauss_c", "matmul_c", "make_c_machine"]
 
@@ -88,8 +90,8 @@ def shpaths_c(
 ) -> tuple[np.ndarray, RunReport]:
     """Hand-written Gentleman (min,+) squaring, message passing only.
 
-    All ranks' blocks are one ``(p, nb, nb)`` stack, so a step is one
-    numpy call over every rank and a skew or rotation one gather.
+    All ranks' blocks are one ``(p, nb, nb)`` stack: a step is the stacked
+    (min,+) product of ``array_gen_mult``, a skew or rotation one gather.
     """
     n = dist_matrix.shape[0]
     p = machine.p
@@ -119,9 +121,7 @@ def shpaths_c(
         bb = shift(a, ("b", +1), "c-skew-b")
         cb = np.full_like(a, np.inf)
         for step in range(g):
-            np.minimum(
-                cb, np.min(ab[:, :, :, None] + bb[:, None, :, :], axis=2), out=cb
-            )
+            cb = semiring_stacked_product(MIN, PLUS, ab, bb, cb)
             charge.work((nb * nb * nb * 2, 1.0))  # a (min, +) pair per (i, j, k)
             if step < g - 1:
                 ab = shift(ab, "west", "c-rot-a")

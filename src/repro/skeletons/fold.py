@@ -20,6 +20,11 @@ Three phases, exactly as in the paper:
 non-deterministic"; the library emits a :class:`UserWarning` when a
 folding function does not carry that promise (see
 :func:`repro.skeletons.functional.skil_fn`).
+
+A *fold_f* may carry ``reduce_all``: it reduces along the last axis, and
+``reduce_all(x) == functools.reduce(fold_f, x)`` for 1-D ``x`` (up to a
+neutral element).  On equal row blocks the local phase is one call on
+the ``(p, m)`` stack and the tree phase one on the ``p`` partials.
 """
 
 from __future__ import annotations
@@ -84,9 +89,17 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
         # converted slab matches a converted block, so every path folds
         # the elements in the identical sequence
         slabs, blocks = fuse.run_elementwise(ctx, conv_f, (a,), a)
-        if slabs is not None:
-            blocks = _rank_blocks(slabs, a.dist)
-        partials = [_local_fold(fold_f, block) for block in blocks]
+        reducer = getattr(fold_f, "reduce_all", None)
+        rows = a.dist.grid == (ctx.p,) + (1,) * (a.dim - 1) and a.shape[0] % ctx.p == 0
+        stacked = reducer is not None and slabs is not None and rows
+        if stacked:  # the (p, m) stack of blocks, each in ravel order
+            outs = [out for _, out in slabs]
+            pool = outs[0] if len(outs) == 1 else np.concatenate(outs)
+            partials = reducer(pool.reshape(ctx.p, -1))
+        else:
+            if slabs is not None:
+                blocks = _rank_blocks(slabs, a.dist)
+            partials = [_local_fold(fold_f, block) for block in blocks]
         sizes = a.dist.part_sizes()
         ctx.charge.work(
             (sizes, ops_of(conv_f)), (np.maximum(0, sizes - 1), ops_of(fold_f))
@@ -94,7 +107,7 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
 
     # combine along the binomial tree and broadcast the result back
     with ctx.phase("fold:tree"):
-        result = reduce(fold_f, partials)
+        result = reducer(partials) if stacked else reduce(fold_f, partials)
         probe = np.asarray(partials[0])
         nbytes = probe.nbytes if probe.dtype != object else 64
         topo = ctx.machine.topology(a.distr)

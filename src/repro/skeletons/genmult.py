@@ -50,7 +50,8 @@ from repro.machine.topology import Torus2D
 from repro.skeletons.base import ops_of, skeleton_span
 from repro.skeletons.fuse import interleaved_view, stacked_blocks
 
-__all__ = ["array_gen_mult", "array_gen_mult_square", "semiring_block_product"]
+__all__ = ["array_gen_mult", "array_gen_mult_square",
+           "semiring_block_product", "semiring_stacked_product"]
 
 #: cap on the temporary ``(m, k_chunk, n)`` tensor built by the generic
 #: vectorized path, in elements
@@ -110,7 +111,7 @@ def _can_batch_products(gen_add, gen_mult, dtype) -> bool:
     return add_np is not None and add_reduce is not None and mul_np is not None
 
 
-def _semiring_block_product_batched(gen_add, gen_mult, SA, SB, SC):
+def semiring_stacked_product(gen_add, gen_mult, SA, SB, SC):
     """All-ranks :func:`semiring_block_product` over stacked blocks.
 
     ``SA``/``SB``/``SC`` stack every rank's block along axis 0.  The
@@ -354,9 +355,7 @@ def _gen_mult_impl(
     for step in range(g):
         with ctx.phase("genmult:multiply"):
             if fused:
-                sc = _semiring_block_product_batched(
-                    gen_add, gen_mult, sa, sb, sc
-                )
+                sc = semiring_stacked_product(gen_add, gen_mult, sa, sb, sc)
             else:
                 try:
                     for r in range(ctx.p):

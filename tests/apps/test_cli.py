@@ -1,0 +1,48 @@
+"""The standalone app CLIs reject bad sizes as usage errors: exit 2 and
+one line naming the constraint, never a traceback."""
+
+import pytest
+
+from repro.apps import gauss, shortest_paths
+
+
+def _usage_error(main, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].count("error:") == 1
+    return err[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["--p", "0"], "--p must be a positive integer, got 0"),
+        (["--p", "-2"], "--p must be a positive integer, got -2"),
+        (["--n", "0"], "--n must be a positive integer, got 0"),
+        (["--n", "-5", "--full"], "--n must be a positive integer, got -5"),
+    ],
+)
+def test_gauss_rejects_bad_sizes(argv, says, capsys):
+    assert says in _usage_error(gauss.main, argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["--p", "2"], "--p 2: shpaths needs a square grid (p = g*g)"),
+        (["--p", "8"], "--p 8: shpaths needs a square grid (p = g*g)"),
+        (["--p", "0"], "--p must be a positive integer, got 0"),
+        (["--n", "0"], "--n must be a positive integer, got 0"),
+    ],
+)
+def test_shpaths_rejects_bad_sizes(argv, says, capsys):
+    assert says in _usage_error(shortest_paths.main, argv, capsys)
+
+
+def test_good_sizes_still_run(capsys):
+    assert gauss.main(["--p", "3", "--n", "4", "--full"]) == 0
+    assert shortest_paths.main(["--p", "1", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "gauss-full p=3 n=6" in out and "shpaths p=1 n=3" in out
