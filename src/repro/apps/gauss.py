@@ -344,6 +344,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.machine.costmodel import SKIL
     from repro.machine.machine import Machine
+    from repro.obs.stream import StreamConfig
     from repro.skeletons import SkilContext
 
     parser = argparse.ArgumentParser(
@@ -362,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
         "--trace",
         metavar="FILE",
         default=None,
-        help="write a Chrome trace-event JSON (open in Perfetto)",
+        help="write a Chrome trace-event JSON (open in Perfetto); from "
+        "p = 4096 on the run streams and FILE is its JSONL event spill",
     )
     args = parser.parse_args(argv)
     for flag, value in (("--p", args.p), ("--n", args.n)):
@@ -371,7 +373,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.n % args.p != 0:
         args.n += args.p - args.n % args.p  # the paper assumes p | n
 
-    machine = Machine(args.p, trace_level=2 if args.trace else 0)
+    machine = Machine(args.p, trace_level=2 if args.trace else 0,
+                      stream=StreamConfig(spill_path=args.trace))
     ctx = SkilContext(machine, SKIL)
     a_mat, rhs = random_system(args.n, seed=args.seed)
     driver = gauss_full if args.full else gauss_simple
@@ -383,10 +386,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{machine.stats.bytes_sent / 1e6:.2f} MB sent"
     )
     if args.trace:
-        from repro.obs import write_chrome_trace
+        from repro.eval.cliopts import write_obs_artifacts
 
-        write_chrome_trace(args.trace, machine)
-        print(f"trace written to {args.trace}")
+        print(*write_obs_artifacts(machine, args.trace, None), sep="\n")
     return 0
 
 

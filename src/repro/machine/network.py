@@ -120,17 +120,23 @@ class Network:
         m.observe("net.message_hops", hops, buckets=_HOP_BUCKETS)
         m.inc(f"net.messages.{tag or 'untagged'}")
 
-    def _observe_wave(self, nbytes, hops, tag: str) -> None:
+    def _observe_wave(self, plan, nb, k: int, tag: str) -> None:
         """Vectorized :meth:`_observe_message` over one wave.
 
-        Histogram bucketing and counts are exact; the running sums use
-        a seeded left fold (:meth:`Histogram.observe_many`), so the
+        Bucket counts, min and max are exact and need no pass over the
+        wave (the plan memoizes its hops'); the running sums use a
+        seeded left fold (:meth:`Histogram.observe_many`), so the
         registry state is bit-identical to the per-message loop.
         """
         m = self.metrics
-        m.observe_many("net.message_bytes", nbytes)
-        m.observe_many("net.message_hops", hops, buckets=_HOP_BUCKETS)
-        m.inc(f"net.messages.{tag or 'untagged'}", len(nbytes))
+        sizes = m.histogram("net.message_bytes")
+        sizes.observe_many(nb, sizes.summarize(nb, k))
+        hops = m.histogram("net.message_hops", buckets=_HOP_BUCKETS)
+        seen = plan.memo.get("hop_hist")
+        if seen is None:
+            seen = plan.memo["hop_hist"] = hops.summarize(plan.hops_f)
+        hops.observe_many(plan.hops_f, seen)
+        m.inc(f"net.messages.{tag or 'untagged'}", k)
 
     def _fold_stat_seconds(self, comm_terms, idle_terms) -> None:
         """Fold per-message comm/idle seconds into the running stats.
@@ -349,7 +355,7 @@ class Network:
             hops = plan.hops
             stats.record_messages(times, srcs, dsts, nbs, hops, tag, departs=departs)
             if self.metrics is not None:
-                self._observe_wave(nbs, hops, tag)
+                self._observe_wave(plan, nb, k, tag)
             return
         stats.messages += k
         stats.bytes_sent += nb * k if isinstance(nb, int) else int(nb.sum())

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -155,11 +155,17 @@ class EdgePlan:
     #: its rank's first transfer, the destination's receive is its
     #: rank's first transfer, the destination is also a source
     order: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    #: what traced charging derives from the plan once (int hops, hop histogram)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def hops(self) -> np.ndarray:
         """Integer hops per edge, for records and metrics (exact)."""
-        return self.hops_f.astype(np.int64)
+        hops = self.memo.get("hops")
+        if hops is None:
+            hops = self.memo["hops"] = self.hops_f.astype(np.int64)
+            hops.setflags(write=False)
+        return hops
 
     @property
     def nbytes(self) -> int:

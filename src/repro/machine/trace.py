@@ -111,8 +111,8 @@ class TraceStats:
         """
         k = len(srcs)
         self.messages += k
-        self.bytes_sent += int(np.sum(nbytes, dtype=np.int64))
-        self.hops_crossed += int(np.sum(hops, dtype=np.int64))
+        self.bytes_sent += int(np.add.reduce(nbytes, dtype=np.int64))
+        self.hops_crossed += int(np.add.reduce(hops, dtype=np.int64))
         if self.keep_records:
             ints = (
                 np.asarray(col, dtype=np.int64).tolist()

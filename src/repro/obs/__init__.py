@@ -64,7 +64,6 @@ from repro.obs.metrics import (
 from repro.obs.span import ATTRIBUTION_TOL, SkeletonAgg, Span, SpanTracer
 from repro.obs.timeline import Interval, Timeline
 from repro.obs.export import (
-    chrome_trace_events,
     flame_rollup,
     validate_chrome_trace,
     wall_trace_events,
@@ -82,7 +81,6 @@ __all__ = [
     "SkeletonAgg",
     "Interval",
     "Timeline",
-    "chrome_trace_events",
     "flame_rollup",
     "validate_chrome_trace",
     "wall_trace_events",

@@ -304,7 +304,7 @@ class PathFold:
         or one rank for a fan-out; receivers distinct, or one rank for a
         fan-in."""
         col = self._column()  # first: a new skeleton widens the state
-        dep, arr = np.atleast_1d(departs), np.atleast_1d(arrivals)
+        dep, arr = np.atleast_1d(departs, arrivals)
         k, st, val, cost = dep.size, self.state, self.val, self.cost
         fan_out, fan_in = np.ndim(srcs) == 0, np.ndim(dsts) == 0
         src = np.full(k, srcs) if fan_out else srcs
@@ -320,55 +320,60 @@ class PathFold:
             late = dep > val[src] + cost.t_setup
             if late.any():
                 base = np.where(late, dst, src)
-        rows, pre = st[base], val[base]
+        rows, pre = st.take(base, 0), val[base]
         setup = dep - pre
         if self.record:
             dep, arr = dep.copy(), arr.copy()  # the log keeps them
             sent = self._log("send", base, pre, dep, col, self.tail[base], tid)
             moved = self._log("transfer", dst, dep, arr, col, sent, tid,
                               (src, np.asarray(nbytes), hops))
+        # the rows at arrival: the wire, and the edge if among the k longest
+        rows[:, a + _LATENCY] += setup + lat
+        rows[:, a + _BANDWIDTH] += wire - lat
+        enters = wire > rows[:, _MIN]
+        if enters.any():
+            enters = np.flatnonzero(enters)
+            every = enters.size == k
+            sub = rows if every else rows[enters]
+            flat, first = sub.reshape(-1), np.arange(1, sub.size, sub.shape[1])
+            slot = first + sub[:, _SECS].argmin(1)
+            key = ((tid * 1024 + col) * self.p + src) * self.p + dst
+            for f, field in enumerate((wire, key, nbytes)):
+                flat[slot + f * TOPK] = field if every or not np.ndim(field) \
+                    else field[enters]
+            sub[:, _MIN] = flat[first + sub[:, _SECS].argmin(1)]
+            if not every:
+                rows[enters] = sub
         if clocks is None:
             # a fan-out's last message is its sender's new clock
             si = slice(k - 1, k) if fan_out else slice(None)
             s = src[si]
-            st[:, a + _LATENCY][s] += setup[si]
             val[s] = dep[si]
             if self.record:
                 self.tail[s] = sent[si]
-        # the rows at arrival: the wire, and the edge if among the k longest
-        rows[:, a + _LATENCY] += setup + lat
-        rows[:, a + _BANDWIDTH] += wire - lat
-        enters = np.flatnonzero(wire > rows[:, _MIN])
-        if enters.size:
-            sub, r = rows[enters], np.arange(enters.size)
-            slot = 1 + sub[:, _SECS].argmin(1)
-            key = ((tid * 1024 + col) * self.p + src) * self.p + dst
-            for f, field in enumerate((wire, key, nbytes)):
-                sub[r, slot + f * TOPK] = field[enters] if np.ndim(field) else field
-            sub[:, _MIN] = sub[r, 1 + sub[:, _SECS].argmin(1)]
-            rows[enters] = sub
-        if clocks is not None:
+        else:
             st[src] = rows
             self._waited[src] += np.maximum(0.0, dep - val[src] - cost.t_setup)
             val[src] = arr
             if self.record:
                 self.tail[src] = moved
-        # receivers: the message wins at or after the receiver's clock
+        # receivers: the message wins at or after the receiver's clock (a
+        # loser adds no wait: it arrived, so departed, before that clock)
         own = val[dst]
-        if fan_in:
-            w = np.lexsort((-src, dep, arr))[-1:]
-            w = w[arr[w] >= own[w]]
-        else:
-            w = arr >= own
-            if w.all():
-                w = slice(None)
-        d = dst[w]
-        if d.size:
-            self._waited[d] += np.maximum(0.0, dep[w] - own[w])
-            st[d] = rows[w]
-            val[d] = arr[w]
+        if fan_in:  # one receiver: the latest arrival wins
+            i = np.lexsort((-src, dep, arr))[-1:]
+            rows, dep, arr, own, dst = rows[i], dep[i], arr[i], own[i], dst[i]
             if self.record:
-                self.tail[d] = moved[w]
+                moved = moved[i]
+        w = arr >= own
+        self._waited[dst] += np.maximum(0.0, dep - own)
+        val[dst] = np.maximum(own, arr)
+        if clocks is None:
+            st[:, a + _LATENCY][s] += setup[si]
+        w = slice(None) if w.all() else np.flatnonzero(w)
+        st[dst[w]] = rows[w]
+        if self.record:
+            self.tail[dst[w]] = moved[w]
         if clocks is not None:
             self.jump(clocks, np.concatenate((src, dst)))
 

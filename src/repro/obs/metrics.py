@@ -74,7 +74,18 @@ class Histogram:
         self.min = v if self.min is None else min(self.min, v)
         self.max = v if self.max is None else max(self.max, v)
 
-    def observe_many(self, values) -> None:
+    def summarize(self, values, count: int = 1):
+        """``([(bucket index, count), ...], min, max)`` of *values*, an
+        array or one number *count* times, for :meth:`observe_many`."""
+        if np.ndim(values) == 0:
+            v = float(values)
+            return [(bisect.bisect_left(self.buckets, v), count)], v, v
+        vals = np.asarray(values, dtype=np.float64)
+        hits = np.bincount(np.searchsorted(self._bounds, vals, side="left")).tolist()
+        return ([(i, n) for i, n in enumerate(hits) if n],
+                *((float(vals.min()), float(vals.max())) if vals.size else (0.0, 0.0)))
+
+    def observe_many(self, values, summary=None) -> None:
         """Vectorized :meth:`observe` over a sequence of values.
 
         Bit-identical to observing the values one at a time in order:
@@ -82,22 +93,22 @@ class Histogram:
         ``bisect_left``), and the running ``total`` is folded with a
         seeded left-to-right ``np.add.accumulate`` so the float rounding
         matches the scalar ``+=`` loop exactly.  Min/max are order-free.
+        A caller that knows the values' :meth:`summarize` (a plan's hop
+        counts, one byte count for a whole wave) passes it, and *values*
+        may then be one number for all.
         """
-        vals = np.asarray(values, dtype=np.float64)
-        k = int(vals.size)
+        hits, lo, hi = self.summarize(values) if summary is None else summary
+        k = 0
+        for i, n in hits:
+            self.counts[i] += n
+            k += n
         if k == 0:
             return
-        idx = np.searchsorted(self._bounds, vals, side="left")
-        for i, hits in enumerate(np.bincount(idx).tolist()):
-            if hits:
-                self.counts[i] += hits
         buf = np.empty(k + 1, dtype=np.float64)
         buf[0] = self.total
-        buf[1:] = vals
+        buf[1:] = values
         self.total = float(np.add.accumulate(buf)[-1])
         self.count += k
-        lo = float(vals.min())
-        hi = float(vals.max())
         self.min = lo if self.min is None else min(self.min, lo)
         self.max = hi if self.max is None else max(self.max, hi)
 

@@ -46,3 +46,39 @@ def test_good_sizes_still_run(capsys):
     assert shortest_paths.main(["--p", "1", "--n", "3"]) == 0
     out = capsys.readouterr().out
     assert "gauss-full p=3 n=6" in out and "shpaths p=1 n=3" in out
+
+
+@pytest.mark.parametrize("main, argv", [
+    (shortest_paths.main, ["--p", "4", "--n", "8"]),
+    (gauss.main, ["--p", "4", "--n", "8", "--full"]),
+])
+def test_trace_of_a_streaming_run_is_its_spill(main, argv, tmp_path, capsys,
+                                                monkeypatch):
+    """From ``STREAM_AUTO_P`` on the machine streams and keeps no
+    recording: ``--trace`` names the JSONL spill, which holds the run's
+    events, instead of a Chrome trace with nothing but metadata."""
+    import json
+
+    import repro.machine.machine as machine_mod
+    from repro.obs import validate_chrome_trace
+
+    monkeypatch.setattr(machine_mod, "STREAM_AUTO_P", 4)
+    out = tmp_path / "t.json"
+    assert main(argv + ["--trace", str(out)]) == 0
+    assert "JSONL event spill written to" in capsys.readouterr().out
+    events = [json.loads(ln) for ln in out.read_text().splitlines()]
+    assert {ev["cat"] for ev in events} >= {"message", "send", "recv", "skeleton"}
+    assert validate_chrome_trace({"traceEvents": events}) == []
+
+
+@pytest.mark.parametrize("main, argv", [
+    (shortest_paths.main, ["--p", "4", "--n", "8"]),
+    (gauss.main, ["--p", "4", "--n", "8"]),
+])
+def test_trace_of_a_recorded_run_is_a_chrome_trace(main, argv, tmp_path, capsys):
+    import json
+
+    out = tmp_path / "t.json"
+    assert main(argv + ["--trace", str(out)]) == 0
+    assert "Chrome trace written to" in capsys.readouterr().out
+    assert {ev["ph"] for ev in json.loads(out.read_text())["traceEvents"]} == {"M", "X"}

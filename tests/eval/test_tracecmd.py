@@ -88,7 +88,8 @@ class TestWallTime:
         run = run_traced("gauss", p=8, n=16, trace_level=1,
                          backend="threads", workers=2)
         text = trace_report_text(run)
-        doc = write_chrome_trace(tmp_path / "wall.json", run.machine)
+        write_chrome_trace(tmp_path / "wall.json", run.machine)
+        doc = json.loads((tmp_path / "wall.json").read_text())
         run.machine.close()
         assert "wall attribution" in text and "FAILED" not in text
         wall = doc["otherData"]["wall"]

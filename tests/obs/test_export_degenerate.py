@@ -5,16 +5,23 @@ rank, an untraced machine, and across ``Machine.reset`` transitions —
 the edge cases a dashboard hits on a freshly constructed machine.
 """
 
+import json
+
 import numpy as np
 
 from repro.machine.machine import DISTR_DEFAULT, Machine
 from repro.obs.export import (
-    chrome_trace_events,
     flame_rollup,
     validate_chrome_trace,
     write_chrome_trace,
 )
 from repro.skeletons import PLUS, SkilContext
+
+
+def _export(path, machine) -> dict:
+    """Write the machine's Chrome trace to *path* and read it back."""
+    write_chrome_trace(path, machine)
+    return json.loads(path.read_text())
 
 
 def _do_some_work(machine):
@@ -28,7 +35,7 @@ def _do_some_work(machine):
 class TestZeroSpans:
     def test_traced_machine_with_no_work(self, tmp_path):
         m = Machine(4, trace_level=2)
-        obj = write_chrome_trace(tmp_path / "empty.json", m)
+        obj = _export(tmp_path / "empty.json", m)
         assert validate_chrome_trace(obj) == []
         # only metadata events, no complete ('X') events
         assert all(ev["ph"] == "M" for ev in obj["traceEvents"])
@@ -36,12 +43,12 @@ class TestZeroSpans:
 
     def test_untraced_machine_exports_metadata_only(self, tmp_path):
         m = Machine(4)  # trace_level=0: tracer and timeline are None
-        obj = write_chrome_trace(tmp_path / "untraced.json", m)
+        obj = _export(tmp_path / "untraced.json", m)
         assert validate_chrome_trace(obj) == []
         assert all(ev["ph"] == "M" for ev in obj["traceEvents"])
 
-    def test_events_from_nothing(self):
-        events = chrome_trace_events(None, None)
+    def test_events_from_nothing(self, tmp_path):
+        events = _export(tmp_path / "nothing.json", Machine(2))["traceEvents"]
         assert len(events) == 2  # process_name + span-track metadata
         assert validate_chrome_trace({"traceEvents": events}) == []
 
@@ -55,7 +62,7 @@ class TestSingleRank:
     def test_single_rank_trace_valid(self, tmp_path):
         m = Machine(1, trace_level=2)
         _do_some_work(m)
-        obj = write_chrome_trace(tmp_path / "p1.json", m)
+        obj = _export(tmp_path / "p1.json", m)
         assert validate_chrome_trace(obj) == []
         # spans were recorded even though no messages could flow
         assert any(ev["ph"] == "X" for ev in obj["traceEvents"])
@@ -76,17 +83,17 @@ class TestResetTransitions:
         assert m.tracer.closed_spans() == []
         assert len(m.timeline) == 0
         assert m.time == 0.0
-        obj = write_chrome_trace(tmp_path / "reset.json", m)
+        obj = _export(tmp_path / "reset.json", m)
         assert validate_chrome_trace(obj) == []
         assert all(ev["ph"] == "M" for ev in obj["traceEvents"])
 
     def test_work_after_reset_exports_fresh_trace(self, tmp_path):
         m = Machine(2, trace_level=2)
         _do_some_work(m)
-        first = write_chrome_trace(tmp_path / "a.json", m)
+        first = _export(tmp_path / "a.json", m)
         m.reset()
         _do_some_work(m)
-        second = write_chrome_trace(tmp_path / "b.json", m)
+        second = _export(tmp_path / "b.json", m)
         assert validate_chrome_trace(second) == []
         n_first = sum(1 for ev in first["traceEvents"] if ev["ph"] == "X")
         n_second = sum(1 for ev in second["traceEvents"] if ev["ph"] == "X")

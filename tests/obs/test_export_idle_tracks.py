@@ -8,12 +8,17 @@ import pytest
 from repro.errors import SkilError
 from repro.machine.machine import DISTR_RING, Machine
 from repro.obs.export import (
-    chrome_trace_events,
     flame_rollup,
     validate_chrome_trace,
     write_chrome_trace,
 )
 from repro.skeletons import PLUS, SkilContext
+
+
+def _export(path, machine) -> dict:
+    """Write the machine's Chrome trace to *path* and read it back."""
+    write_chrome_trace(path, machine)
+    return json.loads(path.read_text())
 
 
 def _traced_run(p: int = 4, n: int = 12) -> Machine:
@@ -29,9 +34,9 @@ def _traced_run(p: int = 4, n: int = 12) -> Machine:
 
 
 class TestIdleWaitTracks:
-    def test_idle_tracks_present_and_named(self):
+    def test_idle_tracks_present_and_named(self, tmp_path):
         m = _traced_run()
-        events = chrome_trace_events(m.tracer, m.timeline)
+        events = _export(tmp_path / "t.json", m)["traceEvents"]
         names = {
             e["args"]["name"]
             for e in events
@@ -44,9 +49,9 @@ class TestIdleWaitTracks:
             assert e["dur"] > 0
             assert e["args"]["seconds"] > 0
 
-    def test_idle_track_durations_match_timeline_gaps(self):
+    def test_idle_track_durations_match_timeline_gaps(self, tmp_path):
         m = _traced_run()
-        events = chrome_trace_events(timeline=m.timeline)
+        events = _export(tmp_path / "t.json", m)["traceEvents"]
         for r in m.timeline.ranks():
             track = [
                 e for e in events
@@ -68,7 +73,7 @@ class TestIdleWaitTracks:
 class TestValidateOnEveryExportPath:
     def test_write_validates_analytic_trace(self, tmp_path):
         m = _traced_run()
-        obj = write_chrome_trace(tmp_path / "t.json", m)
+        obj = _export(tmp_path / "t.json", m)
         assert validate_chrome_trace(obj) == []
         assert validate_chrome_trace(
             json.loads((tmp_path / "t.json").read_text())
@@ -97,7 +102,7 @@ class TestValidateOnEveryExportPath:
             problem=xs,
         )
         assert got == sorted(xs)
-        obj = write_chrome_trace(tmp_path / "dc.json", machine)
+        obj = _export(tmp_path / "dc.json", machine)
         assert validate_chrome_trace(obj) == []
         # engine-mode timelines produce per-rank tracks too
         tids = {e["tid"] for e in obj["traceEvents"] if e["ph"] == "X"}
@@ -108,8 +113,8 @@ class TestValidateOnEveryExportPath:
         import repro.obs.export as export
 
         monkeypatch.setattr(
-            export, "chrome_trace_events",
-            lambda *a, **k: [{"ph": "X", "name": "bad"}],  # missing keys
+            export, "span_event",
+            lambda span: {"ph": "X", "name": "bad"},  # missing keys
         )
         with pytest.raises(SkilError):
             write_chrome_trace(tmp_path / "bad.json", m)

@@ -298,7 +298,8 @@ class TestDualClockExport:
         m = Machine(4, trace_level=0)
         with isolated_metrics():
             _workload(SkilContext(m))
-        doc = write_chrome_trace(tmp_path / "plain.json", m)
+        write_chrome_trace(tmp_path / "plain.json", m)
+        doc = json.loads((tmp_path / "plain.json").read_text())
         m.close()
         assert all(ev["pid"] != _WALL_PID for ev in doc["traceEvents"])
         assert "wall" not in doc["otherData"]

@@ -114,7 +114,7 @@ class TestStreamMachineContracts:
         by message)."""
         import json
 
-        from repro.obs import chrome_trace_events
+        from repro.obs import write_chrome_trace
 
         path = tmp_path / "spill.jsonl"
         m_rec, m_str = _pair(4, spill_path=str(path))
@@ -126,13 +126,14 @@ class TestStreamMachineContracts:
 
         def tracks(events):
             out: dict = {}
-            for ev in events:
-                if ev["ph"] == "X" and ev["cat"] != "message" and ev["tid"] < 1000:
+            for ev in events:  # the simulated tracks (a threads run adds pid 2)
+                if (ev["ph"] == "X" and ev["pid"] == 1 and ev["cat"] != "message"
+                        and ev["tid"] < 1000):
                     out.setdefault(ev["tid"], []).append(json.dumps(ev))
             return {tid: sorted(evs) for tid, evs in out.items()}
 
-        exported = json.loads(json.dumps(
-            chrome_trace_events(m_rec.tracer, m_rec.timeline)))
+        write_chrome_trace(tmp_path / "trace.json", m_rec)
+        exported = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
         spilled = [json.loads(ln) for ln in path.read_text().splitlines()]
         assert tracks(spilled) == tracks(exported)
         assert len(tracks(exported)) == 5  # the span track and four ranks
@@ -142,6 +143,10 @@ class TestStreamMachineContracts:
         ("repro.obs.stream", "StreamSpanTracer"),
         ("repro.obs.stream", "_span_event"),
         ("repro.obs.stream", "_interval_event"),
+        # one encoder: no per-event dict on the spill or export path
+        ("repro.obs", "chrome_trace_events"),
+        ("repro.obs.export", "chrome_trace_events"),
+        ("repro.obs.stream", "_message_event"),
         ("repro.obs.stream.StreamTimeline", "wave_api"),
         ("repro.obs.span.SpanTracer", "_issue_index"),
         ("repro.obs.span.SpanTracer", "_register"),
