@@ -13,6 +13,7 @@ from repro.machine.trace import MessageRecord
 from repro.obs.stream import (
     JsonlSpillWriter,
     ProgressReporter,
+    StreamConfig,
     StreamObserver,
     StreamTimeline,
 )
@@ -77,6 +78,30 @@ class TestStreamTimeline:
         st.add(0, "idle", 1.0, 3.0)
         assert st.busy_seconds_by_rank()[0] == 1.0
         assert st.seconds["idle"][0] == 2.0
+
+
+class TestScalarMessageSpill:
+    @pytest.mark.parametrize("sync", [False, True])
+    def test_scalar_p2p_spills_what_record_mode_keeps(self, tmp_path, sync):
+        """One ``Network.p2p`` hands the timeline 0-d lanes (send, idle,
+        recv); the spill writes them as the record timeline keeps them."""
+        from repro.machine.topology import DefaultMapping
+
+        path = tmp_path / "spill.jsonl"
+        with Machine(4, trace_level=2, trace_mode="stream",
+                     stream=StreamConfig(spill_path=str(path))) as streamed:
+            streamed.network.p2p(0, 1, 8, DefaultMapping(streamed.mesh), sync=sync)
+        recorded = Machine(4, trace_level=2, trace_mode="record")
+        recorded.network.p2p(0, 1, 8, DefaultMapping(recorded.mesh), sync=sync)
+        ivs = recorded.timeline.intervals
+        assert [iv.kind for iv in ivs] == ["send", "idle", "recv"]
+        lines = [ln for ln in path.read_text().splitlines()
+                 if json.loads(ln)["cat"] in ("send", "idle", "recv")]
+        assert lines == [json.dumps(
+            {"ph": "X", "name": iv.detail or iv.kind, "cat": iv.kind, "pid": 1,
+             "tid": iv.rank + 1, "ts": iv.start * 1e6,
+             "dur": (iv.end - iv.start) * 1e6, "args": {}},
+            separators=(",", ":")) for iv in ivs]
 
 
 class TestAccounting:

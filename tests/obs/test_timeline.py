@@ -128,6 +128,35 @@ class TestWaves:
         tl.add_many(np.array([7, 7, 8, 8]), SEND, np.zeros(4), np.ones(4))
         assert tl.ranks() == [7, 8]
 
+    def test_scalar_adds_keep_their_place_among_waves(self):
+        """Scalar adds wait in a list until the next wave or read, then
+        take their emission-order place among the waves' blocks."""
+        tl = Timeline()
+        tl.add(3, COMPUTE, 0.0, 1.0, "a")
+        tl.add(2, SEND, 0.5, 1.5)
+        tl.add_many(np.array([0, 1]), RECV, np.zeros(2), np.ones(2))
+        tl.add(4, IDLE, 1.0, 2.0)
+        ranks, starts, ends, which, labels = tl.columns()
+        assert ranks.tolist() == [3, 2, 0, 1, 4]
+        assert [labels[w] for w in which.tolist()] == [
+            (COMPUTE, "a"), (SEND, ""), (RECV, ""), (RECV, ""), (IDLE, ""),
+        ]
+        assert [iv.rank for iv in tl.intervals] == [3, 2, 0, 1, 4]
+        tl.add(5, COMPUTE, 2.0, 3.0)
+        assert tl.ranks() == [0, 1, 2, 3, 4, 5]
+        assert tl.intervals[-1] == Interval(5, COMPUTE, 2.0, 3.0)
+        assert all(type(iv.start) is float for iv in tl.intervals)
+
+    def test_occupancy_answers_in_python_floats(self):
+        tl = Timeline()
+        tl.add_many(np.arange(2), COMPUTE, np.array([0.0, 1.0]), np.array([2.0, 3.0]))
+        tl.add(0, IDLE, 2.0, 4.0)
+        tl.add(0, SEND, 3.0, 4.0)
+        assert tl.span(0) == (0.0, 4.0) and tl.idle_gaps(0) == [(2.0, 3.0)]
+        values = [*tl.span(0), *tl.idle_gaps(0)[0], *tl.busy_segments(1)[0],
+                  tl.busy_fraction(0)]
+        assert all(type(v) is float for v in values)
+
 
 def test_both_timelines_speak_one_emission_interface():
     """Record and stream timelines take the same calls, so the Network
