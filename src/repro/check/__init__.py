@@ -1,7 +1,7 @@
 """Conformance and differential-testing subsystem (``python -m repro.check``).
 
-Eight pillars, each seeded and replayable (the table is
-``repro.check.__main__.PILLARS``); the three the subsystem started from:
+Seven pillars, each seeded and replayable (the table is
+``repro.check.__main__.PILLARS``, in the order ``all`` runs them):
 
 * :mod:`repro.check.fuzz` — grammar-driven generator of well-typed Skil
   programs, round-tripped through parse → typecheck → instantiate →
@@ -11,11 +11,21 @@ Eight pillars, each seeded and replayable (the table is
   every public skeleton, checked against the distributed versions over
   randomized shapes, distributions, topologies and processor counts;
 * :mod:`repro.check.diffcheck` — the analytic ``Network`` clocks versus
-  the message-granularity ``Engine`` on random communication patterns,
-  plus structural consistency of the ``repro.obs`` traces.
+  the message-granularity ``Engine`` on random communication patterns;
+* :mod:`repro.check.charging` — planned ``Network`` charging versus the
+  scalar loops it replaced, bitwise;
+* :mod:`repro.check.tracecheck` — one workload run untraced, recorded
+  and streamed: tracing moves no clock, the happens-before DAG and the
+  critical-path fold hold, record and stream agree bitwise;
+* :mod:`repro.check.backendcheck` — the ``sim`` and ``threads`` backends
+  bit-identical;
+* :mod:`repro.check.fusioncheck` — compiler fusion leaves values and
+  clocks equal.
 
-See ``docs/TESTING.md`` for the other five (``dag``, ``charging``,
-``stream``, ``backend``, ``fusion``) and the seed-reproduction workflow.
+All but two run on :class:`~repro.check.report.TrialRunner`: ``fuzz``
+keeps its own loop because it shrinks a failing program, ``fusion``
+because it attaches the failing source.  See ``docs/TESTING.md`` for
+the checks and the seed-reproduction workflow.
 """
 
 from repro.check.backendcheck import run_backend
@@ -25,14 +35,14 @@ from repro.check.fuzz import run_fuzz
 from repro.check.interp import Interp, InterpUnsupported
 from repro.check.oracle import run_oracle
 from repro.check.report import CheckResult, Failure, format_failure, format_result
-from repro.check.streamcheck import run_stream
+from repro.check.tracecheck import run_trace
 
 __all__ = [
     "run_fuzz",
     "run_oracle",
     "run_diff",
     "run_charging",
-    "run_stream",
+    "run_trace",
     "run_backend",
     "Interp",
     "InterpUnsupported",

@@ -19,13 +19,12 @@ import sys
 
 from repro.check.backendcheck import run_backend, run_backend_raw
 from repro.check.charging import run_charging, run_charging_raw
-from repro.check.dagcheck import run_dag, run_dag_raw
 from repro.check.diffcheck import run_diff, run_diff_raw
 from repro.check.fusioncheck import run_fusion, run_fusion_raw
 from repro.check.fuzz import run_fuzz, run_fuzz_raw
 from repro.check.oracle import run_oracle, run_oracle_raw
 from repro.check.report import CheckResult, format_result
-from repro.check.streamcheck import run_stream, run_stream_raw
+from repro.check.tracecheck import run_trace, run_trace_raw
 from repro.errors import UsageError
 
 #: pillar -> (base-seed runner, raw-seed replayer), in the order ``all``
@@ -34,21 +33,24 @@ PILLARS = {
     "fuzz": (run_fuzz, run_fuzz_raw),
     "oracle": (run_oracle, run_oracle_raw),
     "diff": (run_diff, run_diff_raw),
-    "dag": (run_dag, run_dag_raw),
     "charging": (run_charging, run_charging_raw),
-    "stream": (run_stream, run_stream_raw),
+    "trace": (run_trace, run_trace_raw),
     "backend": (run_backend, run_backend_raw),
     "fusion": (run_fusion, run_fusion_raw),
 }
 
 
+#: merged pillar -> the pillar that runs its checks now
+MERGED = {"batch": "charging", "scale": "charging", "dag": "trace", "stream": "trace"}
+
+
 def _pillar_name(name: str) -> str:
     # runs before argparse's choice check, so a removed pillar ends in
     # its own message rather than the generic choice list
-    if name in ("batch", "scale"):
+    if name in MERGED:
         raise UsageError(
-            f"the '{name}' pillar was merged into 'charging': run "
-            "`python -m repro.check charging`"
+            f"the '{name}' pillar was merged into '{MERGED[name]}': run "
+            f"`python -m repro.check {MERGED[name]}`"
         )
     return name
 
@@ -57,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.check",
         description="Skil conformance checks: fuzzer, skeleton oracle, "
-        "Network/Engine differential tests.",
+        "Network/Engine differential tests, traced-run invariants.",
     )
     ap.add_argument(
         "pillar",

@@ -46,6 +46,7 @@ import random
 import numpy as np
 
 from repro.check.report import TrialRunner
+from repro.check.tracecheck import _stats_tuple
 from repro.machine.machine import (
     DISTR_DEFAULT,
     DISTR_RING,
@@ -65,18 +66,6 @@ BACKENDS_CHECKED = ("sim", "threads")
 # ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
-def _stats_tuple(stats):
-    return (
-        stats.messages,
-        stats.bytes_sent,
-        stats.hops_crossed,
-        stats.comm_seconds,
-        stats.idle_seconds,
-        stats.compute_seconds,
-        stats.skeleton_calls,
-    )
-
-
 class _Run:
     """What one backend's execution of a trial produced."""
 

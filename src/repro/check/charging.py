@@ -149,11 +149,14 @@ def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
 
     old = net.clocks.copy()
     if sync:
+        ended: dict[int, float] = {}  # the later end of a rank's rendezvous
         for s, d in pairs:
             start = max(old[s], old[d]) + net.cost.t_setup
             hops = topo.edge_hops(s, d)
             wire = net.cost.message_time(nb(s), hops)
             finish = start + wire
+            ended[s] = max(ended.get(s, 0.0), finish)
+            ended[d] = max(ended.get(d, 0.0), finish)
             net.clocks[s] = max(net.clocks[s], finish)
             net.clocks[d] = max(net.clocks[d], finish) + (
                 wire if d in srcs else 0.0
@@ -166,6 +169,9 @@ def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
             if net.timeline is not None:
                 net.timeline.add(s, "send", float(old[s]), finish, tag)
                 net.timeline.add(d, "recv", float(old[d]), finish, tag)
+        if net.timeline is not None:  # the second transfers, after the wave
+            for _, d in pairs:
+                net.timeline.add(d, "send", ended[d], float(net.clocks[d]), tag)
         return
     depart = {s: old[s] + net.cost.t_setup for s, _ in pairs}
     new = net.clocks.copy()

@@ -1,4 +1,4 @@
-"""Network ↔ Engine differential checker plus obs-consistency probes.
+"""Network ↔ Engine differential checker (the ``diff`` pillar).
 
 The analytic :class:`~repro.machine.network.Network` advances a vector
 of per-rank clocks with closed-form arithmetic; the event-driven
@@ -21,26 +21,20 @@ mid-pattern barriers (``clocks[:] = max`` has no per-rank engine
 equivalent; a barrier may only end a pattern, after which only the
 makespan is compared).
 
-The obs-consistency probe runs a traced skeleton workload and checks
-the PR-1 observability invariants: spans close and nest inside their
-parents, root spans account for all bytes, timeline intervals stay
-within the makespan, metrics totals match the trace statistics, and a
-``trace_level=0`` re-run of the same seed produces a **bit-identical**
-makespan (tracing must never perturb the simulation).
+The ``trace`` pillar (:mod:`repro.check.tracecheck`) draws its pattern
+workloads from the same generator with ``wide=True``, which adds the
+idioms the engine cannot mirror.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
-import traceback
 from typing import Generator
 
 import numpy as np
 
-from repro.check.report import CheckResult, Failure
-from repro.obs.metrics import isolated_metrics
+from repro.check.report import TrialRunner
 from repro.machine.engine import Compute, Engine, ISend, Recv, Send
 from repro.machine.machine import (
     DISTR_DEFAULT,
@@ -49,16 +43,21 @@ from repro.machine.machine import (
     Machine,
 )
 from repro.machine.topology import BinomialTree, Ring
-from repro.skeletons import PLUS, SkilContext
 
-__all__ = ["run_diff", "generate_pattern", "expand_primitives"]
+__all__ = ["run_diff", "run_diff_raw", "generate_pattern", "apply_network",
+           "expand_primitives"]
 
 
 # ---------------------------------------------------------------------------
 # pattern generation
 # ---------------------------------------------------------------------------
-def generate_pattern(rng: random.Random, p: int, ring: bool) -> list[tuple]:
-    """A random list of high-level collective ops, all engine-mirrorable."""
+def generate_pattern(
+    rng: random.Random, p: int, ring: bool, wide: bool = False
+) -> list[tuple]:
+    """A random list of high-level collective ops, all engine-mirrorable
+    unless *wide*: that adds ``p2p_batch`` and ``pairs`` (a shift over a
+    random subset, rendezvous or not) and lets a ``p2p`` carry zero
+    bytes or go to its own sender."""
     ops: list[tuple] = []
     kinds = ["compute", "p2p", "bcast", "reduce", "allreduce", "gather",
              "scatter", "alltoall"]
@@ -66,18 +65,37 @@ def generate_pattern(rng: random.Random, p: int, ring: bool) -> list[tuple]:
         kinds.append("shift")
     if ring and p > 1:
         kinds.append("allgather")
+    if wide:
+        kinds += ["p2p_batch", "pairs"]
     for _ in range(rng.randint(3, 10)):
         kind = rng.choice(kinds)
         nb = rng.randint(1, 4096)
         sync = rng.random() < 0.4
         if kind == "compute":
             ops.append(("compute", tuple(rng.uniform(0.0, 5e-6) for _ in range(p))))
+        elif kind == "p2p" and wide:
+            ops.append(("p2p", rng.randrange(p), rng.randrange(p),
+                        rng.choice([0, 1, nb]), sync))
         elif kind == "p2p":
             if p == 1:
                 continue
             src = rng.randrange(p)
             dst = rng.choice([r for r in range(p) if r != src])
             ops.append(("p2p", src, dst, nb, sync))
+        elif kind == "p2p_batch":
+            k = rng.randint(1, 24)
+            ops.append((
+                "p2p_batch",
+                [rng.randrange(p) for _ in range(k)],
+                [rng.randrange(p) for _ in range(k)],
+                [rng.choice([0, 1, rng.randint(1, 4096)]) for _ in range(k)],
+                sync,
+            ))
+        elif kind == "pairs":
+            ranks = list(range(p))
+            rng.shuffle(ranks)
+            perm = ranks[: rng.randint(1, p)]
+            ops.append(("pairs", list(zip(perm, perm[1:] + perm[:1])), nb, sync))
         elif kind == "bcast":
             ops.append(("bcast", rng.randrange(p), nb, sync))
         elif kind == "reduce":
@@ -111,6 +129,12 @@ def apply_network(net, topo, ops) -> None:
         elif kind == "p2p":
             _, src, dst, nb, sync = op
             net.p2p(src, dst, nb, topo, sync=sync, tag=tag)
+        elif kind == "p2p_batch":
+            srcs, dsts, nbs = (np.asarray(c, dtype=np.int64) for c in op[1:4])
+            net.p2p_batch(srcs, dsts, nbs, topo, sync=op[4], tag=tag)
+        elif kind == "pairs":
+            _, pairs, nb, sync = op
+            net.shift(pairs, nb, topo, sync=sync, tag=tag)
         elif kind == "bcast":
             _, root, nb, sync = op
             net.broadcast(root, nb, topo, sync=sync, tag=tag)
@@ -277,161 +301,12 @@ def trial_pattern(rng: random.Random) -> tuple[str | None, dict[str, int]]:
                     f"network={float(net.clocks[r])!r} engine={ec!r}",
                     cov,
                 )
-    if eng.stats.messages != net.stats.messages:
-        return (
-            f"message count mismatch ({label}): network={net.stats.messages} "
-            f"engine={eng.stats.messages}",
-            cov,
-        )
-    if eng.stats.bytes_sent != net.stats.bytes_sent:
-        return (
-            f"byte count mismatch ({label}): network={net.stats.bytes_sent} "
-            f"engine={eng.stats.bytes_sent}",
-            cov,
-        )
+    for name in ("messages", "bytes_sent"):
+        a, b = getattr(net.stats, name), getattr(eng.stats, name)
+        if a != b:
+            return f"{name} mismatch ({label}): network={a} engine={b}", cov
     return None, cov
 
 
-def _obs_workload(seed: int, trace_level: int, watch=None) -> tuple[float, Machine]:
-    """A small skeleton program on a fresh machine; *watch* sees the
-    machine before anything runs on it."""
-    rng = random.Random(seed)
-    p = rng.choice([2, 3, 4])
-    n = p * rng.randint(2, 5)  # broadcast_part needs equal partitions
-    machine = Machine(p, trace_level=trace_level)
-    if watch is not None:
-        watch(machine)
-    ctx = SkilContext(machine)
-    a = ctx.array_create(1, (n,), (0,), (-1,), lambda ix: ix[0] + 1,
-                         DISTR_RING, dtype=np.int64)
-    b = ctx.array_create(1, (n,), (0,), (-1,), lambda ix: 0,
-                         DISTR_RING, dtype=np.int64)
-    ctx.array_map(lambda v, ix: v * 3, a, b)
-    ctx.array_fold(lambda v, ix: v, PLUS, b)
-    ctx.array_scan(PLUS, a, b)
-    ctx.array_broadcast_part(a, (rng.randrange(n),))
-    return float(machine.network.time), machine
-
-
-def trial_obs(rng: random.Random) -> tuple[str | None, dict[str, int]]:
-    seed = rng.randrange(2**31)
-    cov = {"diff.obs": 1}
-    traced_time, m = _obs_workload(seed, trace_level=2)
-    eps = 1e-12 + 1e-9 * traced_time
-
-    tracer, stats = m.tracer, m.stats
-    if tracer.open_depth != 0:
-        return f"{tracer.open_depth} span(s) left open", cov
-    spans = tracer.closed_spans()
-    if not spans:
-        return "traced workload produced no spans", cov
-    for s in spans:
-        if s.end_time < s.begin_time:
-            return f"span {s.name} ends before it begins", cov
-        if s.parent is not None:
-            par = tracer.spans[s.parent]
-            if s.begin_time < par.begin_time - eps or s.end_time > par.end_time + eps:
-                return (
-                    f"span {s.name} [{s.begin_time}, {s.end_time}] escapes "
-                    f"parent {par.name} [{par.begin_time}, {par.end_time}]",
-                    cov,
-                )
-    root_bytes = sum(s.bytes_sent for s in tracer.roots())
-    if root_bytes != stats.bytes_sent:
-        return (
-            f"root spans account for {root_bytes} bytes, "
-            f"stats recorded {stats.bytes_sent}",
-            cov,
-        )
-    for r in m.timeline.ranks():
-        for iv in m.timeline.for_rank(r):
-            if iv.start < -eps or iv.end > traced_time + eps or iv.end < iv.start:
-                return (
-                    f"timeline interval {iv.kind} [{iv.start}, {iv.end}] on "
-                    f"rank {r} outside makespan {traced_time}",
-                    cov,
-                )
-    h = m.metrics.histogram("net.message_bytes")
-    if h.count != stats.messages or int(h.total) != stats.bytes_sent:
-        return (
-            f"metrics histogram ({h.count} msgs, {h.total} bytes) != "
-            f"stats ({stats.messages} msgs, {stats.bytes_sent} bytes)",
-            cov,
-        )
-    untraced_time, _ = _obs_workload(seed, trace_level=0)
-    if untraced_time != traced_time:
-        return (
-            f"tracing perturbed the simulation: traced makespan "
-            f"{traced_time!r} != untraced {untraced_time!r}",
-            cov,
-        )
-    return None, cov
-
-
-def run_diff(
-    seed: int = 0,
-    budget: int = 60,
-    time_budget: float | None = None,
-    verbose: bool = False,
-) -> CheckResult:
-    """Run *budget* differential trials (every 4th is an obs probe)."""
-    res = CheckResult("diff")
-    t0 = time.monotonic()
-    for i in range(budget):
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            break
-        trial_seed = seed * 1_000_003 + i
-        rng = random.Random(trial_seed)
-        obs = i % 4 == 3
-        res.trials += 1
-        try:
-            with isolated_metrics():
-                msg, cov = (trial_obs if obs else trial_pattern)(rng)
-        except Exception:
-            msg, cov = traceback.format_exc(limit=8), {}
-        for k, v in cov.items():
-            res.coverage[k] = res.coverage.get(k, 0) + v
-        if msg is not None:
-            res.failures.append(
-                Failure(
-                    pillar="diff",
-                    seed=trial_seed,
-                    title=("obs consistency" if obs else "Network vs Engine"),
-                    detail=msg,
-                    replay=(
-                        f"PYTHONPATH=src python -m repro.check diff "
-                        f"--seed {trial_seed} --budget 1 --raw-seed"
-                    ),
-                )
-            )
-            if verbose:
-                print(f"diff seed {trial_seed}: FAIL")
-    return res
-
-
-def run_diff_raw(seed: int, budget: int = 1) -> CheckResult:
-    """Replay exact trial seeds (obs-vs-pattern recovered from the index)."""
-    res = CheckResult("diff")
-    for k in range(budget):
-        trial_seed = seed + k
-        i = trial_seed % 1_000_003
-        obs = i % 4 == 3
-        rng = random.Random(trial_seed)
-        res.trials += 1
-        try:
-            with isolated_metrics():
-                msg, cov = (trial_obs if obs else trial_pattern)(rng)
-        except Exception:
-            msg, cov = traceback.format_exc(limit=8), {}
-        for key, v in cov.items():
-            res.coverage[key] = res.coverage.get(key, 0) + v
-        if msg is not None:
-            res.failures.append(
-                Failure(
-                    pillar="diff",
-                    seed=trial_seed,
-                    title=("obs consistency" if obs else "Network vs Engine"),
-                    detail=msg,
-                )
-            )
-    return res
+_RUNNER = TrialRunner("diff", (trial_pattern,), budget=60)
+run_diff, run_diff_raw = _RUNNER.run, _RUNNER.run_raw

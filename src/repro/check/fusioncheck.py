@@ -140,10 +140,6 @@ def _run_trial(trial_seed: int, res: CheckResult, verbose: bool = False) -> None
                 title=f"fusion trial failed ({name})",
                 detail=msg,
                 reproducer=prog.source if prog is not None else "",
-                replay=(
-                    f"PYTHONPATH=src python -m repro.check fusion "
-                    f"--seed {trial_seed} --budget 1 --raw-seed"
-                ),
             )
         )
         if verbose:

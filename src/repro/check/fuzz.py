@@ -594,6 +594,29 @@ def shrink(spec: ProgramSpec, stage: str, budget: int = 120) -> ProgramSpec:
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
+def _trial(trial_seed: int, res: CheckResult, verbose: bool = False) -> None:
+    """One fuzz trial: coverage when it passes, the shrunk program when
+    it fails."""
+    res.trials += 1
+    out = run_trial(trial_seed)
+    if out is None:
+        for op in generate_spec(trial_seed).ops:
+            res.coverage[f"op.{op.kind}"] = res.coverage.get(f"op.{op.kind}", 0) + 1
+        return
+    stage, detail = out
+    res.failures.append(
+        Failure(
+            pillar="fuzz",
+            seed=trial_seed,
+            title=f"fuzz trial failed ({stage})",
+            detail=detail,
+            reproducer=render(shrink(generate_spec(trial_seed), stage)),
+        )
+    )
+    if verbose:
+        print(f"fuzz seed {trial_seed}: {stage}")
+
+
 def run_fuzz(
     seed: int = 0,
     budget: int = 100,
@@ -606,31 +629,7 @@ def run_fuzz(
     for i in range(budget):
         if time_budget is not None and time.monotonic() - t0 > time_budget:
             break
-        trial_seed = seed * 1_000_003 + i
-        res.trials += 1
-        out = run_trial(trial_seed)
-        if out is None:
-            spec = generate_spec(trial_seed)
-            for op in spec.ops:
-                res.coverage[f"op.{op.kind}"] = res.coverage.get(f"op.{op.kind}", 0) + 1
-            continue
-        stage, detail = out
-        minimal = shrink(generate_spec(trial_seed), stage)
-        res.failures.append(
-            Failure(
-                pillar="fuzz",
-                seed=trial_seed,
-                title=f"fuzz trial failed ({stage})",
-                detail=detail,
-                reproducer=render(minimal),
-                replay=(
-                    f"PYTHONPATH=src python -m repro.check fuzz "
-                    f"--seed {trial_seed} --budget 1 --raw-seed"
-                ),
-            )
-        )
-        if verbose:
-            print(f"fuzz seed {trial_seed}: {stage}")
+        _trial(seed * 1_000_003 + i, res, verbose)
     return res
 
 
@@ -638,23 +637,5 @@ def run_fuzz_raw(seed: int, budget: int = 1) -> CheckResult:
     """Replay exact trial seeds (what a failure's replay command uses)."""
     res = CheckResult("fuzz")
     for i in range(budget):
-        trial_seed = seed + i
-        res.trials += 1
-        out = run_trial(trial_seed)
-        if out is not None:
-            stage, detail = out
-            minimal = shrink(generate_spec(trial_seed), stage)
-            res.failures.append(
-                Failure(
-                    pillar="fuzz",
-                    seed=trial_seed,
-                    title=f"fuzz trial failed ({stage})",
-                    detail=detail,
-                    reproducer=render(minimal),
-                    replay=(
-                        f"PYTHONPATH=src python -m repro.check fuzz "
-                        f"--seed {trial_seed} --budget 1 --raw-seed"
-                    ),
-                )
-            )
+        _trial(seed + i, res)
     return res

@@ -17,15 +17,12 @@ garbage — the latent-bug class this oracle originally surfaced.
 from __future__ import annotations
 
 import random
-import time
-import traceback
 
 import numpy as np
 
 from repro.arrays.darray import DistArray
 from repro.arrays.distribution import CyclicDistribution
-from repro.check.report import CheckResult, Failure
-from repro.obs.metrics import isolated_metrics
+from repro.check.report import TrialRunner
 from repro.errors import SkeletonError
 from repro.machine.machine import (
     DISTR_DEFAULT,
@@ -45,7 +42,7 @@ from repro.skeletons import (
 from repro.skeletons.comm import array_rotate_rows
 from repro.skeletons.extensions import array_map_overlap
 
-__all__ = ["run_oracle", "ORACLE_TRIALS"]
+__all__ = ["run_oracle", "run_oracle_raw", "ORACLE_TRIALS"]
 
 _TOPOS = [DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D]
 
@@ -304,15 +301,13 @@ def trial_array_permute_rows(rng: random.Random) -> str | None:
     expected = np.empty_like(data)
     for i in range(rows):
         expected[perm[i], :] = data[i, :]
-    out = _mismatch(f"array_permute_rows[{distr}]", expected, dst.global_view())
-    if out is not None:
-        return out
     # rotate_rows is a wrapper over the same machinery
     shift = rng.randint(-rows, rows)
     dst2 = _block(ctx, np.zeros((rows, cols), np.int64), distr)
     array_rotate_rows(ctx, src, shift, dst2)
     expected2 = np.roll(data, shift, axis=0)
-    out = _mismatch(f"array_rotate_rows[{distr}]", expected2, dst2.global_view())
+    out = (_mismatch(f"array_permute_rows[{distr}]", expected, dst.global_view())
+           or _mismatch(f"array_rotate_rows[{distr}]", expected2, dst2.global_view()))
     if out is not None:
         return out
     if p > 1:
@@ -326,17 +321,12 @@ def trial_array_permute_rows(rng: random.Random) -> str | None:
     return None
 
 
-def trial_array_gen_mult(rng: random.Random) -> str | None:
-    p = rng.choice([1, 4])
-    ctx = _ctx(p, rng)
-    g = int(round(p ** 0.5))
-    n = g * rng.randint(2, 4)
-    da = _randint(rng, (n, n)) % 10
-    db = _randint(rng, (n, n)) % 10
-    semiring = rng.random() < 0.5
-    if semiring:
+def _semiring_case(rng: random.Random, da: np.ndarray, db: np.ndarray):
+    """A random ``(c, add, mul, tag, expected)`` for ``c = add(c, a mul
+    b)``: (min, +) on a large ``c`` or (+, *) on a random one."""
+    n = da.shape[0]
+    if rng.random() < 0.5:
         dc = np.full((n, n), 10**6, dtype=np.int64)
-        add, mul = MIN, PLUS
         expected = dc.copy()
         for i in range(n):
             for j in range(n):
@@ -344,23 +334,29 @@ def trial_array_gen_mult(rng: random.Random) -> str | None:
                     int(dc[i, j]),
                     int(np.min(da[i, :] + db[:, j])),
                 )
-    else:
-        dc = _randint(rng, (n, n))
-        add, mul = PLUS, TIMES
-        expected = dc + da @ db
+        return dc, MIN, PLUS, "min-plus", expected
+    dc = _randint(rng, (n, n))
+    return dc, PLUS, TIMES, "plus-times", dc + da @ db
+
+
+def trial_array_gen_mult(rng: random.Random) -> str | None:
+    p = rng.choice([1, 4])
+    ctx = _ctx(p, rng)
+    g = int(round(p ** 0.5))
+    n = g * rng.randint(2, 4)
+    da = _randint(rng, (n, n)) % 10
+    db = _randint(rng, (n, n)) % 10
+    dc, add, mul, tag, expected = _semiring_case(rng, da, db)
     a = _block(ctx, da, DISTR_TORUS2D)
     b = _block(ctx, db, DISTR_TORUS2D)
     c = _block(ctx, dc, DISTR_TORUS2D)
     ctx.array_gen_mult(a, b, add, mul, c)
-    tag = "min-plus" if semiring else "plus-times"
-    out = _mismatch(f"array_gen_mult[{tag},p={p}]", expected, c.global_view())
-    if out is not None:
-        return out
     # arguments must be observably unchanged (unskew contract)
-    out = _mismatch("array_gen_mult: a changed", da, a.global_view())
-    if out is not None:
-        return out
-    return _mismatch("array_gen_mult: b changed", db, b.global_view())
+    return (
+        _mismatch(f"array_gen_mult[{tag},p={p}]", expected, c.global_view())
+        or _mismatch("array_gen_mult: a changed", da, a.global_view())
+        or _mismatch("array_gen_mult: b changed", db, b.global_view())
+    )
 
 
 def trial_array_gen_mult_square(rng: random.Random) -> str | None:
@@ -374,33 +370,14 @@ def trial_array_gen_mult_square(rng: random.Random) -> str | None:
     g = int(round(p ** 0.5))
     n = g * rng.randint(2, 4)
     da = _randint(rng, (n, n)) % 10
-    semiring = rng.random() < 0.5
-    if semiring:
-        dc = np.full((n, n), 10**6, dtype=np.int64)
-        add, mul = MIN, PLUS
-        expected = dc.copy()
-        for i in range(n):
-            for j in range(n):
-                expected[i, j] = min(
-                    int(dc[i, j]),
-                    int(np.min(da[i, :] + da[:, j])),
-                )
-    else:
-        dc = _randint(rng, (n, n))
-        add, mul = PLUS, TIMES
-        expected = dc + da @ da
-    tag = "min-plus" if semiring else "plus-times"
-
+    dc, add, mul, tag, expected = _semiring_case(rng, da, da)
     a = _block(ctx, da, DISTR_TORUS2D)
     c = _block(ctx, dc, DISTR_TORUS2D)
     rounds0 = ctx.machine.stats.skeleton_calls
     ctx.array_gen_mult_square(a, add, mul, c)
     rounds_square = ctx.machine.stats.skeleton_calls - rounds0
-    out = _mismatch(f"array_gen_mult_square[{tag},p={p}]", expected,
-                    c.global_view())
-    if out is not None:
-        return out
-    out = _mismatch("array_gen_mult_square: a changed", da, a.global_view())
+    out = (_mismatch(f"array_gen_mult_square[{tag},p={p}]", expected, c.global_view())
+           or _mismatch("array_gen_mult_square: a changed", da, a.global_view()))
     if out is not None:
         return out
 
@@ -503,7 +480,8 @@ def trial_farm(rng: random.Random) -> str | None:
     return None
 
 
-#: name -> trial function; one round-robin pass covers every skeleton
+#: name -> trial function; trial seed *s* runs the ``s % 13``-th, so 13
+#: consecutive seeds cover every skeleton
 ORACLE_TRIALS = {
     "array_create": trial_array_create,
     "array_map": trial_array_map,
@@ -521,74 +499,15 @@ ORACLE_TRIALS = {
 }
 
 
-def run_oracle(
-    seed: int = 0,
-    budget: int = 60,
-    time_budget: float | None = None,
-    verbose: bool = False,
-) -> CheckResult:
-    """Round-robin the skeleton trials for *budget* iterations."""
-    res = CheckResult("oracle")
-    names = list(ORACLE_TRIALS)
-    t0 = time.monotonic()
-    for i in range(budget):
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            break
-        name = names[i % len(names)]
-        trial_seed = seed * 1_000_003 + i
-        rng = random.Random(trial_seed)
-        res.trials += 1
-        res.coverage[name] = res.coverage.get(name, 0) + 1
-        try:
-            with isolated_metrics():
-                msg = ORACLE_TRIALS[name](rng)
-        except Exception:
-            msg = traceback.format_exc(limit=8)
-        if msg is not None:
-            res.failures.append(
-                Failure(
-                    pillar="oracle",
-                    seed=trial_seed,
-                    title=f"skeleton oracle: {name}",
-                    detail=msg,
-                    replay=(
-                        f"PYTHONPATH=src python -m repro.check oracle "
-                        f"--seed {trial_seed} --budget 1 --raw-seed"
-                    ),
-                )
-            )
-            if verbose:
-                print(f"oracle {name} seed {trial_seed}: FAIL")
-    return res
+def _family(name: str):
+    """The trial *name* as a family, looked up when it runs."""
+
+    def family(rng: random.Random) -> tuple[str | None, dict[str, int]]:
+        return ORACLE_TRIALS[name](rng), {name: 1}
+
+    family.__name__ = f"skeleton oracle: {name}"
+    return family
 
 
-def run_oracle_raw(seed: int, budget: int = 1) -> CheckResult:
-    """Replay exact (seed, trial-index) pairs from a failure report.
-
-    The trial name is recovered from the seed's position in the round
-    robin, so ``--seed N --budget 1 --raw-seed`` replays trial N alone.
-    """
-    res = CheckResult("oracle")
-    names = list(ORACLE_TRIALS)
-    for k in range(budget):
-        trial_seed = seed + k
-        i = trial_seed % 1_000_003
-        name = names[i % len(names)]
-        rng = random.Random(trial_seed)
-        res.trials += 1
-        res.coverage[name] = res.coverage.get(name, 0) + 1
-        try:
-            with isolated_metrics():
-                msg = ORACLE_TRIALS[name](rng)
-        except Exception:
-            msg = traceback.format_exc(limit=8)
-        if msg is not None:
-            res.failures.append(
-                Failure(
-                    pillar="oracle",
-                    seed=trial_seed,
-                    title=f"skeleton oracle: {name}",
-                    detail=msg,
-                )
-            )
-    return res
+_RUNNER = TrialRunner("oracle", tuple(map(_family, ORACLE_TRIALS)), budget=60)
+run_oracle, run_oracle_raw = _RUNNER.run, _RUNNER.run_raw

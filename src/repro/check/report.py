@@ -2,12 +2,12 @@
 
 Every pillar reports through the same two types so the CLI can print a
 uniform summary and, for every failure, a **one-line replay command**
-plus (when the fuzzer produced one) a minimized reproducer program.
-:class:`TrialRunner` is the seeded trial loop of the pillars whose
-trials are plain functions of a random generator (``charging``,
-``stream``, ``backend``, ``dag``); ``fuzz``, ``oracle``, ``diff`` and
-``fusion`` keep their own loops because they shrink a failure or attach
-its source.
+(the per-trial seed with ``--raw-seed``) plus, when the fuzzer produced
+one, a minimized reproducer program.  :class:`TrialRunner` is the seeded
+trial loop of every pillar whose trials are plain functions of a random
+generator (``oracle``, ``diff``, ``charging``, ``trace``, ``backend``);
+``fuzz`` keeps its own loop because it shrinks a failing program, and
+``fusion`` because it attaches the failing source.
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ class Failure:
     title: str  #: one-line description of what went wrong
     detail: str = ""  #: the mismatch / traceback text
     reproducer: str = ""  #: minimized Skil source (fuzz pillar only)
-    replay: str = ""  #: one-line shell command that replays the failure
 
     def replay_command(self) -> str:
-        if self.replay:
-            return self.replay
+        """The one-line shell command that replays the failure."""
         return (
             f"PYTHONPATH=src python -m repro.check {self.pillar} "
-            f"--seed {self.seed} --budget 1"
+            f"--seed {self.seed} --budget 1 --raw-seed"
         )
 
 
@@ -127,10 +125,6 @@ class TrialRunner:
                     seed=trial_seed,
                     title=fn.__name__,
                     detail=msg,
-                    replay=(
-                        f"PYTHONPATH=src python -m repro.check {self.pillar} "
-                        f"--seed {trial_seed} --budget 1 --raw-seed"
-                    ),
                 )
             )
             if verbose:

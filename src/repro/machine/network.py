@@ -565,6 +565,15 @@ class Network:
                     tag,
                     (srcs, dsts, start, finish, plan.hops, nb, clocks),
                 )
+                # the second transfer: a rank's clock past the later end of
+                # its two rendezvous (zero-length, so dropped, elsewhere);
+                # a call of its own, so that record mode (message by
+                # message) and stream mode (lane by lane) add a rank's
+                # two sends in one order
+                ended = np.zeros(self.p)
+                ended[srcs] = finish
+                ended = np.maximum(ended[dsts], finish)
+                self.timeline.add_lanes(((dsts, "send", ended, clocks[dsts]),), tag)
             return
         if self.link_contention:
             wire = wire * self._contention_factors(srcs, dsts, nb, topo)

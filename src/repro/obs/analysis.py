@@ -15,9 +15,9 @@ Network, and so the fold, sees as the priced compute they charge.
 :func:`analyze_machine` turns the fold into one :class:`RunAnalysis`:
 component and per-skeleton totals, the top-*k* blocking edges and
 per-(skeleton, rank) busy seconds; record mode also has the steps,
-which tile ``[0, makespan]``.  The ``dag`` pillar checks the fold
+which tile ``[0, makespan]``.  The ``trace`` pillar checks the fold
 against a backward walk over the recording
-(:func:`repro.check.dagcheck.critical_path`).
+(:func:`repro.check.tracecheck.critical_path`).
 
 :func:`run_whatif` replays the application with latency, bandwidth or
 compute imbalance removed.  Removing a component everywhere shortens
@@ -199,8 +199,9 @@ class PathFold:
     the time it waited for a message or a jump (the current skeleton's
     still open in ``_since`` / ``_waited``).  The folded value is the rank's clock:
     the Network hands over the clocks after a write no wave describes
-    (``barrier``; a rendezvous wave, where a rank that both sends and
-    receives pays a second transfer) and :meth:`jump` catches up.  With
+    (``barrier``) and :meth:`jump` catches up; a rendezvous wave hands
+    over the clocks it left too, where a rank that both sends and
+    receives in a shift pays a second transfer (:meth:`_serial`).  With
     *record*, every folded segment is also logged with its predecessor,
     and ``tail`` names each rank's last one.
     """
@@ -375,7 +376,24 @@ class PathFold:
         if self.record:
             self.tail[dst[w]] = moved[w]
         if clocks is not None:
-            self.jump(clocks, np.concatenate((src, dst)))
+            self._serial(clocks, dst)
+
+    def _serial(self, clocks, ranks) -> None:
+        """A rendezvous shift's second transfer: a rank that both sends
+        and receives pays it after both, so its clock passes the wave's
+        last arrival on it; booked like a send, on the rank's own chain
+        (the Network's timeline lane of the same span)."""
+        lag = clocks[ranks] > self.val[ranks]
+        if not lag.any():
+            return
+        ranks = ranks[lag]
+        col = self._column()
+        start, end = self.val[ranks], clocks[ranks]
+        self.state[ranks, _ATTR + 4 * col + _LATENCY] += end - start
+        if self.record:
+            self.tail[ranks] = self._log("send", ranks, start, end, col,
+                                         self.tail[ranks])
+        self.val[ranks] = end
 
     # ------------------------------------------------------------- results
     def busy_seconds(self) -> np.ndarray:

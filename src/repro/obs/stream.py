@@ -27,9 +27,9 @@ scalar cell is updated with the same IEEE-754 additions, in the same
 order, as a left-to-right fold over the corresponding record-mode lists.
 Within one wave each (rank, kind) cell receives its contributions
 through ``np.add.at``, which applies element-by-element in index order —
-the order record mode lists that cell's intervals in.  The ``stream`` pillar
+the order record mode lists that cell's intervals in.  The ``trace`` pillar
 of :mod:`repro.check` holds this line: it folds a full ``trace_level=2``
-recording through the same sinks (``repro.check.streamcheck``) and
+recording through the same sinks (``repro.check.tracecheck``) and
 compares every aggregate bitwise against a live streamed run.
 """
 

@@ -1,12 +1,14 @@
-"""The ``dag`` conformance pillar: invariants hold, corruption is caught."""
+"""The happens-before DAG and critical-path checks of the ``trace``
+pillar (the former ``dag`` pillar): invariants hold, corruption is
+caught."""
 
 import random
 
-from repro.check.dagcheck import (
+from repro.check.tracecheck import (
+    _RUNNER,
     invariant_problems,
-    run_dag,
-    run_dag_raw,
-    trial_dag,
+    run_trace,
+    run_trace_raw,
 )
 from repro.machine.machine import Machine
 from repro.skeletons import SkilContext
@@ -14,24 +16,25 @@ from repro.skeletons import SkilContext
 
 class TestPillarRuns:
     def test_batch_is_green(self):
-        res = run_dag(seed=0, budget=12)
+        res = run_trace(seed=0, budget=12)
         assert res.trials == 12
         assert res.failures == []
-        assert set(res.coverage) <= {"dag.pattern", "dag.skeleton"}
-        assert sum(res.coverage.values()) == 12
+        families = ("trace.pattern", "trace.skeleton", "trace.app_",
+                    "trace.engine_")
+        for family in families:
+            assert any(k.startswith(family) for k in res.coverage), family
 
     def test_raw_seed_replay_matches(self):
         seed = 5 * 1_000_003 + 3
-        res = run_dag_raw(seed, budget=1)
+        res = run_trace_raw(seed, budget=1)
         assert res.trials == 1 and res.failures == []
 
     def test_trials_are_deterministic(self):
-        a = trial_dag(random.Random(42))
-        b = trial_dag(random.Random(42))
-        assert a == b
+        for family in _RUNNER.families:
+            assert family(random.Random(42)) == family(random.Random(42))
 
     def test_time_budget_stops_early(self):
-        res = run_dag(seed=0, budget=100000, time_budget=1.0)
+        res = run_trace(seed=0, budget=100000, time_budget=1.0)
         assert 0 < res.trials < 100000
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.check import run_charging, run_diff, run_fuzz, run_oracle
-from repro.check.__main__ import main
+from repro.check.__main__ import MERGED, main
 from repro.check.report import CheckResult, Failure, format_failure, format_result
 
 
@@ -56,8 +56,9 @@ class TestDiffPillar:
         res = run_diff(seed=0, budget=12)
         assert res.ok, format_result(res)
         assert res.trials == 12
-        # every 4th trial is an obs-consistency probe
-        assert res.coverage.get("diff.obs", 0) == 3
+        # Network vs Engine only: the obs probe is the trace pillar's
+        assert "diff.obs" not in res.coverage
+        assert all(k.startswith("diff.") for k in res.coverage)
 
     def test_raw_seed_replay(self):
         from repro.check.diffcheck import run_diff_raw
@@ -98,29 +99,34 @@ class TestBatchPillar:
 
 
 class TestStreamPillar:
-    def test_small_budget_green(self):
-        from repro.check import run_stream
+    """The ``trace`` pillar, which runs the former ``stream`` pillar's
+    record-vs-stream checks on every family."""
 
-        res = run_stream(seed=0, budget=9)
+    def test_small_budget_green(self):
+        from repro.check import run_trace
+
+        res = run_trace(seed=0, budget=6)
         assert res.ok, format_result(res)
-        assert res.trials == 9
-        # the three trial families interleave round-robin
+        assert res.trials == 6
+        # the four trial families interleave round-robin, patterns and
+        # skeletons twice in a round of six
         assert sum(v for k, v in res.coverage.items()
-                   if k.startswith("stream.app_")) == 3
+                   if k.startswith("trace.app_")) == 1
         assert sum(v for k, v in res.coverage.items()
-                   if k.startswith("stream.engine_")) == 3
+                   if k.startswith("trace.engine_")) == 1
+        assert res.coverage["trace.pattern"] == res.coverage["trace.skeleton"] == 2
 
     def test_raw_seed_replay(self):
-        from repro.check.streamcheck import run_stream_raw
+        from repro.check.tracecheck import run_trace_raw
 
-        res = run_stream_raw(6 * 1_000_003 + 1, budget=2)
+        res = run_trace_raw(6 * 1_000_003 + 1, budget=2)
         assert res.trials == 2
         assert res.ok, format_result(res)
 
     def test_cli_pillar_registered(self, capsys):
-        assert main(["stream", "--seed", "2", "--budget", "3"]) == 0
+        assert main(["trace", "--seed", "2", "--budget", "3"]) == 0
         out = capsys.readouterr().out
-        assert "[stream]" in out
+        assert "[trace]" in out
 
 
 class TestCli:
@@ -128,7 +134,7 @@ class TestCli:
         assert main(["all", "--seed", "0", "--budget", "6"]) == 0
         out = capsys.readouterr().out
         ran = [ln[1:ln.index("]")] for ln in out.splitlines() if ln.startswith("[")]
-        assert ran == ["fuzz", "oracle", "diff", "dag", "charging", "stream",
+        assert ran == ["fuzz", "oracle", "diff", "charging", "trace",
                        "backend", "fusion"]
         assert "0 failure(s)" in out
 
@@ -149,18 +155,23 @@ class TestCli:
 
 class TestRemovedEntryPoints:
     @pytest.mark.parametrize(
-        "argv", [["batch"], ["scale", "--seed", "1"], ["--budget", "3", "batch"]]
+        "argv", [["batch"], ["scale", "--seed", "1"], ["--budget", "3", "batch"],
+                 ["dag"], ["stream", "--seed", "0", "--budget", "120"]]
     )
     def test_merged_pillars_are_a_usage_error_naming_charging(self, argv, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.strip().splitlines()) == 1
-        assert "merged into 'charging'" in err
+        merged = next(a for a in argv if a in MERGED)
+        assert f"merged into '{MERGED[merged]}'" in err
+        assert f"python -m repro.check {MERGED[merged]}`" in err
         assert "Traceback" not in err and "invalid choice" not in err
         # no compatibility shims left behind
         assert importlib.util.find_spec("repro.check.netbatch") is None
         assert importlib.util.find_spec("repro.check.scalecheck") is None
+        assert importlib.util.find_spec("repro.check.dagcheck") is None
+        assert importlib.util.find_spec("repro.check.streamcheck") is None
 
     @pytest.mark.parametrize(
         "flag", ["--fused", "--no-fused", "--fusion", "--no-fusion"]
@@ -218,9 +229,11 @@ class TestRemovedEntryPoints:
 
 class TestReport:
     def test_failure_replay_command_default(self):
+        # every failure's seed is a per-trial seed: one replay form
         f = Failure(pillar="fuzz", seed=42, title="boom")
         assert f.replay_command() == (
-            "PYTHONPATH=src python -m repro.check fuzz --seed 42 --budget 1"
+            "PYTHONPATH=src python -m repro.check fuzz --seed 42 --budget 1 "
+            "--raw-seed"
         )
 
     def test_format_failure_includes_reproducer(self):

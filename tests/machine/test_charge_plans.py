@@ -25,7 +25,7 @@ from repro.check.charging import (
     _ref_reduce,
     _ref_shift,
 )
-from repro.check.streamcheck import compare_observers
+from repro.check.tracecheck import compare_observers
 from repro.errors import MachineError, TopologyError
 from repro.machine import topology as topology_mod
 from repro.machine.costmodel import T800_PARSYTEC

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.check.charging import _compare_machines
-from repro.check.streamcheck import compare_observers
+from repro.check.tracecheck import compare_observers
 from repro.errors import MachineError
 from repro.machine.machine import DISTR_RING, DISTR_TORUS2D, Machine
 from repro.machine.topology import VirtualTopology

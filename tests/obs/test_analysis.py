@@ -18,7 +18,7 @@ import math
 
 import pytest
 
-from repro.check.dagcheck import build_dag, critical_path, invariant_problems
+from repro.check.tracecheck import build_dag, critical_path, invariant_problems
 from repro.eval.tracecmd import run_traced
 from repro.machine.costmodel import SKIL, T800_PARSYTEC
 from repro.machine.machine import Machine
@@ -319,7 +319,7 @@ class TestChargingSkeleton:
 
     @pytest.mark.parametrize("app,p", CASES)
     def test_fold_equals_the_backward_walk_per_skeleton(self, app, p):
-        from repro.check.dagcheck import watch_charges
+        from repro.check.tracecheck import watch_charges
 
         machine = Machine(p, trace_level=2)
         labels = watch_charges(machine)

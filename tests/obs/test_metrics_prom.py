@@ -132,11 +132,9 @@ class TestIsolation:
         """Regression test: a full check trial must leave the global
         registry untouched (the leak the ``repro.check`` wrapping
         fixes)."""
-        import random as _random
-
-        from repro.check.dagcheck import trial_dag
+        from repro.check.tracecheck import run_trace_raw
 
         before = global_metrics().snapshot()
-        msg, _cov = trial_dag(_random.Random(123))
-        assert msg is None
+        res = run_trace_raw(120, budget=6)  # every family
+        assert res.ok and res.trials == 6
         assert global_metrics().snapshot() == before

@@ -219,7 +219,7 @@ def _stats(m):
 def test_gauss_record_and_stream_invisible_to_two_clocks(monkeypatch):
     """gauss p = 16, record and stream, each under two fake clocks:
     every simulated reading is bitwise equal, only the wall moves."""
-    from repro.check.streamcheck import compare_observers, fold_recorded
+    from repro.check.tracecheck import compare_observers, fold_recorded
     from repro.eval.tracecmd import run_traced
 
     def run():
@@ -339,7 +339,7 @@ class TestStreamModeIdentity:
     def test_stream_fold_identical_with_profiler(self):
         """Exact stream consumers fold identically to a recorded run,
         and stream mode keeps the wall totals but no stamps."""
-        from repro.check.streamcheck import compare_observers, fold_recorded
+        from repro.check.tracecheck import compare_observers, fold_recorded
 
         m_rec = Machine(4, trace_level=2)
         m_str = Machine(4, trace_level=2, trace_mode="stream")

@@ -6,7 +6,7 @@ under the sink path."""
 import numpy as np
 import pytest
 
-from repro.check.streamcheck import compare_folds, compare_observers, fold_recorded
+from repro.check.tracecheck import compare_folds, compare_observers, fold_recorded
 from repro.errors import SkilError
 from repro.machine.machine import Machine
 from repro.machine.trace import TraceStats
