@@ -186,18 +186,18 @@ def _eliminate_vec(k, a, piv, block, grids, env):
 
 
 def _eliminate_fused(k, a, piv, pool, grids, fenv):
-    """Whole-array eliminate: each row *i* subtracts ``a[i, k]`` times the
-    pivot row its owner holds in ``piv``; the pivot row itself and the
-    columns left of *k* are restored from the source, exactly like the
-    per-rank kernel (elementwise numpy ops are per-element deterministic,
-    so the values match bitwise)."""
+    """Whole-array eliminate on columns ``k:``: each row subtracts
+    ``a[i, k]`` times the pivot row its owner holds in ``piv``, through
+    the ``(p, n/p, n + 1)`` row-block view (a broadcast, no gather; the
+    drivers' ``_setup`` guarantees p | n), and the pivot row is restored
+    — per element the same IEEE operations as the per-rank kernel, so
+    the values match bitwise."""
     _require_row_block(fenv, a, piv)
-    ranks = a.dist.owner_vectors()[0]  # owning rank per global row
-    col_k = a.pool[:, k]
-    piv_rows = piv.pool[ranks, :]
-    out = pool - col_k[:, None] * piv_rows
-    out[:, :k] = pool[:, :k]
-    out[k, :] = pool[k, :]
+    p = fenv.p
+    out = pool.copy()
+    col_k = a.pool[:, k].reshape(p, -1, 1)
+    out.reshape(p, -1, out.shape[1])[:, :, k:] -= col_k * piv.pool[:, None, k:]
+    out[k, k:] = pool[k, k:]
     return out
 
 

@@ -232,14 +232,6 @@ class DistArray:
         self._check_alive()
         return self.dist.index_grids(rank)
 
-    def iter_local_indices(self, rank: int):
-        """Iterate ``(local_index, global_index)`` pairs of a partition —
-        the elementwise traversal the scalar skeleton paths use, valid
-        for every distribution kind."""
-        vecs = self.local_index_vectors(rank)
-        for local_ix in np.ndindex(*(len(v) for v in vecs)):
-            yield local_ix, tuple(int(v[i]) for v, i in zip(vecs, local_ix))
-
     # ------------------------------------------------------------------ global
     def global_view(self) -> np.ndarray:
         """Assemble the distributed array into one numpy array.

@@ -31,7 +31,9 @@ Three trial families interleave:
 Every trial runs each backend once at ``trace_level=1``, where every
 span and every dispatch takes wall stamps: they read wall clocks only
 and must never perturb the cost model on any backend.  The worker count
-(2 or 3) and up to two extra rows on axis 0 are drawn last, so no older
+(2 or 3), up to two extra rows on axis 0 and, one trial in eight, a
+stretch of axis 0 past twice ``SLAB_BYTES`` (so the ``sim`` side cuts
+its pooled calls into several slabs too) are drawn last, so no older
 draw moved.
 
 Worker threads are reused across a trial's skeleton calls but never
@@ -41,6 +43,7 @@ a trial also exercises pool teardown.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -56,6 +59,7 @@ from repro.machine.machine import (
 from repro.obs.metrics import isolated_metrics
 from repro.skeletons import MAX, MIN, PLUS, SkilContext
 from repro.skeletons.functional import skil_fn
+from repro.skeletons.fuse import SLAB_BYTES
 
 __all__ = ["run_backend", "run_backend_raw", "BACKENDS_CHECKED"]
 
@@ -229,12 +233,15 @@ def trial_backend_skeletons(rng: random.Random) -> tuple[str | None, dict[str, i
     section = rng.choice([PLUS, MIN, MAX])
     workers = rng.choice([2, 3])
     shape = (shape[0] + rng.choice([0, 0, 1, 2]), *shape[1:])
+    if rng.random() < 0.125:  # above the slab budget: several slabs on sim too
+        shape = (shape[0] * -(-2 * SLAB_BYTES // (8 * math.prod(shape))), *shape[1:])
     cov = {
         "backend.skeletons": 1,
         f"backend.p{p}": 1,
         f"backend.kernel_style{style}": 1,
         f"backend.workers{workers}": 1,
         "backend.uneven_slabs": int(shape[0] % workers != 0),
+        "backend.multi_slab": int(8 * math.prod(shape) > SLAB_BYTES),
     }
     for op in ops:
         cov[f"backend.op_{op}"] = 1

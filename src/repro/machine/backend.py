@@ -125,7 +125,8 @@ class ExecBackend:
 
     name = "sim"
     #: whether the elementwise executor should cut its pooled call into
-    #: one slab per worker for this backend (path 1 of its ladder)
+    #: one slab per worker and dispatch the slabs (path 1 of its ladder);
+    #: a sequential backend runs every slab inline
     parallel = False
     #: the machine's :class:`~repro.obs.span.SpanTracer` (``None`` when
     #: untraced), which each dispatch reports its wall stamps to.

@@ -23,8 +23,9 @@ folding function does not carry that promise (see
 
 A *fold_f* may carry ``reduce_all``: it reduces along the last axis, and
 ``reduce_all(x) == functools.reduce(fold_f, x)`` for 1-D ``x`` (up to a
-neutral element).  On equal row blocks the local phase is one call on
-the ``(p, m)`` stack and the tree phase one on the ``p`` partials.
+neutral element).  On equal row blocks the local phase is one call per
+slab, on its stack of whole ``m``-element blocks, and the tree phase one
+on the ``p`` partials.
 """
 
 from __future__ import annotations
@@ -92,10 +93,9 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
         reducer = getattr(fold_f, "reduce_all", None)
         rows = a.dist.grid == (ctx.p,) + (1,) * (a.dim - 1) and a.shape[0] % ctx.p == 0
         stacked = reducer is not None and slabs is not None and rows
-        if stacked:  # the (p, m) stack of blocks, each in ravel order
-            outs = [out for _, out in slabs]
-            pool = outs[0] if len(outs) == 1 else np.concatenate(outs)
-            partials = reducer(pool.reshape(ctx.p, -1))
+        if stacked:  # each slab a stack of whole blocks, each in ravel order
+            m = a.pool.size // ctx.p
+            partials = np.concatenate([reducer(out.reshape(-1, m)) for _, out in slabs])
         else:
             if slabs is not None:
                 blocks = _rank_blocks(slabs, a.dist)
@@ -134,20 +134,23 @@ def array_scan(ctx, scan_f: Callable, a: DistArray, to_arr: DistArray) -> None:
     np_op = getattr(scan_f, "np_op", None)
     # fused fast path (see docs/PERFORMANCE.md): with equal pooled
     # partitions the p local scans are one batched accumulate over the
-    # (p, block) pool view — each row is scanned in the identical
-    # left-to-right element order, so contents are bit-identical
+    # (p, block) pool views, straight into the target — each row is
+    # scanned in the identical left-to-right element order, so contents
+    # are bit-identical.  A dtype-changing scan takes the per-rank loop:
+    # accumulating in the target's dtype would round differently
     fused = (
         ctx.fused
         and np_op is not None
         and a.pool is not None
         and to_arr.pool is not None
         and a.pool.dtype != object
+        and to_arr.dtype == a.dtype
         and a.shape[0] % ctx.p == 0
     )
     if fused:
-        rows = a.pool.reshape(ctx.p, -1)
-        scanned_all = np_op.accumulate(rows, axis=1)
-        locals_ = list(scanned_all)
+        scanned = to_arr.pool.reshape(ctx.p, -1)
+        np_op.accumulate(a.pool.reshape(ctx.p, -1), axis=1, out=scanned)
+        locals_ = list(scanned)  # views: the target holds the local scans
     else:
         locals_ = []
         for r in range(ctx.p):
@@ -175,17 +178,12 @@ def array_scan(ctx, scan_f: Callable, a: DistArray, to_arr: DistArray) -> None:
     topo = ctx.machine.topology(a.distr)
     ctx.charge.allreduce(probe.nbytes, topo, combine_ops=ops)
 
-    off_col = None
-    if fused and ctx.p > 1:
-        off_col = np.asarray(offsets[1:])
-        if off_col.dtype != scanned_all.dtype or off_col.shape != (ctx.p - 1,):
-            # mixed promotion could differ from the per-rank scalar case
-            off_col = None
-    if fused and (ctx.p == 1 or off_col is not None):
-        to_rows = to_arr.pool.reshape(ctx.p, -1)
-        to_rows[0] = scanned_all[0]
-        if ctx.p > 1:
-            to_rows[1:] = np_op(off_col[:, None], scanned_all[1:])
+    off_col = np.asarray(offsets[1:]) if fused else None
+    # mixed promotion could differ from the per-rank scalar case
+    if off_col is not None and (off_col.dtype, off_col.shape) == (
+        scanned.dtype, (ctx.p - 1,)
+    ):
+        np_op(off_col[:, None], scanned[1:], out=scanned[1:])
     else:
         for r in range(ctx.p):
             if offsets[r] is None:

@@ -17,8 +17,9 @@ picks one of two paths, testing the conditions in this order:
      vector reads them), so it may run off the main thread; or
    * ``ctx.fused`` and the function has an explicit ``fused=``
      whole-array form or a vectorized kernel not known to read the env:
-     **one slab**, called inline (as when the grid has fewer rows of
-     partitions than workers).  Saves ``p`` kernel calls per skeleton.
+     called inline, in **one slab** — or, for a kernel known env-free,
+     in cache-sized slabs of about :data:`SLAB_BYTES` each
+     (:func:`slab_count`).  Saves ``p`` kernel calls per skeleton.
 2. **the per-rank loop** — everything else: strided layouts, kernels
    that read the env, scalar-only functions (applied element by
    element).  ``SkilContext(fused=False)`` forces it on ``sim``: that
@@ -43,12 +44,19 @@ on the path taken.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import SkeletonError
+
+#: the bytes one slab of a pooled call touches on a sequential backend,
+#: sources and result together: half of a 2 MiB per-core L2 (the sweep
+#: is in docs/PERFORMANCE.md)
+SLAB_BYTES = 1 << 20
 
 __all__ = [
     "FusionFallback",
@@ -132,24 +140,15 @@ def remember_fusability(vec: Callable, ok: bool) -> None:
 def _boxed_block(f: Callable, ins: list, like, rank: int) -> np.ndarray:
     """Apply a scalar-only *f* to one partition, element by element.
 
-    The loop is specialised on the number of sources outside the element
-    loop: it is a third of the ``skeleton_calls`` benchmark, and a generic
-    ``f(*(b[ix] for b in ins), gix)`` body costs +29 % there.
+    The walk is C-level: ``map`` over the flat iterators of the sources
+    and one ``itertools.product`` of the global index vectors (Python
+    ints, C order — the partition's ravel order), stored by ``fromiter``
+    so that whatever *f* returns (a tuple, an array) is one object.
     """
-    out = np.empty(like.local(rank).shape, dtype=object)
-    indices = like.iter_local_indices(rank)
-    if not ins:
-        for ix, gix in indices:
-            out[ix] = f(gix)
-    elif len(ins) == 1:
-        (a,) = ins
-        for ix, gix in indices:
-            out[ix] = f(a[ix], gix)
-    else:
-        a, b = ins
-        for ix, gix in indices:
-            out[ix] = f(a[ix], b[ix], gix)
-    return out
+    shape = like.local(rank).shape
+    indices = product(*(v.tolist() for v in like.local_index_vectors(rank)))
+    results = map(f, *(a.flat for a in ins), indices)
+    return np.fromiter(results, dtype=object, count=math.prod(shape)).reshape(shape)
 
 
 def _fit(kernel: Callable, out, shape: tuple) -> np.ndarray:
@@ -165,10 +164,22 @@ def _fit(kernel: Callable, out, shape: tuple) -> np.ndarray:
 
 
 def run_pieces(backend, call: Callable, tasks: list) -> list:
-    """``call(*t)`` per task, in task order: one inline, more dispatched."""
-    if len(tasks) == 1:
-        return [call(*tasks[0])]
+    """``call(*t)`` per task, in task order: inline on a sequential
+    backend or for one task, else dispatched."""
+    if len(tasks) == 1 or not backend.parallel:
+        return [call(*t) for t in tasks]
     return backend.run_blocks(call, tasks)
+
+
+def slab_count(backend, srcs: tuple, like) -> int:
+    """How many slabs the pooled call of a known env-free kernel is cut
+    into: one per worker on a parallel backend, else one per
+    :data:`SLAB_BYTES` of the bytes the call touches (its sources and a
+    result the size of *like*), at most one per grid row."""
+    if backend.parallel:
+        return backend.workers
+    nbytes = sum(a.pool.nbytes for a in (*srcs, like))
+    return min(nbytes // SLAB_BYTES, like.dist.grid[0])
 
 
 def run_elementwise(ctx, f: Callable, srcs: tuple, like) -> tuple:
@@ -193,15 +204,16 @@ def run_elementwise(ctx, f: Callable, srcs: tuple, like) -> tuple:
     backend = ctx.machine.backend
     spread = backend.parallel and env_free is True
     if (ctx.fused or spread) and all(a.pool is not None for a in (*srcs, like)):
-        kernel, probing, k = vec, False, backend.workers
+        kernel, probing = vec, False
         if not spread:
             # an explicit fused= form wins; its own guards (e.g. a partner
             # array that is not pooled) raise FusionFallback
-            kernel, k = getattr(f, "fused", None), 1
+            kernel = getattr(f, "fused", None)
             if kernel is None and env_free is not False:
                 kernel, probing = vec, env_free is None
         if kernel is not None:
-            slabs = like.dist.slab_rows(k)
+            cut = kernel is vec and env_free is True
+            slabs = like.dist.slab_rows(slab_count(backend, srcs, like) if cut else 1)
             grids = like.dist.global_index_grids()
             # never a per-rank MapEnv: a kernel whose env use is
             # conditional raises and is re-run by the per-rank loop below

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.quicksort import quicksort
 from repro.errors import SkeletonError
 from repro.skeletons import MIN, PLUS, TIMES, papply, section, skil_fn
 from repro.skeletons.functional import Section
@@ -12,30 +13,9 @@ from repro.skeletons.functional import Section
 from .conftest import make_ctx
 
 
-# -- the paper's quicksort customizing functions -----------------------------
-def qs_trivial(lst):
-    return len(lst) <= 1
-
-
-def qs_solve(lst):
-    return lst
-
-
-def qs_split(lst):
-    pivot = lst[0]
-    return [
-        [x for x in lst[1:] if x < pivot],
-        [pivot],
-        [x for x in lst[1:] if x >= pivot],
-    ]
-
-
-def qs_join(parts):
-    return parts[0] + parts[1] + parts[2]
-
-
 def run_quicksort(ctx, data):
-    return ctx.divide_and_conquer(qs_trivial, qs_solve, qs_split, qs_join, list(data))
+    """The paper's quicksort, driven through the application module."""
+    return quicksort(ctx, data)[0]
 
 
 class TestDivideAndConquer:

@@ -293,3 +293,46 @@ class TestArrayScan:
         b = DistArray.from_global(ctx.machine, np.zeros(8))
         ctx.array_scan(MAX, a, b)
         np.testing.assert_allclose(b.global_view(), np.maximum.accumulate(data))
+
+    @staticmethod
+    def _two_pass_scan(data, p, out_dtype):
+        """The fused scan as it was written before it accumulated into the
+        target: a fresh accumulate of the (p, block) rows, exclusive
+        offsets folded left to right, one broadcast add, then a cast."""
+        rows = np.add.accumulate(data.reshape(p, -1), axis=1)
+        offsets, running = [], None
+        for r in range(p):
+            offsets.append(running)
+            running = rows[r, -1] if running is None else running + rows[r, -1]
+        out = rows.copy()
+        out[1:] = np.add(np.asarray(offsets[1:])[:, None], rows[1:])
+        return out.reshape(-1).astype(out_dtype)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("p", [1, 4, 16])
+    def test_in_situ_scan_bitwise(self, p, fused):
+        """``array_scan(PLUS, a, a)`` accumulates over its own source."""
+        from repro.arrays.darray import DistArray
+
+        data = np.sin(np.arange(160.0)) * 1e3 + 1.0 / 3.0
+        ctx = SkilContext(Machine(p), fused=fused)
+        a = DistArray.from_global(ctx.machine, data)
+        ctx.array_scan(PLUS, a, a)
+        want = self._two_pass_scan(data, p, float)
+        assert a.global_view().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_int_to_float_scan_keeps_exact_integer_sums(self, fused):
+        """Sums past 2**53 are exact in the integer scan and rounded once
+        by the cast; accumulating in the target's float would round at
+        every step and differ."""
+        from repro.arrays.darray import DistArray
+
+        data = (np.arange(64, dtype=np.int64) * 7 + 1) * (2**46 + 3)
+        ctx = SkilContext(Machine(4), fused=fused)
+        a = DistArray.from_global(ctx.machine, data)
+        b = DistArray.from_global(ctx.machine, np.zeros(64))
+        ctx.array_scan(PLUS, a, b)
+        want = self._two_pass_scan(data, 4, float)
+        assert b.global_view().tobytes() == want.tobytes()
+        assert want.tobytes() != np.add.accumulate(data.astype(float)).tobytes()

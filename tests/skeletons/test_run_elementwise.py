@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 
 from repro.arrays.darray import DistArray
-from repro.arrays.distribution import BlockDistribution, CyclicDistribution
+from repro.arrays.distribution import (
+    BlockCyclicDistribution,
+    BlockDistribution,
+    CyclicDistribution,
+)
 from repro.errors import SkeletonError
 from repro.machine.backend import SimBackend, ThreadsBackend
 from repro.machine.machine import Machine
-from repro.skeletons import PLUS, SkilContext, skil_fn
+from repro.skeletons import PLUS, SkilContext, fuse, skil_fn
 
 P, ROWS, COLS, WORKERS = 4, 8, 3, 2
 
@@ -467,3 +471,237 @@ def test_more_workers_than_cores_under_a_short_switch_interval():
             assert run(machine, fused=True) == want
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# cache-sized slabs on sim
+# ---------------------------------------------------------------------------
+#: a (BIG_ROWS, BIG_COLS) float array holds two slab budgets, so even a
+#: create (no source) is cut on sim
+BIG_COLS = 128
+BIG_ROWS = 2 * fuse.SLAB_BYTES // (8 * BIG_COLS)
+
+
+def _counted(kernels):
+    """The kernels of ``_slab_kernels``, each logging the rows it is given."""
+    rows = {name: [] for name in kernels}
+
+    def wrap(name, fn):
+        vec = fn.vectorized
+
+        def counting(*args):
+            grids = args[-2]
+            rows[name].append(len(grids[0]))
+            return vec(*args)
+
+        counting.env_free = True
+        return _vec_only(fn.ops, counting)
+
+    return {name: wrap(name, fn) for name, fn in kernels.items()}, rows
+
+
+def _big_call(skeleton, ctx, machine, kernels):
+    """One skeleton call over big arrays; returns its value as bytes."""
+    shape = (BIG_ROWS, BIG_COLS)
+    data = np.arange(BIG_ROWS * BIG_COLS, dtype=float).reshape(shape) / 7.0
+    a = DistArray.from_global(machine, data)
+    b = DistArray.from_global(machine, data[::-1].copy())
+    dst = DistArray.from_global(machine, np.zeros(shape))
+    if skeleton == "map":
+        ctx.array_map(kernels["map"], a, dst)
+    elif skeleton == "zip":
+        ctx.array_zip(kernels["zip"], a, b, dst)
+    elif skeleton == "fold":
+        return repr(ctx.array_fold(kernels["conv"], PLUS, a))
+    else:
+        dst = ctx.array_create(2, shape, (0, 0), (-1, -1), kernels["init"])
+    return dst.global_view().tobytes()
+
+
+KERNEL_OF = {"map": "map", "zip": "zip", "fold": "conv", "create": "init"}
+
+
+@pytest.mark.parametrize("p", [4, 16, 64])
+@pytest.mark.parametrize("skeleton", ["map", "zip", "fold", "create"])
+def test_sim_cuts_big_calls_into_slabs_bitwise_equal(skeleton, p):
+    """Above the slab budget a known env-free kernel runs once per
+    cache-sized slab on sim, and the values are the per-rank loop's and
+    the threads backend's, bit for bit."""
+    got = {}
+    for name, fused in (("slabs", True), ("ranks", False), ("threads", True)):
+        kernels, rows = _counted(_slab_kernels())
+        backend = "threads" if name == "threads" else "sim"
+        with Machine(p, backend=backend, workers=WORKERS) as machine:
+            got[name] = _big_call(skeleton, SkilContext(machine, fused=fused),
+                                  machine, kernels)
+        if name == "slabs":
+            cut = rows[KERNEL_OF[skeleton]]
+            assert len(cut) > 1  # not vacuous: the call was cut
+            assert sum(cut) == BIG_ROWS
+            n_arrays = {"create": 1, "zip": 3}.get(skeleton, 2)
+            assert len(cut) == min(n_arrays * BIG_ROWS * BIG_COLS * 8
+                                   // fuse.SLAB_BYTES, p)
+    assert got["slabs"] == got["ranks"] == got["threads"]
+
+
+@pytest.mark.parametrize("case", ["fused_form", "probed", "p1"])
+def test_what_keeps_one_slab_on_sim(case):
+    """An explicit ``fused=`` form and the call that probes a hand-written
+    kernel take the pool whole, and p = 1 has nothing to cut — however
+    big the arrays."""
+    log = []
+
+    def vec(block, grids, env):
+        log.append(len(grids[0]))
+        return block * 2.0
+
+    def whole(pool, grids, fenv):
+        return vec(pool, grids, fenv)
+
+    fn = _vec_only(1, vec)
+    if case == "fused_form":
+        vec.env_free = True
+        fn = skil_fn(ops=1, vectorized=vec, fused=whole)(lambda v, ix: v * 2.0)
+    p = 1 if case == "p1" else 16
+    if case == "p1":
+        vec.env_free = True
+    with Machine(p, backend="sim") as machine:
+        ctx = SkilContext(machine)
+        data = np.ones((BIG_ROWS, BIG_COLS))
+        a = DistArray.from_global(machine, data)
+        dst = DistArray.from_global(machine, np.zeros_like(data))
+        ctx.array_map(fn, a, dst)
+        assert log == [BIG_ROWS]
+        if case == "probed":  # known env-free from the second call on
+            ctx.array_map(fn, a, dst)
+            assert len(log) > 2
+        np.testing.assert_array_equal(dst.global_view(), 2.0 * data)
+
+
+def test_stacked_fold_reduces_slab_by_slab():
+    """A ``reduce_all`` fold over several slabs reduces each slab's stack
+    of blocks on its own (never a pool-sized concatenation) and equals
+    ``functools.reduce`` over the converted elements."""
+    import functools
+
+    stacks = []
+
+    class Largest:
+        ops = 1.0
+        commutative_associative = True
+
+        def __call__(self, x, y):
+            return max(x, y)
+
+        def reduce_all(self, x):
+            stacks.append(x.shape)
+            return x.max(axis=-1)
+
+    p = 16
+    conv = _slab_kernels()["conv"]
+    with Machine(p, backend="sim") as machine:
+        data = np.sin(np.arange(BIG_ROWS * BIG_COLS)).reshape(BIG_ROWS, BIG_COLS)
+        a = DistArray.from_global(machine, data)
+        got = SkilContext(machine).array_fold(conv, Largest(), a)
+    want = functools.reduce(
+        max, (data * data + np.arange(BIG_ROWS)[:, None]).ravel().tolist()
+    )
+    assert got == want
+    *local, tree = stacks
+    assert len(local) > 1 and sum(s[0] for s in local) == p
+    assert all(s == (s[0], BIG_ROWS * BIG_COLS // p) for s in local)
+    assert tree == (p,)
+
+
+# ---------------------------------------------------------------------------
+# the boxed walk
+# ---------------------------------------------------------------------------
+def _ndindex_walk(f, ins, like, rank):
+    """The element walk as it was written before it moved into C:
+    ``np.ndindex`` over the partition, a tuple of Python ints per element."""
+    out = np.empty(like.local(rank).shape, dtype=object)
+    vecs = like.local_index_vectors(rank)
+    for ix in np.ndindex(*(len(v) for v in vecs)):
+        gix = tuple(int(v[i]) for v, i in zip(vecs, ix))
+        out[ix] = f(*(b[ix] for b in ins), gix)
+    return out
+
+
+#: (distribution, grid) per layout
+WALK_LAYOUTS = {
+    "block-1d": (BlockDistribution((7,), (4,)), (4,)),
+    "cyclic-1d": (CyclicDistribution((3,), (4,)), (4,)),
+    "block-2d": (BlockDistribution((5, 3), (2, 2)), (2, 2)),
+    "block-cyclic-2d": (BlockCyclicDistribution((9, 4), (2, 2), (4, 1)), (2, 2)),
+    "cyclic-3d": (CyclicDistribution((5, 2, 3), (2, 1, 2)), (2, 1, 2)),
+    "block-cyclic-3d": (
+        BlockCyclicDistribution((3, 5, 2), (4, 1, 1), (1, 2, 1)), (4, 1, 1)
+    ),
+}
+
+
+#: layouts that leave the last rank an empty partition
+EMPTY_LAST_RANK = ("cyclic-1d", "block-cyclic-3d")
+
+
+@pytest.mark.parametrize("n_inputs", [0, 1, 2])
+@pytest.mark.parametrize("layout", sorted(WALK_LAYOUTS))
+def test_boxed_walk_matches_the_ndindex_walk(layout, n_inputs):
+    """Same elements (same numpy scalar types), same index tuples of
+    Python ints, same order, same stored objects — on every rank,
+    empty partitions included."""
+    from repro.skeletons import fuse
+
+    dist, grid = WALK_LAYOUTS[layout]
+    p = int(np.prod(grid))
+    with Machine(p, backend="sim") as machine:
+        dtypes = [np.float32, np.int16]
+        arrays = []
+        for k in range(n_inputs):
+            arr = DistArray(machine, dist, dtypes[k])
+            arr.fill_from_global(
+                np.arange(np.prod(dist.shape)).reshape(dist.shape) * (k + 2)
+            )
+            arrays.append(arr)
+        like = arrays[0] if arrays else DistArray(machine, dist, float)
+        for r in range(p):
+            ins = [a.local(r) for a in arrays]
+            logs = ([], [])
+
+            def make_f(log):
+                def f(*args):
+                    *elems, gix = args
+                    log.append(
+                        (tuple((type(e), e) for e in elems), gix,
+                         tuple(type(i) for i in gix))
+                    )
+                    return (sum(elems), gix)
+
+                return f
+
+            want = _ndindex_walk(make_f(logs[0]), ins, like, r)
+            got = fuse._boxed_block(make_f(logs[1]), ins, like, r)
+            assert logs[0] == logs[1]
+            assert all(t is int for *_, types in logs[1] for t in types)
+            assert got.shape == want.shape == like.local(r).shape
+            assert got.dtype == object
+            assert got.tolist() == want.tolist()
+        if layout in EMPTY_LAST_RANK:
+            assert like.local(p - 1).size == 0
+
+
+@pytest.mark.parametrize(
+    "result", [(1, 2), np.array([1.0, 2.0]), None], ids=["tuple", "array", "None"]
+)
+def test_boxed_result_is_stored_as_one_object(result):
+    """Whatever a scalar-only function returns is one element of an
+    object array, also where numpy would otherwise unpack a sequence."""
+    with Machine(P, backend="sim") as machine:
+        ctx = SkilContext(machine)
+        a = make_array(machine, "cyclic", np.zeros((ROWS, COLS)))
+        dst = DistArray(machine, CyclicDistribution((ROWS, COLS), (P, 1)), object)
+        ctx.array_map(skil_fn(ops=1)(lambda v, ix: result), a, dst)
+        for r in range(P):
+            block = dst.local(r)
+            assert block.shape == a.local(r).shape
+            assert all(x is result for x in block.flat)
