@@ -36,7 +36,6 @@ from repro.errors import SkilError, SkilRuntimeError
 from repro.machine.machine import DISTR_DEFAULT
 from repro.skeletons import SkilContext, papply, skil_fn
 from repro.skeletons.base import current_context
-from repro.skeletons.fuse import FusionFallback
 
 __all__ = ["gauss_simple", "gauss_full", "ELEMREC", "random_system"]
 
@@ -125,39 +124,23 @@ def switch_rows(r1: int, r2: int, i: int) -> int:
     return i
 
 
-def _require_row_block(fenv, *arrays):
-    """Fused gauss kernels assume pooled arrays distributed as contiguous
-    row blocks over all p processors (grid ``(p, 1)``), which is how the
-    paper lays the extended matrix and ``piv`` out.  Anything else falls
-    back to the per-rank path."""
-    for arr in arrays:
-        if arr.pool is None or arr.dist.grid != (fenv.p,) + (1,) * (arr.dim - 1):
-            raise FusionFallback("needs pooled row-block arrays")
-
-
+# Each kernel is env-free: it works on any piece of whole row blocks
+# (one rank's partition, or a slab of them) from the piece's global
+# index grids, reading ``a.pool`` / ``piv.pool`` by global row.
+# ``gauss_simple`` and ``gauss_full`` lay the matrices out as p row
+# blocks of n/p rows (``_setup`` guarantees p | n), so row i is owned by
+# rank i // (n/p), and row r of ``piv`` by rank r.
 def _copy_pivot_vec(a, k, block, grids, env):
     """Vectorized copy_pivot: partially applied to (a, k) like the paper."""
-    bounds = a.part_bounds(env.rank)
-    if bounds.lower[0] <= k < bounds.upper[0]:
-        row = a.local(env.rank)[k - bounds.lower[0], :]
-        return (row / row[k])[None, :]
-    return block
-
-
-def _copy_pivot_fused(a, k, pool, grids, fenv):
-    """Whole-array copy_pivot: one row of ``piv`` changes — the one owned
-    by the processor whose partition of *a* contains row *k*.  Same
-    ``row / row[k]`` division as the per-rank kernel, so values are
-    bit-identical."""
-    _require_row_block(fenv, a)
-    owner = a.owner((k,) + (0,) * (a.dim - 1))
-    row = a.pool[k, :]
-    out = pool.copy()
-    out[owner, :] = row / row[k]
+    out = block.copy()
+    owner = a.owner((k, 0)) - int(grids[0][0, 0])  # its row in the piece
+    if 0 <= owner < len(out):
+        row = a.pool[k]
+        out[owner] = row / row[k]
     return out
 
 
-@skil_fn(ops=1, vectorized=_copy_pivot_vec, fused=_copy_pivot_fused)
+@skil_fn(ops=1, vectorized=_copy_pivot_vec)
 def copy_pivot(a, k, v, ix):
     """Overwrite the piv element if this processor holds the pivot row.
 
@@ -172,36 +155,24 @@ def copy_pivot(a, k, v, ix):
 
 
 def _eliminate_vec(k, a, piv, block, grids, env):
-    """Vectorized eliminate: out = v - a[i,k] * piv[procId, j] except for
-    the pivot row and the columns left of the pivot."""
-    bounds = a.part_bounds(env.rank)
-    ablock = a.local(env.rank)
-    col_k = ablock[:, k]
-    piv_row = piv.local(env.rank)[0, :]
-    out = block - col_k[:, None] * piv_row[None, :]
-    out[:, :k] = block[:, :k]
-    if bounds.lower[0] <= k < bounds.upper[0]:
-        out[k - bounds.lower[0], :] = block[k - bounds.lower[0], :]
-    return out
-
-
-def _eliminate_fused(k, a, piv, pool, grids, fenv):
-    """Whole-array eliminate on columns ``k:``: each row subtracts
+    """Vectorized eliminate on columns ``k:``: each row subtracts
     ``a[i, k]`` times the pivot row its owner holds in ``piv``, through
-    the ``(p, n/p, n + 1)`` row-block view (a broadcast, no gather; the
-    drivers' ``_setup`` guarantees p | n), and the pivot row is restored
-    — per element the same IEEE operations as the per-rank kernel, so
-    the values match bitwise."""
-    _require_row_block(fenv, a, piv)
-    p = fenv.p
-    out = pool.copy()
-    col_k = a.pool[:, k].reshape(p, -1, 1)
-    out.reshape(p, -1, out.shape[1])[:, :, k:] -= col_k * piv.pool[:, None, k:]
-    out[k, k:] = pool[k, k:]
+    the ``(m, n/p, n + 1)`` view of the piece's m row blocks (a
+    broadcast, no gather), and the pivot row keeps its values."""
+    rows = grids[0][:, 0]
+    lo, hi = int(rows[0]), int(rows[-1]) + 1
+    nb = a.shape[0] // piv.shape[0]
+    out = block.copy()
+    col_k = a.pool[lo:hi, k].reshape(-1, nb, 1)
+    out.reshape(-1, nb, out.shape[1])[:, :, k:] -= (
+        col_k * piv.pool[lo // nb:hi // nb, None, k:]
+    )
+    if lo <= k < hi:
+        out[k - lo, k:] = block[k - lo, k:]
     return out
 
 
-@skil_fn(ops=2, vectorized=_eliminate_vec, fused=_eliminate_fused)
+@skil_fn(ops=2, vectorized=_eliminate_vec)
 def eliminate(k, a, piv, v, ix):
     """The paper's eliminate, scalar path (tiny problems/tests only)."""
     if ix[0] == k or ix[1] < k:
@@ -211,28 +182,14 @@ def eliminate(k, a, piv, v, ix):
 
 
 def _normalize_vec(a, block, grids, env):
-    n_col = a.shape[1] - 1
-    bounds = a.part_bounds(env.rank)
-    rows = np.arange(bounds.lower[0], bounds.upper[0])
-    ablock = a.local(env.rank)
-    diag = ablock[np.arange(len(rows)), rows]
+    """Vectorized normalize: the last column over the diagonal of *a*."""
+    rows = grids[0][:, 0]
     out = block.copy()
-    out[:, n_col] = block[:, n_col] / diag
+    out[:, -1] = block[:, -1] / a.pool[rows, rows]
     return out
 
 
-def _normalize_fused(a, pool, grids, fenv):
-    """Whole-array normalize: divide the last column by the diagonal."""
-    _require_row_block(fenv, a)
-    n_col = a.shape[1] - 1
-    nrows = a.shape[0]
-    diag = a.pool[np.arange(nrows), np.arange(nrows)]
-    out = pool.copy()
-    out[:, n_col] = pool[:, n_col] / diag
-    return out
-
-
-@skil_fn(ops=1, vectorized=_normalize_vec, fused=_normalize_fused)
+@skil_fn(ops=1, vectorized=_normalize_vec)
 def normalize(a, v, ix):
     """Divide the last column by the diagonal element of its row."""
     n_col = a.shape[1] - 1

@@ -19,22 +19,24 @@ Three trial families interleave:
 
 1. **compiled programs** — the fuzz pillar's generated Skil programs
    (``generate_spec``/``render`` → ``compile_skil``), so every kernel
-   class the instantiation pipeline can emit is dispatched in slabs;
+   class the instantiation pipeline can emit runs through the pooled
+   call (inline on both backends at these shapes);
 2. **skeleton workloads** — randomly composed create/map/zip/fold/scan/
    copy sequences over hand-built closure kernels at p ∈ {4, 16},
-   including env-*reading* kernels (which must fall back to the
-   sequential loop identically on every backend) and scalar-only
-   kernels;
+   including env-*reading* kernels (which must take the per-rank loop
+   identically on every backend) and scalar-only kernels;
 3. **applications** — Gaussian elimination and shortest paths at
    p ∈ {4, 16}.
 
 Every trial runs each backend once at ``trace_level=1``, where every
 span and every dispatch takes wall stamps: they read wall clocks only
-and must never perturb the cost model on any backend.  The worker count
-(2 or 3), up to two extra rows on axis 0 and, one trial in eight, a
-stretch of axis 0 past twice ``SLAB_BYTES`` (so the ``sim`` side cuts
-its pooled calls into several slabs too) are drawn last, so no older
-draw moved.
+and must never perturb the cost model on any backend; the coverage key
+``backend.dispatched`` counts the trials whose ``threads`` run really
+dispatched.  The worker count (2 or 3), up to two extra rows on axis 0
+and, one trial in eight, a stretch of axis 0 past ``workers`` times
+``SLAB_BYTES`` (so the ``threads`` side dispatches its pooled calls and
+the ``sim`` side cuts them into several slabs) are drawn last, so no
+older draw moved.
 
 Worker threads are reused across a trial's skeleton calls but never
 across machines (each machine is closed before the next one starts), so
@@ -117,9 +119,12 @@ def _compare_runs(ref: _Run, got: _Run, backend: str, label: str) -> str | None:
     return None
 
 
-def _run_everywhere(workload, p: int, label: str, workers: int) -> str | None:
+def _run_everywhere(
+    workload, p: int, label: str, workers: int, cov: dict[str, int]
+) -> str | None:
     """Run *workload(ctx)* once per backend; compare each run bitwise to
-    the ``sim`` reference.
+    the ``sim`` reference, and count in *cov* whether ``threads``
+    dispatched.
 
     *workload* returns ``(arrays, scalars)`` — DistArrays still alive
     (their ``global_view`` is compared) and scalar results.
@@ -132,6 +137,9 @@ def _run_everywhere(workload, p: int, label: str, workers: int) -> str | None:
                 arrays, scalars = workload(SkilContext(machine))
                 views = [a.global_view() for a in arrays]
             runs[backend] = _Run(machine, views, scalars)
+            if backend == "threads":
+                calls = machine.tracer.wall_attribution()["calls"]
+                cov["backend.dispatched"] = int(calls > 0)
         finally:
             machine.close()
     for backend, run in runs.items():
@@ -168,7 +176,7 @@ def trial_backend_program(rng: random.Random) -> tuple[str | None, dict[str, int
         return [], [out]
 
     label = f"program spec_seed={spec_seed} p={p} elem={spec.elem} workers={workers}"
-    return _run_everywhere(workload, p, label, workers), cov
+    return _run_everywhere(workload, p, label, workers, cov), cov
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +187,7 @@ def _random_kernels(rng: random.Random):
 
     The constants live in lambda *defaults* — the shape
     :func:`~repro.lang.runtime.make_kernel` produces.  One of four map
-    kernels *reads the env* (rank-dependent): those must fall back to the
+    kernels *reads the env* (rank-dependent): those must take the
     per-rank loop identically on every backend.
     """
     c1 = float(rng.randint(1, 9))
@@ -233,8 +241,9 @@ def trial_backend_skeletons(rng: random.Random) -> tuple[str | None, dict[str, i
     section = rng.choice([PLUS, MIN, MAX])
     workers = rng.choice([2, 3])
     shape = (shape[0] + rng.choice([0, 0, 1, 2]), *shape[1:])
-    if rng.random() < 0.125:  # above the slab budget: several slabs on sim too
-        shape = (shape[0] * -(-2 * SLAB_BYTES // (8 * math.prod(shape))), *shape[1:])
+    if rng.random() < 0.125:  # at the dispatch size: dispatched on threads
+        stretch = -(-workers * SLAB_BYTES // (8 * math.prod(shape)))
+        shape = (shape[0] * stretch, *shape[1:])
     cov = {
         "backend.skeletons": 1,
         f"backend.p{p}": 1,
@@ -266,7 +275,7 @@ def trial_backend_skeletons(rng: random.Random) -> tuple[str | None, dict[str, i
         return [a, b], scalars
 
     label = f"skeletons p={p} shape={shape} distr={distr} ops={ops} workers={workers}"
-    return _run_everywhere(workload, p, label, workers), cov
+    return _run_everywhere(workload, p, label, workers, cov), cov
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +315,7 @@ def trial_backend_app(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     workers = rng.choice([2, 3])
     cov[f"backend.workers{workers}"] = 1
     label = f"{app} p={p} n={n} seed={seed} workers={workers}"
-    return _run_everywhere(workload, p, label, workers), cov
+    return _run_everywhere(workload, p, label, workers, cov), cov
 
 
 # the default budget is lower than the other pillars' because every trial

@@ -147,9 +147,7 @@ def make_kernel(fn, bound: tuple = (), ops: float = 1.0):
     kernel.__name__ = getattr(fn, "__name__", "kernel") + "_lifted"
     if vec is not None:
         kernel.vectorized = lambda *rest, _v=vec, _b=tuple(bound): _v(*_b, *rest)
-        env_free = getattr(vec, "env_free", None)
-        if env_free is not None:
-            kernel.vectorized.env_free = env_free
+        kernel.vectorized.env_free = getattr(vec, "env_free", False)
     return kernel
 
 

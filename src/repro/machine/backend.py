@@ -9,11 +9,12 @@ skeletons physically execute.
 
 * :class:`SimBackend` — single-process execution; ``parallel`` is
   false, so the elementwise executor
-  (:func:`repro.skeletons.fuse.run_elementwise`) makes its pooled call
-  over the whole pool, inline.
-* :class:`ThreadsBackend` — that call, for a kernel known env-free, is
-  cut into one contiguous slab of the pool per worker and dispatched to
-  a thread pool, and so is the write-back.  The numpy ufunc inner loops
+  (:func:`repro.skeletons.fuse.run_elementwise`) runs every piece of its
+  pooled call inline.
+* :class:`ThreadsBackend` — a pooled call big enough for it
+  (:func:`repro.skeletons.fuse.plan`) is cut into one contiguous slab
+  of the pool per worker, at most one per grid row, and dispatched to a
+  thread pool, and so is the write-back.  The numpy ufunc inner loops
   release the GIL, so elementwise kernels scale with cores without any
   data movement (the pool is plain shared memory between threads).
 
@@ -113,10 +114,8 @@ class ExecBackend:
     executor one slab of the pool per worker — and returns the results
     **in task order**: that ordering (not completion order) is what
     keeps parallel execution bit-identical to the sequential loop.
-    Exceptions raised by a kernel
-    (:class:`~repro.skeletons.fuse.FusionFallback` included) propagate
-    to the caller exactly as in the sequential loop; on ``FusionFallback``
-    callers fall back to sequential per-rank execution.
+    Exceptions raised by a kernel propagate to the caller exactly as in
+    the sequential loop.
 
     Subclasses say only *how* calls are carried out (:meth:`_run`:
     inline here, ``submit`` on a thread pool); the wall stamps a traced
@@ -124,8 +123,8 @@ class ExecBackend:
     """
 
     name = "sim"
-    #: whether the elementwise executor should cut its pooled call into
-    #: one slab per worker and dispatch the slabs (path 1 of its ladder);
+    #: whether the elementwise executor may dispatch the slabs of its
+    #: pooled call, one per worker (:func:`repro.skeletons.fuse.plan`);
     #: a sequential backend runs every slab inline
     parallel = False
     #: the machine's :class:`~repro.obs.span.SpanTracer` (``None`` when
@@ -141,7 +140,7 @@ class ExecBackend:
 
         def timed(*task):
             # stamped on whichever thread runs the block, also when the
-            # kernel raises (FusionFallback): the wall time was spent
+            # kernel raises: the wall time was spent
             t0 = time.perf_counter()
             try:
                 return kernel(*task)

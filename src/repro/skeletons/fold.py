@@ -89,7 +89,7 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
         # left-to-right reduce.  Ravel order inside a slice of a
         # converted slab matches a converted block, so every path folds
         # the elements in the identical sequence
-        slabs, blocks = fuse.run_elementwise(ctx, conv_f, (a,), a)
+        slabs, blocks, _ = fuse.run_elementwise(ctx, conv_f, (a,), a)
         reducer = getattr(fold_f, "reduce_all", None)
         rows = a.dist.grid == (ctx.p,) + (1,) * (a.dim - 1) and a.shape[0] % ctx.p == 0
         stacked = reducer is not None and slabs is not None and rows

@@ -7,7 +7,8 @@ as ``copy_pivot(b, k)``.  This module is the Python-side equivalent:
 * :func:`skil_fn` — annotate a scalar argument function with its
   abstract per-element operation count (for the cost model) and an
   optional numpy-vectorized kernel (what the Skil compiler's
-  instantiation+optimisation achieves for generated code);
+  instantiation+optimisation achieves for generated code), and decide
+  once, from the kernel's code, whether it reads its per-rank env;
 * :func:`section` — the ``(op)`` bracket conversion: turn a named
   operator into a curried function object;
 * :func:`papply` — explicit partial application that preserves the
@@ -19,7 +20,10 @@ as ``copy_pivot(b, k)``.  This module is the Python-side equivalent:
 
 from __future__ import annotations
 
+import dis
 import functools
+import inspect
+import math
 import operator
 from typing import Any, Callable
 
@@ -39,11 +43,43 @@ __all__ = [
 ]
 
 
+def _reads_env(vec: Callable) -> bool:
+    """Whether kernel *vec* may read its per-rank env, judged from its code.
+
+    The env is the last positional parameter without a default (the
+    parameters after it are bound constants, the shape
+    :func:`~repro.lang.runtime.make_kernel` gives lifted arguments).  The
+    kernel is env-free only if that parameter is never loaded, is not
+    captured by a closure and ``locals()`` is not called; ``*args``, a
+    callable without ``__code__`` and anything else unknown may read it.
+    """
+    code = getattr(vec, "__code__", None)
+    if code is None:
+        return True
+    return _code_reads_env(code, len(getattr(vec, "__defaults__", None) or ()))
+
+
+# a lambda built afresh on every run (the apps' _setup initialisers) has
+# one code object: the bytecode walk is paid once, not per decoration
+@functools.lru_cache(maxsize=1024)
+def _code_reads_env(code, n_defaults: int) -> bool:
+    last = code.co_argcount - n_defaults - 1
+    if code.co_flags & inspect.CO_VARARGS or last < 0:
+        return True
+    env = code.co_varnames[last]
+    if env in code.co_cellvars or "locals" in code.co_names:
+        return True
+    return any(
+        ins.opname.startswith("LOAD")
+        and env in (ins.argval if isinstance(ins.argval, tuple) else (ins.argval,))
+        for ins in dis.get_instructions(code)
+    )
+
+
 def skil_fn(
     ops: float = 1.0,
     vectorized: Callable | None = None,
     commutative_associative: bool = False,
-    fused: Callable | None = None,
 ):
     """Decorator annotating a skeleton argument function.
 
@@ -51,31 +87,36 @@ def skil_fn(
     ----------
     ops:
         Abstract scalar operations one application performs (charged as
-        ``ops * elem_time`` by the cost model).
+        ``ops * elem_time`` by the cost model); a finite number >= 0,
+        else :class:`~repro.errors.SkeletonError`.
     vectorized:
         Optional numpy kernel.  For map-functions the signature is
         ``kernel(block, index_grids, env)`` returning the new block; for
         fold conversion functions ``kernel(block, index_grids, env)``
-        returning the converted values.
+        returning the converted values.  ``vectorized.env_free`` is set
+        here unless already set (the compiler and the benchmark state
+        it), judged from the kernel's code (:func:`_reads_env`).  Only
+        an env-free kernel runs outside the per-rank loop
+        (:mod:`repro.skeletons.fuse`), where it is handed no env.
     commutative_associative:
         Promise required of ``array_fold`` folding functions ("the user
         should provide an associative and commutative folding function,
         otherwise the result is non-deterministic").
-    fused:
-        Optional whole-array kernel ``kernel(pool(s), global_grids,
-        fenv)`` evaluated once over the pooled buffer instead of per
-        rank (:mod:`repro.skeletons.fuse`).  Must compute bit-identical
-        values to the per-rank path; raise
-        :class:`~repro.skeletons.fuse.FusionFallback` when its layout
-        assumptions do not hold for the given arrays.
     """
+    ops = float(ops)
+    if not (math.isfinite(ops) and ops >= 0):
+        # a negative or NaN count would run the simulated clock backwards
+        raise SkeletonError(f"skil_fn: ops must be a finite number >= 0, got {ops!r}")
+    if vectorized is not None and not hasattr(vectorized, "env_free"):
+        try:
+            vectorized.env_free = not _reads_env(vectorized)
+        except AttributeError:  # e.g. a bound method: counts as env-reading
+            pass
 
     def deco(f):
-        f.ops = float(ops)
+        f.ops = ops
         if vectorized is not None:
             f.vectorized = vectorized
-        if fused is not None:
-            f.fused = fused
         f.commutative_associative = commutative_associative
         return f
 
@@ -138,12 +179,7 @@ class _Papply:
         base_vec = getattr(f, "vectorized", None)
         if base_vec is not None:
             self.vectorized = lambda *rest: base_vec(*args, *rest)
-            env_free = getattr(base_vec, "env_free", None)
-            if env_free is not None:
-                self.vectorized.env_free = env_free
-        base_fused = getattr(f, "fused", None)
-        if base_fused is not None:
-            self.fused = lambda *rest: base_fused(*args, *rest)
+            self.vectorized.env_free = getattr(base_vec, "env_free", False)
 
     def __call__(self, *rest):
         return self._f(*self._args, *rest)

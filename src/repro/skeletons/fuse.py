@@ -2,40 +2,32 @@
 
 ``array_map``, ``array_zip``, ``array_fold`` and ``array_create`` are the
 same act — apply a customizing function to every element of every
-partition — so they share one executor, :func:`run_elementwise`.  It
-picks one of two paths, testing the conditions in this order:
+partition — so they share one executor, :func:`run_elementwise`.  Its
+path is a pure function of facts known before the call: ``ctx.fused``,
+the kernel's ``env_free`` verdict, whether every array is pooled, the
+bytes the call touches and the backend.
 
-1. **the pooled call** — every array is pooled (block-distributed: all
-   partitions are views into one contiguous
-   :attr:`~repro.arrays.darray.DistArray.pool`) and either
-
-   * the backend is parallel (``threads``) and the vectorized kernel is
-     known env-free: ``backend.workers`` contiguous axis-0 **slabs** of
-     whole partitions are dispatched with the matching slices of the
-     global index grids.  Rank boundaries mean nothing to a kernel that
-     provably never reads the per-rank :class:`MapEnv` (only the cost
-     vector reads them), so it may run off the main thread; or
-   * ``ctx.fused`` and the function has an explicit ``fused=``
-     whole-array form or a vectorized kernel not known to read the env:
-     called inline, in **one slab** — or, for a kernel known env-free,
-     in cache-sized slabs of about :data:`SLAB_BYTES` each
-     (:func:`slab_count`).  Saves ``p`` kernel calls per skeleton.
+1. **the pooled call** — ``ctx.fused``, the vectorized kernel is
+   env-free and every array is pooled (block-distributed: all partitions
+   are views into one contiguous
+   :attr:`~repro.arrays.darray.DistArray.pool`).  The kernel is applied
+   to axis-0 **slabs** of whole partitions with the matching slices of
+   the global index grids, and is handed no env (``None``): rank
+   boundaries mean nothing to a kernel that never reads it (only the
+   cost vector reads them).  How many slabs, and whether they are
+   dispatched to the backend's workers, is :func:`plan`'s slab rule.
 2. **the per-rank loop** — everything else: strided layouts, kernels
-   that read the env, scalar-only functions (applied element by
-   element).  ``SkilContext(fused=False)`` forces it on ``sim``: that
-   is the reference switch of ``repro.check`` and ``tests/check``,
+   that may read the env, scalar-only functions (applied element by
+   element).  ``SkilContext(fused=False)`` forces it on every backend:
+   that is the reference switch of ``repro.check`` and ``tests/check``,
    which hold the pooled call bit-equal to this one.
 
-What "env-free" is known from: generated kernels (``lang/codegen.py``)
-carry ``env_free`` — the vectorizer knows statically whether the Skil
+Where ``env_free`` comes from: generated kernels (``lang/codegen.py``)
+carry it from the vectorizer, which knows statically whether the Skil
 source used ``procId``, ``array_part_bounds`` or ``array_get_elem``;
-hand-written kernels are probed by the one-slab call, which hands them
-a :class:`FusedEnv` whose rank-specific attributes raise
-:class:`FusionFallback`, and the outcome is memoized on the kernel (so a
-hand-written kernel is dispatched in slabs from its second call on).
-Rank-*dependent* kernels can still take path 1 by providing
-``skil_fn(fused=...)`` (signature ``fused(pool, global_grids, fenv)``) —
-see the Gaussian-elimination kernels in :mod:`repro.apps.gauss`.
+:func:`~repro.skeletons.functional.skil_fn` decides it for hand-written
+kernels from their code when they are decorated; partial applications
+copy it.  A kernel without a verdict counts as env-reading.
 
 The executor never touches a clock.  Callers charge one cost vector
 computed from ``dist.part_sizes()``, so simulated seconds cannot depend
@@ -53,54 +45,18 @@ import numpy as np
 
 from repro.errors import SkeletonError
 
-#: the bytes one slab of a pooled call touches on a sequential backend,
-#: sources and result together: half of a 2 MiB per-core L2 (the sweep
-#: is in docs/PERFORMANCE.md)
+#: the bytes one slab of a pooled call touches, sources and result
+#: together: half of a 2 MiB per-core L2 (the sweep is in
+#: docs/PERFORMANCE.md)
 SLAB_BYTES = 1 << 20
 
 __all__ = [
-    "FusionFallback",
-    "FusedEnv",
-    "kernel_fusability",
-    "remember_fusability",
+    "SLAB_BYTES",
+    "plan",
     "run_elementwise",
     "interleaved_view",
     "stacked_blocks",
 ]
-
-
-class FusionFallback(Exception):
-    """Raised when a kernel cannot run fused; callers fall back to the
-    per-rank loop.  Also raised *by* FusedEnv when a probed kernel turns
-    out to read rank-specific state."""
-
-
-class FusedEnv:
-    """The environment of every kernel call outside the per-rank loop
-    (the pooled call, whole or in slabs): there is no rank to read.
-
-    Accessing any rank-specific attribute raises :class:`FusionFallback`,
-    which is what makes probing hand-written kernels safe — an
-    env-reading kernel aborts before its result is used, and the caller
-    re-runs it per rank.
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = p
-
-    @property
-    def rank(self):
-        raise FusionFallback("kernel reads env.rank")
-
-    @property
-    def bounds(self):
-        raise FusionFallback("kernel reads env.bounds")
-
-    @property
-    def ctx(self):
-        raise FusionFallback("kernel reads env.ctx")
 
 
 @dataclass
@@ -110,31 +66,6 @@ class MapEnv:
     ctx: Any  # repro.skeletons.base.SkilContext
     rank: int
     bounds: Any  # repro.arrays.distribution.Bounds
-
-
-def kernel_fusability(vec: Callable) -> bool | None:
-    """``True``/``False`` when known, ``None`` when the kernel must be
-    probed.  Generated kernels carry ``env_free`` from the vectorizer;
-    probe outcomes are memoized as ``_fused_ok``."""
-    env_free = getattr(vec, "env_free", None)
-    if env_free is not None:
-        return bool(env_free)
-    return getattr(vec, "_fused_ok", None)
-
-
-def remember_fusability(vec: Callable, ok: bool) -> None:
-    """Memoize a probe outcome on the kernel object (best effort — some
-    callables reject attributes, then every call probes again).
-
-    ``False`` only suppresses future *attempts*; ``True`` never forces
-    fusion, because the fused caller still catches FusionFallback at run
-    time — so a kernel whose env use is conditional stays correct either
-    way.
-    """
-    try:
-        vec._fused_ok = bool(ok)
-    except (AttributeError, TypeError):
-        pass
 
 
 def _boxed_block(f: Callable, ins: list, like, rank: int) -> np.ndarray:
@@ -154,6 +85,8 @@ def _boxed_block(f: Callable, ins: list, like, rank: int) -> np.ndarray:
 def _fit(kernel: Callable, out, shape: tuple) -> np.ndarray:
     """*out* broadcast to the *shape* of the piece it was computed for."""
     out = np.asarray(out)
+    if out.shape == shape:
+        return out
     try:
         return np.broadcast_to(out, shape)
     except ValueError:
@@ -163,23 +96,23 @@ def _fit(kernel: Callable, out, shape: tuple) -> np.ndarray:
         ) from None
 
 
-def run_pieces(backend, call: Callable, tasks: list) -> list:
-    """``call(*t)`` per task, in task order: inline on a sequential
-    backend or for one task, else dispatched."""
-    if len(tasks) == 1 or not backend.parallel:
-        return [call(*t) for t in tasks]
-    return backend.run_blocks(call, tasks)
+def plan(backend, nbytes: int, rows: int) -> tuple[int, bool]:
+    """The slab rule: ``(pieces, dispatch)`` for a pooled call touching
+    *nbytes* (sources and result) over a grid of *rows* rows.
 
-
-def slab_count(backend, srcs: tuple, like) -> int:
-    """How many slabs the pooled call of a known env-free kernel is cut
-    into: one per worker on a parallel backend, else one per
-    :data:`SLAB_BYTES` of the bytes the call touches (its sources and a
-    result the size of *like*), at most one per grid row."""
+    ``k = min(nbytes // SLAB_BYTES, rows)`` cache-sized pieces.  A
+    parallel backend dispatches ``d = min(workers, rows)`` slabs — one
+    per worker, at most one per grid row — once ``k >= d >= 2``: below
+    that, a dispatch costs more than it saves (the sweep is in
+    docs/PERFORMANCE.md).  Every other call runs its ``k`` pieces (at
+    least one) inline.
+    """
+    k = min(nbytes // SLAB_BYTES, rows)
     if backend.parallel:
-        return backend.workers
-    nbytes = sum(a.pool.nbytes for a in (*srcs, like))
-    return min(nbytes // SLAB_BYTES, like.dist.grid[0])
+        d = min(backend.workers, rows)
+        if 2 <= d <= k:
+            return d, True
+    return max(k, 1), False
 
 
 def run_elementwise(ctx, f: Callable, srcs: tuple, like) -> tuple:
@@ -187,57 +120,48 @@ def run_elementwise(ctx, f: Callable, srcs: tuple, like) -> tuple:
     fold's conversion and create (path conditions: module docstring).
 
     *srcs* are the input arrays (none for create, two for zip); *like*
-    is the array whose layout the result has.  Returns ``(slabs, None)``
-    — ``(rows, out)`` pairs covering axis 0 of the pool in order, *out*
-    of ``pool[rows].shape`` — or ``(None, blocks)`` — the partitions in
-    rank order, each of its ``local(r).shape``.
+    is the array whose layout the result has.  Returns ``(slabs, None,
+    dispatch)`` — ``(rows, out)`` pairs covering axis 0 of the pool in
+    order, *out* of ``pool[rows].shape``, and whether they were
+    dispatched (a store follows the same decision) — or ``(None, blocks,
+    False)`` — the partitions in rank order, each of its
+    ``local(r).shape``.
 
     Bit-identity across the paths: every kernel call sees the same
     elements, index values and element arithmetic, and the backend
-    returns results in task order.  Any exception a kernel raises other
-    than :class:`FusionFallback` **propagates** from whichever path ran
-    it — never a silent fallback.
+    returns results in task order.  Any exception a kernel raises
+    **propagates** from whichever path ran it — never a fallback.
     """
-    p = ctx.p
     vec = getattr(f, "vectorized", None)
-    env_free = None if vec is None else kernel_fusability(vec)
-    backend = ctx.machine.backend
-    spread = backend.parallel and env_free is True
-    if (ctx.fused or spread) and all(a.pool is not None for a in (*srcs, like)):
-        kernel, probing = vec, False
-        if not spread:
-            # an explicit fused= form wins; its own guards (e.g. a partner
-            # array that is not pooled) raise FusionFallback
-            kernel = getattr(f, "fused", None)
-            if kernel is None and env_free is not False:
-                kernel, probing = vec, env_free is None
-        if kernel is not None:
-            cut = kernel is vec and env_free is True
-            slabs = like.dist.slab_rows(slab_count(backend, srcs, like) if cut else 1)
-            grids = like.dist.global_index_grids()
-            # never a per-rank MapEnv: a kernel whose env use is
-            # conditional raises and is re-run by the per-rank loop below
-            fenv = FusedEnv(p)
-            tasks = [
-                (*(a.pool[rows] for a in srcs), (grids[0][rows], *grids[1:]), fenv)
-                for rows in slabs
-            ]
-            try:
-                outs = run_pieces(backend, kernel, tasks)
-            except FusionFallback:
-                if probing:
-                    remember_fusability(vec, False)
-            else:
-                if probing:
-                    remember_fusability(vec, True)
-                return [
-                    (rows, _fit(kernel, out, like.pool[rows].shape))
-                    for rows, out in zip(slabs, outs)
-                ], None
+    arrays = (*srcs, like)
+    if (
+        ctx.fused
+        and getattr(vec, "env_free", False)
+        and all(a.pool is not None for a in arrays)
+    ):
+        backend = ctx.machine.backend
+        dist = like.dist
+        pieces, dispatch = plan(
+            backend, sum(a.pool.nbytes for a in arrays), dist.grid[0]
+        )
+        slabs = dist.slab_rows(pieces)
+        grids = dist.global_index_grids()
+        tasks = [
+            (*(a.pool[rows] for a in srcs), (grids[0][rows], *grids[1:]), None)
+            for rows in slabs
+        ]
+        if dispatch:
+            outs = backend.run_blocks(vec, tasks)
+        else:
+            outs = [vec(*t) for t in tasks]
+        return [
+            (rows, _fit(vec, out, like.pool[rows].shape))
+            for rows, out in zip(slabs, outs)
+        ], None, dispatch
 
     blocks = []
     try:
-        for r in range(p):
+        for r in range(ctx.p):
             # user functions read it as procId while they are mapped
             ctx.current_rank = r
             ins = [s.local(r) for s in srcs]
@@ -250,7 +174,7 @@ def run_elementwise(ctx, f: Callable, srcs: tuple, like) -> tuple:
     finally:
         # also when f raises: proc_id() must not answer outside a skeleton
         ctx.current_rank = None
-    return None, blocks
+    return None, blocks, False
 
 
 def interleaved_view(pool: np.ndarray, grid: tuple[int, ...]) -> np.ndarray | None:

@@ -36,13 +36,13 @@ def store_slab(dst: np.ndarray, out: np.ndarray) -> None:
     dst[...] = out
 
 
-def write_result(to_arr: DistArray, slabs, blocks) -> None:
+def write_result(to_arr: DistArray, slabs, blocks, dispatch: bool) -> None:
     """Write what :func:`~repro.skeletons.fuse.run_elementwise` returned
-    into *to_arr*, converting to its dtype.
+    into *to_arr*, converting to its dtype; dispatched slabs are stored
+    by a dispatch of their own.
 
-    Only called once every piece is computed (slabs are stored by a
-    dispatch of their own), so an in-situ map cannot observe partially
-    updated data even across partitions.
+    Only called once every piece is computed, so an in-situ map cannot
+    observe partially updated data even across partitions.
     """
     if slabs is None:
         for r, block in enumerate(blocks):
@@ -55,7 +55,11 @@ def write_result(to_arr: DistArray, slabs, blocks) -> None:
         (pool[rows], np.array(out) if np.may_share_memory(out, pool) else out)
         for rows, out in slabs
     ]
-    fuse.run_pieces(to_arr.machine.backend, store_slab, tasks)
+    if dispatch:
+        to_arr.machine.backend.run_blocks(store_slab, tasks)
+    else:
+        for dst, out in tasks:
+            store_slab(dst, out)
 
 
 def _map_into(ctx, f: Callable, srcs: tuple, to_arr: DistArray) -> None:

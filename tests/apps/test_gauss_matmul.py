@@ -152,6 +152,25 @@ class TestGaussFull:
         np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-7, atol=1e-9)
 
 
+@pytest.mark.parametrize("solve", [gauss_simple, gauss_full])
+def test_paper_shaped_scalar_bodies_equal_the_kernels(solve, monkeypatch):
+    """Without their kernels, copy_pivot, eliminate and normalize run the
+    paper's scalar bodies element by element (procId, get_elem): the
+    solution and the simulated seconds are the kernel path's, bitwise."""
+    from repro.apps import gauss
+
+    rng = np.random.default_rng(6)
+    a, b = random_system(8, seed=6)
+    perm = rng.permutation(8)  # gauss_full exchanges rows
+    a, b = a[perm], b[perm]
+    want_x, want = solve(make_ctx(4), a, b)
+    for fn in (gauss.copy_pivot, gauss.eliminate, gauss.normalize):
+        monkeypatch.delattr(fn, "vectorized")
+    got_x, got = solve(make_ctx(4), a, b)
+    assert got_x.tobytes() == want_x.tobytes()
+    assert repr(got.seconds) == repr(want.seconds)
+
+
 class TestMatmul:
     @pytest.mark.parametrize("p", [1, 4, 16])
     def test_correct(self, p):

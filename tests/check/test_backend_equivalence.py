@@ -211,3 +211,18 @@ def test_pillar_raw_replay_runs():
     res = run_backend_raw(seed=3 * 1_000_003, budget=1)
     assert res.trials == 1
     assert res.failures == []
+
+
+def test_pillar_dispatches_at_its_default_seed():
+    """The skeleton trials of ``backend --seed 0 --budget 200`` (every
+    third trial seed) include calls big enough to dispatch on
+    ``threads``: the pillar keeps the dispatch path covered."""
+    from repro.check.backendcheck import _RUNNER, trial_backend_skeletons
+
+    assert _RUNNER.families.index(trial_backend_skeletons) == 0
+    dispatched = 0
+    for trial_seed in range(0, 200, len(_RUNNER.families)):
+        res = run_backend_raw(seed=trial_seed, budget=1)
+        assert res.failures == [], res.failures[0].detail
+        dispatched += res.coverage["backend.dispatched"]
+    assert dispatched > 0

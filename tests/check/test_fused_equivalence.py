@@ -161,8 +161,8 @@ def test_rank_dependent_kernel_falls_back(p):
         return [dst.global_view()]
 
     assert_equivalent(scenario, p)
-    # and the probe memoized the refusal
-    assert rankful.vectorized._fused_ok is False
+    # refused up front: skil_fn judged the kernel from its code
+    assert rankful.vectorized.env_free is False
 
 
 @pytest.mark.parametrize("p", [4, 16])
@@ -182,8 +182,8 @@ def test_map_equivalence_under_dpfl(p):
 @pytest.mark.parametrize("driver", [gauss_simple, gauss_full])
 @pytest.mark.parametrize("p,n", [(4, 16), (8, 32)])
 def test_gauss_equivalence(driver, p, n):
-    """The hand-written fused gauss kernels (skil_fn(fused=...)) give the
-    same solution, clocks and spans as the per-rank kernels."""
+    """The grid-indexed gauss kernels give the same solution, clocks and
+    spans over slabs of row blocks as over one rank's block each."""
     a_mat, rhs = random_system(n, seed=4)
 
     def scenario(ctx):

@@ -273,3 +273,29 @@ class TestShrinking:
         assert candidates, "generator produced an unshrinkable spec"
         for cand in candidates:
             assert len(cand.ops) <= len(spec.ops)
+
+    @pytest.mark.parametrize("budget", [4, 120])
+    def test_shrink_keeps_the_stage_within_budget(self, budget, monkeypatch):
+        """``shrink`` against a stubbed run that fails at one stage while
+        the spec still has an op of one kind: a smaller spec that still
+        fails there, after at most *budget* runs."""
+        from repro.check import fuzz as fz
+
+        seed = next(s for s in range(100) if len(fz.generate_spec(s).ops) >= 4)
+        spec = fz.generate_spec(seed)
+        kind = spec.ops[0].kind
+        runs = []
+
+        def fake_run_spec(cand):
+            runs.append(cand)
+            if any(op.kind == kind for op in cand.ops):
+                return "run", "planted"
+            return "compile", "other stage"
+
+        monkeypatch.setattr(fz, "_run_spec", fake_run_spec)
+        small = fz.shrink(spec, "run", budget=budget)
+        assert len(runs) <= budget
+        assert len(small.ops) < len(spec.ops)
+        assert fake_run_spec(small)[0] == "run"
+        if budget == 120:  # enough to shed every op but one of the kind
+            assert [op.kind for op in small.ops] == [kind]

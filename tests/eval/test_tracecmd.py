@@ -85,7 +85,9 @@ class TestWallTime:
         from repro.obs import write_chrome_trace
         from repro.obs.span import attribution_ok
 
-        run = run_traced("gauss", p=8, n=16, trace_level=1,
+        # n = 368: eliminate touches two 1.08 MB pools, enough to
+        # dispatch on two workers (fuse.plan); smaller gauss runs inline
+        run = run_traced("gauss", p=8, n=368, trace_level=1,
                          backend="threads", workers=2)
         text = trace_report_text(run)
         write_chrome_trace(tmp_path / "wall.json", run.machine)

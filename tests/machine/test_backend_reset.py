@@ -15,8 +15,13 @@ import pytest
 from repro.machine.machine import Machine
 from repro.skeletons import PLUS, SkilContext
 from repro.skeletons.functional import skil_fn
+from repro.skeletons.fuse import SLAB_BYTES
 
 BACKENDS = ["sim", "threads"]
+
+#: two slab budgets per array: every call is big enough to dispatch on
+#: two workers (``fuse.plan``)
+SHAPE = (2 * SLAB_BYTES // 8,)
 
 
 def _trial(ctx: SkilContext):
@@ -27,8 +32,8 @@ def _trial(ctx: SkilContext):
         lambda x, i: x * x + i[0]
     )
     ident = skil_fn(ops=0, vectorized=lambda b, g, e: b)(lambda x, i: x)
-    a = ctx.array_create(1, (32,), (0,), (-1,), init)
-    b = ctx.array_create(1, (32,), (0,), (-1,), init)
+    a = ctx.array_create(1, SHAPE, (0,), (-1,), init)
+    b = ctx.array_create(1, SHAPE, (0,), (-1,), init)
     ctx.array_map(square, a, b)
     total = ctx.array_fold(ident, PLUS, b)
     view = b.global_view()

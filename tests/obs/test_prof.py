@@ -24,8 +24,13 @@ from repro.obs.metrics import isolated_metrics
 from repro.obs.span import ATTRIBUTION_TOL, _union_length, attribution_ok
 from repro.skeletons import PLUS, SkilContext
 from repro.skeletons.functional import skil_fn
+from repro.skeletons.fuse import SLAB_BYTES
 
 BACKENDS = ["sim", "threads"]
+
+#: two slab budgets per array: every call is big enough to dispatch on
+#: two workers (``fuse.plan``)
+SHAPE = (2 * SLAB_BYTES // 8,)
 
 
 class FakeClock:
@@ -55,8 +60,8 @@ def _workload(ctx: SkilContext):
         lambda x, i: x * x + i[0]
     )
     ident = skil_fn(ops=0, vectorized=lambda b, g, e: b)(lambda x, i: x)
-    a = ctx.array_create(1, (32,), (0,), (-1,), init)
-    b = ctx.array_create(1, (32,), (0,), (-1,), init)
+    a = ctx.array_create(1, SHAPE, (0,), (-1,), init)
+    b = ctx.array_create(1, SHAPE, (0,), (-1,), init)
     ctx.array_map(square, a, b)
     total = ctx.array_fold(ident, PLUS, b)
     return b.global_view(), total

@@ -154,3 +154,93 @@ class TestSkilFn:
         f = skil_fn(ops=2.5, commutative_associative=True)(lambda x, y: x + y)
         assert f.ops == 2.5
         assert f.commutative_associative
+
+    @pytest.mark.parametrize("ops", [-5, -0.5, float("nan"), float("inf")])
+    def test_bad_ops_refused_when_decorated(self, ops):
+        """A negative or non-finite count would run the simulated clock
+        backwards (or to nan) on the first call."""
+        with pytest.raises(SkeletonError, match="ops must be a finite number"):
+            skil_fn(ops=ops)(lambda x, ix: x)
+
+
+def _closure_over_env(b, g, env):
+    return [env for _ in b]
+
+
+def _calls_locals(b, g, env):
+    return locals()["b"]
+
+
+def _loads_env(b, g, env):
+    return b + env.rank
+
+
+def _rebinds_env(b, g, env):
+    env = 0
+    return b + env
+
+
+class TestEnvVerdict:
+    """``skil_fn`` judges once, from the kernel's code, whether it may
+    read its env: the last positional parameter without a default."""
+
+    @pytest.mark.parametrize(
+        "kernel,env_free",
+        [
+            (lambda b, g, env: b * 2.0 + g[0], True),
+            (lambda g, e: g[0] * 1.0, True),
+            (lambda b, g, e, _k=3.0: b * _k, True),  # bound constants after env
+            (lambda b, g, e, _k=3.0: b * _k + e.rank, False),
+            (_loads_env, False),
+            (_rebinds_env, False),
+            (_closure_over_env, False),
+            (_calls_locals, False),
+            (lambda *args: args[0], False),
+            (lambda b=1.0: b, False),  # no parameter without a default
+        ],
+        ids=["map", "create", "bound_constant", "bound_constant_reads_env",
+             "reads_env", "rebinds_env", "closure", "locals", "varargs",
+             "all_defaults"],
+    )
+    def test_verdict_from_code(self, kernel, env_free):
+        skil_fn(vectorized=kernel)(lambda v, ix: v)
+        assert kernel.env_free is env_free
+
+    def test_a_stated_verdict_wins(self):
+        def kernel(b, g, env):
+            return b + env.rank
+
+        kernel.env_free = True  # what lang/codegen.py and bench/env.py do
+        skil_fn(vectorized=kernel)(lambda v, ix: v)
+        assert kernel.env_free is True
+
+    def test_callables_without_code_read_the_env(self):
+        class Kernel:
+            def __call__(self, b, g, env):
+                return b
+
+            def method(self, b, g, env):
+                return b
+
+        obj = Kernel()
+        skil_fn(vectorized=obj)(lambda v, ix: v)
+        assert obj.env_free is False
+        f = skil_fn(vectorized=obj.method)(lambda v, ix: v)  # rejects attributes
+        assert getattr(f.vectorized, "env_free", False) is False
+
+    def test_partial_applications_copy_the_verdict(self):
+        from repro.lang.runtime import make_kernel
+
+        for vec, env_free in ((lambda k, b, g, e: b * k, True),
+                              (lambda k, b, g, e: b * e.rank, False)):
+            f = skil_fn(vectorized=vec)(lambda k, v, ix: v)
+            assert papply(f, 2.0).vectorized.env_free is env_free
+            assert make_kernel(f, (2.0,)).vectorized.env_free is env_free
+
+        def unjudged(k, b, g, e):
+            return b * k
+
+        f = lambda k, v, ix: v  # noqa: E731
+        f.vectorized = unjudged
+        assert papply(f, 2.0).vectorized.env_free is False
+        assert make_kernel(f, (2.0,)).vectorized.env_free is False

@@ -3,8 +3,8 @@
 map, zip, fold and create reach their kernels only through the one
 executor, so one table covers all four.  A path is recognised by what it
 does to the objects the test hands in: how often the backend's
-``run_blocks`` is called, how often the kernel runs, and which env type
-each kernel call sees.
+``run_blocks`` is called and how many rows each kernel call is given
+(or how many element calls a scalar-only function gets).
 """
 
 import numpy as np
@@ -18,54 +18,72 @@ from repro.arrays.distribution import (
 )
 from repro.errors import SkeletonError
 from repro.machine.backend import SimBackend, ThreadsBackend
-from repro.machine.machine import Machine
+from repro.machine.machine import DISTR_DEFAULT, DISTR_TORUS2D, Machine
 from repro.skeletons import PLUS, SkilContext, fuse, skil_fn
 
-P, ROWS, COLS, WORKERS = 4, 8, 3, 2
+P, ROWS, COLS, WORKERS = 4, 8, 3, 3
 
-#: (backend, layout, kind, ctx.fused) -> path of the first and of the
-#: second call with the same function; first matching row wins, "*" is
-#: any.  Rows are in the order the executor tests its conditions.
-TABLE = [
-    # a scalar-only function has no kernel to send anywhere
-    (("*", "*", "scalar", "*"), ("boxed", "boxed")),
-    # 1. every array pooled.  Parallel backend and known env-free: one
-    #    slab of the pool per worker, whatever ctx.fused says
-    (("threads", "block", "generated", "*"), ("slabs", "slabs")),
-    #    a hand-written kernel is known env-free once the one-slab call
-    #    has probed it
-    (("threads", "block", "handwritten", True), ("pool", "slabs")),
-    #    ctx.fused: one call over the pool
-    (("*", "block", "generated", True), ("pool", "pool")),
-    (("*", "block", "handwritten", True), ("pool", "pool")),
-    (("*", "block", "fused_form", True), ("pool", "pool")),
-    #    an env-reading kernel aborts the probe and is not tried again
-    (("*", "block", "reads_rank", True), ("probe+ranks", "ranks")),
-    # 2. everything else: the per-rank loop — also a strided layout with
-    #    an env-free kernel on a parallel backend (per-rank tasks for it
-    #    measured slower than the loop and were dropped)
-    (("*", "*", "*", "*"), ("ranks", "ranks")),
-]
+#: a (BIG_ROWS, BIG_COLS) float array holds two slab budgets
+BIG_COLS = 128
+BIG_ROWS = 2 * fuse.SLAB_BYTES // (8 * BIG_COLS)
 
-#: path -> (run_blocks calls, what each function call logged: the env
-#: type a kernel saw, or "scalar" for an element-by-element call).
-#: "slabs" dispatches the kernel and then the store of its results
-#: (fold stores nothing: one call)
-OBSERVED = {
-    "boxed": (0, ["scalar"] * (ROWS * COLS)),
-    "slabs": (2, ["FusedEnv"] * WORKERS),
-    "pool": (0, ["FusedEnv"]),
-    "ranks": (0, ["MapEnv"] * P),
-    "probe+ranks": (0, ["FusedEnv"] + ["MapEnv"] * P),
+#: layout -> (distribution class, shape, grid).  ``big`` and ``torus``
+#: arrays touch 2 MiB each; ``torus`` has 2 grid rows, fewer than WORKERS
+LAYOUTS = {
+    "block": (BlockDistribution, (ROWS, COLS), (P, 1)),
+    "cyclic": (CyclicDistribution, (ROWS, COLS), (P, 1)),
+    "big": (BlockDistribution, (BIG_ROWS, BIG_COLS), (P, 1)),
+    "torus": (BlockDistribution, (BIG_ROWS, BIG_COLS), (2, 2)),
 }
 
+#: (backend, layout, kind, ctx.fused, skeleton) -> path of every call
+#: with the same function (the first call is no different from the
+#: second); first matching row wins, "*" is any.  ``(how, k)``: the
+#: pooled call in k slabs, run inline or dispatched
+TABLE = [
+    # a scalar-only function has no kernel to send anywhere
+    (("*", "*", "scalar", "*", "*"), "boxed"),
+    # a kernel that may read its env, a strided layout, or fused=False
+    # (on every backend): the per-rank loop
+    (("*", "*", "reads_rank", "*", "*"), "ranks"),
+    (("*", "cyclic", "*", "*", "*"), "ranks"),
+    (("*", "*", "*", False, "*"), "ranks"),
+    # the pooled call in k = min(bytes // SLAB_BYTES, grid rows) pieces,
+    # inline below the dispatch size (k < min(workers, grid rows))
+    (("*", "block", "*", "*", "*"), ("inline", 1)),
+    (("*", "big", "*", "*", "create"), ("inline", 2)),  # one array: k = 2
+    (("sim", "big", "*", "*", "*"), ("inline", 4)),
+    (("sim", "torus", "*", "*", "*"), ("inline", 2)),
+    # at the dispatch size: one slab per worker, at most one per grid row
+    (("threads", "big", "*", "*", "*"), ("dispatch", WORKERS)),
+    (("threads", "torus", "*", "*", "*"), ("dispatch", 2)),
+]
+
+#: env-free kinds: "generated" carries the verdict the way lang/codegen.py
+#: attaches it, "handwritten" is judged by skil_fn from its code, and
+#: "fused_form" is the shape that replaced the ``skil_fn(fused=...)``
+#: whole-array forms: rank-dependent values read from the global index
+#: grids.  "reads_rank" computes the same values from ``env.rank``
 KINDS = ["generated", "handwritten", "reads_rank", "fused_form", "scalar"]
 
+#: (skeleton, layout, backend, kind, fused); array_create builds block
+#: layouts only, and scalar-only functions stay on the small layouts
+CASES = [
+    (skeleton, layout, backend, kind, fused)
+    for skeleton in ("map", "zip", "fold", "create")
+    for layout in LAYOUTS
+    for backend in ("sim", "threads")
+    for kind in KINDS
+    for fused in (True, False)
+    if (skeleton, layout) != ("create", "cyclic")
+    and not (kind == "scalar" and layout in ("big", "torus"))
+]
 
-def expected_paths(*case):
-    for pattern, paths in TABLE:
+
+def expected_path(*case):
+    for pattern, path in TABLE:
         if all(want in ("*", got) for want, got in zip(pattern, case)):
-            return paths
+            return path
     raise AssertionError(case)
 
 
@@ -89,66 +107,97 @@ def make_backend(name):
     return CountingSim() if name == "sim" else CountingThreads(WORKERS)
 
 
-def owner_of_row(rows, layout):
-    return rows // (ROWS // P) if layout == "block" else rows % P
+def owner_table(layout):
+    """The owning rank of every element."""
+    cls, shape, grid = LAYOUTS[layout]
+    dist = cls(shape, grid)
+    owners = np.empty(shape)
+    for r in range(P):
+        owners[np.ix_(*dist.index_vectors(r))] = r
+    return owners
 
 
-def make_fn(kind, layout, log):
-    """A fresh function of the given kind (probe memos live on the
-    kernel object).  Kernels take ``(*blocks, grids, env)`` so the same
-    function serves create (no block), map/fold (one) and zip (two).
-    Env-free kinds compute ``2*sum(blocks) + row``, the others
-    ``sum(blocks) + rank``."""
+def make_fn(kind, n_inputs, owners, log):
+    """A fresh function of the given kind for *n_inputs* sources (create
+    has none, map and fold one, zip two).  Vectorized kernels log how
+    many rows they are given.  Env-free kinds compute ``2*sum(blocks) +
+    row``, or for ``fused_form`` ``sum(blocks) + owner``; ``reads_rank``
+    computes ``sum(blocks) + rank``."""
 
-    def env_free_kernel(*args):
-        *blocks, grids, env = args
-        log.append(type(env).__name__)
+    def free(blocks, grids):
+        log.append(len(grids[0]))
         return 2.0 * sum(blocks) + grids[0]
 
-    def rank_kernel(*args):
-        *blocks, grids, env = args
-        log.append(type(env).__name__)
-        return sum(blocks) + float(env.rank) + 0 * grids[0]
-
-    def whole_array_form(*args):
-        *pools, grids, fenv = args
-        log.append(type(fenv).__name__)
-        return sum(pools) + owner_of_row(grids[0], layout) * 1.0
+    def owned(blocks, grids, rank=None):
+        log.append(len(grids[0]))
+        if rank is None:
+            rank = owners[grids[0], grids[1]]
+        return sum(blocks) + rank + 0 * grids[0]
 
     def scalar(*args):
         *elems, ix = args
         log.append("scalar")
         return 2.0 * sum(elems) + ix[0]
 
+    kernels = {
+        "handwritten": [
+            lambda g, env: free((), g),
+            lambda b, g, env: free((b,), g),
+            lambda x, y, g, env: free((x, y), g),
+        ],
+        "fused_form": [
+            lambda g, env: owned((), g),
+            lambda b, g, env: owned((b,), g),
+            lambda x, y, g, env: owned((x, y), g),
+        ],
+        "reads_rank": [
+            lambda g, env: owned((), g, env.rank),
+            lambda b, g, env: owned((b,), g, env.rank),
+            lambda x, y, g, env: owned((x, y), g, env.rank),
+        ],
+    }
     if kind == "scalar":
         return skil_fn(ops=1)(scalar)
     if kind == "generated":
-        env_free_kernel.env_free = True  # what lang/codegen.py attaches
-        return skil_fn(ops=1, vectorized=env_free_kernel)(scalar)
-    if kind == "handwritten":
-        return skil_fn(ops=1, vectorized=env_free_kernel)(scalar)
-    if kind == "reads_rank":
-        return skil_fn(ops=1, vectorized=rank_kernel)(scalar)
-    rank_kernel.env_free = False
-    return skil_fn(ops=1, vectorized=rank_kernel, fused=whole_array_form)(scalar)
+        def kernel(*args):
+            *blocks, grids, _ = args
+            return free(blocks, grids)
+
+        kernel.env_free = True  # what lang/codegen.py attaches
+        return skil_fn(ops=1, vectorized=kernel)(scalar)
+    return skil_fn(ops=1, vectorized=kernels[kind][n_inputs])(scalar)
 
 
 def make_array(machine, layout, data):
-    cls = BlockDistribution if layout == "block" else CyclicDistribution
-    arr = DistArray(machine, cls(data.shape, (P, 1)), data.dtype)
+    cls, shape, grid = LAYOUTS[layout]
+    arr = DistArray(machine, cls(shape, grid), data.dtype)
     arr.fill_from_global(data)
     return arr
 
 
-def reference(kind, layout, n_inputs, data):
-    rows = np.arange(ROWS, dtype=float)[:, None]
+def reference(kind, n_inputs, data, owners):
+    rows = np.arange(data.shape[0], dtype=float)[:, None]
     total = n_inputs * data  # every input holds the same data
     if kind in ("reads_rank", "fused_form"):
-        return total + owner_of_row(rows, layout)
+        return total + owners
     return 2.0 * total + rows
 
 
-def call_skeleton(skeleton, ctx, fn, a, b, dst):
+def observed(path, skeleton, layout, n_elems, like):
+    """``(run_blocks calls, sorted log)`` a path leaves behind."""
+    if path == "boxed":
+        return 0, ["scalar"] * n_elems
+    if path == "ranks":
+        return 0, sorted(like.local(r).shape[0] for r in range(P))
+    how, k = path
+    rows = sorted(s.stop - s.start for s in like.dist.slab_rows(k))
+    assert len(rows) == k
+    if how == "inline":
+        return 0, rows
+    return (1 if skeleton == "fold" else 2), rows  # the kernel, the store
+
+
+def call_skeleton(skeleton, ctx, fn, layout, a, b, dst):
     """Make the call; return (value it produced, number of inputs)."""
     if skeleton == "map":
         ctx.array_map(fn, a, dst)
@@ -158,101 +207,67 @@ def call_skeleton(skeleton, ctx, fn, a, b, dst):
         return dst.global_view(), 2
     if skeleton == "fold":
         return ctx.array_fold(fn, PLUS, a), 1
-    arr = ctx.array_create(2, (ROWS, COLS), (0, 0), (-1, -1), fn)
+    distr = DISTR_TORUS2D if layout == "torus" else DISTR_DEFAULT
+    arr = ctx.array_create(2, a.shape, (0, 0), (-1, -1), fn, distr)
+    assert arr.dist.grid == a.dist.grid
     value = arr.global_view()
     ctx.array_destroy(arr)
     return value, 0
 
 
-@pytest.mark.parametrize("fused", [True, False])
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("backend_name", ["sim", "threads"])
-@pytest.mark.parametrize(
-    "skeleton,layout",
-    [(s, lay) for s in ("map", "zip", "fold", "create")
-     for lay in ("block", "cyclic")
-     if (s, lay) != ("create", "cyclic")],  # array_create builds block layouts only
-)
+N_INPUTS = {"map": 1, "zip": 2, "fold": 1, "create": 0}
+
+
+@pytest.mark.parametrize("skeleton,layout,backend_name,kind,fused", CASES)
 def test_path_taken(skeleton, layout, backend_name, kind, fused):
     backend = make_backend(backend_name)
+    path = expected_path(backend_name, layout, kind, fused, skeleton)
+    shape = LAYOUTS[layout][1]
+    owners = owner_table(layout)
     with Machine(P, backend=backend) as machine:
         ctx = SkilContext(machine, fused=fused)
         # small integers: sums are exact, so fold agrees across paths too
-        data = np.arange(ROWS * COLS, dtype=float).reshape(ROWS, COLS)
+        data = np.arange(np.prod(shape), dtype=float).reshape(shape)
         a, b, dst = (make_array(machine, layout, d)
                      for d in (data, data, np.zeros_like(data)))
         log = []
-        fn = make_fn(kind, layout, log)
-        for path in expected_paths(backend_name, layout, kind, fused):
+        fn = make_fn(kind, N_INPUTS[skeleton], owners, log)
+        want = observed(path, skeleton, layout, data.size, a)
+        for _ in range(2):
             del log[:]
             backend.calls = 0
-            value, n_inputs = call_skeleton(skeleton, ctx, fn, a, b, dst)
-            dispatches, logged = OBSERVED[path]
-            if path == "slabs" and skeleton == "fold":
-                dispatches = 1
-            assert backend.calls == dispatches, path
-            assert log == logged, path
-            want = reference(kind, layout, n_inputs, data)
+            value, n_inputs = call_skeleton(skeleton, ctx, fn, layout, a, b, dst)
+            # sorted: dispatched slabs log in completion order
+            assert (backend.calls, sorted(log)) == want, path
+            ref = reference(kind, n_inputs, data, owners)
             if skeleton == "fold":
-                want = want.sum()
+                ref = ref.sum()
             np.testing.assert_array_equal(
-                value, np.broadcast_to(want, np.shape(value))
+                value, np.broadcast_to(ref, np.shape(value))
             )
-
-
-def test_fallback_inside_a_dispatched_task_lands_on_the_per_rank_loop():
-    """A kernel marked env-free whose env use is conditional: the slab
-    that reads the env raises FusionFallback (workers only ever get a
-    FusedEnv), and the whole call is re-run per rank with equal values."""
-    log = []
-
-    def kernel(block, grids, env):
-        log.append(type(env).__name__)
-        if grids[0][0, 0] >= ROWS // 2:
-            return 2.0 * block + grids[0] + 0 * env.rank
-        return 2.0 * block + grids[0]
-
-    kernel.env_free = True
-    fn = skil_fn(ops=1, vectorized=kernel)(lambda v, ix: 2.0 * v + ix[0])
-    backend = CountingThreads(2)
-    with Machine(P, backend=backend) as machine:
-        ctx = SkilContext(machine, fused=True)
-        data = np.arange(ROWS * COLS, dtype=float).reshape(ROWS, COLS)
-        a = make_array(machine, "block", data)
-        dst = make_array(machine, "block", np.zeros_like(data))
-        ctx.array_map(fn, a, dst)
-        assert backend.calls == 1
-        # counts, not order: a task still queued behind the failed one
-        # may log its FusedEnv while the per-rank loop is already running
-        assert log.count("MapEnv") == P
-        assert 1 <= log.count("FusedEnv") <= WORKERS
-        np.testing.assert_array_equal(
-            dst.global_view(), reference("generated", "block", 1, data)
-        )
 
 
 @pytest.mark.parametrize("traced", [False, True])
 def test_kernel_error_in_a_dispatched_task_propagates(traced):
-    """A kernel that raises anything but FusionFallback in one slab: the
-    caller sees that very exception (no fallback, no wrapper), no
-    ``procId`` is left behind, and the machine dispatches again."""
+    """A kernel that raises in one dispatched slab: the caller sees that
+    very exception (no fallback, no wrapper), no ``procId`` is left
+    behind, and the machine dispatches again."""
 
     class Boom(Exception):
         pass
 
     def kernel(block, grids, env):
-        if grids[0][0, 0] == ROWS // WORKERS:  # the second slab only
+        if grids[0][0, 0] == BIG_ROWS // 2:  # the second slab only
             raise Boom("slab 1")
         return 2.0 * block + grids[0]
 
-    kernel.env_free = True
     bad = skil_fn(ops=1, vectorized=kernel)(lambda v, ix: 2.0 * v + ix[0])
     backend = CountingThreads(2)
     with Machine(P, backend=backend, trace_level=int(traced)) as machine:
-        ctx = SkilContext(machine, fused=True)
-        data = np.arange(ROWS * COLS, dtype=float).reshape(ROWS, COLS)
-        a = make_array(machine, "block", data)
-        dst = make_array(machine, "block", np.zeros_like(data))
+        ctx = SkilContext(machine)
+        data = np.arange(BIG_ROWS * BIG_COLS, dtype=float).reshape(BIG_ROWS, BIG_COLS)
+        a = make_array(machine, "big", data)
+        dst = make_array(machine, "big", np.zeros_like(data))
         with pytest.raises(Boom) as exc:
             ctx.array_map(bad, a, dst)
         assert type(exc.value) is Boom
@@ -260,10 +275,10 @@ def test_kernel_error_in_a_dispatched_task_propagates(traced):
         with pytest.raises(SkeletonError):
             ctx.proc_id()
         assert backend.calls == 1  # nothing was stored
-        ctx.array_map(make_fn("generated", "block", []), a, dst)
+        ctx.array_map(make_fn("generated", 1, None, []), a, dst)
         assert backend.calls == 3
         np.testing.assert_array_equal(
-            dst.global_view(), reference("generated", "block", 1, data)
+            dst.global_view(), reference("generated", 1, data, None)
         )
 
 
@@ -276,7 +291,7 @@ def test_pooled_call_builds_no_per_rank_tasks(monkeypatch):
     data = np.arange(p * 4, dtype=float).reshape(p * 2, 2)
     a = DistArray.from_global(machine, data)
     dst = DistArray.from_global(machine, np.zeros_like(data))
-    fn = make_fn("generated", "block", [])
+    fn = make_fn("generated", 1, None, [])
 
     touched = []
     for name in ("local", "index_grids"):
@@ -298,11 +313,6 @@ def test_pooled_call_builds_no_per_rank_tasks(monkeypatch):
 # ---------------------------------------------------------------------------
 # slabs against the per-rank loop, bitwise
 # ---------------------------------------------------------------------------
-def _env_free(vec):
-    vec.env_free = True
-    return vec
-
-
 def _vec_only(ops, vec):
     """``skil_fn`` around a kernel whose scalar form must never run."""
     def scalar(*args):
@@ -318,14 +328,12 @@ def _slab_kernels():
         return g[-1] * 0.25
 
     return {
-        "init": _vec_only(2, _env_free(
-            lambda g, e: np.sqrt(g[0] * 3.0 + 1.0) + last(g))),
-        "map": _vec_only(3, _env_free(
-            lambda b, g, e: np.sqrt(np.abs(b)) * 1.1 + g[0] - last(g))),
-        "zip": _vec_only(2, _env_free(
-            lambda x, y, g, e: x * 0.3 + y / 7.0 + last(g))),
-        "conv": _vec_only(2, _env_free(lambda b, g, e: b * b + g[0])),
-        "ident": _vec_only(0, _env_free(lambda b, g, e: b)),
+        "init": _vec_only(2, lambda g, e: np.sqrt(g[0] * 3.0 + 1.0) + last(g)),
+        "map": _vec_only(
+            3, lambda b, g, e: np.sqrt(np.abs(b)) * 1.1 + g[0] - last(g)),
+        "zip": _vec_only(2, lambda x, y, g, e: x * 0.3 + y / 7.0 + last(g)),
+        "conv": _vec_only(2, lambda b, g, e: b * b + g[0]),
+        "ident": _vec_only(0, lambda b, g, e: b),
     }
 
 
@@ -355,12 +363,13 @@ def _slab_workload(machine, shape, grid, fused):
 @pytest.mark.parametrize(
     "shape,grid,workers,slabs,dispatches",
     [
-        # 5 map-likes with a store each and one fold
+        # 5 map-likes with a store each and one fold; the last axis is
+        # stretched until one array holds `workers` slab budgets
         ((10, 9), (3, 3), 2, 2, 11),  # rows do not divide: 4 + 3 + 3
         ((10, 9), (3, 3), 3, 3, 11),
         ((ROWS, COLS), (P, 1), 3, 3, 11),  # 4 rows of partitions, 3 workers
         ((23,), (4,), 3, 3, 11),  # 1-D
-        ((2, 6), (2, 1), 3, 1, 0),  # n0 < workers: the one inline call
+        ((2, 6), (2, 1), 3, 2, 11),  # n0 < workers: one slab per grid row
         # a 1 x p grid has nothing to cut; array_create lays out p x 1
         ((6, 8), (1, 4), 2, 1, 2),
     ],
@@ -369,11 +378,14 @@ def test_slabs_bitwise_equal_to_the_per_rank_loop(
     shape, grid, workers, slabs, dispatches
 ):
     p = int(np.prod(grid))
+    shape = (*shape[:-1],
+             shape[-1] * -(-workers * fuse.SLAB_BYTES // (8 * int(np.prod(shape)))))
     with Machine(p, backend="sim") as machine:
         want_arrays, want_total = _slab_workload(machine, shape, grid, fused=False)
     backend = CountingThreads(workers)
     with Machine(p, backend=backend) as machine:
-        assert len(BlockDistribution(shape, grid).slab_rows(workers)) == slabs
+        cut = BlockDistribution(shape, grid).slab_rows(min(workers, grid[0]))
+        assert len(cut) == slabs
         got_arrays, got_total = _slab_workload(machine, shape, grid, fused=True)
         assert backend.calls == dispatches
     for want, got in zip(want_arrays, got_arrays):
@@ -388,30 +400,31 @@ def test_store_error_in_a_dispatched_task_propagates():
     def kernel(block, grids, env):
         return np.full(block.shape, "x", dtype=object)
 
-    bad = _vec_only(1, _env_free(kernel))
+    bad = _vec_only(1, kernel)
     backend = CountingThreads(WORKERS)
     with Machine(P, backend=backend) as machine:
         ctx = SkilContext(machine)
-        data = np.arange(ROWS * COLS, dtype=float).reshape(ROWS, COLS)
-        a = make_array(machine, "block", data)
-        dst = make_array(machine, "block", np.zeros_like(data))
+        data = np.arange(BIG_ROWS * BIG_COLS, dtype=float).reshape(BIG_ROWS, BIG_COLS)
+        a = make_array(machine, "big", data)
+        dst = make_array(machine, "big", np.zeros_like(data))
         with pytest.raises(ValueError, match="could not convert string"):
             ctx.array_map(bad, a, dst)
         assert backend.calls == 2  # the kernels ran, the store raised
         assert ctx.current_rank is None
-        ctx.array_map(make_fn("generated", "block", []), a, dst)
+        ctx.array_map(make_fn("generated", 1, None, []), a, dst)
         assert backend.calls == 4
         np.testing.assert_array_equal(
-            dst.global_view(), reference("generated", "block", 1, data)
+            dst.global_view(), reference("generated", 1, data, None)
         )
 
 
 @pytest.mark.parametrize(
     "backend_name,known_env_free,fused,piece",
     [
-        ("threads", True, True, (ROWS // WORKERS, COLS)),  # a slab
+        # the first of three dispatched slabs of a big array
+        ("threads", True, True, (BIG_ROWS // P, BIG_COLS)),
         ("sim", True, True, (ROWS, COLS)),  # the pool
-        ("sim", None, True, (ROWS, COLS)),  # the pool, probing
+        ("sim", None, True, (ROWS, COLS)),  # the pool, judged by skil_fn
         ("sim", True, False, (ROWS // P, COLS)),  # a partition
         ("threads", None, False, (ROWS // P, COLS)),
     ],
@@ -425,11 +438,12 @@ def test_result_that_does_not_fit_its_piece_is_a_skeleton_error(
     if known_env_free:
         lopsided.env_free = True
     fn = _vec_only(1, lopsided)
+    layout = "big" if piece[1] == BIG_COLS else "block"
     with Machine(P, backend=make_backend(backend_name)) as machine:
         ctx = SkilContext(machine, fused=fused)
-        data = np.zeros((ROWS, COLS))
-        a = make_array(machine, "block", data)
-        dst = make_array(machine, "block", data)
+        data = np.zeros(LAYOUTS[layout][1])
+        a = make_array(machine, layout, data)
+        dst = make_array(machine, layout, data)
         for call in (
             lambda: ctx.array_map(fn, a, dst),
             lambda: ctx.array_fold(fn, PLUS, a),
@@ -449,13 +463,14 @@ def test_more_workers_than_cores_under_a_short_switch_interval():
     another slab's rows would not)."""
     import sys
 
-    shape, grid, rounds = (40, 7), (8, 1), 60
+    # 2.5 MiB an array: every call touches 5 slab budgets and dispatches
+    shape, grid, rounds = (40, 8192), (8, 1), 60
 
     def run(machine, fused):
         ctx = SkilContext(machine, fused=fused)
         k = _slab_kernels()
         a = DistArray(machine, BlockDistribution(shape, grid), float)
-        a.fill_from_global(np.arange(280, dtype=float).reshape(shape) / 9.0)
+        a.fill_from_global(np.arange(40 * 8192, dtype=float).reshape(shape) / 9.0)
         b = DistArray(machine, BlockDistribution(shape, grid), float)
         for _ in range(rounds):
             ctx.array_map(k["map"], a, a)
@@ -467,8 +482,10 @@ def test_more_workers_than_cores_under_a_short_switch_interval():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with Machine(8, backend="threads", workers=5) as machine:
+        backend = CountingThreads(5)
+        with Machine(8, backend=backend) as machine:
             assert run(machine, fused=True) == want
+        assert backend.calls == 4 * rounds  # kernel and store, map and zip
     finally:
         sys.setswitchinterval(interval)
 
@@ -476,10 +493,6 @@ def test_more_workers_than_cores_under_a_short_switch_interval():
 # ---------------------------------------------------------------------------
 # cache-sized slabs on sim
 # ---------------------------------------------------------------------------
-#: a (BIG_ROWS, BIG_COLS) float array holds two slab budgets, so even a
-#: create (no source) is cut on sim
-BIG_COLS = 128
-BIG_ROWS = 2 * fuse.SLAB_BYTES // (8 * BIG_COLS)
 
 
 def _counted(kernels):
@@ -544,37 +557,27 @@ def test_sim_cuts_big_calls_into_slabs_bitwise_equal(skeleton, p):
     assert got["slabs"] == got["ranks"] == got["threads"]
 
 
-@pytest.mark.parametrize("case", ["fused_form", "probed", "p1"])
+@pytest.mark.parametrize("case", ["p1", "one_grid_row", "below_budget"])
 def test_what_keeps_one_slab_on_sim(case):
-    """An explicit ``fused=`` form and the call that probes a hand-written
-    kernel take the pool whole, and p = 1 has nothing to cut — however
-    big the arrays."""
+    """p = 1 and a grid of one row have nothing to cut however big the
+    arrays, and a call touching less than a slab budget is not cut."""
     log = []
 
     def vec(block, grids, env):
         log.append(len(grids[0]))
         return block * 2.0
 
-    def whole(pool, grids, fenv):
-        return vec(pool, grids, fenv)
-
     fn = _vec_only(1, vec)
-    if case == "fused_form":
-        vec.env_free = True
-        fn = skil_fn(ops=1, vectorized=vec, fused=whole)(lambda v, ix: v * 2.0)
-    p = 1 if case == "p1" else 16
-    if case == "p1":
-        vec.env_free = True
+    p, grid = {"p1": (1, (1, 1)), "one_grid_row": (4, (1, 4))}.get(case, (16, (16, 1)))
+    shape = (16, 16) if case == "below_budget" else (BIG_ROWS, BIG_COLS)
     with Machine(p, backend="sim") as machine:
         ctx = SkilContext(machine)
-        data = np.ones((BIG_ROWS, BIG_COLS))
-        a = DistArray.from_global(machine, data)
-        dst = DistArray.from_global(machine, np.zeros_like(data))
+        data = np.ones(shape)
+        a, dst = (DistArray(machine, BlockDistribution(shape, grid), float)
+                  for _ in range(2))
+        a.fill_from_global(data)
         ctx.array_map(fn, a, dst)
-        assert log == [BIG_ROWS]
-        if case == "probed":  # known env-free from the second call on
-            ctx.array_map(fn, a, dst)
-            assert len(log) > 2
+        assert log == [shape[0]]
         np.testing.assert_array_equal(dst.global_view(), 2.0 * data)
 
 
