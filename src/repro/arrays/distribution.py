@@ -253,6 +253,7 @@ class BlockDistribution(Distribution):
             self._splits.append(np.concatenate(([0], np.cumsum(sizes))))
         self._owner_vectors: tuple[np.ndarray, ...] | None = None
         self._slice_cache: dict[int, tuple[slice, ...]] = {}
+        self._slab_cache: dict[int, tuple[slice, ...]] = {}
         #: the most this distribution can hold: every rank's index
         #: vectors, the owner vectors, global grids and part sizes, 1 KiB
         #: of Python objects (bounds, slices, cache entries) per rank and
@@ -273,12 +274,18 @@ class BlockDistribution(Distribution):
         return BLOCK_DISTRIBUTIONS.get(key, lambda: cls(*key))
 
     def owner(self, index: Sequence[int]) -> int:
-        coords = []
-        for d, i in enumerate(index):
-            if not (0 <= i < self.shape[d]):
+        """The rank owning global *index*, read from :meth:`owner_vectors`."""
+        if len(index) != self.dim:
+            raise DistributionError(
+                f"index {tuple(index)} has {len(index)} coordinates, the "
+                f"array {self.dim}"
+            )
+        rank = 0
+        for i, n, g, owners in zip(index, self.shape, self.grid, self.owner_vectors()):
+            if not (0 <= i < n):
                 raise DistributionError(f"index {tuple(index)} outside {self.shape}")
-            coords.append(int(np.searchsorted(self._splits[d], i, side="right") - 1))
-        return self.grid_rank(coords)
+            rank = rank * g + int(owners[i])
+        return rank
 
     def owner_vectors(self) -> tuple[np.ndarray, ...]:
         """Per-dimension grid coordinate of every global index (memoized,
@@ -307,14 +314,21 @@ class BlockDistribution(Distribution):
             )
         return s
 
-    def slab_rows(self, k: int) -> list[slice]:
+    def slab_rows(self, k: int) -> tuple[slice, ...]:
         """Axis 0 cut into *k* slabs of whole partitions at the split
-        points nearest ``n0*i/k``; one slab if the grid has fewer rows."""
-        g0 = self.grid[0]
-        if not 1 < k <= g0:
-            return [slice(0, self.shape[0])]
-        cuts = [int(self._splits[0][(i * g0 + k // 2) // k]) for i in range(k + 1)]
-        return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        points nearest ``n0*i/k``; one slab if the grid has fewer rows
+        (memoized per *k*)."""
+        slabs = self._slab_cache.get(k)
+        if slabs is None:
+            g0 = self.grid[0]
+            if not 1 < k <= g0:
+                slabs = (slice(0, self.shape[0]),)
+            else:
+                cuts = [int(self._splits[0][(i * g0 + k // 2) // k])
+                        for i in range(k + 1)]
+                slabs = tuple(slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+            self._slab_cache[k] = slabs
+        return slabs
 
     def part_sizes(self) -> np.ndarray:
         """The base method without its per-rank ``local_shape`` walk.

@@ -33,8 +33,8 @@ from repro.errors import SkilError
 from repro.machine.charge import Charge
 from repro.machine.costmodel import PARIX_C, PARIX_C_OLD, CostModel, T800_PARSYTEC
 from repro.machine.machine import Machine
-from repro.skeletons import MIN, PLUS
-from repro.skeletons.genmult import semiring_stacked_product
+from repro.skeletons import MIN, PLUS, TIMES
+from repro.skeletons.genmult import pooled_product
 
 __all__ = ["shpaths_c", "gauss_c", "matmul_c", "make_c_machine"]
 
@@ -44,43 +44,16 @@ def make_c_machine(p: int, old: bool = False, cost: CostModel = T800_PARSYTEC) -
     return Machine(p, cost=cost, use_virtual_topologies=not old)
 
 
-def _torus_blocks(mat: np.ndarray, g: int) -> np.ndarray:
-    """The ``g x g`` blocks of *mat* stacked in rank order (rank
-    ``i * g + j`` holds block ``(i, j)``): one ``(p, nb, nb)`` array."""
-    nb = mat.shape[0] // g
-    return mat.reshape(g, nb, g, nb).swapaxes(1, 2).reshape(g * g, nb, nb)
+def _gentleman_shifts(charge: Charge, topo, nbytes: int):
+    """``shift(move, tag)`` for the skews and rotations of Gentleman's
+    algorithm on a ``g x g`` torus: charges one *nbytes* block along every
+    pair of the move (no charge when no block moves).  Nothing is
+    gathered — the product is computed whole."""
 
-
-def _untorus(blocks: np.ndarray, g: int) -> np.ndarray:
-    """The matrix whose :func:`_torus_blocks` are *blocks*."""
-    nb = blocks.shape[1]
-    return blocks.reshape(g, g, nb, nb).swapaxes(1, 2).reshape(g * nb, g * nb)
-
-
-def _torus_shifter(charge: Charge, topo, g: int, nbytes: int):
-    """``shift(blocks, move, tag)`` for the skews and rotations of
-    Gentleman's algorithm on a ``g x g`` torus: charges one *nbytes* block
-    along every ``(src, dst)`` pair that crosses a link (no charge when
-    none does) and returns the stack with block ``src`` at rank ``dst`` —
-    one gather by the inverse permutation."""
-    i, j = np.divmod(np.arange(g * g), g)
-    dsts = {
-        ("a", +1): i * g + (j - i) % g, ("a", -1): i * g + (j + i) % g,
-        ("b", +1): (i - j) % g * g + j, ("b", -1): (i + j) % g * g + j,
-        "west": i * g + (j - 1) % g, "north": (i - 1) % g * g + j,
-    }
-    moves = {}
-    for move, dst in dsts.items():
-        moved = np.flatnonzero(dst != np.arange(g * g))
-        pairs = list(zip(moved.tolist(), dst[moved].tolist()))
-        moves[move] = (pairs, np.argsort(dst))
-
-    def shift(blocks: np.ndarray, move, tag: str) -> np.ndarray:
-        pairs, src = moves[move]
-        if not pairs:
-            return blocks
-        charge.shift(pairs, nbytes, topo, tag=tag)
-        return blocks[src]
+    def shift(move, tag: str) -> None:
+        srcs, dsts = topo.gentleman_pairs(move)
+        if srcs.size:
+            charge.shift_batch(srcs, dsts, nbytes, topo, tag=tag)
 
     return shift
 
@@ -90,8 +63,8 @@ def shpaths_c(
 ) -> tuple[np.ndarray, RunReport]:
     """Hand-written Gentleman (min,+) squaring, message passing only.
 
-    All ranks' blocks are one ``(p, nb, nb)`` stack: a step is the stacked
-    (min,+) product of ``array_gen_mult``, a skew or rotation one gather.
+    A step charges Gentleman's skews, rounds and rotations and computes
+    the (min,+) product of ``array_gen_mult`` over the whole matrix.
     """
     n = dist_matrix.shape[0]
     p = machine.p
@@ -107,35 +80,35 @@ def shpaths_c(
     start = machine.time
 
     # distribute the matrix into g x g blocks (C code: local init loops)
-    a = _torus_blocks(dist_matrix.astype(np.float64), g)
+    a = dist_matrix.astype(np.float64)
     charge.work((nb * nb, 1.0))  # init sweep
 
-    nbytes = a[0].nbytes
-    shift = _torus_shifter(charge, topo, g, nbytes)
+    nbytes = nb * nb * a.itemsize
+    shift = _gentleman_shifts(charge, topo, nbytes)
+    inf = np.full_like(a, np.inf)
 
     iters = max(1, math.ceil(math.log2(n)))
     for _ in range(iters):
         # b = a (local memcpy), c = inf
         charge.memcpy(nbytes)
-        ab = shift(a, ("a", +1), "c-skew-a")
-        bb = shift(a, ("b", +1), "c-skew-b")
-        cb = np.full_like(a, np.inf)
+        shift(("a", +1), "c-skew-a")
+        shift(("b", +1), "c-skew-b")
         for step in range(g):
-            cb = semiring_stacked_product(MIN, PLUS, ab, bb, cb)
             charge.work((nb * nb * nb * 2, 1.0))  # a (min, +) pair per (i, j, k)
             if step < g - 1:
-                ab = shift(ab, "west", "c-rot-a")
-                bb = shift(bb, "north", "c-rot-b")
+                shift("west", "c-rot-a")
+                shift("north", "c-rot-b")
         # hand-written code reuses the buffers; no unskew needed because
-        # ab/bb are scratch copies — but the old C did a full realignment
+        # the rotated blocks are scratch copies — but the old C did a
+        # full realignment
         if old and g > 1:
-            shift(ab, ("a", -1), "c-skew-a")
-            shift(bb, ("b", -1), "c-skew-b")
-        a = cb
+            shift(("a", -1), "c-skew-a")
+            shift(("b", -1), "c-skew-b")
+        a = pooled_product(MIN, PLUS, a, a, inf, g)
         charge.memcpy(nbytes)  # copy c back into a
 
     report = RunReport(machine.time - start, machine.stats, p, n, prof.name)
-    return _untorus(a, g), report
+    return a, report
 
 
 def gauss_c(machine: Machine, a_mat: np.ndarray, rhs: np.ndarray
@@ -184,8 +157,8 @@ def matmul_c(machine: Machine, a_mat: np.ndarray, b_mat: np.ndarray
              ) -> tuple[np.ndarray, RunReport]:
     """Hand-written (equally optimized) Gentleman matmul — ablation A1.
 
-    Stacked like :func:`shpaths_c`: one batched ``np.matmul`` per step,
-    which runs the same BLAS call on every block as a per-block ``@``.
+    Charged like :func:`shpaths_c`; the product is ``array_gen_mult``'s
+    classical one, a BLAS block product per k-block in ascending order.
     """
     n = a_mat.shape[0]
     p = machine.p
@@ -199,19 +172,17 @@ def matmul_c(machine: Machine, a_mat: np.ndarray, b_mat: np.ndarray
     nb = n // g
     start = machine.time
 
-    ab, bb = _torus_blocks(a_mat, g), _torus_blocks(b_mat, g)
-    cb = np.zeros((p, nb, nb))
     charge.work((2 * nb * nb, 1.0))
-    shift = _torus_shifter(charge, topo, g, ab[0].nbytes)
+    shift = _gentleman_shifts(charge, topo, nb * nb * a_mat.itemsize)
 
-    ab = shift(ab, ("a", +1), "c-mm-skew-a")
-    bb = shift(bb, ("b", +1), "c-mm-skew-b")
+    shift(("a", +1), "c-mm-skew-a")
+    shift(("b", +1), "c-mm-skew-b")
     for step in range(g):
-        cb = cb + ab @ bb
         charge.work((nb * nb * nb * 2, 1.0))
         if step < g - 1:
-            ab = shift(ab, "west", "c-mm-rot-a")
-            bb = shift(bb, "north", "c-mm-rot-b")
+            shift("west", "c-mm-rot-a")
+            shift("north", "c-mm-rot-b")
+    c_mat = pooled_product(PLUS, TIMES, a_mat, b_mat, np.zeros((n, n)), g)
 
     report = RunReport(machine.time - start, machine.stats, p, n, PARIX_C.name)
-    return _untorus(cb, g), report
+    return c_mat, report

@@ -297,8 +297,10 @@ def c_div(a, b):
         # where the float path loses precision beyond 2**53
         q = a // b
         return q + ((a % b != 0) & ((a < 0) != (b < 0)))
-    q = a / b
-    return int(q) if q >= 0 else -int(-q)
+    # Python ints, not a / b: a double loses precision beyond 2**53
+    a, b = int(a), int(b)
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
 
 
 def c_mod(a, b):

@@ -648,6 +648,32 @@ class Torus2D(VirtualTopology):
             yield (i, self.east(i))
             yield (i, self.south(i))
 
+    def gentleman_pairs(self, move) -> tuple[np.ndarray, np.ndarray]:
+        """``(srcs, dsts)`` of one move of Gentleman's algorithm on this
+        (square) torus, memoized in the plan store: the skews ``("a", 1)``
+        and ``("b", 1)``, the unskews ``("a", -1)`` and ``("b", -1)``, and
+        the unit rotations ``"west"`` and ``"north"``.  Pairs come in
+        source-rank order; a rank that keeps its block is left out."""
+        return self._memo(("gentleman", move), lambda: self._gentleman(move))
+
+    def _gentleman(self, move) -> tuple[np.ndarray, np.ndarray]:
+        g = self.grid_cols
+        ranks = np.arange(self.p, dtype=np.int64)
+        i, j = np.divmod(ranks, g)
+        if move == "west":
+            dst = i * g + (j - 1) % g
+        elif move == "north":
+            dst = (i - 1) % self.grid_rows * g + j
+        elif move[0] == "a":  # (i, j) takes the block of (i, j + d·i)
+            dst = i * g + (j - move[1] * i) % g
+        else:  # (i, j) takes the block of (i + d·j, j)
+            dst = (i - move[1] * j) % g * g + j
+        keep = dst != ranks
+        pairs = (ranks[keep], dst[keep])
+        for x in pairs:
+            x.setflags(write=False)
+        return pairs
+
 
 class BinomialTree(VirtualTopology):
     """Binomial broadcast/reduction tree rooted at an arbitrary rank.

@@ -55,7 +55,6 @@ __all__ = [
     "plan",
     "run_elementwise",
     "interleaved_view",
-    "stacked_blocks",
 ]
 
 
@@ -196,21 +195,3 @@ def interleaved_view(pool: np.ndarray, grid: tuple[int, ...]) -> np.ndarray | No
         inter.extend((g_d, n_d // g_d))
     return pool.reshape(inter)
 
-
-def stacked_blocks(pool: np.ndarray, grid: tuple[int, ...]) -> np.ndarray | None:
-    """Contiguous ``(P, b0, b1, ...)`` **copy** of all partitions.
-
-    Partition ``r`` (row-major rank over *grid*) lands at ``out[r]``,
-    matching ``DistArray.local(r)`` element for element.  ``None`` when
-    the partitions are unequal.
-    """
-    view = interleaved_view(pool, grid)
-    if view is None:
-        return None
-    nd = len(grid)
-    # (g0, b0, g1, b1, ...) -> (g0, g1, ..., b0, b1, ...)
-    axes = tuple(range(0, 2 * nd, 2)) + tuple(range(1, 2 * nd, 2))
-    blocks = view.transpose(axes)
-    block_shape = tuple(n_d // g_d for n_d, g_d in zip(pool.shape, grid))
-    p = int(np.prod(grid)) if grid else 1
-    return np.ascontiguousarray(blocks).reshape((p, *block_shape))

@@ -12,21 +12,41 @@ multiplication replaced by *gen_mult* and scalar addition by *gen_add* —
 the classical multiplication with ``(+), (*)``, shortest paths with
 ``min, (+)`` (Section 4.1).
 
-The implementation is "Gentleman's distributed matrix multiplication
-algorithm, in which local partition multiplications alternate with
-partition rotations among the processors; these rotations are done
-horizontally for the first matrix and vertically for the second one,
-while the mapping of the result matrix remains unchanged."  Concretely
-(Cannon/Gentleman on a ``g x g`` torus):
+**The charged schedule.**  The implementation is "Gentleman's
+distributed matrix multiplication algorithm, in which local partition
+multiplications alternate with partition rotations among the
+processors; these rotations are done horizontally for the first matrix
+and vertically for the second one, while the mapping of the result
+matrix remains unchanged."  On a ``g x g`` torus the skeleton states
+exactly that data flow to its :class:`~repro.machine.charge.Charge`:
 
 1. skew: the *a*-partition of grid position ``(i, j)`` is replaced by the
    one from ``(i, (j + i) mod g)``, the *b*-partition by the one from
    ``((i + j) mod g, j)``;
-2. ``g`` rounds of: local generic block multiply accumulated into *c*,
-   then rotate *a* one step west and *b* one step north (skipped after
-   the last round);
+2. ``g`` rounds of: a local block product, then *a* rotates one step
+   west and *b* one step north (skipped after the last round);
 3. unskew, so the argument arrays are observably unchanged (the paper's
    shortest-paths program reuses ``a`` right after the call).
+
+The rank pairs of every move are memoized on the torus
+(:meth:`~repro.machine.topology.Torus2D.gentleman_pairs`).
+
+**The computed product.**  The arithmetic does not replay that data
+flow: every ``c[i, j]`` folds *gen_add* over ``k = 0 … n - 1`` in
+ascending order, seeded by ``c``'s initial value::
+
+    c[i, j] = gen_add(… gen_add(c[i, j], gen_mult(a[i, 0], b[0, j])) …,
+                      gen_mult(a[i, n-1], b[n-1, j]))
+
+A numpy semiring (*gen_add* with a numpy op and reduction) folds the
+whole pools at once, in cache-sized tiles; the classical ``(+), (*)`` adds
+one BLAS block product ``A(i, kb) · B(kb, j)`` per k-block, ``kb``
+ascending (the sum inside a block product is BLAS's own); anything else
+runs per rank and per k-block, element by element.
+``SkilContext(fused=False)`` runs every semiring per rank on the same
+kernels, so all paths agree bit for bit, signed-zero ties and NaNs
+included (only the payload of ``NaN ⊗ NaN`` inside one *gen_mult* is
+numpy's: its SIMD and scalar loops differ on it).
 
 Because the skeleton cannot know the neutral element of *gen_add*, the
 **initial contents of c seed the accumulation** — this is why the
@@ -48,47 +68,83 @@ from repro.arrays.darray import DistArray
 from repro.errors import SkeletonError
 from repro.machine.topology import Torus2D
 from repro.skeletons.base import ops_of, skeleton_span
-from repro.skeletons.fuse import interleaved_view, stacked_blocks
+from repro.skeletons.fuse import interleaved_view
 
 __all__ = ["array_gen_mult", "array_gen_mult_square",
-           "semiring_block_product", "semiring_stacked_product"]
+           "semiring_block_product", "pooled_product"]
 
-#: cap on the temporary ``(m, k_chunk, n)`` tensor built by the generic
-#: vectorized path, in elements
-_CHUNK_ELEMS = 1 << 21
+#: a tile folds ``_K_TILE`` terms into as many accumulator rows as keep
+#: it under ``_TILE_ELEMS`` (512 KiB of float64): the tile, its rows of
+#: the accumulator and the operand rows stay in a 2 MiB L2 at any n
+_TILE_ELEMS = 1 << 16
+_K_TILE = 32
 
-#: cap on the batched ``(ranks, m, k_chunk, n)`` temporary of the fused
-#: path; the k-chunking must stay identical to the per-rank path (it
-#: decides reduction boundaries), so the fused path sub-batches over
-#: ranks instead when the whole stack would not fit
-_BATCH_ELEMS = 1 << 24
+
+def _kind(gen_add, gen_mult, dtype) -> str | None:
+    """``"blas"`` for the classical ``(+), (*)`` on numbers, ``"fold"``
+    for any other numpy semiring, ``None`` for element-by-element."""
+    add = getattr(gen_add, "np_op", None)
+    mul = getattr(gen_mult, "np_op", None)
+    if add is np.add and mul is np.multiply and dtype.kind in "fiu":
+        return "blas"
+    if add is not None and getattr(gen_add, "np_reduce", None) and mul is not None:
+        return "fold"
+    return None
+
+
+def _fold(gen_add, gen_mult, A: np.ndarray, B: np.ndarray, acc: np.ndarray):
+    """*acc* folded with ``gen_add`` over ``k`` ascending of
+    ``gen_mult(A[:, k], B[k, :])``.
+
+    A tile stacks rows of the accumulator on their terms, ``(1 + kt,
+    rows, n)``, and reduces over axis 0: numpy reduces a non-innermost
+    axis as one elementwise ufunc call per ``k``, in order — a left fold,
+    whatever the tile.  A contiguous reduction is no left fold (numpy
+    regroups it, and ties then pick other operands), so a ``1 x 1``
+    result folds one ``k`` at a time and a one-column result is not cut
+    into row tiles.
+    """
+    add, mul, reduce = gen_add.np_op, gen_mult.np_op, gen_add.np_reduce
+    m, K = A.shape
+    n = B.shape[1]
+    if m * n == 1:
+        for k in range(K):
+            acc = add(acc, mul(A[:, k, None], B[None, k, :]))
+        return acc
+    kt = min(_K_TILE, K)
+    rows = m if n == 1 else min(m, max(1, _TILE_ELEMS // (kt * n)))
+    buf = np.empty((1 + kt, rows, n), dtype=acc.dtype)
+    out = np.empty_like(acc)
+    At = A.T
+    for r0 in range(0, m, rows):
+        r1 = min(r0 + rows, m)
+        part = acc[r0:r1]
+        for k0 in range(0, K, kt):
+            k1 = min(k0 + kt, K)
+            tile = buf[: 1 + k1 - k0, : r1 - r0]
+            tile[0] = part
+            if isinstance(mul, np.ufunc):
+                mul(At[k0:k1, r0:r1, None], B[k0:k1, None, :], out=tile[1:])
+            else:
+                tile[1:] = mul(At[k0:k1, r0:r1, None], B[k0:k1, None, :])
+            part = reduce(tile, axis=0)
+        out[r0:r1] = part
+    return out
 
 
 def semiring_block_product(gen_add, gen_mult, A: np.ndarray, B: np.ndarray,
                            acc: np.ndarray) -> np.ndarray:
-    """Accumulate the generic product of two local blocks into *acc*.
+    """*acc* with the generic product of two local blocks folded in.
 
-    Uses ``A @ B`` for the classical ``(+), (*)`` case, a chunked
-    broadcast-reduce when both operators carry numpy kernels, and a
-    Python triple loop otherwise (tiny test problems only).
+    ``acc + A @ B`` for the classical ``(+), (*)``, the ascending-k fold
+    of :func:`_fold` for any other numpy semiring, and a Python triple
+    loop over ``k`` ascending otherwise (tiny test problems only).
     """
-    add_np = getattr(gen_add, "np_op", None)
-    add_reduce = getattr(gen_add, "np_reduce", None)
-    mul_np = getattr(gen_mult, "np_op", None)
-
-    if add_np is np.add and mul_np is np.multiply and A.dtype.kind in "fiu":
-        return add_np(acc, A @ B)
-
-    if add_np is not None and add_reduce is not None and mul_np is not None:
-        m, k = A.shape
-        n = B.shape[1]
-        chunk = max(1, _CHUNK_ELEMS // max(1, m * n))
-        out = acc
-        for k0 in range(0, k, chunk):
-            part = mul_np(A[:, k0 : k0 + chunk, None], B[None, k0 : k0 + chunk, :])
-            out = add_np(out, add_reduce(part, axis=1))
-        return out
-
+    kind = _kind(gen_add, gen_mult, np.result_type(A, B, acc))
+    if kind == "blas":
+        return np.add(acc, A @ B)
+    if kind == "fold":
+        return _fold(gen_add, gen_mult, A, B, acc)
     m, k = A.shape
     n = B.shape[1]
     out = acc.copy()
@@ -101,72 +157,29 @@ def semiring_block_product(gen_add, gen_mult, A: np.ndarray, B: np.ndarray,
     return out
 
 
-def _can_batch_products(gen_add, gen_mult, dtype) -> bool:
-    """Whether the stacked-block product path applies (numpy kernels)."""
-    add_np = getattr(gen_add, "np_op", None)
-    add_reduce = getattr(gen_add, "np_reduce", None)
-    mul_np = getattr(gen_mult, "np_op", None)
-    if add_np is np.add and mul_np is np.multiply and dtype.kind in "fiu":
-        return True
-    return add_np is not None and add_reduce is not None and mul_np is not None
+def pooled_product(gen_add, gen_mult, A: np.ndarray, B: np.ndarray,
+                   C: np.ndarray, g: int) -> np.ndarray | None:
+    """The product of whole matrices blocked ``g x g``, folded into a
+    copy of *C*, or ``None`` when the semiring has no whole-matrix form.
 
-
-def semiring_stacked_product(gen_add, gen_mult, SA, SB, SC):
-    """All-ranks :func:`semiring_block_product` over stacked blocks.
-
-    ``SA``/``SB``/``SC`` stack every rank's block along axis 0.  The
-    result is bit-identical per block to the per-rank function: the
-    classical case is the same per-slice gemm, and the generic case uses
-    the *same k-chunk boundaries* (they decide the reduce partitioning),
-    only sub-batching over ranks — elementwise multiplies and the
-    per-output reductions over the same axis length are unaffected by
-    how many ranks share a numpy call.
+    Bitwise what the per-rank blocks compute: a numpy fold is one left
+    fold at any tiling; the classical case adds the ``g x g`` block
+    products of k-block ``kb`` as one broadcast ``matmul``, which makes
+    the same BLAS call per block as a per-block ``@``.
     """
-    add_np = getattr(gen_add, "np_op", None)
-    add_reduce = getattr(gen_add, "np_reduce", None)
-    mul_np = getattr(gen_mult, "np_op", None)
-
-    if add_np is np.add and mul_np is np.multiply and SA.dtype.kind in "fiu":
-        return add_np(SC, SA @ SB)
-
-    ranks, m, k = SA.shape
-    n = SB.shape[2]
-
-    if (
-        add_np in (np.minimum, np.maximum)
-        and isinstance(mul_np, np.ufunc)
-        and k > 0
-    ):
-        # min/max reductions are sequential left folds (ufunc.reduce does
-        # no pairwise regrouping for them), so an in-place fold over k in
-        # index order reproduces the chunked reduce bit for bit — ties
-        # between signed zeros and NaN propagation included — while the
-        # (ranks, m, n) temporaries stay cache-resident instead of
-        # materialising the (ranks, m, k, n) tensor
-        SA_t = np.ascontiguousarray(SA.transpose(0, 2, 1))
-        term = np.empty((ranks, m, n), dtype=np.result_type(SA, SB))
-        mul_np(SA_t[:, 0, :, None], SB[:, 0, None, :], out=term)
-        out = add_np(SC, term)
-        for kk in range(1, k):
-            mul_np(SA_t[:, kk, :, None], SB[:, kk, None, :], out=term)
-            add_np(out, term, out=out)
-        return out
-    chunk = max(1, _CHUNK_ELEMS // max(1, m * n))  # same as per-rank
-    per_rank_tmp = m * min(chunk, k) * n
-    rank_chunk = max(1, _BATCH_ELEMS // max(1, per_rank_tmp))
-    out = SC
-    for k0 in range(0, k, chunk):
-        pieces = []
-        for r0 in range(0, ranks, rank_chunk):
-            r1 = r0 + rank_chunk
-            part = mul_np(
-                SA[r0:r1, :, k0 : k0 + chunk, None],
-                SB[r0:r1, None, k0 : k0 + chunk, :],
-            )
-            pieces.append(add_reduce(part, axis=2))
-        red = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
-        out = add_np(out, red)
-    return out
+    acc_dtype = np.result_type(A, B, C)
+    kind = _kind(gen_add, gen_mult, acc_dtype)
+    if kind == "fold":
+        return _fold(gen_add, gen_mult, A, B, C.astype(acc_dtype))
+    if kind != "blas":
+        return None
+    # (g, m, g, k) views: A4[i, :, kb] is block (i, kb)
+    A4 = interleaved_view(A, (g, g))
+    B4 = interleaved_view(B, (g, g))
+    acc = interleaved_view(C, (g, g)).transpose(0, 2, 1, 3).astype(acc_dtype)
+    for kb in range(g):
+        acc = np.add(acc, A4[:, None, :, kb] @ B4[kb].transpose(1, 0, 2)[None])
+    return acc.transpose(0, 2, 1, 3).reshape(C.shape)
 
 
 def _uniform_partition_shape(arr: DistArray) -> tuple[int, ...] | None:
@@ -227,13 +240,40 @@ def array_gen_mult_square(
     the fusion pass's target for the ``array_copy(a, b);
     array_gen_mult(a, b, ...)`` idiom (shortest paths squares the
     adjacency matrix every iteration).  It is safe here because the
-    implementation only ever reads private copies of the argument blocks,
-    so ``b is a`` observes exactly the values the fresh copy would — the
-    copy's round and the second matrix vanish from the schedule while the
-    result stays bit-equal.
+    product only reads its arguments and writes *c*, so ``b is a``
+    observes exactly the values the fresh copy would — the copy's round
+    and the second matrix vanish from the schedule while the result
+    stays bit-equal.
     """
     ctx.check_distinct("array_gen_mult_square", a, c)
     _gen_mult_impl(ctx, a, a, gen_add, gen_mult, c)
+
+
+def _product(ctx, a: DistArray, b: DistArray, gen_add, gen_mult,
+             c: DistArray, g: int) -> None:
+    """Write the ascending-k product into *c* (module docstring)."""
+    if ctx.fused and all(x.pool is not None for x in (a, b, c)):
+        out = pooled_product(gen_add, gen_mult, a.pool, b.pool, c.pool, g)
+        if out is not None:
+            c.pool[...] = out
+            return
+    acc_dtype = np.result_type(a.dtype, b.dtype, c.dtype)
+    accs = []
+    try:
+        for r in range(ctx.p):
+            ctx.current_rank = r
+            i, j = divmod(r, g)
+            acc = c.local(r).astype(acc_dtype)
+            for kb in range(g):
+                acc = semiring_block_product(
+                    gen_add, gen_mult, a.local(i * g + kb), b.local(kb * g + j), acc
+                )
+            accs.append(acc)
+    finally:
+        # also when gen_add/gen_mult raise: no stale procId
+        ctx.current_rank = None
+    for r, acc in enumerate(accs):
+        c.local(r)[...] = acc
 
 
 def _gen_mult_impl(
@@ -262,135 +302,34 @@ def _gen_mult_impl(
             "array_gen_mult: partitions must be equally sized (pad the matrix "
             "up to a multiple of the grid, as the paper does)"
         )
-
-    # fused fast path (see docs/PERFORMANCE.md): stack every rank's
-    # block into contiguous (p, ·, ·) arrays, run the semiring products
-    # batched, and realise rotations as np.roll on the (g, g, ·, ·)
-    # views — same charging calls in the same order as the per-rank path
-    fused = (
-        ctx.fused
-        and a.pool is not None
-        and b.pool is not None
-        and c.pool is not None
-        and _can_batch_products(gen_add, gen_mult, a.pool.dtype)
-    )
-    grid = (g, g)
-    if fused:
-        # stacked copies of the blocks — the fused equivalent of the
-        # per-rank working copies below
-        sa = stacked_blocks(a.pool, grid)
-        sb = stacked_blocks(b.pool, grid)
-        sc = stacked_blocks(c.pool, grid)
-        ablk = bblk = accum = None
-        nbytes_a = sa[0].nbytes
-        nbytes_b = sb[0].nbytes
-    else:
-        # working copies: the real machine rotates partitions in place and
-        # re-aligns afterwards; we keep a/b untouched and charge the
-        # alignment communication explicitly below
-        ablk = [a.local(r).copy() for r in range(ctx.p)]
-        bblk = [b.local(r).copy() for r in range(ctx.p)]
-        accum = [c.local(r).astype(c.dtype, copy=True) for r in range(ctx.p)]
-        nbytes_a = ablk[0].nbytes
-        nbytes_b = bblk[0].nbytes
-
-    ranks = np.arange(ctx.p, dtype=np.int64)
-    row_of, col_of = np.divmod(ranks, g)
-
-    def skew_pairs(kind: str, direction: int) -> tuple[np.ndarray, np.ndarray]:
-        """(srcs, dsts) rank arrays moving blocks by their skew distance
-        (vectorized ``grid_coords``/``grid_rank`` arithmetic, same rank
-        order and self-pair filter as the scalar loop)."""
-        if kind == "a":
-            dst = row_of * g + (col_of - direction * row_of) % g
-        else:
-            dst = ((row_of - direction * col_of) % g) * g + col_of
-        keep = dst != ranks
-        return ranks[keep], dst[keep]
-
-    def apply_block_perm(blocks: list[np.ndarray], pairs):
-        srcs, dsts = pairs
-        moved = {d: blocks[s] for s, d in zip(srcs.tolist(), dsts.tolist())}
-        for d, blk in moved.items():
-            blocks[d] = blk
-
-    def perm_order(pairs) -> np.ndarray:
-        """``order[d] = s`` gather indices equivalent to apply_block_perm."""
-        srcs, dsts = pairs
-        order = np.arange(ctx.p)
-        order[dsts] = srcs
-        return order
+    nbytes_a = a.local(0).nbytes
+    nbytes_b = b.local(0).nbytes
 
     # -- 1. skew ---------------------------------------------------------
     with ctx.phase("genmult:skew"):
-        pa = skew_pairs("a", +1)
-        pb = skew_pairs("b", +1)
-        if pa[0].size:
-            ctx.charge.shift_batch(pa[0], pa[1], nbytes_a, topo, tag="genmult-skew-a")
-            if fused:
-                sa = sa[perm_order(pa)]
-            else:
-                apply_block_perm(ablk, pa)
-        if pb[0].size:
-            ctx.charge.shift_batch(pb[0], pb[1], nbytes_b, topo, tag="genmult-skew-b")
-            if fused:
-                sb = sb[perm_order(pb)]
-            else:
-                apply_block_perm(bblk, pb)
+        for mat, nbytes in (("a", nbytes_a), ("b", nbytes_b)):
+            srcs, dsts = topo.gentleman_pairs((mat, +1))
+            if srcs.size:
+                ctx.charge.shift_batch(srcs, dsts, nbytes, topo, tag=f"genmult-skew-{mat}")
 
     # -- 2. multiply / rotate rounds --------------------------------------
-    if fused:
-        m_loc, k_loc = sa.shape[1:]
-        n_loc = sb.shape[2]
-    else:
-        m_loc, k_loc = ablk[0].shape
-        n_loc = bblk[0].shape[1]
     # one round: every (i, j, k) of the local block product pays one
-    # gen_mult and one gen_add
-    round_work = (m_loc * n_loc * k_loc, ops_of(gen_mult), ops_of(gen_add))
-    west_dst = row_of * g + (col_of - 1) % g
-    north_dst = ((row_of - 1) % g) * g + col_of
-    west_pairs = (ranks[west_dst != ranks], west_dst[west_dst != ranks])
-    north_pairs = (ranks[north_dst != ranks], north_dst[north_dst != ranks])
+    # gen_mult and one gen_add; the whole product is computed in the first
+    m_loc, k_loc = ua
+    round_work = (m_loc * ub[1] * k_loc, ops_of(gen_mult), ops_of(gen_add))
     for step in range(g):
         with ctx.phase("genmult:multiply"):
-            if fused:
-                sc = semiring_stacked_product(gen_add, gen_mult, sa, sb, sc)
-            else:
-                try:
-                    for r in range(ctx.p):
-                        ctx.current_rank = r
-                        accum[r] = semiring_block_product(
-                            gen_add, gen_mult, ablk[r], bblk[r], accum[r]
-                        )
-                finally:
-                    # also when gen_add/gen_mult raise: no stale procId
-                    ctx.current_rank = None
+            if step == 0:
+                _product(ctx, a, b, gen_add, gen_mult, c, g)
             ctx.charge.work(round_work)
         if step < g - 1:
             with ctx.phase("genmult:rotate"):
                 ctx.charge.shift_batch(
-                    west_pairs[0], west_pairs[1], nbytes_a, topo, tag="genmult-rot-a"
+                    *topo.gentleman_pairs("west"), nbytes_a, topo, tag="genmult-rot-a"
                 )
-                if fused:
-                    # dst (i, j-1) takes the block of (i, j): one column roll
-                    sag = sa.reshape(g, g, m_loc, k_loc)
-                    sa = np.concatenate(
-                        (sag[:, 1:], sag[:, :1]), axis=1
-                    ).reshape(ctx.p, m_loc, k_loc)
-                else:
-                    apply_block_perm(ablk, west_pairs)
                 ctx.charge.shift_batch(
-                    north_pairs[0], north_pairs[1], nbytes_b, topo, tag="genmult-rot-b"
+                    *topo.gentleman_pairs("north"), nbytes_b, topo, tag="genmult-rot-b"
                 )
-                if fused:
-                    # dst (i-1, j) takes the block of (i, j): one row roll
-                    sbg = sb.reshape(g, g, k_loc, n_loc)
-                    sb = np.concatenate(
-                        (sbg[1:], sbg[:1]), axis=0
-                    ).reshape(ctx.p, k_loc, n_loc)
-                else:
-                    apply_block_perm(bblk, north_pairs)
 
     # -- 3. unskew (restore a and b on the real machine) ------------------
     # after the initial skew and g-1 unit rotations the blocks sit one
@@ -398,15 +337,9 @@ def _gen_mult_impl(
     # shift per matrix, same cost class as the skew
     if g > 1:
         with ctx.phase("genmult:unskew"):
-            ua = skew_pairs("a", -1)
-            ub = skew_pairs("b", -1)
-            ctx.charge.shift_batch(ua[0], ua[1], nbytes_a, topo, tag="genmult-unskew-a")
-            ctx.charge.shift_batch(ub[0], ub[1], nbytes_b, topo, tag="genmult-unskew-b")
-
-    if fused:
-        m_c, n_c = sc.shape[1:]
-        c_view = interleaved_view(c.pool, grid)
-        c_view[...] = sc.reshape(g, g, m_c, n_c).transpose(0, 2, 1, 3)
-    else:
-        for r in range(ctx.p):
-            c.local(r)[...] = accum[r].astype(c.dtype, copy=False)
+            ctx.charge.shift_batch(
+                *topo.gentleman_pairs(("a", -1)), nbytes_a, topo, tag="genmult-unskew-a"
+            )
+            ctx.charge.shift_batch(
+                *topo.gentleman_pairs(("b", -1)), nbytes_b, topo, tag="genmult-unskew-b"
+            )

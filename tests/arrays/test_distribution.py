@@ -81,6 +81,42 @@ class TestBlockDistribution:
         with pytest.raises(DistributionError):
             d.owner((4,))
 
+    def test_owner_rejects_index_of_wrong_length(self):
+        """An index with too few coordinates once answered a rank, one
+        with too many raised a bare IndexError."""
+        d = BlockDistribution((8, 8), (2, 2))
+        for index in ((5,), (1, 2, 3), ()):
+            with pytest.raises(DistributionError, match="coordinates"):
+                d.owner(index)
+
+    def test_owner_reads_the_owner_vectors(self):
+        d = BlockDistribution((10, 7), (4, 3))
+        rows, cols = d.owner_vectors()
+        for i in range(10):
+            for j in range(7):
+                want = d.grid_rank((
+                    int(np.searchsorted(d._splits[0], i, side="right") - 1),
+                    int(np.searchsorted(d._splits[1], j, side="right") - 1),
+                ))
+                assert d.owner((i, j)) == d.owner((np.int64(i), np.int64(j))) == want
+                assert want == rows[i] * 3 + cols[j]
+        with pytest.raises(DistributionError, match="outside"):
+            d.owner((-1, 0))
+
+    @pytest.mark.parametrize("shape,grid", [((64, 8), (8, 1)), ((10, 3), (4, 3)),
+                                            ((7,), (7,)), ((100, 4), (16, 2))])
+    def test_slab_rows_memoized_with_unchanged_cuts(self, shape, grid):
+        d = BlockDistribution(shape, grid)
+        g0, splits = grid[0], d._splits[0]
+        for k in range(0, g0 + 3):
+            slabs = d.slab_rows(k)
+            assert d.slab_rows(k) is slabs  # one cut list per k
+            if 1 < k <= g0:
+                cuts = [int(splits[(i * g0 + k // 2) // k]) for i in range(k + 1)]
+                assert [(s.start, s.stop) for s in slabs] == list(zip(cuts, cuts[1:]))
+            else:
+                assert slabs == (slice(0, shape[0]),)
+
     def test_out_of_range_rank(self):
         d = BlockDistribution((4,), (2,))
         with pytest.raises(DistributionError):

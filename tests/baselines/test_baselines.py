@@ -77,9 +77,10 @@ class TestParixC:
 
 
 # ------------------------------------------------ per-rank reference loops
-# The comparators keep every rank's block in one stack; these are the
-# loops they replaced, one numpy call and one list entry per rank, with
-# the same charge statements in the same order.
+# The comparators compute the product whole and only charge Gentleman's
+# data flow; these loops move one list entry per rank, with the same
+# charge statements in the same order, and rank (i, j) adds the block
+# products A(i, kb)·B(kb, j) in ascending kb.
 def _blocks(mat, g):
     nb = mat.shape[0] // g
     return [mat[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb].copy()
@@ -138,8 +139,9 @@ def _shpaths_ref(machine, dist_matrix, old):
         _move(charge, topo, bb, moves["b", +1], nbytes, "c-skew-b")
         for step in range(g):
             for r in range(p):
-                cb[r] = np.minimum(
-                    cb[r], np.min(ab[r][:, :, None] + bb[r][None, :, :], axis=1))
+                i, j = divmod(r, g)
+                cb[r] = np.minimum(cb[r], np.min(
+                    a[i * g + step][:, :, None] + a[step * g + j][None, :, :], axis=1))
             charge.work((nb * nb * nb * 2, 1.0))
             if step < g - 1:
                 _move(charge, topo, ab, moves["west"], nbytes, "c-rot-a")
@@ -187,6 +189,7 @@ def _matmul_ref(machine, a_mat, b_mat):
     moves = _torus_moves(topo, p)
     nb = n // g
     ab, bb = _blocks(a_mat, g), _blocks(b_mat, g)
+    a0, b0 = list(ab), list(bb)
     cb = [np.zeros((nb, nb)) for _ in range(p)]
     charge.work((2 * nb * nb, 1.0))
     nbytes = ab[0].nbytes
@@ -194,7 +197,8 @@ def _matmul_ref(machine, a_mat, b_mat):
     _move(charge, topo, bb, moves["b", +1], nbytes, "c-mm-skew-b")
     for step in range(g):
         for r in range(p):
-            cb[r] = cb[r] + ab[r] @ bb[r]
+            i, j = divmod(r, g)
+            cb[r] = cb[r] + a0[i * g + step] @ b0[step * g + j]
         charge.work((nb * nb * nb * 2, 1.0))
         if step < g - 1:
             _move(charge, topo, ab, moves["west"], nbytes, "c-mm-rot-a")

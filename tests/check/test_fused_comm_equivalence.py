@@ -1,8 +1,8 @@
 """Fused-vs-per-rank equivalence for the communication skeletons.
 
 The fused data-movement paths (pool gather for ``array_permute_rows``,
-interleaved-view assignment for ``array_broadcast_part``, batched
-rotations and semiring products for ``array_gen_mult``, the batched
+interleaved-view assignment for ``array_broadcast_part``, the
+whole-matrix product of ``array_gen_mult``, the batched
 local scans of ``array_scan``) are implementation details: contents,
 per-rank clocks, trace spans and per-rank timelines must be
 bit-identical to the per-rank loops.  Same scheme as

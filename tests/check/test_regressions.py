@@ -150,3 +150,17 @@ class TestTruncatingDivMod:
         # and the scalar path is C's truncating division
         assert c_div(a, b) == int(np.fix(a / b))
         assert c_mod(a, b) == a - c_div(a, b) * b
+
+    @pytest.mark.parametrize("a", [2**53 + 1, -(2**53 + 1), 2**62 + 7, -(2**63) + 5])
+    @pytest.mark.parametrize("b", [1, 3, -3, 7, 2**31 - 1])
+    def test_boxed_equals_vectorized_beyond_double_precision(self, a, b):
+        """The scalar path once divided in floating point: above 2**53 it
+        disagreed with the array path, e.g. ``c_mod(2**53 + 1, 1) == 1``."""
+        va = np.array([a], dtype=np.int64)
+        vb = np.array([b], dtype=np.int64)
+        for x in (a, np.int64(a)):
+            q, r = c_div(x, b), c_mod(x, b)
+            assert q == int(c_div(va, vb)[0])
+            assert r == int(c_mod(va, vb)[0])
+            # exact C semantics in integers: truncation toward zero
+            assert q * b + r == a and abs(r) < abs(b) and (r == 0 or (r < 0) == (a < 0))
