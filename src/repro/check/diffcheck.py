@@ -302,7 +302,7 @@ def trial_pattern(rng: random.Random) -> tuple[str | None, dict[str, int]]:
                     cov,
                 )
     for name in ("messages", "bytes_sent"):
-        a, b = getattr(net.stats, name), getattr(eng.stats, name)
+        a, b = getattr(net.stats, name), getattr(eng.net.stats, name)
         if a != b:
             return f"{name} mismatch ({label}): network={a} engine={b}", cov
     return None, cov

@@ -23,7 +23,11 @@ machines of one size: untraced (``trace_level=0``), recording
   the streamed observer's memory bound;
 * **spans and metrics**: spans close and nest in their parents, the
   message-size histogram equals the stats, and where the workload opens
-  spans the root spans hold every byte.
+  spans the root spans hold every byte;
+* **compute is booked once**: per rank, *compute* intervals are
+  disjoint, and ``stats.compute_seconds <= p * makespan``.  Intervals of
+  other kinds overlap by design: a rank's send, receive and idle wait in
+  one shift do.
 
 Four families interleave, the first two twice as often as the others:
 *pattern* (random collective patterns on the raw Network,
@@ -31,12 +35,6 @@ Four families interleave, the first two twice as often as the others:
 *skeleton* (a small array-skeleton program), *app* (shortest paths /
 Gaussian elimination at p in {4, 16, 64}) and *engine*
 (``divide_and_conquer`` / ``farm`` on the event engine).
-
-Not held yet: per rank, *compute* intervals are disjoint and
-``stats.compute_seconds <= p * makespan``.  ``farm`` and ``d&c`` book
-their engine run twice (ROADMAP item 18); the invariant joins this list
-when they emit once.  Intervals of other kinds overlap by design: a
-rank's send, receive and idle wait in one shift do.
 """
 
 from __future__ import annotations
@@ -587,6 +585,20 @@ def _span_problems(m: Machine) -> list[str]:
     return problems
 
 
+def _compute_problems(m: Machine) -> list[str]:
+    """Per rank, compute intervals are disjoint, and the stats' compute
+    seconds fit in ``p * makespan``."""
+    ivs = sorted((iv.rank, iv.start, iv.end) for iv in m.timeline.intervals
+                 if iv.kind == "compute")
+    problems = [f"compute overlaps on rank {a[0]}: {a[1:]} and {b[1:]}"
+                for a, b in zip(ivs, ivs[1:]) if a[0] == b[0] and b[1] < a[2]]
+    bound = m.p * m.network.time
+    if m.stats.compute_seconds > bound + _eps_for(bound):
+        problems.append(f"compute_seconds {m.stats.compute_seconds!r} exceeds "
+                        f"p * makespan {bound!r}")
+    return problems
+
+
 def trace_problems(
     untraced: Machine,
     rec: Machine,
@@ -606,6 +618,7 @@ def trace_problems(
                 f"{mode}={float(b[i])!r}"
             )
     problems += invariant_problems(rec, labels)
+    problems += _compute_problems(rec)
     a, b = _stats_tuple(rec.stats), _stats_tuple(st.stats)
     if a != b:
         problems.append(f"stats: record={a} stream={b}")
@@ -681,8 +694,8 @@ def _app(rng: random.Random):
 
 
 def _engine(rng: random.Random):
-    """``divide_and_conquer`` / ``farm`` on the event engine, whose
-    intervals arrive one ``add`` at a time, after an optional offset."""
+    """``divide_and_conquer`` / ``farm`` on the event engine, which books
+    each event into the Network as it happens, after an optional offset."""
     from repro.skeletons.functional import skil_fn as sf
 
     p = rng.choice([4, 8, 16])

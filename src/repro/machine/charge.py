@@ -39,8 +39,8 @@ class Charge:
     # ---------------------------------------------------------------- pricing
     def elem_time(self, ops: float = 1.0) -> float:
         """Seconds one element application of *ops* abstract operations
-        costs.  A pure function of the pair: ``farm`` and ``d&c`` hand it
-        to the event engine, which does its own clock keeping."""
+        costs.  A pure function of the pair: ``farm`` and ``d&c`` price
+        the events they hand the event engine with it."""
         return self.profile.elem_time(self.machine.cost, ops)
 
     def _wire(self, nbytes):
@@ -101,14 +101,6 @@ class Charge:
     def memcpy_at(self, rank: int, nbytes: int) -> None:
         """A local block copy of *nbytes* on *rank* alone."""
         self.machine.network.compute_at(rank, nbytes * self.machine.cost.t_mem)
-
-    def priced(self, seconds) -> None:
-        """Escape hatch: advance every clock by *seconds* that are
-        already priced.  Only for skeletons whose schedule is data
-        dependent (``farm``, ``d&c``): they run on the message-granularity
-        :class:`~repro.machine.engine.Engine`, which prices each event
-        with :meth:`elem_time` itself and hands back a makespan."""
-        self.machine.network.compute(seconds)
 
     # ---------------------------------------------------------- communication
     # *nbytes* is always the raw payload; the wire size and the send

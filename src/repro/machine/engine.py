@@ -2,9 +2,9 @@
 
 While the skeletons use the fast analytic clock arithmetic of
 :mod:`repro.machine.network`, some things need *message-granularity*
-simulation: the task-parallel divide&conquer skeleton, hand-written
-message-passing programs used in tests, and the consistency checks that
-validate the analytic layer.
+simulation: the process-parallel ``farm`` and divide&conquer skeletons,
+hand-written message-passing programs used in tests, and the
+consistency checks that validate the analytic layer.
 
 Each simulated processor is a Python **generator** that yields requests
 to the engine and is resumed when they complete:
@@ -24,6 +24,15 @@ to the engine and is resumed when they complete:
     blocks until a matching message (FIFO per (src, tag) channel) has
     arrived; evaluates to its payload.
 
+The engine keeps the schedule and each rank's clock, relative to the
+start of the run; the :class:`~repro.machine.network.Network` it is
+given books every event as it happens — clocks, stats, timeline,
+critical-path fold, message records and metrics — through the helpers
+its own charged waves use.  :meth:`Engine.run` enters at the network's
+makespan (a barrier) and leaves each rank's clock where its own run
+ended.  A standalone engine (:func:`run_spmd`, the ``diff`` pillar)
+books into a fresh Network of its own.
+
 The engine detects deadlock (no runnable process but blocked processes
 remain) and reports the blocked ranks — the paper's motivation section
 lists exactly this class of bug as what skeletons shield users from.
@@ -34,11 +43,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Callable, Generator
 
 from repro.errors import DeadlockError, MachineError
 from repro.machine.costmodel import CostModel
+from repro.machine.network import Network
 from repro.machine.topology import VirtualTopology
 from repro.machine.trace import TraceStats
 
@@ -81,7 +92,6 @@ class _Proc:
     rank: int
     gen: Generator
     clock: float = 0.0
-    blocked: bool = False
     done: bool = False
 
 
@@ -89,6 +99,7 @@ class _Proc:
 class _AsyncMsg:
     arrival: float
     payload: Any
+    posted: Any  # what the Network books its receipt from
 
 
 @dataclass
@@ -102,73 +113,64 @@ class _PendingSend:
 
 
 class Engine:
-    """Event-driven simulator over a virtual topology."""
+    """Event-driven simulator over a virtual topology, booking into
+    *network* (a fresh one when none is given)."""
 
     def __init__(
         self,
         cost: CostModel,
         topo: VirtualTopology,
-        stats: TraceStats | None = None,
-        timeline=None,
-        metrics=None,
-        t0: float = 0.0,
+        network: Network | None = None,
     ):
         self.cost = cost
         self.topo = topo
-        self.stats = stats if stats is not None else TraceStats()
-        #: optional observability sinks (see repro.obs); *t0* offsets the
-        #: engine's relative clock onto the machine timeline, since the
-        #: engine always starts at time zero while the embedding machine
-        #: may already have advanced
-        self.timeline = timeline
-        self.metrics = metrics
-        self.t0 = t0
+        self.net = network if network is not None else Network(cost, topo.p)
+        self._t0 = 0.0  # where the run entered the network's clocks
         self._procs: dict[int, _Proc] = {}
         self._ready: list[tuple[float, int, int, Any]] = []  # (time, seq, rank, value)
         self._seq = itertools.count()
-        # mailboxes for async messages and rendezvous bookkeeping,
-        # keyed by (dst, src, tag)
+        # async messages and blocked synchronous senders, keyed by
+        # (dst, src, tag), with (dst, tag) -> senders with a non-empty
+        # queue, so that a wildcard receive looks only at those
         self._mail: dict[tuple[int, int, str], deque[_AsyncMsg]] = defaultdict(deque)
-        self._pending_sends: dict[tuple[int, int, str], deque[_PendingSend]] = (
-            defaultdict(deque)
-        )
-        self._pending_recvs: dict[tuple[int, int, str], deque[float]] = defaultdict(
-            deque
-        )
-        self._recv_waiters: dict[tuple[int, int, str], deque[int]] = defaultdict(deque)
-        # wildcard (ANY_SOURCE) receives, keyed by (dst, tag):
-        # queue of (waiter_rank, post_time)
-        self._any_waiters: dict[tuple[int, str], deque[tuple[int, float]]] = (
-            defaultdict(deque)
-        )
-        # (dst, tag) -> senders with a non-empty queue; keeps wildcard
-        # receives O(matching senders) instead of O(every (dst, src, tag)
-        # channel ever touched)
         self._mail_index: dict[tuple[int, str], set[int]] = defaultdict(set)
+        self._pending_sends: dict[tuple[int, int, str], deque[_PendingSend]] = (
+            defaultdict(deque))
         self._send_index: dict[tuple[int, str], set[int]] = defaultdict(set)
+        #: blocked receivers: rank -> (src or ANY_SOURCE, tag, post time)
+        self._waiting: dict[int, tuple[int, str, float]] = {}
 
-    # ---------------------------------------------------------- mailbox upkeep
-    def _put_mail(self, key: tuple[int, int, str], msg: _AsyncMsg) -> None:
-        self._mail[key].append(msg)
-        self._mail_index[(key[0], key[2])].add(key[1])
+    # ------------------------------------------------------------ queue upkeep
+    @staticmethod
+    def _put(queues, index, key: tuple[int, int, str], item) -> None:
+        queues[key].append(item)
+        index[(key[0], key[2])].add(key[1])
 
-    def _pop_mail(self, key: tuple[int, int, str]) -> _AsyncMsg:
-        q = self._mail[key]
-        msg = q.popleft()
+    @staticmethod
+    def _pop(queues, index, key: tuple[int, int, str]):
+        q = queues[key]
+        item = q.popleft()
         if not q:
-            self._mail_index[(key[0], key[2])].discard(key[1])
-        return msg
+            index[(key[0], key[2])].discard(key[1])
+        return item
 
-    def _put_pending_send(self, key: tuple[int, int, str], snd: _PendingSend) -> None:
-        self._pending_sends[key].append(snd)
-        self._send_index[(key[0], key[2])].add(key[1])
+    @staticmethod
+    def _sender(queues, index, dst: int, src: int, tag: str, when) -> int | None:
+        """The sender whose queued item a receive on *dst* takes: *src*,
+        or for a wildcard the one whose head comes first by *when*, ties
+        to the lowest rank (deterministic)."""
+        if src != ANY_SOURCE:
+            return src if queues.get((dst, src, tag)) else None
+        return min(index.get((dst, tag), ()), default=None,
+                   key=lambda s: (when(queues[(dst, s, tag)][0]), s))
 
-    def _pop_pending_send(self, key: tuple[int, int, str]) -> _PendingSend:
-        q = self._pending_sends[key]
-        snd = q.popleft()
-        if not q:
-            self._send_index[(key[0], key[2])].discard(key[1])
-        return snd
+    def _receiver(self, dst: int, src: int, tag: str) -> float | None:
+        """The post time of *dst*'s blocked receive if it takes a message
+        from *src* with *tag* (and stop waiting), else ``None``."""
+        w = self._waiting.get(dst)
+        if w is None or w[1] != tag or w[0] not in (src, ANY_SOURCE):
+            return None
+        return self._waiting.pop(dst)[2]
 
     # ------------------------------------------------------------------ setup
     def spawn(self, rank: int, gen: Generator) -> None:
@@ -184,12 +186,13 @@ class Engine:
 
     # ------------------------------------------------------------------ run
     def run(self) -> float:
-        """Run to completion; returns the makespan (max final clock)."""
+        """Run to completion; returns the makespan (max final clock),
+        relative to the start."""
+        self._t0 = self.net.enter()
         while self._ready:
             time, _, rank, value = heapq.heappop(self._ready)
             proc = self._procs[rank]
             proc.clock = max(proc.clock, time)
-            proc.blocked = False
             try:
                 req = proc.gen.send(value)
             except StopIteration:
@@ -202,29 +205,15 @@ class Engine:
         return max((p.clock for p in self._procs.values()), default=0.0)
 
     # ------------------------------------------------------------------ dispatch
-    def _mark(self, rank: int, kind: str, start: float, end: float, tag: str = "") -> None:
-        if self.timeline is not None:
-            self.timeline.add(rank, kind, self.t0 + start, self.t0 + end, tag)
-
-    def _observe_message(self, nbytes: int, hops: int, tag: str) -> None:
-        if self.metrics is not None:
-            self.metrics.observe("net.message_bytes", nbytes)
-            self.metrics.observe(
-                "net.message_hops",
-                hops,
-                buckets=tuple(float(h) for h in range(1, 17)),
-            )
-            self.metrics.inc(f"net.messages.{tag or 'untagged'}")
-
     def _handle(self, proc: _Proc, req: Any) -> None:
         if isinstance(req, Compute):
-            self.stats.compute_seconds += req.seconds
-            self._mark(proc.rank, "compute", proc.clock, proc.clock + req.seconds)
-            self._push(proc.clock + req.seconds, proc.rank, None)
-        elif isinstance(req, ISend):
-            self._isend(proc, req)
-        elif isinstance(req, Send):
-            self._send(proc, req)
+            end = proc.clock + req.seconds
+            self.net.book_work(
+                proc.rank, self._t0 + proc.clock, self._t0 + end, req.seconds
+            )
+            self._push(end, proc.rank, None)
+        elif isinstance(req, (ISend, Send)):
+            self._post(proc, req)
         elif isinstance(req, Recv):
             self._recv(proc, req)
         else:
@@ -234,161 +223,79 @@ class Engine:
         hops = self.topo.edge_hops(src, dst)
         return self.cost.message_time(nbytes, hops), hops
 
-    def _isend(self, proc: _Proc, req: ISend) -> None:
-        depart = proc.clock + self.cost.t_setup
-        wire, hops = self._wire(proc.rank, req.dst, req.nbytes)
-        arrival = depart + wire
-        key = (req.dst, proc.rank, req.tag)
-        # records live on the machine-absolute axis (like the timeline),
-        # so the embedding offset is applied here too
-        self.stats.record_message(
-            self.t0 + arrival, proc.rank, req.dst, req.nbytes, hops, "isend",
-            depart=self.t0 + depart,
-        )
-        self.stats.comm_seconds += wire + self.cost.t_setup
-        self._observe_message(req.nbytes, hops, req.tag or "isend")
-        self._mark(proc.rank, "send", proc.clock, depart, req.tag)
-        waiters = self._recv_waiters[key]
-        anykey = (req.dst, req.tag)
-        if waiters:
-            dst_rank = waiters.popleft()
-            post_time = self._pending_recvs[key].popleft()
-            resume = max(post_time, arrival)
-            self.stats.idle_seconds += max(0.0, arrival - post_time)
-            self._mark(dst_rank, "idle", post_time, resume, req.tag)
-            self._push(resume, dst_rank, req.payload)
-        elif self._any_waiters[anykey]:
-            dst_rank, post_time = self._any_waiters[anykey].popleft()
-            resume = max(post_time, arrival)
-            self.stats.idle_seconds += max(0.0, arrival - post_time)
-            self._mark(dst_rank, "idle", post_time, resume, req.tag)
-            self._push(resume, dst_rank, req.payload)
-        else:
-            self._put_mail(key, _AsyncMsg(arrival, req.payload))
-        self._push(depart, proc.rank, None)
-
-    def _send(self, proc: _Proc, req: Send) -> None:
-        key = (req.dst, proc.rank, req.tag)
-        waiters = self._recv_waiters[key]
-        anykey = (req.dst, req.tag)
-        wire, hops = self._wire(proc.rank, req.dst, req.nbytes)
-        self.stats.comm_seconds += wire + self.cost.t_setup
-        if not waiters and self._any_waiters[anykey]:
-            dst_rank, post_time = self._any_waiters[anykey].popleft()
-            start = max(proc.clock + self.cost.t_setup, post_time)
-            finish = start + wire
-            self.stats.idle_seconds += max(0.0, finish - post_time - wire)
-            self.stats.record_message(
-                self.t0 + finish, proc.rank, req.dst, req.nbytes, hops, "send",
-                depart=self.t0 + start,
-            )
-            self._observe_message(req.nbytes, hops, req.tag or "send")
-            self._mark(proc.rank, "send", proc.clock, finish, req.tag)
-            self._mark(dst_rank, "recv", post_time, finish, req.tag)
-            self._push(finish, proc.rank, None)
-            self._push(finish, dst_rank, req.payload)
+    def _post(self, proc: _Proc, req: ISend | Send) -> None:
+        """A send: an asynchronous one departs after the setup and is
+        delivered now if its receive is posted, else mailed; a synchronous
+        one blocks until its receive meets it."""
+        rank, t0 = proc.rank, self._t0
+        wire, hops = self._wire(rank, req.dst, req.nbytes)
+        post = self._receiver(req.dst, rank, req.tag)
+        if isinstance(req, Send):
+            self.net.book_post(rank, req.dst, req.nbytes, hops, req.tag or "send", wire)
+            snd = _PendingSend(rank, proc.clock, req.payload, req.nbytes)
+            if post is None:
+                key = (req.dst, rank, req.tag)
+                self._put(self._pending_sends, self._send_index, key, snd)
+            else:
+                self._rendezvous(snd, req.dst, post, req.tag, sender_last=True)
             return
-        if waiters:
-            dst_rank = waiters.popleft()
-            post_time = self._pending_recvs[key].popleft()
-            start = max(proc.clock + self.cost.t_setup, post_time)
-            finish = start + wire
-            self.stats.idle_seconds += max(0.0, finish - post_time - wire)
-            self.stats.record_message(
-                self.t0 + finish, proc.rank, req.dst, req.nbytes, hops, "send",
-                depart=self.t0 + start,
-            )
-            self._observe_message(req.nbytes, hops, req.tag or "send")
-            self._mark(proc.rank, "send", proc.clock, finish, req.tag)
-            self._mark(dst_rank, "recv", post_time, finish, req.tag)
-            self._push(finish, proc.rank, None)
-            self._push(finish, dst_rank, req.payload)
+        depart = proc.clock + self.cost.t_setup
+        arrival = depart + wire
+        posted = self.net.book_post(
+            rank, req.dst, req.nbytes, hops, req.tag or "isend", wire,
+            (t0 + proc.clock, t0 + depart, t0 + arrival),
+        )
+        msg = _AsyncMsg(arrival, req.payload, posted)
+        if post is None:
+            self._put(self._mail, self._mail_index, (req.dst, rank, req.tag), msg)
         else:
-            self._put_pending_send(
-                key, _PendingSend(proc.rank, proc.clock, req.payload, req.nbytes)
-            )
-            proc.blocked = True
+            self._deliver(msg, req.dst, post)
+        self._push(depart, rank, None)
 
     def _recv(self, proc: _Proc, req: Recv) -> None:
-        if req.src == ANY_SOURCE:
-            self._recv_any(proc, req)
+        """A receive (a wildcard one takes the earliest-arriving message,
+        then the earliest-ready synchronous sender): delivered at once if
+        a message or a sender is there, else it blocks."""
+        rank, tag = proc.rank, req.tag
+        src = self._sender(self._mail, self._mail_index, rank, req.src, tag,
+                           attrgetter("arrival"))
+        if src is not None:
+            msg = self._pop(self._mail, self._mail_index, (rank, src, tag))
+            self._deliver(msg, rank, proc.clock)
             return
-        key = (proc.rank, req.src, req.tag)
-        if self._mail[key]:
-            msg = self._pop_mail(key)
-            resume = max(proc.clock, msg.arrival)
-            self.stats.idle_seconds += max(0.0, msg.arrival - proc.clock)
-            self._mark(proc.rank, "idle", proc.clock, resume, req.tag)
-            self._push(resume, proc.rank, msg.payload)
+        src = self._sender(self._pending_sends, self._send_index, rank, req.src, tag,
+                           attrgetter("ready"))
+        if src is not None:
+            snd = self._pop(self._pending_sends, self._send_index, (rank, src, tag))
+            self._rendezvous(snd, rank, proc.clock, tag, sender_last=False)
             return
-        if self._pending_sends[key]:
-            snd = self._pop_pending_send(key)
-            wire, hops = self._wire(req.src, proc.rank, snd.nbytes)
-            start = max(snd.ready + self.cost.t_setup, proc.clock)
-            finish = start + wire
-            self.stats.idle_seconds += max(0.0, start - proc.clock)
-            self.stats.record_message(
-                self.t0 + finish, req.src, proc.rank, snd.nbytes, hops, "send",
-                depart=self.t0 + start,
-            )
-            self._observe_message(snd.nbytes, hops, req.tag or "send")
-            self._mark(req.src, "send", snd.ready, finish, req.tag)
-            self._mark(proc.rank, "recv", proc.clock, finish, req.tag)
-            self._push(finish, req.src, None)
-            self._push(finish, proc.rank, snd.payload)
-            return
-        self._pending_recvs[key].append(proc.clock)
-        self._recv_waiters[key].append(proc.rank)
-        proc.blocked = True
+        self._waiting[rank] = (req.src, tag, proc.clock)
 
-    def _recv_any(self, proc: _Proc, req: Recv) -> None:
-        """Wildcard receive: earliest-arriving matching message wins
-        (ties break toward the lowest sender rank, deterministically).
+    def _deliver(self, msg: _AsyncMsg, dst: int, post: float) -> None:
+        """An asynchronous message meets its receive, posted at *post*."""
+        resume = max(post, msg.arrival)
+        self.net.book_delivery(
+            msg.posted, dst, self._t0 + post, self._t0 + resume,
+            max(0.0, msg.arrival - post),
+        )
+        self._push(resume, dst, msg.payload)
 
-        The ``(dst, tag)`` indexes restrict the search to senders that
-        actually have something queued for this receiver — not every
-        channel the run ever touched."""
-        anykey = (proc.rank, req.tag)
-        best_src = None
-        best_arrival = None
-        for src in self._mail_index.get(anykey, ()):
-            arrival = self._mail[(proc.rank, src, req.tag)][0].arrival
-            if best_arrival is None or (arrival, src) < (best_arrival, best_src):
-                best_src = src
-                best_arrival = arrival
-        if best_src is not None:
-            msg = self._pop_mail((proc.rank, best_src, req.tag))
-            resume = max(proc.clock, msg.arrival)
-            self.stats.idle_seconds += max(0.0, msg.arrival - proc.clock)
-            self._mark(proc.rank, "idle", proc.clock, resume, req.tag)
-            self._push(resume, proc.rank, msg.payload)
-            return
-        # pending synchronous senders: earliest ready, lowest rank
-        best_ssrc = None
-        best_ready = None
-        for src in self._send_index.get(anykey, ()):
-            ready = self._pending_sends[(proc.rank, src, req.tag)][0].ready
-            if best_ready is None or (ready, src) < (best_ready, best_ssrc):
-                best_ssrc = src
-                best_ready = ready
-        if best_ssrc is not None:
-            snd = self._pop_pending_send((proc.rank, best_ssrc, req.tag))
-            wire, hops = self._wire(snd.src, proc.rank, snd.nbytes)
-            start = max(snd.ready + self.cost.t_setup, proc.clock)
-            finish = start + wire
-            self.stats.idle_seconds += max(0.0, start - proc.clock)
-            self.stats.record_message(
-                self.t0 + finish, snd.src, proc.rank, snd.nbytes, hops, "send",
-                depart=self.t0 + start,
-            )
-            self._observe_message(snd.nbytes, hops, req.tag or "send")
-            self._mark(snd.src, "send", snd.ready, finish, req.tag)
-            self._mark(proc.rank, "recv", proc.clock, finish, req.tag)
-            self._push(finish, snd.src, None)
-            self._push(finish, proc.rank, snd.payload)
-            return
-        self._any_waiters[(proc.rank, req.tag)].append((proc.rank, proc.clock))
-        proc.blocked = True
+    def _rendezvous(self, snd: _PendingSend, dst: int, post: float, tag: str,
+                    sender_last: bool) -> None:
+        """A synchronous send meets its receive, posted at *post*: both
+        resume when the transfer has crossed all its hops."""
+        wire, hops = self._wire(snd.src, dst, snd.nbytes)
+        start = max(snd.ready + self.cost.t_setup, post)
+        finish = start + wire
+        # the receiver's wait, in the operands of the side that came last
+        idle = finish - post - wire if sender_last else start - post
+        t0 = self._t0
+        self.net.book_rendezvous(
+            snd.src, dst, snd.nbytes, hops, tag or "send", t0 + snd.ready,
+            t0 + post, t0 + start, t0 + finish, max(0.0, idle),
+        )
+        self._push(finish, snd.src, None)
+        self._push(finish, dst, snd.payload)
 
 
 def run_spmd(
@@ -396,15 +303,13 @@ def run_spmd(
     topo: VirtualTopology,
     program: Callable[[int, int], Generator],
     stats: TraceStats | None = None,
-    timeline=None,
-    metrics=None,
 ) -> float:
     """Run the same generator *program(rank, p)* on every processor.
 
     Returns the makespan.  This is the engine-level analogue of launching
     one SPMD binary per node under Parix.
     """
-    eng = Engine(cost, topo, stats=stats, timeline=timeline, metrics=metrics)
+    eng = Engine(cost, topo, Network(cost, topo.p, stats))
     for r in range(topo.p):
         eng.spawn(r, program(r, topo.p))
     return eng.run()

@@ -830,3 +830,70 @@ class Network:
         for k in range(1, self.p):
             dsts = (ranks ^ k) if pow2 else (ranks + k) % self.p
             self.shift_batch(ranks, dsts, nbytes, topo, sync=sync, tag=tag)
+
+    # ----------------------------------------------------- external clocks
+    # The event engine (:mod:`repro.machine.engine`) keeps its own clocks
+    # and books each event here as it happens, with its own arithmetic:
+    # the clocks it leaves, its stats terms, and what a charged wave emits.
+    def enter(self) -> float:
+        """A barrier to the makespan, which is returned: the start of an
+        engine run, booked as :meth:`barrier` books its clock write."""
+        t0 = self.time
+        self.clocks[:] = t0
+        if self.path is not None:
+            self.path.jump(self.clocks)
+        return t0
+
+    def book_work(self, rank: int, start: float, end: float, seconds: float) -> None:
+        self.clocks[rank] = end
+        self.stats.compute_seconds += seconds
+        if self.timeline is not None and end > start:
+            self._work(rank, start, end)
+
+    def book_post(self, src, dst, nbytes, hops, tag, wire, times=None):
+        """A message posted on *src*: its setup and *wire* seconds.  An
+        asynchronous one, with *times* ``(start, depart, arrival)``, also
+        moves the sender to *depart* and is recorded; it returns what
+        :meth:`book_delivery` needs.  :meth:`book_rendezvous` records a
+        synchronous one."""
+        self.stats.comm_seconds += wire + self.cost.t_setup
+        if times is None:
+            return None
+        start, depart, arrival = times
+        self.clocks[src] = depart
+        self._book_record(src, dst, nbytes, hops, tag, depart, arrival)
+        if self.timeline is None:
+            return None
+        self.timeline.add(src, "send", start, depart, tag)
+        sent = self.path.depart(tag, src, depart) if self.path is not None else None
+        return src, nbytes, hops, tag, depart, arrival, sent
+
+    def book_delivery(self, posted, dst, wait_from, resume, idle) -> None:
+        """The message *posted* taken by *dst*, waiting since *wait_from*."""
+        self.clocks[dst] = resume
+        self.stats.idle_seconds += idle
+        if posted is not None:
+            src, nbytes, hops, tag, depart, arrival, sent = posted
+            lanes = ((dst, "idle", wait_from, depart),
+                     (dst, "recv", max(wait_from, depart), arrival))
+            self.timeline.add_lanes(lanes, tag)
+            if sent is not None:
+                self.path.arrive(sent, src, dst, arrival, hops, nbytes)
+
+    def book_rendezvous(self, src, dst, nbytes, hops, tag, ready, wait_from,
+                        start, finish, idle) -> None:
+        """*src* (ready since *ready*) and *dst* (waiting since
+        *wait_from*) both resume when the transfer started at *start*
+        finishes."""
+        self.clocks[src] = self.clocks[dst] = finish
+        self.stats.idle_seconds += idle
+        self._book_record(src, dst, nbytes, hops, tag, start, finish)
+        if self.timeline is not None:
+            lanes = ((src, "send", ready, finish), (dst, "recv", wait_from, finish))
+            wave = (src, dst, start, finish, hops, nbytes, self.clocks)
+            self._emit_wave(lanes, tag, wave)
+
+    def _book_record(self, src, dst, nbytes, hops, tag, depart, arrival) -> None:
+        self.stats.record_message(arrival, src, dst, nbytes, hops, tag, depart=depart)
+        if self.metrics is not None:
+            self._observe_message(nbytes, hops, tag)

@@ -9,8 +9,10 @@ setup before a departure and the wire's ``hops * t_hop``);
 wave explains) — by the innermost skeleton open when it was charged.
 The Network hands the fold every wave it charges, beside the timeline,
 in record and stream mode alike (docs/OBSERVABILITY.md gives the tie and
-gap rules).  ``farm`` and ``d&c`` run on the event engine, which the
-Network, and so the fold, sees as the priced compute they charge.
+gap rules).  ``farm`` and ``d&c`` run on the event engine, which books
+each event through the same helpers; an asynchronous message its
+receiver takes later is folded in two halves (:meth:`PathFold.depart`,
+then :meth:`PathFold.arrive`).
 
 :func:`analyze_machine` turns the fold into one :class:`RunAnalysis`:
 component and per-skeleton totals, the top-*k* blocking edges and
@@ -304,28 +306,57 @@ class PathFold:
         wave also hands over the *clocks* it left.  Senders are distinct,
         or one rank for a fan-out; receivers distinct, or one rank for a
         fan-in."""
-        col = self._column()  # first: a new skeleton widens the state
         dep, arr = np.atleast_1d(departs, arrivals)
-        k, st, val, cost = dep.size, self.state, self.val, self.cost
         fan_out, fan_in = np.ndim(srcs) == 0, np.ndim(dsts) == 0
-        src = np.full(k, srcs) if fan_out else srcs
-        dst = np.full(k, dsts) if fan_in else dsts
-        a = _ATTR + 4 * col
-        tid = self.tags.setdefault(tag, len(self.tags))
-        wire = arr - dep
-        lat = np.minimum(wire, hops * cost.t_hop)
+        src = np.full(dep.size, srcs) if fan_out else srcs
+        dst = np.full(dep.size, dsts) if fan_in else dsts
         # the chain that precedes each departure: the sender's, or in a
         # rendezvous the receiver's when it came after the sender's setup
-        base = src
+        base, last = src, None
         if clocks is not None:
-            late = dep > val[src] + cost.t_setup
+            late = dep > self.val[src] + self.cost.t_setup
             if late.any():
                 base = np.where(late, dst, src)
-        rows, pre = st.take(base, 0), val[base]
+        else:  # a fan-out's last message is its sender's new clock
+            last = slice(dep.size - 1, None) if fan_out else slice(None)
+        sent = self.depart(tag, base, dep, last)
+        self.arrive(sent, src, dst, arr, hops, nbytes, fan_in, clocks)
+
+    def depart(self, tag: str, base, departs, last=slice(None)):
+        """The sender half: each message's chain at departure, from the
+        *base* ranks' rows; the *last* ones' departures are their senders'
+        new clocks (``None``: a rendezvous sender awaits the arrival).
+        Returns the chains, for :meth:`arrive` now or (the event engine's
+        mailbox) when the receiver takes the message."""
+        col = self._column()  # first: a new skeleton widens the state
+        tid = self.tags.setdefault(tag, len(self.tags))
+        base, dep = np.atleast_1d(base, departs)
+        rows, pre = self.state.take(base, 0), self.val[base]
         setup = dep - pre
+        sent = None
         if self.record:
-            dep, arr = dep.copy(), arr.copy()  # the log keeps them
+            dep = dep.copy()  # the log keeps it
             sent = self._log("send", base, pre, dep, col, self.tail[base], tid)
+        if last is not None:
+            s = base[last]
+            self.val[s] = dep[last]
+            self.state[:, _ATTR + 4 * col + _LATENCY][s] += setup[last]
+            if self.record:
+                self.tail[s] = sent[last]
+        return col, tid, rows, dep, setup, sent
+
+    def arrive(self, sent, srcs, dsts, arrivals, hops, nbytes, fan_in=False,
+               clocks=None) -> None:
+        """The receiver half: the messages *sent* (:meth:`depart`) cross
+        and reach their receivers, each at its clock."""
+        col, tid, rows, dep, setup, sent = sent
+        src, dst, arr = np.atleast_1d(srcs, dsts, arrivals)
+        k, st, val, cost = dep.size, self.state, self.val, self.cost
+        a = _ATTR + 4 * col
+        wire = arr - dep
+        lat = np.minimum(wire, hops * cost.t_hop)
+        if self.record:
+            arr = arr.copy()  # the log keeps it
             moved = self._log("transfer", dst, dep, arr, col, sent, tid,
                               (src, np.asarray(nbytes), hops))
         # the rows at arrival: the wire, and the edge if among the k longest
@@ -345,14 +376,7 @@ class PathFold:
             sub[:, _MIN] = flat[first + sub[:, _SECS].argmin(1)]
             if not every:
                 rows[enters] = sub
-        if clocks is None:
-            # a fan-out's last message is its sender's new clock
-            si = slice(k - 1, k) if fan_out else slice(None)
-            s = src[si]
-            val[s] = dep[si]
-            if self.record:
-                self.tail[s] = sent[si]
-        else:
+        if clocks is not None:
             st[src] = rows
             self._waited[src] += np.maximum(0.0, dep - val[src] - cost.t_setup)
             val[src] = arr
@@ -369,8 +393,6 @@ class PathFold:
         w = arr >= own
         self._waited[dst] += np.maximum(0.0, dep - own)
         val[dst] = np.maximum(own, arr)
-        if clocks is None:
-            st[:, a + _LATENCY][s] += setup[si]
         w = slice(None) if w.all() else np.flatnonzero(w)
         st[dst[w]] = rows[w]
         if self.record:

@@ -154,8 +154,9 @@ class StreamTimeline:
 
     Speaks the same emission interface — ``add`` for one interval,
     ``add_many`` / ``add_lanes`` for a charged wave, all dropping
-    zero/negative-length intervals — so the Network and the Engine emit
-    without knowing which timeline is installed.  Per (rank, kind) it
+    zero/negative-length intervals — so the Network emits (for its
+    charged waves and the event engine's events alike) without knowing
+    which timeline is installed.  Per (rank, kind) it
     keeps exact total seconds; with *spill*, every interval is also
     written out as it passes.
     """

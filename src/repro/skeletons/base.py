@@ -33,6 +33,7 @@ from repro.arrays.darray import DistArray
 from repro.errors import SkeletonError
 from repro.machine.charge import Charge
 from repro.machine.costmodel import SKIL, LanguageProfile
+from repro.machine.engine import Engine
 from repro.machine.machine import DISTR_DEFAULT, Machine
 from repro.skeletons.fuse import MapEnv
 
@@ -88,6 +89,26 @@ def ops_of(f: Callable, default: float = 1.0) -> float:
     ``ops * elem_time`` per element.
     """
     return float(getattr(f, "ops", default))
+
+
+def size_or_one(size_of: Callable, x) -> int:
+    """What ``farm`` and ``d&c`` charge and ship *x* by: ``int(size_of(x))``
+    but at least 1, and 1 when *x* has no size (``len`` of an int)."""
+    try:
+        return max(1, int(size_of(x)))
+    except TypeError:
+        return 1
+
+
+def run_processes(ctx: "SkilContext", programs: dict[int, Iterator]) -> None:
+    """Run ``farm`` / ``d&c``'s generator per rank on the event engine,
+    which books every event into the machine's Network from its makespan
+    on (their schedule depends on the data)."""
+    m = ctx.machine
+    engine = Engine(m.cost, m.topology(ctx.default_distr), m.network)
+    for rank, program in programs.items():
+        engine.spawn(rank, program)
+    engine.run()
 
 
 class SkilContext:

@@ -21,10 +21,13 @@ sequentially (ordinary recursive d&c, whose time is charged to their
 clock); ``join`` recombines results in original split order on the way
 back up.
 
+The engine books each event into the machine's Network as it happens.
+
 Cost accounting: the user functions carry ``.ops`` annotations (see
 :func:`repro.skeletons.functional.skil_fn`); each application is charged
 ``ops * elem_time * size_of(problem)``.  Message payload bytes default to
-``16 * size_of(problem)``.
+``16 * size_of(problem)``; both, and the halving, read sizes through
+:func:`~repro.skeletons.base.size_or_one`.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.errors import SkeletonError
-from repro.machine.engine import Compute, Engine, ISend, Recv
-from repro.skeletons.base import ops_of, skeleton_span
+from repro.machine.engine import Compute, ISend, Recv
+from repro.skeletons.base import ops_of, run_processes, size_or_one, skeleton_span
 
 __all__ = ["divide_and_conquer"]
 
@@ -55,10 +58,10 @@ def divide_and_conquer(
     simulated time is charged to the machine the context is bound to.
     """
     if nbytes_of is None:
-        nbytes_of = lambda pb: 16 * max(1, size_of(pb))  # noqa: E731
+        nbytes_of = lambda pb: 16 * size_or_one(size_of, pb)  # noqa: E731
 
     def cost(f: Callable, pb: Any) -> float:
-        return ops_of(f) * ctx.charge.elem_time() * max(1, size_of(pb))
+        return ops_of(f) * ctx.charge.elem_time() * size_or_one(size_of, pb)
 
     def solve_seq(pb: Any) -> tuple[Any, float]:
         """Sequential d&c of one problem: (result, abstract seconds)."""
@@ -80,10 +83,10 @@ def divide_and_conquer(
         """Order-preserving split of a bundle into two size-balanced halves."""
         if len(bundle) == 1:
             return bundle, []
-        total = sum(max(1, size_of(p)) for p in bundle)
+        total = sum(size_or_one(size_of, p) for p in bundle)
         acc = 0
         for i, p in enumerate(bundle):
-            acc += max(1, size_of(p))
+            acc += size_or_one(size_of, p)
             if acc * 2 >= total and i + 1 < len(bundle):
                 return bundle[: i + 1], bundle[i + 1 :]
         return bundle[:-1], bundle[-1:]
@@ -151,24 +154,12 @@ def divide_and_conquer(
             return (yield from node(rank, lo, mid, None))
         return (yield from node(rank, mid, hi, None))
 
-    def program(rank: int, p: int):
-        res = yield from node(rank, 0, p, [problem] if rank == 0 else None)
+    def program(rank: int):
+        res = yield from node(rank, 0, ctx.p, [problem] if rank == 0 else None)
         if rank == 0:
             results[0] = res
 
-    eng = Engine(
-        ctx.machine.cost,
-        ctx.machine.topology(ctx.default_distr),
-        stats=ctx.machine.stats,
-        timeline=ctx.machine.network.timeline,
-        metrics=ctx.machine.metrics,
-        t0=ctx.machine.time,
-    )
-    for r in range(ctx.p):
-        eng.spawn(r, program(r, ctx.p))
-    makespan = eng.run()
-    # the engine ran relative to t=0; append its makespan to the clocks
-    ctx.charge.priced(makespan)
+    run_processes(ctx, {r: program(r) for r in range(ctx.p)})
 
     out = results.get(0)
     if not out:

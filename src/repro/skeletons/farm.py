@@ -11,11 +11,13 @@ Like ``divide&conquer`` this is process-parallel with data-dependent
 scheduling, so it runs on the message-granularity engine
 (:mod:`repro.machine.engine`), using its ``ANY_SOURCE`` wildcard receive
 for the master's completion queue.  Processor 0 is the master; with one
-processor the farm degenerates to a sequential loop.
+processor (or no task) it runs every task itself, as one compute event.
+The engine books each event into the machine's Network as it happens.
 
 Cost accounting matches the other skeletons: the worker function's
 ``.ops`` annotation is charged per task scaled by ``size_of(task)``;
-task payload bytes default to ``16 * size_of(task)``.
+task payload bytes default to ``16 * size_of(task)`` (both by
+:func:`~repro.skeletons.base.size_or_one`).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.errors import SkeletonError
-from repro.machine.engine import ANY_SOURCE, Compute, Engine, ISend, Recv
-from repro.skeletons.base import ops_of, skeleton_span
+from repro.machine.engine import ANY_SOURCE, Compute, ISend, Recv
+from repro.skeletons.base import ops_of, run_processes, size_or_one, skeleton_span
 
 __all__ = ["farm"]
 
@@ -45,27 +47,26 @@ def farm(
     """
     tasks = list(tasks)
     if nbytes_of is None:
-        nbytes_of = lambda t: 16 * max(1, _size(size_of, t))  # noqa: E731
+        nbytes_of = lambda t: 16 * size_or_one(size_of, t)  # noqa: E731
 
     def task_cost(t: Any) -> float:
-        return ops_of(worker) * ctx.charge.elem_time() * max(1, _size(size_of, t))
+        return ops_of(worker) * ctx.charge.elem_time() * size_or_one(size_of, t)
 
     filled = [False] * len(tasks)
     results: list = [None] * len(tasks)
 
-    if ctx.p == 1 or not tasks:
+    def alone():
         total = 0.0
         for i, t in enumerate(tasks):
             results[i] = worker(t)
+            filled[i] = True
             total += task_cost(t)
-        if total:
-            ctx.charge.priced(total)
-        return results
+        yield Compute(total)
 
-    def master(rank: int, p: int):
+    def master():
         pending = list(enumerate(tasks))
         outstanding = 0
-        for w in range(1, p):
+        for w in range(1, ctx.p):
             if not pending:
                 break
             i, t = pending.pop(0)
@@ -80,10 +81,10 @@ def farm(
                 j, t = pending.pop(0)
                 yield ISend(w, payload=(j, t), nbytes=nbytes_of(t), tag="task")
                 outstanding += 1
-        for w in range(1, p):
+        for w in range(1, ctx.p):
             yield ISend(w, payload=_STOP, nbytes=8, tag="task")
 
-    def worker_proc(rank: int, p: int):
+    def worker_proc(rank: int):
         while True:
             msg = yield Recv(0, tag="task")
             if msg == _STOP:
@@ -93,28 +94,13 @@ def farm(
             res = worker(t)
             yield ISend(0, payload=(rank, i, res), nbytes=64, tag="done")
 
-    eng = Engine(
-        ctx.machine.cost,
-        ctx.machine.topology(ctx.default_distr),
-        stats=ctx.machine.stats,
-        timeline=ctx.machine.network.timeline,
-        metrics=ctx.machine.metrics,
-        t0=ctx.machine.time,
-    )
-    eng.spawn(0, master(0, ctx.p))
-    for r in range(1, ctx.p):
-        eng.spawn(r, worker_proc(r, ctx.p))
-    makespan = eng.run()
-    ctx.charge.priced(makespan)
+    if ctx.p == 1 or not tasks:
+        run_processes(ctx, {0: alone()})
+    else:
+        workers = {r: worker_proc(r) for r in range(1, ctx.p)}
+        run_processes(ctx, {0: master(), **workers})
 
     if not all(filled):
         missing = [i for i, f in enumerate(filled) if not f]
         raise SkeletonError(f"farm lost results for tasks {missing}")
     return results
-
-
-def _size(size_of, t) -> int:
-    try:
-        return int(size_of(t))
-    except TypeError:
-        return 1

@@ -12,6 +12,7 @@ from repro.check.__main__ import PILLARS, main
 from repro.check.diffcheck import generate_pattern
 from repro.check.tracecheck import invariant_problems, watch_charges
 from repro.machine.machine import DISTR_TORUS2D, Machine
+from repro.obs.analysis import analyze_machine
 from repro.skeletons import SkilContext
 
 
@@ -130,14 +131,46 @@ def _square(t):
     return t * t
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: farm and d&c book "
-                   "their engine run twice")
-def test_farm_compute_intervals_are_disjoint_and_bounded():
-    """The invariant that joins the trace pillar when item 18 lands."""
+def _farm(ctx):
+    ctx.farm(_square, list(range(23)), size_of=lambda t: 1 + t % 4)
+
+
+def _dc(ctx):
+    ctx.divide_and_conquer(lambda v: len(v) <= 2, sum,
+                           lambda v: [v[: len(v) // 2], v[len(v) // 2:]], sum,
+                           list(range(40)))
+
+
+def _farm_after_work(ctx):
+    ctx.machine.network.compute(1e-4)
+    _farm(ctx)
+
+
+@pytest.mark.parametrize("run", [_farm, _dc, _farm_after_work],
+                         ids=["farm", "dc", "farm-after-work"])
+def test_farm_compute_intervals_are_disjoint_and_bounded(run):
+    """The engine's events are booked once: per rank, compute intervals
+    are disjoint and lie inside the run, and the stats hold no more
+    compute than p * makespan."""
     m = Machine(4, trace_level=2)
-    SkilContext(m).farm(_square, list(range(23)), size_of=lambda t: 1 + t % 4)
+    run(SkilContext(m))
     for r in range(4):
         ivs = sorted((iv.start, iv.end) for iv in m.timeline.for_rank(r)
                      if iv.kind == "compute")
         assert all(b[0] >= a[1] for a, b in zip(ivs, ivs[1:])), r
+        assert all(0.0 <= a and b <= m.time for a, b in ivs), r
     assert m.stats.compute_seconds <= 4 * m.time
+
+
+def test_farm_path_names_the_masters_messages():
+    """The master computes nothing but its invocation overhead, and the
+    critical path through a farm crosses its sends and transfers."""
+    m = Machine(4, trace_level=2)
+    ctx = SkilContext(m)
+    _farm(ctx)
+    master = [(iv.start, iv.end) for iv in m.timeline.for_rank(0)
+              if iv.kind == "compute"]
+    assert master == [(0.0, ctx.profile.skeleton_overhead)]
+    analysis = analyze_machine(m)
+    assert {"send", "transfer"} <= {s.kind for s in analysis.path.steps}
+    assert analysis.components["compute"] < 0.5 * m.time

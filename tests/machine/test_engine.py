@@ -22,6 +22,26 @@ def topo():
     return DefaultMapping(Mesh2D(2, 2))
 
 
+def test_records_carry_the_tag_or_the_kind_of_send(cost, topo):
+    """A record names its message as the timeline and the metrics do:
+    by its tag, or ``isend`` / ``send`` when it has none."""
+    from repro.machine.trace import TraceStats
+
+    def prog(rank, p):
+        if rank == 0:
+            yield ISend(1, nbytes=8, tag="a")
+            yield ISend(1, nbytes=8)
+            yield Send(1, nbytes=8)
+            yield Send(1, nbytes=8, tag="b")
+        elif rank == 1:
+            for tag in ("a", "", "", "b"):
+                yield Recv(0, tag)
+
+    stats = TraceStats(keep_records=True)
+    run_spmd(cost, topo, prog, stats=stats)
+    assert [r.tag for r in stats.records] == ["a", "isend", "send", "b"]
+
+
 def test_compute_only(cost, topo):
     def prog(rank, p):
         yield Compute(5.0 * (rank + 1))

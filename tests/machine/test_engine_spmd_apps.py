@@ -75,7 +75,7 @@ def engine_shpaths(machine: Machine, dist: np.ndarray):
             yield Compute(nbytes * cost.t_mem)  # copy c back into a
         result[rank] = a
 
-    eng = Engine(machine.cost, topo, stats=machine.stats)
+    eng = Engine(machine.cost, topo, machine.network)
     for r in range(p):
         eng.spawn(r, prog(r))
     makespan = eng.run()

@@ -93,7 +93,7 @@ class TestResetContract:
 
         m = Machine(2)
         m.reset()
-        eng = Engine(m.cost, m.topology(), stats=m.stats)
+        eng = Engine(m.cost, m.topology(), m.network)
 
         def prog(rank, p):
             if rank == 0:

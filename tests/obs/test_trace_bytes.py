@@ -37,8 +37,10 @@ GOLDEN = {
     "spill/gauss-p16": "54802ff2e2f2649e068e7f9af02a9cba9ad222c36dbed9fbb9fa4e13ddfd8094",
     "export/gauss-full-p4": "04191412d81f7ffb3254330ed17c18e25bc0b40931cf9311a48579245cb2257d",
     "spill/gauss-full-p4": "6f147109f1656c37383d8f92566b88fcccbcb1708f59f60f34e24cf41c2287a9",
-    "export/engine-p4": "07e422e3f254f7f4930ba42be4e920b11b1c46dd30b1438373f564fae226ff85",
-    "spill/engine-p4": "6aaac572c4e19dc4bd2ec1d024f3595a22952bb07444cec7ba74b095a7e90338",
+    # the engine books through the Network: no priced compute on every
+    # rank after the run, tagged records, idle and recv lanes per message
+    "export/engine-p4": "3a416568e19c1e949752ea5fafd7d1cf889d291b6859059317ed8ce25a8fb7e7",
+    "spill/engine-p4": "dae66edb53c820df8fec7539562317dab26af3821aac5c920d94f2a4a67aecc9",
 }
 
 #: per rotated file, oldest first: (lines, sha256)

@@ -76,6 +76,21 @@ class TestDivideAndConquer:
             ctx = make_ctx(p)
             assert run_quicksort(ctx, data) == sorted(data)
 
+    def test_unsized_problem_counts_as_one(self, ctx4):
+        """An int has no ``len``: d&c charges and ships it as size 1, the
+        rule farm applies to a task."""
+
+        def run(ctx, **kw):
+            return ctx.divide_and_conquer(
+                lambda n: n <= 1, lambda n: n, lambda n: [n // 2, n - n // 2],
+                sum, 10, **kw)
+
+        assert run(ctx4) == 10
+        ref = make_ctx(4)
+        assert run(ref, size_of=lambda n: 1) == 10
+        assert ctx4.machine.time == ref.machine.time > 0.0
+        assert ctx4.machine.stats.bytes_sent == ref.machine.stats.bytes_sent
+
     def test_split_returning_nothing_rejected(self, ctx4):
         with pytest.raises(SkeletonError):
             ctx4.divide_and_conquer(

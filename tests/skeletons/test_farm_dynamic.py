@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.skeletons import skil_fn
+from repro.machine.machine import Machine
+from repro.skeletons import SkilContext, skil_fn
 
 from .conftest import make_ctx
 
@@ -40,6 +41,20 @@ class TestFarm:
         # demand-driven should approach (100 + 30/3) * unit
         unit = 1000 * ctx.charge.elem_time()
         assert ctx.machine.time < 130 * unit
+
+    def test_messages_carry_their_tags(self):
+        """Records, metrics and the timeline name each message by the
+        tag the program gave it."""
+        m = Machine(4, trace_level=2, keep_message_records=True)
+        SkilContext(m).farm(square, list(range(23)), size_of=lambda t: 1 + t % 4)
+        tags = {}
+        for r in m.stats.records:
+            tags[r.tag] = tags.get(r.tag, 0) + 1
+        assert tags == {"task": 26, "done": 23}  # 23 tasks, 3 stops, 23 results
+        counters = m.metrics.snapshot()["counters"]
+        assert {t: counters[f"net.messages.{t}"] for t in tags} == tags
+        sends = {iv.detail for iv in m.timeline.intervals if iv.kind == "send"}
+        assert sends == {"task", "done"}
 
     def test_none_results_allowed(self, ctx4):
         out = ctx4.farm(skil_fn(ops=1)(lambda t: None), [1, 2, 3],
