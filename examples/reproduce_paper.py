@@ -7,8 +7,9 @@ for the paper-size run; see EXPERIMENTS.md for paper-vs-measured.
 
 Run:  python examples/reproduce_paper.py [scale] [--trace out.json]
 
-``--trace`` additionally runs a fully traced Gaussian elimination and
-writes a Chrome trace-event JSON (open in Perfetto / chrome://tracing).
+``--trace`` additionally runs a fully traced Gaussian elimination (the
+``python -m repro.eval trace`` report) and writes its Chrome
+trace-event JSON (open in Perfetto / chrome://tracing).
 """
 
 import argparse
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
         from repro.eval.tracecmd import run_trace_command
 
         print(run_trace_command("gauss-full", p=8, n=max(16, int(48 * scale)),
-                                out=args.trace))
+                                trace_out=args.trace))
     return 0
 
 

@@ -8,25 +8,25 @@ Usage::
    python -m repro.eval ablations [--scale 0.25]
    python -m repro.eval all [--scale 0.25] [--progress]
    python -m repro.eval trace [--app gauss-full] [--p 9] [--n 48]
-                              [--stream] [--trace t.json]
-                              [--metrics-out m.prom]
-   python -m repro.eval analyze [--app gauss] [--p 16] [--n 48]
-                              [--json-out analyze.json] [--no-whatif]
+                              [--stream] [--no-whatif] [--trace t.json]
+                              [--metrics-out m.prom] [--json-out r.json]
 
 ``--scale 1.0`` (the default) runs the paper's exact problem sizes —
 the Table 2 grid takes a few minutes of wall-clock time because the
 simulation really performs the numeric work; smaller scales shrink the
-matrices proportionally.
+matrices proportionally.  The artefact commands run untraced.
 
-Every subcommand accepts the shared observability flags ``--trace``,
-``--metrics-out``, ``--quiet``, ``--backend`` and ``--workers`` (see
-:mod:`repro.eval.cliopts`).  ``trace`` keeps ``--json`` as a
-back-compatible alias of ``--trace``.  ``--backend threads`` runs the
+``trace`` is the one traced run: it prints one report (run breakdown,
+per-skeleton table in simulated and wall seconds, wall attribution,
+critical path and what-if replays, flamegraph rollup, metrics) and
+writes up to three artefacts — ``--trace`` (Chrome JSON, or the JSONL
+spill when the run streams), ``--metrics-out`` (Prometheus text) and
+``--json-out`` (``repro-trace/1``); see :mod:`repro.eval.tracecmd`.
+
+Every subcommand accepts ``--quiet``, ``--backend`` and ``--workers``
+(see :mod:`repro.eval.cliopts`).  ``--backend threads`` runs the
 skeleton kernels on real cores — every artefact stays bit-identical
-because simulated time is charged analytically either way.  Where wall
-time went is part of every traced run: ``trace`` prints wall columns
-beside the simulated ones and the dispatch / kernel / idle split of
-the skeleton wall.
+because simulated time is charged analytically either way.
 
 Wall-clock benchmarking lives outside the package: ``python3
 bench/run.py`` measures, ``python3 bench/compare.py`` gates.
@@ -40,21 +40,24 @@ import sys
 from repro.errors import BackendError, UsageError
 from repro.eval.cliopts import (
     apply_backend,
-    obs_parent,
-    representative_obs_run,
+    common_parent,
     require_output_dir,
     require_positive,
     require_square_grid,
-    run_target_parent,
-    write_obs_artifacts,
 )
 
 _ARTEFACTS = ("table1", "table2", "figure1", "ablations", "all")
 
+#: removed subcommand -> where its job went
+REMOVED = {
+    "bench": "the repository benchmark is `python3 bench/run.py` "
+    "(compare two runs with `python3 bench/compare.py`)",
+    "analyze": "its report is part of `python -m repro.eval trace`",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    parent = obs_parent()
-    target = run_target_parent()
+    parent = common_parent()
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
         description="Regenerate the evaluation of the Skil paper (HPDC '96).",
@@ -94,29 +97,35 @@ def _build_parser() -> argparse.ArgumentParser:
             "(stderr)",
         )
 
+    # no abbreviations: a stale ``--json`` must not pass as ``--json-out``
     tr = sub.add_parser(
         "trace",
-        parents=[parent, target],
-        help="trace one run (spans with sim and wall time, timeline, metrics)",
+        parents=[parent],
+        allow_abbrev=False,
+        help="trace one run and report where simulated and wall time went",
     )
     tr.add_argument(
-        "--json",
-        dest="trace",
-        metavar="FILE",
-        help="alias of --trace (back-compatible)",
+        "--app",
+        choices=["shpaths", "gauss", "gauss-full"],
+        default="gauss-full",
+        help="which application to run",
     )
+    tr.add_argument("--p", type=int, default=9, help="processor count")
+    tr.add_argument("--n", type=int, default=48, help="problem size")
+    tr.add_argument("--seed", type=int, default=0, help="input seed")
     tr.add_argument(
         "--level",
         type=int,
         choices=[1, 2],
         default=2,
-        help="1 = spans + metrics, 2 = also per-rank timeline",
+        help="1 = spans + metrics, 2 = also per-rank timeline and the "
+        "critical-path analysis",
     )
     tr.add_argument(
         "--stream",
         action="store_true",
-        help="run under trace_mode='stream': O(p) memory, aggregates "
-        "only; --trace becomes the JSONL event spill",
+        help="run under trace_mode='stream' at any p (the default picks "
+        "stream at p >= 4096): O(p) memory, aggregates only",
     )
     tr.add_argument(
         "--heartbeat-every",
@@ -125,30 +134,36 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SEC",
         help="stream: emit a progress heartbeat every SEC wall-seconds",
     )
-
-    an = sub.add_parser(
-        "analyze",
-        parents=[parent, target],
-        help="critical-path/straggler analysis of one run",
-    )
-    an.add_argument(
-        "--json-out",
-        metavar="FILE",
-        default=None,
-        help="write the analysis snapshot (repro-analyze/1 JSON)",
-    )
-    an.add_argument(
+    tr.add_argument(
         "--no-whatif",
         action="store_true",
         help="skip the perturbed-cost what-if replays",
     )
-    an.add_argument(
+    tr.add_argument(
         "--top",
         type=int,
         default=8,
         help="rows in the blocking-edge/imbalance tables",
     )
-
+    tr.add_argument(
+        "--trace",
+        metavar="FILE",
+        default=None,
+        help="write a Chrome trace-event JSON of the run (the JSONL event "
+        "spill when the run streams)",
+    )
+    tr.add_argument(
+        "--metrics-out",
+        metavar="FILE",
+        default=None,
+        help="write the metrics registry in Prometheus text format",
+    )
+    tr.add_argument(
+        "--json-out",
+        metavar="FILE",
+        default=None,
+        help="write the run's simulated quantities (repro-trace/1 JSON)",
+    )
     return parser
 
 
@@ -164,62 +179,42 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str]) -> int:
-    if argv[:1] == ["bench"]:
+    if argv[:1] and argv[0] in REMOVED:
         # checked before argparse, so a removed subcommand ends in its
         # own message rather than the generic choice list
         raise UsageError(
-            "the 'bench' subcommand was removed; the repository benchmark "
-            "is `python3 bench/run.py` (compare two runs with "
-            "`python3 bench/compare.py`)"
+            f"the '{argv[0]}' subcommand was removed; {REMOVED[argv[0]]}"
         )
 
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.what in ("trace", "analyze"):
+    if args.what == "trace":
         require_positive("--p", args.p)
         require_positive("--n", args.n)
         require_square_grid(args.app, args.p)
-    require_positive("--top", getattr(args, "top", None))
-    require_positive("--heartbeat-every", getattr(args, "heartbeat_every", None))
-    for flag in ("--trace", "--metrics-out", "--json-out"):
-        require_output_dir(
-            flag, getattr(args, flag[2:].replace("-", "_"), None)
-        )
+        require_positive("--top", args.top)
+        require_positive("--heartbeat-every", args.heartbeat_every)
+        for flag in ("--trace", "--metrics-out", "--json-out"):
+            require_output_dir(flag, getattr(args, flag[2:].replace("-", "_")))
     apply_backend(args.backend, args.workers)
 
     if args.what == "trace":
         from repro.eval.tracecmd import run_trace_command
 
-        text = run_trace_command(
-            args.app,
-            p=args.p,
-            n=args.n,
-            out=args.trace,
-            trace_level=args.level,
-            seed=args.seed,
-            metrics_out=args.metrics_out,
-            stream=args.stream,
-            heartbeat_every=args.heartbeat_every
-            if not args.quiet
-            else None,
-        )
-        print(text)
-        return 0
-
-    if args.what == "analyze":
-        from repro.eval.tracecmd import run_analyze_command
-
         print(
-            run_analyze_command(
+            run_trace_command(
                 args.app,
                 p=args.p,
                 n=args.n,
                 seed=args.seed,
-                top=args.top,
+                trace_level=args.level,
+                stream=args.stream,
+                heartbeat_every=None if args.quiet else args.heartbeat_every,
                 whatif=not args.no_whatif,
-                json_out=args.json_out,
+                top=args.top,
                 trace_out=args.trace,
                 metrics_out=args.metrics_out,
+                json_out=args.json_out,
             )
         )
         return 0
@@ -293,10 +288,6 @@ def _main(argv: list[str]) -> int:
                 progress(f"ablation: {fn.__name__}")
             texts.append(format_ablation(fn(scale=args.scale)))
         emit("ablations.txt", "\n\n".join(texts))
-
-    footer = representative_obs_run(args.trace, args.metrics_out)
-    if footer and not args.quiet:
-        print("\n".join(footer))
     return 0
 
 

@@ -1,27 +1,11 @@
 """Shared command-line options for the ``python -m repro.eval`` family.
 
-Historically each subcommand grew its own flag set, and the
-observability flags drifted: ``trace`` took ``--json`` and
-``--metrics-out``, ``analyze`` took neither.  This module defines the
-three flags every subcommand now accepts — as one argparse *parent* so
-the definitions cannot drift again:
-
-``--trace FILE``
-    Write a Chrome trace-event JSON of the command's traced run (open
-    in Perfetto).  ``trace``/``analyze`` trace the run they already
-    perform; the artefact commands (``table1`` … ``all``) run their
-    machines untraced, so for them the flag appends one standard traced
-    run of the default trace app and writes *that*.
-    In stream mode (``trace --stream``) the file becomes the JSONL
-    event spill instead — the stream keeps no recording to export.
-
-``--metrics-out FILE``
-    Write the run's metrics registry in Prometheus text format (same
-    representative-run rule as ``--trace``).
+Every subcommand takes the three flags of one argparse *parent*
+(:func:`common_parent`), so their definitions cannot drift apart:
 
 ``--quiet``
-    Suppress progress notes, heartbeats and "written to ..." chatter;
-    the command's primary report still prints.
+    Suppress progress notes and heartbeats; the command's primary
+    report still prints.
 
 ``--backend {sim,threads}``
     Execute skeleton kernels on a real backend (a thread pool) instead
@@ -35,15 +19,14 @@ the definitions cannot drift again:
     Worker count for the ``threads`` backend (the ``REPRO_WORKERS``
     default for this process).  Rejected with a clear usage error when
     nonpositive, as are ``--p``, ``--n``, ``--top`` and
-    ``--heartbeat-every`` on the subcommands that take them.
+    ``--heartbeat-every`` on ``trace``.
 
-An output flag (``--trace``, ``--metrics-out``, ``--json-out``)
-naming a file in a directory that does not exist is a usage error too,
-raised before anything runs (:func:`require_output_dir`).
-
-The run-target flags (``--app`` / ``--p`` / ``--n`` / ``--seed``) that
-``trace`` and ``analyze`` share live in :func:`run_target_parent` for
-the same no-drift reason.
+The artefacts of a traced run — the Chrome trace or JSONL spill and
+the Prometheus metrics — are written by :func:`write_obs_artifacts`,
+for ``eval trace`` and the application CLIs alike.  An output flag
+(``--trace``, ``--metrics-out``, ``--json-out``) naming a file in a
+directory that does not exist is a usage error, raised before anything
+runs (:func:`require_output_dir`).
 """
 
 from __future__ import annotations
@@ -51,43 +34,28 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.errors import UsageError
+from repro.errors import SkilError, UsageError
 
 __all__ = [
     "apply_backend",
-    "obs_parent",
-    "representative_obs_run",
+    "common_parent",
     "require_output_dir",
     "require_positive",
     "require_square_grid",
-    "run_target_parent",
     "write_obs_artifacts",
 ]
 
 
-def obs_parent() -> argparse.ArgumentParser:
-    """The shared ``--trace`` / ``--metrics-out`` / ``--quiet`` parent."""
+def common_parent() -> argparse.ArgumentParser:
+    """The ``--quiet`` / ``--backend`` / ``--workers`` parent."""
     from repro.machine.backend import BACKENDS, check_backend_name
 
     parent = argparse.ArgumentParser(add_help=False)
-    g = parent.add_argument_group("observability (common to all subcommands)")
-    g.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write a Chrome trace-event JSON of the traced run "
-        "(JSONL event spill in stream mode)",
-    )
-    g.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="write the metrics registry in Prometheus text format",
-    )
+    g = parent.add_argument_group("common to all subcommands")
     g.add_argument(
         "--quiet",
         action="store_true",
-        help="suppress progress notes and 'written to ...' chatter",
+        help="suppress progress notes and heartbeats",
     )
     g.add_argument(
         "--backend",
@@ -108,26 +76,6 @@ def obs_parent() -> argparse.ArgumentParser:
         help="worker count for the threads backend (default: the "
         "REPRO_WORKERS env var, else min(p, cores))",
     )
-    return parent
-
-
-def run_target_parent() -> argparse.ArgumentParser:
-    """The shared run-target parent: which app to run, and how big.
-
-    ``trace`` and ``analyze`` used to re-declare these four flags each;
-    one parent keeps defaults and help text from drifting apart.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    g = parent.add_argument_group("run target (shared by trace/analyze)")
-    g.add_argument(
-        "--app",
-        choices=["shpaths", "gauss", "gauss-full"],
-        default="gauss-full",
-        help="which application to run",
-    )
-    g.add_argument("--p", type=int, default=9, help="processor count")
-    g.add_argument("--n", type=int, default=48, help="problem size")
-    g.add_argument("--seed", type=int, default=0, help="input seed")
     return parent
 
 
@@ -191,8 +139,6 @@ def write_obs_artifacts(
     caller passes ``--trace`` as the spill path), so only the metrics
     dump happens here.
     """
-    from repro.errors import SkilError
-
     lines: list[str] = []
     if trace_path is not None:
         if getattr(machine, "stream_obs", None) is not None:
@@ -217,22 +163,3 @@ def write_obs_artifacts(
             fh.write(machine.metrics.render_text())
         lines.append(f"Prometheus metrics written to {metrics_path}")
     return lines
-
-
-def representative_obs_run(
-    trace_path: str | None, metrics_path: str | None
-) -> list[str]:
-    """Satisfy ``--trace``/``--metrics-out`` for commands without a
-    single traced run (``all``, the table commands): run the default
-    trace app once, traced, and export from that."""
-    if trace_path is None and metrics_path is None:
-        return []
-    from repro.eval.tracecmd import run_traced
-
-    run = run_traced("gauss-full", p=9, n=48)
-    lines = write_obs_artifacts(run.machine, trace_path, metrics_path)
-    run.machine.close()
-    return [
-        "representative traced run: gauss-full p=9 n=48",
-        *lines,
-    ]

@@ -1,16 +1,24 @@
-"""The ``trace`` subcommand: run one application with full tracing.
+"""The ``trace`` subcommand: one traced run, one report.
 
-Runs a single simulated application on a machine constructed with
-``trace_level=2`` (span tracer + metrics + per-rank timeline), prints
-the cost analysis — overall shares, exclusive per-skeleton breakdown
-in simulated and wall seconds, the wall attribution, flamegraph rollup,
-metrics — and optionally writes a Chrome trace-event JSON loadable in
-Perfetto / ``chrome://tracing``.
+Runs a single simulated application on a traced machine and prints one
+report, in this order: the run breakdown; the exclusive per-skeleton
+table in simulated and wall seconds; the wall attribution; at
+``trace_level=2`` the critical-path analysis (either trace mode) and
+the what-if replays; the flamegraph rollup (record mode only: it needs
+the span tree); the metrics.  :class:`~repro.machine.machine.Machine`
+picks the trace mode (stream at ``p >= STREAM_AUTO_P``) unless stream
+mode is asked for.
+
+The run writes at most three artefacts: the Chrome trace-event JSON
+(the JSONL event spill in stream mode), the Prometheus metrics, and one
+``repro-trace/1`` JSON of simulated quantities only — on ``sim`` two
+runs of one target write the same bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 from repro.apps.gauss import gauss_full, gauss_simple, random_system
 from repro.apps.shortest_paths import (
@@ -18,8 +26,10 @@ from repro.apps.shortest_paths import (
     round_up_to_grid,
     shpaths,
 )
-from repro.errors import SkilError
+from repro.errors import SkilError, UsageError
+from repro.eval.cliopts import write_obs_artifacts
 from repro.eval.trace_report import (
+    CostBreakdown,
     breakdown,
     format_breakdowns,
     format_skeleton_breakdowns,
@@ -28,11 +38,19 @@ from repro.eval.trace_report import (
 )
 from repro.machine.costmodel import SKIL, CostModel
 from repro.machine.machine import Machine
-from repro.obs import flame_rollup, write_chrome_trace
+from repro.obs import flame_rollup
+from repro.obs.analysis import (
+    RunAnalysis,
+    WhatIf,
+    analyze_machine,
+    format_analysis,
+    run_whatif,
+)
+from repro.obs.stream import StreamConfig
 from repro.skeletons import SkilContext
 
 __all__ = ["TRACE_APPS", "TraceRun", "run_traced", "trace_report_text",
-           "run_trace_command", "run_analyze_command"]
+           "run_trace_command"]
 
 #: applications the trace subcommand can run
 TRACE_APPS = ("shpaths", "gauss", "gauss-full")
@@ -111,162 +129,103 @@ def run_traced(
     return TraceRun(app=app, n=n_eff, machine=machine, seconds=report.seconds)
 
 
-def trace_report_text(run: TraceRun) -> str:
-    """The full plain-text analysis of one traced run.
+def trace_report_text(
+    run: TraceRun,
+    analysis: RunAnalysis | None = None,
+    whatifs: list[WhatIf] | None = None,
+    top: int = 8,
+) -> str:
+    """The plain-text report of one traced run.
 
-    Both modes print the same exclusive per-skeleton table, simulated
-    and wall columns side by side, and the wall attribution; record
-    mode adds the flamegraph rollup (it needs the span tree), stream
-    mode the critical-path analysis ``eval analyze`` prints.
+    At ``trace_level=2`` the critical-path *analysis* is computed here
+    unless the caller already has it; *whatifs* and *top* go to
+    :func:`~repro.obs.analysis.format_analysis`.
     """
     m = run.machine
-    label = f"{run.app} p={m.p} n={run.n}"
+    if analysis is None and m.trace_level >= 2:
+        analysis = analyze_machine(m)
     parts = [
-        format_breakdowns([breakdown(label, run.seconds, m.stats)]),
+        format_breakdowns([_breakdown(run)]),
         "",
         "per-skeleton breakdown (exclusive):",
         format_skeleton_breakdowns(skeleton_breakdowns(m)),
         "",
         format_wall_attribution(m.tracer.wall_attribution()),
     ]
+    if analysis is not None:
+        parts += ["", format_analysis(analysis, whatifs, top=top)]
     if m.stream_obs is None:
         parts += [
             "",
             "flamegraph rollup:",
             flame_rollup(m.tracer, timeline=m.timeline),
         ]
-    elif m.trace_level >= 2:
-        from repro.obs.analysis import analyze_machine, format_analysis
-
-        parts += ["", format_analysis(analyze_machine(m))]
     if m.metrics is not None:
         parts += ["", "metrics:", m.metrics.format()]
     return "\n".join(parts)
+
+
+def _breakdown(run: TraceRun) -> CostBreakdown:
+    label = f"{run.app} p={run.machine.p} n={run.n}"
+    return breakdown(label, run.seconds, run.machine.stats)
 
 
 def run_trace_command(
     app: str,
     p: int = 9,
     n: int = 48,
-    out: str | None = None,
-    trace_level: int = 2,
     seed: int = 0,
-    metrics_out: str | None = None,
+    trace_level: int = 2,
     stream: bool = False,
     heartbeat_every: float | None = None,
+    whatif: bool = True,
+    top: int = 8,
+    trace_out: str | None = None,
+    metrics_out: str | None = None,
+    json_out: str | None = None,
 ) -> str:
-    """Drive one traced run; returns the report text, writes *out* JSON.
+    """Drive one traced run; returns the report text and writes the
+    requested artefacts.
 
-    With *stream* the run uses ``trace_mode="stream"`` and *out* (the
-    ``--trace`` file) becomes the streaming JSONL event spill — the
-    stream retains no recording, so there is no Chrome JSON to write
-    after the fact; events spill as they happen instead.
+    *stream* forces ``trace_mode="stream"``; otherwise ``Machine``
+    picks.  *trace_out* is the Chrome JSON in record mode and the JSONL
+    event spill in stream mode.  Unless *whatif* is off, a
+    ``trace_level=2`` run is replayed under each perturbed cost model
+    to cross-check the attribution bounds.  *json_out* (``trace_level=2``
+    only) gets the ``repro-trace/1`` snapshot: the analysis keys
+    (:meth:`~repro.obs.analysis.RunAnalysis.snapshot`), the run target
+    and the run breakdown.
     """
-    stream_cfg = None
-    if stream:
-        from repro.obs.stream import StreamConfig
-
-        stream_cfg = StreamConfig(spill_path=out)
+    if json_out is not None and trace_level < 2:
+        raise UsageError("--json-out needs --level 2 (the critical-path "
+                         "analysis)")
     run = run_traced(
         app,
         p=p,
         n=n,
         trace_level=trace_level,
         seed=seed,
-        trace_mode="stream" if stream else "record",
-        stream=stream_cfg,
+        trace_mode="stream" if stream else None,
+        stream=StreamConfig(spill_path=trace_out),
         heartbeat_every=heartbeat_every,
     )
-    text = trace_report_text(run)
-    if out is not None:
-        if stream:
-            run.machine.close()
-            text += (
-                f"\n\nstreaming JSONL event spill written to {out} "
-                "(rotated segments keep the tail of long runs)"
-            )
-        else:
-            write_chrome_trace(out, run.machine)
-            text += f"\n\nChrome trace written to {out} (open in Perfetto)"
-    if metrics_out is not None:
-        if run.machine.metrics is None:
-            raise SkilError(
-                "--metrics-out needs trace_level >= 1 (no metrics registry)"
-            )
-        with open(metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(run.machine.metrics.render_text())
-        text += f"\n\nPrometheus metrics written to {metrics_out}"
-    return text
-
-
-def run_analyze_command(
-    app: str,
-    p: int = 9,
-    n: int = 48,
-    seed: int = 0,
-    top: int = 8,
-    whatif: bool = True,
-    json_out: str | None = None,
-    trace_out: str | None = None,
-    metrics_out: str | None = None,
-) -> str:
-    """Drive one traced run through the critical-path analysis.
-
-    Prints the critical-path report — makespan attribution,
-    per-skeleton shares, rank loads, straggler skew, the top blocking
-    message edges — and (unless *whatif* is off) replays the run under
-    each perturbed cost model to cross-check the attribution bounds.
-    The trace mode is the one ``Machine`` picks for *p*: at ``p >=
-    STREAM_AUTO_P`` the run streams (no path steps; *trace_out* becomes
-    the JSONL spill).  *json_out* additionally writes the analysis
-    snapshot (``repro-analyze/1``) for regression comparisons.
-    """
-    import json
-
-    from repro.obs.analysis import analyze_machine, run_whatif
-    from repro.obs.stream import StreamConfig
-
-    run = run_traced(app, p=p, n=n, seed=seed,
-                     stream=StreamConfig(spill_path=trace_out))
-    analysis = analyze_machine(run.machine)
+    analysis = analyze_machine(run.machine) if trace_level >= 2 else None
     whatifs = None
-    if whatif:
-        def _replay(cost: CostModel, balance: bool) -> float:
-            rerun = run_traced(
-                app, p=p, n=n, trace_level=0, seed=seed,
-                cost=cost, balance_compute=balance,
-            )
+    if analysis is not None and whatif:
+        def replay(cost: CostModel, balance: bool) -> float:
+            rerun = run_traced(app, p=p, n=n, trace_level=0, seed=seed,
+                               cost=cost, balance_compute=balance)
             return rerun.machine.time
 
-        whatifs = run_whatif(analysis, run.machine.cost, _replay)
-    from repro.obs.analysis import format_analysis
-
-    header = f"analyze {app} p={p} n={run.n} (seed {seed})"
-    text = header + "\n" + "=" * len(header) + "\n"
-    text += format_analysis(analysis, whatifs, top=top)
+        whatifs = run_whatif(analysis, run.machine.cost, replay)
+    out = [trace_report_text(run, analysis, whatifs, top)]
     if json_out is not None:
-        snap = analysis.snapshot()
-        snap["app"] = app
-        snap["n"] = run.n
-        snap["seed"] = seed
-        if whatifs:
-            snap["whatif"] = [
-                {
-                    "scenario": w.scenario,
-                    "makespan_s": w.makespan,
-                    "delta_s": w.delta,
-                    "bound_s": w.bound,
-                    "within_bound": w.within_bound,
-                }
-                for w in whatifs
-            ]
+        snap = {"schema": "repro-trace/1", "app": app, "n": run.n,
+                "seed": seed, "breakdown": asdict(_breakdown(run)),
+                **analysis.snapshot(whatifs)}
         with open(json_out, "w", encoding="utf-8") as fh:
             json.dump(snap, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        text += f"\n\nanalysis snapshot written to {json_out}"
-    if trace_out is not None or metrics_out is not None:
-        from repro.eval.cliopts import write_obs_artifacts
-
-        for line in write_obs_artifacts(run.machine, trace_out, metrics_out):
-            text += f"\n\n{line}"
-    return text
+        out.append(f"trace snapshot written to {json_out}")
+    out += write_obs_artifacts(run.machine, trace_out, metrics_out)
+    return "\n\n".join(out)

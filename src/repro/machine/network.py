@@ -110,8 +110,9 @@ class Network:
         #: what-if knob (see :mod:`repro.obs.analysis`): when enabled,
         #: per-processor compute vectors are replaced by their mean and
         #: single-rank compute is spread over all processors — the
-        #: "perfectly balanced compute" counterfactual.  Never set on
-        #: machines used for real measurements.
+        #: "perfectly balanced compute" counterfactual of the charged
+        #: waves (:meth:`enter` refuses an engine run under it).  Never
+        #: set on machines used for real measurements.
         self.balance_compute = False
 
     def _observe_message(self, nbytes: int, hops: int, tag: str) -> None:
@@ -837,7 +838,16 @@ class Network:
     # the clocks it leaves, its stats terms, and what a charged wave emits.
     def enter(self) -> float:
         """A barrier to the makespan, which is returned: the start of an
-        engine run, booked as :meth:`barrier` books its clock write."""
+        engine run, booked as :meth:`barrier` books its clock write.
+
+        The engine books each rank's own events, so it cannot honour
+        :attr:`balance_compute`: entering with the knob set is a
+        :class:`MachineError`, not a silently unbalanced what-if."""
+        if self.balance_compute:
+            raise MachineError(
+                "the balanced-compute what-if cannot replay an event-engine "
+                "run (farm, d&c): the engine books each rank's own compute"
+            )
         t0 = self.time
         self.clocks[:] = t0
         if self.path is not None:

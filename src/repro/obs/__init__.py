@@ -29,7 +29,7 @@ set:
   folded forward one charged wave at a time in either trace mode:
   compute/latency/bandwidth/idle attribution by charging skeleton, the
   top blocking edges, per-rank straggler metrics and what-if cost
-  replays (``python -m repro.eval analyze``);
+  replays (part of the ``python -m repro.eval trace`` report);
 * :mod:`repro.obs.stream` — the **streaming sinks** behind
   ``Machine(trace_mode="stream")``: exact O(p) online aggregates, the
   per-skeleton table filled as spans close and a rotating JSONL spill,

@@ -493,7 +493,7 @@ class SkeletonImbalance:
 
 @dataclass
 class RunAnalysis:
-    """Everything the ``analyze`` report needs from one traced run."""
+    """Everything the critical-path report needs from one traced run."""
 
     makespan: float
     p: int
@@ -509,10 +509,10 @@ class RunAnalysis:
     def component_totals(self) -> dict[str, float]:
         return dict(self.components)
 
-    def snapshot(self) -> dict:
-        """JSON-able summary (``eval analyze --json-out``)."""
-        return {
-            "schema": "repro-analyze/1",
+    def snapshot(self, whatifs: list[WhatIf] | None = None) -> dict:
+        """JSON-able summary, with the what-if replays when there are
+        any (the analysis keys of ``eval trace --json-out``)."""
+        snap = {
             "p": self.p,
             "makespan_s": self.makespan,
             "components": self.component_totals(),
@@ -524,6 +524,14 @@ class RunAnalysis:
                 for e in self.blocking_edges
             ],
         }
+        if whatifs:
+            snap["whatif"] = [
+                {"scenario": w.scenario, "makespan_s": w.makespan,
+                 "delta_s": w.delta, "bound_s": w.bound,
+                 "within_bound": w.within_bound}
+                for w in whatifs
+            ]
+        return snap
 
 
 def analyze_machine(machine: "Machine") -> RunAnalysis:
@@ -622,6 +630,11 @@ def run_whatif(
     at most its critical-path attribution, plus *slack_frac* of the
     makespan for the model's approximations (contention); balanced
     compute redistributes rather than removes work, so it has no bound.
+
+    Balanced compute is a knob of the charged waves only
+    (``Network.balance_compute``): the event engine under ``farm`` and
+    ``d&c`` books each rank's own events, so a replay that reaches it
+    raises a ``MachineError`` rather than report unbalanced time.
     """
     totals = baseline.component_totals()
     bounds = {"latency->0": totals["latency"],

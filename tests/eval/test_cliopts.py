@@ -1,7 +1,7 @@
-"""The shared observability flags (``--trace`` / ``--metrics-out`` /
-``--quiet``) must be accepted uniformly by every ``repro.eval``
-subcommand — the flag-drift fix — plus the ``trace --stream`` and
-``all --progress`` entry points."""
+"""The common flags (``--quiet`` / ``--backend`` / ``--workers``) must be
+accepted uniformly by every ``repro.eval`` subcommand, the output flags
+only by ``trace`` — plus the ``trace --stream`` and ``all --progress``
+entry points."""
 
 import json
 import os
@@ -15,37 +15,49 @@ from repro.eval.__main__ import _build_parser, main
 
 ROOT = Path(__file__).resolve().parents[2]
 
-COMMON = ["--trace", "t.json", "--metrics-out", "m.prom", "--quiet"]
+COMMON = ["--quiet", "--backend", "sim", "--workers", "2"]
+ARTEFACTS = ["table1", "table2", "figure1", "ablations", "all"]
 
 
 class TestFlagUniformity:
-    @pytest.mark.parametrize(
-        "sub",
-        ["table1", "table2", "figure1", "ablations", "all", "trace",
-         "analyze"],
-    )
+    @pytest.mark.parametrize("sub", [*ARTEFACTS, "trace"])
     def test_common_flags_parse_on_every_subcommand(self, sub):
         args = _build_parser().parse_args([sub, *COMMON])
-        assert args.trace == "t.json"
-        assert args.metrics_out == "m.prom"
-        assert args.quiet is True
+        assert (args.quiet, args.backend, args.workers) == (True, "sim", 2)
 
-    def test_trace_keeps_json_alias(self):
-        args = _build_parser().parse_args(["trace", "--json", "x.json"])
-        assert args.trace == "x.json"
+    def test_trace_takes_the_output_flags(self):
+        args = _build_parser().parse_args(
+            ["trace", "--trace", "t.json", "--metrics-out", "m.prom",
+             "--json-out", "r.json"])
+        assert (args.trace, args.metrics_out, args.json_out) == (
+            "t.json", "m.prom", "r.json")
+
+    @pytest.mark.parametrize("argv", [
+        *[[sub, flag, "f"] for sub in ARTEFACTS
+          for flag in ("--trace", "--metrics-out")],
+        ["trace", "--json", "f"],
+    ], ids=" ".join)
+    def test_output_flags_elsewhere_are_argparse_errors(self, argv, capsys):
+        """Only ``trace`` traces a run: the artefact commands take no
+        output flag, and ``--json`` is not an alias of ``--trace``."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[1]}" in err
 
 
 class TestRunTargetParent:
-    """trace/analyze share --app/--p/--n/--seed through one parent."""
+    """trace takes --app/--p/--n/--seed."""
 
-    @pytest.mark.parametrize("sub", ["trace", "analyze"])
+    @pytest.mark.parametrize("sub", ["trace"])
     def test_run_target_flags_parse(self, sub):
         args = _build_parser().parse_args(
             [sub, "--app", "shpaths", "--p", "4", "--n", "8", "--seed", "7"]
         )
         assert (args.app, args.p, args.n, args.seed) == ("shpaths", 4, 8, 7)
 
-    @pytest.mark.parametrize("sub", ["trace", "analyze"])
+    @pytest.mark.parametrize("sub", ["trace"])
     def test_run_target_defaults_match(self, sub):
         args = _build_parser().parse_args([sub])
         assert (args.app, args.p, args.n, args.seed) == ("gauss-full", 9, 48, 0)
@@ -60,13 +72,12 @@ class TestUsageValidation:
         assert "--p must be a positive integer" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("sub", ["trace", "analyze"])
+    @pytest.mark.parametrize("sub", ["trace"])
     @pytest.mark.parametrize("p", ["2", "8"])
     def test_shpaths_on_a_non_square_grid_is_a_usage_error(self, sub, p, capsys):
         """shpaths lays its matrix on a g x g torus: a --p that is not a
         square ends in one line naming the constraint, before the run."""
-        rc = main([sub, "--app", "shpaths", "--p", p, "--n", "8", "--no-whatif"]
-                  if sub == "analyze" else [sub, "--app", "shpaths", "--p", p])
+        rc = main([sub, "--app", "shpaths", "--p", p])
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
@@ -114,11 +125,12 @@ class TestUsageValidation:
 
     @pytest.mark.parametrize("argv, flag", [
         (["trace", "--trace", "{d}/x.json"], "--trace"),
-        (["trace", "--json", "{d}/x.json"], "--trace"),
         (["trace", "--stream", "--trace", "{d}/x.jsonl"], "--trace"),
         (["trace", "--metrics-out", "{d}/m.prom"], "--metrics-out"),
-        (["analyze", "--json-out", "{d}/a.json"], "--json-out"),
-        (["table1", "--trace", "{d}/t.json"], "--trace"),
+        (["trace", "--json-out", "{d}/a.json"], "--json-out"),
+        (["trace", "--stream", "--json-out", "{d}/a.json"], "--json-out"),
+        (["trace", "--level", "1", "--metrics-out", "{d}/m.prom"],
+         "--metrics-out"),
     ])
     def test_unwritable_output_is_a_usage_error_before_the_run(
         self, argv, flag, tmp_path, capsys, monkeypatch
@@ -149,8 +161,8 @@ class TestUsageValidation:
         require_output_dir("--trace", None)
 
     @pytest.mark.parametrize("argv, message", [
-        (["analyze", "--top", "-3"], "--top must be a positive integer, got -3"),
-        (["analyze", "--top", "0"], "--top must be a positive integer, got 0"),
+        (["trace", "--top", "-3"], "--top must be a positive integer, got -3"),
+        (["trace", "--top", "0"], "--top must be a positive integer, got 0"),
         (["trace", "--stream", "--heartbeat-every", "-1"],
          "--heartbeat-every must be a positive number, got -1.0"),
         (["trace", "--stream", "--heartbeat-every", "0"],
@@ -183,20 +195,24 @@ class TestUsageValidation:
         assert last.endswith("error: unrecognized arguments: --profile")
         assert "Traceback" not in proc.stderr
 
-    def test_removed_bench_subcommand_is_a_usage_error(self, capsys):
-        """``eval bench`` (and ``skil-eval bench``, the same ``main``)
-        says where the benchmark went — not argparse's choice list, not
-        an ImportError for a module that no longer exists."""
+    @pytest.mark.parametrize("sub, names", [
+        ("bench", ("python3 bench/run.py", "bench/compare.py")),
+        ("analyze", ("python -m repro.eval trace",)),
+    ], ids=["bench", "analyze"])
+    def test_removed_subcommand_is_a_usage_error(self, sub, names, capsys):
+        """A removed subcommand (also as ``skil-eval``, the same
+        ``main``) says where its job went — not argparse's choice list,
+        not an ImportError for a module that no longer exists."""
         import importlib.util
         import sys
 
-        rc = main(["bench", "--quick"])
+        rc = main([sub, "--quick"])
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.strip().splitlines()) == 1
-        assert "'bench' subcommand was removed" in err
-        assert "python3 bench/run.py" in err and "bench/compare.py" in err
+        assert f"'{sub}' subcommand was removed" in err
+        assert all(name in err for name in names)
         assert "Traceback" not in err and "invalid choice" not in err
         assert "repro.eval.bench" not in sys.modules
         # no compatibility shims left behind
@@ -226,7 +242,7 @@ class TestStreamTraceCli:
         rc = main(["trace", "--app", "shpaths", "--p", "4", "--n", "8",
                    "--stream"])
         assert rc == 0
-        # the critical-path analysis `eval analyze` prints, without steps
+        # the critical-path analysis of the report, without steps
         out = capsys.readouterr().out
         assert "critical path over 0 step(s)" in out
         assert "top blocking edges" in out

@@ -1,11 +1,14 @@
-"""Tests for the ``python -m repro.eval trace`` subcommand."""
+"""Tests for ``python -m repro.eval trace``: one traced run, one report."""
 
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
 from repro.errors import SkilError
 from repro.eval.__main__ import main
+from repro.eval.trace_report import CostBreakdown
 from repro.eval.tracecmd import run_trace_command, run_traced, trace_report_text
 from repro.obs import validate_chrome_trace
 
@@ -37,7 +40,8 @@ class TestTraceJson:
         idle-wait tracks, and every skeleton span is closed (begin paired
         with end)."""
         out = tmp_path / "shp.json"
-        run_trace_command("shpaths", p=4, n=12, out=str(out))
+        run_trace_command("shpaths", p=4, n=12, whatif=False,
+                          trace_out=str(out))
         obj = json.loads(out.read_text())
         assert validate_chrome_trace(obj) == []
         events = obj["traceEvents"]
@@ -62,7 +66,7 @@ class TestCli:
     def test_trace_subcommand(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         rc = main(["trace", "--app", "gauss-full", "--p", "4", "--n", "12",
-                   "--json", str(out)])
+                   "--trace", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "per-skeleton breakdown" in printed
@@ -74,6 +78,135 @@ class TestCli:
                    "--level", "1"])
         assert rc == 0
         assert "flamegraph rollup" in capsys.readouterr().out
+
+
+class TestReport:
+    """The report's sections, in order, and the ``repro-trace/1`` JSON."""
+
+    SECTIONS = (
+        "per-skeleton breakdown (exclusive)",
+        "wall attribution",
+        "critical path over",
+        "per-skeleton critical-path attribution",
+        "rank loads",
+        "per-skeleton imbalance",
+        "top blocking edges",
+        "what-if replays",
+        "flamegraph rollup",
+        "metrics:",
+    )
+
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("trace") / "snap.json"
+        text = run_trace_command("gauss", p=9, n=18, json_out=str(out))
+        return text, json.loads(out.read_text())
+
+    def test_report_sections(self, report):
+        text, _ = report
+        at = [text.index(needle) for needle in self.SECTIONS]
+        assert at == sorted(at)
+        assert text.index("run ") < at[0]  # the run breakdown leads
+
+    def test_snapshot_attribution_sums(self, report):
+        _, snap = report
+        total = math.fsum(snap["components"].values())
+        assert total == pytest.approx(snap["makespan_s"], rel=1e-12)
+
+    def test_snapshot_whatifs_within_bounds(self, report):
+        _, snap = report
+        assert snap["whatif"], "what-if replays ran by default"
+        for w in snap["whatif"]:
+            assert w["within_bound"] in (True, None)
+
+    def test_snapshot_names_the_run_and_its_breakdown(self, report):
+        _, snap = report
+        assert snap["schema"] == "repro-trace/1"
+        assert (snap["app"], snap["n"], snap["seed"], snap["p"]) == ("gauss", 18, 0, 9)
+        assert set(snap["breakdown"]) == {f.name for f in fields(CostBreakdown)}
+        # the app's own timing leaves out setup and teardown
+        assert 0 < snap["breakdown"]["makespan"] <= snap["makespan_s"]
+
+    def test_snapshot_is_byte_reproducible(self, tmp_path):
+        for name in ("a.json", "b.json"):
+            run_trace_command("shpaths", p=4, n=8, json_out=str(tmp_path / name))
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_no_whatif_skips_replays(self):
+        text = run_trace_command("gauss", p=4, n=8, whatif=False)
+        assert "what-if replays" not in text
+        assert "critical path over" in text
+
+    def test_cli_dispatch(self, tmp_path, capsys):
+        out = tmp_path / "a.json"
+        rc = main([
+            "trace", "--app", "gauss", "--p", "4", "--n", "8",
+            "--no-whatif", "--json-out", str(out),
+        ])
+        assert rc == 0
+        assert "critical path over" in capsys.readouterr().out
+        snap = json.loads(out.read_text())
+        assert snap["p"] == 4 and "whatif" not in snap
+
+    def test_level_1_has_no_analysis_and_no_json(self, tmp_path, capsys):
+        assert main(["trace", "--app", "gauss", "--p", "4", "--n", "8",
+                     "--level", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "critical path" not in out and "flamegraph rollup" in out
+        rc = main(["trace", "--app", "gauss", "--p", "4", "--n", "8",
+                   "--level", "1", "--json-out", str(tmp_path / "a.json")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--json-out needs --level 2" in err
+        assert not (tmp_path / "a.json").exists()
+
+
+class TestTraceMode:
+    def test_machine_picks_stream_mode(self, tmp_path, capsys, monkeypatch):
+        """Without --stream the trace mode is Machine's: at p >=
+        STREAM_AUTO_P the run streams and --trace is the JSONL spill."""
+        import repro.machine.machine as machine
+
+        monkeypatch.setattr(machine, "STREAM_AUTO_P", 16)
+        spill = tmp_path / "f"
+        rc = main(["trace", "--app", "shpaths", "--p", "16", "--n", "16",
+                   "--no-whatif", "--trace", str(spill)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "(stream mode: totals and blocking edges, no steps)" in out
+        assert "flamegraph rollup" not in out
+        assert f"JSONL event spill written to {spill}" in out
+        lines = spill.read_text().splitlines()
+        assert lines and all("ph" in json.loads(ln) for ln in lines[:10])
+
+    def test_record_mode_below_the_threshold(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main(["trace", "--app", "shpaths", "--p", "16", "--n", "16",
+                     "--no-whatif", "--trace", str(out)]) == 0
+        assert "Chrome trace written" in capsys.readouterr().out
+        assert validate_chrome_trace(json.loads(out.read_text())) == []
+
+
+class TestTraceMetricsOut:
+    def test_metrics_out_writes_exposition(self, tmp_path):
+        path = tmp_path / "m.prom"
+        text = run_trace_command(
+            "gauss", p=4, n=8, whatif=False, metrics_out=str(path)
+        )
+        assert "Prometheus metrics written" in text
+        body = path.read_text()
+        assert "# TYPE" in body
+        assert "net_message_bytes_bucket" in body
+        assert '{le="+Inf"}' in body
+
+    def test_cli_flag(self, tmp_path):
+        path = tmp_path / "m.prom"
+        rc = main([
+            "trace", "--app", "gauss", "--p", "4", "--n", "8",
+            "--metrics-out", str(path),
+        ])
+        assert rc == 0
+        assert path.exists()
 
 
 class TestWallTime:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.quicksort import quicksort
-from repro.errors import SkeletonError
+from repro.errors import MachineError, SkeletonError
 from repro.skeletons import MIN, PLUS, TIMES, papply, section, skil_fn
 from repro.skeletons.functional import Section
 
@@ -39,6 +39,11 @@ class TestDivideAndConquer:
             problem=list(range(100)),
         )
         assert res == sum(range(100))
+
+    def test_balanced_compute_what_if_is_refused(self, ctx4):
+        ctx4.machine.network.balance_compute = True
+        with pytest.raises(MachineError, match="balanced-compute what-if"):
+            run_quicksort(ctx4, list(range(64, 0, -1)))
 
     def test_charges_time(self, ctx4):
         ctx4.machine.reset()

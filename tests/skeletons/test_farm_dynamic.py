@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MachineError
 from repro.machine.machine import Machine
 from repro.skeletons import SkilContext, skil_fn
 
@@ -55,6 +56,14 @@ class TestFarm:
         assert {t: counters[f"net.messages.{t}"] for t in tags} == tags
         sends = {iv.detail for iv in m.timeline.intervals if iv.kind == "send"}
         assert sends == {"task", "done"}
+
+    def test_balanced_compute_what_if_is_refused(self, ctx4):
+        """The engine books each rank's own events: with the what-if
+        knob set, a farm ends in a MachineError naming the what-if, not
+        on the same clocks as without it."""
+        ctx4.machine.network.balance_compute = True
+        with pytest.raises(MachineError, match="balanced-compute what-if"):
+            ctx4.farm(square, list(range(23)), size_of=lambda t: 1 + t % 4)
 
     def test_none_results_allowed(self, ctx4):
         out = ctx4.farm(skil_fn(ops=1)(lambda t: None), [1, 2, 3],

@@ -80,6 +80,19 @@ def _accepts(main, subcommand: str) -> bool:
     return rc == 0
 
 
+def _eval_options() -> dict[str, set[str]]:
+    """Each ``python -m repro.eval`` subcommand's option strings, read
+    from the parser (nothing runs)."""
+    import argparse
+
+    from repro.eval.__main__ import _build_parser
+
+    subs = next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for act in sp._actions for opt in act.option_strings}
+            for name, sp in subs.choices.items()}
+
+
 @pytest.mark.parametrize(
     "doc", COMMAND_DOCS, ids=lambda d: str(d.relative_to(ROOT))
 )
@@ -102,6 +115,15 @@ class TestCommandsAndPaths:
             assert importlib.util.find_spec(module) is not None, module
             if sub and module in cli:
                 assert _accepts(cli[module], sub), f"{module} {sub}"
+        # a flag written after `python -m repro.eval <sub>` on the same
+        # line, up to the end of the command, must be one of its options
+        options = _eval_options()
+        for sub, rest in re.findall(
+            r"python3? -m repro\.eval[ \t]+([a-z][\w-]*)([^\n`#|;>&)]*)",
+            doc.read_text(),
+        ):
+            for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", rest):
+                assert flag in options.get(sub, ()), f"eval {sub} {flag}"
 
     def test_artefact_paths_exist(self, doc):
         found = set(re.findall(
