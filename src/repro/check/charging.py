@@ -439,9 +439,10 @@ def trial_hops(rng: random.Random) -> tuple[str | None, dict[str, int]]:
 def trial_plan_reuse(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     """A few patterns charged again and again, interleaved, on one
     machine — so all but the first charge of each runs from a memoized
-    :class:`~repro.machine.topology.EdgePlan` — with the byte count, the
-    sync mode and now and then the cost model changing and a reset in
-    between, against the scalar reference loops."""
+    :class:`~repro.machine.topology.EdgePlan`, and a repeated byte count
+    from its priced wire vectors — with the byte count, the sync mode
+    and now and then the cost model changing and a reset in between,
+    against the scalar reference loops."""
     m_ref, m_new, distr, p = _machine_pair(rng)
     topo_ref = m_ref.topology(distr)
     topo_new = m_new.topology(distr)
@@ -465,9 +466,12 @@ def trial_plan_reuse(rng: random.Random) -> tuple[str | None, dict[str, int]]:
             m_new.reset()
             _perturb(rng, m_ref, m_new)
         if rng.random() < 0.15:
-            cost = m_ref.cost.with_(store_and_forward=bool(rng.getrandbits(1)))
+            cost = m_ref.cost.with_(store_and_forward=bool(rng.getrandbits(1)),
+                                    t_setup=rng.choice([150e-6, 90e-6]))
             m_ref.network.cost = m_new.network.cost = cost
-        kind = rng.choice(["shift", "shift", "bcast", "reduce", "gather"])
+        kind = rng.choice(
+            ["shift", "shift", "bcast", "reduce", "allreduce", "gather", "scatter"]
+        )
         nb = rng.choice([0, 1, rng.randint(1, 8192)])
         sync = rng.random() < 0.4
         root = rng.choice(roots)
@@ -486,9 +490,17 @@ def trial_plan_reuse(rng: random.Random) -> tuple[str | None, dict[str, int]]:
             m_new.network.reduce(
                 root, nb, topo_new, combine_seconds=1e-6, sync=sync, tag="reuse"
             )
+        elif kind == "allreduce":
+            comb = rng.choice([1e-6, 3.5e-6])
+            _ref_reduce(m_ref.network, root, nb, topo_ref, comb, sync, "fold-up")
+            _ref_broadcast(m_ref.network, root, nb, topo_ref, sync, "fold-down")
+            m_new.network.allreduce(
+                nb, topo_new, combine_seconds=comb, root=root, sync=sync
+            )
         else:
-            _ref_fan(m_ref.network, root, nb, topo_ref, "reuse", gather=True)
-            m_new.network.gather(root, nb, topo_new, tag="reuse")
+            gather = kind == "gather"
+            _ref_fan(m_ref.network, root, nb, topo_ref, "reuse", gather=gather)
+            getattr(m_new.network, kind)(root, nb, topo_new, tag="reuse")
         msg = _compare_machines(
             m_ref, m_new, f"plan reuse p={p} distr={distr} step={step} {kind}"
         )

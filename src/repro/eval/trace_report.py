@@ -79,9 +79,11 @@ def breakdown(label: str, makespan: float, stats: TraceStats) -> CostBreakdown:
 
 
 def format_breakdowns(rows: list[CostBreakdown]) -> str:
-    """Render a comparison table of several runs."""
+    """Render a comparison table of several runs.  The time is each
+    run's own ``makespan`` (an app's timed region, which leaves out its
+    setup and teardown), not the machine's."""
     out = [
-        f"{'run':<24}{'time [s]':>10}{'compute':>9}{'comm':>7}{'idle':>7}"
+        f"{'run':<24}{'app [s]':>10}{'compute':>9}{'comm':>7}{'idle':>7}"
         f"{'msgs':>8}{'MB sent':>9}"
     ]
     for r in rows:

@@ -146,6 +146,7 @@ def trace_report_text(
         analysis = analyze_machine(m)
     parts = [
         format_breakdowns([_breakdown(run)]),
+        "app [s]: the application's timed region, setup and teardown left out",
         "",
         "per-skeleton breakdown (exclusive):",
         format_skeleton_breakdowns(skeleton_breakdowns(m)),

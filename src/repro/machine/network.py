@@ -20,16 +20,19 @@ algorithm), binomial-tree broadcast and reduction (``array_fold``,
 
 Charging a pattern has two halves.  What does not depend on the clocks
 — the edges, their hops, whether the sides of a shift are disjoint,
-which of a rank's two rendezvous transfers comes first — is an
+which of a rank's two rendezvous transfers comes first, and the wire
+seconds at a byte count under a cost model — is an
 :class:`~repro.machine.topology.EdgePlan`, built once per pattern and
-memoized on the topology.  What this module does per call is the other
-half: wire times from the plan's hop vector and the byte count, a gather
-of the clocks, the adds and maxima of the message, the seeded left folds
-of the stats floats and plain-int counter increments; per-message arrays
-are built only for a machine that records, streams or has metrics on.
-Traced and untraced machines, long waves and waves of one edge, run the
-same code; :meth:`Network.p2p` is the public one-message call and the
-oracle of the ``charging`` pillar of :mod:`repro.check`, not a fallback.
+memoized on the topology (the priced vectors in the plan's memo, once
+per byte count).  What this module does per call is the other half: a
+gather of the clocks, the adds and maxima of the message, one seeded
+left fold of both stats floats per charge and plain-int counter
+increments; per-message arrays are built only for a machine that
+records, streams or has metrics on.  A binomial tree is one charge:
+every round in one loop.  Traced and untraced machines, long waves and
+waves of one edge, run the same code; :meth:`Network.p2p` is the public
+one-message call and the oracle of the ``charging`` pillar of
+:mod:`repro.check`, not a fallback.
 
 The fine-grained event engine (:mod:`repro.machine.engine`) implements
 the same semantics at message granularity; the test-suite checks the
@@ -121,8 +124,9 @@ class Network:
         m.observe("net.message_hops", hops, buckets=_HOP_BUCKETS)
         m.inc(f"net.messages.{tag or 'untagged'}")
 
-    def _observe_wave(self, plan, nb, k: int, tag: str) -> None:
-        """Vectorized :meth:`_observe_message` over one wave.
+    def _observe_wave(self, plan, nb, k: int, tag: str, lo=0, hi=None) -> None:
+        """Vectorized :meth:`_observe_message` over one wave, the edges
+        ``lo .. hi - 1`` of *plan*.
 
         Bucket counts, min and max are exact and need no pass over the
         wave (the plan memoizes its hops'); the running sums use a
@@ -133,28 +137,37 @@ class Network:
         sizes = m.histogram("net.message_bytes")
         sizes.observe_many(nb, sizes.summarize(nb, k))
         hops = m.histogram("net.message_hops", buckets=_HOP_BUCKETS)
-        seen = plan.memo.get("hop_hist")
+        hops_f = plan.hops_f[lo:hi]
+        key = ("hop_hist", lo, hi)
+        seen = plan.memo.get(key)
         if seen is None:
-            seen = plan.memo["hop_hist"] = hops.summarize(plan.hops_f)
-        hops.observe_many(plan.hops_f, seen)
+            seen = plan.keep(key, hops.summarize(hops_f))
+        hops.observe_many(hops_f, seen)
         m.inc(f"net.messages.{tag or 'untagged'}", k)
 
-    def _fold_stat_seconds(self, comm_terms, idle_terms) -> None:
-        """Fold per-message comm/idle seconds into the running stats.
+    def _fold_stats(self, comm_terms, idle_terms, compute: float = 0.0) -> None:
+        """Fold one charge's per-message comm and idle seconds (and, with
+        *compute* seconds a message, its merge work) into the running
+        stats.
 
-        ``np.add.accumulate`` is a *sequential* left fold (unlike
-        ``np.add.reduce``, which regroups pairwise), so seeding it with
-        the current accumulator reproduces the scalar ``+=`` loop's
-        rounding bit for bit.
+        ``np.add.accumulate`` is a *sequential* left fold along each row
+        of the seeded buffer (unlike ``np.add.reduce``, which regroups
+        pairwise), so it reproduces the scalar ``+=`` loops' rounding bit
+        for bit.
         """
         stats = self.stats
-        buf = np.empty(comm_terms.shape[0] + 1, dtype=np.float64)
-        buf[0] = stats.comm_seconds
-        buf[1:] = comm_terms
-        stats.comm_seconds = float(np.add.accumulate(buf)[-1])
-        buf[0] = stats.idle_seconds
-        buf[1:] = idle_terms
-        stats.idle_seconds = float(np.add.accumulate(buf)[-1])
+        buf = np.empty((3 if compute else 2, len(comm_terms) + 1), dtype=np.float64)
+        buf[0, 0] = stats.comm_seconds
+        buf[0, 1:] = comm_terms
+        buf[1, 0] = stats.idle_seconds
+        buf[1, 1:] = idle_terms
+        if compute:
+            buf[2] = compute
+            buf[2, 0] = stats.compute_seconds
+        sums = np.add.accumulate(buf, axis=1, out=buf)[:, -1].tolist()
+        stats.comm_seconds, stats.idle_seconds = sums[:2]
+        if compute:
+            stats.compute_seconds = sums[2]
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -170,25 +183,30 @@ class Network:
             raise MachineError(f"rank {rank} outside machine of {self.p} processors")
 
     # ------------------------------------------------------------------ compute
-    def compute(self, seconds) -> None:
+    def compute(self, seconds, total: float | None = None) -> None:
         """Advance clocks by local computation time.
 
         *seconds* may be a scalar (same work everywhere) or an array of
-        per-processor times.
+        per-processor times; *total* is ``float(seconds.sum())`` of an
+        array the caller priced once and keeps (``Charge.work``).
         """
-        sec = np.asarray(seconds, dtype=np.float64)
-        if sec.ndim != 0 and self.balance_compute and sec.shape == (self.p,):
-            sec = np.asarray(float(sec.mean()))
-        if sec.ndim == 0:
-            sec = float(sec)
+        if type(seconds) is float:
+            sec = seconds
             total = sec * self.p
-        elif sec.shape == (self.p,):
-            total = float(sec.sum())
         else:
-            raise MachineError(
-                f"per-processor compute vector must have shape ({self.p},), "
-                f"got {sec.shape}"
-            )
+            sec = np.asarray(seconds, dtype=np.float64)
+            if sec.ndim != 0 and self.balance_compute and sec.shape == (self.p,):
+                sec = np.asarray(float(sec.mean()))
+            if sec.ndim == 0:
+                sec = float(sec)
+                total = sec * self.p
+            elif sec.shape != (self.p,):
+                raise MachineError(
+                    f"per-processor compute vector must have shape ({self.p},), "
+                    f"got {sec.shape}"
+                )
+            elif total is None:
+                total = float(sec.sum())
         if self.timeline is not None:
             self._work(self._all_ranks, self.clocks, self.clocks + sec)
         self.clocks += sec
@@ -343,24 +361,29 @@ class Network:
             self._p2p_wave(rs, rd, topo.edge_plan(rs, rd), nbs[i0:i1], sync, tag)
 
     def _record_wave(self, plan, srcs, dsts, nb, times, departs, tag) -> None:
-        """Book one charged wave in the stats (and the metrics).
-
-        The counters take plain-int increments from the plan; only a
-        machine that keeps records, streams to a sink or has metrics on
-        gets the per-message byte and hop arrays built.
-        """
+        """Book one charged wave, every edge of *plan*, in the stats (and
+        the metrics): plain-int counter increments, or :meth:`_book_messages`
+        for a machine that keeps records, streams or has metrics on."""
         stats = self.stats
-        k = len(times)
         if stats.keep_records or stats.sink is not None or self.metrics is not None:
-            nbs = np.full(k, nb, dtype=np.int64) if isinstance(nb, int) else nb
-            hops = plan.hops
-            stats.record_messages(times, srcs, dsts, nbs, hops, tag, departs=departs)
-            if self.metrics is not None:
-                self._observe_wave(plan, nb, k, tag)
+            self._book_messages(plan, srcs, dsts, nb, times, departs, tag)
             return
+        k = len(times)
         stats.messages += k
         stats.bytes_sent += nb * k if isinstance(nb, int) else int(nb.sum())
         stats.hops_crossed += plan.hops_sum
+
+    def _book_messages(self, plan, srcs, dsts, nb, times, departs, tag,
+                       lo=0, hi=None) -> None:
+        """Book the wave of the edges ``lo .. hi - 1`` of *plan* message
+        by message: per-message byte and hop arrays, built only for a
+        machine that keeps records, streams to a sink or has metrics on."""
+        k = len(times)
+        nbs = np.full(k, nb, dtype=np.int64) if isinstance(nb, int) else nb
+        self.stats.record_messages(times, srcs, dsts, nbs, plan.hops[lo:hi], tag,
+                                   departs=departs)
+        if self.metrics is not None:
+            self._observe_wave(plan, nb, k, tag, lo, hi)
 
     # ------------------------------------------------------------ emission
     def _work(self, ranks, starts, ends, detail: str = "") -> None:
@@ -414,19 +437,19 @@ class Network:
         cost = self.cost
         clocks = self.clocks
         n = int(rd.size)
-        wire = cost.message_time_vec(nb, plan.hops_f, plan.all_remote)
+        wire, terms = plan.price(nb, cost)
         old_src = float(clocks[s])
         steps = np.full(n, cost.t_setup, dtype=np.float64)
         steps[0] = old_src + cost.t_setup
         departs = np.add.accumulate(steps)
         arrival = departs + wire
         old_dst = clocks[rd]
-        idle_c = np.maximum(0.0, arrival - old_dst)
+        idle = np.maximum(0.0, arrival - old_dst)
         clocks[rd] = np.maximum(old_dst, arrival)
         clocks[s] = departs[-1]
         srcs = np.broadcast_to(np.int64(s), (n,))
         self._record_wave(plan, srcs, rd, nb, arrival, departs, tag)
-        self._fold_stat_seconds(wire + cost.t_setup, idle_c)
+        self._fold_stats(terms, idle)
         if self.timeline is not None:
             send_from = np.empty(n, dtype=np.float64)
             send_from[0] = old_src
@@ -447,22 +470,21 @@ class Network:
         per-message left-fold so the running sums keep the scalar
         rounding behaviour.
         """
-        cost = self.cost
         clocks = self.clocks
         old_src = clocks[rs]
         old_dst = clocks[rd]
-        wire = cost.message_time_vec(nb, plan.hops_f, plan.all_remote)
-        depart = old_src + cost.t_setup
+        wire, terms = plan.price(nb, self.cost)
+        depart = old_src + self.cost.t_setup
         arrival = depart + wire
         if sync:
             depart = np.maximum(depart, old_dst)
             arrival = depart + wire
-            idle_c = np.maximum(0.0, arrival - old_dst - wire)
+            idle = np.maximum(0.0, arrival - old_dst - wire)
             clocks[rs] = arrival
             clocks[rd] = arrival
         else:
             clocks[rs] = depart
-            idle_c = np.maximum(0.0, arrival - old_dst)
+            idle = np.maximum(0.0, arrival - old_dst)
             clocks[rd] = np.maximum(old_dst, arrival)
         self._record_wave(plan, rs, rd, nb, arrival, depart, tag)
         if self.timeline is not None:
@@ -472,7 +494,7 @@ class Network:
                 (rs, rd, depart, arrival, plan.hops, nb,
                  clocks if sync else None),
             )
-        self._fold_stat_seconds(wire + cost.t_setup, idle_c)
+        self._fold_stats(terms, idle)
 
     # ------------------------------------------------------------------ shift
     def shift(
@@ -514,14 +536,15 @@ class Network:
 
         Everything about the pattern that the clocks do not change —
         hops, the disjointness check, which of a rank's two transfers
-        comes first — comes from the topology's memoized
-        :class:`~repro.machine.topology.EdgePlan`; a call only gathers
-        clocks and updates them.  The asynchronous case is inherently
-        parallel: every transfer departs from the pre-shift clocks.  In
-        the rendezvous case a rank that both sends and receives does so
-        serially, in pair order, which the plan's order masks turn into
-        three vectorized clock writes.  Either way the result is bit-identical to
-        the historical per-pair loop (``repro.check.charging``).
+        comes first, the wire seconds at a byte count — comes from the
+        topology's memoized :class:`~repro.machine.topology.EdgePlan`; a
+        call only gathers clocks and updates them.  The asynchronous case
+        is inherently parallel: every transfer departs from the pre-shift
+        clocks.  In the rendezvous case a rank that both sends and
+        receives does so serially, in pair order, which the plan's order
+        masks turn into three vectorized clock writes.  Either way the
+        result is bit-identical to the historical per-pair loop
+        (``repro.check.charging``).
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         if srcs.size == 0:
@@ -530,12 +553,13 @@ class Network:
         if not plan.disjoint:
             raise MachineError("shift pairs must be disjoint per side")
         srcs, dsts = plan.srcs, plan.dsts
-        nb = _byte_counts(nbytes, int(srcs.size))
+        k = int(srcs.size)
+        nb = _byte_counts(nbytes, k)
         cost = self.cost
         clocks = self.clocks
         old_src = clocks[srcs]
         old_dst = clocks[dsts]
-        wire = cost.message_time_vec(nb, plan.hops_f, plan.all_remote)
+        wire, terms = plan.price(nb, cost)
         if sync:
             # rendezvous on every edge; a processor that both sends and
             # receives does so serially (no DMA overlap on the old code
@@ -553,10 +577,7 @@ class Network:
             after = clocks[srcs]
             clocks[srcs] = np.where(src_first, after, np.maximum(after, finish))
             self._record_wave(plan, srcs, dsts, nb, finish, start, tag)
-            self._fold_stat_seconds(
-                wire + cost.t_setup,
-                np.maximum(0.0, start - cost.t_setup - old_dst),
-            )
+            self._fold_stats(terms, np.maximum(0.0, start - cost.t_setup - old_dst))
             if self.timeline is not None:
                 self._emit_wave(
                     (
@@ -578,15 +599,14 @@ class Network:
             return
         if self.link_contention:
             wire = wire * self._contention_factors(srcs, dsts, nb, topo)
+            terms = wire + cost.t_setup
         departs = old_src + cost.t_setup
         arrival = departs + wire
         clocks[srcs] = np.maximum(old_src, departs)
         clocks[dsts] = np.maximum(clocks[dsts], arrival)
         self._record_wave(plan, srcs, dsts, nb, arrival, departs, tag)
         # left-fold the float accumulators in pair order (scalar rounding)
-        self._fold_stat_seconds(
-            wire + cost.t_setup, np.maximum(0.0, arrival - old_dst)
-        )
+        self._fold_stats(terms, np.maximum(0.0, arrival - old_dst))
         if self.timeline is not None:
             self._timeline_wave(
                 srcs, dsts, old_src, departs, old_dst, arrival, wire, tag,
@@ -638,17 +658,16 @@ class Network:
     ) -> None:
         """Binomial-tree broadcast of *nbytes* from *root* to everyone.
 
-        Closed form: the per-round edge arrays and hops come from the
-        topology's memoized :meth:`VirtualTopology.round_plans
-        <repro.machine.topology.VirtualTopology.round_plans>`, and each
-        round — its edges touch every rank at most once — is charged as
-        one conflict-free wave: ``log2(p)`` vectorized charges total.
+        Closed form: every round of the topology's memoized
+        :meth:`VirtualTopology.tree_plan
+        <repro.machine.topology.VirtualTopology.tree_plan>` — its edges
+        touch every rank at most once — is charged as one conflict-free
+        wave, all ``log2(p)`` of them in one pass (:meth:`_tree`).
         """
         self._check_rank(root)
         if self.p == 1:
             return
-        for plan in topo.round_plans(root):
-            self._p2p_wave(plan.srcs, plan.dsts, plan, int(nbytes), sync, tag)
+        self._tree(topo.tree_plan(root), int(nbytes), sync, tag)
 
     def reduce(
         self,
@@ -664,8 +683,8 @@ class Network:
         *combine_seconds* is charged at every merge point (the cost of
         applying the folding function to one pair of partial results).
         The schedule is the reversed broadcast with every edge flipped,
-        charged from the same per-round plans as :meth:`broadcast` (hops
-        are symmetric).
+        charged from the same plan as :meth:`broadcast` (hops are
+        symmetric).
         """
         self._check_rank(root)
         if self.p == 1:
@@ -681,29 +700,108 @@ class Network:
                     if combine_seconds:
                         self.compute_at(d, combine_seconds)
             return
-        for plan in reversed(topo.round_plans(root)):
-            # reduction messages flow dst -> src of the broadcast edge;
-            # the merge happens at the broadcast-edge source
-            self._p2p_wave(plan.dsts, plan.srcs, plan, int(nbytes), sync, tag)
-            if combine_seconds:
-                self._charge_combines(plan.srcs, combine_seconds)
+        self._tree(topo.tree_plan(root), int(nbytes), sync, tag, True,
+                   combine_seconds)
 
-    def _charge_combines(self, ranks, combine_seconds: float) -> None:
-        """Charge one reduction round's merge work at *ranks*.
-
-        Ranks in a round are disjoint, so merging after the round's
-        messages touches the same clocks in the same per-rank order as
-        the interleaved scalar loop; the stats float is folded with a
-        seeded ``np.add.accumulate`` (a sequential left fold), matching
-        the scalar ``+=`` loop bit for bit.
+    def _tree(self, plan, nb: int, sync, tag, up=False, combine_seconds=0.0):
+        """Every round of the binomial tree *plan* as one charge: down (a
+        broadcast), or up (a reduction: the rounds reversed, every edge
+        flipped, and *combine_seconds* of merge work at each receiver
+        after its round).  The wire seconds come priced from the plan,
+        :meth:`_rounds` moves the clocks, and the tree ends with one
+        seeded fold of the stats floats and one counter update.
         """
-        if self.timeline is not None:
-            old = self.clocks[ranks]
-            self._work(ranks, old, old + combine_seconds)
-        self.clocks[ranks] += combine_seconds
-        buf = np.full(ranks.size + 1, combine_seconds, dtype=np.float64)
-        buf[0] = self.stats.compute_seconds
-        self.stats.compute_seconds = float(np.add.accumulate(buf)[-1])
+        wire, terms = plan.price(nb, self.cost)
+        stats = self.stats
+        per_message = (stats.keep_records or stats.sink is not None
+                       or self.metrics is not None)
+        idle = self._rounds(plan, nb, wire, sync, tag, up, combine_seconds,
+                            per_message)
+        if up:  # the stats take the terms in message order
+            rounds = plan.bounds[::-1]
+            terms = np.concatenate([terms[lo:hi] for lo, hi in rounds])
+            idle = np.concatenate([idle[lo:hi] for lo, hi in rounds])
+        if not per_message:  # the counters of the whole tree at once
+            stats.messages += len(terms)
+            stats.bytes_sent += nb * len(terms)
+            stats.hops_crossed += plan.hops_sum
+        self._fold_stats(terms, idle, combine_seconds)
+
+    def _rounds(self, plan, nb, wire, sync, tag, up, combine_seconds,
+                per_message) -> np.ndarray:
+        """The clocks of :meth:`_tree`'s rounds; returns the idle terms
+        in tree order.
+
+        A round's edges touch every rank at most once, so each round is
+        one conflict-free wave from its start clocks, with the
+        per-message expressions of :meth:`p2p`.  The clocks are gathered
+        once in tree order — the root, then the ranks in the order the
+        broadcast informs them — where round ``lo .. hi - 1`` sends from
+        positions ``0 .. n - 1`` to ``lo + 1 .. hi``: two slices, updated
+        in place, and scattered back once.  Each edge's arrival and its
+        receiver's start clock are kept (a broadcast's receivers start
+        where the tree started), for the idle terms in one pass.  A
+        traced machine also gets every round emitted, with the clocks
+        written back first.
+        """
+        ranks = plan.memo.get("ranks")
+        if ranks is None:
+            ranks = plan.keep("ranks", np.concatenate((plan.srcs[:1], plan.dsts)))
+        clocks = self.clocks
+        tree = clocks[ranks]
+        arrivals = np.empty_like(wire)
+        starts = np.empty_like(wire) if up else tree[1:].copy()
+        setup = np.asarray(self.cost.t_setup)
+        emit = per_message or self.timeline is not None
+        for lo, hi in plan.bounds[::-1] if up else plan.bounds:
+            n = hi - lo
+            w, arrival, old_dst = wire[lo:hi], arrivals[lo:hi], starts[lo:hi]
+            snd, rcv = tree[:n], tree[lo + 1:hi + 1]
+            if up:
+                # reduction messages flow dst -> src of the broadcast
+                # edge; the merge happens at the broadcast-edge source
+                snd, rcv = rcv, snd
+                np.copyto(old_dst, rcv)
+            if emit:
+                old_src = snd.copy()
+            if sync:
+                depart = np.maximum(snd + setup, rcv)
+                np.add(depart, w, out=arrival)
+                snd[...] = arrival
+                rcv[...] = arrival
+            else:
+                np.add(snd, setup, out=snd)
+                np.add(snd, w, out=arrival)
+                np.maximum(rcv, arrival, out=rcv)
+            if emit:
+                rs, rd = plan.srcs[lo:hi], plan.dsts[lo:hi]
+                if up:
+                    rs, rd = rd, rs
+                clocks[ranks] = tree
+                if not sync:
+                    depart = old_src + setup
+                if per_message:
+                    self._book_messages(plan, rs, rd, nb, arrival, depart, tag, lo, hi)
+                if self.timeline is not None:
+                    self._timeline_wave(
+                        rs, rd, old_src, arrival if sync else depart, old_dst,
+                        arrival, w, tag,
+                        (rs, rd, depart, arrival, plan.hops[lo:hi], nb,
+                         clocks if sync else None),
+                    )
+                    if combine_seconds:
+                        self._work(rd, rcv.copy(), rcv + combine_seconds)
+                # carry on from what the emission left (which must be the
+                # clocks it was handed: the trace pillar checks)
+                np.take(clocks, ranks, out=tree)
+            if combine_seconds:
+                rcv += combine_seconds
+        clocks[ranks] = tree
+        # the emission copied what it kept, so the arrivals can go
+        idle = np.subtract(arrivals, starts, out=arrivals)
+        if sync:
+            np.subtract(idle, wire, out=idle)
+        return np.maximum(0.0, idle, out=idle)
 
     def allreduce(
         self,
@@ -754,7 +852,7 @@ class Network:
         nb = _byte_counts(nbytes_per_rank, self.p, srcs)
         cost = self.cost
         clocks = self.clocks
-        wire = cost.message_time_vec(nb, plan.hops_f, plan.all_remote)
+        wire, terms = plan.price(nb, cost)
         old_src = clocks[srcs]
         departs = old_src + cost.t_setup
         arrival = departs + wire
@@ -766,9 +864,7 @@ class Network:
         clocks[srcs] = departs
         clocks[root] = max(old_root, float(run_max[-1]))
         self._record_wave(plan, srcs, plan.dsts, nb, arrival, departs, tag)
-        self._fold_stat_seconds(
-            wire + cost.t_setup, np.maximum(0.0, arrival - prev)
-        )
+        self._fold_stats(terms, np.maximum(0.0, arrival - prev))
         if self.timeline is not None:
             self._timeline_wave(
                 srcs, plan.dsts, old_src, departs, prev, arrival, wire, tag,

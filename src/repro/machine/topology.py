@@ -32,8 +32,9 @@ Embeddings implemented:
   the mesh distance between the two placed nodes.
 
 A topology also owns the **charge plans** of the patterns charged on it
-(:class:`EdgePlan`): the clock-independent half of a shift, a tree round
-or a fan — edge arrays, hops, validity — built once per pattern and
+(:class:`EdgePlan`): the clock-independent half of a shift, a binomial
+tree or a fan — edge arrays, hops, validity, and the wire seconds each
+byte count and cost model prices them at — built once per pattern and
 memoized here, under :data:`PLAN_STORE_BYTES`, next to the placed
 coordinates it is computed from.  ``Network`` does the clock-dependent
 half.  A topology is an immutable value (its memos only cache what its
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator
 
@@ -78,8 +79,11 @@ __all__ = [
 DENSE_HOPS_MAX_P = 2048
 
 #: bound, in bytes, on the charge plans one topology memoizes (edge
-#: arrays, hop vectors and order masks); the oldest plans are dropped to
-#: stay under it and a pattern larger than the bound is never stored
+#: arrays, hop vectors and order masks, and what each plan memoizes:
+#: priced wire vectors, traced int hops); a memo entry is kept only
+#: while there is room, a new plan makes room by the oldest plans'
+#: memos and then the oldest plans, and a pattern larger than the bound
+#: is never stored
 PLAN_STORE_BYTES = 2 << 20
 
 #: bound, in bytes, on what one intern table keeps (:data:`TOPOLOGIES`,
@@ -136,10 +140,14 @@ class EdgePlan:
 
     Everything :class:`repro.machine.network.Network` needs about the
     edges ``srcs[i] -> dsts[i]`` on one topology that does not depend on
-    the clocks, the byte counts or the cost model — built once per
-    pattern, so a charge is only the clock update.  Hop counts are
-    symmetric, so one plan also serves the flipped edges (reduce rounds,
-    scatter).  All arrays are read-only.
+    the clocks — built once per pattern, so a charge is only the clock
+    update.  Hop counts are symmetric, so one plan also serves the
+    flipped edges (reduce rounds, scatter).  All arrays are read-only.
+
+    What a charge derives from the plan is kept in :attr:`memo` through
+    :meth:`keep`: the wire seconds at each byte count (for the cost model
+    that last priced it), and for traced machines the int hops and hop
+    histograms.  A plan kept in a topology's store counts it there.
     """
 
     srcs: np.ndarray
@@ -155,30 +163,68 @@ class EdgePlan:
     #: its rank's first transfer, the destination's receive is its
     #: rank's first transfer, the destination is also a source
     order: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    #: what traced charging derives from the plan once (int hops, hop histogram)
+    #: binomial trees only: the ``(lo, hi)`` edge range of every round
+    bounds: tuple[tuple[int, int], ...] = ()
+    #: what charging derived from the plan (see :meth:`keep`)
     memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def keep(self, key, value):
+        """Memoize *value* (its arrays made read-only) under *key* and
+        return it.  A plan held in a topology's store has the store count
+        the growth, or forget the entry when there is no room for it."""
+        for a in _arrays(value):
+            a.setflags(write=False)
+        owner = self.memo.get(_STORE)
+        if owner is None:
+            self.memo[key] = value
+        else:
+            owner[0]._grown(owner[1], self, key, value)
+        return value
+
+    def price(self, nb, cost):
+        """``(wire, wire + t_setup)`` of every edge at *nb* bytes a
+        message under *cost*: the wire seconds and the comm-seconds
+        terms.  A single byte count is priced once per cost model (kept
+        with the model that priced it); per-message counts per call."""
+        if isinstance(nb, int):
+            hit = self.memo.get(nb)
+            if hit is not None and (hit[0] is cost or hit[0] == cost):
+                return hit[1], hit[2]
+        wire = cost.message_time_vec(nb, self.hops_f, self.all_remote)
+        terms = wire + cost.t_setup
+        if isinstance(nb, int):
+            self.keep(nb, (cost, wire, terms))
+        return wire, terms
 
     @property
     def hops(self) -> np.ndarray:
         """Integer hops per edge, for records and metrics (exact)."""
         hops = self.memo.get("hops")
         if hops is None:
-            hops = self.memo["hops"] = self.hops_f.astype(np.int64)
-            hops.setflags(write=False)
+            hops = self.keep("hops", self.hops_f.astype(np.int64))
         return hops
 
     @property
     def nbytes(self) -> int:
         arrays = (self.srcs, self.dsts, self.hops_f) + (self.order or ())
-        return sum(a.nbytes for a in arrays)
-
-    def cut(self, lo: int, hi: int) -> "EdgePlan":
-        """The plan of edges ``lo .. hi - 1`` (views, nothing copied)."""
-        hops_f = self.hops_f[lo:hi]
-        return EdgePlan(
-            self.srcs[lo:hi], self.dsts[lo:hi], hops_f, int(hops_f.sum()),
-            self.all_remote,
+        return sum(a.nbytes for a in arrays) + sum(
+            _array_bytes(v) for v in tuple(self.memo.values())
         )
+
+
+def _arrays(value) -> list:
+    """The arrays of a memo value: the value, or the members of a tuple."""
+    return [a for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
+
+
+def _array_bytes(value) -> int:
+    return sum(a.nbytes for a in _arrays(value))
+
+
+#: the memo key under which a stored plan names its store:
+#: ``(topology, store key)``
+_STORE = object()
 
 
 def square_grid(p: int) -> tuple[int, int]:
@@ -294,6 +340,9 @@ class VirtualTopology:
         # eviction order); at most PLAN_STORE_BYTES in total
         self._plans: dict[object, tuple[object, int]] = {}
         self._plan_bytes = 0
+        # machines on several threads may share the topology: one
+        # insertion, growth or trim of the store at a time
+        self._lock = threading.RLock()
 
     @property
     def p(self) -> int:
@@ -458,15 +507,58 @@ class VirtualTopology:
         if hit is not None:
             return hit[0]
         value = build()
-        plans = self._plans
         size = sum(pl.nbytes for pl in (value if isinstance(value, tuple) else (value,)))
-        if size <= PLAN_STORE_BYTES:
-            while self._plan_bytes + size > PLAN_STORE_BYTES:
-                self._plan_bytes -= plans.pop(next(iter(plans)))[1]
-            plans[key] = (value, size)
+        if size > PLAN_STORE_BYTES:
+            return value
+        with self._lock:
+            hit = self._plans.get(key)
+            if hit is not None:  # another thread stored it meanwhile
+                return hit[0]
+            if isinstance(value, EdgePlan):
+                value.memo[_STORE] = (self, key)
+            self._plans[key] = (value, size)
             self._plan_bytes += size
-            TOPOLOGIES.trim()
+            self._trim()
         return value
+
+    def _grown(self, key, plan: EdgePlan, name, value) -> None:
+        """Memoize *value* under *name* on the stored *plan* if the store
+        has room for it (else it is forgotten: its caller still has it).
+        No plan is dropped for a memo entry: a plan costs more to rebuild
+        than what it memoizes, and an ``alltoall`` at p = 256 fills the
+        store with plans alone."""
+        with self._lock:
+            hit = self._plans.get(key)
+            added = _array_bytes(value) - _array_bytes(plan.memo.get(name))
+            if hit is None or hit[0] is not plan or (
+                self._plan_bytes + added > PLAN_STORE_BYTES
+            ):
+                return
+            plan.memo[name] = value
+            self._plan_bytes += added
+            self._plans[key] = (plan, hit[1] + added)
+        TOPOLOGIES.trim()
+
+    def _trim(self) -> None:
+        """Make the store fit its bound: forget what the oldest plans
+        memoized (cheap to derive again), then drop the oldest plans."""
+        plans = self._plans
+        with self._lock:
+            for key, (value, size) in plans.items():
+                if self._plan_bytes <= PLAN_STORE_BYTES:
+                    break
+                if isinstance(value, EdgePlan):
+                    store = value.memo[_STORE]
+                    value.memo.clear()
+                    value.memo[_STORE] = store
+                    plans[key] = (value, value.nbytes)
+                    self._plan_bytes -= size - value.nbytes
+            while self._plan_bytes > PLAN_STORE_BYTES:
+                value, size = plans.pop(next(iter(plans)))
+                self._plan_bytes -= size
+                if isinstance(value, EdgePlan):
+                    del value.memo[_STORE]
+        TOPOLOGIES.trim()
 
     def shift_plan(self, srcs: np.ndarray, dsts: np.ndarray) -> EdgePlan:
         """Memoized shift plan of the int64 edge arrays, keyed by content.
@@ -485,15 +577,15 @@ class VirtualTopology:
             ),
         )
 
-    def round_plans(self, root: int) -> tuple[EdgePlan, ...]:
-        """Memoized plans of the binomial broadcast rounds from *root*
-        (:func:`binomial_round_arrays`, as views of one whole-tree
-        plan); reductions use them flipped."""
+    def tree_plan(self, root: int) -> EdgePlan:
+        """Memoized plan of the binomial broadcast from *root*: every
+        edge, round after round, with the rounds' ranges in ``bounds``
+        (:func:`binomial_round_arrays`); reductions use it flipped."""
 
         def build():
             srcs, dsts, bounds = _binomial_tree_edges(self.p, root)
             tree = self.edge_plan(srcs, dsts)
-            return tuple(tree.cut(lo, hi) for lo, hi in bounds)
+            return replace(tree, bounds=tuple(bounds))
 
         return self._memo(("tree", root), build)
 
@@ -782,7 +874,7 @@ def binomial_round_arrays(
     arrays are read-only views of one whole-tree pair, generated in
     O(edges) numpy work with no per-rank Python loop.  Not memoized
     here: the plans built from them are, per topology and under its byte
-    bound (:meth:`VirtualTopology.round_plans`).
+    bound (:meth:`VirtualTopology.tree_plan`).
     """
     srcs, dsts, bounds = _binomial_tree_edges(p, root)
     return tuple((srcs[lo:hi], dsts[lo:hi]) for lo, hi in bounds)

@@ -661,7 +661,8 @@ def format_analysis(
     totals = analysis.component_totals()
     ms = analysis.makespan or 1.0
     lines = [f"critical path over {len(analysis.path.steps)} step(s), "
-             f"makespan {analysis.makespan:.6f}s"]
+             f"machine makespan {analysis.makespan:.6f}s (the whole run, "
+             f"setup and teardown included)"]
     acc = analysis.accounting
     if acc is not None:
         lines[0] += " (stream mode: totals and blocking edges, no steps)"

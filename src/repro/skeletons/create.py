@@ -109,4 +109,4 @@ def array_copy(ctx, from_arr: DistArray, to_arr: DistArray) -> None:
             src = from_arr.local(r)
             to_arr.local(r)[...] = src.astype(to_arr.dtype, copy=False)
     # local(r).nbytes == part_sizes()[r] * itemsize exactly
-    ctx.charge.memcpy(from_arr.dist.part_sizes() * from_arr.dtype.itemsize)
+    ctx.charge.memcpy(from_arr.dist.part_sizes(), from_arr.dtype.itemsize)

@@ -102,7 +102,7 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
             partials = [_local_fold(fold_f, block) for block in blocks]
         sizes = a.dist.part_sizes()
         ctx.charge.work(
-            (sizes, ops_of(conv_f)), (np.maximum(0, sizes - 1), ops_of(fold_f))
+            (sizes, ops_of(conv_f)), (ctx.charge.folds(sizes), ops_of(fold_f))
         )
 
     # combine along the binomial tree and broadcast the result back
@@ -163,7 +163,7 @@ def array_scan(ctx, scan_f: Callable, a: DistArray, to_arr: DistArray) -> None:
                     out[i] = scan_f(out[i - 1], out[i])
                 scanned = np.asarray(out, dtype=to_arr.dtype)
             locals_.append(scanned)
-    ctx.charge.work((np.maximum(0, sizes - 1), ops))
+    ctx.charge.work((ctx.charge.folds(sizes), ops))
 
     # exclusive offsets: fold of the last local elements of lower ranks
     offsets = [None] * ctx.p

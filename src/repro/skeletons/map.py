@@ -68,9 +68,7 @@ def _map_into(ctx, f: Callable, srcs: tuple, to_arr: DistArray) -> None:
     sizes = srcs[0].dist.part_sizes()
     # a functional host builds a fresh array, then (conceptually) replaces
     # the old one: state the allocation+copy traffic it would pay
-    ctx.charge.work(
-        (sizes, ops_of(f)), realloc_bytes=sizes * to_arr.dtype.itemsize
-    )
+    ctx.charge.work((sizes, ops_of(f)), realloc_itemsize=to_arr.dtype.itemsize)
 
 
 @skeleton_span("array_map")

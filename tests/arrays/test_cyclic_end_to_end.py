@@ -156,10 +156,10 @@ class TestStridedLayoutsChargeOwnedElements:
         vectors = []
         original = ctx.machine.network.compute
 
-        def recording(seconds):
+        def recording(seconds, total=None):
             if np.ndim(seconds) == 1:
                 vectors.append(np.array(seconds))
-            original(seconds)
+            original(seconds, total)
 
         ctx.machine.network.compute = recording
         try:

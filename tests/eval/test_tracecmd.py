@@ -127,6 +127,20 @@ class TestReport:
         # the app's own timing leaves out setup and teardown
         assert 0 < snap["breakdown"]["makespan"] <= snap["makespan_s"]
 
+    def test_both_run_times_are_named(self, report):
+        """The breakdown's time is the app's timed region
+        (``breakdown.makespan``), the critical path's the machine's
+        (``makespan_s``); each line says which it prints."""
+        text, snap = report
+        header, row, note = text.splitlines()[:3]
+        assert header.split()[1:3] == ["app", "[s]"]
+        assert row.split()[3] == f"{snap['breakdown']['makespan']:.3f}"
+        assert note.startswith("app [s]: the application's timed region")
+        assert "setup and teardown left out" in note
+        assert (f"machine makespan {snap['makespan_s']:.6f}s (the whole run, "
+                "setup and teardown included)") in text
+        assert snap["breakdown"]["makespan"] < snap["makespan_s"]
+
     def test_snapshot_is_byte_reproducible(self, tmp_path):
         for name in ("a.json", "b.json"):
             run_trace_command("shpaths", p=4, n=8, json_out=str(tmp_path / name))

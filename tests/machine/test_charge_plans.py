@@ -7,30 +7,39 @@ Pinned here: planned charging equals the scalar reference loops of
 ``repro.check.charging`` bit for bit (clocks, every ``TraceStats``
 field, records, timelines, metrics) on first and on repeated use; a
 repeated pattern does no hop or validity work; bad patterns keep
-raising; the memo stays under ``PLAN_STORE_BYTES``.  Machines of one
-shape and embedding share their topologies (``TOPOLOGIES``), so a plan
-one of them stored is warm for the next (``tests/machine/test_intern.py``
-pins the sharing itself).
+raising; the memo — plans and what they memoize — stays under
+``PLAN_STORE_BYTES``; priced wire vectors and kept work terms never go
+stale.  Machines of one shape and embedding share their topologies
+(``TOPOLOGIES``), so a plan one of them stored is warm for the next
+(``tests/machine/test_intern.py`` pins the sharing itself).
 """
 
+import gc
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.arrays.distribution import BLOCK_DISTRIBUTIONS, BlockDistribution
 from repro.check.charging import (
     _compare_machines,
     _ref_broadcast,
     _ref_fan,
     _ref_reduce,
     _ref_shift,
+    _stats_tuple,
 )
 from repro.check.tracecheck import compare_observers
 from repro.errors import MachineError, TopologyError
+from repro.eval.tracecmd import run_traced
 from repro.machine import topology as topology_mod
-from repro.machine.costmodel import T800_PARSYTEC
+from repro.machine.charge import Charge
+from repro.machine.costmodel import DPFL, T800_PARSYTEC
 from repro.machine.machine import DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D, Machine
 from repro.machine.topology import PLAN_STORE_BYTES, TOPOLOGIES, VirtualTopology
+from repro.obs.analysis import analyze_machine, run_whatif
 
 TRACE = {
     "off": {},
@@ -171,7 +180,7 @@ class TestPlansAreReused:
         net.broadcast(5, 128, topo)
         net.gather(5, 128, topo)
         assert counted["hops_vec"] == 3 and counted["unique"] == 0
-        plans = dict(topo._plans)
+        plans = {key: plan for key, (plan, _) in topo._plans.items()}
         counted.clear()
 
         # other byte counts, the other sync mode, another cost model and
@@ -186,7 +195,9 @@ class TestPlansAreReused:
         net.broadcast(5, 1 << 20, topo, sync=True)
         net.scatter(5, 9, topo)
         assert counted == Counter()
-        assert topo._plans == plans
+        assert {key: plan for key, (plan, _) in topo._plans.items()} == plans
+        # the plans grew by their priced wire vectors, and the store knows
+        assert all(size == plan.nbytes for plan, size in topo._plans.values())
 
         # ... and what the reused plans charged is still the reference
         ref, t_ref = m_ref.network, m_ref.topology(DISTR_TORUS2D)
@@ -215,18 +226,18 @@ class TestPlansAreReused:
 
     def test_plan_arrays_are_read_only_and_shared_not_copied(self):
         topo = Machine(64).topology(DISTR_DEFAULT)
-        rounds = topo.round_plans(7)
-        assert rounds is topo.round_plans(7)
-        assert [pl.srcs.size for pl in rounds] == [1, 2, 4, 8, 16, 32]
-        tree = rounds[0].hops_f.base
-        for pl in rounds:
-            # one whole-tree float hop vector, no int copy, no key copy
-            assert pl.hops_f.base is tree and pl.order is None
-            assert pl.hops.tolist() == topo.hops_vec(pl.srcs, pl.dsts).tolist()
-            assert pl.hops_sum == int(pl.hops.sum())
-            for arr in (pl.srcs, pl.dsts, pl.hops_f):
-                with pytest.raises(ValueError):
-                    arr[0] = 1
+        tree = topo.tree_plan(7)
+        assert tree is topo.tree_plan(7)
+        assert [hi - lo for lo, hi in tree.bounds] == [1, 2, 4, 8, 16, 32]
+        # one whole-tree plan: no per-round copies, no int copy until asked
+        assert tree.order is None and "hops" not in tree.memo
+        assert tree.hops.tolist() == topo.hops_vec(tree.srcs, tree.dsts).tolist()
+        assert tree.hops_sum == int(tree.hops.sum())
+        for lo, hi in tree.bounds:
+            assert tree.srcs[lo:hi].tolist() == [(7 + r) % 64 for r in range(hi - lo)]
+        for arr in (tree.srcs, tree.dsts, tree.hops_f, tree.hops):
+            with pytest.raises(ValueError):
+                arr[0] = 1
         ranks = np.arange(64)
         shift = topo.shift_plan(ranks, ranks[::-1].copy())
         assert shift.all_remote and not topo.shift_plan(ranks, ranks).all_remote
@@ -336,3 +347,180 @@ class TestTheMemoIsBounded:
         assert m_new.topology()._plans == {}
         assert TOPOLOGIES.nbytes == m_new.topology().nbytes == 24 * 16 + 2 * 2048
         _assert_same(m_ref, m_new)
+
+
+def _held(plan) -> int:
+    """The bytes of every array a plan holds, its memo included."""
+    arrays = [plan.srcs, plan.dsts, plan.hops_f, *(plan.order or ())]
+    for value in plan.memo.values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                arrays.append(a)
+    return sum(a.nbytes for a in arrays)
+
+
+def _store_is_exact(topo) -> None:
+    """Every kept plan's size is what it holds now, and they add up."""
+    assert all(size == _held(plan) for plan, size in topo._plans.values())
+    assert topo._plan_bytes == sum(size for _, size in topo._plans.values())
+    assert topo._plan_bytes <= PLAN_STORE_BYTES
+
+
+class TestWhatPlansMemoizeIsCounted:
+    def test_priced_and_traced_memos_stay_under_the_bound_at_p65536(self):
+        m = Machine(65536)
+        topo = m.topology()
+        for nbytes in (8, 64, 512, 4096, 32768):
+            m.network.broadcast(0, nbytes, topo)
+            _store_is_exact(topo)
+        traced = Machine(65536, trace_level=2, trace_mode="stream")
+        assert traced.topology() is topo
+        traced.network.broadcast(0, 64, topo)
+        traced.network.gather(0, 64, topo)
+        _store_is_exact(topo)
+        assert TOPOLOGIES.nbytes <= TOPOLOGIES.bound
+
+    def test_memos_take_only_the_room_left(self, monkeypatch):
+        """The bound counts priced vectors and traced hops: at 16 KiB a
+        p = 256 store holds a few plans, what they memoize is kept only
+        while it fits, and a new plan makes room by the oldest plans'
+        memos, then the oldest plans — the clocks stay the reference's."""
+        monkeypatch.setattr(topology_mod, "PLAN_STORE_BYTES", 16 << 10)
+        m_ref, m_new = _pair(256, keep_message_records=True)
+        t_ref, t_new = m_ref.topology(DISTR_RING), m_new.topology(DISTR_RING)
+        _skew_clocks(m_ref, m_new)
+        for nbytes in (16, 32, 64, 16, 128):
+            for root in (0, 9):
+                _ref_broadcast(m_ref.network, root, nbytes, t_ref, False, "b")
+                m_new.network.broadcast(root, nbytes, t_new, tag="b")
+                _ref_fan(m_ref.network, root, nbytes, t_ref, "g", gather=True)
+                m_new.network.gather(root, nbytes, t_new, tag="g")
+            assert all(size == _held(plan) for plan, size in t_new._plans.values())
+            assert t_new._plan_bytes <= 16 << 10
+        assert 0 < len(t_new._plans) < 4
+        _assert_same(m_ref, m_new)
+
+
+    def test_no_plan_is_dropped_for_a_memo(self, monkeypatch):
+        """An ``alltoall`` at p = 256 fills the store with its 255 shift
+        plans: priced vectors take the room left and no more, so a
+        second pass rebuilds no plan."""
+        m = Machine(256)
+        topo = m.topology()
+        m.network.alltoall(4096, topo)
+        built = Counter()
+        edge_plan = VirtualTopology.edge_plan
+
+        def counting(self, *args, **kwargs):
+            built["plans"] += 1
+            return edge_plan(self, *args, **kwargs)
+
+        monkeypatch.setattr(VirtualTopology, "edge_plan", counting)
+        m.network.alltoall(4096, topo)
+        assert built == Counter()
+        assert len(topo._plans) == 255
+        priced = sum(4096 in plan.memo for plan, _ in topo._plans.values())
+        assert 0 < priced < 255
+        _store_is_exact(topo)
+
+    def test_machines_on_threads_share_one_counted_store(self, monkeypatch):
+        """Eight threads charge on one interned topology, the bound small
+        enough that plans are stored, grown and dropped all the time: the
+        store's count stays exact and every machine charges as alone."""
+        monkeypatch.setattr(topology_mod, "PLAN_STORE_BYTES", 8 << 10)
+
+        def run(machine):
+            topo = machine.topology(DISTR_RING)
+            ranks = np.arange(64)
+            for step in range(12):
+                nbytes = 8 << (step % 5)
+                machine.network.broadcast(step % 3, nbytes, topo)
+                machine.network.shift_batch(ranks, (ranks + 1 + step % 4) % 64,
+                                            nbytes, topo)
+                machine.network.gather(step % 2, nbytes, topo)
+
+        alone = Machine(64)
+        run(alone)
+        machines = [Machine(64, keep_message_records=bool(i % 2)) for i in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(m,)) for m in machines]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        topo = alone.topology(DISTR_RING)
+        assert all(m.topology(DISTR_RING) is topo for m in machines)
+        assert all(size == _held(plan) for plan, size in topo._plans.values())
+        assert topo._plan_bytes == sum(size for _, size in topo._plans.values())
+        assert topo._plan_bytes <= 8 << 10
+        for m in machines:
+            assert _fingerprint(m) == _fingerprint(alone)
+
+
+def _fingerprint(machine):
+    """Everything a charge leaves behind, floats by their bits."""
+    return (
+        [c.hex() for c in machine.network.clocks.tolist()],
+        [x.hex() if isinstance(x, float) else x for x in _stats_tuple(machine.stats)],
+    )
+
+
+def _fresh_tables():
+    for table in (TOPOLOGIES, BLOCK_DISTRIBUTIONS):
+        table._values.clear()
+
+
+class TestPricesNeverGoStale:
+    SLOW = T800_PARSYTEC.with_(t_setup=300e-6, t_byte=2.5e-6, store_and_forward=False)
+
+    @pytest.mark.parametrize("app,distr", [("gauss", DISTR_DEFAULT),
+                                           ("shpaths", DISTR_TORUS2D)])
+    def test_two_cost_models_and_a_what_if_replay_share_one_topology(self, app, distr):
+        """A machine under each cost model, with what-if replays under
+        perturbed models between them, all on one interned topology:
+        each charges exactly as on a topology of its own."""
+        refs = []
+        for cost in (T800_PARSYTEC, self.SLOW):
+            _fresh_tables()
+            refs.append(_fingerprint(run_traced(app, p=16, n=32, trace_level=0,
+                                                cost=cost).machine))
+        _fresh_tables()
+        first = run_traced(app, p=16, n=32, cost=T800_PARSYTEC)
+        run_whatif(
+            analyze_machine(first.machine), T800_PARSYTEC,
+            lambda cost, balance: run_traced(app, p=16, n=32, trace_level=0,
+                                             cost=cost,
+                                             balance_compute=balance).machine.time,
+        )
+        second = run_traced(app, p=16, n=32, trace_level=0, cost=self.SLOW)
+        again = run_traced(app, p=16, n=32, trace_level=0, cost=T800_PARSYTEC)
+        topo = first.machine.topology(distr)
+        assert second.machine.topology(distr) is topo is again.machine.topology(distr)
+        assert [_fingerprint(first.machine), _fingerprint(second.machine)] == refs
+        assert _fingerprint(again.machine) == refs[0]
+
+    def test_a_work_term_after_its_distribution_was_re_interned(self):
+        """The kept seconds of a ``work`` / ``memcpy`` term are keyed by
+        the identity of the count vector; the entry holds the vector, so
+        a distribution dropped from the intern table and built again (a
+        new vector, possibly where the old one lived) is priced anew."""
+        m_kept, m_ref = Machine(8), Machine(8)
+        kept, ref = Charge(m_kept, DPFL), Charge(m_ref, DPFL)
+        for shape in ((43,), (61,), (43,), (8,), (61,)):
+            _fresh_tables()
+            gc.collect()
+            sizes = BlockDistribution.shared(shape, (8,)).part_sizes()
+            assert not sizes.flags.writeable
+            for _ in range(2):
+                kept.work((sizes, 2.0), (kept.folds(sizes), 1.0), realloc_itemsize=8)
+                kept.memcpy(sizes, 8)
+                fresh = sizes.copy()  # writeable: priced on every call
+                ref.work((fresh, 2.0), (np.maximum(0, fresh - 1), 1.0),
+                         realloc_itemsize=8)
+                ref.memcpy(fresh, 8)
+                assert _fingerprint(m_kept) == _fingerprint(m_ref)

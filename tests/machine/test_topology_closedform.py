@@ -157,7 +157,7 @@ class TestBinomialRoundArrays:
                 assert np.unique(ranks).size == ranks.size
 
     def test_arrays_are_readonly(self):
-        # the memo moved to VirtualTopology.round_plans (under the plan
+        # the memo moved to VirtualTopology.tree_plan (under the plan
         # store's byte bound; see test_charge_plans.py)
         a = binomial_round_arrays(256, 0)
         with pytest.raises(ValueError):
