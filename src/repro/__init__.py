@@ -34,7 +34,6 @@ from repro.errors import (
     InstantiationError,
     LocalityError,
     MachineError,
-    MemoryLimitError,
     SkeletonError,
     SkilError,
     SkilRuntimeError,
@@ -71,7 +70,6 @@ __all__ = [
     "DISTR_TORUS2D",
     "SkilError",
     "MachineError",
-    "MemoryLimitError",
     "TopologyError",
     "DeadlockError",
     "DistributionError",

@@ -21,10 +21,11 @@ Eight families interleave: ``p2p`` (random message lists: repeats,
 locals, fan-out runs), ``shift``, ``tree`` (broadcast / reduce /
 allreduce / barrier), ``fan`` (gather / scatter), ``ring`` (allgather /
 alltoall), ``hops`` (the closed-form hop arithmetic,
-:meth:`~repro.machine.topology.VirtualTopology.hops_vec`, against the
-dense ``hop_matrix()`` entry for entry), ``plan_reuse`` (a handful of
-patterns charged repeatedly and interleaved on one machine, so that the
-charges run from memoized plans) and ``fused_comm`` (a random
+:meth:`~repro.machine.topology.VirtualTopology.hops_vec` and
+``edge_hops``, against the scalar ``mesh.hops(place(s), place(d))``),
+``plan_reuse`` (a handful of patterns charged repeatedly and
+interleaved on one machine, so that the charges run from memoized
+plans) and ``fused_comm`` (a random
 communication-skeleton workload — ``array_broadcast_part``,
 ``array_permute_rows``, ``array_rotate_rows``, ``array_scan``,
 ``array_gen_mult`` — once on the fused data-movement paths and once per
@@ -112,18 +113,17 @@ def _compare_machines(m_ref: Machine, m_new: Machine, label: str) -> str | None:
 def _machine_pair(
     rng: random.Random, big: bool = False
 ) -> tuple[Machine, Machine, str, int]:
-    """Two identical machines, a topology name and p.  *big* draws p in
-    the hundreds, untraced (a recorded timeline there is all the wall
-    time of the trial)."""
+    """Two identical machines, a topology name and p.  The trace level
+    is 0 (counters), 1 (metrics: per-message booking, no timeline) or 2
+    (records, timeline and fold); *big* draws p in the hundreds,
+    untraced (a recorded timeline there is all the wall time of the
+    trial)."""
     p = rng.choice([100, 256, 512, 1024] if big else [2, 3, 4, 5, 8, 16, 31, 64])
     distr = rng.choice([DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D])
-    trace_level = 0 if big else rng.choice([0, 0, 2])
     kwargs = dict(
-        trace_level=trace_level,
+        trace_level=0 if big else rng.choice([0, 1, 2]),
         trace_mode="record",
-        keep_message_records=trace_level == 0 and bool(rng.getrandbits(1)),
         use_virtual_topologies=bool(rng.getrandbits(1)),
-        link_contention=rng.random() < 0.3,
     )
     return Machine(p, **kwargs), Machine(p, **kwargs), distr, p
 
@@ -177,10 +177,9 @@ def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
     new = net.clocks.copy()
     for s, _ in pairs:
         new[s] = max(new[s], depart[s])
-    slowdown = _ref_contention(net, pairs, nb, topo)
     for s, d in pairs:
         hops = topo.edge_hops(s, d)
-        wire = net.cost.message_time(nb(s), hops) * slowdown.get((s, d), 1.0)
+        wire = net.cost.message_time(nb(s), hops)
         arrival = depart[s] + wire
         net.stats.idle_seconds += max(0.0, arrival - old[d])
         new[d] = max(new[d], arrival)
@@ -196,27 +195,6 @@ def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
                 d, "recv", max(float(old[d]), arrival - wire), arrival, tag
             )
     net.clocks = new
-
-
-def _ref_contention(net, pairs, nb, topo) -> dict:
-    """Historical dict-based contention factors (max of per-link ratios)."""
-    if not net.link_contention:
-        return {}
-    link_load: dict[tuple[int, int], int] = {}
-    routes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for s, d in pairs:
-        route = topo.mesh.route_links(topo.place(s), topo.place(d))
-        routes[(s, d)] = route
-        for link in route:
-            link_load[link] = link_load.get(link, 0) + nb(s)
-    factors: dict[tuple[int, int], float] = {}
-    for s, d in pairs:
-        own = max(1, nb(s))
-        worst = max(
-            (link_load[link] / own for link in routes[(s, d)]), default=1.0
-        )
-        factors[(s, d)] = max(1.0, worst)
-    return factors
 
 
 def _ref_broadcast(net, root, nbytes, topo, sync, tag) -> None:
@@ -411,7 +389,9 @@ def trial_ring(rng: random.Random) -> tuple[str | None, dict[str, int]]:
 
 
 def trial_hops(rng: random.Random) -> tuple[str | None, dict[str, int]]:
-    """hops_vec == hop_matrix entry for entry, for every embedding."""
+    """hops_vec and edge_hops == the scalar mesh distance of the placed
+    endpoints, for every embedding: all pairs up to p = 64, a random
+    4096 above."""
     p = rng.choice([1, 2, 5, 8, 16, 31, 64, 100, 256])
     mesh = Mesh2D.for_processors(p)
     builders = [
@@ -422,15 +402,19 @@ def trial_hops(rng: random.Random) -> tuple[str | None, dict[str, int]]:
         lambda: BinomialTree(mesh, root=rng.randrange(p)),
     ]
     topo = rng.choice(builders)()
-    hm = topo.hop_matrix()
-    s, d = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-    if not np.array_equal(topo.hops_vec(s, d), hm):
-        return f"hops_vec != hop_matrix (p={p}, {type(topo).__name__})", {}
+    if p <= 64:
+        s, d = (a.ravel() for a in np.meshgrid(np.arange(p), np.arange(p)))
+    else:
+        s, d = (np.asarray([rng.randrange(p) for _ in range(4096)]) for _ in "sd")
+    place = [topo.place(r) for r in range(p)]
+    ref = [mesh.hops(place[a], place[b]) for a, b in zip(s.tolist(), d.tolist())]
+    if topo.hops_vec(s, d).tolist() != ref:
+        return f"hops_vec != mesh.hops (p={p}, {type(topo).__name__})", {}
     for _ in range(8):
-        src, dst = rng.randrange(p), rng.randrange(p)
-        if topo.edge_hops(src, dst) != int(hm[src, dst]):
+        i = rng.randrange(len(ref))
+        if topo.edge_hops(int(s[i]), int(d[i])) != ref[i]:
             return (
-                f"edge_hops({src},{dst}) != matrix (p={p}, "
+                f"edge_hops({int(s[i])},{int(d[i])}) != mesh.hops (p={p}, "
                 f"{type(topo).__name__})"
             ), {}
     return None, {"charging.hops": 1}
@@ -466,7 +450,7 @@ def trial_plan_reuse(rng: random.Random) -> tuple[str | None, dict[str, int]]:
             m_new.reset()
             _perturb(rng, m_ref, m_new)
         if rng.random() < 0.15:
-            cost = m_ref.cost.with_(store_and_forward=bool(rng.getrandbits(1)),
+            cost = m_ref.cost.with_(t_byte=rng.choice([1e-6, 2.5e-6]),
                                     t_setup=rng.choice([150e-6, 90e-6]))
             m_ref.network.cost = m_new.network.cost = cost
         kind = rng.choice(

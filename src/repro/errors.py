@@ -24,10 +24,6 @@ class MachineError(SkilError):
     """Errors in the simulated machine (bad rank, bad topology, ...)."""
 
 
-class MemoryLimitError(MachineError):
-    """A node exceeded its configured memory capacity (1 MB on the T800)."""
-
-
 class TopologyError(MachineError):
     """Invalid topology construction or addressing."""
 

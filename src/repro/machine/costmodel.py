@@ -77,17 +77,16 @@ class CostModel:
     t_setup:
         Software cost to initiate one message (both ends combined).
     t_byte:
-        Seconds per byte per *link traversal* (store-and-forward) or per
-        message (cut-through), depending on *store_and_forward*.
+        Seconds per byte per *link traversal*: the T800/Parix generation
+        forwarded whole packets hop by hop (store-and-forward), so a
+        message pays its bytes on every link it crosses.
     t_hop:
         Routing latency added per hardware hop.
-    store_and_forward:
-        The T800/Parix generation forwarded whole packets hop by hop;
-        keep ``True`` for the paper preset.
     memory_bytes:
         RAM per node.  The Parsytec MC exposed only 1 MB, which is why
         the paper says "larger problem sizes could only be fitted into
-        larger networks"; the machine enforces this when asked to.
+        larger networks"; ``repro.eval.harness.fits_paper_memory``
+        decides which table cells fit.
     """
 
     t_op: float = 6.0e-6
@@ -95,7 +94,6 @@ class CostModel:
     t_setup: float = 150e-6
     t_byte: float = 1.0e-6
     t_hop: float = 5e-6
-    store_and_forward: bool = True
     memory_bytes: int = 1 << 20
 
     def message_time(self, nbytes: int, hops: int) -> float:
@@ -108,9 +106,7 @@ class CostModel:
         if hops <= 0:
             # local "message" — modelled as a block copy
             return nbytes * self.t_mem
-        if self.store_and_forward:
-            return hops * (self.t_hop + nbytes * self.t_byte)
-        return hops * self.t_hop + nbytes * self.t_byte
+        return hops * (self.t_hop + nbytes * self.t_byte)
 
     def message_time_vec(self, nbytes, hops, all_remote: bool = False):
         """Vectorized :meth:`message_time` over a float64 *hops* array.
@@ -124,10 +120,7 @@ class CostModel:
         local-copy branch.
         """
         nb = nbytes if isinstance(nbytes, int) else np.asarray(nbytes, dtype=np.float64)
-        if self.store_and_forward:
-            wire = hops * (self.t_hop + nb * self.t_byte)
-        else:
-            wire = hops * self.t_hop + nb * self.t_byte
+        wire = hops * (self.t_hop + nb * self.t_byte)
         if all_remote:
             return wire
         return np.where(hops <= 0.0, nb * self.t_mem, wire)
@@ -169,11 +162,8 @@ class LanguageProfile:
     async_comm:
         Whether the backend uses asynchronous communication where the
         pattern allows overlap.  The old C shortest-paths baseline of
-        Table 1 did not.
-    virtual_topologies:
-        Whether the backend maps arrays onto folded virtual topologies.
-        Again, the old C baseline did not (wrap-around rotations then
-        cross the whole mesh).
+        Table 1 did not.  (Nor did it use folded virtual topologies: that
+        is the machine's embedding, ``make_c_machine(old=True)``.)
     """
 
     name: str
@@ -184,7 +174,6 @@ class LanguageProfile:
     comm_byte_factor: float = 1.0
     copy_on_update: bool = False
     async_comm: bool = True
-    virtual_topologies: bool = True
 
     def elem_time(self, cost: CostModel, ops_per_elem: float = 1.0) -> float:
         """Per-element compute time: scaled ops + residual calls + closures."""
@@ -210,7 +199,6 @@ PARIX_C_OLD = LanguageProfile(
     name="parix-c-old",
     elem_factor=1.35,
     async_comm=False,
-    virtual_topologies=False,
 )
 
 #: Skil with translation by instantiation (the paper's system)

@@ -9,16 +9,13 @@ documented in DESIGN.md §2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.errors import MachineError, MemoryLimitError, TopologyError
+from repro.errors import MachineError, TopologyError
 from repro.machine.costmodel import CostModel, T800_PARSYTEC
 from repro.machine.network import Network
 from repro.machine.topology import (
     TOPOLOGIES,
-    BinomialTree,
     DefaultMapping,
     Mesh2D,
     Ring,
@@ -46,26 +43,12 @@ DISTR_TORUS2D = "DISTR_TORUS2D"
 STREAM_AUTO_P = 4096
 
 
-@dataclass
-class _NodeMemory:
-    capacity: int
-    used: int = 0
-
-    def alloc(self, nbytes: int, strict: bool, rank: int) -> None:
-        self.used += nbytes
-        if strict and self.used > self.capacity:
-            raise MemoryLimitError(
-                f"node {rank}: {self.used} bytes exceed the {self.capacity}-byte "
-                "node memory (the Parsytec MC had 1 MB per node; use a larger "
-                "network or Machine(strict_memory=False))"
-            )
-
-    def free(self, nbytes: int) -> None:
-        self.used = max(0, self.used - nbytes)
-
-
 class Machine:
-    """A ``p``-processor distributed-memory machine.
+    """A ``p``-processor distributed-memory machine: the paper's T800
+    mesh (store-and-forward links that never contend, see
+    :class:`~repro.machine.network.Network`) with per-rank byte counters
+    (:meth:`alloc`, :meth:`free`, :meth:`memory_used`) that count and
+    never limit.
 
     Parameters
     ----------
@@ -73,14 +56,6 @@ class Machine:
         Number of processors; arranged as the most-square 2-D mesh.
     cost:
         Hardware cost model; defaults to the T800/Parix preset.
-    strict_memory:
-        Enforce the per-node memory limit (1 MB in the preset).  Off by
-        default so modern-size test problems fit; the Table 1/2 harness
-        switches it on to reproduce which problem sizes fit on which
-        networks.
-    keep_message_records:
-        Retain individual message records in the trace (for debugging and
-        the trace tests; costs memory on long runs).
     use_virtual_topologies:
         When ``False``, every virtual topology degenerates to the naive
         embedding (wrap-around edges cross the mesh) — models the old C
@@ -94,7 +69,8 @@ class Machine:
           the backend's dispatch stamps) and a
           :class:`~repro.obs.metrics.MetricsRegistry`;
         * ``2`` — plus a per-rank :class:`~repro.obs.timeline.Timeline`,
-          individual message records and the critical-path fold
+          individual message records (record mode: the only way to get
+          them) and the critical-path fold
           (:class:`~repro.obs.analysis.PathFold`).
     trace_mode:
         How observability data is retained (DESIGN: docs/OBSERVABILITY.md):
@@ -139,10 +115,7 @@ class Machine:
         self,
         p: int,
         cost: CostModel = T800_PARSYTEC,
-        strict_memory: bool = False,
-        keep_message_records: bool = False,
         use_virtual_topologies: bool = True,
-        link_contention: bool = False,
         trace_level: int = 0,
         trace_mode: str | None = None,
         stream=None,
@@ -169,13 +142,8 @@ class Machine:
         self.trace_level = trace_level
         self.trace_mode = trace_mode
         streaming = trace_mode == "stream"
-        self.stats = TraceStats(
-            keep_records=keep_message_records
-            or (trace_level >= 2 and not streaming)
-        )
-        self.network = Network(
-            cost, p, stats=self.stats, link_contention=link_contention
-        )
+        self.stats = TraceStats(keep_records=trace_level >= 2 and not streaming)
+        self.network = Network(cost, p, stats=self.stats)
         #: observability objects; ``None`` when the level does not pay
         #: for them, so every hot-path check is one ``is None`` test.
         #: They share ``self.stats`` and the network clocks — see
@@ -218,9 +186,11 @@ class Machine:
 
                 self.timeline = Timeline()
                 self.network.timeline = self.timeline
-        self.strict_memory = strict_memory
         self.use_virtual_topologies = use_virtual_topologies
-        self._memory = [_NodeMemory(cost.memory_bytes) for _ in range(p)]
+        #: bytes each rank holds now (distributed-array partitions); a
+        #: count, not a limit — which sizes fit the paper's 1 MB nodes is
+        #: ``repro.eval.harness.fits_paper_memory``'s closed form
+        self._memory = [0] * p
         self._topologies: dict[str, VirtualTopology] = {}
         from repro.machine.backend import make_backend
 
@@ -315,24 +285,21 @@ class Machine:
             topo = self._topologies[distr] = TOPOLOGIES.get(key, lambda: _embed(*key))
         return topo
 
-    def tree(self, root: int = 0) -> BinomialTree:
-        return BinomialTree(self.mesh, root=root)
-
     # ------------------------------------------------------------------ memory
     def alloc(self, rank: int, nbytes: int) -> None:
         self._check_rank(rank)
-        self._memory[rank].alloc(int(nbytes), self.strict_memory, rank)
+        self._memory[rank] += int(nbytes)
 
     def free(self, rank: int, nbytes: int) -> None:
         self._check_rank(rank)
-        self._memory[rank].free(int(nbytes))
+        self._memory[rank] = max(0, self._memory[rank] - int(nbytes))
 
     def memory_used(self, rank: int) -> int:
         self._check_rank(rank)
-        return self._memory[rank].used
+        return self._memory[rank]
 
     def max_memory_used(self) -> int:
-        return max(m.used for m in self._memory)
+        return max(self._memory)
 
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.p):

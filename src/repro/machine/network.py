@@ -73,6 +73,11 @@ def _byte_counts(nbytes, k: int, ranks: np.ndarray | None = None):
 class Network:
     """Per-processor clocks plus the message cost arithmetic.
 
+    Messages are store-and-forward (:meth:`CostModel.message_time
+    <repro.machine.costmodel.CostModel.message_time>`) and links never
+    contend: the transfers of one wave proceed in parallel whatever
+    hardware links their routes share — the paper's T800 model.
+
     Parameters
     ----------
     cost:
@@ -83,13 +88,7 @@ class Network:
         Optional shared statistics accumulator.
     """
 
-    def __init__(
-        self,
-        cost: CostModel,
-        p: int,
-        stats: TraceStats | None = None,
-        link_contention: bool = False,
-    ):
+    def __init__(self, cost: CostModel, p: int, stats: TraceStats | None = None):
         if p <= 0:
             raise MachineError(f"need at least one processor, got p={p}")
         self.cost = cost
@@ -97,10 +96,6 @@ class Network:
         self.clocks = np.zeros(p, dtype=np.float64)
         self._all_ranks = np.arange(p, dtype=np.int64)
         self.stats = stats if stats is not None else TraceStats()
-        #: when enabled, simultaneous transfers in a :meth:`shift` whose
-        #: dimension-ordered routes share a directed hardware link are
-        #: slowed by the link's total load (approximate serialization)
-        self.link_contention = link_contention
         #: optional observability sinks (attached by
         #: :class:`repro.machine.machine.Machine` when tracing is on);
         #: every hot-path use is guarded by one ``is None`` test so the
@@ -597,9 +592,6 @@ class Network:
                 ended = np.maximum(ended[dsts], finish)
                 self.timeline.add_lanes(((dsts, "send", ended, clocks[dsts]),), tag)
             return
-        if self.link_contention:
-            wire = wire * self._contention_factors(srcs, dsts, nb, topo)
-            terms = wire + cost.t_setup
         departs = old_src + cost.t_setup
         arrival = departs + wire
         clocks[srcs] = np.maximum(old_src, departs)
@@ -612,40 +604,6 @@ class Network:
                 srcs, dsts, old_src, departs, old_dst, arrival, wire, tag,
                 (srcs, dsts, departs, arrival, plan.hops, nb, None),
             )
-
-    def _contention_factors(self, srcs, dsts, nb, topo: VirtualTopology):
-        """Per-transfer slowdown from shared directed hardware links.
-
-        A transfer's factor is the worst byte-load ratio among the links
-        of its dimension-ordered route: if a link carries 3x this
-        transfer's bytes in total, the transfer runs 3x slower on it —
-        an upper-bound approximation of store-and-forward serialization.
-        Only computed when :attr:`link_contention` is enabled.
-
-        Link keys are the integer-id route arrays memoized on the
-        topology (:meth:`VirtualTopology.route_link_ids`) and loads are
-        accumulated into one flat array — no per-call dictionaries.  The
-        factors equal the historical dict-based computation bit-for-bit:
-        integer byte loads are exact, and the max of per-link quotients
-        equals the quotient of the max load for a shared positive
-        divisor (IEEE division is monotone).
-        """
-        sl = srcs.tolist()
-        dl = dsts.tolist()
-        nl = [nb] * len(sl) if isinstance(nb, int) else nb.tolist()
-        routes = [topo.route_link_ids(s, d) for s, d in zip(sl, dl)]
-        factors = np.ones(len(sl), dtype=np.float64)
-        lens = [int(r.size) for r in routes]
-        if not any(lens):
-            return factors
-        all_ids = np.concatenate(routes)
-        loads = np.zeros(topo.mesh.p * topo.mesh.p, dtype=np.int64)
-        np.add.at(loads, all_ids, np.repeat(np.asarray(nl, dtype=np.int64), lens))
-        for i, route in enumerate(routes):
-            if lens[i]:
-                own = max(1, nl[i])
-                factors[i] = max(1.0, float(loads[route].max()) / own)
-        return factors
 
     # ------------------------------------------------------------------ trees
     def broadcast(

@@ -63,20 +63,12 @@ __all__ = [
     "Torus2D",
     "BinomialTree",
     "square_grid",
-    "binomial_round_arrays",
-    "DENSE_HOPS_MAX_P",
     "EdgePlan",
     "PLAN_STORE_BYTES",
     "InternTable",
     "INTERN_BYTES",
     "TOPOLOGIES",
 ]
-
-#: largest topology for which the dense ``(p, p)`` hop matrix may be
-#: materialized; above it every consumer must go through the closed-form
-#: :meth:`VirtualTopology.hops_vec` (a ``(p, p)`` int64 matrix at
-#: p = 65536 would be 32 GiB)
-DENSE_HOPS_MAX_P = 2048
 
 #: bound, in bytes, on the charge plans one topology memoizes (edge
 #: arrays, hop vectors and order masks, and what each plan memoizes:
@@ -207,7 +199,7 @@ class EdgePlan:
     @property
     def nbytes(self) -> int:
         arrays = (self.srcs, self.dsts, self.hops_f) + (self.order or ())
-        return sum(a.nbytes for a in arrays) + sum(
+        return sum(map(_held_bytes, arrays)) + sum(
             _array_bytes(v) for v in tuple(self.memo.values())
         )
 
@@ -219,7 +211,18 @@ def _arrays(value) -> list:
 
 
 def _array_bytes(value) -> int:
-    return sum(a.nbytes for a in _arrays(value))
+    return sum(map(_held_bytes, _arrays(value)))
+
+
+def _held_bytes(a: np.ndarray) -> int:
+    """The bytes *a* holds: ``nbytes``, except that an axis of stride 0
+    (``np.broadcast_to``: a fan plan's one destination) repeats what the
+    array holds instead of adding to it."""
+    if 0 not in a.strides:
+        return a.nbytes
+    if a.size == 0:
+        return 0
+    return a.itemsize * math.prod(n for n, st in zip(a.shape, a.strides) if st)
 
 
 #: the memo key under which a stored plan names its store:
@@ -282,28 +285,6 @@ class Mesh2D:
         r2, c2 = self.coords(dst)
         return abs(r1 - r2) + abs(c1 - c2)
 
-    def route_links(self, src: int, dst: int) -> list[tuple[int, int]]:
-        """Directed hardware links of the X-then-Y route (contention model).
-
-        Transputer-era routers used dimension-ordered routing; two
-        messages whose routes share a directed link serialize on it.
-        """
-        r1, c1 = self.coords(src)
-        r2, c2 = self.coords(dst)
-        links: list[tuple[int, int]] = []
-        cur = (r1, c1)
-        step = 1 if c2 > c1 else -1
-        for c in range(c1, c2, step):
-            nxt = (r1, c + step)
-            links.append((self.rank_of(*cur), self.rank_of(*nxt)))
-            cur = nxt
-        step = 1 if r2 > r1 else -1
-        for r in range(r1, r2, step):
-            nxt = (r + step, c2)
-            links.append((self.rank_of(*cur), self.rank_of(*nxt)))
-            cur = nxt
-        return links
-
     def neighbors(self, rank: int) -> list[int]:
         """Physically adjacent nodes (the T800 has four links)."""
         r, c = self.coords(rank)
@@ -335,9 +316,9 @@ class VirtualTopology:
         # charging hot paths use the O(p) placed-coordinate arrays
         self._place_vec: np.ndarray | None = None
         self._placed_coords: tuple[np.ndarray, np.ndarray] | None = None
-        # charge plans (and the dense hop matrix and route link ids)
-        # keyed by pattern, with their sizes (insertion order is
-        # eviction order); at most PLAN_STORE_BYTES in total
+        # charge plans (and Gentleman's move pairs) keyed by pattern,
+        # with their sizes (insertion order is eviction order); at most
+        # PLAN_STORE_BYTES in total
         self._plans: dict[object, tuple[object, int]] = {}
         self._plan_bytes = 0
         # machines on several threads may share the topology: one
@@ -401,38 +382,11 @@ class VirtualTopology:
 
         Accepts arrays or scalars (numpy broadcasting applies) and
         computes the Manhattan distances from the O(p) placed-coordinate
-        arrays — entry for entry the same integers as
-        ``hop_matrix()[srcs, dsts]``, without ever materializing the
-        dense ``(p, p)`` matrix.
+        arrays — entry for entry ``mesh.hops(place(s), place(d))``, with
+        no ``(p, p)`` matrix at any p.
         """
         rows, cols = self.placed_coords()
         return np.abs(rows[srcs] - rows[dsts]) + np.abs(cols[srcs] - cols[dsts])
-
-    def hop_matrix(self) -> np.ndarray:
-        """Memoized ``(p, p)`` matrix of hardware hops per logical edge.
-
-        ``hop_matrix()[s, d] == mesh.hops(place(s), place(d))`` — the
-        Manhattan distance of the dimension-ordered route between the
-        placed nodes.  Only available up to ``DENSE_HOPS_MAX_P`` ranks;
-        larger topologies must use the closed-form :meth:`hops_vec`
-        (which is bit-identical entry for entry).  Kept in the plan
-        store, so under its byte bound.
-        """
-        if self.p > DENSE_HOPS_MAX_P:
-            raise TopologyError(
-                f"dense hop matrix disabled above {DENSE_HOPS_MAX_P} ranks "
-                f"(topology has {self.p}); use hops_vec(srcs, dsts)"
-            )
-
-        def build():
-            rows, cols = self.placed_coords()
-            hops = np.abs(rows[:, None] - rows[None, :]) + np.abs(
-                cols[:, None] - cols[None, :]
-            )
-            hops.setflags(write=False)
-            return hops
-
-        return self._memo(("dense",), build)
 
     def edge_hops(self, src: int, dst: int) -> int:
         """Hardware hops for a message on the logical edge *src*→*dst*.
@@ -547,7 +501,7 @@ class VirtualTopology:
             for key, (value, size) in plans.items():
                 if self._plan_bytes <= PLAN_STORE_BYTES:
                     break
-                if isinstance(value, EdgePlan):
+                if isinstance(value, EdgePlan) and len(value.memo) > 1:
                     store = value.memo[_STORE]
                     value.memo.clear()
                     value.memo[_STORE] = store
@@ -579,8 +533,9 @@ class VirtualTopology:
 
     def tree_plan(self, root: int) -> EdgePlan:
         """Memoized plan of the binomial broadcast from *root*: every
-        edge, round after round, with the rounds' ranges in ``bounds``
-        (:func:`binomial_round_arrays`); reductions use it flipped."""
+        edge, round after round — the edges of ``_binomial_rounds``, in
+        its order — with the rounds' ``(lo, hi)`` ranges in ``bounds``;
+        reductions use it flipped."""
 
         def build():
             srcs, dsts, bounds = _binomial_tree_edges(self.p, root)
@@ -599,26 +554,6 @@ class VirtualTopology:
             return self.edge_plan(ranks, np.broadcast_to(np.int64(root), ranks.shape))
 
         return self._memo(("fan", root), build)
-
-    def route_link_ids(self, src: int, dst: int) -> np.ndarray:
-        """Directed hardware link ids of the logical edge's route.
-
-        Link ``(u, v)`` is encoded as ``u * mesh.p + v``; the arrays are
-        memoized per logical edge (read-only, in the plan store) so the
-        contention model can histogram link loads without rebuilding
-        per-call dictionaries.
-        """
-
-        def build():
-            links = self.mesh.route_links(self.place(src), self.place(dst))
-            mp = self.mesh.p
-            ids = np.fromiter(
-                (u * mp + v for (u, v) in links), dtype=np.int64, count=len(links)
-            )
-            ids.setflags(write=False)
-            return ids
-
-        return self._memo(("route", src, dst), build)
 
     def edges(self) -> Iterator[tuple[int, int]]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -789,12 +724,6 @@ class BinomialTree(VirtualTopology):
     def rounds(self) -> int:
         return max(1, math.ceil(math.log2(self.p))) if self.p > 1 else 0
 
-    def relative(self, rank: int) -> int:
-        return (rank - self.root) % self.p
-
-    def absolute(self, rel: int) -> int:
-        return (rel + self.root) % self.p
-
     def broadcast_rounds(self) -> list[list[tuple[int, int]]]:
         """List of rounds; each round is a list of (src, dst) logical edges."""
         return [list(rnd) for rnd in _binomial_rounds(self.p, self.root)]
@@ -855,29 +784,6 @@ def _binomial_tree_edges(
     srcs.setflags(write=False)
     dsts.setflags(write=False)
     return srcs, dsts, [(step - 1, step - 1 + n) for step, n in zip(steps, counts)]
-
-
-def binomial_round_arrays(
-    p: int, root: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Closed-form binomial broadcast schedule as per-round edge arrays.
-
-    Round *k* (step = 2^k) informs ranks ``step .. min(2*step, p) - 1``
-    relative to the root, so its edge list is exactly
-
-    ``rel = 0 .. min(step, p - step) - 1:  (rel + root) % p  →
-    (rel + step + root) % p``
-
-    — the same edges, in the same order, as the Python-tuple schedule
-    ``_binomial_rounds`` (the filter ``rel + step < p`` over
-    ``range(min(step, p))`` is the range ``min(step, p - step)``).  The
-    arrays are read-only views of one whole-tree pair, generated in
-    O(edges) numpy work with no per-rank Python loop.  Not memoized
-    here: the plans built from them are, per topology and under its byte
-    bound (:meth:`VirtualTopology.tree_plan`).
-    """
-    srcs, dsts, bounds = _binomial_tree_edges(p, root)
-    return tuple((srcs[lo:hi], dsts[lo:hi]) for lo, hi in bounds)
 
 
 def _folded_order(n: int) -> list[int]:

@@ -40,11 +40,6 @@ class MessageRecord:
     tag: str
     depart: float = -1.0
 
-    @property
-    def wire_seconds(self) -> float:
-        """Transfer time on the wire (0.0 when the departure is unknown)."""
-        return self.time - self.depart if self.depart >= 0.0 else 0.0
-
 
 @dataclass
 class TraceStats:

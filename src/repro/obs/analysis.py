@@ -628,7 +628,7 @@ def run_whatif(
     *runner(cost, balance_compute)* re-runs the application on a fresh
     machine and returns its makespan.  Removing one component can gain
     at most its critical-path attribution, plus *slack_frac* of the
-    makespan for the model's approximations (contention); balanced
+    makespan for the model's approximations; balanced
     compute redistributes rather than removes work, so it has no bound.
 
     Balanced compute is a knob of the charged waves only

@@ -43,7 +43,7 @@ from repro.obs.analysis import analyze_machine, run_whatif
 
 TRACE = {
     "off": {},
-    "records": {"keep_message_records": True},
+    "metrics": {"trace_level": 1},
     "record": {"trace_level": 2, "trace_mode": "record"},
     "stream": {"trace_level": 2, "trace_mode": "stream"},
 }
@@ -84,30 +84,8 @@ class TestShiftsMatchTheScalarReference:
             m_new.network.shift(pairs, nbytes, m_new.topology(distr), sync=sync, tag="t")
             _assert_same(m_ref, m_new, f"{distr} sync={sync}")
 
-    @pytest.mark.parametrize("sync", [False, True])
-    def test_cut_through_cost_model(self, sync):
-        cost = T800_PARSYTEC.with_(store_and_forward=False)
-        m_ref, m_new = _pair(cost=cost, keep_message_records=True)
-        _skew_clocks(m_ref, m_new)
-        for nbytes in (1, PER_SOURCE, 8192):
-            _ref_shift(m_ref.network, MIXED, nbytes, m_ref.topology(), sync, "ct")
-            m_new.network.shift(MIXED, nbytes, m_new.topology(), sync=sync, tag="ct")
-            _assert_same(m_ref, m_new)
-
-    @pytest.mark.parametrize("nbytes", [512, PER_SOURCE], ids=["scalar", "map"])
-    def test_link_contention(self, nbytes):
-        m_ref, m_new = _pair(16, link_contention=True, trace_level=2)
-        _skew_clocks(m_ref, m_new)
-        pairs = [(r, (r + 5) % 16) for r in range(16)]
-        if not np.isscalar(nbytes):
-            nbytes = {s: 64 + 100 * s for s, _ in pairs}
-        for _ in range(2):
-            _ref_shift(m_ref.network, pairs, nbytes, m_ref.topology(), False, "lc")
-            m_new.network.shift(pairs, nbytes, m_new.topology(), tag="lc")
-            _assert_same(m_ref, m_new)
-
     def test_shift_batch_takes_arrays_and_lists_alike(self):
-        m_a, m_b = _pair(keep_message_records=True)
+        m_a, m_b = _pair(trace_level=2)
         srcs, dsts = zip(*MIXED)
         m_a.network.shift_batch(list(srcs), list(dsts), 100, m_a.topology())
         m_b.network.shift_batch(
@@ -187,7 +165,7 @@ class TestPlansAreReused:
         # a reset: same plans, nothing recomputed
         net.shift_batch(srcs.copy(), dsts.copy(), 4096, topo, sync=True)
         net.reduce(5, 7, topo, combine_seconds=1e-6)
-        net.cost = m_new.cost.with_(store_and_forward=False, t_setup=1e-5)
+        net.cost = m_new.cost.with_(t_byte=2.5e-6, t_setup=1e-5)
         net.shift_batch(srcs, dsts, np.arange(16) * 10, topo)
         m_new.reset()
         _skew_clocks(m_new)
@@ -339,7 +317,7 @@ class TestTheMemoIsBounded:
         """Not kept in the shared topology: the reference machine, which
         shares it, finds the store empty too."""
         monkeypatch.setattr(topology_mod, "PLAN_STORE_BYTES", 256)
-        m_ref, m_new = _pair(16, keep_message_records=True)
+        m_ref, m_new = _pair(16, trace_level=2)
         pairs = [(r, (r + 1) % 16) for r in range(16)]
         _ref_shift(m_ref.network, pairs, 32, m_ref.topology(), True, "big")
         m_new.network.shift(pairs, 32, m_new.topology(), sync=True, tag="big")
@@ -350,13 +328,14 @@ class TestTheMemoIsBounded:
 
 
 def _held(plan) -> int:
-    """The bytes of every array a plan holds, its memo included."""
+    """The bytes of every array a plan holds, its memo included (a fan
+    plan's one destination, broadcast with stride 0, holds one int)."""
     arrays = [plan.srcs, plan.dsts, plan.hops_f, *(plan.order or ())]
     for value in plan.memo.values():
         for a in value if isinstance(value, tuple) else (value,):
             if isinstance(a, np.ndarray):
                 arrays.append(a)
-    return sum(a.nbytes for a in arrays)
+    return sum(a.itemsize if a.strides == (0,) else a.nbytes for a in arrays)
 
 
 def _store_is_exact(topo) -> None:
@@ -380,13 +359,24 @@ class TestWhatPlansMemoizeIsCounted:
         _store_is_exact(topo)
         assert TOPOLOGIES.nbytes <= TOPOLOGIES.bound
 
+    def test_a_fan_plan_counts_its_one_destination_once(self):
+        """``fan_plan``'s destination is one int broadcast over p - 1
+        edges: 8 bytes held, not 8 (p - 1)."""
+        p = 4096
+        topo = Machine(p).topology()
+        plan = topo.fan_plan(7)
+        assert plan.dsts.strides == (0,)
+        assert plan.nbytes == 8 * (p - 1) * 2 + 8  # srcs, hops_f, dsts
+        assert topo._plans[("fan", 7)][1] == plan.nbytes
+        _store_is_exact(topo)
+
     def test_memos_take_only_the_room_left(self, monkeypatch):
         """The bound counts priced vectors and traced hops: at 16 KiB a
         p = 256 store holds a few plans, what they memoize is kept only
         while it fits, and a new plan makes room by the oldest plans'
         memos, then the oldest plans — the clocks stay the reference's."""
         monkeypatch.setattr(topology_mod, "PLAN_STORE_BYTES", 16 << 10)
-        m_ref, m_new = _pair(256, keep_message_records=True)
+        m_ref, m_new = _pair(256, trace_level=2)
         t_ref, t_new = m_ref.topology(DISTR_RING), m_new.topology(DISTR_RING)
         _skew_clocks(m_ref, m_new)
         for nbytes in (16, 32, 64, 16, 128):
@@ -441,7 +431,7 @@ class TestWhatPlansMemoizeIsCounted:
 
         alone = Machine(64)
         run(alone)
-        machines = [Machine(64, keep_message_records=bool(i % 2)) for i in range(8)]
+        machines = [Machine(64, trace_level=2 * (i % 2)) for i in range(8)]
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -476,7 +466,7 @@ def _fresh_tables():
 
 
 class TestPricesNeverGoStale:
-    SLOW = T800_PARSYTEC.with_(t_setup=300e-6, t_byte=2.5e-6, store_and_forward=False)
+    SLOW = T800_PARSYTEC.with_(t_setup=300e-6, t_byte=2.5e-6, t_hop=9e-6)
 
     @pytest.mark.parametrize("app,distr", [("gauss", DISTR_DEFAULT),
                                            ("shpaths", DISTR_TORUS2D)])

@@ -23,16 +23,14 @@ class TestCostModel:
         assert cm.message_time(1000, 0) == pytest.approx(1000 * cm.t_mem)
 
     def test_store_and_forward_scales_with_hops(self):
-        cm = CostModel(store_and_forward=True)
+        cm = CostModel()
         one = cm.message_time(100, 1)
         three = cm.message_time(100, 3)
         assert three == pytest.approx(3 * one)
 
-    def test_cut_through_pays_bytes_once(self):
-        cm = CostModel(store_and_forward=False)
-        one = cm.message_time(100, 1)
-        three = cm.message_time(100, 3)
-        assert three == pytest.approx(one + 2 * cm.t_hop)
+    def test_store_and_forward_is_the_only_routing(self):
+        with pytest.raises(TypeError, match="store_and_forward"):
+            CostModel(store_and_forward=False)
 
     def test_with_override(self):
         cm = T800_PARSYTEC.with_(t_op=2e-6)
@@ -93,9 +91,15 @@ class TestLanguageProfiles:
         assert 5.0 < ratio < 9.0
 
     def test_old_c_flags(self):
+        from repro.baselines.parix_c import make_c_machine
+
         assert not PARIX_C_OLD.async_comm
-        assert not PARIX_C_OLD.virtual_topologies
-        assert PARIX_C.async_comm and PARIX_C.virtual_topologies
+        assert PARIX_C.async_comm
+        # the unfolded embedding belongs to the machine, not the profile
+        assert not make_c_machine(4, old=True).use_virtual_topologies
+        assert make_c_machine(4, old=False).use_virtual_topologies
+        with pytest.raises(TypeError, match="virtual_topologies"):
+            LanguageProfile(name="x", virtual_topologies=False)
 
     def test_dpfl_copies_on_update(self):
         assert DPFL.copy_on_update

@@ -12,9 +12,7 @@ from repro.machine.topology import DefaultMapping, Mesh2D, Ring
 
 @pytest.fixture
 def cost():
-    return CostModel(
-        t_op=1.0, t_mem=0.0, t_setup=10.0, t_byte=1.0, t_hop=2.0, store_and_forward=True
-    )
+    return CostModel(t_op=1.0, t_mem=0.0, t_setup=10.0, t_byte=1.0, t_hop=2.0)
 
 
 @pytest.fixture

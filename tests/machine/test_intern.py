@@ -52,7 +52,7 @@ def _kept(table, value) -> bool:
 
 class TestSharing:
     def test_two_machines_share_geometry_and_nothing_else(self):
-        m1, m2 = (Machine(16, keep_message_records=True) for _ in range(2))
+        m1, m2 = (Machine(16, trace_level=2) for _ in range(2))
         for distr in DISTRS:
             assert m1.topology(distr) is m2.topology(distr)
         a1 = DistArray.from_global(m1, np.ones((8, 8)), DISTR_TORUS2D)
@@ -165,7 +165,7 @@ class TestTheTablesAreBounded:
 
     @pytest.mark.parametrize("p", [1, 4, 16, 64, 256])
     def test_a_warm_topology_holds_no_more_than_it_accounts(self, p):
-        m = Machine(p, link_contention=True)
+        m = Machine(p)
         ranks = np.arange(p)
         gc.collect()
         tracemalloc.start()
@@ -176,7 +176,6 @@ class TestTheTablesAreBounded:
             for root in range(min(p, 4)):
                 m.network.allreduce(8, topo, root=root)
                 m.network.gather(root, 8, topo)
-            topo.hop_matrix()
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
         finally:
@@ -215,7 +214,7 @@ def test_threads_building_machines_get_one_value_per_key():
 
 
 def test_every_array_a_shared_value_hands_out_is_read_only():
-    m = Machine(16, link_contention=True)
+    m = Machine(16)
     dist = DistArray.from_global(m, np.zeros((8, 8)), DISTR_TORUS2D).dist
     arrays = [
         *dist.index_vectors(5), *dist.index_grids(5), *dist.global_index_grids(),
@@ -227,8 +226,7 @@ def test_every_array_a_shared_value_hands_out_is_read_only():
         m.network.shift_batch(ranks, (ranks + 5) % 16, 64, topo, sync=True)
         m.network.allreduce(8, topo)
         m.network.gather(3, 8, topo)
-        arrays += [topo.place_vector(), *topo.placed_coords(), topo.hop_matrix(),
-                   topo.route_link_ids(0, 15)]
+        arrays += [topo.place_vector(), *topo.placed_coords()]
         for value, _ in topo._plans.values():
             for plan in value if isinstance(value, tuple) else (value,):
                 if isinstance(plan, EdgePlan):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MachineError
-from repro.machine.costmodel import CostModel
+from repro.machine.costmodel import T800_PARSYTEC, CostModel
 from repro.machine.machine import Machine
 from repro.machine.network import Network
 from repro.machine.topology import DefaultMapping, Mesh2D, Ring, Torus2D
@@ -13,9 +13,7 @@ from repro.machine.topology import DefaultMapping, Mesh2D, Ring, Torus2D
 @pytest.fixture
 def simple_cost():
     """Round numbers so expected times are easy to compute by hand."""
-    return CostModel(
-        t_op=1.0, t_mem=0.0, t_setup=10.0, t_byte=1.0, t_hop=2.0, store_and_forward=True
-    )
+    return CostModel(t_op=1.0, t_mem=0.0, t_setup=10.0, t_byte=1.0, t_hop=2.0)
 
 
 @pytest.fixture
@@ -255,14 +253,13 @@ class TestMachineFacade:
         assert not t.folded
 
     def test_memory_accounting(self):
-        m = Machine(4, strict_memory=True)
+        m = Machine(4)
         m.alloc(0, 512 * 1024)
         m.alloc(0, 400 * 1024)
         assert m.memory_used(0) == 912 * 1024
-        from repro.errors import MemoryLimitError
-
-        with pytest.raises(MemoryLimitError):
-            m.alloc(0, 200 * 1024)
+        assert [m.memory_used(r) for r in (1, 2, 3)] == [0, 0, 0]
+        with pytest.raises(MachineError):
+            m.alloc(4, 8)
 
     def test_memory_free(self):
         m = Machine(2)
@@ -273,9 +270,20 @@ class TestMachineFacade:
         assert m.memory_used(1) == 0
 
     def test_non_strict_allows_overflow(self):
-        m = Machine(1, strict_memory=False)
+        # bytes are counted, never limited: which sizes fit the paper's
+        # 1 MB nodes is eval.harness.fits_paper_memory's closed form
+        m = Machine(1)
         m.alloc(0, 10 << 20)
         assert m.max_memory_used() == 10 << 20
+
+    @pytest.mark.parametrize("setting", ["link_contention", "keep_message_records",
+                                         "strict_memory"])
+    def test_retired_machine_settings_are_type_errors(self, setting):
+        with pytest.raises(TypeError, match=setting):
+            Machine(4, **{setting: True})
+        if setting == "link_contention":
+            with pytest.raises(TypeError, match=setting):
+                Network(T800_PARSYTEC, 4, link_contention=True)
 
     def test_invalid_p(self):
         with pytest.raises(MachineError):

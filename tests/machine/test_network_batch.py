@@ -18,16 +18,18 @@ from repro.errors import MachineError
 from repro.machine.machine import DISTR_RING, DISTR_TORUS2D, Machine
 from repro.machine.topology import VirtualTopology
 
-#: untraced with message records, record-traced, stream-traced
+#: untraced, metrics only, record-traced, stream-traced
 TRACE = [
-    {},
+    {"trace_level": 0},
+    {"trace_level": 1},
     {"trace_level": 2, "trace_mode": "record"},
     {"trace_level": 2, "trace_mode": "stream"},
 ]
 
 
 def _pair(p, **kwargs):
-    kwargs.setdefault("keep_message_records", True)
+    """Two equal machines, record-traced (message records) by default."""
+    kwargs.setdefault("trace_level", 2)
     return Machine(p, **kwargs), Machine(p, **kwargs)
 
 
@@ -148,19 +150,6 @@ class TestShiftBatch:
         for r in rec:
             assert r.depart <= r.time
 
-    def test_contention_matches_dict_reference(self):
-        """Array-based contention factors equal the historical
-        max-of-per-link ratios (same quotient, same bits)."""
-        ma = Machine(16, link_contention=True, keep_message_records=True)
-        mb = Machine(16, link_contention=False, keep_message_records=True)
-        topo_a = ma.topology(DISTR_TORUS2D)
-        topo_b = mb.topology(DISTR_TORUS2D)
-        pairs = [(r, (r + 4) % 16) for r in range(16)]
-        ma.network.shift(pairs, 1000, topo_a, tag="c")
-        mb.network.shift(pairs, 1000, topo_b, tag="c")
-        # contention can only slow transfers down
-        assert ma.network.time >= mb.network.time
-
     def test_overlapping_sources_rejected(self):
         m = Machine(4)
         with pytest.raises(MachineError, match="disjoint"):
@@ -184,18 +173,21 @@ class TestHopMatrix:
     @pytest.mark.parametrize("distr", [DISTR_RING, DISTR_TORUS2D])
     def test_matrix_agrees_with_scalar_edge_hops(self, p, distr):
         topo = Machine(p).topology(distr)
-        hm = topo.hop_matrix()
+        s, d = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+        hm = topo.hops_vec(s, d)
         assert hm.shape == (p, p)
         for s in range(p):
             for d in range(p):
                 assert hm[s, d] == topo.edge_hops(s, d)
+                assert hm[s, d] == topo.mesh.hops(topo.place(s), topo.place(d))
 
     def test_matrix_is_memoized_and_readonly(self):
         topo = Machine(8).topology(DISTR_RING)
-        hm = topo.hop_matrix()
-        assert topo.hop_matrix() is hm
+        # the hop matrix in factored form: the placed coordinates
+        rows, cols = topo.placed_coords()
+        assert topo.placed_coords() is topo.placed_coords()
         with pytest.raises(ValueError):
-            hm[0, 0] = 99
+            rows[0] = 99
 
     def test_edge_hops_bounds_checked(self):
         from repro.errors import TopologyError

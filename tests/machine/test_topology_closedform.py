@@ -1,11 +1,12 @@
-"""Closed-form hop distances and binomial rounds vs the dense originals.
+"""Closed-form hop distances and binomial rounds vs the scalar originals.
 
-The extreme-scale tier (p = 65536) replaces the dense ``(p, p)`` hop
-matrix with lazy coordinate arithmetic (``hops_vec``) and the per-round
-Python tuples with ``binomial_round_arrays``.  These tests pin the
-contract: at small p the closed forms agree entry-for-entry with the
-dense structures, and above ``DENSE_HOPS_MAX_P`` no ``(p, p)`` array is
-ever allocated.
+The extreme-scale tier (p = 65536) computes hops by coordinate
+arithmetic (``hops_vec``, ``edge_hops``) and a binomial tree as one
+array plan (``tree_plan``: every edge, round after round).  These tests
+pin the contract: at small p the closed forms agree entry for entry with
+a dense matrix of the scalar ``mesh.hops(place(s), place(d))`` and with
+the Python tuples of ``_binomial_rounds``, and at no p is a ``(p, p)``
+array allocated.
 """
 
 import numpy as np
@@ -13,16 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TopologyError
 from repro.machine.topology import (
-    DENSE_HOPS_MAX_P,
     BinomialTree,
     DefaultMapping,
     Mesh2D,
     Ring,
     Torus2D,
     _binomial_rounds,
-    binomial_round_arrays,
 )
 
 TOPOLOGIES = {
@@ -38,12 +36,25 @@ def _mesh(p: int) -> Mesh2D:
     return Mesh2D.for_processors(p)
 
 
+def _dense(topo) -> np.ndarray:
+    """The ``(p, p)`` hops of every logical edge, by the scalar mesh
+    distance of the placed endpoints."""
+    place = [topo.place(r) for r in range(topo.p)]
+    return np.array([[topo.mesh.hops(s, d) for d in place] for s in place])
+
+
+def _round_arrays(p: int, root: int):
+    """``tree_plan(root)``'s edges cut into its rounds."""
+    plan = DefaultMapping(_mesh(p)).tree_plan(root)
+    return [(plan.srcs[lo:hi], plan.dsts[lo:hi]) for lo, hi in plan.bounds]
+
+
 class TestHopsVecMatchesDense:
     @pytest.mark.parametrize("builder", TOPOLOGIES.values(), ids=TOPOLOGIES)
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 9, 16, 31])
     def test_all_pairs_equal_dense_matrix(self, builder, p):
         topo = builder(_mesh(p))
-        dense = topo.hop_matrix()
+        dense = _dense(topo)
         srcs, dsts = np.meshgrid(
             np.arange(p), np.arange(p), indexing="ij"
         )
@@ -54,7 +65,7 @@ class TestHopsVecMatchesDense:
     def test_edge_hops_agrees_scalar(self, builder):
         p = 12
         topo = builder(_mesh(p))
-        dense = topo.hop_matrix()
+        dense = _dense(topo)
         for s in range(p):
             for d in range(p):
                 assert topo.edge_hops(s, d) == int(dense[s, d])
@@ -85,7 +96,7 @@ class TestHopsVecMatchesDense:
             ),
             dtype=np.int64,
         )
-        dense = topo.hop_matrix()
+        dense = _dense(topo)
         np.testing.assert_array_equal(
             topo.hops_vec(srcs, dsts), dense[srcs, dsts]
         )
@@ -101,17 +112,10 @@ class TestHopsVecMatchesDense:
 
 
 class TestDenseGate:
-    """No (p, p) allocation above the threshold — the whole point."""
-
-    def test_hop_matrix_refused_above_threshold(self):
-        p = DENSE_HOPS_MAX_P * 2
-        topo = DefaultMapping(_mesh(p))
-        with pytest.raises(TopologyError, match="dense hop matrix disabled"):
-            topo.hop_matrix()
+    """No (p, p) allocation at any p — the whole point."""
 
     def test_hops_vec_works_above_threshold(self):
         p = 4096
-        assert p > DENSE_HOPS_MAX_P
         topo = Ring(_mesh(p))
         srcs = np.array([0, 1, p - 1, p // 2], dtype=np.int64)
         dsts = np.array([p - 1, 0, 1, p // 2], dtype=np.int64)
@@ -120,11 +124,6 @@ class TestDenseGate:
         assert int(hops[3]) == 0
         # the snake embedding keeps logical neighbours 1 hop apart
         assert topo.edge_hops(5, 6) == 1
-
-    def test_threshold_boundary_is_inclusive(self):
-        topo = DefaultMapping(_mesh(DENSE_HOPS_MAX_P))
-        m = topo.hop_matrix()
-        assert m.shape == (DENSE_HOPS_MAX_P, DENSE_HOPS_MAX_P)
 
     def test_scaffolding_stays_linear_at_large_p(self):
         # O(p) vectors only: coords for 65536 ranks are a few MB, while
@@ -142,7 +141,7 @@ class TestBinomialRoundArrays:
     def test_matches_tuple_rounds(self, p, root):
         if root >= p:
             pytest.skip("root out of range")
-        arr_rounds = binomial_round_arrays(p, root)
+        arr_rounds = _round_arrays(p, root)
         tup_rounds = _binomial_rounds(p, root)
         assert len(arr_rounds) == len(tup_rounds)
         for (srcs, dsts), rnd in zip(arr_rounds, tup_rounds):
@@ -152,14 +151,14 @@ class TestBinomialRoundArrays:
         # within one round every rank appears at most once — the
         # property that lets Network charge a round as one p2p wave
         for p in (16, 31, 64):
-            for srcs, dsts in binomial_round_arrays(p, 0):
+            for srcs, dsts in _round_arrays(p, 0):
                 ranks = np.concatenate([srcs, dsts])
                 assert np.unique(ranks).size == ranks.size
 
     def test_arrays_are_readonly(self):
-        # the memo moved to VirtualTopology.tree_plan (under the plan
-        # store's byte bound; see test_charge_plans.py)
-        a = binomial_round_arrays(256, 0)
+        # memoized by VirtualTopology.tree_plan (under the plan store's
+        # byte bound; see test_charge_plans.py)
+        a = _round_arrays(256, 0)
         with pytest.raises(ValueError):
             a[0][0][0] = 99
 
@@ -168,7 +167,7 @@ class TestBinomialRoundArrays:
         tree = BinomialTree(_mesh(p), root)
         flat_arrays = [
             pair
-            for srcs, dsts in binomial_round_arrays(p, root)
+            for srcs, dsts in _round_arrays(p, root)
             for pair in zip(srcs.tolist(), dsts.tolist())
         ]
         flat_tree = [

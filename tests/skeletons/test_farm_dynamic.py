@@ -46,7 +46,7 @@ class TestFarm:
     def test_messages_carry_their_tags(self):
         """Records, metrics and the timeline name each message by the
         tag the program gave it."""
-        m = Machine(4, trace_level=2, keep_message_records=True)
+        m = Machine(4, trace_level=2)
         SkilContext(m).farm(square, list(range(23)), size_of=lambda t: 1 + t % 4)
         tags = {}
         for r in m.stats.records:

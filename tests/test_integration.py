@@ -139,20 +139,6 @@ class TestMachineScalingLaws:
         gauss_simple(c, a, b)
         assert c.machine.max_memory_used() == 0  # all arrays destroyed
 
-    def test_strict_memory_enforced_end_to_end(self):
-        from repro.errors import MemoryLimitError
-        from repro.skeletons import skil_fn
-
-        machine = Machine(4, strict_memory=True)
-        c = SkilContext(machine, SKIL)
-        big = 1024  # 1024x1024 float64 = 2 MB per node on 4 procs
-        with pytest.raises(MemoryLimitError):
-            c.array_create(
-                2, (big, big), (0, 0), (-1, -1),
-                skil_fn(ops=0, vectorized=lambda g, e: np.zeros(1))(lambda ix: 0.0),
-                "DISTR_DEFAULT",
-            )
-
 
 class TestProfilesEndToEnd:
     def test_language_ordering_holds_everywhere(self):
