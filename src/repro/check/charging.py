@@ -35,6 +35,7 @@ rank: bit-identical array contents, clocks, stats and spans).
 from __future__ import annotations
 
 import random
+import weakref
 
 import numpy as np
 
@@ -52,7 +53,8 @@ from repro.machine.topology import (
     Ring,
     Torus2D,
 )
-from repro.obs.metrics import isolated_metrics
+from repro.obs.metrics import HOP_BUCKETS, isolated_metrics
+from repro.obs.timeline import Interval
 from repro.skeletons import MIN, PLUS, SkilContext
 
 __all__ = ["run_charging", "run_charging_raw"]
@@ -89,8 +91,11 @@ def _compare_machines(m_ref: Machine, m_new: Machine, label: str) -> str | None:
     if m_ref.stats.records != m_new.stats.records:
         return f"message-record mismatch ({label})"
     if m_ref.timeline is not None:
+        expected: dict[int, list[Interval]] = {}
+        for iv in _ref_intervals(m_ref):
+            expected.setdefault(iv.rank, []).append(iv)
         for r in range(m_ref.p):
-            ref_iv = m_ref.timeline.for_rank(r)
+            ref_iv = expected.get(r, [])
             new_iv = m_new.timeline.for_rank(r)
             if ref_iv != new_iv:
                 return (
@@ -138,9 +143,50 @@ def _perturb(rng: random.Random, *machines: Machine) -> None:
 # ---------------------------------------------------------------------------
 # reference charging: the scalar loops the plans replaced, encoded verbatim
 # ---------------------------------------------------------------------------
+def _observe(metrics, nbytes: int, hops: int, tag: str) -> None:
+    """One message into the metrics, as the per-message loop booked it."""
+    metrics.observe("net.message_bytes", nbytes)
+    metrics.observe("net.message_hops", hops, buckets=HOP_BUCKETS)
+    metrics.inc(f"net.messages.{tag or 'untagged'}")
+
+
+def _record(net, time, src, dst, nbytes, hops, tag, depart) -> None:
+    """One message into the stats, and into a stream observer's."""
+    net.stats.record_message(time, src, dst, nbytes, hops, tag, depart)
+    if net.stats.sink is not None:
+        net.stats.sink.on_message(time, src, dst, nbytes, hops, tag, depart)
+
+
+#: per reference Network, the intervals :func:`_ref_shift` charged, each
+#: group with the number of timeline intervals before it; kept apart
+#: from the timeline, which only the Network's own emission fills
+_SHIFT_INTERVALS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _ref_intervals(m: Machine) -> list[Interval]:
+    """The reference machine's timeline, in emission order: what its
+    Network booked (``p2p``, ``compute``, ...) with the groups of
+    :func:`_ref_shift` put in where they were charged."""
+    booked, out, at = m.timeline.intervals, [], 0
+    for pos, group in _SHIFT_INTERVALS.get(m.network, ()):
+        out += booked[at:pos] + group
+        at = pos
+    return out + booked[at:]
+
+
 def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
     """The historical per-pair shift loop (reference semantics)."""
     srcs = [s for s, _ in pairs]
+    book: list[Interval] = []
+    recorded = hasattr(net.timeline, "intervals")  # else a stream timeline, or none
+    if recorded:
+        _SHIFT_INTERVALS.setdefault(net, []).append((len(net.timeline.intervals), book))
+
+    def add(rank: int, kind: str, start: float, end: float) -> None:
+        if recorded and end > start:  # what a timeline keeps
+            book.append(Interval(rank, kind, float(start), float(end), tag))
+        elif net.timeline is not None:  # a stream timeline's aggregates
+            net.timeline.add(rank, kind, float(start), float(end), tag)
 
     def nb(s: int) -> int:
         if np.isscalar(nbytes):
@@ -161,17 +207,15 @@ def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
             net.clocks[d] = max(net.clocks[d], finish) + (
                 wire if d in srcs else 0.0
             )
-            net.stats.record_message(finish, s, d, nb(s), hops, tag, depart=start)
+            _record(net, finish, s, d, nb(s), hops, tag, start)
             net.stats.comm_seconds += wire + net.cost.t_setup
             net.stats.idle_seconds += max(0.0, start - net.cost.t_setup - old[d])
             if net.metrics is not None:
-                net._observe_message(nb(s), hops, tag)
-            if net.timeline is not None:
-                net.timeline.add(s, "send", float(old[s]), finish, tag)
-                net.timeline.add(d, "recv", float(old[d]), finish, tag)
-        if net.timeline is not None:  # the second transfers, after the wave
-            for _, d in pairs:
-                net.timeline.add(d, "send", ended[d], float(net.clocks[d]), tag)
+                _observe(net.metrics, nb(s), hops, tag)
+            add(s, "send", old[s], finish)
+            add(d, "recv", old[d], finish)
+        for _, d in pairs:  # the second transfers, after the wave
+            add(d, "send", ended[d], net.clocks[d])
         return
     depart = {s: old[s] + net.cost.t_setup for s, _ in pairs}
     new = net.clocks.copy()
@@ -183,17 +227,13 @@ def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
         arrival = depart[s] + wire
         net.stats.idle_seconds += max(0.0, arrival - old[d])
         new[d] = max(new[d], arrival)
-        net.stats.record_message(arrival, s, d, nb(s), hops, tag, depart=depart[s])
+        _record(net, arrival, s, d, nb(s), hops, tag, depart[s])
         net.stats.comm_seconds += wire + net.cost.t_setup
         if net.metrics is not None:
-            net._observe_message(nb(s), hops, tag)
-        if net.timeline is not None:
-            net.timeline.add(s, "send", float(old[s]), depart[s], tag)
-            if arrival - wire > old[d]:
-                net.timeline.add(d, "idle", float(old[d]), arrival - wire, tag)
-            net.timeline.add(
-                d, "recv", max(float(old[d]), arrival - wire), arrival, tag
-            )
+            _observe(net.metrics, nb(s), hops, tag)
+        add(s, "send", old[s], depart[s])
+        add(d, "idle", old[d], arrival - wire)
+        add(d, "recv", max(float(old[d]), arrival - wire), arrival)
     net.clocks = new
 
 
@@ -448,6 +488,7 @@ def trial_plan_reuse(rng: random.Random) -> tuple[str | None, dict[str, int]]:
         if step == 0 or rng.random() < 0.15:
             m_ref.reset()
             m_new.reset()
+            _SHIFT_INTERVALS.pop(m_ref.network, None)  # the timeline is cleared
             _perturb(rng, m_ref, m_new)
         if rng.random() < 0.15:
             cost = m_ref.cost.with_(t_byte=rng.choice([1e-6, 2.5e-6]),

@@ -6,8 +6,9 @@ machines of one size: untraced (``trace_level=0``), recording
 :func:`watch_charges`) and streaming (``trace_mode="stream"``).
 :func:`trace_problems` then holds the runs to one list of checks:
 
-* **tracing moves no clock**: the three runs end with bitwise equal
-  per-rank clocks;
+* **tracing moves no clock**: after every Network call
+  (:func:`watch_clocks`), and at the end, the three runs' per-rank
+  clocks are bitwise equal;
 * **the recording's DAG and critical path** (:func:`invariant_problems`):
   every happens-before edge points forward in time and no interval
   escapes ``[0, makespan]`` (:func:`build_dag`); the fold's path tiles
@@ -27,7 +28,12 @@ machines of one size: untraced (``trace_level=0``), recording
 * **compute is booked once**: per rank, *compute* intervals are
   disjoint, and ``stats.compute_seconds <= p * makespan``.  Intervals of
   other kinds overlap by design: a rank's send, receive and idle wait in
-  one shift do.
+  one shift do;
+* **where the wave log drains changes nothing** (:func:`compare_drains`):
+  each trace mode runs twice more, its log drained at two distinct
+  points of :data:`DRAINS` (:func:`drain_at`), and the two runs' records,
+  timeline, stream aggregates, spill bytes, metrics and fold agree
+  bitwise.
 
 Four families interleave, the first two twice as often as the others:
 *pattern* (random collective patterns on the raw Network,
@@ -41,9 +47,12 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 import random
+import tempfile
 from dataclasses import dataclass
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,7 +64,7 @@ from repro.check.report import TrialRunner
 from repro.errors import SkilError
 from repro.machine.costmodel import CostModel
 from repro.machine.machine import DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D, Machine
-from repro.machine.trace import MessageRecord
+from repro.machine.trace import MessageRecord, WaveLog, batch_intervals, drain
 from repro.obs.analysis import (
     COMPONENTS,
     OUTSIDE_SPANS,
@@ -65,8 +74,8 @@ from repro.obs.analysis import (
     analyze_machine,
     make_step,
 )
-from repro.obs.span import Span, SpanTracer
-from repro.obs.stream import StreamObserver
+from repro.obs.span import Span, SpanTracer, fold_skeleton
+from repro.obs.stream import KINDS, StreamConfig, StreamObserver
 from repro.obs.timeline import Interval, Timeline
 from repro.skeletons import PLUS, SkilContext
 
@@ -77,10 +86,14 @@ __all__ = [
     "critical_path",
     "Charges",
     "watch_charges",
+    "watch_clocks",
     "invariant_problems",
     "fold_recorded",
     "compare_observers",
     "compare_folds",
+    "DRAINS",
+    "drain_at",
+    "compare_drains",
     "trace_problems",
     "run_trace",
     "run_trace_raw",
@@ -332,33 +345,111 @@ class Charges(list):
 
 
 def watch_charges(machine: Machine) -> Charges:
-    """From now on, label every interval *machine*'s timeline receives
-    with the skeleton charging it — the innermost skeleton span open at
-    emission — and with its wave; returns the labels."""
-    tl, tracer = machine.timeline, machine.tracer
-    labels, calls = Charges(), [0, 0]  # in add_lanes, waves begun
+    """From now on, label every interval *machine*'s Network logs for
+    its timeline with the skeleton charging it — the innermost skeleton
+    span open at emission — and with its wave (the log entry, counted
+    from 1); returns the labels."""
+    log, tracer = machine.network.log, machine.tracer
+    labels, append, waves = Charges(), log.append, [0]
     labels.waves = []
-    add, add_lanes = tl.add, tl.add_lanes
 
-    def label(kept) -> None:  # the timeline keeps what ends after it starts
-        labels.extend([tracer.innermost_skeleton() or OUTSIDE_SPANS] * int(kept))
-        labels.waves.extend([calls[1]] * int(kept))
+    def append_labelled(entry, size=1):
+        if entry[1] is not None:
+            waves[0] += 1
+            cols = batch_intervals([entry])  # the timeline keeps what ends after it starts
+            kept = 0 if cols is None else int(np.count_nonzero(cols[2] > cols[1]))
+            labels.extend([tracer.innermost_skeleton() or OUTSIDE_SPANS] * kept)
+            labels.waves.extend([waves[0]] * kept)
+        append(entry, size)
 
-    def add_labelled(rank, kind, start, end, detail=""):
-        calls[1] += not calls[0]
-        add(rank, kind, start, end, detail)
-        label(end > start)
-
-    def add_lanes_labelled(lanes, detail=""):  # add_many's too
-        calls[:] = 1, calls[1] + 1
-        add_lanes(lanes, detail)  # a message of scalars comes back through add
-        calls[0] = 0
-        if np.ndim(lanes[0][0]):
-            label(np.count_nonzero(np.array([ln[3] for ln in lanes])
-                                   > np.array([ln[2] for ln in lanes])))
-
-    tl.add, tl.add_lanes = add_labelled, add_lanes_labelled
+    log.append = append_labelled
     return labels
+
+
+#: the Network methods after whose every call :func:`watch_clocks`
+#: keeps the clocks: each charge, and the event engine's bookings
+CLOCK_CALLS = ("compute", "compute_at", "p2p", "p2p_batch", "shift", "shift_batch",
+               "broadcast", "reduce", "gather", "scatter", "allgather", "alltoall",
+               "barrier", "enter", "book_work", "book_post", "book_delivery",
+               "book_rendezvous")
+
+
+def watch_clocks(machine: Machine) -> list[tuple[str, bytes]]:
+    """From now on, keep *machine*'s clocks after every call of a
+    :data:`CLOCK_CALLS` method of its Network (nested calls too): the
+    method's name and the clocks' bytes; returns the trail.  A traced
+    run's trail equals the untraced run's: a clock that tracing moves
+    shows right after the call, before a later maximum can absorb it."""
+    net, trail = machine.network, []
+
+    def watched(name, call):
+        def after(*args, **kw):
+            out = call(*args, **kw)
+            trail.append((name, net.clocks.tobytes()))
+            return out
+        return after
+
+    for name in CLOCK_CALLS:
+        setattr(net, name, watched(name, getattr(net, name)))
+    return trail
+
+
+def _trail_problems(untraced, traced, mode: str) -> list[str]:
+    """The first call after which *traced*'s clocks differ from
+    *untraced*'s (:func:`watch_clocks` trails)."""
+    for n, ((name, a), (_, b)) in enumerate(zip(untraced, traced)):
+        if a != b:
+            a, b = np.frombuffer(a), np.frombuffer(b)
+            i = int(np.argmax(a != b))
+            return [f"tracing moved a clock: rank {i} after Network call {n} "
+                    f"({name}) untraced={float(a[i])!r} {mode}={float(b[i])!r}"]
+    if [c for c, _ in untraced] != [c for c, _ in traced]:
+        return [f"tracing changed the Network calls: {len(untraced)} untraced, "
+                f"{len(traced)} {mode}"]
+    return []
+
+
+#: where a traced machine's wave log drains (:func:`drain_at`): after
+#: every entry, after random ones, or only when a reader asks
+DRAINS = ("wave", "random", "end")
+
+
+def drain_at(log: WaveLog, where: str, rng: random.Random) -> None:
+    """From now on drain the wave *log* *where* (:data:`DRAINS`), never
+    because its budget fills."""
+
+    def append(entry, size=1):
+        log.entries.append(entry)
+        log.size += size
+        if where == "wave" or (where == "random" and rng.random() < 0.3):
+            log.drain()
+
+    log.append = append
+
+
+def compare_drains(a: Machine, b: Machine) -> list[str]:
+    """Bitwise comparison of two runs of one workload in one trace mode
+    whose logs drained at different points; closes a streamed run's
+    spill, which the two must have written byte for byte."""
+    problems = compare_folds(a.network.path, b.network.path)
+    if a.metrics.snapshot() != b.metrics.snapshot():
+        problems.append("metrics differ between drain points")
+    if a.stream_obs is None:
+        if a.stats.records != b.stats.records:
+            problems.append("records differ between drain points")
+        ca, cb = a.timeline.columns(), b.timeline.columns()
+        if ca[4] != cb[4] or not all(map(np.array_equal, ca[:4], cb[:4])):
+            problems.append("timeline differs between drain points")
+        return problems
+    problems += compare_observers(a.stream_obs, b.stream_obs)
+    spills = []
+    for m in (a, b):
+        m.stream_obs.close()
+        with open(m.stream_obs.spill.path, "rb") as fh:
+            spills.append(fh.read())
+    if spills[0] != spills[1]:
+        problems.append("spill bytes differ between drain points")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +528,16 @@ def _close_order(tracer: SpanTracer) -> list[Span]:
     return out
 
 
-def fold_recorded(machine: Machine) -> StreamObserver:
-    """Fold a full ``trace_level=2`` recording into stream aggregates.
-
-    Replays the recorded timeline intervals (append order), message
-    records (append order) and closed spans (close order) through a
-    fresh :class:`StreamObserver` using the same scalar update
-    arithmetic as live streaming.  Every aggregate is bit-identical to
-    running the same workload under ``trace_mode="stream"`` — the
-    equality the pillar asserts via :func:`compare_observers`.
+def fold_recorded(machine: Machine) -> SimpleNamespace:
+    """Fold a full ``trace_level=2`` recording into the aggregates a
+    :class:`StreamObserver` keeps, by scalar code of its own: per kind
+    and rank a ``+=`` over the recorded intervals in append order, the
+    records and intervals counted, and the closed spans folded in close
+    order.  The result reads like an observer (``p``, ``timeline.seconds``,
+    ``timeline.intervals_seen``, ``messages_seen``, ``spans_seen``,
+    ``skeletons``); every aggregate is bit-identical to running the same
+    workload under ``trace_mode="stream"`` — the equality the pillar
+    asserts via :func:`compare_observers`.
     """
     timeline = machine.timeline
     tracer = machine.tracer
@@ -454,16 +546,18 @@ def fold_recorded(machine: Machine) -> StreamObserver:
             "fold_recorded needs a full recording: "
             "Machine(trace_level=2) in the default record mode"
         )
-    obs = StreamObserver(machine.p)
+    cells = {kind: [0.0] * machine.p for kind in KINDS}
     for iv in timeline.intervals:
-        obs.timeline.add(iv.rank, iv.kind, iv.start, iv.end, iv.detail)
-    for rec in machine.stats.records:
-        obs.on_message(
-            rec.time, rec.src, rec.dst, rec.nbytes, rec.hops, rec.tag, rec.depart
-        )
-    for span in _close_order(tracer):
-        obs.on_span(span)
-    return obs
+        cells.setdefault(iv.kind, [0.0] * machine.p)[iv.rank] += iv.end - iv.start
+    skeletons: dict = {}
+    spans = _close_order(tracer)
+    for span in spans:
+        fold_skeleton(skeletons, span)
+    return SimpleNamespace(
+        p=machine.p, messages_seen=len(machine.stats.records), spans_seen=len(spans),
+        skeletons=skeletons, timeline=SimpleNamespace(
+            seconds={k: np.array(c) for k, c in cells.items()},
+            intervals_seen=len(timeline.intervals)))
 
 
 def _diff_arrays(name: str, a: np.ndarray, b: np.ndarray, problems: list[str]) -> None:
@@ -532,6 +626,8 @@ def compare_folds(a, b) -> list[str]:
     (:class:`repro.obs.analysis.PathFold`; the record-mode segment log
     is not compared)."""
     problems: list[str] = []
+    for fold in (a, b):
+        drain(fold._log)
     for name in ("skeletons", "tags"):
         if getattr(a, name) != getattr(b, name):
             problems.append(
@@ -604,11 +700,15 @@ def trace_problems(
     rec: Machine,
     st: Machine,
     labels: Sequence[str] | None = None,
+    trails: Sequence[list] | None = None,
 ) -> list[str]:
     """Every check of the module docstring on one workload run three
     times: *untraced*, recorded (*rec*, its intervals labelled by
-    *labels* from :func:`watch_charges`) and streamed (*st*)."""
+    *labels* from :func:`watch_charges`) and streamed (*st*); *trails*
+    are the three runs' :func:`watch_clocks` trails, in that order."""
     problems: list[str] = []
+    for trail, mode in zip(trails[1:] if trails else (), ("record", "stream")):
+        problems += _trail_problems(trails[0], trail, mode)
     for m, mode in ((rec, "record"), (st, "stream")):
         a, b = untraced.network.clocks, m.network.clocks
         if not np.array_equal(a, b):
@@ -724,16 +824,25 @@ def _engine(rng: random.Random):
 # ---------------------------------------------------------------------------
 # the pillar
 # ---------------------------------------------------------------------------
-def _trial(workload) -> tuple[str | None, dict[str, int]]:
+def _trial(workload, rng: random.Random) -> tuple[str | None, dict[str, int]]:
     p, run, label, cov = workload
-    untraced = Machine(p)
-    rec = Machine(p, trace_level=2)
-    st = Machine(p, trace_level=2, trace_mode="stream")
-    labels = watch_charges(rec)
-    for machine in (untraced, rec, st):
-        run(machine)
-    cov[f"trace.p{p}"] = 1
-    problems = trace_problems(untraced, rec, st, labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        untraced = Machine(p)
+        rec = Machine(p, trace_level=2)
+        st = Machine(p, trace_level=2, trace_mode="stream")
+        recs = [Machine(p, trace_level=2) for _ in range(2)]
+        spilled = [Machine(p, trace_level=2, trace_mode="stream", stream=StreamConfig(
+            spill_path=os.path.join(tmp, f"{i}.jsonl"))) for i in range(2)]
+        for m, where in zip(recs + spilled, rng.sample(DRAINS, 2) + rng.sample(DRAINS, 2)):
+            drain_at(m.network.log, where, random.Random(rng.random()))
+            cov[f"trace.drain_{where}"] = 1
+        labels = watch_charges(rec)
+        trails = [watch_clocks(m) for m in (untraced, rec, st)]
+        for machine in (untraced, rec, st, *recs, *spilled):
+            run(machine)
+        cov[f"trace.p{p}"] = 1
+        problems = (trace_problems(untraced, rec, st, labels, trails)
+                    + compare_drains(*recs) + compare_drains(*spilled))
     if problems:
         shown = "\n  ".join(problems[:8])
         return f"{len(problems)} problem(s) ({label}):\n  {shown}", cov
@@ -745,7 +854,7 @@ def _family(draw):
     family (``trace_pattern`` for ``_pattern``)."""
 
     def family(rng: random.Random) -> tuple[str | None, dict[str, int]]:
-        return _trial(draw(rng))
+        return _trial(draw(rng), rng)
 
     family.__name__ = f"trace{draw.__name__}"
     return family

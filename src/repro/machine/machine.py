@@ -75,10 +75,9 @@ class Machine:
     trace_mode:
         How observability data is retained (DESIGN: docs/OBSERVABILITY.md):
 
-        The network emits every charged wave once, through one
-        interface (``add`` / ``add_many`` / ``add_lanes`` on the
-        timeline, ``record_message(s)`` on the stats); the mode picks
-        who listens:
+        The network logs every charged wave once, and the sinks drain
+        the log in batches (:class:`~repro.machine.trace.WaveLog`); the
+        mode picks which sinks:
 
         * ``"record"`` — materialize everything: message records,
           timeline intervals and spans accumulate in lists,
@@ -155,11 +154,11 @@ class Machine:
             from repro.obs.stream import StreamObserver
 
             self.stream_obs = StreamObserver(p, stream)
+        timeline = path = None
         if trace_level >= 1:
             from repro.obs.metrics import MetricsRegistry
 
             self.metrics = MetricsRegistry()
-            self.network.metrics = self.metrics
             from repro.obs.span import SpanTracer
 
             self.tracer = SpanTracer(
@@ -172,20 +171,19 @@ class Machine:
 
             # the critical-path fold sees every wave in either mode;
             # record mode also logs its segments, for the path's steps
-            self.network.path = PathFold(
-                p, cost, self.tracer, record=not streaming
-            )
+            path = PathFold(p, cost, record=not streaming)
             if streaming:
                 # the stream timeline takes the Timeline's place on the
                 # network; ``self.timeline`` stays None (no recording)
-                self.network.timeline = self.stream_obs.timeline
                 self.stats.sink = self.stream_obs
-                self.stream_obs.path = self.network.path
+                self.stream_obs.path = path
+                timeline = self.stream_obs.timeline
             else:
                 from repro.obs.timeline import Timeline
 
-                self.timeline = Timeline()
-                self.network.timeline = self.timeline
+                timeline = self.timeline = Timeline()
+        if trace_level >= 1:
+            self.network.attach(self.metrics, timeline, path)
         self.use_virtual_topologies = use_virtual_topologies
         #: bytes each rank holds now (distributed-array partitions); a
         #: count, not a limit — which sizes fit the paper's 1 MB nodes is
@@ -254,6 +252,8 @@ class Machine:
         captured reference keeps observing the live accumulator.
         Spans, timelines and metrics are cleared the same way.
         """
+        if self.network.log is not None:
+            self.network.log.drain()  # the spill's lines; the rest is cleared
         self.network.reset()
         self.stats.clear()
         assert self.network.stats is self.stats, (

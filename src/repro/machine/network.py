@@ -27,8 +27,8 @@ memoized on the topology (the priced vectors in the plan's memo, once
 per byte count).  What this module does per call is the other half: a
 gather of the clocks, the adds and maxima of the message, one seeded
 left fold of both stats floats per charge and plain-int counter
-increments; per-message arrays are built only for a machine that
-records, streams or has metrics on.  A binomial tree is one charge:
+increments; a traced machine also appends the wave's columns, once, to
+its log (:class:`~repro.machine.trace.WaveLog`).  A binomial tree is one charge:
 every round in one loop.  Traced and untraced machines, long waves and
 waves of one edge, run the same code; :meth:`Network.p2p` is the public
 one-message call and the oracle of the ``charging`` pillar of
@@ -49,12 +49,9 @@ import numpy as np
 from repro.errors import MachineError
 from repro.machine.costmodel import CostModel
 from repro.machine.topology import BinomialTree, Ring, VirtualTopology
-from repro.machine.trace import TraceStats
+from repro.machine.trace import TraceStats, WaveLog
 
 __all__ = ["Network"]
-
-#: hop-count histogram buckets (1..16 mesh hops)
-_HOP_BUCKETS = tuple(float(h) for h in range(1, 17))
 
 
 def _byte_counts(nbytes, k: int, ranks: np.ndarray | None = None):
@@ -68,6 +65,27 @@ def _byte_counts(nbytes, k: int, ranks: np.ndarray | None = None):
     if nbs.shape != (k,):
         raise MachineError(f"need {k} byte counts, got shape {nbs.shape}")
     return nbs if ranks is None else nbs[ranks]
+
+
+def _strict(msgs, lanes) -> bool:
+    """Whether a log entry's times are all finite and non-negative —
+    what a spill can encode (``repro.obs.export.encode_complete``);
+    ``False`` may be a false alarm, ``True`` never is."""
+    lo, hi = [], []
+    if msgs is not None:
+        lo.append(msgs[5])
+        hi.append(msgs[6])
+    if lanes is not None:
+        _, explicit, wave = lanes
+        if wave is not None:
+            lo += wave[2], wave[4]
+            hi += wave[3], wave[5]
+        else:
+            for _, _, start, end in explicit:
+                lo.append(start)
+                hi.append(end)
+    return bool(np.concatenate(lo, axis=None).min() >= 0.0
+                and np.concatenate(hi, axis=None).max() < np.inf)
 
 
 class Network:
@@ -96,15 +114,12 @@ class Network:
         self.clocks = np.zeros(p, dtype=np.float64)
         self._all_ranks = np.arange(p, dtype=np.int64)
         self.stats = stats if stats is not None else TraceStats()
-        #: optional observability sinks (attached by
-        #: :class:`repro.machine.machine.Machine` when tracing is on);
-        #: every hot-path use is guarded by one ``is None`` test so the
-        #: clock arithmetic is bit-identical with tracing off
-        self.metrics = None  # repro.obs.metrics.MetricsRegistry | None
-        self.timeline = None  # repro.obs.timeline.Timeline | None
-        #: the critical-path fold (:class:`repro.obs.analysis.PathFold`),
-        #: fed every wave the timeline is; set only with a timeline
-        self.path = None
+        #: the :class:`~repro.machine.trace.WaveLog` every charged wave is
+        #: appended to once, for the sinks to drain; ``None`` untraced, so
+        #: every hot-path use is one ``is None`` test and the clock
+        #: arithmetic is bit-identical with tracing off
+        self.log = None
+        self.attach()  # no sinks yet: a log only for the stats' records
         #: what-if knob (see :mod:`repro.obs.analysis`): when enabled,
         #: per-processor compute vectors are replaced by their mean and
         #: single-rank compute is spread over all processors — the
@@ -113,32 +128,30 @@ class Network:
         #: set on machines used for real measurements.
         self.balance_compute = False
 
-    def _observe_message(self, nbytes: int, hops: int, tag: str) -> None:
-        m = self.metrics
-        m.observe("net.message_bytes", nbytes)
-        m.observe("net.message_hops", hops, buckets=_HOP_BUCKETS)
-        m.inc(f"net.messages.{tag or 'untagged'}")
-
-    def _observe_wave(self, plan, nb, k: int, tag: str, lo=0, hi=None) -> None:
-        """Vectorized :meth:`_observe_message` over one wave, the edges
-        ``lo .. hi - 1`` of *plan*.
-
-        Bucket counts, min and max are exact and need no pass over the
-        wave (the plan memoizes its hops'); the running sums use a
-        seeded left fold (:meth:`Histogram.observe_many`), so the
-        registry state is bit-identical to the per-message loop.
-        """
-        m = self.metrics
-        sizes = m.histogram("net.message_bytes")
-        sizes.observe_many(nb, sizes.summarize(nb, k))
-        hops = m.histogram("net.message_hops", buckets=_HOP_BUCKETS)
-        hops_f = plan.hops_f[lo:hi]
-        key = ("hop_hist", lo, hi)
-        seen = plan.memo.get(key)
-        if seen is None:
-            seen = plan.keep(key, hops.summarize(hops_f))
-        hops.observe_many(hops_f, seen)
-        m.inc(f"net.messages.{tag or 'untagged'}", k)
+    def attach(self, metrics=None, timeline=None, path=None) -> None:
+        """Attach the observability sinks — a
+        ``repro.obs.metrics.MetricsRegistry``, a timeline and the
+        critical-path fold (``repro.obs.analysis.PathFold``, only with a
+        timeline) — in place of any attached before, and build the wave
+        log over them and the stats' records and stream observer
+        (``TraceStats.sink``): each drains the log in batches and before
+        each read of its state.  :class:`~repro.machine.machine.Machine`
+        attaches its sinks once, when tracing is on."""
+        if self.log is not None:
+            self.log.drain()  # what the sinks attached so far are owed
+        self.metrics, self.timeline, self.path = metrics, timeline, path
+        stats, obs = self.stats, self.stats.sink
+        drains = [stats.drain_records] if stats.keep_records else []
+        if metrics is not None:
+            drains.append(metrics.observe_messages)
+        own = None if obs is not None and timeline is obs.timeline else timeline
+        drains += [s.drain for s in (obs, own, path) if s is not None]
+        self.log = WaveLog(drains) if drains else None
+        for sink in (stats, metrics, obs, timeline, path):
+            if sink is not None:
+                sink._log = self.log
+        #: a JSONL spill refuses bad times at the call that emits them
+        self._spill = getattr(obs, "spill", None) is not None
 
     def _fold_stats(self, comm_terms, idle_terms, compute: float = 0.0) -> None:
         """Fold one charge's per-message comm and idle seconds (and, with
@@ -202,8 +215,8 @@ class Network:
                 )
             elif total is None:
                 total = float(sec.sum())
-        if self.timeline is not None:
-            self._work(self._all_ranks, self.clocks, self.clocks + sec)
+        if self.timeline is not None:  # the log keeps both columns
+            self._work(self._all_ranks, self.clocks.copy(), self.clocks + sec)
         self.clocks += sec
         self.stats.compute_seconds += total
 
@@ -260,17 +273,15 @@ class Network:
             self.clocks[src] = depart
             self.stats.idle_seconds += max(0.0, arrival - old_dst)
             self.clocks[dst] = max(old_dst, arrival)
-        self.stats.record_message(arrival, src, dst, nbytes, hops, tag, depart=depart)
+        self._count1(nbytes, hops)
         self.stats.comm_seconds += wire + self.cost.t_setup
-        if self.metrics is not None:
-            self._observe_message(nbytes, hops, tag)
-        if self.timeline is not None:
-            self._timeline_wave(
-                src, dst, old_src, float(self.clocks[src]), old_dst, arrival,
-                wire, tag,
-                (src, dst, depart, arrival, hops, nbytes,
-                 self.clocks if sync else None),
-            )
+        if self.log is not None:
+            idle_end = arrival - wire
+            lanes = ((src, "send", old_src, float(self.clocks[src])),
+                     (dst, "idle", old_dst, idle_end),
+                     (dst, "recv", np.maximum(old_dst, idle_end), arrival))
+            self._message_wave((tag, src, dst, nbytes, hops, depart, arrival, None),
+                               lanes=lanes, after=arrival if sync else None)
         return float(arrival)
 
     # ------------------------------------------------------------------ batch
@@ -294,14 +305,16 @@ class Network:
         only a local copy (``src == dst``) goes through :meth:`p2p`.
         *nbytes* may be a scalar or a per-message array.
         """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
+        # a traced machine's log keeps slices of these: its own copies
+        own = np.asarray if self.log is None else np.array
+        srcs = own(srcs, dtype=np.int64)
+        dsts = own(dsts, dtype=np.int64)
         k = int(srcs.size)
         if k == 0:
             return
         if int(dsts.size) != k:
             raise MachineError("p2p_batch src/dst arrays must have equal length")
-        nbs = np.asarray(nbytes, dtype=np.int64)
+        nbs = own(nbytes, dtype=np.int64)
         if nbs.ndim == 0:
             nbs = np.full(k, int(nbs), dtype=np.int64)
         elif int(nbs.size) != k:
@@ -355,68 +368,52 @@ class Network:
             rs, rd = srcs[i0:i1], dsts[i0:i1]
             self._p2p_wave(rs, rd, topo.edge_plan(rs, rd), nbs[i0:i1], sync, tag)
 
-    def _record_wave(self, plan, srcs, dsts, nb, times, departs, tag) -> None:
-        """Book one charged wave, every edge of *plan*, in the stats (and
-        the metrics): plain-int counter increments, or :meth:`_book_messages`
-        for a machine that keeps records, streams or has metrics on."""
+    def _count(self, plan, nb, k: int) -> None:
+        """The counters of one charged wave, every edge of *plan*: plain
+        ints, kept eagerly (spans read them)."""
         stats = self.stats
-        if stats.keep_records or stats.sink is not None or self.metrics is not None:
-            self._book_messages(plan, srcs, dsts, nb, times, departs, tag)
-            return
-        k = len(times)
         stats.messages += k
         stats.bytes_sent += nb * k if isinstance(nb, int) else int(nb.sum())
         stats.hops_crossed += plan.hops_sum
 
-    def _book_messages(self, plan, srcs, dsts, nb, times, departs, tag,
-                       lo=0, hi=None) -> None:
-        """Book the wave of the edges ``lo .. hi - 1`` of *plan* message
-        by message: per-message byte and hop arrays, built only for a
-        machine that keeps records, streams to a sink or has metrics on."""
-        k = len(times)
-        nbs = np.full(k, nb, dtype=np.int64) if isinstance(nb, int) else nb
-        self.stats.record_messages(times, srcs, dsts, nbs, plan.hops[lo:hi], tag,
-                                   departs=departs)
-        if self.metrics is not None:
-            self._observe_wave(plan, nb, k, tag, lo, hi)
-
     # ------------------------------------------------------------ emission
-    def _work(self, ranks, starts, ends, detail: str = "") -> None:
-        """Local work (one rank or a wave of distinct ranks) to the
-        timeline and the critical-path fold."""
-        if np.ndim(ranks):
-            self.timeline.add_many(ranks, "compute", starts, ends, detail)
+    def _emit(self, msgs, lanes, fold, size: int) -> None:
+        """Append one entry (:class:`~repro.machine.trace.WaveLog`) to the
+        log.  A spilling machine first checks its times: an entry that
+        may not encode as strict JSON drains what came before it, then
+        drains alone, so the spill's :class:`SkilError` is raised here,
+        by the call that emitted it."""
+        entry = (msgs, lanes, fold, None)
+        if self._spill and not _strict(msgs, lanes):
+            self.log.drain()
+            self.log.append(entry, size)
+            self.log.drain()
         else:
-            self.timeline.add(ranks, "compute", starts, ends, detail)
-        if self.path is not None:
-            self.path.compute(ranks, starts, ends)
+            self.log.append(entry, size)
 
-    def _emit_wave(self, lanes, tag: str, wave: tuple) -> None:
-        """One message wave: its *lanes* to the timeline, and *wave* —
-        ``(srcs, dsts, departs, arrivals, hops, nbytes, clocks)``, the
-        columns of :meth:`PathFold.messages
-        <repro.obs.analysis.PathFold.messages>`, with the clocks after a
-        rendezvous wave — to the fold."""
-        self.timeline.add_lanes(lanes, tag)
-        if self.path is not None:
-            self.path.messages(tag, *wave)
+    def _work(self, ranks, starts, ends, detail: str = "") -> None:
+        """Local work (one rank or a wave of distinct ranks) for the
+        timeline and the critical-path fold."""
+        self._emit(None, (detail, ((ranks, "compute", starts, ends),), None),
+                   None if self.path is None else ("compute", (ranks, starts, ends)),
+                   np.size(ends))
 
-    def _timeline_wave(
-        self, srcs, dsts, send_from, send_to, wait_from, arrival, wire, tag,
-        wave,
-    ) -> None:
-        """Per message, in order: the sender's send interval, then the
-        receiver's idle wait (if any) and receive interval."""
-        idle_end = arrival - wire
-        self._emit_wave(
-            (
-                (srcs, "send", send_from, send_to),
-                (dsts, "idle", wait_from, idle_end),
-                (dsts, "recv", np.maximum(wait_from, idle_end), arrival),
-            ),
-            tag,
-            wave,
-        )
+    def _message_wave(self, msgs, wave=None, lanes=None, fold=None, after=None):
+        """One charged message wave to the log: *msgs* ``(tag, srcs, dsts,
+        nbytes, hops, departs, arrivals, cut)``; its intervals, *wave*
+        ``(send_from, send_to, wait_from, wires)`` for the send / idle /
+        recv lanes of each message, or explicit *lanes*; and the fold's
+        step over the same columns — *fold* ``(src, dst)`` where one side
+        is one rank, *after* the receivers' clocks after a rendezvous."""
+        tag, srcs, dsts, nb, hops, departs, arrivals, _ = msgs
+        part = step = None
+        if self.timeline is not None:
+            part = (tag, lanes, None if wave is None else
+                    (srcs, dsts, wave[0], wave[1], wave[2], arrivals, wave[3]))
+        if self.path is not None:
+            src, dst = fold or (srcs, dsts)
+            step = ("messages", (tag, src, dst, departs, arrivals, hops, nb, after))
+        self._emit(msgs, part, step, np.size(arrivals))
 
     def _p2p_fanout(self, s: int, rd, plan, nb, tag) -> None:
         """Async messages from one source to distinct remote
@@ -442,17 +439,18 @@ class Network:
         idle = np.maximum(0.0, arrival - old_dst)
         clocks[rd] = np.maximum(old_dst, arrival)
         clocks[s] = departs[-1]
-        srcs = np.broadcast_to(np.int64(s), (n,))
-        self._record_wave(plan, srcs, rd, nb, arrival, departs, tag)
+        self._count(plan, nb, n)
         self._fold_stats(terms, idle)
-        if self.timeline is not None:
-            send_from = np.empty(n, dtype=np.float64)
-            send_from[0] = old_src
-            send_from[1:] = departs[:-1]
-            self._timeline_wave(
-                srcs, rd, send_from, departs, old_dst, arrival, wire, tag,
-                (s, rd, departs, arrival, plan.hops, nb, None),
-            )
+        if self.log is not None:
+            send_from = None
+            if self.timeline is not None:
+                send_from = np.empty(n, dtype=np.float64)
+                send_from[0] = old_src
+                send_from[1:] = departs[:-1]
+            self._message_wave(
+                (tag, np.broadcast_to(np.int64(s), (n,)), rd, nb, plan.hops,
+                 departs, arrival, (plan, None, None)),
+                (send_from, departs, old_dst, wire), fold=(s, rd))
 
     def _p2p_wave(self, rs, rd, plan, nb, sync, tag) -> None:
         """One conflict-free wave of remote messages, vectorized.
@@ -481,14 +479,12 @@ class Network:
             clocks[rs] = depart
             idle = np.maximum(0.0, arrival - old_dst)
             clocks[rd] = np.maximum(old_dst, arrival)
-        self._record_wave(plan, rs, rd, nb, arrival, depart, tag)
-        if self.timeline is not None:
-            self._timeline_wave(
-                rs, rd, old_src, arrival if sync else depart, old_dst, arrival,
-                wire, tag,
-                (rs, rd, depart, arrival, plan.hops, nb,
-                 clocks if sync else None),
-            )
+        self._count(plan, nb, len(rs))
+        if self.log is not None:
+            self._message_wave((tag, rs, rd, nb, plan.hops, depart, arrival,
+                                (plan, None, None)),
+                               (old_src, arrival if sync else depart, old_dst, wire),
+                               after=arrival if sync else None)
         self._fold_stats(terms, idle)
 
     # ------------------------------------------------------------------ shift
@@ -550,6 +546,8 @@ class Network:
         srcs, dsts = plan.srcs, plan.dsts
         k = int(srcs.size)
         nb = _byte_counts(nbytes, k)
+        if self.log is not None and isinstance(nb, np.ndarray) and nb is nbytes:
+            nb = nb.copy()  # the log keeps it, the caller may not
         cost = self.cost
         clocks = self.clocks
         old_src = clocks[srcs]
@@ -571,39 +569,37 @@ class Network:
             clocks[dsts] = np.maximum(before, finish) + np.where(dst_sends, wire, 0.0)
             after = clocks[srcs]
             clocks[srcs] = np.where(src_first, after, np.maximum(after, finish))
-            self._record_wave(plan, srcs, dsts, nb, finish, start, tag)
+            self._count(plan, nb, k)
             self._fold_stats(terms, np.maximum(0.0, start - cost.t_setup - old_dst))
-            if self.timeline is not None:
-                self._emit_wave(
-                    (
-                        (srcs, "send", old_src, finish),
-                        (dsts, "recv", old_dst, finish),
-                    ),
-                    tag,
-                    (srcs, dsts, start, finish, plan.hops, nb, clocks),
-                )
-                # the second transfer: a rank's clock past the later end of
-                # its two rendezvous (zero-length, so dropped, elsewhere);
-                # a call of its own, so that record mode (message by
-                # message) and stream mode (lane by lane) add a rank's
-                # two sends in one order
-                ended = np.zeros(self.p)
-                ended[srcs] = finish
-                ended = np.maximum(ended[dsts], finish)
-                self.timeline.add_lanes(((dsts, "send", ended, clocks[dsts]),), tag)
+            if self.log is not None:
+                after = clocks[dsts]
+                self._message_wave(
+                    (tag, srcs, dsts, nb, plan.hops, start, finish, (plan, None, None)),
+                    lanes=((srcs, "send", old_src, finish),
+                           (dsts, "recv", old_dst, finish)),
+                    after=after)
+                if self.timeline is not None:
+                    # the second transfer: a rank's clock past the later end
+                    # of its two rendezvous (zero-length, so dropped,
+                    # elsewhere); an entry of its own, so that record mode
+                    # (message by message) and stream mode (lane by lane)
+                    # add a rank's two sends in one order
+                    ended = np.zeros(self.p)
+                    ended[srcs] = finish
+                    ended = np.maximum(ended[dsts], finish)
+                    self._emit(None, (tag, ((dsts, "send", ended, after),), None),
+                               None, k)
             return
         departs = old_src + cost.t_setup
         arrival = departs + wire
         clocks[srcs] = np.maximum(old_src, departs)
         clocks[dsts] = np.maximum(clocks[dsts], arrival)
-        self._record_wave(plan, srcs, dsts, nb, arrival, departs, tag)
+        self._count(plan, nb, k)
         # left-fold the float accumulators in pair order (scalar rounding)
         self._fold_stats(terms, np.maximum(0.0, arrival - old_dst))
-        if self.timeline is not None:
-            self._timeline_wave(
-                srcs, dsts, old_src, departs, old_dst, arrival, wire, tag,
-                (srcs, dsts, departs, arrival, plan.hops, nb, None),
-            )
+        if self.log is not None:
+            self._message_wave((tag, srcs, dsts, nb, plan.hops, departs, arrival,
+                                (plan, None, None)), (old_src, departs, old_dst, wire))
 
     # ------------------------------------------------------------------ trees
     def broadcast(
@@ -670,23 +666,15 @@ class Network:
         seeded fold of the stats floats and one counter update.
         """
         wire, terms = plan.price(nb, self.cost)
-        stats = self.stats
-        per_message = (stats.keep_records or stats.sink is not None
-                       or self.metrics is not None)
-        idle = self._rounds(plan, nb, wire, sync, tag, up, combine_seconds,
-                            per_message)
+        idle = self._rounds(plan, nb, wire, sync, tag, up, combine_seconds)
         if up:  # the stats take the terms in message order
             rounds = plan.bounds[::-1]
             terms = np.concatenate([terms[lo:hi] for lo, hi in rounds])
             idle = np.concatenate([idle[lo:hi] for lo, hi in rounds])
-        if not per_message:  # the counters of the whole tree at once
-            stats.messages += len(terms)
-            stats.bytes_sent += nb * len(terms)
-            stats.hops_crossed += plan.hops_sum
+        self._count(plan, nb, len(terms))  # the whole tree at once
         self._fold_stats(terms, idle, combine_seconds)
 
-    def _rounds(self, plan, nb, wire, sync, tag, up, combine_seconds,
-                per_message) -> np.ndarray:
+    def _rounds(self, plan, nb, wire, sync, tag, up, combine_seconds) -> np.ndarray:
         """The clocks of :meth:`_tree`'s rounds; returns the idle terms
         in tree order.
 
@@ -699,8 +687,7 @@ class Network:
         in place, and scattered back once.  Each edge's arrival and its
         receiver's start clock are kept (a broadcast's receivers start
         where the tree started), for the idle terms in one pass.  A
-        traced machine also gets every round emitted, with the clocks
-        written back first.
+        traced machine also logs every round, from these columns.
         """
         ranks = plan.memo.get("ranks")
         if ranks is None:
@@ -710,7 +697,7 @@ class Network:
         arrivals = np.empty_like(wire)
         starts = np.empty_like(wire) if up else tree[1:].copy()
         setup = np.asarray(self.cost.t_setup)
-        emit = per_message or self.timeline is not None
+        emit = self.log is not None
         for lo, hi in plan.bounds[::-1] if up else plan.bounds:
             n = hi - lo
             w, arrival, old_dst = wire[lo:hi], arrivals[lo:hi], starts[lo:hi]
@@ -735,28 +722,19 @@ class Network:
                 rs, rd = plan.srcs[lo:hi], plan.dsts[lo:hi]
                 if up:
                     rs, rd = rd, rs
-                clocks[ranks] = tree
                 if not sync:
                     depart = old_src + setup
-                if per_message:
-                    self._book_messages(plan, rs, rd, nb, arrival, depart, tag, lo, hi)
-                if self.timeline is not None:
-                    self._timeline_wave(
-                        rs, rd, old_src, arrival if sync else depart, old_dst,
-                        arrival, w, tag,
-                        (rs, rd, depart, arrival, plan.hops[lo:hi], nb,
-                         clocks if sync else None),
-                    )
-                    if combine_seconds:
-                        self._work(rd, rcv.copy(), rcv + combine_seconds)
-                # carry on from what the emission left (which must be the
-                # clocks it was handed: the trace pillar checks)
-                np.take(clocks, ranks, out=tree)
+                self._message_wave(
+                    (tag, rs, rd, nb, plan.hops[lo:hi], depart, arrival, (plan, lo, hi)),
+                    (old_src, arrival if sync else depart, old_dst, w),
+                    after=arrival if sync else None)
+                if combine_seconds and self.timeline is not None:
+                    self._work(rd, rcv.copy(), rcv + combine_seconds)
             if combine_seconds:
                 rcv += combine_seconds
         clocks[ranks] = tree
-        # the emission copied what it kept, so the arrivals can go
-        idle = np.subtract(arrivals, starts, out=arrivals)
+        # the log keeps the arrivals (and the start clocks)
+        idle = np.subtract(arrivals, starts, out=None if emit else arrivals)
         if sync:
             np.subtract(idle, wire, out=idle)
         return np.maximum(0.0, idle, out=idle)
@@ -781,9 +759,7 @@ class Network:
             return
         self.allreduce(1, topo)
         self.clocks[:] = self.clocks.max()
-        if self.path is not None:
-            # the one clock write no charged wave describes
-            self.path.jump(self.clocks)
+        self._jump()
 
     # ------------------------------------------------------------------ gather
     def gather(
@@ -821,13 +797,12 @@ class Network:
         np.maximum(old_root, run_max[:-1], out=prev[1:])
         clocks[srcs] = departs
         clocks[root] = max(old_root, float(run_max[-1]))
-        self._record_wave(plan, srcs, plan.dsts, nb, arrival, departs, tag)
+        self._count(plan, nb, len(srcs))
         self._fold_stats(terms, np.maximum(0.0, arrival - prev))
-        if self.timeline is not None:
-            self._timeline_wave(
-                srcs, plan.dsts, old_src, departs, prev, arrival, wire, tag,
-                (srcs, root, departs, arrival, plan.hops, nb, None),
-            )
+        if self.log is not None:
+            self._message_wave((tag, srcs, plan.dsts, nb, plan.hops, departs, arrival,
+                                (plan, None, None)), (old_src, departs, prev, wire),
+                               fold=(srcs, root))
 
     def scatter(
         self,
@@ -904,9 +879,20 @@ class Network:
             )
         t0 = self.time
         self.clocks[:] = t0
-        if self.path is not None:
-            self.path.jump(self.clocks)
+        self._jump()
         return t0
+
+    def _jump(self) -> None:
+        """The one clock write no charged wave describes, to the fold."""
+        if self.path is not None:
+            self.log.append((None, None, ("jump", (self.clocks.copy(),)), None),
+                            self.p)
+
+    def charging(self, skeleton: str | None) -> None:
+        """From now on *skeleton* charges (the span tracer's innermost
+        open skeleton span), for the fold's attribution."""
+        if self.path is not None:
+            self.log.append((None, None, ("charging", (skeleton,)), None), 0)
 
     def book_work(self, rank: int, start: float, end: float, seconds: float) -> None:
         self.clocks[rank] = end
@@ -925,24 +911,30 @@ class Network:
             return None
         start, depart, arrival = times
         self.clocks[src] = depart
-        self._book_record(src, dst, nbytes, hops, tag, depart, arrival)
-        if self.timeline is None:
+        self._count1(nbytes, hops)
+        if self.log is None:
             return None
-        self.timeline.add(src, "send", start, depart, tag)
-        sent = self.path.depart(tag, src, depart) if self.path is not None else None
-        return src, nbytes, hops, tag, depart, arrival, sent
+        msgs = (tag, src, dst, nbytes, hops, depart, arrival, None)
+        if self.timeline is None:
+            self._emit(msgs, None, None, 1)
+            return None
+        # the fold's sender half leaves its chain in *box* for the receiver
+        box = [] if self.path is not None else None
+        self._emit(msgs, (tag, ((src, "send", start, depart),), None),
+                   None if box is None else
+                   ("post", (tag, src, depart, box)), 1)
+        return src, nbytes, hops, tag, depart, arrival, box
 
     def book_delivery(self, posted, dst, wait_from, resume, idle) -> None:
         """The message *posted* taken by *dst*, waiting since *wait_from*."""
         self.clocks[dst] = resume
         self.stats.idle_seconds += idle
         if posted is not None:
-            src, nbytes, hops, tag, depart, arrival, sent = posted
+            src, nbytes, hops, tag, depart, arrival, box = posted
             lanes = ((dst, "idle", wait_from, depart),
                      (dst, "recv", max(wait_from, depart), arrival))
-            self.timeline.add_lanes(lanes, tag)
-            if sent is not None:
-                self.path.arrive(sent, src, dst, arrival, hops, nbytes)
+            self._emit(None, (tag, lanes, None), None if box is None else
+                       ("take", (box, src, dst, arrival, hops, nbytes)), 2)
 
     def book_rendezvous(self, src, dst, nbytes, hops, tag, ready, wait_from,
                         start, finish, idle) -> None:
@@ -951,13 +943,15 @@ class Network:
         finishes."""
         self.clocks[src] = self.clocks[dst] = finish
         self.stats.idle_seconds += idle
-        self._book_record(src, dst, nbytes, hops, tag, start, finish)
-        if self.timeline is not None:
+        self._count1(nbytes, hops)
+        if self.log is not None:
             lanes = ((src, "send", ready, finish), (dst, "recv", wait_from, finish))
-            wave = (src, dst, start, finish, hops, nbytes, self.clocks)
-            self._emit_wave(lanes, tag, wave)
+            self._message_wave((tag, src, dst, nbytes, hops, start, finish, None),
+                               lanes=lanes, after=finish)
 
-    def _book_record(self, src, dst, nbytes, hops, tag, depart, arrival) -> None:
-        self.stats.record_message(arrival, src, dst, nbytes, hops, tag, depart=depart)
-        if self.metrics is not None:
-            self._observe_message(nbytes, hops, tag)
+    def _count1(self, nbytes: int, hops: int) -> None:
+        """The counters of one message (see :meth:`_count`)."""
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes_sent += nbytes
+        stats.hops_crossed += hops

@@ -75,8 +75,10 @@ __all__ = [
 #: priced wire vectors, traced int hops); a memo entry is kept only
 #: while there is room, a new plan makes room by the oldest plans'
 #: memos and then the oldest plans, and a pattern larger than the bound
-#: is never stored
-PLAN_STORE_BYTES = 2 << 20
+#: is never stored.  At p = 65 536 a root's tree plan (edges and hops:
+#: 1.5 MB) and fan plan (1 MB) fit together, so a gather does not evict
+#: the tree the next broadcast charges on
+PLAN_STORE_BYTES = 21 << 17  # 2.625 MiB
 
 #: bound, in bytes, on what one intern table keeps (:data:`TOPOLOGIES`,
 #: ``repro.arrays.distribution.BLOCK_DISTRIBUTIONS``)

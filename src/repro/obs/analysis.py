@@ -7,12 +7,13 @@ rank, the attribution of that value — ``compute``; ``latency`` (the
 setup before a departure and the wire's ``hops * t_hop``);
 ``bandwidth`` (the rest of the wire); ``idle`` (a clock jump no charged
 wave explains) — by the innermost skeleton open when it was charged.
-The Network hands the fold every wave it charges, beside the timeline,
-in record and stream mode alike (docs/OBSERVABILITY.md gives the tie and
-gap rules).  ``farm`` and ``d&c`` run on the event engine, which books
-each event through the same helpers; an asynchronous message its
-receiver takes later is folded in two halves (:meth:`PathFold.depart`,
-then :meth:`PathFold.arrive`).
+The fold drains every wave the Network logs, in emission order, in
+record and stream mode alike (docs/OBSERVABILITY.md gives the tie and
+gap rules); the span tracer logs each change of the innermost skeleton.
+``farm`` and ``d&c`` run on the event engine, which books each event
+through the same helpers; an asynchronous message its receiver takes
+later is folded in two halves (:meth:`PathFold.post`, then
+:meth:`PathFold.take`).
 
 :func:`analyze_machine` turns the fold into one :class:`RunAnalysis`:
 component and per-skeleton totals, the top-*k* blocking edges and
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -41,11 +41,10 @@ import numpy as np
 
 from repro.errors import SkilError
 from repro.machine.costmodel import CostModel
-from repro.machine.trace import MessageRecord
+from repro.machine.trace import MessageRecord, drain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.machine import Machine
-    from repro.obs.span import SpanTracer
 
 __all__ = [
     "AnalysisError",
@@ -196,37 +195,55 @@ class PathFold:
     rank: the :data:`TOPK` longest transfers on its chain (in no order
     until read) and the chain's attribution, four components per
     skeleton name.  A rank that takes another's chain takes its value
-    and row.  ``busy`` holds the busy seconds each rank charged per
-    skeleton: its clock advance while the skeleton was charging, less
-    the time it waited for a message or a jump (the current skeleton's
-    still open in ``_since`` / ``_waited``).  The folded value is the rank's clock:
+    and row (by index in a shift of every rank, :meth:`_shift`); what
+    the Network logged is folded when the log drains.
+    ``busy`` holds the busy seconds each rank charged per skeleton: its
+    clock advance while the skeleton was charging, less the time it
+    waited for a message or a jump (the current skeleton's still open
+    in ``_since`` / ``_waited``).  The folded value is the rank's clock:
     the Network hands over the clocks after a write no wave describes
     (``barrier``) and :meth:`jump` catches up; a rendezvous wave hands
-    over the clocks it left too, where a rank that both sends and
+    over its receivers' clocks too, where a rank that both sends and
     receives in a shift pays a second transfer (:meth:`_serial`).  With
     *record*, every folded segment is also logged with its predecessor,
     and ``tail`` names each rank's last one.
     """
 
-    def __init__(self, p: int, cost: CostModel,
-                 tracer: "SpanTracer | None" = None, record: bool = False):
+    def __init__(self, p: int, cost: CostModel, record: bool = False):
         self.p, self.cost, self.record = p, cost, record
-        # weak: the tracer holds the network, which holds this fold
-        self._tracer = weakref.ref(tracer) if tracer is not None else None
         #: interned skeleton names (name -> column) and tags (tag -> id)
         self.skeletons = {OUTSIDE_SPANS: 0}
         self.tags: dict[str, int] = {}
+        #: the Network's wave log, drained before every read
+        self._log = None
         self.clear()
+
+    def drain(self, entries) -> None:
+        """A drained batch of the Network's wave log: each entry's fold
+        step, in order."""
+        for entry in entries:
+            step = entry[2]
+            if step is not None:
+                getattr(self, step[0])(*step[1])
+
+    def charging(self, skeleton: str | None) -> None:
+        """The innermost open skeleton span from here on (``None``:
+        none), as the span tracer logs it."""
+        self._name = skeleton
 
     def clear(self) -> None:
         n = len(self.skeletons)
         self.val = np.zeros(self.p)
-        self.state = np.zeros((self.p, _ATTR + 4 * n))
-        self.state[:, :_SECS.stop] = -np.inf  # no transfer yet
+        self._rows = np.zeros((self.p, _ATTR + 4 * n))
+        self._rows[:, :_SECS.stop] = -np.inf  # no transfer yet
+        #: the row of ``_rows`` that holds each rank's chain (``state``
+        #: puts every chain back in its rank's row for a reader)
+        self._phys, self._moved = np.arange(self.p), False
         self.busy = np.zeros((self.p, n))
         self._since = np.zeros(self.p)
         self._waited = np.zeros(self.p)
         self._col = 0
+        self._name = None
         self.tail = np.full(self.p if self.record else 0, -1, dtype=np.int64)
         self._segs: list[tuple] = []
         self._offsets: list[int] = []
@@ -234,19 +251,26 @@ class PathFold:
 
     def cells(self) -> int:
         """Array elements of per-rank state (the stream accounting)."""
-        return sum(a.size for a in (self.val, self.state, self.busy,
+        return sum(a.size for a in (self.val, self._rows, self.busy,
                                     self._since, self._waited, self.tail))
+
+    @property
+    def state(self) -> np.ndarray:
+        """One row per rank, in rank order (class docstring)."""
+        if self._moved:
+            self._rows, self._phys = self._rows[self._phys], np.arange(self.p)
+            self._moved = False
+        return self._rows
 
     # -------------------------------------------------------------- helpers
     def _column(self) -> int:
         """The innermost open skeleton's column (added on first sight);
         a change of skeleton books the last one's busy seconds."""
-        tracer = self._tracer() if self._tracer is not None else None
-        name = (tracer.innermost_skeleton() if tracer else None) or OUTSIDE_SPANS
+        name = self._name or OUTSIDE_SPANS
         col = self.skeletons.get(name)
         if col is None:
             col = self.skeletons[name] = len(self.skeletons)
-            self.state = np.concatenate((self.state, np.zeros((self.p, 4))), 1)
+            self._rows = np.concatenate((self._rows, np.zeros((self.p, 4))), 1)
             self.busy = np.concatenate((self.busy, np.zeros((self.p, 1))), 1)
         if col != self._col:
             self.busy[:, self._col] += self.val - self._since - self._waited
@@ -255,7 +279,7 @@ class PathFold:
             self._col = col
         return col
 
-    def _log(self, kind, ranks, starts, ends, col, preds, tag=-1, msg=None):
+    def _segment(self, kind, ranks, starts, ends, col, preds, tag=-1, msg=None):
         """Record mode: log a segment per entry, and return their ids."""
         self._offsets.append(self._nseg)
         self._segs.append((kind, ranks, starts, ends, col, preds, tag, msg))
@@ -276,14 +300,14 @@ class PathFold:
         q = int(np.argmax(val))
         src = np.where(val[q] <= clock, q, ranks)
         start = val[src]
-        rows = self.state[src]
+        rows = self._rows[self._phys[src]]
         rows[:, _ATTR + 4 * col + _IDLE] += clock - start
-        self.state[ranks] = rows
+        self._rows[self._phys[ranks]] = rows
         self._waited[ranks] += clock - val[ranks]
         val[ranks] = clock
         if self.record:
-            self.tail[ranks] = self._log("gap", ranks, start, clock, col,
-                                         self.tail[src])
+            self.tail[ranks] = self._segment("gap", ranks, start, clock, col,
+                                             self.tail[src])
 
     # --------------------------------------------------------------- waves
     def compute(self, ranks, starts, ends) -> None:
@@ -293,72 +317,141 @@ class PathFold:
         d = np.asarray(ends, dtype=np.float64) - starts
         r = np.atleast_1d(ranks)
         at = slice(None) if r.size == self.p else r
-        self.state[:, _ATTR + 4 * col + _COMPUTE][at] += d
+        self._rows[:, _ATTR + 4 * col + _COMPUTE][self._phys[at]] += d
         self.val[at] = ends
-        if self.record:
-            # copies: the caller may hand over its live clock vector
-            self.tail[r] = self._log("compute", r, np.array(starts, ndmin=1),
-                                     np.array(ends, ndmin=1), col, self.tail[r])
+        if self.record:  # the log's arrays are the fold's to keep
+            self.tail[r] = self._segment("compute", r, np.atleast_1d(starts),
+                                         np.atleast_1d(ends), col, self.tail[r])
 
     def messages(self, tag: str, srcs, dsts, departs, arrivals, hops,
-                 nbytes, clocks=None) -> None:
+                 nbytes, after=None) -> None:
         """One wave of messages, as the Network charged it; a rendezvous
-        wave also hands over the *clocks* it left.  Senders are distinct,
-        or one rank for a fan-out; receivers distinct, or one rank for a
-        fan-in."""
-        dep, arr = np.atleast_1d(departs, arrivals)
+        wave also hands over its receivers' clocks *after* it.  Senders
+        are distinct, or one rank for a fan-out; receivers distinct, or
+        one rank for a fan-in; one message may come as scalars."""
+        if np.ndim(arrivals) == 0:
+            departs, arrivals = np.array([departs]), np.array([arrivals])
+            after = None if after is None else np.array([after])
+        k = arrivals.size
         fan_out, fan_in = np.ndim(srcs) == 0, np.ndim(dsts) == 0
-        src = np.full(dep.size, srcs) if fan_out else srcs
-        dst = np.full(dep.size, dsts) if fan_in else dsts
+        src = np.full(k, srcs) if fan_out else srcs
+        dst = np.full(k, dsts) if fan_in else dsts
         # the chain that precedes each departure: the sender's, or in a
         # rendezvous the receiver's when it came after the sender's setup
         base, last = src, None
-        if clocks is not None:
-            late = dep > self.val[src] + self.cost.t_setup
+        if after is not None:
+            late = departs > self.val[src] + self.cost.t_setup
             if late.any():
                 base = np.where(late, dst, src)
+        elif k == self.p and not (fan_out or fan_in):
+            return self._shift(tag, src, dst, departs, arrivals, hops, nbytes)
         else:  # a fan-out's last message is its sender's new clock
-            last = slice(dep.size - 1, None) if fan_out else slice(None)
-        sent = self.depart(tag, base, dep, last)
-        self.arrive(sent, src, dst, arr, hops, nbytes, fan_in, clocks)
+            last = slice(k - 1, None) if fan_out else slice(None)
+        sent = self.depart(tag, base, departs, last)
+        self.arrive(sent, src, dst, arrivals, hops, nbytes, fan_in, after)
 
-    def depart(self, tag: str, base, departs, last=slice(None)):
-        """The sender half: each message's chain at departure, from the
-        *base* ranks' rows; the *last* ones' departures are their senders'
-        new clocks (``None``: a rendezvous sender awaits the arrival).
-        Returns the chains, for :meth:`arrive` now or (the event engine's
-        mailbox) when the receiver takes the message."""
+    def _shift(self, tag, src, dst, dep, arr, hops, nbytes) -> None:
+        """:meth:`messages` for an asynchronous wave in which every rank
+        sends one message and receives one: a message that wins moves
+        its chain to the receiver by index (``_phys``), not by copy; a
+        receiver whose message loses keeps its own chain (with its own
+        send's setup), copied to the row the lost message leaves free."""
+        col = self._column()
+        tid = self.tags.setdefault(tag, len(self.tags))
+        rows, phys, val, a = self._rows, self._phys, self.val, _ATTR + 4 * col
+        at, pre = phys[src], val[src]  # each message's chain, from its sender
+        setup = dep - pre
+        val[src] = dep  # every rank sends: a receiver's clock is its departure
+        own = val[dst]
+        win = arr >= own
+        lost = None if win.all() else np.flatnonzero(~win)
+        if lost is not None:  # copied before any chain moves
+            keep, by = dst[lost], np.empty(self.p, dtype=np.intp)
+            by[src] = np.arange(self.p)
+            kept = rows[phys[keep]]
+            kept[:, a + _LATENCY] += setup[by[keep]]
+            win = np.flatnonzero(win)
+        else:
+            win = slice(None)
+        wire = arr - dep
+        lat = np.minimum(wire, hops * self.cost.t_hop)
+        if self.record:
+            sent = self._segment("send", src, pre, dep, col, self.tail[src], tid)
+            self.tail[src] = sent
+            moved = self._segment("transfer", dst, dep, arr, col, sent, tid,
+                                  (src, np.asarray(nbytes), hops))
+            self.tail[dst[win]] = moved[win]
+        aw = at[win]
+        rows[:, a + _LATENCY][aw] += (setup + lat)[win]
+        rows[:, a + _BANDWIDTH][aw] += (wire - lat)[win]
+        enters = np.flatnonzero(wire[win] > rows[aw, _MIN])
+        if enters.size:
+            m = np.arange(self.p)[win][enters]
+            key = ((tid * 1024 + col) * self.p + src) * self.p + dst
+            sub = rows[aw[enters]]
+            self._enter(sub, [f[m] if np.ndim(f) else f for f in (wire, key, nbytes)])
+            rows[aw[enters]] = sub
+        self._waited[dst] += np.maximum(0.0, dep - own)
+        val[dst] = np.maximum(own, arr)
+        phys[dst[win]] = aw
+        if lost is not None:
+            rows[at[lost]] = kept
+            phys[keep] = at[lost]
+        self._moved = True
+
+    @staticmethod
+    def _enter(sub, fields) -> None:
+        """Each row of *sub* takes one transfer — *fields*: its seconds,
+        key and bytes — in place of its shortest kept one."""
+        flat, first = sub.reshape(-1), np.arange(1, sub.size, sub.shape[1])
+        slot = first + sub[:, _SECS].argmin(1)
+        for f, field in enumerate(fields):
+            flat[slot + f * TOPK] = field
+        sub[:, _MIN] = flat[first + sub[:, _SECS].argmin(1)]
+
+    def depart(self, tag: str, base, dep, last=slice(None)):
+        """The sender half: each message's chain at departure *dep*, from
+        the *base* ranks' rows; the *last* ones' departures are their
+        senders' new clocks (``None``: a rendezvous sender awaits the
+        arrival).  Returns the chains, for :meth:`arrive`."""
         col = self._column()  # first: a new skeleton widens the state
         tid = self.tags.setdefault(tag, len(self.tags))
-        base, dep = np.atleast_1d(base, departs)
-        rows, pre = self.state.take(base, 0), self.val[base]
+        rows, pre = self._rows.take(self._phys[base], 0), self.val[base]
         setup = dep - pre
         sent = None
         if self.record:
-            dep = dep.copy()  # the log keeps it
-            sent = self._log("send", base, pre, dep, col, self.tail[base], tid)
+            sent = self._segment("send", base, pre, dep, col, self.tail[base], tid)
         if last is not None:
             s = base[last]
             self.val[s] = dep[last]
-            self.state[:, _ATTR + 4 * col + _LATENCY][s] += setup[last]
+            self._rows[:, _ATTR + 4 * col + _LATENCY][self._phys[s]] += setup[last]
             if self.record:
                 self.tail[s] = sent[last]
         return col, tid, rows, dep, setup, sent
 
-    def arrive(self, sent, srcs, dsts, arrivals, hops, nbytes, fan_in=False,
-               clocks=None) -> None:
+    def post(self, tag: str, src: int, depart: float, box: list) -> None:
+        """The event engine's sender half of one message: its chain waits
+        in *box* until the receiver takes it (:meth:`take`)."""
+        box.append(self.depart(tag, np.array([src]), np.array([depart])))
+
+    def take(self, box: list, src: int, dst: int, arrival: float, hops: int,
+             nbytes: int) -> None:
+        """The receiver half of the message :meth:`post` put in *box*."""
+        self.arrive(box.pop(), np.array([src]), np.array([dst]),
+                    np.array([arrival]), hops, nbytes)
+
+    def arrive(self, sent, src, dst, arr, hops, nbytes, fan_in=False,
+               after=None) -> None:
         """The receiver half: the messages *sent* (:meth:`depart`) cross
-        and reach their receivers, each at its clock."""
+        and reach their receivers *dst*, each at its clock."""
         col, tid, rows, dep, setup, sent = sent
-        src, dst, arr = np.atleast_1d(srcs, dsts, arrivals)
-        k, st, val, cost = dep.size, self.state, self.val, self.cost
+        k, st, phys, val, cost = dep.size, self._rows, self._phys, self.val, self.cost
         a = _ATTR + 4 * col
         wire = arr - dep
         lat = np.minimum(wire, hops * cost.t_hop)
         if self.record:
-            arr = arr.copy()  # the log keeps it
-            moved = self._log("transfer", dst, dep, arr, col, sent, tid,
-                              (src, np.asarray(nbytes), hops))
+            moved = self._segment("transfer", dst, dep, arr, col, sent, tid,
+                                  (src, np.asarray(nbytes), hops))
         # the rows at arrival: the wire, and the edge if among the k longest
         rows[:, a + _LATENCY] += setup + lat
         rows[:, a + _BANDWIDTH] += wire - lat
@@ -367,17 +460,13 @@ class PathFold:
             enters = np.flatnonzero(enters)
             every = enters.size == k
             sub = rows if every else rows[enters]
-            flat, first = sub.reshape(-1), np.arange(1, sub.size, sub.shape[1])
-            slot = first + sub[:, _SECS].argmin(1)
             key = ((tid * 1024 + col) * self.p + src) * self.p + dst
-            for f, field in enumerate((wire, key, nbytes)):
-                flat[slot + f * TOPK] = field if every or not np.ndim(field) \
-                    else field[enters]
-            sub[:, _MIN] = flat[first + sub[:, _SECS].argmin(1)]
+            self._enter(sub, [f if every or not np.ndim(f) else f[enters]
+                              for f in (wire, key, nbytes)])
             if not every:
                 rows[enters] = sub
-        if clocks is not None:
-            st[src] = rows
+        if after is not None:
+            st[phys[src]] = rows
             self._waited[src] += np.maximum(0.0, dep - val[src] - cost.t_setup)
             val[src] = arr
             if self.record:
@@ -394,27 +483,28 @@ class PathFold:
         self._waited[dst] += np.maximum(0.0, dep - own)
         val[dst] = np.maximum(own, arr)
         w = slice(None) if w.all() else np.flatnonzero(w)
-        st[dst[w]] = rows[w]
+        st[phys[dst[w]]] = rows[w]
         if self.record:
             self.tail[dst[w]] = moved[w]
-        if clocks is not None:
-            self._serial(clocks, dst)
+        if after is not None:
+            self._serial(after, dst)
 
-    def _serial(self, clocks, ranks) -> None:
+    def _serial(self, after, ranks) -> None:
         """A rendezvous shift's second transfer: a rank that both sends
-        and receives pays it after both, so its clock passes the wave's
-        last arrival on it; booked like a send, on the rank's own chain
-        (the Network's timeline lane of the same span)."""
-        lag = clocks[ranks] > self.val[ranks]
+        and receives pays it after both, so its clock (*after*, one per
+        rank) passes the wave's last arrival on it; booked like a send,
+        on the rank's own chain (the Network's timeline lane of the same
+        span)."""
+        lag = after > self.val[ranks]
         if not lag.any():
             return
         ranks = ranks[lag]
         col = self._column()
-        start, end = self.val[ranks], clocks[ranks]
-        self.state[ranks, _ATTR + 4 * col + _LATENCY] += end - start
+        start, end = self.val[ranks], after[lag]
+        self._rows[:, _ATTR + 4 * col + _LATENCY][self._phys[ranks]] += end - start
         if self.record:
-            self.tail[ranks] = self._log("send", ranks, start, end, col,
-                                         self.tail[ranks])
+            self.tail[ranks] = self._segment("send", ranks, start, end, col,
+                                             self.tail[ranks])
         self.val[ranks] = end
 
     # ------------------------------------------------------------- results
@@ -541,6 +631,7 @@ def analyze_machine(machine: "Machine") -> RunAnalysis:
     if fold is None:
         raise AnalysisError("analysis needs Machine(trace_level=2): the "
                             "critical-path fold is not attached")
+    drain(fold._log)
     makespan = machine.time
     st = fold.state
     q = int(np.argmax(fold.val))

@@ -105,8 +105,8 @@ def encode_complete(
     Each event is byte for byte ``json.dumps`` of its dict: name and cat
     from *labels* (``(name, cat)`` pairs, one for the wave or picked per
     event by *which*), ``tid = rank + tid_base``, µs ``ts``/``dur`` and
-    *args* (``(key, column)`` pairs).  Floats go through ``repr`` (a
-    duration once per distinct value) and the wave is one ``%`` format;
+    *args* (``(key, column)`` pairs).  Times go through ``repr`` once
+    per distinct value and the wave is one ``%`` format;
     *jsonl* picks the spill's compact lines over the export's ``", "``
     joined events.  A negative or non-finite time is a
     :class:`SkilError` naming the event's rank and kind: strict JSON has
@@ -119,19 +119,20 @@ def encode_complete(
         start = float(starts[0])
         ts, dur = [start * 1e6], [(float(ends[0]) - start) * 1e6]
         ok = 0.0 <= ts[0] < math.inf and 0.0 <= dur[0] < math.inf
-        durs = [repr(dur[0])]
+        tss, durs = [repr(ts[0])], [repr(dur[0])]
     else:
-        times = np.empty((2, k))  # ts, dur: one validation, one tolist
+        times = np.empty((2, k))  # ts, dur: one validation
         np.multiply(starts, 1e6, out=times[0])
         np.subtract(ends, starts, out=times[1])
         times[1] *= 1e6
         ok = (np.minimum.reduce(times, None) >= 0.0
               and np.maximum.reduce(times, None) < math.inf)
-        ts, dur = times.tolist()
-        # few distinct durations: one repr each, told apart by their bits
-        bits = times[1].view(np.int64).tolist()
-        text = {b: repr(v) for b, v in dict(zip(bits, dur)).items()}
-        durs = list(map(text.__getitem__, bits))
+        if ok:  # few distinct times: one repr each, told apart by their bits
+            bits, at = np.unique(times.view(np.int64), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            tss, durs = text[at.reshape(2, k)].tolist()
+        else:
+            ts, dur = times.tolist()
     if not ok:
         i = next(i for i, (a, b) in enumerate(zip(ts, dur))
                  if not (0.0 <= a < math.inf and 0.0 <= b < math.inf))
@@ -143,9 +144,9 @@ def encode_complete(
     heads = [f'{{"ph"{kv}"X"{sep}"name"{kv}{_json_str(name)}{sep}"cat"{kv}'
              f'{_json_str(cat)}{sep}"pid"{kv}{_PID}{sep}"tid"{kv}'
              for name, cat in labels]
-    fmt = (f'%d{sep}"ts"{kv}%r{sep}"dur"{kv}%s{sep}"args"{kv}{{'
+    fmt = (f'%d{sep}"ts"{kv}%s{sep}"dur"{kv}%s{sep}"args"{kv}{{'
            + sep.join(f'"{key}"{kv}%r' for key, _ in args) + "}}")
-    cols = [(np.asarray(ranks) + tid_base).tolist(), ts, durs,
+    cols = [(np.asarray(ranks) + tid_base).tolist(), tss, durs,
             *(np.asarray(c).tolist() for _, c in args)]
     if which is None:
         fmt = heads[0].replace("%", "%%") + fmt

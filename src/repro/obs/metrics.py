@@ -18,6 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.machine.trace import batch_messages, drain
+
 __all__ = [
     "Counter",
     "Histogram",
@@ -29,6 +31,8 @@ __all__ = [
 
 #: power-of-two byte buckets, 1 B .. 16 MB — message sizes
 POW2_BUCKETS = tuple(float(1 << k) for k in range(25))
+#: hop-count buckets (1..16 mesh hops)
+HOP_BUCKETS = tuple(float(h) for h in range(1, 17))
 
 
 @dataclass
@@ -74,43 +78,54 @@ class Histogram:
         self.min = v if self.min is None else min(self.min, v)
         self.max = v if self.max is None else max(self.max, v)
 
-    def summarize(self, values, count: int = 1):
-        """``([(bucket index, count), ...], min, max)`` of *values*, an
-        array or one number *count* times, for :meth:`observe_many`."""
-        if np.ndim(values) == 0:
-            v = float(values)
-            return [(bisect.bisect_left(self.buckets, v), count)], v, v
-        vals = np.asarray(values, dtype=np.float64)
-        hits = np.bincount(np.searchsorted(self._bounds, vals, side="left")).tolist()
-        return ([(i, n) for i, n in enumerate(hits) if n],
-                *((float(vals.min()), float(vals.max())) if vals.size else (0.0, 0.0)))
+    def summarize(self, values: np.ndarray) -> tuple:
+        """``(bucket hits, count, min, max, sum)`` of a non-empty array,
+        for :meth:`add`: ``searchsorted`` buckets as ``bisect_left`` does,
+        and the sum an exact ``int`` when every value is a non-negative
+        integer (``None`` otherwise)."""
+        hits = np.bincount(np.searchsorted(self._bounds, values, side="left")).tolist()
+        lo, hi = float(values.min()), float(values.max())
+        exact = values.dtype.kind in "iu" and lo >= 0.0
+        return list(enumerate(hits)), values.size, lo, hi, int(values.sum()) if exact else None
 
-    def observe_many(self, values, summary=None) -> None:
-        """Vectorized :meth:`observe` over a sequence of values.
+    def add(self, summaries) -> bool:
+        """Fold in :meth:`summarize` results of non-negative integers
+        that keep the running ``total`` an integer below 2**53: exact, as
+        every partial sum of the scalar ``+=`` loop is, so their order
+        does not matter.  ``False``, with nothing changed, otherwise."""
+        sums = [s[4] for s in summaries]
+        if (None in sums or not float(self.total).is_integer()
+                or self.total + sum(sums) >= 2.0 ** 53):
+            return False
+        for summary in summaries:
+            self._count(summary)
+        self.total += float(sum(sums))
+        return True
 
-        Bit-identical to observing the values one at a time in order:
-        bucketing uses ``searchsorted`` (same semantics as
-        ``bisect_left``), and the running ``total`` is folded with a
-        seeded left-to-right ``np.add.accumulate`` so the float rounding
-        matches the scalar ``+=`` loop exactly.  Min/max are order-free.
-        A caller that knows the values' :meth:`summarize` (a plan's hop
-        counts, one byte count for a whole wave) passes it, and *values*
-        may then be one number for all.
-        """
-        hits, lo, hi = self.summarize(values) if summary is None else summary
-        k = 0
+    def _count(self, summary) -> None:
+        hits, k, lo, hi, _ = summary
         for i, n in hits:
             self.counts[i] += n
-            k += n
-        if k == 0:
-            return
-        buf = np.empty(k + 1, dtype=np.float64)
-        buf[0] = self.total
-        buf[1:] = values
-        self.total = float(np.add.accumulate(buf)[-1])
         self.count += k
         self.min = lo if self.min is None else min(self.min, lo)
         self.max = hi if self.max is None else max(self.max, hi)
+
+    def observe_many(self, values) -> None:
+        """Vectorized :meth:`observe` over a sequence of values,
+        bit-identical to observing them one at a time in order: the
+        buckets, min and max are order-free, and the running ``total`` is
+        :meth:`add`'s exact sum or a seeded left-to-right
+        ``np.add.accumulate``, whose rounding is the scalar loop's."""
+        vals = np.asarray(values)
+        if vals.size == 0:
+            return
+        summary = self.summarize(vals)
+        if not self.add([summary]):
+            buf = np.empty(vals.size + 1, dtype=np.float64)
+            buf[0] = self.total
+            buf[1:] = vals
+            self.total = float(np.add.accumulate(buf)[-1])
+            self._count(summary)
 
     @property
     def mean(self) -> float:
@@ -178,15 +193,53 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: the Network's wave log this registry drains before a read
+        self._log = None
+
+    def observe_messages(self, entries) -> None:
+        """The messages of a drained batch of the Network's wave log
+        (:class:`~repro.machine.trace.WaveLog`): sizes and hop counts
+        into two histograms, a count per wave and tag.  A wave of one
+        byte count is one bucket, a wave that carries its plan has its
+        hops summarized once per plan (memoized with it), the other
+        values are summarized in one pass; :meth:`Histogram.add` folds
+        the lot in exactly, or the batch's values go through
+        :meth:`Histogram.observe_many` in emission order.  Either way the
+        state is the per-message loop's, bit for bit."""
+        waves = [e[0] for e in entries if e[0] is not None]
+        if not waves:
+            return
+        sizes = self.histogram("net.message_bytes")
+        hops = self.histogram("net.message_hops", HOP_BUCKETS)
+        known, rest = ([], []), ([], [])
+        for tag, _, _, nb, hop, _, arrivals, cut in waves:
+            k = np.size(arrivals)
+            self.inc(f"net.messages.{tag or 'untagged'}", k)
+            if isinstance(nb, int) and nb >= 0:
+                at = bisect.bisect_left(sizes.buckets, nb)
+                known[0].append(([(at, k)], k, float(nb), float(nb), nb * k))
+            else:
+                rest[0].append(nb)
+            if cut is not None:
+                known[1].append(_hop_summary(hops, *cut))
+            else:
+                rest[1].append(hop)
+        for col, h, summaries, values in zip((2, 3), (sizes, hops), known, rest):
+            if values:
+                summaries.append(h.summarize(np.concatenate(values, axis=None)))
+            if summaries and not h.add(summaries):
+                h.observe_many(batch_messages(entries, (col,))[2][0])
 
     # ------------------------------------------------------------ accessors
     def counter(self, name: str) -> Counter:
+        drain(self._log)
         c = self._counters.get(name)
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
 
     def histogram(self, name: str, buckets: tuple[float, ...] = POW2_BUCKETS) -> Histogram:
+        drain(self._log)
         h = self._histograms.get(name)
         if h is None:
             h = self._histograms[name] = Histogram(name, buckets=buckets)
@@ -210,6 +263,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------ output
     def snapshot(self) -> dict[str, dict]:
         """Plain-dict dump (stable key order) for JSON export and tests."""
+        drain(self._log)
         out: dict[str, dict] = {"counters": {}, "histograms": {}}
         for name in sorted(self._counters):
             out["counters"][name] = self._counters[name].value
@@ -227,6 +281,7 @@ class MetricsRegistry:
 
     def format(self) -> str:
         """Human-readable dump, one instrument per line."""
+        drain(self._log)
         lines: list[str] = []
         for name in sorted(self._counters):
             lines.append(f"{name:<40}{self._counters[name].value:>14g}")
@@ -251,6 +306,7 @@ class MetricsRegistry:
         sorted and ends with a newline, scrape-ready for a file-based
         textfile collector.
         """
+        drain(self._log)
         lines: list[str] = []
         for name in sorted(self._counters):
             pname = _prom_name(name)
@@ -277,6 +333,16 @@ class MetricsRegistry:
     def clear(self) -> None:
         self._counters.clear()
         self._histograms.clear()
+
+
+def _hop_summary(hist: Histogram, plan, lo, hi) -> tuple:
+    """:meth:`Histogram.summarize` of the hops of *plan*'s edges
+    ``lo .. hi - 1``, memoized with the plan."""
+    key = ("hop_hist", lo, hi)
+    seen = plan.memo.get(key)
+    if seen is None:
+        seen = plan.keep(key, hist.summarize(plan.hops[lo:hi]))
+    return seen
 
 
 _NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")

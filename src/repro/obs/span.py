@@ -45,9 +45,8 @@ when stamps overlap — what :func:`attribution_ok` (±2 %) catches.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.errors import SkilError
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -174,6 +173,23 @@ def _union_length(intervals: list[tuple[float, float]]) -> float:
     return total
 
 
+class _Opened:
+    """:meth:`SpanTracer.span` (a class, not a generator: phases open
+    one at every step of a composite skeleton)."""
+
+    __slots__ = ("tracer", "name", "category", "span")
+
+    def __init__(self, tracer: "SpanTracer", name: str, category: str):
+        self.tracer, self.name, self.category = tracer, name, category
+
+    def __enter__(self) -> Span:
+        self.span = self.tracer.begin(self.name, category=self.category)
+        return self.span
+
+    def __exit__(self, *exc) -> None:
+        self.tracer.end_through(self.span)
+
+
 class SpanTracer:
     """Records a tree of spans against a stats object and a clock vector.
 
@@ -227,6 +243,8 @@ class SpanTracer:
         if self._on_close is None:
             self.spans.append(span)
         self._stack.append((span, snap))
+        if category == "skeleton":
+            self.network.charging(name)
         span.wall_begin = time.perf_counter()
         return span
 
@@ -242,6 +260,8 @@ class SpanTracer:
                 f"got {span.name!r}"
             )
         self._stack.pop()
+        if top.category == "skeleton":
+            self.network.charging(self.innermost_skeleton())
         top.wall_end = wall_end
         top.end_time = self.network.time
         top.compute_seconds = self.stats.compute_seconds - snap.compute
@@ -288,19 +308,18 @@ class SpanTracer:
         phase spans open; this closes them innermost-first so no begin
         is left dangling.
         """
+        if self._stack and self._stack[-1][0] is span:  # nothing left open
+            return self.end(span)
         if all(s is not span for s, _ in self._stack):
             raise SpanError(f"span {span.name!r} is not open")
         while self._stack[-1][0] is not span:
             self.end()
         return self.end(span)
 
-    @contextmanager
-    def span(self, name: str, category: str = "phase") -> Iterator[Span]:
-        s = self.begin(name, category=category)
-        try:
-            yield s
-        finally:
-            self.end_through(s)
+    def span(self, name: str, category: str = "phase") -> "_Opened":
+        """``with tracer.span(name) as s``: *s* begins on entry and ends
+        on exit, with whatever an error path left open beneath it."""
+        return _Opened(self, name, category)
 
     # ------------------------------------------------------------------ wall
     def dispatch(

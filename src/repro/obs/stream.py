@@ -4,13 +4,14 @@ The record-mode trace layers (:mod:`repro.machine.trace`,
 :mod:`repro.obs.timeline`, :mod:`repro.obs.span`) keep every message,
 per-rank interval and span — O(messages) memory, which makes a traced
 run at p=16384 infeasible.  The Network emits each charged wave once,
-through one interface; this module holds the *sinks* that fold the
-same waves online instead of keeping them, and keeps only what a
-report, an analysis or the heartbeat reads:
+into its wave log (:class:`repro.machine.trace.WaveLog`); this module
+holds the *sinks* that fold the same waves online, a drained batch at a
+time, instead of keeping them, and keeps only what a report, an
+analysis or the heartbeat reads:
 
 * exact per-rank/per-kind seconds (:class:`StreamTimeline`: the
   heartbeat's straggler flag) — O(p) memory, updated one vectorized
-  wave at a time on the batched charging paths;
+  batch of waves at a time;
 * the critical-path fold (:class:`repro.obs.analysis.PathFold`), which
   the machine attaches in both modes and this observer accounts for;
 * exact, exclusive per-skeleton aggregates with duration histograms
@@ -25,9 +26,11 @@ report, an analysis or the heartbeat reads:
 **Bit-identity contract.**  The aggregates are not approximations: every
 scalar cell is updated with the same IEEE-754 additions, in the same
 order, as a left-to-right fold over the corresponding record-mode lists.
-Within one wave each (rank, kind) cell receives its contributions
-through ``np.add.at``, which applies element-by-element in index order —
-the order record mode lists that cell's intervals in.  The ``trace`` pillar
+Within one drained batch each (rank, kind) cell receives its
+contributions through ``np.add.at``, which applies element-by-element in
+index order — the order record mode lists that cell's intervals in.  The
+spill writes a batch's lines in emission order too, so where the log
+drains changes no byte.  The ``trace`` pillar
 of :mod:`repro.check` holds this line: it folds a full ``trace_level=2``
 recording through the same sinks (``repro.check.tracecheck``) and
 compares every aggregate bitwise against a live streamed run.
@@ -46,6 +49,13 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import SkilError
+from repro.machine.trace import (
+    LOG_BUDGET,
+    batch_intervals,
+    batch_messages,
+    drain,
+    interval_entry,
+)
 from repro.obs.analysis import TOPK
 from repro.obs.export import encode_complete, span_event
 from repro.obs.span import SkeletonAgg, Span, fold_skeleton
@@ -152,74 +162,64 @@ class JsonlSpillWriter:
 class StreamTimeline:
     """O(p) stand-in for :class:`repro.obs.timeline.Timeline`.
 
-    Speaks the same emission interface — ``add`` for one interval,
-    ``add_many`` / ``add_lanes`` for a charged wave, all dropping
-    zero/negative-length intervals — so the Network emits (for its
-    charged waves and the event engine's events alike) without knowing
-    which timeline is installed.  Per (rank, kind) it
-    keeps exact total seconds; with *spill*, every interval is also
-    written out as it passes.
+    Per (rank, kind) it keeps exact total seconds, one row per kind of
+    one array.  The Network's waves reach it through the log a batch at
+    a time (:meth:`fold`); ``add`` takes intervals directly, after what
+    the log holds.  Zero/negative-length intervals are dropped; with
+    *spill*, every directly added interval is also written out as it
+    passes.
     """
 
     def __init__(self, p: int, spill: JsonlSpillWriter | None = None):
         self.p = int(p)
-        self.seconds: dict[str, np.ndarray] = {
-            k: np.zeros(self.p, dtype=np.float64) for k in KINDS
-        }
-        self.intervals_seen = 0
+        self._kinds = {k: i for i, k in enumerate(KINDS)}
+        self._cells = np.zeros((len(KINDS), self.p), dtype=np.float64)
+        self._seen = 0
         self._spill = spill
+        #: the Network's wave log, drained before every read
+        self._log = None
 
-    def _slot(self, kind: str) -> np.ndarray:
-        sec = self.seconds.get(kind)
-        if sec is None:
-            sec = self.seconds[kind] = np.zeros(self.p, dtype=np.float64)
-        return sec
+    @property
+    def seconds(self) -> dict[str, np.ndarray]:
+        """Exact seconds per kind, one cell per rank."""
+        drain(self._log)
+        return dict(zip(self._kinds, self._cells))
 
-    def add(
-        self, rank: int, kind: str, start: float, end: float, detail: str = ""
-    ) -> None:
-        """Scalar interval; bit-identical to the record-mode fold."""
-        if not end > start:
-            return
-        r = int(rank)
-        self._slot(kind)[r] += float(end) - float(start)
-        self.intervals_seen += 1
-        if self._spill is not None:
-            self._spill.write_lines(encode_complete(
-                [r], [start], [end], [(detail or kind, kind)], jsonl=True))
+    @property
+    def intervals_seen(self) -> int:
+        drain(self._log)
+        return self._seen
 
-    def add_many(self, ranks, kind: str, starts, ends, detail: str = "") -> None:
-        """One vectorized wave of same-kind intervals.
+    def fold(self, cols) -> np.ndarray:
+        """Columns of intervals (:func:`~repro.machine.trace.batch_intervals`)
+        into their cells, one ``np.add.at`` — which applies element by
+        element in index order, the order record mode lists each cell's
+        intervals in; returns which were kept."""
+        ranks, starts, ends, lanes = cols
+        codes = [self._kinds.setdefault(kind, len(self._kinds)) for _, kind, _, _ in lanes]
+        if len(self._kinds) > len(self._cells):  # a kind first seen
+            grown = np.zeros((len(self._kinds), self.p), dtype=np.float64)
+            grown[:len(self._cells)] = self._cells
+            self._cells = grown
+        keep = ends > starts
+        cells = np.repeat(np.multiply(codes, self.p), [n or 1 for *_, n in lanes])
+        # a dropped interval adds 0.0, which leaves its (positive) cell as it was
+        np.add.at(self._cells.reshape(-1), cells + ranks, np.fmax(ends - starts, 0.0))
+        self._seen += int(np.count_nonzero(keep))
+        return keep
 
-        Equivalent — cell for cell, bit for bit — to calling
-        :meth:`add` per entry in index order: ``np.add.at`` applies its
-        updates element-by-element, and the drop mask reproduces the
-        ``end > start`` guard.
-        """
-        self.add_lanes(((ranks, kind, starts, ends),), detail)
+    def add(self, ranks, kind: str, starts, ends, detail: str = "") -> None:
+        """One interval, or a wave of same-kind intervals, folded and
+        spilled as a drained batch is: bit-identical to the record-mode
+        fold."""
+        drain(self._log)
+        cols = batch_intervals([interval_entry(((ranks, kind, starts, ends),), detail)])
+        if cols is not None:
+            keep = self.fold(cols)
+            if self._spill is not None:
+                self._spill.write_lines(_interval_text(cols, keep))
 
-    def add_lanes(self, lanes, detail: str = "") -> None:
-        """One message wave (see :meth:`Timeline.add_lanes
-        <repro.obs.timeline.Timeline.add_lanes>`), folded and spilled lane
-        by lane: the aggregates do not depend on how lanes interleave."""
-        kept = []
-        for ranks, kind, starts, ends in lanes:
-            rs = np.asarray(ranks)
-            ss = np.asarray(starts, dtype=np.float64)
-            es = np.asarray(ends, dtype=np.float64)
-            mask = es > ss
-            if not mask.all():
-                if not mask.any():
-                    continue
-                rs, ss, es = rs[mask], ss[mask], es[mask]
-            np.add.at(self._slot(kind), rs, es - ss)
-            self.intervals_seen += int(rs.size)
-            kept.append((rs, ss, es, (detail or kind, kind)))
-        if self._spill is not None and kept:  # a scalar p2p's lanes are 0-d
-            rs, ss, es, labels = zip(*kept)
-            self._spill.write_lines(encode_complete(
-                *(np.concatenate(c, axis=None) for c in (rs, ss, es)), labels,
-                [i for i, r in enumerate(rs) for _ in range(r.size)], jsonl=True))
+    add_many = add
 
     def busy_seconds_by_rank(self) -> np.ndarray:
         """Per-rank non-idle seconds (sum over kinds; overlaps not
@@ -233,24 +233,22 @@ class StreamTimeline:
         return busy
 
     def clear(self) -> None:
-        for arr in self.seconds.values():
-            arr.fill(0.0)
-        self.intervals_seen = 0
+        self._cells.fill(0.0)
+        self._seen = 0
 
 
 # ---------------------------------------------------------------- observer
 class StreamObserver:
     """The stream-mode sink: exact aggregates, nothing retained per event.
 
-    :class:`~repro.machine.trace.TraceStats` forwards every message to
-    its ``sink`` (``on_message`` scalar, ``on_message_wave`` as a
-    vectorized wave, matching how the charging path emitted it); the
-    span tracer hands over every *closed* span (``on_span``) and keeps
-    none.  Interval emission flows through the :class:`StreamTimeline`
-    this observer owns, which ``Machine`` installs as the network's
-    timeline.  Memory is O(p) by construction; :meth:`accounting`
-    exposes the exact footprint and :meth:`assert_bounded` turns it
-    into a hard invariant.
+    The Network's wave log hands it every charged wave a batch at a
+    time (:meth:`drain`): the messages, and the intervals for the
+    :class:`StreamTimeline` this observer owns, which ``Machine``
+    installs as the network's timeline; the span tracer hands over
+    every *closed* span (``on_span``) and keeps none.  ``on_message``
+    takes one message directly.  Memory is O(p) by
+    construction; :meth:`accounting` exposes the exact footprint and
+    :meth:`assert_bounded` turns it into a hard invariant.
     """
 
     def __init__(self, p: int, config: StreamConfig | None = None):
@@ -258,7 +256,7 @@ class StreamObserver:
         path = config.spill_path if config is not None else None
         self.spill = JsonlSpillWriter(path) if path else None
         self.timeline = StreamTimeline(self.p, spill=self.spill)
-        self.messages_seen = 0
+        self._messages = 0
         self.spans_seen = 0
         #: exact, exclusive per-skeleton aggregates, by name
         self.skeletons: dict[str, SkeletonAgg] = {}
@@ -269,25 +267,58 @@ class StreamObserver:
         #: the closed spans handed over that are still alive somewhere;
         #: empty unless something retains them (:meth:`assert_bounded`)
         self._live_spans = weakref.WeakValueDictionary()
+        #: the Network's wave log, drained before every read
+        self._log = None
+
+    @property
+    def messages_seen(self) -> int:
+        drain(self._log)
+        return self._messages
 
     # ----------------------------------------------------------- messages
+    def drain(self, entries) -> None:
+        """A drained batch of the Network's wave log: messages counted,
+        intervals folded into the timeline, and every line spilled in
+        emission order — per entry its messages, its intervals lane by
+        lane, its text — in one write."""
+        self._messages += sum(np.size(e[0][6]) for e in entries if e[0] is not None)
+        cols = batch_intervals(entries)
+        keep = None if cols is None else self.timeline.fold(cols)
+        if self.spill is None:
+            return
+        msgs, lines, keys = batch_messages(entries), [], []
+        if msgs is not None:  # on the receivers' tracks, departure (when known) to arrival
+            tags, counts, (srcs, dsts, nbytes, hops, departs, times) = msgs
+            heads: dict[str, int] = {}
+            which = np.repeat([heads.setdefault(t, len(heads)) for t in tags], counts)
+            ts = np.where(departs >= 0, departs, times)
+            lines = encode_complete(
+                dsts, ts, np.maximum(times, ts), [(t or "message", "message") for t in heads],
+                which.tolist(), args=(("src", srcs), ("nbytes", nbytes), ("hops", hops)),
+                jsonl=True).splitlines(True)
+            keys.append(np.repeat([2 * i for i, e in enumerate(entries) if e[0] is not None],
+                                  counts))
+        if cols is not None:  # an entry's intervals after its messages
+            try:
+                lines += _interval_text(cols, keep).splitlines(True)
+            except SkilError:  # a bad entry drains alone: its messages go first
+                self.spill.write_lines("".join(lines))
+                raise
+            keys.append(np.repeat([2 * i + 1 for i, *_ in cols[3]],
+                                  [n or 1 for *_, n in cols[3]])[keep])
+        texts = [(2 * i, e[3]) for i, e in enumerate(entries) if e[3] is not None]
+        lines += [text for _, text in texts]
+        keys.append([key for key, _ in texts])
+        order = np.argsort(np.concatenate(keys), kind="stable").tolist()
+        self.spill.write_lines("".join([lines[i] for i in order]))
+
     def on_message(self, time: float, src: int, dst: int, nbytes: int,
                    hops: int, tag: str, depart: float) -> None:
-        self.on_message_wave([time], [src], [dst], [nbytes], [hops], tag, [depart])
-
-    def on_message_wave(
-        self, times, srcs, dsts, nbytes, hops, tag: str, departs
-    ) -> None:
-        k = len(srcs)
-        if k == 0:
-            return
-        self.messages_seen += k
-        if self.spill is not None:  # receivers' tracks, departure to arrival
-            t = np.asarray(times, dtype=np.float64)
-            ts = t if departs is None else np.where(np.asarray(departs) >= 0, departs, t)
-            self.spill.write_lines(encode_complete(
-                dsts, ts, np.maximum(t, ts), [(tag or "message", "message")],
-                args=(("src", srcs), ("nbytes", nbytes), ("hops", hops)), jsonl=True))
+        """One message handed over directly, as :meth:`drain` takes the
+        Network's (a negative departure: unknown)."""
+        drain(self._log)
+        cols = map(np.atleast_1d, (src, dst, nbytes, hops, depart, time))
+        self.drain([((tag, *cols, None), None, None, None)])
 
     # -------------------------------------------------------------- spans
     def on_span(self, span: Span) -> None:
@@ -295,7 +326,11 @@ class StreamObserver:
         self._live_spans[id(span)] = span
         self.spans_seen += 1
         if self.spill is not None:
-            self.spill.write_event(span_event(span))
+            line = json.dumps(span_event(span), separators=(",", ":")) + "\n"
+            if self._log is not None:  # after the waves the log holds
+                self._log.append((None, None, None, line))
+            else:
+                self.spill.write_lines(line)
         if self.heartbeat is not None:
             self.heartbeat.maybe_report()
 
@@ -308,7 +343,11 @@ class StreamObserver:
         and blocking edge kept); the ``*_retained`` counters must stay zero
         while the ``*_seen`` counters grow with the run — that
         difference is the memory the streaming layer saved.
+        ``log_pending`` counts the elements the wave log held, before
+        this read drained it.
         """
+        pending = self._log.size if self._log is not None else 0
+        drain(self._log)
         return {
             "p": self.p,
             "per_rank_cells": sum(
@@ -320,12 +359,16 @@ class StreamObserver:
             "spans_retained": len(self._live_spans),
             "skeleton_keys": len(self.skeletons),
             "spill_events": self.spill.events_written if self.spill else 0,
+            "log_pending": pending,
         }
 
     def assert_bounded(self) -> dict[str, int]:
         """Raise unless retained state is within the O(p) bound."""
         acc = self.accounting()
         problems: list[str] = []
+        if acc["log_pending"] > LOG_BUDGET:
+            problems.append(f"the wave log held {acc['log_pending']} elements "
+                            f"(budget {LOG_BUDGET})")
         if acc["spans_retained"]:
             problems.append(
                 f"{acc['spans_retained']} closed span(s) still alive "
@@ -352,13 +395,26 @@ class StreamObserver:
 
     def clear(self) -> None:
         self.timeline.clear()
-        self.messages_seen = 0
+        self._messages = 0
         self.spans_seen = 0
         self.skeletons.clear()
 
     def close(self) -> None:
         if self.spill is not None:
+            drain(self._log)
             self.spill.close()
+
+
+def _interval_text(cols, keep) -> str:
+    """Spill lines of the kept intervals of
+    :func:`~repro.machine.trace.batch_intervals` columns."""
+    ranks, starts, ends, lanes = cols
+    heads: dict[tuple[str, str], int] = {}
+    labels = [heads.setdefault((detail or kind, kind), len(heads))
+              for _, kind, detail, _ in lanes]
+    which = np.repeat(labels, [n or 1 for *_, n in lanes])[keep]
+    return encode_complete(ranks[keep], starts[keep], ends[keep], list(heads),
+                           which.tolist(), jsonl=True)
 
 
 # ---------------------------------------------------------------- progress

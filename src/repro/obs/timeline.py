@@ -6,11 +6,10 @@ collective operation, the discrete-event engine
 (:mod:`repro.machine.engine`) records them at message granularity.  The
 Chrome trace exporter turns each rank's intervals into one track.
 
-Emission has one interface, shared with
-:class:`repro.obs.stream.StreamTimeline`: :meth:`Timeline.add` for one
-interval, :meth:`Timeline.add_many` for a wave of one kind and
-:meth:`Timeline.add_lanes` for a message wave (send / idle / recv).  A
-wave is kept as its column block (:meth:`Timeline.columns`, what the
+The Network's charged waves reach both timelines through its wave log
+(:class:`repro.machine.trace.WaveLog`), a drained batch at a time;
+:meth:`Timeline.add` takes intervals directly, after what the log
+holds.  A batch is kept as one column block (:meth:`Timeline.columns`, what the
 exporter and the occupancy queries read); :attr:`Timeline.intervals`
 builds the :class:`Interval` objects only when read.
 """
@@ -20,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.machine.trace import batch_intervals, drain, interval_entry, message_order
 
 __all__ = ["Interval", "Timeline", "COMPUTE", "SEND", "RECV", "IDLE"]
 
@@ -50,46 +51,39 @@ class Timeline:
     def __init__(self) -> None:
         self._labels: dict[tuple[str, str], int] = {}
         self._intervals: list[Interval] = []
+        #: the Network's wave log, drained before every read
+        self._log = None
         self.clear()
 
-    def add(
-        self, rank: int, kind: str, start: float, end: float, detail: str = ""
-    ) -> None:
-        """Record one interval; zero/negative-length intervals are dropped."""
-        if end > start:
-            label = self._labels.setdefault((kind, detail), len(self._labels))
-            self._pending.append((rank, start, end, label))
+    def drain(self, entries) -> None:
+        """A drained batch of log entries (:mod:`repro.machine.trace`),
+        as one block: every entry's intervals message by message — per
+        message ``send, [idle], recv``, never grouped by kind, so a rank
+        that receives in one message and sends in a later one reads its
+        intervals in that order."""
+        cols = batch_intervals(entries)
+        if cols is not None:
+            ranks, starts, ends, lanes = cols
+            which = np.repeat([self._labels.setdefault((kind, detail), len(self._labels))
+                               for _, kind, detail, _ in lanes], [n or 1 for *_, n in lanes])
+            order = message_order(lanes)
+            if order is not None:
+                ranks, starts, ends, which = (c[order] for c in (ranks, starts, ends, which))
+            self._blocks.append((ranks, starts, ends, which))
 
-    def add_many(self, ranks, kind: str, starts, ends, detail: str = "") -> None:
-        """One wave of same-kind intervals: :meth:`add` per entry, in
-        index order."""
-        self.add_lanes(((ranks, kind, starts, ends),), detail)
+    def add(self, ranks, kind: str, starts, ends, detail: str = "") -> None:
+        """One interval, or a wave of same-kind intervals (arrays, kept
+        in index order and copied); zero/negative-length ones are
+        dropped."""
+        drain(self._log)
+        self.drain([interval_entry(((ranks, kind, starts, ends),), detail)])
 
-    def add_lanes(self, lanes, detail: str = "") -> None:
-        """One message wave: *lanes* are ``(ranks, kind, starts, ends)``
-        column tuples of equal length, one entry per message.
-
-        Equivalent to :meth:`add` per message, in order, and within a
-        message per lane — ``send, [idle], recv``, never grouped by
-        kind: a rank that receives in one message and sends in a later
-        one reads its intervals in that order.  The columns are copied
-        (the caller may hand over its live clocks) and kept as one block.
-        """
-        if not np.ndim(lanes[0][0]):  # one message: scalar adds
-            for lane in lanes:
-                self.add(*lane, detail)
-            return
-        cols = [np.array([lane[c] for lane in lanes]).T.ravel() for c in (0, 2, 3)]
-        labels = [self._labels.setdefault((lane[1], detail), len(self._labels))
-                  for lane in lanes]
-        self._waves.append((*cols, np.resize(labels, cols[0].size)))
+    add_many = add
 
     @property
     def _waves(self) -> list[tuple[np.ndarray, ...]]:
-        """The column blocks, with the pending scalar adds made one first."""
-        if self._pending:
-            self._blocks.append(tuple(map(np.array, zip(*self._pending))))
-            self._pending.clear()
+        """The column blocks, with the log drained first."""
+        drain(self._log)
         return self._blocks
 
     def columns(self) -> tuple:
@@ -105,8 +99,9 @@ class Timeline:
         """Every kept interval in emission order, one :class:`Interval`
         each — built on first read, then extended in place; do not
         mutate."""
+        blocks = self._waves  # drained first: a batch may add labels
         labels = list(self._labels)
-        for block in self._waves[self._built:]:
+        for block in blocks[self._built:]:
             self._intervals.extend(
                 Interval(r, labels[w][0], s, e, labels[w][1])
                 for r, s, e, w in zip(*(c.tolist() for c in block)) if e > s
@@ -217,10 +212,9 @@ class Timeline:
 
     def clear(self) -> None:
         none, times = np.empty(0, dtype=np.int64), np.empty(0)
-        #: per wave, message-major columns: ranks, starts, ends, ``_labels``
-        #: index (an empty one so columns() has one); scalar adds queued since
+        #: per batch, message-major columns: ranks, starts, ends, ``_labels``
+        #: index (an empty one so columns() has one)
         self._blocks = [(none, times, times, none)]
-        self._pending: list[tuple] = []
         self._intervals.clear()
         self._built = self._occ_blocks = self._grouped = 0
         self._occ, self._by_rank = {}, {}

@@ -22,7 +22,7 @@ User argument functions that need processor context (the paper's
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, nullcontext
 from typing import Callable, Iterator
 
 import numpy as np
@@ -61,6 +61,9 @@ def skeleton_span(name: str) -> Callable:
         return wrapper
 
     return deco
+
+#: what :meth:`SkilContext.phase` opens on an untraced machine
+_UNTRACED = nullcontext()
 
 #: the contexts whose skeletons are currently executing, innermost last;
 #: lets user argument functions reach processor context (procId, partition
@@ -183,18 +186,13 @@ class SkilContext:
         elif tracer.open_depth:
             tracer.end()
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
+    def phase(self, name: str) -> AbstractContextManager:
         """A nested sub-span inside a composite skeleton (e.g. the
         rotate/multiply phases of ``array_gen_mult``).  No overhead is
         charged and nothing is counted; with tracing off this is a no-op.
         """
         tracer = self.machine.tracer
-        if tracer is None:
-            yield
-            return
-        with tracer.span(name, category="phase"):
-            yield
+        return _UNTRACED if tracer is None else tracer.span(name, category="phase")
 
     def check_distinct(self, name: str, *arrays: DistArray) -> None:
         seen: list[DistArray] = []

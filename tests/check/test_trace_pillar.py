@@ -52,25 +52,27 @@ class TestTracePillarCatchesFaults:
     def test_interval_past_the_makespan(self, monkeypatch, capsys):
         from repro.obs.timeline import Timeline
 
-        add_many = Timeline.add_many
+        from repro.machine.trace import interval_entry
 
-        def with_phantom(self, ranks, kind, starts, ends, detail=""):
-            add_many(self, ranks, kind, starts, ends, detail)
-            self.add(0, "compute", 1e3, 1e3 + 1.0, "phantom")
+        drain = Timeline.drain  # where the Network's waves reach it
 
-        monkeypatch.setattr(Timeline, "add_many", with_phantom)
+        def with_phantom(self, entries):
+            phantom = interval_entry(((0, "compute", 1e3, 1e3 + 1.0),), "phantom")
+            drain(self, entries + [phantom])
+
+        monkeypatch.setattr(Timeline, "drain", with_phantom)
         assert "escapes" in _fails_again("trace", 1, capsys)
 
     def test_perturbed_stream_aggregate(self, monkeypatch, capsys):
         from repro.obs.stream import StreamTimeline
 
-        add_lanes = StreamTimeline.add_lanes
+        fold = StreamTimeline.fold
 
-        def miscounted(self, lanes, detail=""):
-            add_lanes(self, lanes, detail)
-            self.intervals_seen += 1
+        def miscounted(self, cols):
+            self._seen += 1
+            return fold(self, cols)
 
-        monkeypatch.setattr(StreamTimeline, "add_lanes", miscounted)
+        monkeypatch.setattr(StreamTimeline, "fold", miscounted)
         assert "intervals_seen" in _fails_again("trace", 1, capsys)
 
     def test_clock_moved_by_tracing(self, monkeypatch, capsys):

@@ -38,7 +38,14 @@ from repro.machine import topology as topology_mod
 from repro.machine.charge import Charge
 from repro.machine.costmodel import DPFL, T800_PARSYTEC
 from repro.machine.machine import DISTR_DEFAULT, DISTR_RING, DISTR_TORUS2D, Machine
-from repro.machine.topology import PLAN_STORE_BYTES, TOPOLOGIES, VirtualTopology
+from repro.machine.network import Network
+from repro.machine.topology import (
+    PLAN_STORE_BYTES,
+    TOPOLOGIES,
+    DefaultMapping,
+    Mesh2D,
+    VirtualTopology,
+)
 from repro.obs.analysis import analyze_machine, run_whatif
 
 TRACE = {
@@ -514,3 +521,26 @@ class TestPricesNeverGoStale:
                          realloc_itemsize=8)
                 ref.memcpy(fresh, 8)
                 assert _fingerprint(m_kept) == _fingerprint(m_ref)
+
+
+def test_a_roots_tree_and_fan_plans_stay_together_at_p65536(monkeypatch):
+    """broadcast, allreduce and gather from one root, three passes at
+    p = 65 536: each plan is built once — a gather does not evict the
+    tree plan the next broadcast charges on."""
+    p = 65536
+    net = Network(T800_PARSYTEC, p)
+    topo = DefaultMapping(Mesh2D.for_processors(p))
+    builds = []
+    edge_plan = VirtualTopology.edge_plan
+
+    def counted(self, srcs, dsts, shift=False):
+        builds.append(int(dsts.size))
+        return edge_plan(self, srcs, dsts, shift)
+
+    monkeypatch.setattr(VirtualTopology, "edge_plan", counted)
+    for _ in range(3):
+        net.broadcast(0, 4096, topo)
+        net.allreduce(4096, topo, combine_seconds=1e-6)
+        net.gather(0, 4096, topo)
+    assert builds == [p - 1, p - 1]  # the tree, then the fan
+    assert topo._plan_bytes <= PLAN_STORE_BYTES

@@ -290,17 +290,17 @@ class TestChargingSkeleton:
             stack.pop()
             return end(span)
 
-        def labelled(emit):
-            def call(*args, **kw):
-                emit(*args, **kw)
-                names = [s for s in stack if s is not None]
-                labels.extend([names[-1] if names else None]
-                              * (len(tl.intervals) - len(labels)))
-            return call
+        log = machine.network.log
+        append = log.append
+
+        def labelled(entry, size=1):  # every wave the Network logs
+            append(entry, size)
+            names = [s for s in stack if s is not None]
+            labels.extend([names[-1] if names else None]
+                          * (len(tl.intervals) - len(labels)))  # drains
 
         tracer.begin, tracer.end = on_begin, on_end
-        for method in ("add", "add_many", "add_lanes"):
-            setattr(tl, method, labelled(getattr(tl, method)))
+        log.append = labelled
         gauss_simple(SkilContext(machine, SKIL), *random_system(n, seed=0))
         return machine, labels
 

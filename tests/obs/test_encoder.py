@@ -41,11 +41,14 @@ def _oracle(events, jsonl: bool) -> str:
     return ", ".join(json.dumps(ev) for ev in events)
 
 
-def _message_lines(tmp_path, *wave) -> str:
-    """*wave* as :meth:`StreamObserver.on_message_wave` spills it."""
+def _message_lines(tmp_path, times, srcs, dsts, nbytes, hops, tag, departs) -> str:
+    """The messages as :meth:`StreamObserver.drain` spills a logged wave
+    of them (departures ``None``: unknown)."""
     path = tmp_path / "messages.jsonl"
     obs = StreamObserver(64, StreamConfig(spill_path=str(path)))
-    obs.on_message_wave(*wave)
+    departs = np.full(len(srcs), -1.0) if departs is None else departs
+    cols = map(np.asarray, (srcs, dsts, nbytes, hops, departs, times))
+    obs.drain([((tag, *cols, None), None, None, None)])
     obs.close()
     return path.read_text(encoding="utf-8")
 

@@ -140,15 +140,10 @@ class TestAccounting:
         obs = StreamObserver(64)
         baseline = obs.accounting()["per_rank_cells"]
         k = 20000
-        obs.on_message_wave(
-            np.arange(k, dtype=np.float64),
-            np.arange(k) % 64,
-            (np.arange(k) + 1) % 64,
-            np.full(k, 256),
-            np.ones(k, dtype=np.int64),
-            "big",
-            None,
-        )
+        msgs = ("big", np.arange(k) % 64, (np.arange(k) + 1) % 64, np.full(k, 256),
+                np.ones(k, dtype=np.int64), np.full(k, -1.0), np.arange(k, dtype=np.float64),
+                None)
+        obs.drain([(msgs, None, None, None)])  # a logged wave of k messages
         acc = obs.accounting()
         assert acc["messages_seen"] == k
         assert acc["per_rank_cells"] == baseline

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.machine.trace import interval_entry
 from repro.obs import Interval, Timeline
 from repro.obs.timeline import COMPUTE, IDLE, RECV, SEND
 
@@ -59,7 +60,7 @@ class TestWaves:
         grouped by kind — so rank 1 reads ``idle_0, recv_0, send_1``."""
         lanes = _message_wave()
         wave, scalar = Timeline(), Timeline()
-        wave.add_lanes(lanes, "tag")
+        wave.drain([interval_entry(lanes, "tag")])
         for i in range(3):
             for ranks, kind, starts, ends in lanes:
                 scalar.add(int(ranks[i]), kind, float(starts[i]), float(ends[i]), "tag")
@@ -86,28 +87,28 @@ class TestWaves:
         ends = np.ones(3)
         tl.add_many(ranks, COMPUTE, starts, ends)
         lanes = _message_wave()
-        tl.add_lanes(lanes)
+        tl.drain([interval_entry(lanes)])
         for arr in [ranks, starts, ends] + [
             lane[col] for lane in lanes for col in (0, 2, 3)
         ]:
             arr += 7
         fresh = Timeline()
         fresh.add_many(np.arange(3), COMPUTE, np.zeros(3), np.ones(3))
-        fresh.add_lanes(_message_wave())
+        fresh.drain([interval_entry(_message_wave())])
         assert tl.intervals == fresh.intervals
 
     def test_len_counts_kept_intervals(self):
         tl = Timeline()
         live = tl.intervals  # a plain list: an alias sees every wave
         tl.add(0, COMPUTE, 0.0, 1.0)
-        tl.add_lanes(_message_wave())
+        tl.drain([interval_entry(_message_wave())])
         assert len(tl) == 7
         assert len(live) == 7 and live is tl.intervals
 
     def test_wave_dropped_whole(self):
         tl = Timeline()
         tl.add_many(np.arange(4), COMPUTE, np.ones(4), np.ones(4))
-        tl.add_lanes(((np.arange(2), SEND, np.ones(2), np.zeros(2)),))
+        tl.drain([interval_entry(((np.arange(2), SEND, np.ones(2), np.zeros(2)),))])
         assert len(tl) == 0 and tl.intervals == [] and tl.ranks() == []
 
     def test_read_append_read_sees_the_new_tail(self):
@@ -165,7 +166,7 @@ def test_both_timelines_speak_one_emission_interface():
 
     from repro.obs.stream import StreamTimeline
 
-    for name in ("add", "add_many", "add_lanes"):
+    for name in ("add", "add_many"):
         assert inspect.signature(getattr(Timeline, name)) == inspect.signature(
             getattr(StreamTimeline, name)
         ), name
