@@ -150,13 +150,6 @@ def _observe(metrics, nbytes: int, hops: int, tag: str) -> None:
     metrics.inc(f"net.messages.{tag or 'untagged'}")
 
 
-def _record(net, time, src, dst, nbytes, hops, tag, depart) -> None:
-    """One message into the stats, and into a stream observer's."""
-    net.stats.record_message(time, src, dst, nbytes, hops, tag, depart)
-    if net.stats.sink is not None:
-        net.stats.sink.on_message(time, src, dst, nbytes, hops, tag, depart)
-
-
 #: per reference Network, the intervals :func:`_ref_shift` charged, each
 #: group with the number of timeline intervals before it; kept apart
 #: from the timeline, which only the Network's own emission fills
@@ -178,15 +171,12 @@ def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
     """The historical per-pair shift loop (reference semantics)."""
     srcs = [s for s, _ in pairs]
     book: list[Interval] = []
-    recorded = hasattr(net.timeline, "intervals")  # else a stream timeline, or none
-    if recorded:
+    if net.timeline is not None:
         _SHIFT_INTERVALS.setdefault(net, []).append((len(net.timeline.intervals), book))
 
     def add(rank: int, kind: str, start: float, end: float) -> None:
-        if recorded and end > start:  # what a timeline keeps
+        if end > start:  # what a timeline keeps
             book.append(Interval(rank, kind, float(start), float(end), tag))
-        elif net.timeline is not None:  # a stream timeline's aggregates
-            net.timeline.add(rank, kind, float(start), float(end), tag)
 
     def nb(s: int) -> int:
         if np.isscalar(nbytes):
@@ -207,7 +197,7 @@ def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
             net.clocks[d] = max(net.clocks[d], finish) + (
                 wire if d in srcs else 0.0
             )
-            _record(net, finish, s, d, nb(s), hops, tag, start)
+            net.stats.record_message(finish, s, d, nb(s), hops, tag, start)
             net.stats.comm_seconds += wire + net.cost.t_setup
             net.stats.idle_seconds += max(0.0, start - net.cost.t_setup - old[d])
             if net.metrics is not None:
@@ -227,7 +217,7 @@ def _ref_shift(net, pairs, nbytes, topo, sync, tag) -> None:
         arrival = depart[s] + wire
         net.stats.idle_seconds += max(0.0, arrival - old[d])
         new[d] = max(new[d], arrival)
-        _record(net, arrival, s, d, nb(s), hops, tag, depart[s])
+        net.stats.record_message(arrival, s, d, nb(s), hops, tag, depart[s])
         net.stats.comm_seconds += wire + net.cost.t_setup
         if net.metrics is not None:
             _observe(net.metrics, nb(s), hops, tag)

@@ -17,8 +17,9 @@ machines of one size: untraced (``trace_level=0``), recording
   backward walk over the recording (:func:`critical_path`) within
   :func:`~repro.obs.analysis._eps_for`; ``busy <= makespan <= busy +
   idle`` over the path; per-rank busy fractions lie in ``[0, 1]``;
-* **record == stream, bitwise**: the streamed observer against the
-  recording folded through the same sinks (:func:`fold_recorded`,
+* **record == stream, bitwise**: both runs' per-skeleton tables and
+  counters against a scalar fold of the recording, spans in close
+  order (:func:`fold_recorded`, :func:`observed`,
   :func:`compare_observers`), the two critical-path folds
   (:func:`compare_folds`), the stats, the metrics exposition text, and
   the streamed observer's memory bound;
@@ -32,8 +33,8 @@ machines of one size: untraced (``trace_level=0``), recording
 * **where the wave log drains changes nothing** (:func:`compare_drains`):
   each trace mode runs twice more, its log drained at two distinct
   points of :data:`DRAINS` (:func:`drain_at`), and the two runs' records,
-  timeline, stream aggregates, spill bytes, metrics and fold agree
-  bitwise.
+  timeline, per-skeleton table and counters, spill bytes, metrics and
+  fold agree bitwise.
 
 Four families interleave, the first two twice as often as the others:
 *pattern* (random collective patterns on the raw Network,
@@ -74,8 +75,8 @@ from repro.obs.analysis import (
     analyze_machine,
     make_step,
 )
-from repro.obs.span import Span, SpanTracer, fold_skeleton
-from repro.obs.stream import KINDS, StreamConfig, StreamObserver
+from repro.obs.span import SkeletonAgg, Span, SpanTracer
+from repro.obs.stream import StreamConfig
 from repro.obs.timeline import Interval, Timeline
 from repro.skeletons import PLUS, SkilContext
 
@@ -89,6 +90,7 @@ __all__ = [
     "watch_clocks",
     "invariant_problems",
     "fold_recorded",
+    "observed",
     "compare_observers",
     "compare_folds",
     "DRAINS",
@@ -434,6 +436,7 @@ def compare_drains(a: Machine, b: Machine) -> list[str]:
     problems = compare_folds(a.network.path, b.network.path)
     if a.metrics.snapshot() != b.metrics.snapshot():
         problems.append("metrics differ between drain points")
+    problems += compare_observers(observed(a), observed(b))
     if a.stream_obs is None:
         if a.stats.records != b.stats.records:
             problems.append("records differ between drain points")
@@ -441,7 +444,6 @@ def compare_drains(a: Machine, b: Machine) -> list[str]:
         if ca[4] != cb[4] or not all(map(np.array_equal, ca[:4], cb[:4])):
             problems.append("timeline differs between drain points")
         return problems
-    problems += compare_observers(a.stream_obs, b.stream_obs)
     spills = []
     for m in (a, b):
         m.stream_obs.close()
@@ -529,35 +531,52 @@ def _close_order(tracer: SpanTracer) -> list[Span]:
 
 
 def fold_recorded(machine: Machine) -> SimpleNamespace:
-    """Fold a full ``trace_level=2`` recording into the aggregates a
-    :class:`StreamObserver` keeps, by scalar code of its own: per kind
-    and rank a ``+=`` over the recorded intervals in append order, the
-    records and intervals counted, and the closed spans folded in close
-    order.  The result reads like an observer (``p``, ``timeline.seconds``,
-    ``timeline.intervals_seen``, ``messages_seen``, ``spans_seen``,
-    ``skeletons``); every aggregate is bit-identical to running the same
-    workload under ``trace_mode="stream"`` — the equality the pillar
-    asserts via :func:`compare_observers`.
+    """The per-skeleton table and counters of a full ``trace_level=2``
+    recording, by scalar code of its own: the closed skeleton spans
+    folded field by field in close order (:func:`_close_order`), the
+    records and spans counted.  The result reads like :func:`observed`
+    (``p``, ``messages_seen``, ``spans_seen``, ``skeletons``); every
+    value is bit-identical to what the span tracer and the stream
+    observer keep for the same workload in either trace mode — the
+    equality the pillar asserts via :func:`compare_observers`.
     """
-    timeline = machine.timeline
     tracer = machine.tracer
-    if timeline is None or tracer is None or not machine.stats.keep_records:
+    if machine.timeline is None or tracer is None or not machine.stats.keep_records:
         raise SkilError(
             "fold_recorded needs a full recording: "
             "Machine(trace_level=2) in the default record mode"
         )
-    cells = {kind: [0.0] * machine.p for kind in KINDS}
-    for iv in timeline.intervals:
-        cells.setdefault(iv.kind, [0.0] * machine.p)[iv.rank] += iv.end - iv.start
-    skeletons: dict = {}
+    skeletons: dict[str, SkeletonAgg] = {}
     spans = _close_order(tracer)
     for span in spans:
-        fold_skeleton(skeletons, span)
-    return SimpleNamespace(
-        p=machine.p, messages_seen=len(machine.stats.records), spans_seen=len(spans),
-        skeletons=skeletons, timeline=SimpleNamespace(
-            seconds={k: np.array(c) for k, c in cells.items()},
-            intervals_seen=len(timeline.intervals)))
+        if span.category != "skeleton":
+            continue
+        agg = skeletons.get(span.name)
+        if agg is None:
+            agg = skeletons[span.name] = SkeletonAgg(span.name)
+        compute, comm, idle, messages, nbytes = span.exclusive
+        agg.calls += 1
+        agg.compute_seconds += compute
+        agg.comm_seconds += comm
+        agg.idle_seconds += idle
+        agg.messages += messages
+        agg.bytes_sent += nbytes
+        agg.durations.observe(span.duration)
+    return SimpleNamespace(p=machine.p, messages_seen=len(machine.stats.records),
+                           spans_seen=len(spans), skeletons=skeletons)
+
+
+def observed(machine: Machine) -> SimpleNamespace:
+    """What a traced machine keeps of :func:`fold_recorded`'s values, in
+    either trace mode: the span tracer's per-skeleton table, and the
+    stream observer's counters or the recording's lengths."""
+    obs = machine.stream_obs
+    if obs is None:
+        seen = len(machine.stats.records), len(machine.tracer.closed_spans())
+    else:
+        seen = obs.messages_seen, obs.spans_seen
+    return SimpleNamespace(p=machine.p, messages_seen=seen[0], spans_seen=seen[1],
+                           skeletons=machine.tracer.skeletons)
 
 
 def _diff_arrays(name: str, a: np.ndarray, b: np.ndarray, problems: list[str]) -> None:
@@ -569,28 +588,16 @@ def _diff_arrays(name: str, a: np.ndarray, b: np.ndarray, problems: list[str]) -
         problems.append(f"{name}: first diff at [{idx}]: {a[idx]!r} vs {b[idx]!r}")
 
 
-def compare_observers(a: StreamObserver, b: StreamObserver) -> list[str]:
-    """Bitwise comparison of two observers' exact state.
+def compare_observers(a, b) -> list[str]:
+    """Bitwise comparison of two :func:`fold_recorded` / :func:`observed`
+    results: counters and every simulated field of the per-skeleton
+    table (wall seconds are not compared).
 
-    Returns human-readable problems (empty list = identical).  The
-    spill writer is not compared.
+    Returns human-readable problems (empty list = identical).
     """
     problems: list[str] = []
     if a.p != b.p:
         return [f"p: {a.p} vs {b.p}"]
-    ta, tb = a.timeline, b.timeline
-    if set(ta.seconds) != set(tb.seconds):
-        problems.append(
-            f"timeline kinds: {sorted(ta.seconds)} vs {sorted(tb.seconds)}"
-        )
-    else:
-        for kind in sorted(ta.seconds):
-            _diff_arrays(f"timeline.seconds[{kind}]", ta.seconds[kind],
-                         tb.seconds[kind], problems)
-    if ta.intervals_seen != tb.intervals_seen:
-        problems.append(
-            f"intervals_seen: {ta.intervals_seen} vs {tb.intervals_seen}"
-        )
     for name in ("messages_seen", "spans_seen"):
         va, vb = getattr(a, name), getattr(b, name)
         if va != vb:
@@ -724,7 +731,9 @@ def trace_problems(
         problems.append(f"stats: record={a} stream={b}")
     if rec.metrics.render_text() != st.metrics.render_text():
         problems.append("metrics exposition differs between record and stream")
-    problems += compare_observers(fold_recorded(rec), st.stream_obs)
+    ref = fold_recorded(rec)
+    problems += compare_observers(ref, observed(rec))
+    problems += compare_observers(ref, observed(st))
     problems += compare_folds(rec.network.path, st.network.path)
     try:
         st.stream_obs.assert_bounded()

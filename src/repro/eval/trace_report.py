@@ -99,24 +99,14 @@ def format_breakdowns(rows: list[CostBreakdown]) -> str:
 # the per-skeleton table, one for both trace modes
 # ---------------------------------------------------------------------------
 def skeleton_breakdowns(machine: "Machine") -> list[SkeletonAgg]:
-    """Exclusive per-skeleton costs of a traced run, busiest first.
-
-    Stream mode filled the aggregates as the spans closed; record mode
-    folds its closed spans into the same class here.  Either way a
-    nested skeleton counts under its own name
+    """Exclusive per-skeleton costs of a traced run, busiest first: the
+    span tracer's table, which it folds as the skeleton spans close in
+    either trace mode.  A nested skeleton counts under its own name
     (:attr:`repro.obs.span.Span.exclusive`), so summing the rows never
     double-counts a simulated second.
     """
-    if machine.stream_obs is not None:
-        aggs = machine.stream_obs.skeletons
-    else:
-        # imported here: an untraced evaluation never loads repro.obs
-        from repro.obs.span import fold_skeleton
-
-        aggs = {}
-        for span in machine.tracer.closed_spans():
-            fold_skeleton(aggs, span)
-    return sorted(aggs.values(), key=lambda a: a.busy_total, reverse=True)
+    return sorted(machine.tracer.skeletons.values(), key=lambda a: a.busy_total,
+                  reverse=True)
 
 
 def format_skeleton_breakdowns(rows: list[SkeletonAgg]) -> str:

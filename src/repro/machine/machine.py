@@ -82,14 +82,14 @@ class Machine:
         * ``"record"`` — materialize everything: message records,
           timeline intervals and spans accumulate in lists,
           O(messages) memory; the critical path also keeps its steps.
-        * ``"stream"`` — fold the same waves into
-          :mod:`repro.obs.stream` sinks: exact O(p) aggregates (per-rank
-          seconds, the per-skeleton table), optional
-          JSONL spill (closed by :meth:`close`), and the critical-path
-          totals without the steps.  No message, interval
-          or closed span is retained, so memory stays O(p) at any run
-          length; aggregate values are bit-identical to folding a full
-          recording (the ``stream`` check pillar).
+        * ``"stream"`` — keep only the O(p) aggregates every mode
+          builds (the critical-path fold without its steps, the span
+          tracer's per-skeleton table) and the
+          :class:`~repro.obs.stream.StreamObserver`'s counters, with an
+          optional JSONL spill (closed by :meth:`close`).  No message,
+          interval or closed span is retained, so memory stays O(p) at
+          any run length; the aggregates are bit-identical to a
+          recording's (the ``trace`` check pillar).
         * ``None`` (the default) — pick automatically: ``"stream"``
           for a fully traced (``trace_level >= 2``) machine with
           ``p >= STREAM_AUTO_P`` (where record mode's O(messages)
@@ -154,7 +154,6 @@ class Machine:
             from repro.obs.stream import StreamObserver
 
             self.stream_obs = StreamObserver(p, stream)
-        timeline = path = None
         if trace_level >= 1:
             from repro.obs.metrics import MetricsRegistry
 
@@ -166,6 +165,7 @@ class Machine:
                 self.network,
                 on_close=self.stream_obs.on_span if streaming else None,
             )
+        path = observer = None
         if trace_level >= 2:
             from repro.obs.analysis import PathFold
 
@@ -173,17 +173,14 @@ class Machine:
             # record mode also logs its segments, for the path's steps
             path = PathFold(p, cost, record=not streaming)
             if streaming:
-                # the stream timeline takes the Timeline's place on the
-                # network; ``self.timeline`` stays None (no recording)
-                self.stats.sink = self.stream_obs
-                self.stream_obs.path = path
-                timeline = self.stream_obs.timeline
+                observer = self.stream_obs
+                observer.path = path
             else:
                 from repro.obs.timeline import Timeline
 
-                timeline = self.timeline = Timeline()
+                self.timeline = Timeline()
         if trace_level >= 1:
-            self.network.attach(self.metrics, timeline, path)
+            self.network.attach(self.metrics, self.timeline, path, observer)
         self.use_virtual_topologies = use_virtual_topologies
         #: bytes each rank holds now (distributed-array partitions); a
         #: count, not a limit — which sizes fit the paper's 1 MB nodes is

@@ -128,30 +128,35 @@ class Network:
         #: set on machines used for real measurements.
         self.balance_compute = False
 
-    def attach(self, metrics=None, timeline=None, path=None) -> None:
+    def attach(self, metrics=None, timeline=None, path=None, observer=None) -> None:
         """Attach the observability sinks — a
-        ``repro.obs.metrics.MetricsRegistry``, a timeline and the
-        critical-path fold (``repro.obs.analysis.PathFold``, only with a
-        timeline) — in place of any attached before, and build the wave
-        log over them and the stats' records and stream observer
-        (``TraceStats.sink``): each drains the log in batches and before
-        each read of its state.  :class:`~repro.machine.machine.Machine`
-        attaches its sinks once, when tracing is on."""
+        ``repro.obs.metrics.MetricsRegistry``, the recording's timeline,
+        the critical-path fold (``repro.obs.analysis.PathFold``) and the
+        stream observer (``repro.obs.stream.StreamObserver``) — in place
+        of any attached before, and build the wave log over them and the
+        stats' records: each drains the log in batches and before each
+        read of its state.  A wave's interval lanes are logged only for
+        a sink that keeps them (the timeline) or writes them (the
+        observer's spill); local work also for the fold.
+        :class:`~repro.machine.machine.Machine` attaches its sinks once,
+        when tracing is on."""
         if self.log is not None:
             self.log.drain()  # what the sinks attached so far are owed
         self.metrics, self.timeline, self.path = metrics, timeline, path
-        stats, obs = self.stats, self.stats.sink
+        stats = self.stats
         drains = [stats.drain_records] if stats.keep_records else []
         if metrics is not None:
             drains.append(metrics.observe_messages)
-        own = None if obs is not None and timeline is obs.timeline else timeline
-        drains += [s.drain for s in (obs, own, path) if s is not None]
+        drains += [s.drain for s in (observer, timeline, path) if s is not None]
         self.log = WaveLog(drains) if drains else None
-        for sink in (stats, metrics, obs, timeline, path):
+        for sink in (stats, metrics, observer, timeline, path):
             if sink is not None:
                 sink._log = self.log
         #: a JSONL spill refuses bad times at the call that emits them
-        self._spill = getattr(obs, "spill", None) is not None
+        self._spill = observer is not None and observer.spill is not None
+        self._lanes = timeline is not None or self._spill
+        #: local work is logged for its lanes or for the fold's step
+        self._works = self._lanes or path is not None
 
     def _fold_stats(self, comm_terms, idle_terms, compute: float = 0.0) -> None:
         """Fold one charge's per-message comm and idle seconds (and, with
@@ -215,7 +220,7 @@ class Network:
                 )
             elif total is None:
                 total = float(sec.sum())
-        if self.timeline is not None:  # the log keeps both columns
+        if self._works:  # the log keeps both columns
             self._work(self._all_ranks, self.clocks.copy(), self.clocks + sec)
         self.clocks += sec
         self.stats.compute_seconds += total
@@ -226,7 +231,7 @@ class Network:
         if self.balance_compute:
             self.compute(seconds / self.p)
             return
-        if self.timeline is not None and seconds > 0.0:
+        if self._works and seconds > 0.0:
             t0 = float(self.clocks[rank])
             self._work(rank, t0, t0 + seconds)
         self.clocks[rank] += seconds
@@ -248,7 +253,7 @@ class Network:
         if src == dst:
             # a local copy, no wire involved
             t = nbytes * self.cost.t_mem
-            if self.timeline is not None and t > 0.0:
+            if self._works and t > 0.0:
                 t0 = float(self.clocks[src])
                 self._work(src, t0, t0 + t, "local-copy")
             self.clocks[src] += t
@@ -392,9 +397,10 @@ class Network:
             self.log.append(entry, size)
 
     def _work(self, ranks, starts, ends, detail: str = "") -> None:
-        """Local work (one rank or a wave of distinct ranks) for the
-        timeline and the critical-path fold."""
-        self._emit(None, (detail, ((ranks, "compute", starts, ends),), None),
+        """Local work (one rank or a wave of distinct ranks): its lanes
+        and the critical-path fold's step, each for a sink that takes it."""
+        self._emit(None, (detail, ((ranks, "compute", starts, ends),), None)
+                   if self._lanes else None,
                    None if self.path is None else ("compute", (ranks, starts, ends)),
                    np.size(ends))
 
@@ -407,7 +413,7 @@ class Network:
         is one rank, *after* the receivers' clocks after a rendezvous."""
         tag, srcs, dsts, nb, hops, departs, arrivals, _ = msgs
         part = step = None
-        if self.timeline is not None:
+        if self._lanes:
             part = (tag, lanes, None if wave is None else
                     (srcs, dsts, wave[0], wave[1], wave[2], arrivals, wave[3]))
         if self.path is not None:
@@ -443,7 +449,7 @@ class Network:
         self._fold_stats(terms, idle)
         if self.log is not None:
             send_from = None
-            if self.timeline is not None:
+            if self._lanes:
                 send_from = np.empty(n, dtype=np.float64)
                 send_from[0] = old_src
                 send_from[1:] = departs[:-1]
@@ -578,7 +584,7 @@ class Network:
                     lanes=((srcs, "send", old_src, finish),
                            (dsts, "recv", old_dst, finish)),
                     after=after)
-                if self.timeline is not None:
+                if self._lanes:
                     # the second transfer: a rank's clock past the later end
                     # of its two rendezvous (zero-length, so dropped,
                     # elsewhere); an entry of its own, so that record mode
@@ -728,7 +734,7 @@ class Network:
                     (tag, rs, rd, nb, plan.hops[lo:hi], depart, arrival, (plan, lo, hi)),
                     (old_src, arrival if sync else depart, old_dst, w),
                     after=arrival if sync else None)
-                if combine_seconds and self.timeline is not None:
+                if combine_seconds and self._works:
                     self._work(rd, rcv.copy(), rcv + combine_seconds)
             if combine_seconds:
                 rcv += combine_seconds
@@ -897,7 +903,7 @@ class Network:
     def book_work(self, rank: int, start: float, end: float, seconds: float) -> None:
         self.clocks[rank] = end
         self.stats.compute_seconds += seconds
-        if self.timeline is not None and end > start:
+        if self._works and end > start:
             self._work(rank, start, end)
 
     def book_post(self, src, dst, nbytes, hops, tag, wire, times=None):
@@ -915,13 +921,13 @@ class Network:
         if self.log is None:
             return None
         msgs = (tag, src, dst, nbytes, hops, depart, arrival, None)
-        if self.timeline is None:
+        if not self._works:
             self._emit(msgs, None, None, 1)
             return None
         # the fold's sender half leaves its chain in *box* for the receiver
         box = [] if self.path is not None else None
-        self._emit(msgs, (tag, ((src, "send", start, depart),), None),
-                   None if box is None else
+        self._emit(msgs, (tag, ((src, "send", start, depart),), None) if self._lanes
+                   else None, None if box is None else
                    ("post", (tag, src, depart, box)), 1)
         return src, nbytes, hops, tag, depart, arrival, box
 
@@ -931,9 +937,11 @@ class Network:
         self.stats.idle_seconds += idle
         if posted is not None:
             src, nbytes, hops, tag, depart, arrival, box = posted
-            lanes = ((dst, "idle", wait_from, depart),
-                     (dst, "recv", max(wait_from, depart), arrival))
-            self._emit(None, (tag, lanes, None), None if box is None else
+            lanes = None
+            if self._lanes:
+                lanes = (tag, ((dst, "idle", wait_from, depart),
+                               (dst, "recv", max(wait_from, depart), arrival)), None)
+            self._emit(None, lanes, None if box is None else
                        ("take", (box, src, dst, arrival, hops, nbytes)), 2)
 
     def book_rendezvous(self, src, dst, nbytes, hops, tag, ready, wait_from,

@@ -9,16 +9,19 @@ a recording appends one :class:`MessageRecord` per message to
 
 A traced Network appends each charged wave to its :class:`WaveLog` once,
 as the columns it computed, and every order-free sink (records,
-metrics, timelines, the stream spill) and the critical-path fold drain
-the log in batches, in emission order.  An entry is a tuple
-``(msgs, lanes, fold, text)``, any part ``None``:
+metrics, the recording's timeline, the stream observer and its spill)
+and the critical-path fold drain the log in batches, in emission
+order.  An entry is a tuple ``(msgs, lanes, fold, text)``, any part
+``None``:
 
 * ``msgs`` — ``(tag, srcs, dsts, nbytes, hops, departs, arrivals,
   cut)``: arrays of one length (``nbytes`` may be one int for all), or
   scalars for one message, and ``cut`` = ``(plan, lo, hi)`` when the
   hops are those of the :class:`~repro.machine.topology.EdgePlan`'s
   edges ``lo .. hi - 1`` (``None``: whole), else ``None``;
-* ``lanes`` — ``(detail, lanes, wave)``: the intervals, either
+* ``lanes`` — ``(detail, lanes, wave)``, logged only for a sink that
+  keeps or writes intervals (a recording's timeline, a spill): the
+  intervals, either
   ``lanes``, a tuple of ``(ranks, kind, starts, ends)`` (arrays of one
   length, or scalars), or ``wave`` = ``(srcs, dsts, send_from, send_to,
   wait_from, arrivals, wires)``, the send / idle / recv lanes of a
@@ -218,11 +221,6 @@ class TraceStats:
     skeleton_calls: int = 0
     _records: list[MessageRecord] = field(default_factory=list, repr=False)
     keep_records: bool = False
-    #: the stream-mode sink (:class:`repro.obs.stream.StreamObserver`),
-    #: which drains the Network's wave log, as the records do, in
-    #: emission order.  Wiring, not state: :meth:`clear` leaves it
-    #: attached.
-    sink: "object | None" = None
     #: the Network's :class:`WaveLog` when this stats keeps records
     _log: WaveLog | None = field(default=None, repr=False, compare=False)
 

@@ -30,11 +30,11 @@ set:
   compute/latency/bandwidth/idle attribution by charging skeleton, the
   top blocking edges, per-rank straggler metrics and what-if cost
   replays (part of the ``python -m repro.eval trace`` report);
-* :mod:`repro.obs.stream` — the **streaming sinks** behind
-  ``Machine(trace_mode="stream")``: exact O(p) online aggregates, the
-  per-skeleton table filled as spans close and a rotating JSONL spill,
-  keeping observability memory O(p) at extreme scale
-  (docs/OBSERVABILITY.md, "Streaming mode").
+* :mod:`repro.obs.stream` — the **streaming sink** behind
+  ``Machine(trace_mode="stream")``: counters of what streamed past, a
+  rotating JSONL spill and the heartbeat, beside the O(p) fold and
+  per-skeleton table every mode keeps, so observability memory stays
+  O(p) at extreme scale (docs/OBSERVABILITY.md, "Streaming mode").
 
 Everything is opt-in through ``Machine(trace_level=...)`` and costs a
 single ``is None`` check per operation when off, so the simulated
@@ -48,12 +48,7 @@ from repro.obs.analysis import (
     RunAnalysis,
     analyze_machine,
 )
-from repro.obs.stream import (
-    ProgressReporter,
-    StreamConfig,
-    StreamObserver,
-    StreamTimeline,
-)
+from repro.obs.stream import ProgressReporter, StreamConfig, StreamObserver
 from repro.obs.metrics import (
     Counter,
     Histogram,
@@ -94,5 +89,4 @@ __all__ = [
     "ProgressReporter",
     "StreamConfig",
     "StreamObserver",
-    "StreamTimeline",
 ]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -257,6 +256,7 @@ class PathFold:
     @property
     def state(self) -> np.ndarray:
         """One row per rank, in rank order (class docstring)."""
+        drain(self._log)
         if self._moved:
             self._rows, self._phys = self._rows[self._phys], np.arange(self.p)
             self._moved = False
@@ -510,6 +510,7 @@ class PathFold:
     # ------------------------------------------------------------- results
     def busy_seconds(self) -> np.ndarray:
         """Busy seconds per (rank, skeleton column), the open one's too."""
+        drain(self._log)
         busy = self.busy.copy()
         busy[:, self._col] += self.val - self._since - self._waited
         return busy
@@ -517,6 +518,7 @@ class PathFold:
     def steps(self, rank: int, makespan: float) -> list[PathStep]:
         """Record mode: *rank*'s chain as tiling steps, closed with a
         final idle step up to *makespan* if its clock jumped past."""
+        drain(self._log)
         names, tags = list(self.skeletons), list(self.tags)
         end = float(self.val[rank])
         out = [make_step(rank, "gap", end, makespan, self.cost)] if makespan > end else []
@@ -671,16 +673,11 @@ def _imbalance(machine: "Machine", columns: dict[str, int],
                busy: np.ndarray) -> list[SkeletonImbalance]:
     """Per-skeleton straggler metrics from the busy seconds each skeleton
     charged on each rank; worst skew first."""
-    if machine.stream_obs is not None:
-        calls = {n: a.calls for n, a in machine.stream_obs.skeletons.items()}
-    else:
-        calls = Counter(s.name for s in machine.tracer.closed_spans()
-                        if s.category == "skeleton")
     out = []
-    for name, n in calls.items():
+    for name, agg in machine.tracer.skeletons.items():
         j = columns.get(name)
         per_rank = busy[:, j] if j is not None else np.zeros(machine.p)
-        out.append(SkeletonImbalance(name, n, float(per_rank.max()),
+        out.append(SkeletonImbalance(name, agg.calls, float(per_rank.max()),
                                      float(np.median(per_rank)),
                                      int(per_rank.argmax())))
     out.sort(key=lambda s: -(s.skew if math.isfinite(s.skew) else 1e18))
@@ -759,8 +756,7 @@ def format_analysis(
         lines[0] += " (stream mode: totals and blocking edges, no steps)"
         lines.append(
             f"memory: {acc['per_rank_cells']} per-rank cells; nothing retained "
-            f"of {acc['messages_seen']} messages, {acc['intervals_seen']} "
-            f"intervals, {acc['spans_seen']} spans "
+            f"of {acc['messages_seen']} messages, {acc['spans_seen']} spans "
             f"({acc['spans_retained']} still alive)"
         )
     lines.append(f"{'component':<14}{'seconds':>12}{'share':>8}")

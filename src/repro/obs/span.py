@@ -12,8 +12,9 @@ bookkeeping, so the tracer itself is cheap even on long runs.
 Spans nest by stack discipline; a span's numbers are *inclusive* of its
 children.  A skeleton span also carries its *exclusive* cost — the same
 numbers minus every skeleton nested in it — worked out when it closes,
-from the open stack, so it is known in both trace modes;
-:class:`SkeletonAgg` folds those into the per-skeleton table.
+from the open stack, and folded right then into the tracer's
+per-skeleton table (:attr:`SpanTracer.skeletons`, one
+:class:`SkeletonAgg` per name), in both trace modes.
 
 Wall time rides on the same brackets: ``begin`` and ``end`` take one
 ``time.perf_counter()`` stamp each, kept on the span beside the
@@ -60,7 +61,6 @@ __all__ = [
     "SpanTracer",
     "SpanError",
     "SkeletonAgg",
-    "fold_skeleton",
     "attribution_ok",
     "DURATION_BUCKETS",
     "ATTRIBUTION_TOL",
@@ -193,11 +193,14 @@ class _Opened:
 class SpanTracer:
     """Records a tree of spans against a stats object and a clock vector.
 
-    With *on_close* (stream mode passes
+    Every closing skeleton span is folded into :attr:`skeletons`, the
+    exact, exclusive per-skeleton table, in close order.  With
+    *on_close* (stream mode passes
     :meth:`repro.obs.stream.StreamObserver.on_span`) every closed span
-    is handed to the callback and nothing but the open stack is
-    retained: :attr:`spans` and :attr:`dispatches` stay empty, and the
-    query helpers that need the full tree are record-mode only.
+    is also handed to the callback and nothing but the open stack and
+    that table is retained: :attr:`spans` and :attr:`dispatches` stay
+    empty, and the query helpers that need the full tree are
+    record-mode only.
     ``index`` and ``parent`` count begun spans either way, so a streamed
     span equals the recorded one field for field.
     """
@@ -206,6 +209,8 @@ class SpanTracer:
         self.stats = stats
         self.network = network
         self.spans: list[Span] = []
+        #: the per-skeleton table: exclusive costs by skeleton name
+        self.skeletons: dict[str, SkeletonAgg] = {}
         #: record mode: the wall stamps of every backend dispatch
         self.dispatches: list[Dispatch] = []
         #: wall values (dispatch counters and histograms, per-worker
@@ -297,6 +302,10 @@ class SpanTracer:
             else:
                 # outermost: nested skeletons are inside this wall already
                 self.skeleton_wall += wall
+            agg = self.skeletons.get(top.name)
+            if agg is None:
+                agg = self.skeletons[top.name] = SkeletonAgg(top.name)
+            agg.fold(top)
         if self._on_close is not None:
             self._on_close(top)
         return top
@@ -419,6 +428,7 @@ class SpanTracer:
 
     def clear(self) -> None:
         self.spans.clear()
+        self.skeletons.clear()
         self.dispatches.clear()
         self.wall.clear()
         self.skeleton_wall = 0.0
@@ -448,8 +458,8 @@ class SkeletonAgg:
     inside a larger skeleton), phase spans count toward their enclosing
     skeleton, so summing rows never double-counts a simulated second.
     ``durations`` sees each call's simulated duration, nested calls
-    included.  Stream mode fills these online, record mode folds its
-    closed spans into the same class (:func:`fold_skeleton`).
+    included.  :meth:`SpanTracer.end` folds each closing skeleton span,
+    in either trace mode.
     ``wall_seconds`` sums :attr:`Span.wall_exclusive` the same way; it
     is a wall reading, so no bitwise comparison looks at it.
     """
@@ -484,14 +494,3 @@ class SkeletonAgg:
     @property
     def busy_total(self) -> float:
         return self.compute_seconds + self.comm_seconds + self.idle_seconds
-
-
-def fold_skeleton(aggs: dict[str, SkeletonAgg], span: Span) -> None:
-    """Fold one closed span into the per-skeleton aggregates *aggs*
-    (by name); phase spans are skipped."""
-    if span.category != "skeleton":
-        return
-    agg = aggs.get(span.name)
-    if agg is None:
-        agg = aggs[span.name] = SkeletonAgg(span.name)
-    agg.fold(span)

@@ -3,37 +3,33 @@
 The record-mode trace layers (:mod:`repro.machine.trace`,
 :mod:`repro.obs.timeline`, :mod:`repro.obs.span`) keep every message,
 per-rank interval and span — O(messages) memory, which makes a traced
-run at p=16384 infeasible.  The Network emits each charged wave once,
-into its wave log (:class:`repro.machine.trace.WaveLog`); this module
-holds the *sinks* that fold the same waves online, a drained batch at a
-time, instead of keeping them, and keeps only what a report, an
-analysis or the heartbeat reads:
+run at p=16384 infeasible.  Both modes already build the O(p)
+aggregates a report reads: the critical-path fold
+(:class:`repro.obs.analysis.PathFold`: per-rank busy seconds,
+components, blocking edges) and the span tracer's exact, exclusive
+per-skeleton table (:class:`repro.obs.span.SkeletonAgg`).  Stream mode
+keeps those and lets every message, interval and closed span go; this
+module holds its one sink, :class:`StreamObserver`, which drains the
+Network's wave log (:class:`repro.machine.trace.WaveLog`) a batch at a
+time for
 
-* exact per-rank/per-kind seconds (:class:`StreamTimeline`: the
-  heartbeat's straggler flag) — O(p) memory, updated one vectorized
-  batch of waves at a time;
-* the critical-path fold (:class:`repro.obs.analysis.PathFold`), which
-  the machine attaches in both modes and this observer accounts for;
-* exact, exclusive per-skeleton aggregates with duration histograms
-  (:class:`repro.obs.span.SkeletonAgg`, p50/p99 via
-  :meth:`repro.obs.metrics.Histogram.quantile`) — a closed span is
-  folded and let go, none is retained;
-* an optional rotating JSONL spill writer
-  (:class:`JsonlSpillWriter`) that streams full detail to disk using
-  the Chrome trace-event schema of :mod:`repro.obs.export`, one event
-  per line — O(1) memory, unbounded disk only on request.
+* counters of what streamed past (messages, spans) and of what is
+  still held — :meth:`StreamObserver.accounting`;
+* an optional rotating JSONL spill writer (:class:`JsonlSpillWriter`)
+  that streams full detail to disk using the Chrome trace-event schema
+  of :mod:`repro.obs.export`, one event per line — O(1) memory,
+  unbounded disk only on request;
+* the heartbeat (:class:`ProgressReporter`), ticked as spans close.
 
-**Bit-identity contract.**  The aggregates are not approximations: every
-scalar cell is updated with the same IEEE-754 additions, in the same
-order, as a left-to-right fold over the corresponding record-mode lists.
-Within one drained batch each (rank, kind) cell receives its
-contributions through ``np.add.at``, which applies element-by-element in
-index order — the order record mode lists that cell's intervals in.  The
-spill writes a batch's lines in emission order too, so where the log
-drains changes no byte.  The ``trace`` pillar
-of :mod:`repro.check` holds this line: it folds a full ``trace_level=2``
-recording through the same sinks (``repro.check.tracecheck``) and
-compares every aggregate bitwise against a live streamed run.
+**Bit-identity contract.**  The fold and the per-skeleton table are the
+same objects in both modes, fed the same waves and spans in the same
+order, so their state is bit-identical to a recording's.  The spill
+writes a batch's lines in emission order, so where the log drains
+changes no byte.  The ``trace`` pillar of :mod:`repro.check` holds this
+line: it compares a streamed run's fold, per-skeleton table and
+counters bitwise against a recorded run of the same workload and
+against a scalar fold of the recording
+(``repro.check.tracecheck.fold_recorded``).
 """
 
 from __future__ import annotations
@@ -49,32 +45,20 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import SkilError
-from repro.machine.trace import (
-    LOG_BUDGET,
-    batch_intervals,
-    batch_messages,
-    drain,
-    interval_entry,
-)
+from repro.machine.trace import LOG_BUDGET, batch_intervals, batch_messages, drain
 from repro.obs.analysis import TOPK
 from repro.obs.export import encode_complete, span_event
-from repro.obs.span import SkeletonAgg, Span, fold_skeleton
+from repro.obs.span import Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.machine import Machine
 
 __all__ = [
     "StreamConfig",
-    "StreamTimeline",
     "StreamObserver",
     "JsonlSpillWriter",
     "ProgressReporter",
-    "KINDS",
 ]
-
-#: activity kinds with pre-allocated per-rank aggregate slots; unknown
-#: kinds get their own array on first sight.
-KINDS = ("compute", "send", "recv", "idle")
 
 #: a rank this many times busier than the median is called a straggler
 #: by the heartbeat
@@ -158,95 +142,15 @@ class JsonlSpillWriter:
         self.close()
 
 
-# ---------------------------------------------------------------- timeline
-class StreamTimeline:
-    """O(p) stand-in for :class:`repro.obs.timeline.Timeline`.
-
-    Per (rank, kind) it keeps exact total seconds, one row per kind of
-    one array.  The Network's waves reach it through the log a batch at
-    a time (:meth:`fold`); ``add`` takes intervals directly, after what
-    the log holds.  Zero/negative-length intervals are dropped; with
-    *spill*, every directly added interval is also written out as it
-    passes.
-    """
-
-    def __init__(self, p: int, spill: JsonlSpillWriter | None = None):
-        self.p = int(p)
-        self._kinds = {k: i for i, k in enumerate(KINDS)}
-        self._cells = np.zeros((len(KINDS), self.p), dtype=np.float64)
-        self._seen = 0
-        self._spill = spill
-        #: the Network's wave log, drained before every read
-        self._log = None
-
-    @property
-    def seconds(self) -> dict[str, np.ndarray]:
-        """Exact seconds per kind, one cell per rank."""
-        drain(self._log)
-        return dict(zip(self._kinds, self._cells))
-
-    @property
-    def intervals_seen(self) -> int:
-        drain(self._log)
-        return self._seen
-
-    def fold(self, cols) -> np.ndarray:
-        """Columns of intervals (:func:`~repro.machine.trace.batch_intervals`)
-        into their cells, one ``np.add.at`` — which applies element by
-        element in index order, the order record mode lists each cell's
-        intervals in; returns which were kept."""
-        ranks, starts, ends, lanes = cols
-        codes = [self._kinds.setdefault(kind, len(self._kinds)) for _, kind, _, _ in lanes]
-        if len(self._kinds) > len(self._cells):  # a kind first seen
-            grown = np.zeros((len(self._kinds), self.p), dtype=np.float64)
-            grown[:len(self._cells)] = self._cells
-            self._cells = grown
-        keep = ends > starts
-        cells = np.repeat(np.multiply(codes, self.p), [n or 1 for *_, n in lanes])
-        # a dropped interval adds 0.0, which leaves its (positive) cell as it was
-        np.add.at(self._cells.reshape(-1), cells + ranks, np.fmax(ends - starts, 0.0))
-        self._seen += int(np.count_nonzero(keep))
-        return keep
-
-    def add(self, ranks, kind: str, starts, ends, detail: str = "") -> None:
-        """One interval, or a wave of same-kind intervals, folded and
-        spilled as a drained batch is: bit-identical to the record-mode
-        fold."""
-        drain(self._log)
-        cols = batch_intervals([interval_entry(((ranks, kind, starts, ends),), detail)])
-        if cols is not None:
-            keep = self.fold(cols)
-            if self._spill is not None:
-                self._spill.write_lines(_interval_text(cols, keep))
-
-    add_many = add
-
-    def busy_seconds_by_rank(self) -> np.ndarray:
-        """Per-rank non-idle seconds (sum over kinds; overlaps not
-        merged — the streaming layer has no interval endpoints left to
-        merge, which is the documented difference from record-mode
-        :meth:`~repro.obs.timeline.Timeline.coverage`)."""
-        busy = np.zeros(self.p, dtype=np.float64)
-        for kind, sec in self.seconds.items():
-            if kind != "idle":
-                busy += sec
-        return busy
-
-    def clear(self) -> None:
-        self._cells.fill(0.0)
-        self._seen = 0
-
-
 # ---------------------------------------------------------------- observer
 class StreamObserver:
-    """The stream-mode sink: exact aggregates, nothing retained per event.
+    """The stream-mode sink: counters and the spill, nothing retained
+    per event.
 
     The Network's wave log hands it every charged wave a batch at a
-    time (:meth:`drain`): the messages, and the intervals for the
-    :class:`StreamTimeline` this observer owns, which ``Machine``
-    installs as the network's timeline; the span tracer hands over
-    every *closed* span (``on_span``) and keeps none.  ``on_message``
-    takes one message directly.  Memory is O(p) by
+    time (:meth:`drain`): the messages, counted, and — with a spill —
+    the intervals, written out; the span tracer hands over every
+    *closed* span (``on_span``) and keeps none.  Memory is O(p) by
     construction; :meth:`accounting` exposes the exact footprint and
     :meth:`assert_bounded` turns it into a hard invariant.
     """
@@ -255,11 +159,8 @@ class StreamObserver:
         self.p = int(p)
         path = config.spill_path if config is not None else None
         self.spill = JsonlSpillWriter(path) if path else None
-        self.timeline = StreamTimeline(self.p, spill=self.spill)
         self._messages = 0
         self.spans_seen = 0
-        #: exact, exclusive per-skeleton aggregates, by name
-        self.skeletons: dict[str, SkeletonAgg] = {}
         #: optional heartbeat, ticked on span closes
         self.heartbeat: "ProgressReporter | None" = None
         #: the machine's critical-path fold, counted by :meth:`accounting`
@@ -277,15 +178,15 @@ class StreamObserver:
 
     # ----------------------------------------------------------- messages
     def drain(self, entries) -> None:
-        """A drained batch of the Network's wave log: messages counted,
-        intervals folded into the timeline, and every line spilled in
-        emission order — per entry its messages, its intervals lane by
-        lane, its text — in one write."""
+        """A drained batch of the Network's wave log: messages counted
+        and, with a spill, every line written in emission order — per
+        entry its messages, its intervals lane by lane (those that end
+        after they start), its text — in one write."""
         self._messages += sum(np.size(e[0][6]) for e in entries if e[0] is not None)
-        cols = batch_intervals(entries)
-        keep = None if cols is None else self.timeline.fold(cols)
         if self.spill is None:
             return
+        cols = batch_intervals(entries)
+        keep = None if cols is None else cols[2] > cols[1]
         msgs, lines, keys = batch_messages(entries), [], []
         if msgs is not None:  # on the receivers' tracks, departure (when known) to arrival
             tags, counts, (srcs, dsts, nbytes, hops, departs, times) = msgs
@@ -312,17 +213,8 @@ class StreamObserver:
         order = np.argsort(np.concatenate(keys), kind="stable").tolist()
         self.spill.write_lines("".join([lines[i] for i in order]))
 
-    def on_message(self, time: float, src: int, dst: int, nbytes: int,
-                   hops: int, tag: str, depart: float) -> None:
-        """One message handed over directly, as :meth:`drain` takes the
-        Network's (a negative departure: unknown)."""
-        drain(self._log)
-        cols = map(np.atleast_1d, (src, dst, nbytes, hops, depart, time))
-        self.drain([((tag, *cols, None), None, None, None)])
-
     # -------------------------------------------------------------- spans
     def on_span(self, span: Span) -> None:
-        fold_skeleton(self.skeletons, span)
         self._live_spans[id(span)] = span
         self.spans_seen += 1
         if self.spill is not None:
@@ -336,28 +228,23 @@ class StreamObserver:
 
     # ---------------------------------------------------------- accounting
     def accounting(self) -> dict[str, int]:
-        """Exact footprint counters of everything this observer retains.
+        """Exact footprint counters of everything stream mode retains.
 
-        ``per_rank_cells`` counts array elements across the per-rank
-        aggregates and the critical-path fold (O(p) per skeleton name
-        and blocking edge kept); the ``*_retained`` counters must stay zero
-        while the ``*_seen`` counters grow with the run — that
-        difference is the memory the streaming layer saved.
-        ``log_pending`` counts the elements the wave log held, before
-        this read drained it.
+        ``per_rank_cells`` counts the array elements of the
+        critical-path fold (O(p) per skeleton name); the
+        ``*_retained`` counters must stay zero while the ``*_seen``
+        counters grow with the run — that difference is the memory the
+        streaming layer saved.  ``log_pending`` counts the elements the
+        wave log held, before this read drained it.
         """
         pending = self._log.size if self._log is not None else 0
         drain(self._log)
         return {
             "p": self.p,
-            "per_rank_cells": sum(
-                arr.size for arr in self.timeline.seconds.values()
-            ) + (self.path.cells() if self.path is not None else 0),
+            "per_rank_cells": self.path.cells() if self.path is not None else 0,
             "messages_seen": self.messages_seen,
-            "intervals_seen": self.timeline.intervals_seen,
             "spans_seen": self.spans_seen,
             "spans_retained": len(self._live_spans),
-            "skeleton_keys": len(self.skeletons),
             "spill_events": self.spill.events_written if self.spill else 0,
             "log_pending": pending,
         }
@@ -374,12 +261,11 @@ class StreamObserver:
                 f"{acc['spans_retained']} closed span(s) still alive "
                 f"(of {acc['spans_seen']} seen)"
             )
-        # per rank: a few activity kinds, and the fold's value, busy
-        # bookkeeping, 4 components + busy per skeleton name and 3 cells
-        # per kept transfer; anything beyond means a retention leak
+        # per rank: the fold's value, busy bookkeeping, 4 components +
+        # busy per skeleton name and 3 cells per kept transfer; anything
+        # beyond means a retention leak
         fold = self.path
-        bound = self.p * (8 + (4 + 5 * len(fold.skeletons) + 3 * TOPK
-                               if fold is not None else 0))
+        bound = self.p * (4 + 5 * len(fold.skeletons) + 3 * TOPK) if fold is not None else 0
         if acc["per_rank_cells"] > bound:
             problems.append(
                 f"per-rank state grew past O(p x skeleton names): "
@@ -394,10 +280,8 @@ class StreamObserver:
         return acc
 
     def clear(self) -> None:
-        self.timeline.clear()
         self._messages = 0
         self.spans_seen = 0
-        self.skeletons.clear()
 
     def close(self) -> None:
         if self.spill is not None:
@@ -423,7 +307,9 @@ class ProgressReporter:
 
     Emits at most one line every ``interval`` wall-seconds (unless
     forced): elapsed wall time, simulated time, message/skeleton
-    counters and a straggler flag from the per-rank busy aggregates.
+    counters and, at ``trace_level=2``, a straggler flag from the
+    critical-path fold's per-rank busy seconds (the ``RankLoad``
+    definition of :func:`repro.obs.analysis.analyze_machine`).
     Also usable as a plain step logger via :meth:`note` (``eval all
     --progress``).
     """
@@ -476,9 +362,9 @@ class ProgressReporter:
             f"msgs={stats.messages}",
             f"skeletons={stats.skeleton_calls}",
         ]
-        obs = getattr(m, "stream_obs", None)
-        if obs is not None:
-            busy = obs.timeline.busy_seconds_by_rank()
+        fold = m.network.path
+        if fold is not None:
+            busy = fold.busy_seconds().sum(axis=1)
             med = float(np.median(busy))
             if med > 0.0:
                 worst = int(np.argmax(busy))

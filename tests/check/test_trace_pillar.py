@@ -64,16 +64,30 @@ class TestTracePillarCatchesFaults:
         assert "escapes" in _fails_again("trace", 1, capsys)
 
     def test_perturbed_stream_aggregate(self, monkeypatch, capsys):
-        from repro.obs.stream import StreamTimeline
+        from repro.obs.stream import StreamObserver
 
-        fold = StreamTimeline.fold
+        drain = StreamObserver.drain  # where the Network's waves reach it
 
-        def miscounted(self, cols):
-            self._seen += 1
-            return fold(self, cols)
+        def miscounted(self, entries):
+            self._messages += 1
+            drain(self, entries)
 
-        monkeypatch.setattr(StreamTimeline, "fold", miscounted)
-        assert "intervals_seen" in _fails_again("trace", 1, capsys)
+        monkeypatch.setattr(StreamObserver, "drain", miscounted)
+        assert "messages_seen" in _fails_again("trace", 1, capsys)
+
+    def test_perturbed_skeleton_table(self, monkeypatch, capsys):
+        """The span tracer's table, in both modes, against the scalar
+        fold of the recording."""
+        from repro.obs.span import SkeletonAgg
+
+        fold = SkeletonAgg.fold
+
+        def miscounted(self, span):
+            fold(self, span)
+            self.idle_seconds += 1e-12
+
+        monkeypatch.setattr(SkeletonAgg, "fold", miscounted)
+        assert "idle_seconds" in _fails_again("trace", 1, capsys)
 
     def test_clock_moved_by_tracing(self, monkeypatch, capsys):
         from repro.machine.network import Network

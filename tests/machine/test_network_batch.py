@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.check.charging import _compare_machines
-from repro.check.tracecheck import compare_observers
+from repro.check.tracecheck import compare_observers, observed
 from repro.errors import MachineError
 from repro.machine.machine import DISTR_RING, DISTR_TORUS2D, Machine
 from repro.machine.topology import VirtualTopology
@@ -37,7 +37,7 @@ def _assert_identical(ma, mb):
     # clocks, stats, records, per-rank timelines, metrics: all bitwise
     assert _compare_machines(ma, mb, "scalar loop vs batch") is None
     if ma.stream_obs is not None:
-        assert compare_observers(ma.stream_obs, mb.stream_obs) == []
+        assert compare_observers(observed(ma), observed(mb)) == []
 
 
 class TestP2PBatch:

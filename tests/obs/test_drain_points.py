@@ -26,6 +26,8 @@ from repro.machine.network import Network
 from repro.machine.topology import DefaultMapping, Mesh2D
 from repro.machine.trace import LOG_BUDGET, TraceStats, WaveLog
 from repro.obs import analyze_machine, write_chrome_trace
+from repro.obs import stream as stream_mod
+from repro.obs import timeline as timeline_mod
 from repro.obs.analysis import PathFold
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import ProgressReporter
@@ -71,19 +73,30 @@ def test_where_the_log_drains_changes_no_byte(case, where, tmp_path, monkeypatch
 
 # ---------------------------------------------------------------- mid-run
 def _fold(fold) -> tuple:
-    return tuple(a.tobytes() for a in (fold.val, fold.state, fold.busy_seconds()))
+    state = fold.state.tobytes()  # a reader: drains first
+    return fold.val.tobytes(), state, fold.busy_seconds().tobytes()
+
+
+def _busy(fold, net) -> bytes:
+    return fold.busy_seconds().tobytes()
+
+
+def _steps(fold, net) -> list:
+    """A record-mode fold's steps of rank 0, to the makespan."""
+    return fold.steps(0, net.time)
 
 
 def _readers(m: Machine, tmp) -> tuple:
     """What every public reader of *m* shows now (the heartbeat line
-    without its wall clock)."""
-    common = (m.metrics.snapshot(), _fold(m.network.path), analyze_machine(m).snapshot(),
+    without its wall clock); the fold's busy seconds first, so they
+    drain on their own."""
+    common = (m.network.path.busy_seconds().tobytes(), m.metrics.snapshot(),
+              _fold(m.network.path), analyze_machine(m).snapshot(),
               ProgressReporter(m).format_line().split(" ", 1)[1])
     if m.stream_obs is not None:
-        obs = m.stream_obs
-        acc = obs.assert_bounded()
+        acc = m.stream_obs.assert_bounded()
         del acc["log_pending"]  # how much the log held, not what it holds
-        return common + (acc, {k: v.tobytes() for k, v in obs.timeline.seconds.items()})
+        return common + (acc,)
     cols = m.timeline.columns()
     path = os.path.join(tmp, "mid.json")
     write_chrome_trace(path, m)
@@ -128,7 +141,9 @@ def _bare(where: str | None):
 
 
 def test_readers_between_charges_on_a_bare_network():
-    def run(where):
+    """Each reader drains on its own: the fold's busy seconds and steps
+    are each read first once."""
+    def run(where, fold_readers):
         net, topo = _bare(where)
         reads = []
         for charge in (lambda: net.broadcast(3, 512, topo),
@@ -137,15 +152,17 @@ def test_readers_between_charges_on_a_bare_network():
                                                256, topo, sync=True),
                        lambda: net.gather(0, 64, topo)):
             charge()
+            fold = [read(net.path, net) for read in fold_readers]
             cols = net.timeline.columns()
-            reads.append((list(net.stats.records), [c.tobytes() for c in cols[:4]],
+            reads.append((fold, list(net.stats.records), [c.tobytes() for c in cols[:4]],
                           cols[4], net.metrics.snapshot(), _fold(net.path)))
         return net, reads
 
-    net, reads = run(None)
-    ref, per_wave = run("wave")
-    assert reads == per_wave
-    assert compare_folds(net.path, ref.path) == []
+    for fold_readers in ((_busy, _steps), (_steps, _busy)):
+        net, reads = run(None, fold_readers)
+        ref, per_wave = run("wave", fold_readers)
+        assert reads == per_wave
+        assert compare_folds(net.path, ref.path) == []
 
 
 def test_stream_accounting_counts_what_the_log_holds():
@@ -162,3 +179,29 @@ def test_stream_accounting_counts_what_the_log_holds():
     assert m.stream_obs.assert_bounded()["log_pending"] <= LOG_BUDGET
     with pytest.raises(SkilError, match="wave log held"):
         run("end").stream_obs.assert_bounded()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_stream_without_a_spill_logs_no_interval_lanes(case, monkeypatch):
+    """Only a sink that keeps or writes intervals asks for lanes: a
+    streamed run without a spill logs none and derives none, and its
+    fold, metrics and analysis still equal the recording's."""
+    rec = _machine(case, "record")
+    rec.network.log.drain()  # its timeline's intervals, before they are refused
+    lanes, append = [], WaveLog.append
+
+    def logged(self, entry, size=1):
+        lanes.append(entry[1])
+        append(self, entry, size)
+
+    def refused(entries):
+        raise AssertionError("intervals derived for no sink")
+
+    monkeypatch.setattr(WaveLog, "append", logged)
+    for module in (stream_mod, timeline_mod):
+        monkeypatch.setattr(module, "batch_intervals", refused)
+    st = _machine(case, "stream")
+    assert lanes and all(lane is None for lane in lanes)
+    assert compare_folds(rec.network.path, st.network.path) == []
+    assert rec.metrics.snapshot() == st.metrics.snapshot()
+    assert analyze_machine(rec).snapshot() == analyze_machine(st).snapshot()

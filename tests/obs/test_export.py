@@ -7,6 +7,7 @@ import pytest
 from repro.errors import SkilError
 from repro.machine.costmodel import SKIL
 from repro.machine.machine import Machine
+from repro.machine.trace import interval_entry
 from repro.obs import (
     flame_rollup,
     validate_chrome_trace,
@@ -173,10 +174,10 @@ class TestStrictJson:
         path = tmp_path / "spill.jsonl"
         with Machine(2, trace_level=2, trace_mode="stream",
                      stream=StreamConfig(spill_path=str(path))) as m:
-            m.network.timeline.add(0, SEND, 0.5, 1.0)
+            _logged(m, interval_entry(((0, SEND, 0.5, 1.0),)))
             with pytest.raises(SkilError, match="rank 1 \\(send\\)"):
-                m.network.timeline.add_many([0, 1], SEND, [0.0, 0.0],
-                                            [1.0, float("inf")])
+                _logged(m, interval_entry((([0, 1], SEND, [0.0, 0.0],
+                                            [1.0, float("inf")]),)))
         assert [json.loads(ln)["cat"] for ln in path.read_text().splitlines()] == [SEND]
 
     def test_spill_refuses_non_finite_message(self, tmp_path):
@@ -186,7 +187,13 @@ class TestStrictJson:
         with Machine(2, trace_level=2, trace_mode="stream",
                      stream=StreamConfig(spill_path=str(path))) as m:
             with pytest.raises(SkilError, match="rank 1 \\(message\\)"):
-                m.stream_obs.on_message(float("nan"), 0, 1, 8, 1, "t", -1.0)
+                _logged(m, (("t", 0, 1, 8, 1, -1.0, float("nan"), None), None, None, None))
+
+
+def _logged(machine, entry) -> None:
+    """*entry* through the machine's wave log, drained at once."""
+    machine.network.log.append(entry)
+    machine.network.log.drain()
 
 
 class TestStreamModeExport:

@@ -26,14 +26,11 @@ SRC = Path(repro.__file__).parent
 #: class name -> the module (relative to ``src/repro``) that defines it
 KEPT = {
     "StreamObserver": "obs/stream.py",
-    "StreamTimeline": "obs/stream.py",
     "SkeletonAgg": "obs/span.py",
 }
 #: attributes that are wiring rather than observations, and why no code
 #: outside the defining module reads them
 ALLOWED = {
-    ("StreamObserver", "spill"): "the writer the timeline and the sinks "
-    "share; its product is the JSONL file, read by whoever asked for it",
     ("StreamObserver", "heartbeat"): "set by run_traced, ticked by on_span; "
     "its product is the progress line",
 }

@@ -224,7 +224,7 @@ def _stats(m):
 def test_gauss_record_and_stream_invisible_to_two_clocks(monkeypatch):
     """gauss p = 16, record and stream, each under two fake clocks:
     every simulated reading is bitwise equal, only the wall moves."""
-    from repro.check.tracecheck import compare_observers, fold_recorded
+    from repro.check.tracecheck import compare_observers, fold_recorded, observed
     from repro.eval.tracecmd import run_traced
 
     def run():
@@ -242,9 +242,9 @@ def test_gauss_record_and_stream_invisible_to_two_clocks(monkeypatch):
         assert a.metrics.render_text() == b.metrics.render_text()
     assert _stats(rec_a) == _stats(rec_b)
     assert _stats(str_a) == _stats(str_b)
-    assert compare_observers(fold_recorded(rec_a), str_b.stream_obs) == []
-    assert compare_observers(str_a.stream_obs, str_b.stream_obs) == []
-    aggs_a, aggs_b = str_a.stream_obs.skeletons, str_b.stream_obs.skeletons
+    assert compare_observers(fold_recorded(rec_a), observed(str_b)) == []
+    assert compare_observers(observed(str_a), observed(str_b)) == []
+    aggs_a, aggs_b = str_a.tracer.skeletons, str_b.tracer.skeletons
     assert aggs_a == aggs_b  # every simulated field; the wall is not compared
     assert any(
         aggs_a[k].wall_seconds != aggs_b[k].wall_seconds for k in aggs_a
@@ -344,7 +344,7 @@ class TestStreamModeIdentity:
     def test_stream_fold_identical_with_profiler(self):
         """Exact stream consumers fold identically to a recorded run,
         and stream mode keeps the wall totals but no stamps."""
-        from repro.check.tracecheck import compare_observers, fold_recorded
+        from repro.check.tracecheck import compare_observers, fold_recorded, observed
 
         m_rec = Machine(4, trace_level=2)
         m_str = Machine(4, trace_level=2, trace_mode="stream")
@@ -354,8 +354,7 @@ class TestStreamModeIdentity:
             with isolated_metrics():
                 _workload(SkilContext(m_str))
             assert np.array_equal(m_rec.network.clocks, m_str.network.clocks)
-            assert compare_observers(
-                fold_recorded(m_rec), m_str.stream_obs) == []
+            assert compare_observers(fold_recorded(m_rec), observed(m_str)) == []
             assert m_rec.metrics.render_text() == m_str.metrics.render_text()
             assert m_str.tracer.wall_attribution()["measured_wall_s"] > 0
             assert m_str.tracer.dispatches == []

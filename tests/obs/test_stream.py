@@ -1,6 +1,6 @@
 """Unit tests of the streaming observability primitives
-(:mod:`repro.obs.stream`): spill writer, stream timeline, accounting
-bounds, progress reporter, and the ``__slots__`` memory satellites."""
+(:mod:`repro.obs.stream`): spill writer, accounting bounds, progress
+reporter, and the ``__slots__`` memory satellites."""
 
 import json
 
@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from repro.errors import SkilError
+from repro.machine.costmodel import T800_PARSYTEC
 from repro.machine.machine import Machine
 from repro.machine.trace import MessageRecord
+from repro.obs.analysis import PathFold, analyze_machine
 from repro.obs.stream import (
     JsonlSpillWriter,
     ProgressReporter,
     StreamConfig,
     StreamObserver,
-    StreamTimeline,
 )
-from repro.obs.timeline import Interval, Timeline
+from repro.obs.timeline import Interval
 
 
 class TestSpillWriter:
@@ -42,42 +43,6 @@ class TestSpillWriter:
         assert (tmp_path / "spill.jsonl.2").exists()
         # keep=2 means nothing older than .2 survives
         assert not (tmp_path / "spill.jsonl.3").exists()
-
-
-class TestStreamTimeline:
-    def test_scalar_add_matches_record_timeline(self):
-        st = StreamTimeline(4)
-        tl = Timeline()
-        ivs = [(0, "compute", 0.0, 1.5), (1, "send", 0.5, 0.75),
-               (0, "idle", 1.5, 1.5),  # zero length: dropped by both
-               (2, "recv", 1.0, 0.25)]  # negative: dropped by both
-        for r, k, s, e in ivs:
-            st.add(r, k, s, e)
-            tl.add(r, k, s, e)
-        assert st.intervals_seen == len(tl)
-        assert st.seconds["compute"][0] == 1.5
-        assert st.seconds["send"][1] == 0.25
-        assert not st.seconds["idle"].any() and not st.seconds["recv"].any()
-
-    def test_add_many_matches_scalar_loop_bitwise(self):
-        rng = np.random.default_rng(5)
-        p, k = 8, 200
-        ranks = rng.integers(0, p, k)
-        starts = rng.uniform(0, 1, k)
-        ends = starts + rng.uniform(-0.1, 0.3, k)  # some dropped
-        scalar, wave = StreamTimeline(p), StreamTimeline(p)
-        for r, s, e in zip(ranks, starts, ends):
-            scalar.add(int(r), "send", float(s), float(e))
-        wave.add_many(ranks, "send", starts, ends)
-        assert np.array_equal(scalar.seconds["send"], wave.seconds["send"])
-        assert scalar.intervals_seen == wave.intervals_seen
-
-    def test_busy_excludes_idle(self):
-        st = StreamTimeline(2)
-        st.add(0, "compute", 0.0, 1.0)
-        st.add(0, "idle", 1.0, 3.0)
-        assert st.busy_seconds_by_rank()[0] == 1.0
-        assert st.seconds["idle"][0] == 2.0
 
 
 class TestScalarMessageSpill:
@@ -107,12 +72,13 @@ class TestScalarMessageSpill:
 class TestAccounting:
     def test_bounded_by_construction(self):
         obs = StreamObserver(16)
-        for i in range(5000):
-            obs.on_message(float(i), i % 16, (i + 3) % 16, 64, 2, "t", float(i))
+        for i in range(5000):  # one logged message a drain
+            obs.drain([(("t", i % 16, (i + 3) % 16, 64, 2, float(i), float(i), None),
+                        None, None, None)])
         acc = obs.accounting()
         assert acc["messages_seen"] == 5000
         assert acc["spans_retained"] == 0
-        assert acc["per_rank_cells"] == 4 * 16
+        assert acc["per_rank_cells"] == 0  # no fold attached: nothing per rank
         obs.assert_bounded()  # must not raise
 
     def test_assert_bounded_raises_on_violation(self):
@@ -129,8 +95,9 @@ class TestAccounting:
 
     def test_assert_bounded_raises_on_per_rank_growth(self):
         obs = StreamObserver(4)
-        for k in range(40):  # far more activity kinds than exist
-            obs.timeline.add(0, f"kind{k}", 0.0, 1.0)
+        obs.path = PathFold(4, T800_PARSYTEC)
+        obs.assert_bounded()
+        obs.path.busy = np.zeros((4, 40))  # far more columns than skeleton names
         with pytest.raises(SkilError, match="per-rank state"):
             obs.assert_bounded()
 
@@ -175,6 +142,24 @@ class TestProgressReporter:
         rep = ProgressReporter(m, out=buf)
         line = rep.format_line()
         assert "sim=0.001s" in line and "balanced" in line
+
+
+    def test_straggler_is_the_analysis_busiest_rank(self):
+        """The heartbeat's busy seconds are the analysis' ``RankLoad``
+        ones: a rank's overlapping rendezvous send and receive count
+        once, so no rank is busier than its clock and the flag names the
+        rank the analysis calls busiest."""
+        m = Machine(16, trace_level=2, trace_mode="stream")
+        net, topo, ranks = m.network, m.topology(), np.arange(16)
+        sec = np.full(16, 0.01)
+        sec[0] *= 3
+        net.compute(sec)
+        for k in (1, 2, 3):
+            net.shift_batch(ranks, (ranks + k) % 16, 1 << 16, topo, sync=True)
+        loads = analyze_machine(m).loads
+        busiest = max(loads, key=lambda load: load.busy_seconds)
+        assert f"straggler=r{busiest.rank}(" in ProgressReporter(m).format_line()
+        assert all(load.busy_seconds <= net.clocks[load.rank] for load in loads)
 
 
 class TestSlots:

@@ -6,7 +6,7 @@ under the sink path."""
 import numpy as np
 import pytest
 
-from repro.check.tracecheck import compare_folds, compare_observers, fold_recorded
+from repro.check.tracecheck import compare_folds, compare_observers, fold_recorded, observed
 from repro.errors import SkilError
 from repro.machine.machine import Machine
 from repro.machine.trace import TraceStats
@@ -36,7 +36,7 @@ class TestAppEquivalence:
         with isolated_metrics():
             _run_shpaths(m_str)
         assert np.array_equal(m_rec.network.clocks, m_str.network.clocks)
-        assert compare_observers(fold_recorded(m_rec), m_str.stream_obs) == []
+        assert compare_observers(fold_recorded(m_rec), observed(m_str)) == []
 
     def test_metrics_registries_identical(self):
         m_rec, m_str = _pair(4)
@@ -68,7 +68,7 @@ class TestAppEquivalence:
             run(m_rec)
         with isolated_metrics():
             run(m_str)
-        assert compare_observers(fold_recorded(m_rec), m_str.stream_obs) == []
+        assert compare_observers(fold_recorded(m_rec), observed(m_str)) == []
 
 
 class TestStreamMachineContracts:
@@ -77,14 +77,13 @@ class TestStreamMachineContracts:
         assert m.timeline is None  # nothing recorded
         assert m.stream_obs is not None
         assert m.stream_obs.path is m.network.path is not None
-        assert m.network.timeline is m.stream_obs.timeline
-        assert m.stats.sink is m.stream_obs
+        assert m.network.timeline is None  # no interval is kept
+        assert m.stream_obs._log is m.network.log is not None
         assert not m.stats.keep_records
 
     def test_record_machine_has_no_stream(self):
         m = Machine(4, trace_level=2)
         assert m.stream_obs is None
-        assert m.stats.sink is None
         assert m.network.timeline is m.timeline
 
     def test_invalid_mode_rejected(self):
@@ -148,6 +147,13 @@ class TestStreamMachineContracts:
         ("repro.obs.export", "chrome_trace_events"),
         ("repro.obs.stream", "_message_event"),
         ("repro.obs.stream.StreamTimeline", "wave_api"),
+        # one set of O(p) aggregates: the fold and the span tracer's table
+        ("repro.obs", "StreamTimeline"),
+        ("repro.obs.stream", "StreamTimeline"),
+        ("repro.obs.stream", "KINDS"),
+        ("repro.obs.stream.StreamObserver", "on_message"),
+        ("repro.obs.span", "fold_skeleton"),
+        ("repro.machine.trace.TraceStats", "sink"),
         ("repro.obs.span.SpanTracer", "_issue_index"),
         ("repro.obs.span.SpanTracer", "_register"),
         ("repro.obs.span.SpanTracer", "_finalize"),
@@ -211,8 +217,7 @@ class TestStreamMachineContracts:
         m.reset()
         assert m.stream_obs is obs  # cleared, not replaced
         assert obs.messages_seen == 0
-        assert obs.timeline.intervals_seen == 0
-        assert obs.spans_seen == 0 and not obs.skeletons
+        assert obs.spans_seen == 0 and not m.tracer.skeletons
         # the observer keeps observing after reset
         with isolated_metrics():
             _run_shpaths(m)
@@ -232,12 +237,13 @@ class TestStreamMachineContracts:
         assert m.stats.compute_seconds == 2.0
         assert m.stats.records == other.records  # records carried over
         assert m.stream_obs.messages_seen == seen_before  # sink untouched
-        assert m.stats.sink is m.stream_obs  # wiring survives merge
+        assert m.stream_obs._log is m.network.log  # wiring survives merge
 
     def test_clear_keeps_sink_wiring(self):
         m = Machine(4, trace_level=2, trace_mode="stream")
         m.stats.clear()
-        assert m.stats.sink is m.stream_obs
+        m.network.broadcast(0, 64, m.topology())
+        assert m.stream_obs.messages_seen == m.stats.messages == 3
 
     def test_isolated_metrics_leak_free_under_sink(self):
         names_before = set(global_metrics().snapshot())

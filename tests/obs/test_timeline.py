@@ -157,16 +157,3 @@ class TestWaves:
         values = [*tl.span(0), *tl.idle_gaps(0)[0], *tl.busy_segments(1)[0],
                   tl.busy_fraction(0)]
         assert all(type(v) is float for v in values)
-
-
-def test_both_timelines_speak_one_emission_interface():
-    """Record and stream timelines take the same calls, so the Network
-    never asks which one it has (what the ``wave_api`` flag was for)."""
-    import inspect
-
-    from repro.obs.stream import StreamTimeline
-
-    for name in ("add", "add_many"):
-        assert inspect.signature(getattr(Timeline, name)) == inspect.signature(
-            getattr(StreamTimeline, name)
-        ), name

@@ -66,6 +66,7 @@ RETIRED = [
     "link_contention", "keep_message_records", "strict_memory",
     "MemoryLimitError", "store_and_forward", "route_link_ids",
     "binomial_round_arrays", "DENSE_HOPS_MAX_P", "hop_matrix",
+    "StreamTimeline", "busy_seconds_by_rank", "intervals_seen",
 ]
 
 DESCRIBING_DOCS = [
